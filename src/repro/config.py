@@ -373,7 +373,10 @@ class CostModel:
     def copy_cycles(self, nbytes: int, bandwidth_bytes_per_s: float,
                     startup: float = 90.0) -> float:
         """Cycles to move ``nbytes`` at the given bandwidth."""
-        return startup + nbytes * self.cycles_per_byte(bandwidth_bytes_per_s)
+        # ``cycles_per_byte`` inlined: every priced data movement lands
+        # here, and the expression is the same.
+        return startup + nbytes * (self.machine.freq_hz
+                                   / bandwidth_bytes_per_s)
 
     def replace(self, **changes) -> "CostModel":
         """Return a copy with the given fields overridden."""

@@ -299,7 +299,7 @@ class DaxVM:
         # Table III rule exists precisely because walk_leaf_dram is the
         # floor of the walk-cost column).
         fast_medium = min(self.physmem.media_present(),
-                          key=lambda m: self.mem.spec(m).walk_leaf)
+                          key=lambda m: self.mem.specs[m].walk_leaf)
         swap_cost = 0.0
         for vma in vmas:
             table = self.filetables.table_for(vma.inode)

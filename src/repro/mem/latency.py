@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 from repro.config import CostModel
 from repro.errors import InvalidArgumentError
 from repro.mem.physmem import Medium
-from repro.mem.tiers import MediumSpec, medium_specs, spec_for
+from repro.mem.tiers import medium_specs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.topology import MachineTopology
@@ -83,7 +83,8 @@ class MemoryModel:
         self.costs = costs
         #: The pluggable tier registry: every pricing decision below
         #: reads the touched medium's spec instead of branching on the
-        #: enum.
+        #: enum.  Indexing it with an unknown medium raises
+        #: InvalidArgumentError (:class:`~repro.mem.tiers.MediumRegistry`).
         self.specs = medium_specs(costs)
         #: Optional :class:`repro.tiering.TierMap` — the hot/cold data
         #: placement overlay consulted by the VM access path and the
@@ -177,7 +178,8 @@ class MemoryModel:
                      now: float, node: int = 0) -> float:
         """Extra wait imposed by one node's aggregate PMem bandwidth
         (0 if the shared model is not wired up)."""
-        pool = self.pool(node)
+        pools = self._pools  # ``pool(node)`` inlined: once per access
+        pool = pools[min(node, len(pools) - 1)]
         if pool is None:
             return 0.0
         return pool.delay(read_bytes, write_bytes, now)
@@ -223,11 +225,6 @@ class MemoryModel:
         """Forget all active streams (power cycle)."""
         self._interference = [[] for _ in self._interference]
 
-    # -- tier registry ------------------------------------------------------
-    def spec(self, medium: Medium) -> MediumSpec:
-        """The medium's pricing spec; unknown media raise loudly."""
-        return spec_for(self.specs, medium)
-
     # -- scalar access ------------------------------------------------------
     def load_latency(self, medium: Medium, cached: bool = False,
                      factor: float = 1.0) -> float:
@@ -235,7 +232,7 @@ class MemoryModel:
         is the NUMA latency multiplier (cache hits never pay it)."""
         if cached:
             return self.costs.cache_load_latency
-        return self.spec(medium).load_latency * factor
+        return self.specs[medium].load_latency * factor
 
     # -- streaming access ---------------------------------------------------
     def stream_read(self, nbytes: int, medium: Medium,
@@ -246,7 +243,7 @@ class MemoryModel:
         if cached:
             bandwidth = self.costs.dram_read_bw * 2.5  # LLC-resident
         else:
-            spec = self.spec(medium)
+            spec = self.specs[medium]
             bandwidth = spec.read_bw * bw_factor
             if spec.interference_prone:
                 bandwidth /= self.interference_for(node)
@@ -263,7 +260,7 @@ class MemoryModel:
         sits dirty in the cache — durability costs are paid later by
         whoever flushes (msync/fsync via :meth:`clwb_flush`).
         """
-        spec = self.spec(medium)
+        spec = self.specs[medium]
         if self.persistence is not None and spec.persistent:
             self.persistence.note_stream(nbytes, ntstore)
         if not ntstore or not spec.ntstore_streams:
@@ -296,10 +293,10 @@ class MemoryModel:
         copies (§III-C, Vectorization).  ``bw_factor`` discounts the
         whole pipe when either end sits across the UPI link.
         """
-        dst_spec = self.spec(dst)
+        dst_spec = self.specs[dst]
         if self.persistence is not None and dst_spec.persistent:
             self.persistence.note_stream(nbytes, ntstore)
-        read_bw = self.spec(src).read_bw
+        read_bw = self.specs[src].read_bw
         if not ntstore or not dst_spec.ntstore_streams:
             # Cached stores: the cache absorbs them at DRAM-like speed
             # (device durability, if needed, is a later clwb flush).
@@ -319,13 +316,13 @@ class MemoryModel:
         if self.persistence is not None:
             self.persistence.note_flush(nbytes)
         return self.costs.copy_cycles(
-            nbytes, self.spec(medium).clwb_bw * bw_factor)
+            nbytes, self.specs[medium].clwb_bw * bw_factor)
 
     def zero(self, nbytes: int, bw_factor: float = 1.0,
              medium: Medium = Medium.PMEM) -> float:
         """Zero ``nbytes`` of device memory with nt-stores."""
         return self.costs.copy_cycles(
-            nbytes, self.spec(medium).zero_bw * bw_factor)
+            nbytes, self.specs[medium].zero_bw * bw_factor)
 
 
 class BandwidthThrottle:

@@ -47,6 +47,10 @@ class Medium(enum.Enum):
     #: NUMA Hardware"): remote-socket DRAM used as a slow second tier.
     FAR = "far"
 
+    # Members are singletons; identity hashing skips Enum.__hash__'s
+    # Python-level frame on every spec lookup.
+    __hash__ = object.__hash__
+
 
 class AllocPolicy(enum.Enum):
     """NUMA placement policy for frame allocations."""

@@ -35,7 +35,7 @@ Calibration sources for the new tiers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING
 
 from repro.errors import InvalidArgumentError
 from repro.mem.physmem import Medium
@@ -79,7 +79,22 @@ class MediumSpec:
     device_pooled: bool = False
 
 
-def medium_specs(costs: "CostModel") -> Dict[Medium, MediumSpec]:
+class MediumRegistry(dict):
+    """The per-medium spec table.
+
+    Lookups of registered media are plain C-level dict hits (the
+    pricing paths index it on every simulated access); an unregistered
+    medium raises :class:`~repro.errors.InvalidArgumentError` instead
+    of ``KeyError``.
+    """
+
+    def __missing__(self, medium: object) -> MediumSpec:
+        raise InvalidArgumentError(
+            f"no MediumSpec registered for {medium!r}; known media: "
+            f"{sorted(m.value for m in self)}")
+
+
+def medium_specs(costs: "CostModel") -> MediumRegistry:
     """Build the per-medium registry from one calibrated cost model.
 
     DRAM and PMem lift the historical constants verbatim — the
@@ -98,7 +113,7 @@ def medium_specs(costs: "CostModel") -> Dict[Medium, MediumSpec]:
         NUMA_REMOTE_PMEM_LATENCY,
     )
 
-    return {
+    return MediumRegistry({
         Medium.DRAM: MediumSpec(
             medium=Medium.DRAM,
             load_latency=costs.dram_load_latency,
@@ -159,18 +174,7 @@ def medium_specs(costs: "CostModel") -> Dict[Medium, MediumSpec]:
             interference_prone=False,
             device_pooled=False,
         ),
-    }
-
-
-def spec_for(specs: Dict[Medium, MediumSpec], medium: Medium
-             ) -> MediumSpec:
-    """Exhaustive registry lookup: unknown media raise, loudly."""
-    try:
-        return specs[medium]
-    except (KeyError, TypeError):
-        raise InvalidArgumentError(
-            f"no MediumSpec registered for {medium!r}; known media: "
-            f"{sorted(m.value for m in specs)}") from None
+    })
 
 
 #: Media ordered hot (fastest load) to cold — the tiering daemon's
@@ -179,4 +183,4 @@ def spec_for(specs: Dict[Medium, MediumSpec], medium: Medium
 TIER_ORDER = (Medium.DRAM, Medium.CXL, Medium.FAR, Medium.PMEM)
 
 
-__all__ = ["MediumSpec", "TIER_ORDER", "medium_specs", "spec_for"]
+__all__ = ["MediumRegistry", "MediumSpec", "TIER_ORDER", "medium_specs"]

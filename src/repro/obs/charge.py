@@ -60,7 +60,7 @@ class ChargeSpan:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        checked = []
+        entries = tuple(entries)
         for domain, event, cycles in entries:
             if not isinstance(domain, CostDomain):
                 raise SimulationError(f"charge_span needs CostDomains, "
@@ -69,8 +69,7 @@ class ChargeSpan:
                 raise SimulationError(
                     f"negative charge for {domain.value}/{event}: "
                     f"{cycles}")
-            checked.append((domain, event, cycles))
-        self.entries = tuple(checked)
+        self.entries = entries
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         inner = ", ".join(f"{d.value}/{e}:{c:.0f}"
@@ -78,7 +77,7 @@ class ChargeSpan:
         return f"ChargeSpan({inner})"
 
 
-def charge_span(entries) -> ChargeSpan:
-    """Build a :class:`ChargeSpan` from ``(domain, event, cycles)``
-    triples (the ergonomic yield helper for merged charge bursts)."""
-    return ChargeSpan(entries)
+# The yield helper for merged charge bursts: ``yield charge_span(
+# [(domain, event, cycles), ...])``.  Bound to the class for the same
+# reason as ``charge``.
+charge_span = ChargeSpan

@@ -34,6 +34,10 @@ class AccessPattern(enum.Enum):
     SEQUENTIAL = "seq"
     RANDOM = "rand"
 
+    # Members are singletons; identity hashing skips Enum.__hash__'s
+    # Python-level frame on every walk-cost memo lookup.
+    __hash__ = object.__hash__
+
 
 class TLBModel:
     """Analytic TLB miss counts for bulk scans and random op streams."""

@@ -12,9 +12,11 @@ performance monitor (Table III).
 
 from __future__ import annotations
 
+from typing import Dict, Tuple
+
 from repro.config import CostModel
 from repro.mem.physmem import Medium
-from repro.mem.tiers import medium_specs, spec_for
+from repro.mem.tiers import medium_specs
 from repro.paging.pagetable import PMD_LEVEL, PTE_LEVEL, Translation
 from repro.paging.tlb import AccessPattern
 
@@ -27,6 +29,11 @@ class PageWalker:
         #: Per-medium leaf-read cycles via the tier registry (DRAM and
         #: PMem specs carry walk_leaf_dram/walk_leaf_pmem verbatim).
         self._specs = medium_specs(costs)
+        #: (pattern, leaf medium, leaf factor) -> base-page walk cost.
+        #: The cost is a pure function of the key and the frozen cost
+        #: model, and every TLB-missing access asks for it.
+        self._walk_memo: Dict[Tuple[AccessPattern, Medium, float],
+                              float] = {}
 
     def walk_cost(self, pattern: AccessPattern, leaf_medium: Medium,
                   leaf_level: int = PTE_LEVEL,
@@ -42,14 +49,19 @@ class PageWalker:
             # Huge leaf: one fewer level and the PMD entry lives in the
             # process's private DRAM tables with high locality.
             return self.costs.walk_huge
-        if pattern is AccessPattern.SEQUENTIAL:
-            upper = self.costs.walk_upper_seq
-            miss = self.costs.walk_leaf_miss_seq
-        else:
-            upper = self.costs.walk_upper_rand
-            miss = self.costs.walk_leaf_miss_rand
-        leaf = spec_for(self._specs, leaf_medium).walk_leaf
-        return upper + miss * leaf * leaf_factor
+        key = (pattern, leaf_medium, leaf_factor)
+        cost = self._walk_memo.get(key)
+        if cost is None:
+            if pattern is AccessPattern.SEQUENTIAL:
+                upper = self.costs.walk_upper_seq
+                miss = self.costs.walk_leaf_miss_seq
+            else:
+                upper = self.costs.walk_upper_rand
+                miss = self.costs.walk_leaf_miss_rand
+            # An unknown medium raises here, before anything is stored.
+            leaf = self._specs[leaf_medium].walk_leaf
+            cost = self._walk_memo[key] = upper + miss * leaf * leaf_factor
+        return cost
 
     def walk_cost_for(self, translation: Translation,
                       pattern: AccessPattern,

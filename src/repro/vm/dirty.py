@@ -76,6 +76,15 @@ class DirtyTracker:
         """Queue a racing write's granule for re-tagging at epoch end."""
         self._deferred[inode.number].add(granule_index)
 
+    def remark_racing(self, inode: Inode, lo: int, hi: int) -> None:
+        """:meth:`remark_after_sync` every granule in ``lo..hi`` that an
+        in-flight msync is flushing (one call per written window)."""
+        syncing = self._syncing.get(inode.number)
+        if syncing:
+            for granule_index in range(lo, hi + 1):
+                if granule_index in syncing:
+                    self._deferred[inode.number].add(granule_index)
+
     def end_sync(self, inode: Inode) -> None:
         """Close the epoch; re-mark granules written during it."""
         self._syncing.pop(inode.number, None)

@@ -29,7 +29,7 @@ exact for the single-threaded large-file workloads that use them.
 
 from __future__ import annotations
 
-from typing import Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.config import CostModel
 from repro.errors import (
@@ -62,12 +62,49 @@ PAGES_PER_PMD = PMD_SIZE // PAGE_SIZE
 #: Above this many pending faults, aggregate them into one bulk event.
 BULK_FAULT_THRESHOLD = 64
 
-#: Counter keys pre-resolved for the demand-fault path: these three
-#: fire once per 4 KB fault and the ``Stats.add`` call frame plus enum
-#: lookup are measurable at millions of faults per sweep.
+#: Counter keys pre-resolved for the demand-fault and mapped-access
+#: paths: these fire once per fault or access, and the ``Stats.add``
+#: call frame plus enum lookup are measurable at millions of events
+#: per sweep.
 _VM_FAULTS_KEY = counter_key(Counter.VM_FAULTS)
 _VM_PTE_FAULTS_KEY = counter_key(Counter.VM_PTE_FAULTS)
 _VM_HUGE_FAULTS_KEY = counter_key(Counter.VM_HUGE_FAULTS)
+_VM_DIRTY_FAULTS_KEY = counter_key(Counter.VM_DIRTY_FAULTS)
+_VM_UNTRACKED_WRITES_KEY = counter_key(Counter.VM_UNTRACKED_WRITES)
+_VM_ACCESS_BYTES_KEY = counter_key(Counter.VM_ACCESS_BYTES)
+_VM_TLB_MISSES_KEY = counter_key(Counter.VM_TLB_MISSES)
+_VM_WALK_CYCLES_KEY = counter_key(Counter.VM_WALK_CYCLES)
+_VIRT_NESTED_WALK_CYCLES_KEY = counter_key(Counter.VIRT_NESTED_WALK_CYCLES)
+_NUMA_LOCAL_ACCESSES_KEY = counter_key(Counter.NUMA_LOCAL_ACCESSES)
+_NUMA_LOCAL_BYTES_KEY = counter_key(Counter.NUMA_LOCAL_BYTES)
+_NUMA_REMOTE_ACCESSES_KEY = counter_key(Counter.NUMA_REMOTE_ACCESSES)
+_NUMA_REMOTE_BYTES_KEY = counter_key(Counter.NUMA_REMOTE_BYTES)
+
+
+def huge_covered_pages(huge_regions: Set[int], first_page: int,
+                       npages: int) -> int:
+    """How many of the pages ``first_page .. first_page+npages-1`` lie
+    in a 2 MB region installed as a PMD leaf — counted per region, not
+    per page."""
+    end = first_page + npages
+    covered = 0
+    for region in range(first_page // PAGES_PER_PMD,
+                        (end - 1) // PAGES_PER_PMD + 1):
+        if region in huge_regions:
+            base = region * PAGES_PER_PMD
+            covered += (min(end, base + PAGES_PER_PMD)
+                        - max(first_page, base))
+    return covered
+
+
+def pending_granules(writable: Set[int], lo: int, hi: int) -> List[int]:
+    """The granules of ``lo..hi`` not yet write-enabled, ascending.
+
+    A dirty granule is never smaller than a page (4 KB, 2 MB or 1 GB),
+    so consecutive pages of a window fall in the same or the next
+    granule: the window's granules are exactly the range ``lo..hi``.
+    """
+    return [g for g in range(lo, hi + 1) if g not in writable]
 
 
 class MMStruct:
@@ -137,12 +174,10 @@ class MMStruct:
     def _numa_info(self, vma: VMA, first_page: int,
                    medium: Medium = Medium.PMEM):
         """(latency factor, bandwidth factor, target node, is-remote)
-        for the running thread touching a mapping — or ``None`` on
-        uniform machines, keeping the single-socket path untouched.
+        for the running thread touching a mapping on a multi-socket
+        machine (``access`` skips the call on uniform ones).
         ``medium`` is where the data actually resides (the device's
         native medium unless a tier overlay promoted it)."""
-        if self.topology is None or self.topology.num_nodes == 1:
-            return None
         frame = None
         if vma.fs is not None and vma.inode is not None:
             try:
@@ -324,7 +359,7 @@ class MMStruct:
         vma.writable.add(track_key)
         self.page_cache.mark(vma.inode, gindex)
         cost = self.costs.dirty_track_per_page
-        self.stats.add(Counter.VM_DIRTY_FAULTS)
+        self.stats.counters[_VM_DIRTY_FAULTS_KEY] += 1.0
         if vma.flags & MapFlags.SYNC:
             fs: FileSystem = vma.fs
             yield from fs.mapsync_fault()
@@ -387,9 +422,16 @@ class MMStruct:
         first_page = offset // PAGE_SIZE
         last_page = (offset + length - 1) // PAGE_SIZE
         npages = last_page - first_page + 1
+        # Bytes moved: priced, dirty-tagged and counted alike.
+        nbytes = touch_bytes if touch_bytes is not None else length
+        num_ops = ops or 1
+        total_bytes = nbytes * num_ops
+        mem = self.mem
+        inode = vma.inode
+        tracked = write and vma.tracks_dirty
 
         # -- media faults (before any translation is touched) -------------
-        if self.mem.faults is not None and vma.inode is not None:
+        if mem.faults is not None and inode is not None:
             yield from self._media_map_check(vma, first_page, last_page,
                                              write=write)
 
@@ -420,73 +462,79 @@ class MMStruct:
                 yield from self.mmap_sem.release_read()
                 yield charge(CostDomain.FAULT, "fault-entry",
                              self.costs.fault_entry * installs)
-                self.stats.add(Counter.VM_FAULTS, installs)
+                self.stats.counters[_VM_FAULTS_KEY] += installs
 
         # -- dirty-tracking write faults -----------------------------------
-        if write and vma.tracks_dirty:
-            yield from self._write_track(vma, first_page, last_page)
-            self.page_cache.add_bytes(
-                vma.inode, (touch_bytes or length) * (ops or 1))
+        if tracked:
+            granule = vma.dirty_granule or PAGE_SIZE
+            base = vma.file_offset
+            lo = (base + first_page * PAGE_SIZE) // granule
+            hi = (base + last_page * PAGE_SIZE) // granule
+            # The common case — one granule, already write-enabled —
+            # takes no fault and needs no generator.
+            if lo != hi or lo not in vma.writable:
+                yield from self._write_track(vma, first_page, lo, hi)
+            self.page_cache.add_bytes(inode, total_bytes)
         elif write:
-            self.stats.add(Counter.VM_UNTRACKED_WRITES)
+            self.stats.counters[_VM_UNTRACKED_WRITES_KEY] += 1.0
 
         # -- data movement ---------------------------------------------------
-        nbytes = touch_bytes if touch_bytes is not None else length
-        num_ops = ops or 1
         # The tier overlay (when attached) may have migrated this
         # window off the device's native medium; `None` — the default —
         # resolves to PMem, reproducing the pre-tiering model exactly.
-        tiers = self.mem.tiers
-        if tiers is None or vma.inode is None:
+        tiers = mem.tiers
+        if tiers is None or inode is None:
             data_medium = Medium.PMEM
         else:
-            data_medium = tiers.medium_for(vma.inode,
-                                           vma.file_page(first_page))
-            tiers.note_touch(vma.inode, vma.file_page(first_page),
+            data_medium = tiers.medium_for(inode, vma.file_page(first_page))
+            tiers.note_touch(inode, vma.file_page(first_page),
                              vma.file_page(last_page), write=write)
-        numa = self._numa_info(vma, first_page, data_medium)
+        topology = self.topology
+        if topology is None or topology.num_nodes == 1:
+            numa = None
+        else:
+            numa = self._numa_info(vma, first_page, data_medium)
         lat_f, bw_f, target_node, numa_remote = numa or (1.0, 1.0, 0, False)
 
-        def movement(lat_factor: float, bw_factor: float) -> float:
-            """Pure data-movement cycles under given NUMA factors (the
-            uniform call reproduces the pre-topology costs bit for
-            bit — every factor is exactly 1.0)."""
+        # Price at the access's NUMA factors.  A remote access prices
+        # the uniform-factor variant too: the difference is the UPI
+        # tax, ledgered separately so perf breakdowns can show it.
+        rand = pattern is AccessPattern.RANDOM
+        prices = []
+        for lat_factor, bw_factor in (((lat_f, bw_f), (1.0, 1.0))
+                                      if numa_remote else ((lat_f, bw_f),)):
             if write and copy:
-                return self.mem.memcpy(
-                    nbytes, Medium.DRAM, data_medium, ntstore=ntstore,
-                    bw_factor=bw_factor) * num_ops
-            if write:
-                return self.mem.stream_write(
-                    nbytes, data_medium, ntstore=ntstore,
-                    node=target_node, bw_factor=bw_factor) * num_ops
-            if copy:
-                cycles = self.mem.memcpy(nbytes, data_medium, Medium.DRAM,
+                cycles = mem.memcpy(nbytes, Medium.DRAM, data_medium,
+                                    ntstore=ntstore, bw_factor=bw_factor)
+            elif write:
+                cycles = mem.stream_write(nbytes, data_medium,
+                                          ntstore=ntstore, node=target_node,
+                                          bw_factor=bw_factor)
+            elif copy:
+                cycles = mem.memcpy(nbytes, data_medium, Medium.DRAM,
+                                    bw_factor=bw_factor)
+                if rand:
+                    cycles += mem.load_latency(data_medium,
+                                               factor=lat_factor)
+            elif rand:
+                cycles = (mem.load_latency(data_medium, factor=lat_factor)
+                          + mem.stream_read(nbytes, data_medium,
+                                            cached=data_cached,
+                                            node=target_node,
+                                            bw_factor=bw_factor))
+            else:
+                cycles = mem.stream_read(nbytes, data_medium,
+                                         cached=data_cached, node=target_node,
                                          bw_factor=bw_factor)
-                if pattern is AccessPattern.RANDOM:
-                    cycles += self.mem.load_latency(data_medium,
-                                                    factor=lat_factor)
-                return cycles * num_ops
-            if pattern is AccessPattern.RANDOM:
-                return (self.mem.load_latency(data_medium, factor=lat_factor)
-                        + self.mem.stream_read(
-                            nbytes, data_medium, cached=data_cached,
-                            node=target_node,
-                            bw_factor=bw_factor)) * num_ops
-            return self.mem.stream_read(
-                nbytes, data_medium, cached=data_cached, node=target_node,
-                bw_factor=bw_factor) * num_ops
-
-        data = movement(lat_f, bw_f)
-        # The cycles added by crossing the UPI link are ledgered
-        # separately so perf breakdowns can show the remote tax.
-        numa_extra = data - movement(1.0, 1.0) if numa_remote else 0.0
+            prices.append(cycles * num_ops)
+        data = prices[0]
+        numa_extra = data - prices[1] if numa_remote else 0.0
 
         # -- device bandwidth contention ------------------------------------
         # Only media sharing the PMem DIMM pools contend there; data a
         # tier overlay moved to DRAM/CXL rides its own channel.
-        total_bytes = nbytes * num_ops
-        if not data_cached and self.mem.spec(data_medium).device_pooled:
-            wait = self.mem.device_delay(
+        if not data_cached and mem.specs[data_medium].device_pooled:
+            wait = mem.device_delay(
                 0 if write else total_bytes,
                 total_bytes if write else 0, self.engine.now,
                 node=target_node)
@@ -498,34 +546,33 @@ class MMStruct:
         # One yield for the whole burst: there is no kernel code
         # between these charges, so span-merging them is bit-identical
         # (the engine interprets span entries with per-entry arithmetic).
-        entries = [(CostDomain.COPY if copy else CostDomain.USERSPACE,
-                    "data-access", data - numa_extra)]
+        moved = (CostDomain.COPY if copy else CostDomain.USERSPACE,
+                 "data-access", data - numa_extra)
+        walk = (CostDomain.WALK, "tlb-walk", tlb_cost)
         if numa_extra:
-            entries.append((CostDomain.NUMA, "remote-access", numa_extra))
-        entries.append((CostDomain.WALK, "tlb-walk", tlb_cost))
-        yield charge_span(entries)
+            yield charge_span(
+                (moved, (CostDomain.NUMA, "remote-access", numa_extra), walk))
+        else:
+            yield charge_span((moved, walk))
 
         # -- durability shadowing and sync-epoch races ----------------------
-        if write and vma.inode is not None:
-            if vma.tracks_dirty:
-                granule = vma.dirty_granule or PAGE_SIZE
-                lo = (vma.file_offset + offset) // granule
-                hi = (vma.file_offset + offset + length - 1) // granule
-                for gindex in range(lo, hi + 1):
-                    if self.page_cache.in_sync(vma.inode, gindex):
-                        self.page_cache.remark_after_sync(vma.inode, gindex)
-            domain = getattr(self.mem, "persistence", None)
+        if write and inode is not None:
+            if tracked:  # ``granule`` was set by the write-track step
+                self.page_cache.remark_racing(
+                    inode, (vma.file_offset + offset) // granule,
+                    (vma.file_offset + offset + length - 1) // granule)
+            domain = mem.persistence
             if domain is not None:
-                domain.data_store(vma.inode.number, nbytes * num_ops,
-                                  nt=ntstore)
-        self.stats.add(Counter.VM_ACCESS_BYTES, nbytes * num_ops)
+                domain.data_store(inode.number, total_bytes, nt=ntstore)
+        counters = self.stats.counters
+        counters[_VM_ACCESS_BYTES_KEY] += total_bytes
         if numa is not None:
             if numa_remote:
-                self.stats.add(Counter.NUMA_REMOTE_ACCESSES, num_ops)
-                self.stats.add(Counter.NUMA_REMOTE_BYTES, total_bytes)
+                counters[_NUMA_REMOTE_ACCESSES_KEY] += num_ops
+                counters[_NUMA_REMOTE_BYTES_KEY] += total_bytes
             else:
-                self.stats.add(Counter.NUMA_LOCAL_ACCESSES, num_ops)
-                self.stats.add(Counter.NUMA_LOCAL_BYTES, total_bytes)
+                counters[_NUMA_LOCAL_ACCESSES_KEY] += num_ops
+                counters[_NUMA_LOCAL_BYTES_KEY] += total_bytes
 
     # ------------------------------------------------------------------
     # Media-fault handling (repro.faults).
@@ -609,27 +656,23 @@ class MMStruct:
             yield from self.shootdowns.flush(
                 self._initiator_core(), flush_cores, ptes)
 
-    def _write_track(self, vma: VMA, first_page: int, last_page: int):
-        """Take write-protect faults for untracked granules in range."""
-        granule = vma.dirty_granule or PAGE_SIZE
-        pages_per_granule = max(1, granule // PAGE_SIZE)
-        granules = sorted({
-            (vma.file_offset + p * PAGE_SIZE) // granule
-            for p in range(first_page, last_page + 1)})
-        pending = [g for g in granules if g not in vma.writable]
+    def _write_track(self, vma: VMA, first_page: int, lo: int, hi: int):
+        """Take write-protect faults for the untracked granules among
+        ``lo..hi``, the granules of a window starting at ``first_page``."""
+        pending = pending_granules(vma.writable, lo, hi)
         if not pending:
             return
+        granule = vma.dirty_granule or PAGE_SIZE
         if len(pending) <= BULK_FAULT_THRESHOLD:
             for gindex in pending:
                 page = (gindex * granule - vma.file_offset) // PAGE_SIZE
                 page = max(first_page, page)
-                yield charge(CostDomain.FAULT, "fault-entry",
-                             self.costs.fault_entry)
+                yield self._fault_entry_charge
                 yield from self.mmap_sem.acquire_read()
                 cost = yield from self._dirty_fault_locked(vma, page)
                 yield charge(CostDomain.FAULT, "dirty-track", cost)
                 yield from self.mmap_sem.release_read()
-                self.stats.add(Counter.VM_FAULTS)
+                self.stats.counters[_VM_FAULTS_KEY] += 1.0
         else:
             yield from self.mmap_sem.acquire_read()
             cost = len(pending) * (self.costs.fault_entry
@@ -637,8 +680,9 @@ class MMStruct:
             for gindex in pending:
                 vma.writable.add(gindex)
                 self.page_cache.mark(vma.inode, gindex)
-            self.stats.add(Counter.VM_DIRTY_FAULTS, len(pending))
-            self.stats.add(Counter.VM_FAULTS, len(pending))
+            counters = self.stats.counters
+            counters[_VM_DIRTY_FAULTS_KEY] += len(pending)
+            counters[_VM_FAULTS_KEY] += len(pending)
             if vma.flags & MapFlags.SYNC:
                 fs: FileSystem = vma.fs
                 if fs.mapsync_needs_commit:
@@ -648,7 +692,6 @@ class MMStruct:
                                  len(pending))
             yield charge(CostDomain.FAULT, "dirty-track", cost)
             yield from self.mmap_sem.release_read()
-        _ = pages_per_granule  # granule arithmetic documented above
 
     def _tlb_cost(self, vma: VMA, first_page: int, npages: int,
                   pattern: AccessPattern, num_ops: int,
@@ -661,13 +704,12 @@ class MMStruct:
         DRAM-resident (process-private) tables sit on the home node and
         stay at factor 1.
         """
-        leaf_medium = getattr(vma, "leaf_medium", Medium.DRAM)
+        leaf_medium = vma.leaf_medium
         if leaf_medium is not Medium.PMEM:
             leaf_factor = 1.0
         # Split the window into huge-covered and 4 KB-covered pages.
-        huge_pages = sum(
-            1 for p in range(first_page, first_page + npages)
-            if p // PAGES_PER_PMD in vma.huge_regions)
+        huge_pages = (huge_covered_pages(vma.huge_regions, first_page, npages)
+                      if vma.huge_regions else 0)
         small_pages = npages - huge_pages
         huge_fraction = huge_pages / npages if npages else 0.0
 
@@ -691,8 +733,11 @@ class MMStruct:
             npages)
         walk_small = self.scheme.walk_cost(self.walker, pattern, leaf_medium,
                                            leaf_factor=leaf_factor)
-        cost = (misses_small * walk_small
-                + misses_huge * self.scheme.huge_walk_cost(self.walker))
+        cost = misses_small * walk_small
+        if misses_huge:
+            # Skipping a zero term is bit-exact: every walk cost is a
+            # finite float, so ``cost + 0 * walk`` equals ``cost``.
+            cost += misses_huge * self.scheme.huge_walk_cost(self.walker)
         guest = self.guest
         if guest is not None and guest.nested:
             # Two-dimensional (guest-over-host) walk pricing: the same
@@ -705,10 +750,11 @@ class MMStruct:
                           leaf_factor=leaf_factor)
                       + misses_huge
                       * self.scheme.nested_huge_walk_cost(self.walker))
-            self.stats.add(Counter.VIRT_NESTED_WALK_CYCLES, nested - cost)
+            self.stats.counters[_VIRT_NESTED_WALK_CYCLES_KEY] += nested - cost
             cost = nested
-        self.stats.add(Counter.VM_TLB_MISSES, misses_small + misses_huge)
-        self.stats.add(Counter.VM_WALK_CYCLES, cost)
+        counters = self.stats.counters
+        counters[_VM_TLB_MISSES_KEY] += misses_small + misses_huge
+        counters[_VM_WALK_CYCLES_KEY] += cost
         return cost
 
     # ------------------------------------------------------------------
@@ -724,7 +770,7 @@ class MMStruct:
             return
         granule = vma.dirty_granule or PAGE_SIZE
         inode = vma.inode
-        domain = getattr(self.mem, "persistence", None)
+        domain = self.mem.persistence
         upto = (domain.cursor()
                 if domain is not None and inode is not None else None)
         written = self.page_cache.written_bytes(inode)

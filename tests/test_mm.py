@@ -1,12 +1,26 @@
-"""MMStruct tests: mmap/munmap, demand paging, dirty tracking, msync."""
+"""MMStruct tests: mmap/munmap, demand paging, dirty tracking, msync,
+and the mapped-access hot path's arithmetic shortcuts."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import NotSupportedError
+from repro.config import DEFAULT_COSTS
+from repro.errors import InvalidArgumentError, NotSupportedError
+from repro.mem.physmem import Medium
 from repro.paging.tlb import AccessPattern
+from repro.paging.walker import PageWalker
+from repro.vm.mm import PAGES_PER_PMD, huge_covered_pages, pending_granules
 from repro.vm.vma import MapFlags, Protection
 
 PAGE = 4096
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(system, gen):
@@ -281,3 +295,136 @@ def test_random_access_charges_more_tlb_than_sequential(system):
     seq = run(system, flow(AccessPattern.SEQUENTIAL))
     rand = run(system, flow(AccessPattern.RANDOM))
     assert rand > seq
+
+
+def test_touch_bytes_zero_prices_and_tags_zero_bytes(system):
+    """Pricing and dirty-byte tagging share one byte count: a
+    ``touch_bytes=0`` write moves no data and dirties no bytes (it used
+    to be tagged with the whole window's ``length``)."""
+    f = make_file(system, 8 * PAGE)
+    proc = system.new_process()
+
+    def flow():
+        vma = yield from proc.mm.mmap(system.fs, f.inode, 0, 8 * PAGE,
+                                      Protection.rw(), MapFlags.SHARED)
+        yield from proc.mm.access(vma, 0, 2 * PAGE, write=True,
+                                  touch_bytes=0, ops=3)
+        zero = proc.mm.page_cache.written_bytes(f.inode)
+        yield from proc.mm.access(vma, 0, 2 * PAGE, write=True,
+                                  touch_bytes=512, ops=3)
+        return zero, proc.mm.page_cache.written_bytes(f.inode)
+
+    zero, partial = run(system, flow())
+    assert zero == 0
+    assert partial == 512 * 3
+    assert system.stats.get("vm.access_bytes") == 512 * 3
+
+
+# ---------------------------------------------------------------------------
+# The access path's region/granule arithmetic equals the per-page scans
+# it replaced.
+# ---------------------------------------------------------------------------
+def _per_page_huge_count(huge_regions, first_page, npages):
+    return sum(1 for p in range(first_page, first_page + npages)
+               if p // PAGES_PER_PMD in huge_regions)
+
+
+def _set_sort_pending(writable, file_offset, granule, first_page,
+                      last_page):
+    granules = sorted({(file_offset + p * PAGE) // granule
+                       for p in range(first_page, last_page + 1)})
+    return [g for g in granules if g not in writable]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4 * PAGES_PER_PMD), st.integers(0, 3 * PAGES_PER_PMD),
+       st.sets(st.integers(0, 8), max_size=8))
+def test_huge_region_count_matches_per_page_count(first_page, npages,
+                                                  huge_regions):
+    assert (huge_covered_pages(huge_regions, first_page, npages)
+            == _per_page_huge_count(huge_regions, first_page, npages))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([PAGE, 2 << 20, 1 << 30]),
+       st.integers(0, 1 << 12), st.integers(0, 1 << 11),
+       st.integers(0, 1 << 11), st.data())
+def test_pending_granule_range_matches_set_sort_filter(
+        granule, offset_pages, first_page, span, data):
+    file_offset = offset_pages * PAGE
+    last_page = first_page + span
+    lo = (file_offset + first_page * PAGE) // granule
+    hi = (file_offset + last_page * PAGE) // granule
+    writable = data.draw(st.sets(st.integers(max(0, lo - 2), hi + 2),
+                                 max_size=16))
+    assert (pending_granules(writable, lo, hi)
+            == _set_sort_pending(writable, file_offset, granule,
+                                 first_page, last_page))
+
+
+def test_walk_cost_memo_is_pure_and_keeps_unknown_media_loud():
+    walker = PageWalker(DEFAULT_COSTS)
+    fresh = PageWalker(DEFAULT_COSTS)
+    for pattern in AccessPattern:
+        for medium in (Medium.DRAM, Medium.PMEM, Medium.CXL):
+            for factor in (1.0, 1.7):
+                first = walker.walk_cost(pattern, medium, leaf_factor=factor)
+                assert walker.walk_cost(pattern, medium,
+                                        leaf_factor=factor) == first
+                assert fresh.walk_cost(pattern, medium,
+                                       leaf_factor=factor) == first
+    for _ in range(2):  # a failed lookup is never memoised
+        with pytest.raises(InvalidArgumentError):
+            walker.walk_cost(AccessPattern.RANDOM, "hbm")
+
+
+# ---------------------------------------------------------------------------
+# Enum members hash by identity, so sets and dicts of them must not leak
+# an order into results: the same point under two string-hash seeds
+# produces the same state.
+# ---------------------------------------------------------------------------
+_POINT_SCRIPT = """
+import json, sys
+from repro.runner.manifest import SweepPoint
+from repro.runner.worker import run_point
+
+points = [
+    SweepPoint("syncbench", "daxvm+fsync", 1,
+               {"file_size": 1 << 20, "op_size": 1 << 10, "ops_per_sync": 16,
+                "num_syncs": 48, "discipline": "daxvm+fsync"},
+               aged=False, device_gib=1),
+    SweepPoint("kvstore", "kvstore", 1,
+               {"workload": "load_a", "num_ops": 600, "preload_records": 0,
+                "interface": "daxvm", "record_size": 4096,
+                "memtable_limit": 1 << 18, "sstable_size": 1 << 18,
+                "wal_size": 1 << 18,
+                "daxvm": {"ephemeral": False, "unmap_async": False,
+                          "sync": True, "nosync": False}},
+               aged=False, device_gib=1),
+]
+states = []
+for point in points:
+    state = run_point(point.to_payload())
+    states.append({k: v for k, v in state.items()
+                   if k not in ("wall_seconds", "profile")})
+print(json.dumps(states, sort_keys=True))
+"""
+
+
+def _run_point_with_hash_seed(seed: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env["PYTHONHASHSEED"] = seed
+    done = subprocess.run([sys.executable, "-c", _POINT_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300,
+                          check=True)
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_append_point_state_is_independent_of_hash_seed():
+    first = _run_point_with_hash_seed("1")
+    second = _run_point_with_hash_seed("2")
+    states = json.loads(first)
+    assert all(s["run"]["operations"] > 0 for s in states)
+    assert first == second

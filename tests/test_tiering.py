@@ -24,7 +24,7 @@ from repro.config import DEFAULT_COSTS
 from repro.errors import InvalidArgumentError
 from repro.mem.latency import MemoryModel
 from repro.mem.physmem import Medium, PhysicalMemory
-from repro.mem.tiers import medium_specs, spec_for
+from repro.mem.tiers import medium_specs
 from repro.obs import CostDomain, Counter
 from repro.paging.flags import PageFlags
 from repro.paging.pagetable import PAGE_SIZE
@@ -66,7 +66,7 @@ def test_unknown_medium_raises_everywhere():
     price as PMem`` arm."""
     specs = medium_specs(DEFAULT_COSTS)
     with pytest.raises(InvalidArgumentError, match="no MediumSpec"):
-        spec_for(specs, "hbm")
+        specs["hbm"]
     mem = MemoryModel(DEFAULT_COSTS)
     with pytest.raises(InvalidArgumentError):
         mem.load_latency("hbm")
