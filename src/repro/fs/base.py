@@ -19,7 +19,7 @@ interceptor for asynchronous pre-zeroing.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.config import CostModel
 from repro.errors import InvalidArgumentError
@@ -253,6 +253,24 @@ class FileSystem:
         if block is None:
             return None
         return self.device.frame_of(block)
+
+    def frames_for_run(self, inode: Inode, page_index: int,
+                       count: int) -> Sequence[int]:
+        """Frames backing up to ``count`` file pages from ``page_index``.
+
+        One extent lookup for the whole run: the run stops where the
+        extent holding ``page_index`` ends, and is empty on a hole.
+        Page ``page_index + i`` maps to element ``i``, exactly as
+        :meth:`frame_for_page` would return it.
+        """
+        extent = inode.extents.find(page_index)
+        if extent is None:
+            return ()
+        remaining = extent.logical + extent.length - page_index
+        if count > remaining:
+            count = remaining
+        return self.device.frames_of(
+            extent.physical + (page_index - extent.logical), count)
 
     def pmd_capable(self, inode: Inode, page_index: int) -> bool:
         """May the 2 MB region holding this page map as a huge page?"""

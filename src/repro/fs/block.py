@@ -16,7 +16,7 @@ scarcity is what drives every "aged image" result in the paper.
 from __future__ import annotations
 
 import bisect
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import NoSpaceError
 
@@ -80,6 +80,14 @@ class BlockDevice:
         if self.frame_map is not None:
             return self.frame_map.frame_of(block)
         return self.base_frame + block
+
+    def frames_of(self, block: int, count: int) -> Sequence[int]:
+        """Frames backing ``count`` consecutive blocks from ``block``."""
+        if self.frame_map is not None:
+            frame_of = self.frame_map.frame_of
+            return [frame_of(b) for b in range(block, block + count)]
+        base = self.base_frame + block
+        return range(base, base + count)
 
     def block_of(self, frame: int) -> int:
         """Inverse of :meth:`frame_of` (needed when metadata blocks

@@ -150,9 +150,12 @@ class ExtentTree:
         extent = self.find(region_start)
         if extent is None:
             return False
-        if extent.logical_end < region_start + BLOCKS_PER_PMD:
+        # ``logical_end``/``physical_for`` inlined: every demand fault
+        # region asks this, and ``find`` already bounds the extent.
+        logical = extent.logical
+        if logical + extent.length < region_start + BLOCKS_PER_PMD:
             return False
-        physical_start = extent.physical_for(region_start)
+        physical_start = extent.physical + (region_start - logical)
         return physical_start % BLOCKS_PER_PMD == 0
 
     def huge_coverage(self) -> float:

@@ -17,7 +17,7 @@ accounting.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import AddressSpaceError, SegmentationFault
 from repro.mem.physmem import AllocPolicy, Medium, PhysicalMemory
@@ -205,6 +205,35 @@ class PageTable:
         if leaf_level == PTE_LEVEL:
             self._leaf_cache_tag = vaddr >> (PAGE_SHIFT + 9)
             self._leaf_cache_node = node
+        return created
+
+    def map_run(self, vaddr: int, frames: Sequence[int],
+                flags: PageFlags) -> int:
+        """Map 4 KB pages ``vaddr, vaddr + 4 KB, ...`` onto ``frames``;
+        returns nodes created.
+
+        Equal to one :meth:`map_page` per page, in page order: the
+        first page of each PTE node goes through ``map_page``, which
+        walks, allocates missing nodes in the same order and caches the
+        node; the node's remaining slots of the run are filled directly.
+        """
+        created = 0
+        n = len(frames)
+        i = 0
+        while i < n:
+            addr = vaddr + i * PAGE_SIZE
+            created += self.map_page(addr, frames[i], flags)
+            idx = (addr >> PAGE_SHIFT) & (ENTRIES_PER_NODE - 1)
+            i += 1
+            stop = i + ENTRIES_PER_NODE - 1 - idx
+            if stop > n:
+                stop = n
+            if stop > i:
+                entries = self._leaf_cache_node.entries
+                for frame in frames[i:stop]:
+                    idx += 1
+                    entries[idx] = Entry(frame, flags)
+                i = stop
         return created
 
     def unmap_page(self, vaddr: int, leaf_level: Level = PTE_LEVEL) -> bool:

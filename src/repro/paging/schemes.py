@@ -42,7 +42,7 @@ round-trips.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import CostModel
 from repro.errors import (
@@ -98,6 +98,20 @@ class TranslationScheme:
     def map_page(self, vaddr: int, frame: int, flags: PageFlags,
                  leaf_level: Level = PTE_LEVEL) -> int:
         raise NotImplementedError
+
+    def map_run(self, vaddr: int, frames: Sequence[int],
+                flags: PageFlags) -> int:
+        """Map 4 KB pages ``vaddr, vaddr + 4 KB, ...`` onto ``frames``.
+
+        The default is one :meth:`map_page` per page, in page order, so
+        a scheme's counters, resizes and merges match a page-at-a-time
+        install; the radix trees override it to fill each PTE node in
+        one visit.  Returns the summed ``map_page`` results.
+        """
+        created = 0
+        for i, frame in enumerate(frames):
+            created += self.map_page(vaddr + i * PAGE_SIZE, frame, flags)
+        return created
 
     def unmap_page(self, vaddr: int, leaf_level: Level = PTE_LEVEL) -> bool:
         raise NotImplementedError

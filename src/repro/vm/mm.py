@@ -223,10 +223,8 @@ class MMStruct:
         if flags & MapFlags.POPULATE:
             # mm_populate runs after the map is installed, holding the
             # semaphore only as a reader (as Linux does).
-            yield from self.mmap_sem.acquire_read()
-            yield from self._populate_locked(
+            yield from self._populate(
                 vma, 0, vma.num_pages, write=bool(prot & Protection.WRITE))
-            yield from self.mmap_sem.release_read()
         self.stats.add(Counter.VM_MMAP_CALLS)
         return vma
 
@@ -264,61 +262,134 @@ class MMStruct:
     # ------------------------------------------------------------------
     # Demand paging.
     # ------------------------------------------------------------------
-    def _page_state(self, vma: VMA, page: int) -> bool:
-        """Is this VMA-relative page populated?"""
-        return (vma.fully_populated
-                or page // PAGES_PER_PMD in vma.huge_regions
-                or page in vma.populated)
+    def _pmd_eligible(self, vma: VMA, region: int) -> bool:
+        """May the 2 MB region ``region`` of the VMA map as one PMD leaf?
 
-    def _install_page(self, vma: VMA, page: int,
-                      writable: bool) -> Tuple[float, bool]:
-        """Install translation(s) for one page; returns (cycles, huge).
-
-        Prefers a PMD huge leaf when the extent geometry and alignment
-        allow covering the whole 2 MB region.
+        Requires vaddr and file alignment, a PMD-capable extent, no
+        4 KB PTE already in the region, and no poisoned frame in it.
         """
-        fs: FileSystem = vma.fs
-        file_page = vma.file_page(page)
-        region = page // PAGES_PER_PMD
         vaddr_region = vma.start + region * PMD_SIZE
-        flags = PageFlags.rw() if writable else PageFlags.ro()
-
         region_first_page = region * PAGES_PER_PMD
-        file_region_page = vma.file_page(region_first_page)
+        file_region_page = vma.file_offset // PAGE_SIZE + region_first_page
         faults = self.mem.faults
-        can_huge = (
+        return (
             vaddr_region % PMD_SIZE == 0
             and vaddr_region + PMD_SIZE <= vma.end
             and file_region_page % PAGES_PER_PMD == 0
-            and fs.pmd_capable(vma.inode, file_region_page)
-            and not any(p in vma.populated
-                        for p in range(region_first_page,
-                                       region_first_page + PAGES_PER_PMD))
+            and vma.fs.pmd_capable(vma.inode, file_region_page)
+            and vma.populated.isdisjoint(
+                range(region_first_page, region_first_page + PAGES_PER_PMD))
             # A PMD leaf must never cover a poisoned frame — the region
             # falls back to 4 KB PTEs so the poisoned page alone traps.
             and not (faults is not None
                      and faults.poisoned_in(
                          vma.inode, file_region_page,
                          file_region_page + PAGES_PER_PMD - 1)))
-        lookup = fs.fault_lookup_cost(vma.inode)
-        if can_huge:
-            frame = fs.frame_for_page(vma.inode, file_region_page)
-            self.scheme.map_page(vaddr_region, frame, flags, PMD_LEVEL)
-            vma.huge_regions.add(region)
-            self.stats.counters[_VM_HUGE_FAULTS_KEY] += 1.0
-            return self.costs.fault_dax_pmd + lookup, True
-        frame = fs.frame_for_page(vma.inode, file_page)
-        if frame is None:
-            raise InvalidArgumentError(
-                f"{vma.inode.path}: fault beyond allocated blocks "
-                f"(file page {file_page})")
-        if faults is not None and faults.poisoned_frame(frame):
-            # Raced arming: the frame went bad after the pre-lock check.
-            self._raise_sigbus(vma.inode, frame, file_page)
-        self.scheme.map_page(vma.start + page * PAGE_SIZE, frame, flags)
-        vma.populated.add(page)
-        self.stats.counters[_VM_PTE_FAULTS_KEY] += 1.0
-        return self.costs.fault_dax_pte + lookup, False
+
+    def _install_run(self, vma: VMA, first_page: int, npages: int,
+                     writable: bool) -> Tuple[float, int]:
+        """Install translations for the unpopulated pages of a window.
+
+        Returns ``(cycles, installs)``: one install per PMD leaf or
+        4 KB PTE.  A 2 MB region decides PMD eligibility once, at its
+        first missing page; once a 4 KB PTE lands in it, the rest of
+        the region is 4 KB too.  4 KB pages go in as runs: one extent
+        lookup and one ``map_run`` per stretch of missing pages inside
+        one extent and one region.  Costs still accumulate page by
+        page, in page order (``n * per`` is not bit-equal to ``n``
+        additions of ``per``).  A hole raises ``InvalidArgumentError``
+        and a poisoned frame SIGBUS at the same page, with the same
+        partial state, as a page-at-a-time install would.
+        """
+        if vma.fully_populated:
+            return 0.0, 0
+        fs: FileSystem = vma.fs
+        inode = vma.inode
+        populated = vma.populated
+        huge_regions = vma.huge_regions
+        faults = self.mem.faults
+        scheme = self.scheme
+        counters = self.stats.counters
+        flags = PageFlags.rw() if writable else PageFlags.ro()
+        file_base = vma.file_offset // PAGE_SIZE
+        # The extents cannot change while the semaphore is held and
+        # nothing yields, so one lookup cost holds for the window.
+        lookup = fs.fault_lookup_cost(inode)
+        pte_cost = self.costs.fault_dax_pte + lookup
+        cost = 0.0
+        installs = 0
+        page = first_page
+        end = first_page + npages
+        while page < end:
+            region = page // PAGES_PER_PMD
+            stop = (region + 1) * PAGES_PER_PMD
+            if stop > end:
+                stop = end
+            if region in huge_regions:
+                page = stop
+                continue
+            while page < stop and page in populated:
+                page += 1
+            if page == stop:
+                continue
+            if self._pmd_eligible(vma, region):
+                frame = fs.frame_for_page(
+                    inode, file_base + region * PAGES_PER_PMD)
+                scheme.map_page(vma.start + region * PMD_SIZE, frame, flags,
+                                PMD_LEVEL)
+                huge_regions.add(region)
+                counters[_VM_HUGE_FAULTS_KEY] += 1.0
+                cost += self.costs.fault_dax_pmd + lookup
+                installs += 1
+                page = stop
+                continue
+            while page < stop:
+                # The run of missing pages from ``page`` ends at the
+                # next populated page, the region's end or the extent's.
+                run_end = page + 1
+                if run_end < stop:
+                    if populated.isdisjoint(range(run_end, stop)):
+                        run_end = stop
+                    else:
+                        while run_end not in populated:
+                            run_end += 1
+                frames = fs.frames_for_run(inode, file_base + page,
+                                           run_end - page)
+                if not frames:
+                    raise InvalidArgumentError(
+                        f"{inode.path}: fault beyond allocated blocks "
+                        f"(file page {file_base + page})")
+                poisoned = None
+                if faults is not None:
+                    # Raced arming: a frame went bad after the pre-lock
+                    # check.  The pages before it still install.
+                    for i, frame in enumerate(frames):
+                        if faults.poisoned_frame(frame):
+                            poisoned = frame
+                            frames = frames[:i]
+                            break
+                n = len(frames)
+                if n:
+                    vaddr = vma.start + page * PAGE_SIZE
+                    if n == 1:
+                        # Every single-page demand fault lands here:
+                        # ``map_run`` of one frame is ``map_page``,
+                        # without the run bookkeeping.
+                        scheme.map_page(vaddr, frames[0], flags)
+                        populated.add(page)
+                    else:
+                        scheme.map_run(vaddr, frames, flags)
+                        populated.update(range(page, page + n))
+                    counters[_VM_PTE_FAULTS_KEY] += n
+                    for _ in frames:
+                        cost += pte_cost
+                    installs += n
+                if poisoned is not None:
+                    self._raise_sigbus(inode, poisoned, file_base + page + n)
+                page += n
+                while page < stop and page in populated:
+                    page += 1
+        return cost, installs
 
     def fault(self, vma: VMA, page: int, write: bool):
         """One demand fault, fully simulated through the semaphore."""
@@ -333,10 +404,13 @@ class MMStruct:
                 self._raise_sigbus(vma.inode, hit[0], hit[1])
         yield from self.mmap_sem.acquire_read()
         cost = 0.0
-        if not self._page_state(vma, page):
-            install, _huge = self._install_page(
-                vma, page, writable=not vma.tracks_dirty)
-            cost += install
+        try:
+            install, _installs = self._install_run(
+                vma, page, 1, writable=not vma.tracks_dirty)
+        except (InvalidArgumentError, PoisonedPageError):
+            yield from self.mmap_sem.release_read()
+            raise
+        cost += install
         if write and vma.tracks_dirty:
             cost += yield from self._dirty_fault_locked(vma, page)
         yield charge(CostDomain.FAULT, "fault-install", cost)
@@ -365,29 +439,26 @@ class MMStruct:
             yield from fs.mapsync_fault()
         return cost
 
-    def _populate_locked(self, vma: VMA, first_page: int, npages: int,
-                         write: bool):
-        """Bulk PTE installation under one semaphore hold.
+    def _populate(self, vma: VMA, first_page: int, npages: int,
+                  write: bool):
+        """Bulk PTE installation under one read hold of ``mmap_sem``.
 
         Used by MAP_POPULATE and by bulk demand faulting; charges the
         per-page fault body (no trap entry for populate).  Returns the
         number of install events (huge installs cover 512 pages each),
-        so demand-fault callers can charge one trap per event.
+        so demand-fault callers can charge one trap per event.  A hole
+        or a poisoned frame drops the hold before its error propagates.
         """
-        cost = 0.0
-        installs = 0
-        page = first_page
-        end = first_page + npages
-        while page < end:
-            if self._page_state(vma, page):
-                page += 1
-                continue
-            install, huge = self._install_page(
-                vma, page, writable=write and not vma.tracks_dirty)
-            cost += install
-            installs += 1
-            page += PAGES_PER_PMD - page % PAGES_PER_PMD if huge else 1
+        yield from self.mmap_sem.acquire_read()
+        try:
+            cost, installs = self._install_run(
+                vma, first_page, npages,
+                writable=write and not vma.tracks_dirty)
+        except (InvalidArgumentError, PoisonedPageError):
+            yield from self.mmap_sem.release_read()
+            raise
         yield charge(CostDomain.FAULT, "bulk-install", cost)
+        yield from self.mmap_sem.release_read()
         return installs
 
     # ------------------------------------------------------------------
@@ -444,8 +515,8 @@ class MMStruct:
         if vma.fully_populated:
             missing = []
         else:
-            # ``_page_state`` inlined: this scan runs for every access
-            # of every workload and the predicate is pure.
+            # A page is populated when its 2 MB region is a PMD leaf or
+            # it holds a 4 KB PTE; this scan runs for every access.
             populated = vma.populated
             huge_regions = vma.huge_regions
             missing = [p for p in range(first_page, last_page + 1)
@@ -456,10 +527,8 @@ class MMStruct:
                 for page in missing:
                     yield from self.fault(vma, page, write=False)
             else:
-                yield from self.mmap_sem.acquire_read()
-                installs = yield from self._populate_locked(
+                installs = yield from self._populate(
                     vma, first_page, npages, write=False)
-                yield from self.mmap_sem.release_read()
                 yield charge(CostDomain.FAULT, "fault-entry",
                              self.costs.fault_entry * installs)
                 self.stats.counters[_VM_FAULTS_KEY] += installs
@@ -623,7 +692,7 @@ class MMStruct:
         so no stale translation can reach the dead line; subsequent
         touches fault and receive SIGBUS.  A PMD leaf covering the
         frame is torn down whole: the region's surviving pages fault
-        back in as 4 KB PTEs (the poison check in ``_install_page``
+        back in as 4 KB PTEs (the poison check in ``_pmd_eligible``
         keeps the region from going huge again).
         """
         ptes = 0

@@ -1,5 +1,6 @@
 """MMStruct tests: mmap/munmap, demand paging, dirty tracking, msync,
-and the mapped-access hot path's arithmetic shortcuts."""
+the mapped-access hot path's arithmetic shortcuts, and the run
+installer against the page-at-a-time installer it replaced."""
 
 import json
 import os
@@ -12,14 +13,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import DEFAULT_COSTS
-from repro.errors import InvalidArgumentError, NotSupportedError
+from repro.errors import (
+    InvalidArgumentError,
+    NotSupportedError,
+    PoisonedPageError,
+)
+from repro.faults import FaultPlan, MediaFaults
+from repro.fs.extent import ExtentTree
+from repro.fs.vfs import Inode
 from repro.mem.physmem import Medium
+from repro.obs import Counter
+from repro.paging.flags import PageFlags
+from repro.paging.pagetable import PMD_LEVEL
+from repro.paging.schemes import SCHEME_NAMES
 from repro.paging.tlb import AccessPattern
 from repro.paging.walker import PageWalker
-from repro.vm.mm import PAGES_PER_PMD, huge_covered_pages, pending_granules
-from repro.vm.vma import MapFlags, Protection
+from repro.system import System
+from repro.vm.mm import (
+    BULK_FAULT_THRESHOLD,
+    PAGES_PER_PMD,
+    huge_covered_pages,
+    pending_granules,
+)
+from repro.vm.vma import VMA, MapFlags, Protection
 
 PAGE = 4096
+PMD = 2 << 20
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -360,6 +379,275 @@ def test_pending_granule_range_matches_set_sort_filter(
     assert (pending_granules(writable, lo, hi)
             == _set_sort_pending(writable, file_offset, granule,
                                  first_page, last_page))
+
+
+# ---------------------------------------------------------------------------
+# Install errors drop the mmap_sem read hold before they propagate.
+# ---------------------------------------------------------------------------
+def _assert_sem_free_then_remap(system, proc, f):
+    """No reader is left behind: a writer (mmap, munmap) gets through."""
+    assert proc.mm.mmap_sem.active_readers == 0
+    vma = yield from proc.mm.mmap(system.fs, f.inode, 0, PAGE,
+                                  Protection.READ, MapFlags.SHARED)
+    yield from proc.mm.munmap(vma)
+
+
+def test_populate_over_a_hole_releases_mmap_sem(system):
+    f = make_file(system, PAGE)
+    proc = system.new_process()
+
+    def flow():
+        with pytest.raises(InvalidArgumentError, match="file page 1"):
+            yield from proc.mm.mmap(system.fs, f.inode, 0, 4 * PAGE,
+                                    Protection.READ,
+                                    MapFlags.SHARED | MapFlags.POPULATE)
+        yield from _assert_sem_free_then_remap(system, proc, f)
+        return True
+
+    assert run(system, flow())
+
+
+def test_bulk_fault_over_a_hole_releases_mmap_sem(system):
+    f = make_file(system, PAGE)
+    proc = system.new_process()
+    npages = 2 * BULK_FAULT_THRESHOLD
+
+    def flow():
+        vma = yield from proc.mm.mmap(system.fs, f.inode, 0, npages * PAGE,
+                                      Protection.READ, MapFlags.SHARED)
+        with pytest.raises(InvalidArgumentError, match="file page 1"):
+            yield from proc.mm.access(vma, 0, npages * PAGE)
+        assert vma.populated == {0}  # the page before the hole installed
+        yield from _assert_sem_free_then_remap(system, proc, f)
+        return True
+
+    assert run(system, flow())
+
+
+def test_demand_fault_over_a_hole_releases_mmap_sem(system):
+    f = make_file(system, PAGE)
+    proc = system.new_process()
+
+    def flow():
+        vma = yield from proc.mm.mmap(system.fs, f.inode, 0, 4 * PAGE,
+                                      Protection.READ, MapFlags.SHARED)
+        with pytest.raises(InvalidArgumentError, match="file page 2"):
+            yield from proc.mm.access(vma, 2 * PAGE, PAGE)
+        yield from _assert_sem_free_then_remap(system, proc, f)
+        return True
+
+    assert run(system, flow())
+
+
+def test_populate_over_a_poisoned_frame_releases_mmap_sem(system):
+    f = make_file(system, 8 * PAGE)
+    faults = MediaFaults(FaultPlan.empty())
+    system.attach_faults(faults)
+    block = f.inode.extents.physical_block(5)
+    frame = system.fs.device.frame_of(block)
+    # Poison no pre-lock check saw: populate meets it under the hold.
+    faults.poisoned[frame] = (f.inode.number, f.inode.path, 5, block)
+    proc = system.new_process()
+
+    def flow():
+        with pytest.raises(PoisonedPageError) as err:
+            yield from proc.mm.mmap(system.fs, f.inode, 0, 8 * PAGE,
+                                    Protection.READ,
+                                    MapFlags.SHARED | MapFlags.POPULATE)
+        assert (err.value.frame, err.value.file_page) == (frame, 5)
+        yield from _assert_sem_free_then_remap(system, proc, f)
+        return True
+
+    assert run(system, flow())
+    assert faults.sigbus == 1
+
+
+# ---------------------------------------------------------------------------
+# The run installer equals the page-at-a-time installer it replaced.
+# ---------------------------------------------------------------------------
+def _reference_install_page(mm, vma, page, writable):
+    """One page, as the simulator installed it before run installs."""
+    fs = vma.fs
+    file_page = vma.file_page(page)
+    region = page // PAGES_PER_PMD
+    vaddr_region = vma.start + region * PMD
+    flags = PageFlags.rw() if writable else PageFlags.ro()
+    region_first_page = region * PAGES_PER_PMD
+    file_region_page = vma.file_page(region_first_page)
+    faults = mm.mem.faults
+    can_huge = (
+        vaddr_region % PMD == 0
+        and vaddr_region + PMD <= vma.end
+        and file_region_page % PAGES_PER_PMD == 0
+        and fs.pmd_capable(vma.inode, file_region_page)
+        and not any(p in vma.populated
+                    for p in range(region_first_page,
+                                   region_first_page + PAGES_PER_PMD))
+        and not (faults is not None
+                 and faults.poisoned_in(
+                     vma.inode, file_region_page,
+                     file_region_page + PAGES_PER_PMD - 1)))
+    lookup = fs.fault_lookup_cost(vma.inode)
+    if can_huge:
+        frame = fs.frame_for_page(vma.inode, file_region_page)
+        mm.scheme.map_page(vaddr_region, frame, flags, PMD_LEVEL)
+        vma.huge_regions.add(region)
+        mm.stats.add(Counter.VM_HUGE_FAULTS)
+        return mm.costs.fault_dax_pmd + lookup, True
+    frame = fs.frame_for_page(vma.inode, file_page)
+    if frame is None:
+        raise InvalidArgumentError(
+            f"{vma.inode.path}: fault beyond allocated blocks "
+            f"(file page {file_page})")
+    if faults is not None and faults.poisoned_frame(frame):
+        mm._raise_sigbus(vma.inode, frame, file_page)
+    mm.scheme.map_page(vma.start + page * PAGE, frame, flags)
+    vma.populated.add(page)
+    mm.stats.add(Counter.VM_PTE_FAULTS)
+    return mm.costs.fault_dax_pte + lookup, False
+
+
+def _reference_install_window(mm, vma, first_page, npages, writable):
+    cost = 0.0
+    installs = 0
+    page = first_page
+    end = first_page + npages
+    while page < end:
+        if (vma.fully_populated
+                or page // PAGES_PER_PMD in vma.huge_regions
+                or page in vma.populated):
+            page += 1
+            continue
+        install, huge = _reference_install_page(mm, vma, page, writable)
+        cost += install
+        installs += 1
+        page += PAGES_PER_PMD - page % PAGES_PER_PMD if huge else 1
+    return cost, installs
+
+
+#: Extent specs: (blocks, physical gap before it, 2 MB-align its start).
+_EXTENTS = st.lists(st.tuples(st.integers(1, 1100), st.integers(0, 600),
+                              st.booleans()),
+                    min_size=1, max_size=5)
+
+
+def _installer_machine(scheme, extents, poisoned, with_faults, start_pages,
+                       offset_pages, vma_pages):
+    """A machine with one hand-laid file mapped by one VMA."""
+    system = System(device_bytes=64 << 20, scheme=scheme)
+    if with_faults:
+        system.attach_faults(MediaFaults(FaultPlan.empty()))
+    mm = system.new_process().mm
+    inode = Inode("/laid-out", number=4242)
+    tree = ExtentTree()
+    cursor = 0
+    for blocks, gap, aligned in extents:
+        cursor += gap
+        if aligned:
+            cursor = -(-cursor // PAGES_PER_PMD) * PAGES_PER_PMD
+        tree.append(cursor, blocks)
+        cursor += blocks
+    inode.extents = tree
+    inode.size = tree.block_count * PAGE
+    if with_faults:
+        for file_page in poisoned:
+            if file_page < tree.block_count:
+                block = tree.physical_block(file_page)
+                frame = system.fs.device.frame_of(block)
+                system.faults.poisoned[frame] = (inode.number, inode.path,
+                                                 file_page, block)
+    start = (1 << 30) + start_pages * PAGE
+    vma = VMA(start, start + vma_pages * PAGE, inode, offset_pages * PAGE,
+              Protection.READ | Protection.WRITE, MapFlags.SHARED)
+    vma.fs = system.fs
+    vma.mm = mm
+    return system, mm, vma
+
+
+def _install_outcome(install):
+    try:
+        cost, installs = install()
+    except (InvalidArgumentError, PoisonedPageError) as exc:
+        return ("raised", type(exc).__name__, str(exc),
+                getattr(exc, "frame", None), getattr(exc, "file_page", None))
+    return ("ok", cost.hex(), installs)
+
+
+def _installer_state(system, mm, vma):
+    return {
+        "scheme": mm.scheme.to_state(),
+        "populated": list(vma.populated),
+        "huge_regions": sorted(vma.huge_regions),
+        "counters": dict(system.stats.counters),
+        "sigbus": system.faults.sigbus if system.faults else None,
+    }
+
+
+def _compare_installers(scheme, extents, poisoned, with_faults, start_pages,
+                        offset_pages, vma_pages, prepopulate, heal, writable,
+                        first_page, npages):
+    """Run one window through the reference and the run installer on
+    two identical machines; outcomes and states must match exactly."""
+    outcomes, states = [], []
+    for side in ("reference", "run"):
+        system, mm, vma = _installer_machine(
+            scheme, extents, poisoned, with_faults, start_pages,
+            offset_pages, vma_pages)
+        # Pre-populated pages (and maybe PMD regions), laid identically
+        # on both sides by the reference installer.
+        for page in prepopulate:
+            if page < vma_pages:
+                _install_outcome(lambda: _reference_install_window(
+                    mm, vma, page, 1, writable))
+        if heal and system.faults is not None:
+            # Poison cleared after the pre-population: its regions are
+            # PMD-capable again but already hold 4 KB PTEs.
+            system.faults.poisoned.clear()
+        if side == "reference":
+            outcomes.append(_install_outcome(
+                lambda: _reference_install_window(
+                    mm, vma, first_page, npages, writable)))
+        else:
+            outcomes.append(_install_outcome(
+                lambda: mm._install_run(vma, first_page, npages, writable)))
+        states.append(_installer_state(system, mm, vma))
+    assert outcomes[0] == outcomes[1]
+    assert states[0] == states[1]
+    return outcomes[1], states[1]
+
+
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
+@settings(max_examples=40, deadline=None)
+@given(extents=_EXTENTS,
+       poisoned=st.lists(st.integers(0, 1200), max_size=3),
+       with_faults=st.booleans(),
+       start_pages=st.sampled_from([0, 0, 1, 300]),
+       offset_pages=st.sampled_from([0, 0, 1, 512, 700]),
+       vma_pages=st.integers(1, 1600),
+       prepopulate=st.lists(st.integers(0, 1200), max_size=6),
+       heal=st.booleans(),
+       writable=st.booleans(),
+       data=st.data())
+def test_run_installer_matches_per_page_reference(
+        scheme, extents, poisoned, with_faults, start_pages, offset_pages,
+        vma_pages, prepopulate, heal, writable, data):
+    first_page = data.draw(st.integers(0, vma_pages - 1))
+    npages = data.draw(st.integers(1, vma_pages - first_page))
+    _compare_installers(scheme, extents, poisoned, with_faults, start_pages,
+                        offset_pages, vma_pages, prepopulate, heal, writable,
+                        first_page, npages)
+
+
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
+def test_region_with_a_pte_stays_4k_after_its_poison_heals(scheme):
+    # Page 5's PTE went in while page 3 was poisoned; once healed the
+    # region is PMD-capable again, but a 4 KB PTE already lives there.
+    outcome, state = _compare_installers(
+        scheme, extents=[(1024, 0, True)], poisoned=[3], with_faults=True,
+        start_pages=0, offset_pages=0, vma_pages=1024, prepopulate=[5],
+        heal=True, writable=True, first_page=0, npages=1024)
+    assert outcome == ("ok", outcome[1], 511 + 1)  # 511 PTEs, 1 PMD leaf
+    assert state["huge_regions"] == [1]
 
 
 def test_walk_cost_memo_is_pure_and_keeps_unknown_media_loud():

@@ -10,17 +10,24 @@ Covers the satellites of the scheme refactor (DESIGN.md §11):
   point simulated twice produces identical bytes, like Stats/Ledger);
 * the ``PageWalker.walk_cost_for`` leaf-factor regression;
 * the sweep cache fingerprint: scheme name and per-scheme cost
-  parameters both invalidate cached results.
+  parameters both invalidate cached results;
+* ``map_run`` equals one ``map_page`` per page (DESIGN.md §12).
 """
 
 import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import DEFAULT_COSTS, MEDIA_PRESETS
-from repro.errors import NotSupportedError, SegmentationFault
-from repro.mem.physmem import Medium
+from repro.errors import (
+    AddressSpaceError,
+    NotSupportedError,
+    SegmentationFault,
+)
+from repro.mem.physmem import Medium, PhysicalMemory
 from repro.obs import CostDomain
 from repro.paging.pagetable import PMD_LEVEL, PTE_LEVEL, Translation
 from repro.paging.flags import PageFlags
@@ -459,3 +466,86 @@ def test_range_attach_pays_for_aged_images():
         return system.ledger.event_total(CostDomain.FILETABLE, "attach")
 
     assert attach_cycles(aged=True) > attach_cycles(aged=False)
+
+
+# ---------------------------------------------------------------------------
+# map_run: a run of 4 KB pages equals one map_page per page, in order.
+# ---------------------------------------------------------------------------
+def _recording_scheme(name):
+    """A fresh scheme whose structure-frame allocations are logged."""
+    physmem = PhysicalMemory(dram_bytes=256 << 20, pmem_bytes=256 << 20)
+    allocated = []
+    alloc = physmem.alloc_frame
+
+    def recording_alloc(*args, **kwargs):
+        frame = alloc(*args, **kwargs)
+        allocated.append(frame)
+        return frame
+
+    physmem.alloc_frame = recording_alloc
+    return make_scheme(name, physmem, DEFAULT_COSTS), allocated
+
+
+def _map_outcome(call):
+    try:
+        return ("ok", call())
+    except AddressSpaceError as exc:
+        return ("raised", str(exc))
+
+
+def _translation(scheme, vaddr):
+    try:
+        t = scheme.translate(vaddr)
+    except SegmentationFault:
+        return None
+    return t.frame, int(t.flags.value), t.leaf_level
+
+
+@pytest.mark.parametrize("mmu", SCHEME_NAMES)
+@settings(max_examples=30, deadline=None)
+@given(existing=st.lists(st.integers(0, 4 * 512 - 1), max_size=10),
+       huge=st.lists(st.integers(0, 3), max_size=1),
+       start=st.integers(0, 3 * 512),
+       length=st.integers(1, 600),
+       base_frame=st.integers(0, 1 << 20),
+       stride=st.integers(0, 3),
+       writable=st.booleans())
+def test_map_run_matches_map_page_loop(mmu, existing, huge, start, length,
+                                       base_frame, stride, writable):
+    flags = PageFlags.rw() if writable else PageFlags.ro()
+    frames = [base_frame + i * stride for i in range(length)]
+    run_vaddr = BASE + start * PAGE
+    after = BASE + (start + length) * PAGE
+    sides = []
+    for use_run in (False, True):
+        scheme, allocated = _recording_scheme(mmu)
+        # Neighbouring and overlapping state: PMD leaves and PTEs,
+        # possibly in the nodes the run lands in.
+        for region in huge:
+            scheme.map_page(BASE + region * PMD, 9 << 20, PageFlags.rw(),
+                            PMD_LEVEL)
+        for page in existing:
+            _map_outcome(lambda: scheme.map_page(
+                BASE + page * PAGE, 5000 + page, PageFlags.ro()))
+        if use_run:
+            outcome = _map_outcome(
+                lambda: scheme.map_run(run_vaddr, frames, flags))
+        else:
+            outcome = _map_outcome(lambda: sum(
+                scheme.map_page(run_vaddr + i * PAGE, frame, flags)
+                for i, frame in enumerate(frames)))
+        # The PTE node a run leaves cached must still be the right one.
+        _map_outcome(lambda: scheme.map_page(after, 777, flags))
+        sides.append({
+            "outcome": outcome,
+            "state": scheme.to_state(),
+            "allocated": list(allocated),
+            "structure_frames": scheme.structure_frames(),
+            "nodes": getattr(scheme, "nodes_allocated", None),
+            "translations": [_translation(scheme, vaddr) for vaddr in (
+                run_vaddr, run_vaddr + (length - 1) * PAGE, after)],
+        })
+    assert sides[0] == sides[1]
+    if sides[1]["outcome"][0] == "ok":
+        assert sides[1]["translations"][1][0] == frames[-1]
+        assert sides[1]["translations"][2][0] == 777
