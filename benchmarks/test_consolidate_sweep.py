@@ -8,8 +8,8 @@ the per-tenant p99-vs-tenant-count knee table.  Asserted shape:
   device bandwidth pool is the contended resource — and the 16-tenant
   p99 sits well above the single-tenant baseline;
 * the degenerate points (one tenant, no quotas, no antagonist) take
-  the passive path: not one tenancy counter fires (the golden gate in
-  ``tests/test_tenancy_golden.py`` pins them byte-for-byte);
+  the passive path: not one tenancy counter fires (the ``tenancy``
+  gate in ``tests/test_goldens.py`` pins them byte-for-byte);
 * quotas price enforcement where it belongs: the antagonist hog is
   CPU-throttled and bandwidth-clipped (its run stretches), while
   foreground tenants' own p99 barely moves — policing the hog does

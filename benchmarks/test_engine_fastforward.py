@@ -4,7 +4,7 @@ Reruns the exact sweep whose per-point walls PR 3 recorded — the
 2-socket NUMA placement sweep on the aged image — and asserts that a
 point now simulates at least 5x faster than the median wall stored in
 ``BENCH_PR3.json``.  Correctness is not at stake here (the engine
-equivalence golden in ``tests/test_engine_golden.py`` pins
+golden gate in ``tests/test_goldens.py`` pins
 bit-identical results); this bench pins the *performance* half of the
 tentpole and records the evidence into ``BENCH_PR7.json``.
 

@@ -22,14 +22,16 @@ from repro.analysis.report import (
 from repro.analysis.results import Table
 from repro.config import MEDIA_PRESETS
 from repro.obs import Counter
-from repro.topology import PLACEMENTS, MachineTopology
+from repro.topology import PLACEMENTS
 from repro.runner import (
     DEFAULT_CACHE_DIR,
     ResultCache,
     SWEEPS,
+    SweepPoint,
     build_sweep,
     run_sweep,
 )
+from repro.runner.worker import build_system
 from repro.paging.schemes import SCHEME_NAMES
 from repro.paging.tlb import AccessPattern
 from repro.system import System
@@ -73,28 +75,22 @@ def perf_target(name: str, help_text: str):
     return decorate
 
 
-def _system(args, **kw) -> System:
-    costs = MEDIA_PRESETS[args.media]()
-    node_kinds = getattr(args, "node_kinds", None)
-    if node_kinds:
-        kinds = tuple(k.strip() for k in node_kinds.split(",")
-                      if k.strip())
-        topology = MachineTopology.with_kinds(costs.machine, kinds)
-    else:
-        topology = (MachineTopology.split(costs.machine, args.nodes)
-                    if args.nodes > 1 else None)
-    kw.setdefault("scheme", args.scheme)
-    system = System(costs=costs, device_bytes=args.device << 30,
-                    aged=not args.fresh, topology=topology,
-                    placement=args.policy, pin_node=args.pin_node, **kw)
+def _system(args, fs_type: str = "ext4", **fields) -> System:
+    """Build the machine the flags describe (``fields`` override them)
+    through the sweep worker's builder; the point's workload fields
+    are placeholders it never reads."""
+    machine = dict(media=args.media, device_gib=args.device,
+                   aged=not args.fresh, num_nodes=args.nodes,
+                   placement=args.policy, pin_node=args.pin_node,
+                   scheme=args.scheme,
+                   node_kinds=getattr(args, "node_kinds", None) or "")
     tiering = getattr(args, "tiering", None)
     if tiering:
-        from repro.mem.physmem import Medium
-
         data, _, flag = tiering.partition(":")
-        system.attach_tiering(data_medium=Medium(data),
-                              daemon=flag == "daemon")
-    return system
+        machine["tiering"] = {"data": data, "daemon": flag == "daemon"}
+    machine.update(fields)
+    return build_system(SweepPoint("cli", "", 0, **machine),
+                        fs_type=fs_type)
 
 
 @experiment("ephemeral", "read-once file access across interfaces")
@@ -234,16 +230,10 @@ def _media(args):
 def _crash(args):
     from repro.crash import run_crash
 
-    costs = MEDIA_PRESETS[args.media]()
-    topology = (MachineTopology.split(costs.machine, args.nodes)
-                if args.nodes > 1 else None)
-
     def factory() -> System:
         # Fresh images: aging churn adds nothing to durability coverage
         # and each crash point rebuilds the machine from scratch.
-        return System(costs=costs, device_bytes=args.device << 30,
-                      aged=False, fs_type=args.fs, topology=topology,
-                      placement=args.policy, pin_node=args.pin_node)
+        return _system(args, fs_type=args.fs, aged=False)
 
     summary = run_crash(factory, args.workload, seed=args.seed,
                         max_points=args.max_points)
@@ -276,16 +266,10 @@ def _faults(args):
         raise SystemExit(
             f"faults: unknown workload {args.workload!r}; known: "
             + ", ".join(sorted(FAULT_WORKLOADS)))
-    costs = MEDIA_PRESETS[args.media]()
-    topology = (MachineTopology.split(costs.machine, args.nodes)
-                if args.nodes > 1 else None)
-
     def factory() -> System:
         # Fresh images: each armed site rebuilds the machine, and
         # aging churn adds nothing to poison-handling coverage.
-        return System(costs=costs, device_bytes=args.device << 30,
-                      aged=False, fs_type=args.fs, topology=topology,
-                      placement=args.policy, pin_node=args.pin_node)
+        return _system(args, fs_type=args.fs, aged=False)
 
     summary = run_faults(factory, args.workload, seed=args.seed,
                          max_sites=args.max_sites)
@@ -864,6 +848,20 @@ def _sweep_cmd(args) -> int:
     return 0
 
 
+def _golden_cmd(args) -> int:
+    """Rewrite gate files from their reference captures; the gates
+    themselves are replayed by ``tests/test_goldens.py``."""
+    from repro.analysis.goldens import GATES, recapture
+
+    if args.recapture != "all" and args.recapture not in GATES:
+        print("golden needs --recapture 'all' or a gate: "
+              + ", ".join(GATES), file=sys.stderr)
+        return 2
+    for name in GATES if args.recapture == "all" else [args.recapture]:
+        print(f"captured {recapture(name)}")
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -871,11 +869,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "full regenerations live in benchmarks/)")
     parser.add_argument("experiment",
                         choices=sorted(EXPERIMENTS) + ["perf", "sweep",
-                                                       "list"],
+                                                       "golden", "list"],
                         help="which experiment to run ('perf' drills "
                              "into instrumentation breakdowns, 'sweep' "
                              "fans a named sweep across worker "
-                             "processes with result caching)")
+                             "processes with result caching, 'golden' "
+                             "recaptures bit-identicality gate files)")
     parser.add_argument("target", nargs="?",
                         choices=sorted(set(PERF_TARGETS) | set(SWEEPS)),
                         help="perf target (with 'perf') or sweep name "
@@ -961,6 +960,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "result cache; simulated numbers are "
                              "unchanged, walls include profiler "
                              "overhead)")
+    parser.add_argument("--recapture", default=None, metavar="NAME",
+                        help="with 'golden': rewrite gate NAME's file "
+                             "(or 'all') from its reference capture; "
+                             "only when simulated numbers are meant "
+                             "to change")
     return parser
 
 
@@ -987,6 +991,8 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         return _sweep_cmd(args)
+    if args.experiment == "golden":
+        return _golden_cmd(args)
     EXPERIMENTS[args.experiment](args)
     return 0
 

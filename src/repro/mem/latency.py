@@ -19,8 +19,8 @@ a specific :class:`~repro.mem.physmem.Medium` member, and an unknown
 medium raises instead of silently pricing as PMem.  For DRAM and PMem
 the specs carry the historical constants verbatim and the expressions
 below combine them in the historical order, so DRAM+PMem-only machines
-are bit-identical to the pre-refactor model (held by
-``tests/test_tier_golden.py``).
+are bit-identical to the pre-refactor model (held by the ``tier``
+golden gate).
 """
 
 from __future__ import annotations

@@ -178,7 +178,7 @@ class PhysicalMemory:
             base += region.total_frames
         # Expander media sit above every DRAM/PMem frame so that the
         # historical two-medium frame numbering is untouched when no
-        # node carries them (the tier-equivalence golden relies on it).
+        # node carries them (the tier golden gate relies on it).
         self._cxl_floor = base
         if any(spec[2] for spec in specs):
             for node, spec in enumerate(specs):

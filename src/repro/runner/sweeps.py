@@ -481,7 +481,8 @@ def _consolidate_sweep(*, ops: int, size: int, media: str,
     a ``--max-points`` smoke always exercises enforcement.  The
     single-tenant no-quota apache/predis/kvstore points take the
     degenerate passive path and are golden-gated bit-identical to the
-    un-tenanted runners (``repro.tenancy.golden``)."""
+    un-tenanted runners (the ``tenancy`` gate of
+    :mod:`repro.analysis.goldens`)."""
     from repro.tenancy import consolidate_config
 
     requests = max(8, min(ops, 64))

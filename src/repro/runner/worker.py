@@ -3,9 +3,9 @@
 The function crossing the ``multiprocessing`` boundary takes a plain
 payload dict and returns a plain state dict — no simulator object is
 ever pickled.  Each point builds a fresh :class:`~repro.system.System`
-from its media preset, exactly as the sequential CLI experiments do,
-so a point's result is independent of which process (and in which
-order) it runs.
+through :func:`build_system`, exactly as the sequential CLI
+experiments do, so a point's result is independent of which process
+(and in which order) it runs.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import sys
 import time
-from typing import Dict
+from typing import Callable, Dict, Optional
 
 from repro.config import MEDIA_PRESETS
 from repro.runner.manifest import SweepPoint, result_state
@@ -87,6 +87,38 @@ def _attach_virt(system: System, spec: Dict[str, object]) -> None:
     system.attach_hypervisor(VirtConfig.from_state(spec))
 
 
+def build_system(point: SweepPoint, fs_type: str = "ext4") -> System:
+    """Build the machine ``point`` describes, subsystems attached.
+
+    This is the one place a machine's shape is decided: the media
+    preset, device size and image, the topology (``with_kinds`` when
+    the point names node kinds, an even ``split`` across sockets when
+    it has more than one node, the uniform machine otherwise), the
+    placement and translation scheme, then the point's tier overlay,
+    tenancy and hypervisor.  The sweep worker, the golden gates and
+    the CLI all build through it.
+    """
+    costs = MEDIA_PRESETS[point.media]()
+    if point.node_kinds:
+        kinds = tuple(k.strip() for k in point.node_kinds.split(",")
+                      if k.strip())
+        topology = MachineTopology.with_kinds(costs.machine, kinds)
+    else:
+        topology = (MachineTopology.split(costs.machine, point.num_nodes)
+                    if point.num_nodes > 1 else None)
+    system = System(costs=costs, device_bytes=point.device_gib << 30,
+                    fs_type=fs_type, aged=point.aged, topology=topology,
+                    placement=point.placement, pin_node=point.pin_node,
+                    scheme=point.scheme)
+    if point.tiering:
+        _attach_tiering(system, point.tiering)
+    if point.tenancy:
+        _attach_tenancy(system, point.tenancy)
+    if point.virt:
+        _attach_virt(system, point.virt)
+    return system
+
+
 #: Rows kept from a per-point profile (sorted by tottime).
 PROFILE_TOP = 15
 
@@ -110,14 +142,17 @@ def _profile_top(profiler, top: int = PROFILE_TOP):
     return rows[:top]
 
 
-def run_point(payload: Dict[str, object],
-              profile: bool = False) -> Dict[str, object]:
+def run_point(payload: Dict[str, object], profile: bool = False,
+              attach: Optional[Callable[[System], None]] = None
+              ) -> Dict[str, object]:
     """Simulate one sweep point; returns its JSON-safe result state.
 
     ``profile=True`` wraps the simulation in :mod:`cProfile` and
     attaches the top functions by own-time as ``state["profile"]``.
     Profiled walls include the profiler's overhead, so the pool never
-    caches a profiled state.
+    caches a profiled state.  ``attach`` receives the built machine
+    before the point runs (the golden gates arm passive subsystems
+    through it).
     """
     # Imported lazily: the registry module imports the workloads, and
     # a spawned worker must finish importing this module first.
@@ -129,24 +164,9 @@ def run_point(payload: Dict[str, object],
         raise KeyError(f"unknown point experiment {point.experiment!r}; "
                        f"known: {sorted(POINT_RUNNERS)}")
     _reset_naming_counters()
-    costs = MEDIA_PRESETS[point.media]()
-    if point.node_kinds:
-        kinds = tuple(k.strip() for k in point.node_kinds.split(",")
-                      if k.strip())
-        topology = MachineTopology.with_kinds(costs.machine, kinds)
-    else:
-        topology = (MachineTopology.split(costs.machine, point.num_nodes)
-                    if point.num_nodes > 1 else None)
-    system = System(costs=costs, device_bytes=point.device_gib << 30,
-                    aged=point.aged, topology=topology,
-                    placement=point.placement, pin_node=point.pin_node,
-                    scheme=point.scheme)
-    if point.tiering:
-        _attach_tiering(system, point.tiering)
-    if point.tenancy:
-        _attach_tenancy(system, point.tenancy)
-    if point.virt:
-        _attach_virt(system, point.virt)
+    system = build_system(point)
+    if attach is not None:
+        attach(system)
     profiler = None
     if profile:
         import cProfile

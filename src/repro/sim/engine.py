@@ -47,9 +47,8 @@ yields a scheduling effect — so the engine drains its consecutive
 tripping each one through the heap (see :meth:`Engine._drain` and
 DESIGN §12 for the invariants).  The drain's clock and ledger
 arithmetic are bit-identical to the heap path; ``fast_forward=False``
-(or the module default :data:`FAST_FORWARD_DEFAULT`) forces the
-classic path, which the engine-equivalence golden gate compares
-byte-for-byte.
+forces the classic path, which the ``engine`` golden gate
+(:mod:`repro.analysis.goldens`) compares byte-for-byte.
 """
 
 from __future__ import annotations
@@ -63,12 +62,6 @@ from repro.errors import DeadlockError, SimulationError
 from repro.obs import Charge, ChargeSpan, CostDomain, Ledger
 
 KernelGen = Generator[Any, Any, Any]
-
-#: Session-wide default for :class:`Engine`'s fast-forward scheduler.
-#: The equivalence golden flips this to prove both paths produce the
-#: same bytes; everything else leaves it on.
-FAST_FORWARD_DEFAULT = True
-
 
 class Compute:
     """Effect: consume ``cycles`` of CPU time on the thread's core."""
@@ -286,7 +279,7 @@ class Engine:
 
     def __init__(self, num_cores: int = 16, topology=None,
                  freq_hz: float = 2.7e9,
-                 fast_forward: Optional[bool] = None):
+                 fast_forward: bool = True):
         self.now = 0.0
         # ``topology`` (a repro.topology.MachineTopology, duck-typed to
         # avoid an import cycle) pins each core to its socket; without
@@ -296,8 +289,7 @@ class Engine:
         #: Clock frequency used by :meth:`seconds`; ``System`` passes
         #: its cost model's ``MachineConfig.freq_hz`` through.
         self.freq_hz = freq_hz
-        self.fast_forward = (FAST_FORWARD_DEFAULT if fast_forward is None
-                             else fast_forward)
+        self.fast_forward = fast_forward
         self._heap: list = []
         self._seq = itertools.count()
         self.threads: list[SimThread] = []

@@ -258,7 +258,16 @@ class System:
         """Wire a :class:`repro.crash.PersistenceDomain` into every
         layer that moves durable state: the file system (metadata and
         journal transactions), the memory model (stream/copy/flush byte
-        accounting) and physical memory (PMem frame lifecycle)."""
+        accounting) and physical memory (PMem frame lifecycle).
+
+        Attaching twice is refused: the second domain would take over
+        the hooks while the first still holds half the run's
+        transitions, so neither could replay a consistent image.
+        """
+        if self.persistence is not None:
+            raise ValueError(
+                "attach_persistence: a persistence domain is already "
+                "attached; build a fresh System per domain")
         self.persistence = domain
         self.fs.persistence = domain
         self.mem.persistence = domain
@@ -323,10 +332,18 @@ class System:
 
         Passive configs (one plain tenant, no quotas) install nothing
         — the machine stays bit-identical to an un-tenanted one (the
-        ``tenancy_equivalence`` golden gate).  Returns the runtime.
+        ``tenancy`` golden gate).  Returns the runtime.
+
+        Attaching twice is refused: the second runtime's accountant,
+        resolver and admission would silently replace the first's
+        hooks while the first's tenants are still charged to them.
         """
         from repro.tenancy import TenancyRuntime
 
+        if self.tenancy is not None:
+            raise ValueError(
+                "attach_tenancy: a tenancy runtime is already attached; "
+                "build a fresh System per tenancy config")
         self.tenancy = TenancyRuntime(self, config)
         self.tenancy.install()
         return self.tenancy
@@ -337,8 +354,8 @@ class System:
 
         A pass-through hypervisor (``VirtConfig()`` — no nested
         pricing, no migration) installs hooks that never fire, keeping
-        the machine bit-identical to a bare one (the
-        ``virt_equivalence`` golden gate).  Returns the hypervisor.
+        the machine bit-identical to a bare one (the ``virt`` golden
+        gate).  Returns the hypervisor.
         """
         from repro.virt import Hypervisor, VirtConfig
 

@@ -2,8 +2,9 @@
 
 The tier model itself (per-medium latency/bandwidth/persistence specs)
 lives in :mod:`repro.mem.tiers`; this package holds the pieces that act
-on it — the hot/cold migration daemon (:mod:`repro.tiering.daemon`) and
-the pre-refactor equivalence gate (:mod:`repro.tiering.golden`).
+on it — the hot/cold migration daemon (:mod:`repro.tiering.daemon`).
+The pre-refactor equivalence gate is the ``tier`` gate of
+:mod:`repro.analysis.goldens`.
 """
 
 from repro.tiering.daemon import (GRANULE_BYTES, GRANULE_PAGES, TierMap,

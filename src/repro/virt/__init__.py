@@ -2,8 +2,9 @@
 
 See :mod:`repro.virt.hypervisor` for the guest/hypervisor layer,
 :mod:`repro.virt.migration` for the migration state machine,
-:mod:`repro.virt.audit` for the crash/fault hardening audit and
-:mod:`repro.virt.golden` for the pass-through equivalence gate.
+:mod:`repro.virt.audit` for the crash/fault hardening audit and the
+``virt`` gate of :mod:`repro.analysis.goldens` for the pass-through
+equivalence gate.
 """
 
 from repro.virt.audit import (

@@ -19,7 +19,7 @@ The design is deliberately two-speed.  A **pass-through** guest
 (``VirtConfig()`` — no nested pricing, no migration) installs all the
 hooks but yields nothing, charges nothing and bumps no counter: the
 machine stays bit-identical to a bare one, pinned by the
-``virt_equivalence`` golden gate.  Arming ``nested`` and/or
+``virt`` golden gate.  Arming ``nested`` and/or
 ``migrate`` turns the same hooks into the real hypervisor.
 """
 

@@ -9,10 +9,9 @@ The contract under test has three layers:
 3. the kernel-path audit — every armed uncorrectable error ends
    *handled* (remapped with accounted loss, cleared in place, or
    SIGBUS-delivered and repaired), and with nothing armed the fault
-   hooks are bit-for-bit free (the golden equivalence gate).
+   hooks are bit-for-bit free (the ``faults`` gate of
+   :mod:`repro.analysis.goldens`).
 """
-
-import json
 
 import pytest
 
@@ -25,7 +24,6 @@ from repro.faults import (
     MediaFaults,
     run_faults,
 )
-from repro.faults.golden import GOLDEN_PATH, golden_states
 from repro.faults.plan import TouchRecord, UE_KINDS
 from repro.fs.block import BLOCK_SIZE, BlockDevice
 from repro.fs.extent import ExtentTree
@@ -215,16 +213,3 @@ def test_acceptance_syncbench_seed7_explores_sites_without_loss():
     handled = (counts.get("remapped", 0) + counts.get("cleared", 0)
                + counts.get("sigbus-cleared", 0))
     assert handled == ue_sites
-
-
-# ---------------------------------------------------------------------------
-# Golden equivalence gate: empty plan == no fault subsystem at all.
-# ---------------------------------------------------------------------------
-def test_empty_fault_plan_is_bit_identical_to_golden():
-    golden = json.loads(GOLDEN_PATH.read_text())
-
-    def attach(system: System) -> None:
-        system.attach_faults(MediaFaults(FaultPlan.empty()))
-
-    live = golden_states(attach=attach)
-    assert live == golden

@@ -16,6 +16,17 @@ def test_fs_type_selection():
         System(device_bytes=1 << 30, fs_type="btrfs")
 
 
+def test_default_scheme_is_explicit_radix4():
+    """``System()`` and ``System(scheme="radix4")`` are one machine:
+    the ``mmu`` golden gate replays only the sweep path, so this pins
+    the default construction."""
+    default = System(device_bytes=1 << 30).new_process().mm.scheme
+    radix4 = System(device_bytes=1 << 30,
+                    scheme="radix4").new_process().mm.scheme
+    assert type(default) is type(radix4)
+    assert default.to_state() == radix4.to_state()
+
+
 def test_device_frames_live_in_pmem_range():
     system = System(device_bytes=1 << 30)
     frame = system.device.frame_of(0)

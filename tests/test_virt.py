@@ -11,6 +11,7 @@ composition satellite, and a compact end-to-end hardening audit.
 import pytest
 
 from repro.config import MEDIA_PRESETS
+from repro.crash.domain import PersistenceDomain
 from repro.crash.workloads import CRASH_WORKLOADS
 from repro.errors import InvalidArgumentError
 from repro.faults.injector import FaultInjector
@@ -19,6 +20,7 @@ from repro.faults.plan import FaultPlan
 from repro.obs import CostDomain, Counter
 from repro.runner.worker import _reset_naming_counters
 from repro.system import System
+from repro.tenancy import consolidate_config
 from repro.virt import (
     MigrationState,
     VirtConfig,
@@ -70,6 +72,23 @@ def test_attach_tiering_twice_refused():
     system.attach_tiering()
     with pytest.raises(ValueError, match="already attached"):
         system.attach_tiering()
+
+
+def test_attach_tenancy_twice_refused():
+    system = _system()
+    runtime = system.attach_tenancy(consolidate_config(2, quotas=True))
+    with pytest.raises(ValueError, match="already attached"):
+        system.attach_tenancy(consolidate_config(2, quotas=True))
+    assert system.tenancy is runtime
+
+
+def test_attach_persistence_twice_refused():
+    system = _system()
+    domain = PersistenceDomain()
+    system.attach_persistence(domain)
+    with pytest.raises(ValueError, match="already attached"):
+        system.attach_persistence(PersistenceDomain())
+    assert system.fs.persistence is domain
 
 
 # -- config validation ---------------------------------------------------
