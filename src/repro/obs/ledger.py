@@ -38,34 +38,6 @@ class Ledger:
         self._threads[thread][domain] += cycles
         self.records += 1
 
-    def record_many(self, thread: str, entries) -> None:
-        """Replay a buffered run of ``(domain, event, cycles)`` entries.
-
-        Semantically ``record`` in a loop — same accumulation order,
-        same zero-skip, same ``records`` count — with the dict lookups
-        hoisted so the engine's fast-forward drain can flush a whole
-        uninterrupted span in one call.  The per-thread dict is only
-        materialized once a non-zero entry lands, exactly like
-        ``record``'s early return keeps an all-zero thread out of
-        :meth:`to_state`.
-        """
-        domains = self._domains
-        events = self._events
-        per = self._threads.get(thread)
-        fresh = per is None
-        recorded = 0
-        for domain, event, cycles in entries:
-            if cycles == 0.0:
-                continue
-            if fresh:
-                per = self._threads[thread]
-                fresh = False
-            domains[domain] += cycles
-            events[(domain, event)] += cycles
-            per[domain] += cycles
-            recorded += 1
-        self.records += recorded
-
     # -- queries ----------------------------------------------------------
     def domain_total(self, domain: CostDomain) -> float:
         return self._domains.get(domain, 0.0)

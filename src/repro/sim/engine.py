@@ -45,10 +45,12 @@ provably the only runnable entity — nothing can preempt it until it
 yields a scheduling effect — so the engine drains its consecutive
 ``Compute``/``Charge`` effects in a tight loop instead of round-
 tripping each one through the heap (see :meth:`Engine._drain` and
-DESIGN §12 for the invariants).  The drain's clock and ledger
-arithmetic are bit-identical to the heap path; ``fast_forward=False``
-forces the classic path, which the ``engine`` golden gate
-(:mod:`repro.analysis.goldens`) compares byte-for-byte.
+DESIGN §12 for the invariants).  The drain posts each charge to the
+ledger the moment it is charged, in the heap path's order and with its
+clock floats, so its results are bit-identical and its memory does not
+grow with the drain's length; ``fast_forward=False`` forces the classic
+path, which the ``engine`` golden gate (:mod:`repro.analysis.goldens`)
+compares byte-for-byte.
 """
 
 from __future__ import annotations
@@ -217,10 +219,6 @@ class Core:
             entries[0][2] = total
         return total, [(d, e, c) for d, e, c in entries]
 
-    def drain_stolen(self, compute_cycles: float = float("inf")) -> float:
-        """Back-compat scalar drain (see :meth:`drain_attributed`)."""
-        return self.drain_attributed(compute_cycles)[0]
-
 
 class SimThread:
     """A simulated thread: a generator plus scheduling state."""
@@ -364,106 +362,33 @@ class Engine:
                 return
         self._schedule(thread, cycles + stolen)
 
-    def _step(self, thread: SimThread) -> None:
-        """Resume a thread once and interpret the effect it yields.
-
-        A thread mid-span is *not* resumed: its next buffered entry is
-        interpreted instead, so on the contended path a ``ChargeSpan``
-        occupies one scheduling point per entry — bit-identical to the
-        separate ``Charge`` yields it replaced, including how other
-        threads' records and interrupts interleave between entries.
-
-        :meth:`run` inlines this body in its hot loop; this method is
-        the readable reference (and the entry point for tests that
-        drive single steps).  Keep the two in sync.
-        """
-        span = thread._span_entries
-        if span is not None:
-            index = thread._span_index
-            domain, event, cycles = span[index]
-            index += 1
-            if index == len(span):
-                thread._span_entries = None
-            else:
-                thread._span_index = index
-            self._charge_one(thread, domain, event, cycles)
-            return
-        self.current = thread
-        try:
-            effect = thread.gen.send(thread._wake_value)
-        except StopIteration as stop:
-            self._finish(thread, stop.value)
-            return
-        thread._wake_value = None
-
-        cls = effect.__class__
-        if cls is Charge or cls is Compute:
-            # _charge_one's body, inlined — including the ledger's
-            # ``record`` (same defaultdict accumulation, same zero
-            # skip) and the heap push: this is the contended path's
-            # per-event cost and every call frame here is measurable.
-            if cls is Charge:
-                domain, event = effect.domain, effect.event
-            else:
-                domain, event = CostDomain.USERSPACE, "uncharged"
-            cycles = effect.cycles
-            core = thread.core
-            if core.stolen_cycles:
-                stolen, stolen_entries = core.drain_attributed(cycles)
-            else:
-                stolen, stolen_entries = 0.0, ()
-            ledger = self.ledger
-            if cycles != 0.0:
-                ledger._domains[domain] += cycles
-                ledger._events[(domain, event)] += cycles
-                ledger._threads[thread.name][domain] += cycles
-                ledger.records += 1
-            if stolen:
-                for sdomain, sevent, took in stolen_entries:
-                    ledger.record(thread.name, sdomain, sevent, took)
-            throttle = thread.cpu_throttle
-            if throttle is not None:
-                extra = throttle.stretch(cycles)
-                if extra > 0.0:
-                    ledger.record(thread.name, CostDomain.TENANCY,
-                                  throttle.event, extra)
-                    heappush(self._heap,
-                             (self.now + cycles + stolen + extra,
-                              next(self._seq), thread))
-                    return
-            heappush(self._heap,
-                     (self.now + cycles + stolen, next(self._seq), thread))
-        elif cls is ChargeSpan:
-            entries = effect.entries
-            if not entries:
-                self._schedule(thread, 0.0)
-                return
-            if len(entries) > 1:
-                thread._span_entries = entries
-                thread._span_index = 1
-            self._charge_one(thread, *entries[0])
-        else:
-            self._interpret(thread, effect)
-
-    def _apply_span(self, thread: SimThread, entries, append) -> None:
-        """Inline a run of span entries inside a fast-forward drain.
+    def _apply_span(self, thread: SimThread, entries) -> None:
+        """Charge a run of span entries inside a fast-forward drain.
 
         Only legal while the heap is empty (nothing can interleave):
-        each entry advances the clock and drains interrupt debt with
-        exactly the arithmetic of a separate ``Charge`` yield, and the
-        ledger entries land contiguously in the drain's replay buffer
-        — the same contiguous order an uncontended heap run produces.
+        each entry posts to the ledger, drains interrupt debt and
+        advances the clock exactly as :meth:`_charge_one` does for the
+        same entry on the contended path, clock association included
+        (``now + (cycles + stolen)``).
         """
         core = thread.core
+        name = thread.name
+        ledger = self.ledger
+        domains = ledger._domains
+        events = ledger._events
+        threads = ledger._threads
         for domain, event, cycles in entries:
+            if cycles != 0.0:
+                domains[domain] += cycles
+                events[(domain, event)] += cycles
+                threads[name][domain] += cycles
+                ledger.records += 1
             if core.stolen_cycles:
                 stolen, stolen_entries = core.drain_attributed(cycles)
-                append((domain, event, cycles))
-                for entry in stolen_entries:
-                    append(entry)
+                for sdomain, sevent, took in stolen_entries:
+                    ledger.record(name, sdomain, sevent, took)
                 self.now += cycles + stolen
             else:
-                append((domain, event, cycles))
                 self.now += cycles
 
     def _interpret(self, thread: SimThread, effect) -> None:
@@ -507,92 +432,88 @@ class Engine:
         scheduling effect or its kernel code pushes something into the
         heap.  Consecutive ``Compute``/``Charge``/``ChargeSpan``
         effects are interpreted in a tight loop — same clock floats,
-        same ledger record stream (buffered and replayed in order),
-        same event accounting — skipping only the heap round-trips.
+        same ledger additions in the same order, same event accounting
+        — skipping only the heap round-trips.  Each charge posts to the
+        ledger as it is charged, exactly as ``run()``'s inline path
+        does, so nothing is held back for the end of the drain.
         """
         self.current = thread
         heap = self._heap
         core = thread.core
         send = thread.gen.send
         name = thread.name
-        buf: list = []
-        append = buf.append
+        ledger = self.ledger
+        domains = ledger._domains
+        events = ledger._events
+        threads = ledger._threads
         value = thread._wake_value
         thread._wake_value = None
-        try:
-            span = thread._span_entries
-            if span is not None:
-                # The thread was popped mid-span (the contended path
-                # buffered the rest): this pop pays the next entry and
-                # the drain inlines the remainder, one event each.
-                rest = span[thread._span_index:]
-                thread._span_entries = None
-                self._apply_span(thread, rest, append)
-                self.events_processed += len(rest) - 1
-                if self.events_processed >= limit:
-                    self._schedule(thread, 0.0)
-                    raise SimulationError(
-                        f"event budget {max_events} exhausted "
-                        f"at t={self.now}")
-                self.events_processed += 1
-            while True:
-                try:
-                    effect = send(value)
-                except StopIteration as stop:
-                    self._finish(thread, stop.value)
-                    return
-                value = None
-                cls = effect.__class__
+        span = thread._span_entries
+        if span is not None:
+            # The thread was popped mid-span (the contended path
+            # buffered the rest): this pop pays the next entry and the
+            # drain inlines the remainder, one event each.
+            rest = span[thread._span_index:]
+            thread._span_entries = None
+            self._apply_span(thread, rest)
+            self.events_processed += len(rest) - 1
+            if self.events_processed >= limit:
+                self._schedule(thread, 0.0)
+                raise SimulationError(
+                    f"event budget {max_events} exhausted "
+                    f"at t={self.now}")
+            self.events_processed += 1
+        while True:
+            try:
+                effect = send(value)
+            except StopIteration as stop:
+                self._finish(thread, stop.value)
+                return
+            value = None
+            cls = effect.__class__
+            if cls is Charge or cls is Compute:
                 if cls is Charge:
-                    cycles = effect.cycles
-                    if core.stolen_cycles:
-                        stolen, stolen_entries = \
-                            core.drain_attributed(cycles)
-                        append((effect.domain, effect.event, cycles))
-                        for entry in stolen_entries:
-                            append(entry)
-                        self.now += cycles + stolen
-                    else:
-                        append((effect.domain, effect.event, cycles))
-                        self.now += cycles
-                elif cls is Compute:
-                    cycles = effect.cycles
-                    if core.stolen_cycles:
-                        stolen, stolen_entries = \
-                            core.drain_attributed(cycles)
-                        append((CostDomain.USERSPACE, "uncharged", cycles))
-                        for entry in stolen_entries:
-                            append(entry)
-                        self.now += cycles + stolen
-                    else:
-                        append((CostDomain.USERSPACE, "uncharged", cycles))
-                        self.now += cycles
-                elif cls is ChargeSpan:
-                    entries = effect.entries
-                    if entries:
-                        self._apply_span(thread, entries, append)
-                        # Each entry is one scheduling point on the
-                        # contended path; keep the event accounting
-                        # identical (the loop bottom counts one).
-                        self.events_processed += len(entries) - 1
+                    domain, event = effect.domain, effect.event
                 else:
-                    self._interpret(thread, effect)
-                    return
-                if heap:
-                    # Kernel code scheduled something mid-effect (e.g.
-                    # a daemon spawned directly); re-enter the heap so
-                    # it can interleave.
-                    self._schedule(thread, 0.0)
-                    return
-                if self.events_processed >= limit:
-                    self._schedule(thread, 0.0)
-                    raise SimulationError(
-                        f"event budget {max_events} exhausted "
-                        f"at t={self.now}")
-                self.events_processed += 1
-        finally:
-            if buf:
-                self.ledger.record_many(name, buf)
+                    domain, event = CostDomain.USERSPACE, "uncharged"
+                cycles = effect.cycles
+                if cycles != 0.0:
+                    domains[domain] += cycles
+                    events[(domain, event)] += cycles
+                    threads[name][domain] += cycles
+                    ledger.records += 1
+                if core.stolen_cycles:
+                    stolen, stolen_entries = core.drain_attributed(cycles)
+                    for sdomain, sevent, took in stolen_entries:
+                        ledger.record(name, sdomain, sevent, took)
+                    # ``(now + cycles) + stolen``: the classic path's
+                    # heap key, so the clock floats match it exactly.
+                    self.now = self.now + cycles + stolen
+                else:
+                    self.now += cycles
+            elif cls is ChargeSpan:
+                entries = effect.entries
+                if entries:
+                    self._apply_span(thread, entries)
+                    # Each entry is one scheduling point on the
+                    # contended path; keep the event accounting
+                    # identical (the loop bottom counts one).
+                    self.events_processed += len(entries) - 1
+            else:
+                self._interpret(thread, effect)
+                return
+            if heap:
+                # Kernel code scheduled something mid-effect (e.g. a
+                # daemon spawned directly); re-enter the heap so it can
+                # interleave.
+                self._schedule(thread, 0.0)
+                return
+            if self.events_processed >= limit:
+                self._schedule(thread, 0.0)
+                raise SimulationError(
+                    f"event budget {max_events} exhausted "
+                    f"at t={self.now}")
+            self.events_processed += 1
 
     # -- main loop ---------------------------------------------------------
     def run(self, max_events: Optional[int] = None) -> float:
@@ -644,10 +565,9 @@ class Engine:
                 # skipping the fast path costs nothing measurable.
                 self._drain(thread, limit, max_events)
                 continue
-            # ``_step``'s body, inlined: this loop interprets every
-            # contended-path event and the call frame alone is
+            # The contended path, inlined: this loop interprets every
+            # contended-path event and a call frame alone is
             # measurable at tens of thousands of events per point.
-            # Keep in sync with ``_step``.
             span = thread._span_entries
             if span is not None:
                 index = thread._span_index

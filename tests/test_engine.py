@@ -552,33 +552,100 @@ def test_charge_span_validates_entries():
     assert engine.run() == 5
 
 
-def test_fast_forward_off_matches_on():
-    """The classic heap path and the fast-forward drain must produce
-    identical clocks, ledgers and event counts."""
+def _lock_contention(engine):
+    from repro.config import CostModel
     from repro.obs import charge_span
     from repro.sim.locks import Spinlock
 
-    def build(fast_forward):
+    lock = Spinlock(engine, CostModel(), "t-lock")
+
+    def worker(n):
+        for i in range(20):
+            yield charge(CostDomain.COPY, "memcpy", 10.0 * (n + i))
+            yield from lock.acquire()
+            yield charge(CostDomain.JOURNAL, "commit", 5.0)
+            yield from lock.release()
+            yield charge_span([(CostDomain.WALK, "tlb-walk", 3.0),
+                               (CostDomain.NUMA, "remote", 2.0)])
+
+    for n in range(3):
+        engine.spawn(worker(n), core=n)
+
+
+def _interrupting_sender(engine):
+    # The sender leaves interrupt debt on core 0 and finishes; the
+    # victim then drains alone and absorbs the debt on its next
+    # charge, whose clock must be ``(now + cycles) + stolen`` exactly
+    # as the classic path's heap key.
+    def victim():
+        for cycles in (0.1, 0.2, 0.7):
+            yield charge(CostDomain.COPY, "memcpy", cycles)
+
+    def sender():
+        engine.interrupt_cores([0], 0.3)
+        yield charge(CostDomain.JOURNAL, "commit", 0.05)
+
+    engine.spawn(victim(), core=0)
+    engine.spawn(sender(), core=1)
+
+
+def test_fast_forward_off_matches_on():
+    """The classic heap path and the fast-forward drain must produce
+    identical clocks, ledgers and event counts."""
+    def build(scenario, fast_forward):
         engine = Engine(4, fast_forward=fast_forward)
-        from repro.config import CostModel
-        lock = Spinlock(engine, CostModel(), "t-lock")
+        scenario(engine)
+        engine.run()
+        return engine
 
-        def worker(n):
-            for i in range(20):
-                yield charge(CostDomain.COPY, "memcpy", 10.0 * (n + i))
-                yield from lock.acquire()
-                yield charge(CostDomain.JOURNAL, "commit", 5.0)
-                yield from lock.release()
-                yield charge_span([(CostDomain.WALK, "tlb-walk", 3.0),
-                                   (CostDomain.NUMA, "remote", 2.0)])
+    for scenario in (_lock_contention, _interrupting_sender):
+        on = build(scenario, True)
+        off = build(scenario, False)
+        assert on.now == off.now, scenario.__name__
+        assert on.events_processed == off.events_processed
+        assert on.ledger.to_state() == off.ledger.to_state()
 
-        for n in range(3):
-            engine.spawn(worker(n), core=n)
+
+def test_drain_memory_does_not_grow_with_run_length():
+    """A lone thread's drain posts each charge as it lands: its host
+    memory is bounded, however many charges one drain covers."""
+    import tracemalloc
+
+    engine = Engine(1)
+
+    def worker(n):
+        for _ in range(n):
+            yield charge(CostDomain.COPY, "memcpy", 1.0)
+
+    engine.spawn(worker(200_000), core=0)
+    tracemalloc.start()
+    try:
+        engine.run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert engine.now == 200_000.0
+    assert peak < 1 << 20
+
+
+def test_drain_ledger_order_matches_direct_records():
+    """Kernel code may post to the ledger directly between yields; a
+    drained thread's charges must already be in the ledger by then, so
+    the float additions happen in the classic path's order."""
+    def build(fast_forward):
+        engine = Engine(1, fast_forward=fast_forward)
+
+        def worker():
+            yield charge(CostDomain.JOURNAL, "commit", 1.0)
+            yield charge(CostDomain.JOURNAL, "commit", 1.0)
+            engine.ledger.record("w", CostDomain.JOURNAL, "direct", 1e16)
+            yield charge(CostDomain.COPY, "memcpy", 1.0)
+
+        engine.spawn(worker(), core=0, name="w")
         engine.run()
         return engine
 
     on = build(True)
     off = build(False)
-    assert on.now == off.now
-    assert on.events_processed == off.events_processed
+    assert off.ledger.domain_total(CostDomain.JOURNAL) == 2.0 + 1e16
     assert on.ledger.to_state() == off.ledger.to_state()
