@@ -1,8 +1,21 @@
-"""Command-line interface: ``python -m repro <experiment>``.
+"""Command-line interface: ``python -m repro <command>``.
 
-Runs compact versions of the paper's experiments without pytest — for
-exploring the simulator interactively.  ``python -m repro list`` shows
-the registry; the full-scale regenerations live in ``benchmarks/``.
+Every command that simulates goes through the sweep registry
+(:data:`repro.runner.SWEEPS`) and :func:`repro.runner.run_sweep`, so
+each gets the result cache, the worker pool and the fault isolation:
+
+* ``sweep NAME`` runs a registered sweep and prints its figure grid;
+* ``perf NAME`` runs the same sweep (cache hits cost nothing) and
+  renders one ledger-driven report: cycle shares per domain, the top
+  ``(domain, event)`` rows, contended locks and the sweep's declared
+  counter columns; ``--json`` prints the point states instead;
+* ``crash``, ``faults`` and ``migrate`` audit one machine, shaped by
+  the machine flags, as a one-point sweep;
+* ``golden`` recaptures gate files and ``list`` shows the registry.
+
+A command exits non-zero when a point is quarantined or an audit
+counter reports a violation.  The full-scale regenerations live in
+``benchmarks/``.
 """
 
 from __future__ import annotations
@@ -10,766 +23,111 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Dict
 
 from repro.analysis.report import (
-    format_domain_breakdown,
     format_lock_report,
-    format_series,
     format_sweep,
     format_table,
 )
 from repro.analysis.results import Table
 from repro.config import MEDIA_PRESETS
-from repro.obs import Counter
-from repro.topology import PLACEMENTS
+from repro.obs import DOMAIN_ORDER
+from repro.paging.schemes import SCHEME_NAMES
 from repro.runner import (
     DEFAULT_CACHE_DIR,
     ResultCache,
     SWEEPS,
+    Sweep,
     SweepPoint,
     build_sweep,
     run_sweep,
 )
-from repro.runner.worker import build_system
-from repro.paging.schemes import SCHEME_NAMES
-from repro.paging.tlb import AccessPattern
-from repro.system import System
-from repro.workloads import (
-    ApacheConfig,
-    AppendConfig,
-    AppendVariant,
-    DaxVMOptions,
-    EphemeralConfig,
-    Interface,
-    KVConfig,
-    PRedisConfig,
-    RepetitiveConfig,
-    ServerInterface,
-    YCSBConfig,
-    run_apache,
-    run_append,
-    run_ephemeral,
-    run_predis,
-    run_repetitive,
-    run_ycsb,
-)
+from repro.topology import PLACEMENTS
 
-EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], None]] = {}
-PERF_TARGETS: Dict[str, Callable[[argparse.Namespace], None]] = {}
+#: Audit commands: one machine, shaped by the machine flags.
+AUDITS = {
+    "crash": "crash-point injection + recovery audit",
+    "faults": "media-fault injection + poison-handling audit",
+    "migrate": "crash/fault hardening audit of post-copy live migration",
+}
+
+#: ``(domain, event)`` rows in perf's top-events table.
+TOP_EVENTS = 12
 
 
-def experiment(name: str, help_text: str):
-    def decorate(fn):
-        fn.help_text = help_text
-        EXPERIMENTS[name] = fn
-        return fn
-    return decorate
-
-
-def perf_target(name: str, help_text: str):
-    def decorate(fn):
-        fn.help_text = help_text
-        PERF_TARGETS[name] = fn
-        return fn
-    return decorate
-
-
-def _system(args, fs_type: str = "ext4", **fields) -> System:
-    """Build the machine the flags describe (``fields`` override them)
-    through the sweep worker's builder; the point's workload fields
-    are placeholders it never reads."""
-    machine = dict(media=args.media, device_gib=args.device,
-                   aged=not args.fresh, num_nodes=args.nodes,
+def _audit_point(args) -> SweepPoint:
+    """The one point an audit command runs.  Replicas start from fresh
+    images; every other machine field comes from the flags."""
+    machine = dict(media=args.media, device_gib=args.device, aged=False,
+                   fs_type=args.fs, num_nodes=args.nodes,
                    placement=args.policy, pin_node=args.pin_node,
-                   scheme=args.scheme,
-                   node_kinds=getattr(args, "node_kinds", None) or "")
-    tiering = getattr(args, "tiering", None)
-    if tiering:
-        data, _, flag = tiering.partition(":")
+                   scheme=args.scheme, node_kinds=args.node_kinds or "")
+    if args.tiering:
+        data, _, flag = args.tiering.partition(":")
         machine["tiering"] = {"data": data, "daemon": flag == "daemon"}
-    machine.update(fields)
-    return build_system(SweepPoint("cli", "", 0, **machine),
-                        fs_type=fs_type)
+    budget = {"media": args.media, "device_gib": args.device}
+    max_points = 64 if args.max_points is None else args.max_points
+    if args.command == "migrate":
+        params = {"seeds": [args.seed, args.seed + 1],
+                  "max_points": max_points, "max_sites": args.max_sites,
+                  "composed_points": max(2, min(max_points, 6)),
+                  **budget}
+        return SweepPoint("migrate-audit", "migrate", args.seed, params,
+                          **machine)
+    params = {"workload": args.workload, "seed": args.seed, **budget}
+    if args.command == "crash":
+        params["max_points"] = max_points
+    else:
+        params["max_sites"] = args.max_sites
+    return SweepPoint(args.command, args.workload, args.seed, params,
+                      **machine)
 
 
-@experiment("ephemeral", "read-once file access across interfaces")
-def _ephemeral(args):
-    table = Table(f"Ephemeral access, {args.size >> 10} KB files",
-                  ["interface", "us/file", "MB/s"])
-    for interface in (Interface.READ, Interface.MMAP,
-                      Interface.MMAP_POPULATE, Interface.DAXVM):
-        system = _system(args)
-        cfg = EphemeralConfig(file_size=args.size, num_files=args.ops,
-                              num_threads=args.threads,
-                              interface=interface)
-        r = run_ephemeral(system, cfg)
-        table.add_row(interface.value, r.latency_us, r.mb_per_second)
-    print(format_table(table))
-
-
-def _run_named_sweep(args, name: str):
-    """Build and execute a registered sweep with the CLI knobs."""
-    sweep = build_sweep(name, ops=args.ops, size=args.size,
+def _build(args) -> Sweep:
+    if args.command in AUDITS:
+        return Sweep(name=args.command,
+                     title=f"{AUDITS[args.command]}, seed {args.seed}",
+                     points=[_audit_point(args)], axis="seed")
+    sweep = build_sweep(args.target, ops=args.ops, size=args.size,
                         media=args.media, device_gib=args.device,
                         aged=not args.fresh)
     if args.max_points is not None and len(sweep.points) > args.max_points:
-        print(f"sweep: truncating {name} to the first {args.max_points} "
-              f"of {len(sweep.points)} points (--max-points)",
-              file=sys.stderr)
+        print(f"sweep: truncating {args.target} to the first "
+              f"{args.max_points} of {len(sweep.points)} points "
+              f"(--max-points)", file=sys.stderr)
         sweep.points = sweep.points[:args.max_points]
+    return sweep
+
+
+def _run(args, sweep: Sweep):
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     return run_sweep(sweep, jobs=args.jobs, cache=cache,
                      point_timeout=args.point_timeout,
-                     max_retries=args.max_retries,
-                     retry_seed=args.seed,
-                     profile=getattr(args, "profile", False))
+                     max_retries=args.max_retries, retry_seed=args.seed,
+                     profile=args.profile)
 
 
-@experiment("scaling", "read-once throughput vs thread count (fig 1b)")
-def _scaling(args):
-    result = _run_named_sweep(args, "scaling")
-    print(format_series(result.sweep.title, result.series(),
-                        x_label=result.sweep.axis))
-
-
-@experiment("repetitive", "database-style 4KB ops over one big file")
-def _repetitive(args):
-    table = Table("Repetitive 4KB ops over a large file",
-                  ["interface", "pattern", "Kops/s"])
-    for pattern in (AccessPattern.SEQUENTIAL, AccessPattern.RANDOM):
-        for interface in (Interface.READ, Interface.MMAP,
-                          Interface.DAXVM):
-            system = _system(args)
-            cfg = RepetitiveConfig(
-                file_size=96 << 20, op_size=4096,
-                num_ops=(96 << 20) // 4096, pattern=pattern,
-                interface=interface, monitor_every=8192,
-                daxvm=DaxVMOptions(ephemeral=False, unmap_async=False,
-                                   nosync=True))
-            r = run_repetitive(system, cfg)
-            table.add_row(interface.value, pattern.value,
-                          r.ops_per_second / 1e3)
-    print(format_table(table))
-
-
-@experiment("apache", "webserver scalability (fig 8a)")
-def _apache(args):
-    result = _run_named_sweep(args, "apache")
-    print(format_series(result.sweep.title, result.series(),
-                        x_label=result.sweep.axis))
-
-
-@experiment("ablations", "incremental DaxVM mechanisms at 16 cores")
-def _ablations(args):
-    result = _run_named_sweep(args, "ablations")
-    print(format_table(result.table()))
-
-
-@experiment("predis", "P-Redis boot and warm-up timeline (fig 9b)")
-def _predis(args):
-    for interface in (Interface.MMAP, Interface.MMAP_POPULATE,
-                      Interface.DAXVM):
-        system = _system(args)
-        cfg = PRedisConfig(cache_size=512 << 20, num_gets=args.ops,
-                           window=max(500, args.ops // 16),
-                           interface=interface)
-        r = run_predis(system, cfg)
-        timeline = " ".join(f"{v / 1e3:5.0f}"
-                            for _t, v in r.timeline.points[:8])
-        print(f"{interface.value:>10}: boot={r.boot_seconds * 1e3:8.2f}ms"
-              f"  Kops/s: {timeline}")
-
-
-@experiment("ycsb", "YCSB load_a over the Pmem-RocksDB model (fig 9c)")
-def _ycsb(args):
-    table = Table("YCSB load_a (Kops/s)", ["variant", "Kops/s",
-                                           "sync commits"])
-    variants = [
-        ("mmap", Interface.MMAP, None, False),
-        ("daxvm", Interface.DAXVM,
-         DaxVMOptions(ephemeral=False, unmap_async=False), False),
-        ("daxvm+pz+ns", Interface.DAXVM,
-         DaxVMOptions(ephemeral=False, unmap_async=False, nosync=True),
-         True),
-    ]
-    for name, interface, opts, prezero in variants:
-        system = _system(args, fs_type=args.fs)
-        kv = KVConfig(interface=interface)
-        if opts is not None:
-            kv = KVConfig(interface=interface, daxvm=opts)
-        cfg = YCSBConfig(workload="load_a", num_ops=args.ops,
-                         preload_records=0, kv=kv, prezero=prezero)
-        r = run_ycsb(system, cfg)
-        table.add_row(name, r.ops_per_second / 1e3,
-                      r.counters.get("journal.sync_commits", 0))
-    print(format_table(table))
-
-
-@experiment("media", "DaxVM across storage media (§VI)")
-def _media(args):
-    table = Table("32KB ephemeral access across media",
-                  ["media", "read us", "daxvm us", "daxvm/read"])
-    for media, factory in MEDIA_PRESETS.items():
-        out = {}
-        for interface in (Interface.READ, Interface.DAXVM):
-            system = System(costs=factory(),
-                            device_bytes=args.device << 30, aged=True)
-            cfg = EphemeralConfig(file_size=32 << 10,
-                                  num_files=args.ops,
-                                  interface=interface)
-            out[interface] = run_ephemeral(system, cfg)
-        table.add_row(media, out[Interface.READ].latency_us,
-                      out[Interface.DAXVM].latency_us,
-                      out[Interface.READ].latency_us
-                      / out[Interface.DAXVM].latency_us)
-    print(format_table(table))
-
-
-@experiment("crash", "crash-point injection + recovery audit")
-def _crash(args):
-    from repro.crash import run_crash
-
-    def factory() -> System:
-        # Fresh images: aging churn adds nothing to durability coverage
-        # and each crash point rebuilds the machine from scratch.
-        return _system(args, fs_type=args.fs, aged=False)
-
-    summary = run_crash(factory, args.workload, seed=args.seed,
-                        max_points=args.max_points)
-    if args.json:
-        print(json.dumps(summary.to_state(), indent=2, sort_keys=True))
-    else:
-        state = summary.to_state()
-        table = Table(
-            f"Crash sweep: {summary.workload}, seed {summary.seed}",
-            ["metric", "value"])
-        for key in ("total_transitions", "points_explored",
-                    "invariant_violations", "lost_records",
-                    "replayed_records", "rolled_back_txns",
-                    "orphan_blocks", "tables_repaired", "ptes_replayed"):
-            table.add_row(key, state[key])
-        print(format_table(table))
-        for line in summary.violations:
-            print(f"VIOLATION: {line}")
-    if summary.invariant_violations:
-        raise SystemExit(
-            f"crash: {summary.invariant_violations} invariant "
-            f"violation(s) across {summary.points_explored} points")
-
-
-@experiment("faults", "media-fault injection + poison-handling audit")
-def _faults(args):
-    from repro.faults import FAULT_WORKLOADS, run_faults
-
-    if args.workload not in FAULT_WORKLOADS:
-        raise SystemExit(
-            f"faults: unknown workload {args.workload!r}; known: "
-            + ", ".join(sorted(FAULT_WORKLOADS)))
-    def factory() -> System:
-        # Fresh images: each armed site rebuilds the machine, and
-        # aging churn adds nothing to poison-handling coverage.
-        return _system(args, fs_type=args.fs, aged=False)
-
-    summary = run_faults(factory, args.workload, seed=args.seed,
-                         max_sites=args.max_sites)
-    if args.json:
-        print(json.dumps(summary.to_state(), indent=2, sort_keys=True))
-    else:
-        state = summary.to_state()
-        table = Table(
-            f"Media-fault sweep: {summary.workload}, "
-            f"seed {summary.seed}", ["metric", "value"])
-        for key in ("total_touches", "sites_explored", "remapped",
-                    "cleared", "sigbus_cleared", "bw_windows", "stalls",
-                    "bytes_lost", "violations"):
-            table.add_row(key, state[key])
-        print(format_table(table))
-        for line in summary.violations:
-            print(f"VIOLATION: {line}")
-    if summary.violations:
-        raise SystemExit(
-            f"faults: {len(summary.violations)} unhandled-poison "
-            f"violation(s) across {summary.sites_explored} sites")
-
-
-@experiment("migrate", "crash/fault hardening audit of post-copy live "
-                       "migration")
-def _migrate(args):
-    from repro.virt import run_migrate_audit
-
-    summary = run_migrate_audit(
-        seeds=(args.seed, args.seed + 1),
-        max_points=args.max_points, max_sites=args.max_sites,
-        composed_points=max(2, min(args.max_points, 6)),
-        media=args.media, device_gib=args.device)
-    if args.json:
-        print(json.dumps(summary.to_state(), indent=2, sort_keys=True))
-    else:
-        state = summary.to_state()
-        table = Table(
-            f"Migration hardening audit, seeds {summary.seeds}, "
-            f"trigger after {summary.migrate_after} accesses",
-            ["metric", "value"])
-        for key in ("crash_points", "fault_sites", "composed_points",
-                    "points_explored", "violations"):
-            table.add_row(key, state[key])
-        print(format_table(table))
-        for line in summary.violations:
-            print(f"VIOLATION: {line}")
-    if summary.violations:
-        raise SystemExit(
-            f"migrate: {len(summary.violations)} invariant violation(s) "
-            f"across {summary.points_explored} points")
-
-
-@perf_target("fig7", "per-domain cycle breakdown of ext4-DAX appends")
-def _perf_fig7(args):
-    """Where do mmap-append cycles go?  The ledger answers directly:
-    zeroing dominates (the paper's Fig. 7 motivation) without any
-    bench-side counter arithmetic."""
-    system = _system(args)
-    cfg = AppendConfig(append_size=args.size if args.size != 32 << 10
-                       else 256 << 10,
-                       num_appends=max(8, args.ops // 8),
-                       variant=AppendVariant.MMAP)
-    r = run_append(system, cfg)
-    if args.json:
-        print(json.dumps({
-            "target": "fig7",
-            "label": r.label,
-            "cycles": r.cycles,
-            "domains": r.domains,
-            "percentiles": r.percentiles,
-            "stats": system.stats.to_json(),
-            "ledger": system.ledger.to_json(),
-        }, indent=2, sort_keys=True))
-        return
-    print(format_domain_breakdown(
-        f"ext4-DAX mmap append, {cfg.append_size >> 10} KB "
-        f"x {cfg.num_appends} (cycles by cost domain)", r.domains))
-    append_summary = r.percentiles.get("span.append")
-    if append_summary:
-        print(f"append latency (cycles): "
-              f"p50={append_summary['p50']:.0f} "
-              f"p95={append_summary['p95']:.0f} "
-              f"p99={append_summary['p99']:.0f}")
-    share = r.domain_share("zeroing")
-    print(f"zeroing share of attributed cycles: {share * 100:.1f}%")
-
-
-@perf_target("fig8a", "mmap_sem wait-vs-hold under webserver load")
-def _perf_fig8a(args):
-    """The rw-semaphore contention behind Fig. 8a's mmap collapse:
-    per-lock wait and hold cycles recorded by the locks themselves."""
-    workers = args.threads if args.threads > 1 else 8
-    system = _system(args)
-    cfg = ApacheConfig(num_workers=workers, requests=args.ops,
-                       interface=ServerInterface.MMAP)
-    r = run_apache(system, cfg)
-    reports = [lock.report() for lock in system.engine.locks
-               if lock.acquisitions]
-    if args.json:
-        print(json.dumps({
-            "target": "fig8a",
-            "label": r.label,
-            "cycles": r.cycles,
-            "domains": r.domains,
-            "locks": reports,
-            "stats": system.stats.to_json(),
-        }, indent=2, sort_keys=True))
-        return
-    print(format_lock_report(
-        f"Apache mmap, {workers} workers x {args.ops} requests",
-        reports))
-    print()
-    print(format_domain_breakdown("cycles by cost domain", r.domains))
-
-
-@perf_target("numa", "local/remote access mix on a multi-socket machine")
-def _perf_numa(args):
-    """Where do cross-socket cycles go?  Runs the pinned read-once
-    mmap workload under the requested placement and reports the
-    local/remote access split, cross-socket shootdown IPIs and the
-    remote-access cycles the ledger attributes to the numa domain."""
-    if args.nodes < 2:
-        args.nodes = 2
-    system = _system(args)
-    threads = args.threads if args.threads > 1 else 4
-    cfg = EphemeralConfig(file_size=args.size, num_files=args.ops,
-                          num_threads=threads, interface=Interface.MMAP,
-                          pin_node=args.pin_node)
-    r = run_ephemeral(system, cfg)
-    counters = {c.value: system.stats.get(c) for c in (
-        Counter.NUMA_LOCAL_ACCESSES, Counter.NUMA_REMOTE_ACCESSES,
-        Counter.NUMA_LOCAL_BYTES, Counter.NUMA_REMOTE_BYTES,
-        Counter.NUMA_CROSS_IPIS, Counter.NUMA_CROSS_IPI_CYCLES)}
-    if args.json:
-        print(json.dumps({
-            "target": "numa",
-            "label": r.label,
-            "nodes": args.nodes,
-            "placement": args.policy,
-            "pin_node": args.pin_node,
-            "cycles": r.cycles,
-            "domains": r.domains,
-            "numa_counters": counters,
-            "stats": system.stats.to_json(),
-            "ledger": system.ledger.to_json(),
-        }, indent=2, sort_keys=True))
-        return
-    print(format_domain_breakdown(
-        f"mmap read-once, {args.nodes} sockets, placement="
-        f"{args.policy}, threads pinned to node {args.pin_node} "
-        f"(cycles by cost domain)", r.domains))
-    accesses = (counters["numa.local_accesses"]
-                + counters["numa.remote_accesses"])
-    remote_share = (counters["numa.remote_accesses"] / accesses
-                    if accesses else 0.0)
-    print(f"accesses: {counters['numa.local_accesses']:.0f} local, "
-          f"{counters['numa.remote_accesses']:.0f} remote "
-          f"({remote_share * 100:.1f}% remote)")
-    print(f"bytes:    {counters['numa.local_bytes'] / 1e6:.1f} MB local, "
-          f"{counters['numa.remote_bytes'] / 1e6:.1f} MB remote")
-    print(f"shootdowns: {counters['numa.cross_socket_ipis']:.0f} "
-          f"cross-socket IPIs, "
-          f"{counters['numa.cross_socket_ipi_cycles']:.0f} cycles")
-
-
-@perf_target("mmu", "Table II/III walk + attach costs per translation "
-                    "scheme")
-def _perf_mmu(args):
-    """DaxVM's cost structure under each MMU (repro.paging.schemes).
-
-    First a Table II analogue: average cycles per 4 KB TLB miss for
-    each scheme, by access pattern and file-table medium, plus whether
-    PMem-resident tables would trip the Table III monitor rule.  Then
-    one DaxVM syncbench run per scheme, reporting where the ledger
-    says the attach/detach and walk cycles actually went, and the
-    per-process structure-frame footprint of mapping 2 MB of 4 KB
-    pages.
-    """
-    from repro.mem.physmem import Medium
-    from repro.obs import CostDomain
-    from repro.paging.flags import PageFlags
-    from repro.paging.pagetable import PAGE_SIZE
-    from repro.paging.schemes import make_scheme
-    from repro.paging.walker import PageWalker
-    from repro.workloads import SyncConfig, SyncDiscipline, run_sync
-
-    costs = MEDIA_PRESETS[args.media]()
-    walker = PageWalker(costs)
-    cases = [("seq/DRAM", AccessPattern.SEQUENTIAL, Medium.DRAM),
-             ("rand/DRAM", AccessPattern.RANDOM, Medium.DRAM),
-             ("seq/PMem", AccessPattern.SEQUENTIAL, Medium.PMEM),
-             ("rand/PMem", AccessPattern.RANDOM, Medium.PMEM)]
-    walk_rows = {}
-    bench_rows = {}
-    for name in SCHEME_NAMES:
-        probe = make_scheme(name, System(costs=costs).physmem, costs)
-        # The walk costs a DaxVM mapping on this scheme actually pays:
-        # schemes that copy translations into process-private DRAM
-        # never see the PMem leaf penalty.
-        walks = {label: probe.walk_cost(
-                     walker, pattern, probe.effective_leaf_medium(medium))
-                 for label, pattern, medium in cases}
-        walks["huge"] = probe.huge_walk_cost(walker)
-        # Table III rule, first clause: would persistent tables push
-        # the average walk past the monitor's migration threshold?
-        walks["monitor"] = (walks["rand/PMem"]
-                            > costs.monitor_walk_cycles)
-        base = 0x40000000
-        for i in range(512):
-            probe.map_page(base + i * PAGE_SIZE, 1024 + i,
-                           PageFlags.rw())
-        walks["frames_2mb"] = len(probe.structure_frames())
-        walk_rows[name] = walks
-
-        system = _system(args, scheme=name)
-        cfg = SyncConfig(file_size=max(args.size, 4 << 20),
-                         op_size=1 << 10, ops_per_sync=8,
-                         num_syncs=max(8, min(args.ops, 64)),
-                         discipline=SyncDiscipline.DAXVM_FSYNC)
-        r = run_sync(system, cfg)
-        bench_rows[name] = {
-            "cycles": r.cycles,
-            "attach_cycles": system.ledger.event_total(
-                CostDomain.FILETABLE, "attach"),
-            "detach_cycles": system.ledger.event_total(
-                CostDomain.FILETABLE, "detach"),
-            "walk_cycles": system.stats.get(Counter.VM_WALK_CYCLES),
-            "tlb_misses": system.stats.get(Counter.VM_TLB_MISSES),
-        }
-    if args.json:
-        print(json.dumps({
-            "target": "mmu",
-            "media": args.media,
-            "walks": walk_rows,
-            "syncbench": bench_rows,
-        }, indent=2, sort_keys=True))
-        return
-    table = Table(f"Avg cycles per 4KB walk ({args.media})",
-                  ["scheme"] + [c[0] for c in cases]
-                  + ["huge", "PMem trips monitor", "frames/2MB"])
-    for name, walks in walk_rows.items():
-        table.add_row(name, *(walks[c[0]] for c in cases),
-                      walks["huge"],
-                      "yes" if walks["monitor"] else "no",
-                      walks["frames_2mb"])
-    print(format_table(table))
-    print()
-    bench = Table("DaxVM syncbench (MAP_SYNC fsync discipline)",
-                  ["scheme", "cycles", "attach cyc", "detach cyc",
-                   "walk cyc", "tlb misses"])
-    for name, row in bench_rows.items():
-        bench.add_row(name, row["cycles"], row["attach_cycles"],
-                      row["detach_cycles"], row["walk_cycles"],
-                      row["tlb_misses"])
-    print(format_table(bench))
-
-
-@perf_target("tiering", "hot/cold daemon breakdown: migrations, "
-                        "residency, tier cycles")
-def _perf_tiering(args):
-    """What does ktierd cost, and what does it buy?  Runs the DaxVM
-    syncbench with file data priced on a slow tier (``--tiering``
-    medium, default cxl), once without and once with the migration
-    daemon, and reports total cycles, the ledger's ``tiering`` domain,
-    the migration counters and the final tier residency."""
-    from repro.mem.physmem import Medium
-    from repro.obs import CostDomain
-    from repro.tiering import TieringConfig
-    from repro.workloads import SyncConfig, SyncDiscipline, run_sync
-
-    tier = (args.tiering or "cxl").partition(":")[0]
-    saved_tiering, args.tiering = args.tiering, None
-    if tier == "cxl" and not getattr(args, "node_kinds", None):
-        args.node_kinds = "ddr,cxl"
-    rows = {}
-    try:
-        for daemon in (False, True):
-            system = _system(args)
-            tiers = system.attach_tiering(
-                data_medium=Medium(tier), daemon=daemon,
-                config=TieringConfig(scan_interval=5e5, hot_touches=1,
-                                     cold_scans=4) if daemon else None)
-            cfg = SyncConfig(file_size=max(args.size, 4 << 20),
-                             op_size=1 << 10, ops_per_sync=16,
-                             num_syncs=max(8, min(args.ops, 64)),
-                             discipline=SyncDiscipline.DAXVM_FSYNC)
-            r = run_sync(system, cfg)
-            rows["ktierd" if daemon else "static"] = {
-                "cycles": r.cycles,
-                "domains": r.domains,
-                "tiering_cycles": system.ledger.domain_total(
-                    CostDomain.TIERING),
-                "scans": system.stats.get(Counter.TIERING_SCANS),
-                "promoted_pages": system.stats.get(
-                    Counter.TIERING_PROMOTED_PAGES),
-                "demoted_pages": system.stats.get(
-                    Counter.TIERING_DEMOTED_PAGES),
-                "migrated_bytes": system.stats.get(
-                    Counter.TIERING_MIGRATED_BYTES),
-                "writeback_bytes": system.stats.get(
-                    Counter.TIERING_WRITEBACK_BYTES),
-                "shootdowns": system.stats.get(
-                    Counter.TIERING_SHOOTDOWNS),
-                "residency": tiers.residency(),
-            }
-    finally:
-        args.tiering = saved_tiering
-    if args.json:
-        print(json.dumps({"target": "tiering", "tier": tier,
-                          "media": args.media, "rows": rows},
-                         indent=2, sort_keys=True))
-        return
-    print(format_domain_breakdown(
-        f"DaxVM syncbench, data on {tier}, ktierd on "
-        f"(cycles by cost domain)", rows["ktierd"]["domains"]))
-    table = Table(f"Static {tier} placement vs ktierd migration",
-                  ["variant", "cycles", "tiering cyc", "scans",
-                   "promoted", "demoted", "migrated MB", "shootdowns"])
-    for variant, row in rows.items():
-        table.add_row(variant, row["cycles"], row["tiering_cycles"],
-                      row["scans"], row["promoted_pages"],
-                      row["demoted_pages"],
-                      round(row["migrated_bytes"] / 1e6, 2),
-                      row["shootdowns"])
-    print(format_table(table))
-    resident = rows["ktierd"]["residency"]
-    print(f"ktierd residency at exit: "
-          f"{resident if resident else 'all granules on the device tier'}")
-
-
-@perf_target("consolidate", "per-tenant breakdown + p99-vs-tenant-count "
-                            "knee on one consolidated machine")
-def _perf_consolidate(args):
-    """Where does per-tenant tail latency knee as tenants pile on?
-    Runs the apache mix at 1..``--tenants`` tenants (quotas off) for
-    the knee table, then one fully loaded machine with quotas *on*
-    and the antagonist hog for the per-tenant breakdown: requests,
-    p50/p99, throttle cycles, and each tenant's lock-wait and tenancy
-    ledger cycles."""
-    from repro.tenancy import consolidate_config, run_consolidate
-
-    requests = max(8, min(args.ops, 64))
-    counts = [n for n in (1, 2, 4, 8, 16, 32) if n <= args.tenants]
-    if counts[-1] != args.tenants:
-        counts.append(args.tenants)
-
-    def tenant_p99s(system, run, config):
-        rows = {}
-        for tenant in config.tenants:
-            if tenant.kind == "antagonist":
-                continue
-            hist = run.percentiles.get(f"tenant.{tenant.name}.request")
-            if hist is None:
-                # Degenerate single-tenant path: the un-tenanted
-                # apache runner observed the span histogram instead.
-                hist = run.percentiles.get("span.apache.request", {})
-            rows[tenant.name] = hist
-        return rows
-
-    knee = []
-    for n in counts:
-        system = _system(args)
-        config = consolidate_config(n, "apache", requests=requests)
-        run = run_consolidate(system, config)
-        hists = tenant_p99s(system, run, config)
-        p50s = [h.get("p50", 0.0) for h in hists.values()]
-        p99s = [h.get("p99", 0.0) for h in hists.values()]
-        knee.append({
-            "tenants": n,
-            "cycles": run.cycles,
-            "kops_per_sec": run.ops_per_second / 1e3,
-            "p50": sum(p50s) / max(1, len(p50s)),
-            "p99": max(p99s) if p99s else 0.0,
-        })
-
-    system = _system(args)
-    config = consolidate_config(args.tenants, "apache", quotas=True,
-                                antagonist=True, requests=requests)
-    run = run_consolidate(system, config)
-    runtime = system.tenancy
-    views = runtime.ledger_views()
-    hists = tenant_p99s(system, run, config)
-    breakdown = {}
-    for tenant in config.tenants:
-        view = views.get(tenant.name, {})
-        hist = hists.get(tenant.name, {})
-        breakdown[tenant.name] = {
-            "kind": tenant.kind,
-            "requests": system.stats.get(f"tenant.{tenant.name}.requests"),
-            "p50": hist.get("p50", 0.0),
-            "p99": hist.get("p99", 0.0),
-            "throttle_cycles": system.stats.get(
-                f"tenant.{tenant.name}.cpu_throttle_cycles"),
-            "peak_kernel_bytes": system.stats.get(
-                f"tenant.{tenant.name}.peak_kernel_bytes"),
-            "lock_wait_cycles": view.get("lock_wait", 0.0),
-            "tenancy_cycles": view.get("tenancy", 0.0),
-            "total_cycles": sum(view.values()),
-        }
-
-    if args.json:
-        print(json.dumps({"target": "consolidate", "media": args.media,
-                          "requests": requests, "knee": knee,
-                          "breakdown": breakdown},
-                         indent=2, sort_keys=True))
-        return
-    table = Table("Per-tenant latency vs tenant count (apache mix, "
-                  "no quotas)",
-                  ["tenants", "cycles", "Kops/s", "mean p50", "max p99"])
-    for row in knee:
-        table.add_row(row["tenants"], row["cycles"],
-                      round(row["kops_per_sec"], 3),
-                      round(row["p50"]), round(row["p99"]))
-    print(format_table(table))
-    table = Table(f"Fully loaded machine: {args.tenants} tenants + hog, "
-                  f"quotas on",
-                  ["tenant", "kind", "requests", "p50", "p99",
-                   "throttled cyc", "lock-wait cyc", "total cyc"])
-    for name, row in breakdown.items():
-        table.add_row(name, row["kind"], round(row["requests"]),
-                      round(row["p50"]), round(row["p99"]),
-                      round(row["throttle_cycles"]),
-                      round(row["lock_wait_cycles"]),
-                      round(row["total_cycles"]))
-    print(format_table(table))
-
-
-@perf_target("migrate", "guest overheads: pass-through identity, nested "
-                        "walks, migration downtime and pull traffic")
-def _perf_migrate(args):
-    """What does each layer of the hypervisor cost?  Runs the guest
-    workload bare, under a pass-through hypervisor (must be
-    bit-identical), with nested walk pricing, with a full post-copy
-    migration (prefetch on/off) and in forced-degraded mode, and
-    reports downtime, pull traffic and the ledger's virt domain."""
-    from repro.crash.workloads import CRASH_WORKLOADS
-    from repro.runner.worker import _reset_naming_counters
-    from repro.virt import VirtConfig, run_migrate
-
-    workload = args.workload if args.workload in CRASH_WORKLOADS \
-        else "syncbench"
-    variants = [
-        ("bare", None),
-        ("passive", VirtConfig()),
-        ("nested", VirtConfig(nested=True)),
-        ("migrate+prefetch", VirtConfig(nested=True, migrate=True,
-                                        migrate_after=24, seed=args.seed)),
-        ("migrate+noprefetch", VirtConfig(nested=True, migrate=True,
-                                          migrate_after=24, prefetch=False,
-                                          seed=args.seed)),
-        ("degraded", VirtConfig(nested=True, migrate=True,
-                                migrate_after=24, force_degraded=True,
-                                seed=args.seed)),
-    ]
-    rows = {}
-    for name, config in variants:
-        _reset_naming_counters()
-        system = _system(args)
-        if config is None:
-            CRASH_WORKLOADS[workload](system)
-            rows[name] = {"cycles": system.engine.now, "virt_cycles": 0.0,
-                          "downtime": 0.0, "pulled": 0.0,
-                          "prefetched": 0.0, "retries": 0.0,
-                          "degraded": 0.0, "completed": 0.0,
-                          "aborted": 0.0}
-            continue
-        system.attach_hypervisor(config)
-        r = run_migrate(system, workload)
-        rows[name] = {
-            "cycles": r.cycles,
-            "virt_cycles": r.domains.get("virt", 0.0),
-            "downtime": r.counters["virt.downtime_cycles"],
-            "pulled": r.counters["virt.pages_pulled"],
-            "prefetched": r.counters["virt.prefetched_pages"],
-            "retries": r.counters["virt.pull_retries"],
-            "degraded": r.counters["virt.degraded_accesses"],
-            "completed": r.counters["virt.migrations_completed"],
-            "aborted": r.counters["virt.migrations_aborted"],
-        }
-    identical = rows["passive"]["cycles"] == rows["bare"]["cycles"]
-    if args.json:
-        print(json.dumps({"target": "migrate", "workload": workload,
-                          "media": args.media,
-                          "passive_identical": identical, "rows": rows},
-                         indent=2, sort_keys=True))
-        return
-    table = Table(f"Hypervisor layers over {workload} ({args.media})",
-                  ["variant", "cycles", "virt cyc", "downtime",
-                   "pulled", "prefetched", "retries", "degraded",
-                   "done/abort"])
-    for name, row in rows.items():
-        table.add_row(name, row["cycles"], round(row["virt_cycles"]),
-                      round(row["downtime"]), round(row["pulled"]),
-                      round(row["prefetched"]), round(row["retries"]),
-                      round(row["degraded"]),
-                      f"{row['completed']:.0f}/{row['aborted']:.0f}")
-    print(format_table(table))
-    print(f"pass-through guest bit-identical to bare machine: "
-          f"{'yes' if identical else 'NO'}")
+def _status(args, result) -> int:
+    """Exit status of a run: quarantined points fail it (unless there
+    are exactly ``--expect-failed`` of them), and so does any point
+    whose audit counters report a violation."""
+    status = 0
+    if result.failed:
+        print(format_table(result.failed_table()), file=sys.stderr)
+        print(f"sweep: {len(result.failed)} point(s) quarantined, "
+              f"{len(result.points)} completed", file=sys.stderr)
+    if args.expect_failed is not None:
+        if len(result.failed) != args.expect_failed:
+            print(f"sweep: expected exactly {args.expect_failed} "
+                  f"quarantined point(s), got {len(result.failed)}",
+                  file=sys.stderr)
+            status = 1
+    elif result.failed:
+        status = 1
+    for line in result.violations():
+        print(f"sweep: VIOLATION: point {line}", file=sys.stderr)
+        status = 1
+    return status
 
 
 def _profile_table(result) -> Table:
@@ -800,52 +158,90 @@ def _profile_table(result) -> Table:
     return table
 
 
+def _report(result, columns) -> str:
+    """perf's view of a sweep, read from the points' ledgers."""
+    points = result.points
+    seen = {name for pr in points for name in pr.run.domains}
+    domains = [d.value for d in DOMAIN_ORDER if d.value in seen]
+    domains += sorted(seen - set(domains))
+    shares = Table(f"{result.sweep.title}: cycle share by domain (%)",
+                   ["series", result.sweep.axis, "cycles"] + domains)
+    for pr in points:
+        total = sum(pr.run.domains.values()) or 1.0
+        shares.add_row(pr.point.series, pr.point.x, pr.run.cycles,
+                       *(100 * pr.run.domains.get(d, 0.0) / total
+                         for d in domains))
+    ledger = result.merged_ledger()
+    total = ledger.total() or 1.0
+    top = Table("Top (domain, event) rows, whole-machine ledgers of "
+                "all points (set-up included)",
+                ["domain/event", "cycles", "share %"])
+    for key, cycles in list(ledger.events().items())[:TOP_EVENTS]:
+        top.add_row(key, cycles, 100 * cycles / total)
+    parts = [format_table(shares), format_table(top)]
+    for pr in points:
+        contended = [rep for rep in pr.locks if rep["contended"]]
+        if contended:
+            parts.append(format_lock_report(
+                f"{pr.point.label}: contended locks", contended))
+    if columns:
+        parts.append(format_table(result.table(columns)))
+    return "\n\n".join(parts)
+
+
 def _sweep_cmd(args) -> int:
-    """``python -m repro sweep <name>`` — parallel cached execution."""
-    result = _run_named_sweep(args, args.target)
-    print(format_sweep(result.sweep.title, result.series(),
-                       result.sweep.axis, result.hits, result.misses,
-                       result.wall_seconds))
+    """``sweep NAME``: the figure grid, per-point rows, cache check."""
+    sweep = _build(args)
+    result = _run(args, sweep)
+    print(format_sweep(sweep.title, result.series(), sweep.axis,
+                       result.hits, result.misses, result.wall_seconds))
     print()
-    print(format_table(result.table()))
-    if result.failed:
-        print()
-        print(format_table(result.failed_table()))
-        print(f"sweep: {len(result.failed)} point(s) quarantined, "
-              f"{len(result.points)} completed", file=sys.stderr)
+    print(format_table(result.table(SWEEPS[args.target].columns)))
     if args.profile:
         print()
         print(format_table(_profile_table(result)))
-    if args.expect_failed is not None:
-        if len(result.failed) != args.expect_failed:
-            print(f"sweep: expected exactly {args.expect_failed} "
-                  f"quarantined point(s), got {len(result.failed)}",
-                  file=sys.stderr)
-            return 1
-    elif result.failed:
+    status = _status(args, result)
+    if status or not args.verify_cache:
+        return status
+    if args.no_cache:
+        print("sweep: --verify-cache needs the cache; drop --no-cache",
+              file=sys.stderr)
+        return 2
+    warm = _run(args, sweep)
+    if warm.hits != len(warm.points):
+        print(f"sweep: cache verify FAILED: only {warm.hits}/"
+              f"{len(warm.points)} points served from cache",
+              file=sys.stderr)
         return 1
-    if args.verify_cache:
-        if args.no_cache:
-            print("sweep: --verify-cache needs the cache; "
-                  "drop --no-cache", file=sys.stderr)
-            return 2
-        warm = _run_named_sweep(args, args.target)
-        if warm.hits != len(warm.points):
-            print(f"sweep: cache verify FAILED: only {warm.hits}/"
-                  f"{len(warm.points)} points served from cache",
+    for cold, hot in zip(result.points, warm.points):
+        a = json.dumps(cold.comparable_state(), sort_keys=True)
+        b = json.dumps(hot.comparable_state(), sort_keys=True)
+        if a != b:
+            print(f"sweep: cache verify FAILED: point "
+                  f"{cold.point.label} round-trips differently",
                   file=sys.stderr)
             return 1
-        for cold, hot in zip(result.points, warm.points):
-            a = json.dumps(cold.comparable_state(), sort_keys=True)
-            b = json.dumps(hot.comparable_state(), sort_keys=True)
-            if a != b:
-                print(f"sweep: cache verify FAILED: point "
-                      f"{cold.point.label} round-trips differently",
-                      file=sys.stderr)
-                return 1
-        print(f"cache verify OK: {warm.hits}/{len(warm.points)} points "
-              f"replayed identically")
+    print(f"cache verify OK: {warm.hits}/{len(warm.points)} points "
+          f"replayed identically")
     return 0
+
+
+def _report_cmd(args) -> int:
+    """``perf NAME`` and the audits: the report, or ``--json`` states."""
+    result = _run(args, _build(args))
+    if args.json:
+        print(json.dumps({pr.point.label: pr.comparable_state()
+                          for pr in result.points},
+                         indent=2, sort_keys=True))
+    elif args.command in AUDITS:
+        audit = Table(result.sweep.title, ["metric", "value"])
+        for pr in result.points:
+            for key, value in sorted(pr.run.counters.items()):
+                audit.add_row(key, f"{value:g}")
+        print(format_table(audit))
+    else:
+        print(_report(result, SWEEPS[args.target].columns))
+    return _status(args, result)
 
 
 def _golden_cmd(args) -> int:
@@ -865,42 +261,43 @@ def _golden_cmd(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description="DaxVM reproduction experiments (compact versions; "
-                    "full regenerations live in benchmarks/)")
-    parser.add_argument("experiment",
-                        choices=sorted(EXPERIMENTS) + ["perf", "sweep",
-                                                       "golden", "list"],
-                        help="which experiment to run ('perf' drills "
-                             "into instrumentation breakdowns, 'sweep' "
-                             "fans a named sweep across worker "
-                             "processes with result caching, 'golden' "
-                             "recaptures bit-identicality gate files)")
-    parser.add_argument("target", nargs="?",
-                        choices=sorted(set(PERF_TARGETS) | set(SWEEPS)),
-                        help="perf target (with 'perf') or sweep name "
-                             "(with 'sweep')")
+        description="DaxVM reproduction: registered sweeps, their perf "
+                    "reports and the durability audits (full "
+                    "regenerations live in benchmarks/)")
+    parser.add_argument("command",
+                        choices=["sweep", "perf", *AUDITS, "golden",
+                                 "list"],
+                        help="'sweep' fans a named sweep across worker "
+                             "processes with result caching, 'perf' "
+                             "reports where its cycles went, "
+                             "'crash'/'faults'/'migrate' audit one "
+                             "machine, 'golden' recaptures "
+                             "bit-identicality gate files")
+    parser.add_argument("target", nargs="?", choices=sorted(SWEEPS),
+                        help="sweep name (with 'sweep' or 'perf')")
     parser.add_argument("--json", action="store_true",
-                        help="emit machine-readable JSON (perf only)")
+                        help="print the point states as JSON (perf and "
+                             "the audits)")
     parser.add_argument("--ops", type=int, default=400,
                         help="operation/file/request count")
     parser.add_argument("--size", type=int, default=32 << 10,
                         help="file size in bytes where applicable")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--device", type=int, default=4,
                         help="device size in GiB")
     parser.add_argument("--fresh", action="store_true",
                         help="fresh (unaged) file system image")
-    parser.add_argument("--fs", choices=("ext4", "nova", "xfs"),
-                        default="ext4")
     parser.add_argument("--media", choices=sorted(MEDIA_PRESETS),
                         default="optane")
+    parser.add_argument("--fs", choices=("ext4", "nova", "xfs"),
+                        default="ext4",
+                        help="audit machine's file system (sweeps "
+                             "carry it per point)")
     parser.add_argument("--scheme", choices=SCHEME_NAMES,
                         default="radix4",
-                        help="translation architecture for experiments "
-                             "that build one machine (sweeps carry the "
-                             "scheme per point instead)")
+                        help="audit machine's translation architecture")
     parser.add_argument("--nodes", type=int, default=1,
-                        help="NUMA sockets (1 = uniform machine)")
+                        help="audit machine's NUMA sockets (1 = uniform "
+                             "machine)")
     parser.add_argument("--policy", choices=PLACEMENTS, default="local",
                         help="file/device placement relative to "
                              "--pin-node (multi-socket only)")
@@ -919,20 +316,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workload",
                         choices=("syncbench", "kvstore", "readbench"),
                         default="syncbench",
-                        help="crash/fault workload (with 'crash' or "
-                             "'faults'; 'readbench' is faults-only)")
+                        help="crash/fault workload ('readbench' is "
+                             "faults-only)")
     parser.add_argument("--seed", type=int, default=0,
                         help="crash/fault sampling seed (also seeds "
                              "sweep retry backoff)")
-    parser.add_argument("--max-points", type=int, default=64,
-                        help="crash points to explore (with 'crash'); "
-                             "with 'sweep', run only the first N points "
-                             "of the manifest (CI smoke)")
+    parser.add_argument("--max-points", type=int, default=None,
+                        help="with 'sweep'/'perf', run only the first N "
+                             "points; crash points to explore with "
+                             "'crash'/'migrate' (default 64)")
     parser.add_argument("--max-sites", type=int, default=64,
-                        help="fault sites to arm (with 'faults')")
-    parser.add_argument("--tenants", type=int, default=8,
-                        help="tenant count for 'perf consolidate' "
-                             "(knee runs 1..N, breakdown at N)")
+                        help="fault sites to arm (with 'faults'/"
+                             "'migrate')")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for sweep execution")
     parser.add_argument("--point-timeout", type=float, default=None,
@@ -943,9 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="retries for retryable sweep-point "
                              "failures (seeded exponential backoff)")
     parser.add_argument("--expect-failed", type=int, default=None,
-                        help="sweep exits 0 only if exactly this many "
-                             "points were quarantined (CI isolation "
-                             "checks); default: any failure exits 1")
+                        help="exit 0 only if exactly this many points "
+                             "were quarantined (isolation checks); "
+                             "default: any failure exits 1")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the sweep result cache")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
@@ -970,31 +365,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.experiment == "list":
-        for name, fn in sorted(EXPERIMENTS.items()):
-            print(f"{name:<12} {fn.help_text}")
-        for name, fn in sorted(PERF_TARGETS.items()):
-            print(f"perf {name:<7} {fn.help_text}")
+    if args.command == "list":
         for name, fn in sorted(SWEEPS.items()):
-            print(f"sweep {name:<6} {fn.help_text}")
+            print(f"sweep|perf {name:<12} {fn.help_text}")
+        for name, help_text in AUDITS.items():
+            print(f"{name:<23} {help_text}")
         return 0
-    if args.experiment == "perf":
-        if args.target is None or args.target not in PERF_TARGETS:
-            print("perf needs a target: " + ", ".join(sorted(PERF_TARGETS)),
-                  file=sys.stderr)
-            return 2
-        PERF_TARGETS[args.target](args)
-        return 0
-    if args.experiment == "sweep":
-        if args.target is None or args.target not in SWEEPS:
-            print("sweep needs a name: " + ", ".join(sorted(SWEEPS)),
-                  file=sys.stderr)
-            return 2
-        return _sweep_cmd(args)
-    if args.experiment == "golden":
+    if args.command == "golden":
         return _golden_cmd(args)
-    EXPERIMENTS[args.experiment](args)
-    return 0
+    if args.command in AUDITS:
+        return _report_cmd(args)
+    if args.target is None:
+        print(f"{args.command} needs a sweep name: "
+              + ", ".join(sorted(SWEEPS)), file=sys.stderr)
+        return 2
+    if args.command == "sweep":
+        return _sweep_cmd(args)
+    return _report_cmd(args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

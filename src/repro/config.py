@@ -29,7 +29,6 @@ Sources for the constants:
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
 
@@ -385,16 +384,6 @@ class CostModel:
     def to_stable_dict(self) -> dict:
         """Every calibrated constant (machine included) as plain data."""
         return dataclasses.asdict(self)
-
-    def stable_json(self) -> str:
-        """Canonical serialisation for content hashing.
-
-        Sorted keys and plain ``repr``-based floats make the string a
-        pure function of the constants' *values*: two cost models hash
-        equal iff every calibrated number is equal, so sweep-cache keys
-        survive field reordering but not retuning.
-        """
-        return json.dumps(self.to_stable_dict(), sort_keys=True)
 
 
 #: Default, paper-calibrated cost model used throughout the package.

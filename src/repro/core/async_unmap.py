@@ -49,10 +49,6 @@ class AsyncUnmapper:
         self.reaps = 0
 
     @property
-    def pending_pages(self) -> int:
-        return self._zombie_pages
-
-    @property
     def pending_vmas(self) -> int:
         return len(self._zombies)
 

@@ -46,6 +46,8 @@ class SweepPoint:
     device_gib: int = 4
     #: Aged (fragmented) file-system image?
     aged: bool = True
+    #: File system on the device (``ext4``, ``nova`` or ``xfs``).
+    fs_type: str = "ext4"
     #: NUMA sockets (1 = the historical uniform machine).
     num_nodes: int = 1
     #: File/device placement relative to ``pin_node`` — one of
@@ -83,9 +85,9 @@ class SweepPoint:
     def to_payload(self) -> Dict[str, object]:
         """Plain-dict form for worker processes and hashing.
 
-        Topology fields are part of the payload, so cache keys cover
-        the machine's NUMA shape: the same workload on 1 vs 2 sockets
-        (or local vs remote placement) hashes to different results.
+        Machine fields are part of the payload, so cache keys cover
+        the machine's shape: the same workload on ext4 vs NOVA, or on
+        1 vs 2 sockets, hashes to different results.
         """
         return {
             "experiment": self.experiment,
@@ -95,6 +97,7 @@ class SweepPoint:
             "media": self.media,
             "device_gib": self.device_gib,
             "aged": self.aged,
+            "fs_type": self.fs_type,
             "num_nodes": self.num_nodes,
             "placement": self.placement,
             "pin_node": self.pin_node,

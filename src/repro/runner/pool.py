@@ -32,7 +32,7 @@ import multiprocessing
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.results import Series, Table, series_from_points
 from repro.obs.ledger import Ledger
@@ -45,6 +45,9 @@ from repro.sim.stats import Stats
 BACKOFF_BASE = 0.05
 #: Upper bound on a single backoff sleep.
 BACKOFF_CAP = 2.0
+#: Run counters whose non-zero value is an audit failure.
+VIOLATION_COUNTERS = ("crash.invariant_violations", "faults.violations",
+                      "virt.violations")
 
 
 @dataclass
@@ -99,16 +102,26 @@ class SweepResult:
             (pr.point.series, pr.point.x, pr.run.ops_per_second / 1e3)
             for pr in self.points)
 
-    def table(self) -> Table:
-        """Per-point tabulation, manifest order."""
+    def table(self, columns: Sequence[str] = ()) -> Table:
+        """Per-point tabulation, manifest order, plus one column per
+        named run counter."""
         table = Table(self.sweep.title,
                       ["series", self.sweep.axis, "Kops/s", "cycles",
-                       "source"])
+                       "source", *columns])
         for pr in self.points:
             table.add_row(pr.point.series, pr.point.x,
                           pr.run.ops_per_second / 1e3, pr.run.cycles,
-                          "cache" if pr.cached else "run")
+                          "cache" if pr.cached else "run",
+                          *(pr.run.counters.get(c, 0.0) for c in columns))
         return table
+
+    def violations(self) -> List[str]:
+        """``"<label> reports <counter> = <n>"`` for every point whose
+        audit counters hold a violation."""
+        return [f"{pr.point.label} reports {key} = "
+                f"{pr.run.counters[key]:g}"
+                for pr in self.points for key in VIOLATION_COUNTERS
+                if pr.run.counters.get(key)]
 
     def failed_table(self) -> Table:
         """Quarantined points: what failed, how, after how many tries."""

@@ -3,31 +3,45 @@
 A *point runner* maps ``(system, **params)`` to a
 :class:`~repro.analysis.results.RunResult` — the unit of work a pool
 worker executes.  A *sweep builder* expands CLI-level knobs into a
-:class:`~repro.runner.manifest.Sweep` of independent points.  Both are
-looked up by name, so the CLI, the benchmarks and the tests share one
-definition of what "the apache sweep" means.
+:class:`~repro.runner.manifest.Sweep` of independent points, and
+declares beside itself the counter columns its report shows and the
+CLI knobs of its smoke run.  Both are looked up by name, so the CLI,
+the benchmarks and the tests share one definition of what "the apache
+sweep" means.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from dataclasses import replace
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.analysis.results import RunResult
+from repro.config import MEDIA_PRESETS
+from repro.mem.physmem import Medium
+from repro.paging.tlb import AccessPattern
 from repro.runner.manifest import Sweep, SweepPoint
+from repro.runner.worker import build_system
 from repro.system import System
 from repro.topology import PLACEMENTS
 from repro.workloads import (
     ApacheConfig,
+    AppendConfig,
+    AppendVariant,
     DaxVMOptions,
     EphemeralConfig,
     Interface,
     KVConfig,
+    PRedisConfig,
+    RepetitiveConfig,
     ServerInterface,
     SyncConfig,
     SyncDiscipline,
     YCSBConfig,
     run_apache,
+    run_append,
     run_ephemeral,
+    run_predis,
+    run_repetitive,
     run_sync,
     run_ycsb,
 )
@@ -37,16 +51,27 @@ POINT_RUNNERS: Dict[str, PointRunner] = {}
 SWEEPS: Dict[str, Callable[..., Sweep]] = {}
 
 
-def point_runner(name: str):
+def point_runner(name: str, replicas: bool = False):
+    """Register a point runner.  ``replicas=True`` marks an audit that
+    rebuilds a fresh machine per crash point or fault site: the worker
+    then also passes it the ``point``, so every replica takes the
+    point's machine shape."""
     def decorate(fn):
+        fn.replicas = replicas
         POINT_RUNNERS[name] = fn
         return fn
     return decorate
 
 
-def sweep(name: str, help_text: str):
+def sweep(name: str, help_text: str, columns: Sequence[str] = (),
+          smoke: str = ""):
+    """Register a sweep builder.  ``columns`` are the run counters its
+    report shows per point; ``smoke`` is the CLI knob string of its
+    CI-sized run (``tests/test_cli.py`` runs every sweep at it)."""
     def decorate(fn):
         fn.help_text = help_text
+        fn.columns = tuple(columns)
+        fn.smoke = smoke
         SWEEPS[name] = fn
         return fn
     return decorate
@@ -59,6 +84,16 @@ def _daxvm_options(state: Optional[dict]) -> DaxVMOptions:
 def _daxvm_params(opts: DaxVMOptions) -> dict:
     return {"ephemeral": opts.ephemeral, "unmap_async": opts.unmap_async,
             "sync": opts.sync, "nosync": opts.nosync}
+
+
+def _replicas(point: SweepPoint, media: str,
+              device_gib: int) -> Callable[[], System]:
+    """A factory of fresh-image replicas of ``point``'s machine.  The
+    ``media``/``device_gib`` runner params (every audit point carries
+    them, equal to the point's own) pick the replica's media and
+    size; aging churn per replica is pure overhead for the audits."""
+    shape = replace(point, media=media, device_gib=device_gib, aged=False)
+    return lambda: build_system(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -88,47 +123,46 @@ def _apache_point(system: System, *, num_workers: int, requests: int,
     return run_apache(system, cfg)
 
 
-@point_runner("crash")
-def _crash_point(system: System, *, workload: str, seed: int,
-                 max_points: int, media: str = "optane",
+@point_runner("crash", replicas=True)
+def _crash_point(system: System, point: SweepPoint, *, workload: str,
+                 seed: int, max_points: int, media: str = "optane",
                  device_gib: int = 1) -> RunResult:
     """Crash sweeps rebuild a machine per crash point, so the pool's
-    pre-built ``system`` is unused; the factory mirrors its media and
-    device size.  Fresh images only — aging churn per replica is pure
-    overhead for durability coverage."""
-    from repro.config import MEDIA_PRESETS
+    pre-built ``system`` is unused."""
     from repro.crash import run_crash
 
-    costs_factory = MEDIA_PRESETS[media]
-
-    def factory() -> System:
-        return System(costs=costs_factory(),
-                      device_bytes=device_gib << 30, aged=False)
-
-    summary = run_crash(factory, workload, seed=seed,
-                        max_points=max_points)
+    summary = run_crash(_replicas(point, media, device_gib), workload,
+                        seed=seed, max_points=max_points)
     return summary.to_result()
 
 
-@point_runner("faults")
-def _faults_point(system: System, *, workload: str, seed: int,
-                  max_sites: int, media: str = "optane",
+@point_runner("faults", replicas=True)
+def _faults_point(system: System, point: SweepPoint, *, workload: str,
+                  seed: int, max_sites: int, media: str = "optane",
                   device_gib: int = 1) -> RunResult:
     """Media-fault sweeps rebuild a machine per armed site (same
-    replica discipline as crash points), so the pool's pre-built
-    ``system`` is unused; the factory mirrors its media and size."""
-    from repro.config import MEDIA_PRESETS
+    replica discipline as crash points)."""
     from repro.faults import run_faults
 
-    costs_factory = MEDIA_PRESETS[media]
-
-    def factory() -> System:
-        return System(costs=costs_factory(),
-                      device_bytes=device_gib << 30, aged=False)
-
-    summary = run_faults(factory, workload, seed=seed,
-                         max_sites=max_sites)
+    summary = run_faults(_replicas(point, media, device_gib), workload,
+                         seed=seed, max_sites=max_sites)
     return summary.to_result()
+
+
+@point_runner("migrate-audit")
+def _migrate_audit_point(system: System, *, seeds: Sequence[int],
+                         max_points: int, max_sites: int,
+                         composed_points: int, media: str = "optane",
+                         device_gib: int = 1) -> RunResult:
+    """The post-copy migration hardening audit over both guest
+    workloads; its replicas carry their own hypervisor, so the pool's
+    pre-built ``system`` is unused."""
+    from repro.virt import run_migrate_audit
+
+    return run_migrate_audit(
+        seeds=tuple(seeds), max_points=max_points, max_sites=max_sites,
+        composed_points=composed_points, media=media,
+        device_gib=device_gib).to_result()
 
 
 @point_runner("syncbench")
@@ -148,15 +182,94 @@ def _kvstore_point(system: System, *, workload: str, num_ops: int,
                    memtable_limit: int = 8 << 20,
                    sstable_size: int = 8 << 20,
                    wal_size: int = 8 << 20,
-                   daxvm: Optional[dict] = None) -> RunResult:
+                   daxvm: Optional[dict] = None,
+                   prezero: bool = False) -> RunResult:
     kv = KVConfig(record_size=record_size,
                   memtable_limit=memtable_limit,
                   sstable_size=sstable_size, wal_size=wal_size,
                   interface=Interface(interface),
                   daxvm=_daxvm_options(daxvm))
     cfg = YCSBConfig(workload=workload, num_ops=num_ops,
-                     preload_records=preload_records, kv=kv)
+                     preload_records=preload_records, kv=kv,
+                     prezero=prezero)
     return run_ycsb(system, cfg)
+
+
+@point_runner("repetitive")
+def _repetitive_point(system: System, *, file_size: int, op_size: int,
+                      num_ops: int, pattern: str, interface: str,
+                      monitor_every: int = 0,
+                      daxvm: Optional[dict] = None) -> RunResult:
+    cfg = RepetitiveConfig(file_size=file_size, op_size=op_size,
+                           num_ops=num_ops, pattern=AccessPattern(pattern),
+                           interface=Interface(interface),
+                           monitor_every=monitor_every,
+                           daxvm=_daxvm_options(daxvm))
+    return run_repetitive(system, cfg)
+
+
+@point_runner("predis")
+def _predis_point(system: System, *, cache_size: int, num_gets: int,
+                  window: int, interface: str) -> RunResult:
+    """P-Redis boot and warm-up; the boot cycles and the first and last
+    windows' throughput go into the run's counters."""
+    result = run_predis(system, PRedisConfig(
+        cache_size=cache_size, num_gets=num_gets, window=window,
+        interface=Interface(interface)))
+    run = result.run
+    run.counters["predis.boot_cycles"] = result.boot_seconds * run.freq_hz
+    windows = result.timeline.points
+    if windows:
+        run.counters["predis.first_window_ops_per_s"] = windows[0][1]
+        run.counters["predis.last_window_ops_per_s"] = windows[-1][1]
+    return run
+
+
+@point_runner("append")
+def _append_point(system: System, *, append_size: int, num_appends: int,
+                  variant: str) -> RunResult:
+    return run_append(system, AppendConfig(
+        append_size=append_size, num_appends=num_appends,
+        variant=AppendVariant(variant)))
+
+
+#: Table II's walk cases: (counter suffix, access pattern, table medium).
+WALK_CASES = (("seq_dram", AccessPattern.SEQUENTIAL, Medium.DRAM),
+              ("rand_dram", AccessPattern.RANDOM, Medium.DRAM),
+              ("seq_pmem", AccessPattern.SEQUENTIAL, Medium.PMEM),
+              ("rand_pmem", AccessPattern.RANDOM, Medium.PMEM))
+
+
+@point_runner("walks")
+def _walks_point(system: System) -> RunResult:
+    """Table II analogue for the point's translation scheme, priced
+    analytically: cycles per 4 KB walk by access pattern and file-table
+    medium (as a DaxVM mapping on this scheme pays them), the huge-page
+    walk, whether PMem-resident tables trip the Table III monitor rule,
+    and the structure frames of mapping 2 MB of 4 KB pages.  Cycles
+    are the four walks' sum, so cycles/op is their mean."""
+    from repro.paging.flags import PageFlags
+    from repro.paging.pagetable import PAGE_SIZE
+    from repro.paging.schemes import make_scheme
+    from repro.paging.walker import PageWalker
+
+    costs = system.costs
+    walker = PageWalker(costs)
+    probe = make_scheme(system.scheme, system.physmem, costs)
+    counters = {f"walk.{name}_cycles": probe.walk_cost(
+                    walker, pattern, probe.effective_leaf_medium(medium))
+                for name, pattern, medium in WALK_CASES}
+    walk_total = sum(counters.values())
+    counters["walk.huge_cycles"] = probe.huge_walk_cost(walker)
+    counters["walk.pmem_trips_monitor"] = float(
+        counters["walk.rand_pmem_cycles"] > costs.monitor_walk_cycles)
+    for i in range(512):
+        probe.map_page(0x40000000 + i * PAGE_SIZE, 1024 + i,
+                       PageFlags.rw())
+    counters["walk.frames_2mb"] = float(len(probe.structure_frames()))
+    return RunResult(label=f"walks:{system.scheme}", cycles=walk_total,
+                     operations=float(len(WALK_CASES)), counters=counters,
+                     freq_hz=costs.machine.freq_hz)
 
 
 @point_runner("selftest")
@@ -193,7 +306,8 @@ def _selftest_point(system: System, *, mode: str,
 # ---------------------------------------------------------------------------
 # Sweep builders (figure -> list of points).
 # ---------------------------------------------------------------------------
-@sweep("scaling", "read-once throughput vs thread count (fig 1b)")
+@sweep("scaling", "read-once throughput vs thread count (fig 1b)",
+       smoke="--ops 8 --device 1")
 def _scaling_sweep(*, ops: int, size: int, media: str, device_gib: int,
                    aged: bool) -> Sweep:
     points = []
@@ -212,7 +326,8 @@ def _scaling_sweep(*, ops: int, size: int, media: str, device_gib: int,
                  points=points, axis="threads")
 
 
-@sweep("apache", "webserver scalability (fig 8a)")
+@sweep("apache", "webserver scalability (fig 8a)",
+       smoke="--ops 120 --device 2")
 def _apache_sweep(*, ops: int, size: int, media: str, device_gib: int,
                   aged: bool) -> Sweep:
     bars = [("read", ServerInterface.READ, None),
@@ -234,7 +349,8 @@ def _apache_sweep(*, ops: int, size: int, media: str, device_gib: int,
                  points=points, axis="cores")
 
 
-@sweep("ablations", "incremental DaxVM mechanisms at 16 cores (§V-C)")
+@sweep("ablations", "incremental DaxVM mechanisms at 16 cores (§V-C)",
+       smoke="--ops 8 --device 1 --profile")
 def _ablations_sweep(*, ops: int, size: int, media: str,
                      device_gib: int, aged: bool) -> Sweep:
     workers = 16
@@ -266,7 +382,10 @@ def _ablations_sweep(*, ops: int, size: int, media: str,
                  points=points, axis="cores")
 
 
-@sweep("crash", "crash-point injection + recovery audit per workload")
+@sweep("crash", "crash-point injection + recovery audit per workload",
+       columns=("crash.points_explored", "crash.replayed_records",
+                "crash.invariant_violations"),
+       smoke="--ops 24 --device 1")
 def _crash_sweep(*, ops: int, size: int, media: str, device_gib: int,
                  aged: bool) -> Sweep:
     """Both crash workloads at three seeds each.  ``ops`` bounds the
@@ -288,7 +407,10 @@ def _crash_sweep(*, ops: int, size: int, media: str, device_gib: int,
                  points=points, axis="seed")
 
 
-@sweep("faults", "media-fault injection + poison-handling audit")
+@sweep("faults", "media-fault injection + poison-handling audit",
+       columns=("faults.sites_explored", "faults.remapped",
+                "faults.violations"),
+       smoke="--ops 8 --device 1")
 def _faults_sweep(*, ops: int, size: int, media: str, device_gib: int,
                   aged: bool) -> Sweep:
     """Every fault workload at two seeds.  ``ops`` bounds the armed
@@ -309,7 +431,9 @@ def _faults_sweep(*, ops: int, size: int, media: str, device_gib: int,
                  points=points, axis="seed")
 
 
-@sweep("selftest", "runner fault-isolation diagnostics (ok/crash/hang)")
+@sweep("selftest", "runner fault-isolation diagnostics (ok/crash/hang)",
+       smoke="--ops 3 --device 1 --no-cache --point-timeout 3 "
+             "--expect-failed 2")
 def _selftest_sweep(*, ops: int, size: int, media: str, device_gib: int,
                     aged: bool) -> Sweep:
     """One crashing point and one hung point among healthy ones: used
@@ -327,7 +451,9 @@ def _selftest_sweep(*, ops: int, size: int, media: str, device_gib: int,
                  points=points, axis="slot")
 
 
-@sweep("mmu", "four translation schemes x workload x clean/aged image")
+@sweep("mmu", "four translation schemes x workload x clean/aged image",
+       columns=("vm.walk_cycles", "vm.tlb_misses"),
+       smoke="--ops 16 --device 1 --max-points 8")
 def _mmu_sweep(*, ops: int, size: int, media: str, device_gib: int,
                aged: bool) -> Sweep:
     """DaxVM under four MMUs (see repro.paging.schemes).
@@ -378,7 +504,10 @@ def _mmu_sweep(*, ops: int, size: int, media: str, device_gib: int,
                  points=points, axis="aged")
 
 
-@sweep("numa", "file placement vs thread count on two sockets")
+@sweep("numa", "file placement vs thread count on two sockets",
+       columns=("numa.local_accesses", "numa.remote_accesses",
+                "numa.local_bytes", "numa.remote_bytes"),
+       smoke="--ops 60 --device 2")
 def _numa_sweep(*, ops: int, size: int, media: str, device_gib: int,
                 aged: bool) -> Sweep:
     """Read-once mmap with workload threads pinned to socket 0 and the
@@ -400,12 +529,166 @@ def _numa_sweep(*, ops: int, size: int, media: str, device_gib: int,
                  points=points, axis="threads")
 
 
+@sweep("ephemeral", "read-once file access across interfaces",
+       smoke="--ops 40 --device 1")
+def _ephemeral_sweep(*, ops: int, size: int, media: str, device_gib: int,
+                     aged: bool) -> Sweep:
+    """``ops`` files of ``size`` bytes read once by one thread through
+    each interface."""
+    points = [SweepPoint(
+        experiment="ephemeral", series=interface.value, x=1,
+        params={"file_size": size, "num_files": ops, "num_threads": 1,
+                "interface": interface.value},
+        media=media, device_gib=device_gib, aged=aged)
+        for interface in (Interface.READ, Interface.MMAP,
+                          Interface.MMAP_POPULATE, Interface.DAXVM)]
+    return Sweep(name="ephemeral",
+                 title=f"Ephemeral access, {size >> 10} KB files (Kops/s)",
+                 points=points, axis="threads")
+
+
+@sweep("media", "DaxVM across storage media (§VI)",
+       smoke="--ops 30 --device 1")
+def _media_sweep(*, ops: int, size: int, media: str, device_gib: int,
+                 aged: bool) -> Sweep:
+    """32 KB read-once files, read() vs DaxVM, on every media preset
+    (the ``media`` knob is replaced per point); x is the file size in
+    KB."""
+    points = [SweepPoint(
+        experiment="ephemeral", series=f"{preset}+{interface.value}",
+        x=32,
+        params={"file_size": 32 << 10, "num_files": ops, "num_threads": 1,
+                "interface": interface.value},
+        media=preset, device_gib=device_gib, aged=aged)
+        for preset in MEDIA_PRESETS
+        for interface in (Interface.READ, Interface.DAXVM)]
+    return Sweep(name="media",
+                 title="32KB ephemeral access across media (Kops/s)",
+                 points=points, axis="KB")
+
+
+@sweep("ycsb", "YCSB load_a over the Pmem-RocksDB model (fig 9c)",
+       columns=("journal.sync_commits",), smoke="--ops 200 --device 1")
+def _ycsb_sweep(*, ops: int, size: int, media: str, device_gib: int,
+                aged: bool) -> Sweep:
+    """mmap, DaxVM and DaxVM with pre-zeroing and nosync over the
+    kvstore, on ext4 (x = 0) and NOVA (x = 1)."""
+    long_lived = {"ephemeral": False, "unmap_async": False}
+    variants = (
+        ("mmap", Interface.MMAP, DaxVMOptions(**long_lived), False),
+        ("daxvm", Interface.DAXVM, DaxVMOptions(**long_lived), False),
+        ("daxvm+pz+ns", Interface.DAXVM,
+         DaxVMOptions(**long_lived, nosync=True), True),
+    )
+    points = [SweepPoint(
+        experiment="kvstore", series=name, x=x,
+        params={"workload": "load_a", "num_ops": ops,
+                "preload_records": 0, "interface": interface.value,
+                "daxvm": _daxvm_params(opts), "prezero": prezero},
+        media=media, device_gib=device_gib, aged=aged, fs_type=fs_type)
+        for x, fs_type in enumerate(("ext4", "nova"))
+        for name, interface, opts, prezero in variants]
+    return Sweep(name="ycsb", title="YCSB load_a (Kops/s)",
+                 points=points, axis="nova")
+
+
+@sweep("repetitive", "database-style 4KB ops over one big file",
+       smoke="--ops 8 --device 1")
+def _repetitive_sweep(*, ops: int, size: int, media: str,
+                      device_gib: int, aged: bool) -> Sweep:
+    """``64 * ops`` 4 KB reads over a 96 MB file, sequential (x = 0)
+    and random (x = 1), with DaxVM's MMU monitor ticking."""
+    daxvm = _daxvm_params(DaxVMOptions(ephemeral=False, unmap_async=False,
+                                       nosync=True))
+    points = [SweepPoint(
+        experiment="repetitive", series=interface.value, x=x,
+        params={"file_size": 96 << 20, "op_size": 4096,
+                "num_ops": 64 * ops, "pattern": pattern.value,
+                "interface": interface.value, "monitor_every": 8192,
+                "daxvm": daxvm},
+        media=media, device_gib=device_gib, aged=aged)
+        for x, pattern in enumerate((AccessPattern.SEQUENTIAL,
+                                     AccessPattern.RANDOM))
+        for interface in (Interface.READ, Interface.MMAP, Interface.DAXVM)]
+    return Sweep(name="repetitive",
+                 title="Repetitive 4KB ops over a large file (Kops/s)",
+                 points=points, axis="random")
+
+
+@sweep("predis", "P-Redis boot and warm-up timeline (fig 9b)",
+       columns=("predis.boot_cycles", "predis.first_window_ops_per_s",
+                "predis.last_window_ops_per_s"),
+       smoke="--ops 1000 --device 2")
+def _predis_sweep(*, ops: int, size: int, media: str, device_gib: int,
+                  aged: bool) -> Sweep:
+    """``ops`` gets from a 512 MB cache after a cold boot, per
+    interface; throughput is sampled every ``max(500, ops // 16)``
+    gets."""
+    points = [SweepPoint(
+        experiment="predis", series=interface.value, x=512,
+        params={"cache_size": 512 << 20, "num_gets": ops,
+                "window": max(500, ops // 16),
+                "interface": interface.value},
+        media=media, device_gib=device_gib, aged=aged)
+        for interface in (Interface.MMAP, Interface.MMAP_POPULATE,
+                          Interface.DAXVM)]
+    return Sweep(name="predis", title="P-Redis gets (Kops/s)",
+                 points=points, axis="cache MB")
+
+
+#: Fig. 7's append sizes, the appends sweep's x axis (in KB).
+APPEND_SIZES = (4 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20)
+
+
+@sweep("appends", "single-op appends: Fig. 7 variants x size, ext4/NOVA",
+       smoke="--ops 64 --device 1")
+def _appends_sweep(*, ops: int, size: int, media: str, device_gib: int,
+                   aged: bool) -> Sweep:
+    """Every append variant at every Fig. 7 size on ext4-DAX and NOVA;
+    each point appends ``max(8, ops // 8)`` times, each append onto
+    its own empty file."""
+    points = [SweepPoint(
+        experiment="append", series=f"{fs_type}+{variant.value}",
+        x=append_size >> 10,
+        params={"append_size": append_size,
+                "num_appends": max(8, ops // 8), "variant": variant.value},
+        media=media, device_gib=device_gib, aged=aged, fs_type=fs_type)
+        for fs_type in ("ext4", "nova")
+        for variant in AppendVariant
+        for append_size in APPEND_SIZES]
+    return Sweep(name="appends", title="Append throughput (Kops/s)",
+                 points=points, axis="KB")
+
+
+@sweep("walks", "Table II/III walk costs per translation scheme",
+       columns=tuple(f"walk.{case[0]}_cycles" for case in WALK_CASES)
+       + ("walk.huge_cycles", "walk.pmem_trips_monitor",
+          "walk.frames_2mb"),
+       smoke="--device 1")
+def _walks_sweep(*, ops: int, size: int, media: str, device_gib: int,
+                 aged: bool) -> Sweep:
+    """One analytic walk point per translation scheme; ``ops``,
+    ``size`` and ``aged`` are ignored."""
+    from repro.paging.schemes import SCHEME_NAMES
+
+    points = [SweepPoint(experiment="walks", series=scheme, x=0,
+                         media=media, device_gib=device_gib, aged=False,
+                         scheme=scheme)
+              for scheme in SCHEME_NAMES]
+    return Sweep(name="walks", title=f"Avg cycles per 4KB walk ({media})",
+                 points=points, axis="-")
+
+
 #: Data tiers of the tiering sweep, in x-axis order.  ``dram`` is the
 #: tmpfs-like bound (no daemon variant: nothing faster to promote to).
 TIERING_TIERS = ("dram", "pmem", "cxl")
 
 
-@sweep("tiering", "interfaces x data tier (DRAM/PMem/CXL) x ktierd")
+@sweep("tiering", "interfaces x data tier (DRAM/PMem/CXL) x ktierd",
+       columns=("tiering.scans", "tiering.promoted_pages",
+                "tiering.demoted_pages", "tiering.migrated_bytes",
+                "tiering.writeback_bytes", "tiering.shootdowns"),
+       smoke="--ops 16 --device 1")
 def _tiering_sweep(*, ops: int, size: int, media: str, device_gib: int,
                    aged: bool) -> Sweep:
     """Where does each interface break even as file data moves down
@@ -471,7 +754,10 @@ def _consolidate_point(system: System) -> RunResult:
 CONSOLIDATE_TENANTS = (1, 2, 4, 8, 16)
 
 
-@sweep("consolidate", "tenant count x workload mix x quotas x antagonist")
+@sweep("consolidate", "tenant count x workload mix x quotas x antagonist",
+       columns=("tenancy.requests", "tenancy.cpu_throttle_cycles",
+                "tenancy.bw_throttle_cycles", "tenancy.quota_scans"),
+       smoke="--ops 16 --device 1 --max-points 8")
 def _consolidate_sweep(*, ops: int, size: int, media: str,
                        device_gib: int, aged: bool) -> Sweep:
     """How does per-tenant p99 degrade as tenants pile onto one
@@ -525,7 +811,10 @@ def _migrate_point(system: System, *, workload: str) -> RunResult:
 MIGRATE_AFTER = (8, 16, 32, 64)
 
 
-@sweep("migrate", "post-copy live migration: trigger point x prefetch")
+@sweep("migrate", "post-copy live migration: trigger point x prefetch",
+       columns=("virt.downtime_cycles", "virt.pages_pulled",
+                "virt.prefetched_pages", "virt.migrations_completed"),
+       smoke="--ops 16 --device 1 --max-points 10")
 def _migrate_sweep(*, ops: int, size: int, media: str, device_gib: int,
                    aged: bool) -> Sweep:
     """Downtime and pull traffic vs when the migration triggers, with

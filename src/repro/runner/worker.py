@@ -3,9 +3,8 @@
 The function crossing the ``multiprocessing`` boundary takes a plain
 payload dict and returns a plain state dict — no simulator object is
 ever pickled.  Each point builds a fresh :class:`~repro.system.System`
-through :func:`build_system`, exactly as the sequential CLI
-experiments do, so a point's result is independent of which process
-(and in which order) it runs.
+through :func:`build_system`, so a point's result is independent of
+which process (and in which order) it runs.
 """
 
 from __future__ import annotations
@@ -87,16 +86,16 @@ def _attach_virt(system: System, spec: Dict[str, object]) -> None:
     system.attach_hypervisor(VirtConfig.from_state(spec))
 
 
-def build_system(point: SweepPoint, fs_type: str = "ext4") -> System:
+def build_system(point: SweepPoint) -> System:
     """Build the machine ``point`` describes, subsystems attached.
 
     This is the one place a machine's shape is decided: the media
-    preset, device size and image, the topology (``with_kinds`` when
-    the point names node kinds, an even ``split`` across sockets when
-    it has more than one node, the uniform machine otherwise), the
-    placement and translation scheme, then the point's tier overlay,
-    tenancy and hypervisor.  The sweep worker, the golden gates and
-    the CLI all build through it.
+    preset, device size, file system and image, the topology
+    (``with_kinds`` when the point names node kinds, an even ``split``
+    across sockets when it has more than one node, the uniform machine
+    otherwise), the placement and translation scheme, then the point's
+    tier overlay, tenancy and hypervisor.  The sweep worker, the audit replicas and
+    the golden gates all build through it.
     """
     costs = MEDIA_PRESETS[point.media]()
     if point.node_kinds:
@@ -107,7 +106,7 @@ def build_system(point: SweepPoint, fs_type: str = "ext4") -> System:
         topology = (MachineTopology.split(costs.machine, point.num_nodes)
                     if point.num_nodes > 1 else None)
     system = System(costs=costs, device_bytes=point.device_gib << 30,
-                    fs_type=fs_type, aged=point.aged, topology=topology,
+                    fs_type=point.fs_type, aged=point.aged, topology=topology,
                     placement=point.placement, pin_node=point.pin_node,
                     scheme=point.scheme)
     if point.tiering:
@@ -167,6 +166,8 @@ def run_point(payload: Dict[str, object], profile: bool = False,
     system = build_system(point)
     if attach is not None:
         attach(system)
+    params = dict(point.params, point=point) if runner.replicas \
+        else point.params
     profiler = None
     if profile:
         import cProfile
@@ -176,11 +177,11 @@ def run_point(payload: Dict[str, object], profile: bool = False,
     if profiler is not None:
         profiler.enable()
         try:
-            run = runner(system, **point.params)
+            run = runner(system, **params)
         finally:
             profiler.disable()
     else:
-        run = runner(system, **point.params)
+        run = runner(system, **params)
     wall = time.perf_counter() - started
     locks = [lock.report() for lock in system.engine.locks
              if lock.acquisitions]

@@ -11,7 +11,8 @@ every stolen cycle is attributable.
 Entry points: build a :class:`TenancyConfig` (usually via
 :func:`consolidate_config`), ``system.attach_tenancy(config)``, then
 :func:`run_consolidate`.  ``python -m repro sweep consolidate`` and
-``python -m repro perf consolidate`` drive the standard matrix.
+``python -m repro perf consolidate`` run and report the standard
+matrix.
 """
 
 from repro.tenancy.controller import (BandwidthAdmission, CpuThrottle,

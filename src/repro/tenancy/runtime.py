@@ -8,8 +8,8 @@ histograms (``tenant.<name>.request`` in ``stats.timings``) and the
 per-tenant ledger views that make mmap_sem and TLB-shootdown
 contention attributable to the tenant that suffered it.
 
-:func:`run_consolidate` is the driver the ``consolidate`` sweep and
-``perf consolidate`` target call: it materializes each tenant's
+:func:`run_consolidate` is the driver the ``consolidate`` sweep's
+points call: it materializes each tenant's
 workload (small Apache / P-Redis-style / kvstore closed loops, plus
 the antagonist), runs the boot phase unmeasured, then measures the
 steady-state request phase.

@@ -129,7 +129,7 @@ class TierMap:
                     self._placement[ino].items())]
 
     def residency(self) -> Dict[str, int]:
-        """Granule counts per non-default medium (perf breakdowns)."""
+        """Granule counts per non-default medium."""
         counts: Dict[str, int] = {}
         for _ino, _granule, medium in self.placements():
             counts[medium.value] = counts.get(medium.value, 0) + 1

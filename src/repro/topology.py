@@ -270,11 +270,6 @@ class MachineTopology:
                  for j in range(self.num_nodes)]
                 for i in range(self.num_nodes)]
 
-    def bandwidth_matrix(self, medium: Medium) -> List[List[float]]:
-        return [[self.bandwidth_factor(i, j, medium)
-                 for j in range(self.num_nodes)]
-                for i in range(self.num_nodes)]
-
     def ipi_matrix(self) -> List[List[float]]:
         """Extra-initiator-cycle matrix for IPIs between sockets."""
         return [[self.ipi_extra(i, j) for j in range(self.num_nodes)]

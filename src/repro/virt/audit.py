@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.results import RunResult
-from repro.config import MEDIA_PRESETS
 from repro.crash.checker import RecoveryChecker
 from repro.crash.domain import CrashTriggered, PersistenceDomain
 from repro.crash.injector import CrashInjector, CrashSummary
@@ -40,6 +39,8 @@ from repro.faults.injector import FaultInjector, FaultSummary
 from repro.faults.model import MediaFaults, SiteOutcome
 from repro.faults.plan import FaultKind, FaultPlan, FaultSite, TouchRecord
 from repro.obs import CostDomain, Counter
+from repro.runner.manifest import SweepPoint
+from repro.runner.worker import build_system
 from repro.system import System
 from repro.virt.hypervisor import VirtConfig
 
@@ -56,17 +57,13 @@ def migrate_factory(*, media: str = "optane", device_gib: int = 1,
                     migrate_after: int = 24, seed: int = 0,
                     prefetch: bool = True):
     """A replica factory whose machines carry an armed hypervisor."""
-    costs_factory = MEDIA_PRESETS[media]
-
-    def factory() -> System:
-        system = System(costs=costs_factory(),
-                        device_bytes=device_gib << 30, aged=False)
-        system.attach_hypervisor(VirtConfig(
-            nested=True, migrate=True, migrate_after=migrate_after,
-            prefetch=prefetch, seed=seed))
-        return system
-
-    return factory
+    shape = SweepPoint("migrate", "", 0, media=media,
+                       device_gib=device_gib, aged=False,
+                       virt=VirtConfig(nested=True, migrate=True,
+                                       migrate_after=migrate_after,
+                                       prefetch=prefetch,
+                                       seed=seed).to_state())
+    return lambda: build_system(shape)
 
 
 def _settle_for_crash(system: System) -> List[str]:
@@ -230,10 +227,9 @@ class MigrateAuditSummary:
             label=f"migrate-audit/after{self.migrate_after}",
             cycles=cycles,
             operations=float(self.points_explored),
-            counters={
-                "audit.points_explored": float(self.points_explored),
-                "audit.violations": float(len(self.violations)),
-            },
+            counters={f"virt.{key}": float(value)
+                      for key, value in self.to_state().items()
+                      if isinstance(value, (int, float))},
             domains={"virt": cycles},
             freq_hz=self.freq_hz,
         )

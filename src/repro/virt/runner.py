@@ -6,8 +6,8 @@ msync epochs and DaxVM attachments, exactly the surfaces migration
 intercepts) on a system with a hypervisor attached, settles every
 migration job and shapes the outcome as a
 :class:`~repro.analysis.results.RunResult` whose counters carry the
-whole ``virt.*`` namespace plus per-job downtime.  The ``migrate``
-sweep points and the ``perf migrate`` target both go through here.
+whole ``virt.*`` namespace plus per-job downtime.  Every ``migrate``
+sweep point goes through here.
 """
 
 from __future__ import annotations

@@ -133,10 +133,6 @@ class VMA:
 
     # -- classification ---------------------------------------------------
     @property
-    def is_shared_file(self) -> bool:
-        return self.inode is not None and bool(self.flags & MapFlags.SHARED)
-
-    @property
     def is_ephemeral(self) -> bool:
         return bool(self.flags & MapFlags.EPHEMERAL)
 

@@ -227,11 +227,12 @@ def test_crash_points_compose_with_an_armed_fault_plan():
 
 # -- the hardening audit, compactly --------------------------------------
 def test_migrate_audit_finds_no_violations():
-    summary = run_migrate_audit(workloads=("syncbench",), seeds=(0,),
-                                max_points=6, max_sites=6,
-                                composed_points=4)
-    assert summary.points_explored >= 14
-    assert summary.crash and summary.faults and summary.composed
+    summary = run_migrate_audit(seeds=(0, 1), max_points=8, max_sites=6,
+                                composed_points=6)
+    # Both guest workloads at both seeds, composed per workload.
+    assert len(summary.crash) == len(summary.faults) == 4
+    assert len(summary.composed) == 2
+    assert summary.points_explored >= 56
     assert summary.violations == []
     state = summary.to_state()
     assert state["points_explored"] == summary.points_explored
