@@ -24,8 +24,9 @@ from repro.sim.stats import Stats
 from repro.system import System
 
 #: Per-bench instrumentation records (one JSON list for the whole
-#: session), written next to the repo root.
-BENCH_LOG = Path(__file__).resolve().parent.parent / "BENCH_PR10.json"
+#: session), written under the git-ignored ``.bench_results/``.
+BENCH_LOG = (Path(__file__).resolve().parent.parent / ".bench_results"
+             / "benchmarks_session.json")
 _records: list = []
 
 
@@ -64,7 +65,7 @@ def pytest_configure(config):
 
 @pytest.fixture(autouse=True)
 def _bench_recorder(request, bench_extra):
-    """Record each bench's simulated work to ``BENCH_PR2.json``.
+    """Record each bench's simulated work to ``BENCH_LOG``.
 
     Every ``System`` built during the test is tracked; afterwards their
     :class:`~repro.sim.stats.Stats` are merged (satellite: Stats.merge)
@@ -111,4 +112,5 @@ def _bench_recorder(request, bench_extra):
         record["cache_misses"] = len(sweep_points) - hits
     record.update(bench_extra)
     _records.append(record)
+    BENCH_LOG.parent.mkdir(exist_ok=True)
     BENCH_LOG.write_text(json.dumps(_records, indent=2) + "\n")

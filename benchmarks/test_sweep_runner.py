@@ -3,8 +3,8 @@
 Runs the registered apache sweep through :func:`repro.runner.run_sweep`
 twice — cold (simulating, 2 worker processes) and warm (replayed from
 the content-addressed cache) — and asserts the replay is exact.  The
-conftest recorder picks the per-point hit/miss telemetry up into
-``BENCH_PR2.json``.
+conftest recorder picks the per-point hit/miss telemetry up into its
+session log (``.bench_results/benchmarks_session.json``).
 """
 
 import json

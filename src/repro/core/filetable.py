@@ -22,6 +22,7 @@ volatile lifecycle.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import CostModel
@@ -112,6 +113,27 @@ class FileTable:
         self.node_count = 0
         self.ptes_filled = 0
 
+    def copy(self, inode: Inode, allocator) -> "FileTable":
+        """This table for ``inode`` (a copy of its inode), its nodes
+        copied and freshly allocated ones taken from ``allocator``."""
+        twin = FileTable(inode, self.medium, allocator, self.costs)
+        twin.pte_nodes = {region: _copy_node(node)
+                          for region, node in self.pte_nodes.items()}
+        twin.huge_frames = dict(self.huge_frames)
+        twin.pmd_nodes = {gb: _copy_node(node)
+                          for gb, node in self.pmd_nodes.items()}
+        for region, node in twin.pte_nodes.items():
+            # The GB-level slot points at the region's PTE node: at the
+            # copy's, not at the original's.
+            slots = twin.pmd_nodes[region // ENTRIES_PER_NODE].entries
+            slot = region % ENTRIES_PER_NODE
+            slots[slot] = Entry(frame=slots[slot].frame,
+                                flags=slots[slot].flags, child=node)
+        twin.filled_pages = self.filled_pages
+        twin.node_count = self.node_count
+        twin.ptes_filled = self.ptes_filled
+        return twin
+
     # -- construction --------------------------------------------------------
     def _new_node(self, level: int) -> PageTableNode:
         frame = self._allocator.alloc_frame(self.medium)
@@ -134,11 +156,10 @@ class FileTable:
             # (§IV-A1) but only fence-ordered with the journal commit;
             # a rolled-back transaction truncates the table back, and
             # mount-time recovery re-extends it from the extent tree.
-            old_filled = self.filled_pages
             domain.meta_store(
-                "filetable-extend", inode.number,
-                8 * (total_pages - old_filled), flushed=True,
-                undo=lambda: self.truncate(old_filled))
+                "filetable-extend", domain.track(inode),
+                8 * (total_pages - self.filled_pages), flushed=True,
+                undo=partial(_undo_extend, self.filled_pages))
         cycles = 0.0
         new_ptes = 0
         nodes_before = self.node_count
@@ -291,6 +312,22 @@ class FileTable:
                     continue
             runs.append((idx, frame, 1))
         return runs
+
+
+def _copy_node(node: PageTableNode) -> PageTableNode:
+    # Entries are shared: table maintenance replaces an entry, it never
+    # edits one in place.
+    twin = PageTableNode(node.level, node.frame, node.medium,
+                         shared=node.shared)
+    twin.entries = dict(node.entries)
+    return twin
+
+
+def _undo_extend(old_filled: int, machine, rec) -> None:
+    """Rollback of a persistent-table fill: truncate the inode's table
+    back to the pages it held before."""
+    table = machine.persistence.inodes[rec.ino].persistent_file_table
+    table.truncate(old_filled)
 
 
 class FileTableManager:

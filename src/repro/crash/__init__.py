@@ -5,8 +5,11 @@ rest of the simulator checks its *performance* claims:
 
 * :class:`PersistenceDomain` (``domain``) — shadows every simulated
   store through volatile → flushed → fence-ordered (ADR) states;
-* :class:`CrashInjector` (``injector``) — deterministically crashes a
-  machine replica at every persistence-state transition;
+* :class:`CrashInjector` (``injector``) — runs a workload once and
+  crashes a copy of its storage at every selected persistence-state
+  transition;
+* :class:`StorageImage` (``image``) — that copy: what a power failure
+  leaves of a machine, mounted on a fresh engine;
 * :class:`RecoveryChecker` (``checker``) — replays the journal,
   re-syncs persistent file tables, reclaims orphans and asserts the
   no-acked-data-lost invariants;
@@ -20,6 +23,7 @@ from repro.crash.checker import CrashPointOutcome, RecoveryChecker
 from repro.crash.domain import (COMMIT_RECORD_BYTES, CrashState,
                                 CrashTriggered, PersistenceDomain,
                                 PersistRecord, StoreState)
+from repro.crash.image import StorageImage
 from repro.crash.injector import CrashInjector, CrashSummary, run_crash
 from repro.crash.workloads import CRASH_WORKLOADS, crash_workload
 
@@ -34,6 +38,7 @@ __all__ = [
     "PersistRecord",
     "PersistenceDomain",
     "RecoveryChecker",
+    "StorageImage",
     "StoreState",
     "crash_workload",
     "run_crash",

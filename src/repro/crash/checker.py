@@ -60,7 +60,9 @@ class CrashPointOutcome:
 
 
 class RecoveryChecker:
-    """Mount-time recovery + invariant audit for one crashed machine."""
+    """Mount-time recovery + invariant audit for one crashed machine:
+    a rebooted :class:`System` or a crashed
+    :class:`~repro.crash.image.StorageImage`."""
 
     def __init__(self, system: System, domain: PersistenceDomain,
                  crash_state: CrashState):
@@ -227,7 +229,7 @@ class RecoveryChecker:
             yield charge(CostDomain.CRASH, "mount-recovery", cycles)
 
         self.system.engine.spawn(mount(), core=0, name="mount-recovery")
-        self.system.run()
+        self.system.engine.run()
         return cycles
 
 

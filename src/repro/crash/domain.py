@@ -23,13 +23,18 @@ that three-state machine:
     fence-ordered into ADR; always survives.
 
 Every state *transition* (store, flush, fence) is a deterministic crash
-candidate: the domain counts transitions, and when armed with
-``crash_at=k`` raises :class:`CrashTriggered` at the *k*-th boundary —
-before the transition applies, so the crash observes the machine
-mid-operation.  Metadata stores carry an ``undo`` closure (logical
-rollback when their journal transaction did not commit) and an optional
-``on_durable`` action (e.g. a block free that must not happen until the
-truncate record is durable).  Data stores are tracked per inode so an
+candidate: the domain counts transitions.  Told a set of points with
+:meth:`~PersistenceDomain.checkpoint_at`, it calls back at each of them
+*before* the transition applies, so the crash audit can copy the
+storage mid-operation and let the run go on; armed with ``crash_at=k``
+it instead raises :class:`CrashTriggered` at the *k*-th boundary.
+Metadata stores carry an ``undo`` action (logical rollback when their
+journal transaction did not commit) and an optional ``on_durable``
+action (e.g. a block free that must not happen until the truncate
+record is durable).  Both capture values only — path, inode number,
+old size — and are called as ``action(machine, record)`` on the machine
+the domain is attached to, so one rollback serves the live machine and
+any copy of its storage.  Data stores are tracked per inode so an
 acknowledged ``msync``/``fsync`` can be checked against what physically
 survived.
 """
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.fs.intervals import IntervalSet
 
@@ -67,6 +72,11 @@ class CrashTriggered(Exception):
         self.point = point
 
 
+#: ``action(machine, record)``: a record's rollback or deferred effect,
+#: applied to the machine (or storage image) its domain is attached to.
+RecordAction = Callable[[object, "PersistRecord"], None]
+
+
 @dataclass
 class PersistRecord:
     """One tracked store and its durability lifecycle."""
@@ -87,13 +97,24 @@ class PersistRecord:
     #: while the transaction is still open.
     txn_id: Optional[int] = None
     #: Logical rollback applied when the record is lost at a crash.
-    undo: Optional[Callable[[], None]] = None
+    undo: Optional[RecordAction] = None
     #: Deferred side effect (block frees) applied once durable.
-    on_durable: Optional[Callable[[], None]] = None
+    on_durable: Optional[RecordAction] = None
     durable_applied: bool = False
+    #: Block runs a truncate frees once durable; filled in after the
+    #: record is issued, so it is part of the record's mutable state.
+    runs: Optional[List[Tuple[int, int]]] = None
     #: Filled in by :meth:`PersistenceDomain.apply_crash`.
     survived: bool = False
     lost: bool = False
+
+    def copy(self) -> "PersistRecord":
+        """An independent record with the same lifecycle state."""
+        twin = object.__new__(PersistRecord)
+        twin.__dict__ = self.__dict__.copy()
+        if self.runs is not None:
+            twin.runs = list(self.runs)
+        return twin
 
 
 @dataclass
@@ -115,7 +136,8 @@ class PersistenceDomain:
 
     Construct unarmed (``crash_at=None``) to *probe*: the workload runs
     to completion and ``transitions`` counts the crash candidates.
-    Construct with ``crash_at=k`` to crash deterministically at the
+    :meth:`checkpoint_at` calls back at chosen transitions without
+    stopping the run; ``crash_at=k`` crashes deterministically at the
     *k*-th transition boundary.
     """
 
@@ -123,7 +145,15 @@ class PersistenceDomain:
         self.crash_at = crash_at
         self.crashed = False
         self.transitions = 0
+        self._points: "frozenset[int]" = frozenset()
+        self._on_point: Optional[Callable[[int], None]] = None
+        #: The machine (or storage image) record actions act on; set by
+        #: ``System.attach_persistence``.
+        self.machine = None
         self.records: List[PersistRecord] = []
+        #: Every inode a record's action names, by number: a rollback
+        #: may have to re-link an inode the namespace no longer holds.
+        self.inodes: Dict[int, object] = {}
         self._unfenced: List[PersistRecord] = []
         self._open_txn: List[PersistRecord] = []
         self._txn_seq = 0
@@ -137,13 +167,31 @@ class PersistenceDomain:
         self.pmem_frames = 0
 
     # -- crash-point clock -------------------------------------------------
+    def checkpoint_at(self, points: Iterable[int],
+                      callback: Callable[[int], None]) -> None:
+        """Call ``callback(k)`` at each transition ``k`` in ``points``,
+        before the transition applies — where ``crash_at=k`` would
+        raise.  The callback must leave this domain's machine as it
+        found it; the run then continues."""
+        self._points = frozenset(points)
+        self._on_point = callback
+
     def _tick(self) -> None:
         if self.crashed:
             return
-        if self.crash_at is not None and self.transitions == self.crash_at:
+        point = self.transitions
+        if point in self._points:
+            self._on_point(point)
+        if point == self.crash_at:
             self.crashed = True
-            raise CrashTriggered(self.crash_at)
-        self.transitions += 1
+            raise CrashTriggered(point)
+        self.transitions = point + 1
+
+    def track(self, inode) -> int:
+        """Name ``inode`` in a record: register it for rollback and
+        return its number."""
+        self.inodes[inode.number] = inode
+        return inode.number
 
     def cursor(self) -> int:
         """Sequence number marking 'every record issued so far'."""
@@ -152,8 +200,8 @@ class PersistenceDomain:
     # -- store tracking ----------------------------------------------------
     def _store(self, label: str, kind: str, ino: Optional[int], nbytes: int,
                *, flushed: bool = False,
-               undo: Optional[Callable[[], None]] = None,
-               on_durable: Optional[Callable[[], None]] = None,
+               undo: Optional[RecordAction] = None,
+               on_durable: Optional[RecordAction] = None,
                ) -> PersistRecord:
         self._tick()
         rec = PersistRecord(
@@ -169,8 +217,8 @@ class PersistenceDomain:
         return rec
 
     def meta_store(self, label: str, ino: Optional[int], nbytes: int, *,
-                   undo: Optional[Callable[[], None]] = None,
-                   on_durable: Optional[Callable[[], None]] = None,
+                   undo: Optional[RecordAction] = None,
+                   on_durable: Optional[RecordAction] = None,
                    flushed: bool = False) -> PersistRecord:
         """A journaled metadata mutation joining the open transaction.
 
@@ -204,7 +252,7 @@ class PersistenceDomain:
     def _run_durable(self, rec: PersistRecord) -> None:
         if rec.on_durable is not None and not rec.durable_applied:
             rec.durable_applied = True
-            rec.on_durable()
+            rec.on_durable(self.machine, rec)
 
     # -- journal transactions ---------------------------------------------
     def commit_metadata(self, *, acked: bool,
@@ -274,6 +322,27 @@ class PersistenceDomain:
     def note_pmem_frame(self, delta: int) -> None:
         self.pmem_frames += delta
 
+    # -- copying ------------------------------------------------------------
+    def copy(self, machine, inodes: Dict[int, object]
+             ) -> "PersistenceDomain":
+        """An unarmed domain with this one's durability state, attached
+        to ``machine``; ``inodes`` maps each tracked inode number to the
+        machine's inode.  Crashing the copy leaves this domain as it
+        is."""
+        twin = PersistenceDomain()
+        twin.transitions = self.transitions
+        twin.machine = machine
+        twin.records = records = [rec.copy() for rec in self.records]
+        twin.inodes = {number: inodes[number] for number in self.inodes}
+        twin._unfenced = [records[rec.seq] for rec in self._unfenced]
+        twin._open_txn = [records[rec.seq] for rec in self._open_txn]
+        twin._txn_seq = self._txn_seq
+        twin.allocated = self.allocated.copy()
+        twin.bytes_stored = self.bytes_stored
+        twin.bytes_flushed = self.bytes_flushed
+        twin.pmem_frames = self.pmem_frames
+        return twin
+
     # -- crash application -------------------------------------------------
     def apply_crash(self, rng) -> CrashState:
         """Discard everything not durable; roll back torn transactions.
@@ -337,7 +406,7 @@ class PersistenceDomain:
                     f"acked {rec.kind} store lost at crash: "
                     f"{rec.label} (ino={rec.ino}, seq={rec.seq})")
             if rec.undo is not None:
-                rec.undo()
+                rec.undo(self.machine, rec)
         state.rolled_back_txns = len(rolled) + (1 if open_rolled else 0)
         self.crashed = True
         return state

@@ -3,36 +3,38 @@
 The injector turns "does this persistence discipline actually work?"
 into an exhaustive sweep: every persistence-state transition the
 workload performs (store, flush, fence, commit) is a candidate crash
-point.  For each selected point it rebuilds an identical machine from
-a factory, arms a fresh :class:`PersistenceDomain` with ``crash_at=k``
-and runs the workload until the domain raises
-:class:`CrashTriggered` out of the event loop — the simulated power
-failure.  It then applies the crash (seeded per-point RNG decides
-whether unfenced flushes drained), reboots the machine and hands it to
-the :class:`RecoveryChecker`.
+point.  An unarmed probe run counts the transitions; the selected
+points are then all explored in **one** more run of the workload.  At
+each selected transition *k*, before it applies, the domain calls
+back: the injector copies the machine's storage
+(:class:`~repro.crash.image.StorageImage`), applies the crash to the
+copy (seeded per-point RNG decides whether unfenced flushes drained),
+and hands the freshly mounted copy to the :class:`RecoveryChecker`.
+The copy is then dropped and the original run continues to the next
+point, so no prefix is ever re-run.
 
-Replica determinism is load-bearing: the factory plus the naming-
-counter reset guarantee crash point *k* always interrupts the same
-transition of the same operation, so summaries are reproducible and
-golden-file-able.  ``break_commit_fence=True`` installs the test-only
-ordering-bug fixture (``Journal.skip_commit_fence``) that the checker
-is required to catch.
+Determinism is load-bearing: the factory plus the naming-counter reset
+guarantee transition *k* of the exploring run is transition *k* of the
+probe, so summaries are reproducible and golden-file-able.
+``break_commit_fence=True`` installs the test-only ordering-bug
+fixture (``Journal.skip_commit_fence``) that the checker is required
+to catch.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Union
+from typing import Callable, Dict, List, Sequence, Union
 
 from repro.analysis.results import RunResult
 from repro.crash.checker import CrashPointOutcome, RecoveryChecker
-from repro.crash.domain import CrashTriggered, PersistenceDomain
+from repro.crash.domain import PersistenceDomain
+from repro.crash.image import StorageImage
 from repro.crash.workloads import CRASH_WORKLOADS
 from repro.errors import InvalidArgumentError, MediaError
 from repro.faults.model import MediaFaults
 from repro.faults.plan import FaultPlan
-from repro.obs import Counter
 from repro.runner.worker import _reset_naming_counters
 from repro.system import System
 
@@ -127,8 +129,8 @@ class CrashInjector:
         self.seed = seed
         self.max_points = max_points
         self.break_commit_fence = break_commit_fence
-        #: Optional armed media-fault plan attached to *every* replica
-        #: (probe included, so transition counts line up): crash points
+        #: Optional armed media-fault plan attached to both runs (probe
+        #: included, so transition counts line up): crash points
         #: then compose with live UEs/stalls, and recovery must satisfy
         #: both the crash audit and the fault accounting.
         self.fault_plan = fault_plan
@@ -161,31 +163,47 @@ class CrashInjector:
             system.engine.reap_crashed()
         return domain.transitions
 
-    def run_point(self, point: int) -> CrashPointOutcome:
-        """Crash one machine replica at transition ``point``, recover
-        it and audit the result."""
-        domain = PersistenceDomain(crash_at=point)
+    def explore(self, points: Sequence[int]) -> List[CrashPointOutcome]:
+        """Run the workload once and crash a storage image of it at
+        each of the distinct ``points``; outcomes in point order."""
+        points = sorted(set(points))
+        outcomes: List[CrashPointOutcome] = []
+        domain = PersistenceDomain()
         system = self._build(domain)
+        domain.checkpoint_at(points, lambda point: outcomes.append(
+            self._crash_image(system, point)))
         try:
             self.workload(system)
-        except CrashTriggered:
-            pass
         except MediaError:
-            # A fault fired before the crash point: the thread died at
-            # the poisoned access and power fails wherever the domain
-            # got to.  Both disciplines must still recover.
-            system.engine.reap_crashed()
+            # An armed UE killed the workload: power fails wherever the
+            # domain got to for every point the run never reached.
+            pass
+        for point in points[len(outcomes):]:
+            outcomes.append(self._crash_image(system, point))
+        return outcomes
+
+    def run_point(self, point: int) -> CrashPointOutcome:
+        """Crash the machine at transition ``point``, recover it and
+        audit the result."""
+        return self.explore([point])[0]
+
+    def _crash_image(self, system: System, point: int) -> CrashPointOutcome:
+        """Power-fail a copy of ``system``'s storage, recover and audit
+        it; ``system`` itself is left as it was."""
+        image = StorageImage(system)
         # Per-point RNG: decides (deterministically, independently per
         # point) which unfenced flushes drained before power was lost.
         rng = random.Random((self.seed << 24) ^ (point * 0x9E3779B1))
-        state = domain.apply_crash(rng)
-        # Power-fail reboot: volatile caches, processes and engines die.
-        system.vfs.inode_cache.evict_all()
-        system._reboot()
-        outcome = RecoveryChecker(system, domain, state).run(point=point)
-        system.stats.add(Counter.CRASH_POINTS_EXPLORED, 1)
-        system.stats.add(Counter.CRASH_STORES_TRACKED, len(domain.records))
+        state = image.persistence.apply_crash(rng)
+        outcome = RecoveryChecker(image, image.persistence,
+                                  state).run(point=point)
+        outcome.violations.extend(self._crash_violations(system))
         return outcome
+
+    def _crash_violations(self, system: System) -> List[str]:
+        """Invariant breaches a subclass reads off the machine at a
+        crash point, beyond the storage audit."""
+        return []
 
     def select_points(self, total: int) -> List[int]:
         """All points when they fit the budget, else a seeded sample."""
@@ -201,8 +219,7 @@ class CrashInjector:
                                max_points=self.max_points,
                                total_transitions=total,
                                freq_hz=self._freq)
-        for point in self.select_points(total):
-            summary.outcomes.append(self.run_point(point))
+        summary.outcomes = self.explore(self.select_points(total))
         return summary
 
 

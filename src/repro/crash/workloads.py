@@ -1,10 +1,11 @@
 """Crash workloads: small, deterministic drivers for crash-point sweeps.
 
 A crash workload is a plain callable ``fn(system)`` that runs a short
-mix of durability-relevant operations to completion.  The injector runs
-it many times — once unarmed to count persistence-state transitions,
-then once per crash point with the domain armed — so the workloads here
-are deliberately tiny compared to the performance workloads in
+mix of durability-relevant operations to completion.  The crash
+injector runs it twice — once unarmed to count persistence-state
+transitions, then once copying the storage at every selected point —
+and the fault injector once per armed site, so the workloads here are
+deliberately tiny compared to the performance workloads in
 ``repro.workloads``: a few hundred transitions each, covering every
 durability path the checker knows how to verify:
 

@@ -1,7 +1,7 @@
 """Deterministic media-fault sweeps: probe, arm, inject, audit.
 
-The injector mirrors the crash injector's replica discipline: a probe
-run over a fresh machine counts every media touch the workload makes;
+The injector shares the crash injector's determinism discipline: a
+probe run over a fresh machine counts every media touch the workload makes;
 :meth:`FaultPlan.generate` draws a seeded site sample over those
 touches; then each site runs on its *own* fresh replica (naming
 counters reset, same factory), so the site fires on exactly the

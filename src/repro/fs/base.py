@@ -19,6 +19,7 @@ interceptor for asynchronous pre-zeroing.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.config import CostModel
@@ -38,6 +39,43 @@ from repro.sim.stats import Stats
 BlockHook = Callable[[Inode, List[Tuple[int, int]]], Optional[float]]
 #: Intercepts frees: receives runs, returns True if it took ownership.
 FreeInterceptor = Callable[[List[Tuple[int, int]]], bool]
+
+
+def _undo_create(path: str, machine, rec) -> None:
+    machine.vfs.forget(path)
+
+
+def _undo_unlink(path: str, machine, rec) -> None:
+    machine.vfs.restore(path, machine.persistence.inodes[rec.ino])
+
+
+def _undo_size(old_size: int, machine, rec) -> None:
+    machine.persistence.inodes[rec.ino].size = old_size
+
+
+def _undo_extent_append(before: int, machine, rec) -> None:
+    # Rolled-back allocation: the bitmap update was in the same
+    # transaction, so the blocks come back as free space.
+    domain = machine.persistence
+    for start, length in domain.inodes[rec.ino].extents.truncate_to(before):
+        machine.device.free(start, length)
+        domain.note_block_free(start, length)
+
+
+def _undo_truncate(old_size: int, machine, rec) -> None:
+    # truncate_to pops extents tail-first; re-append reversed to
+    # restore the original logical order.
+    inode = machine.persistence.inodes[rec.ino]
+    for start, length in reversed(rec.runs):
+        inode.extents.append(start, length)
+    rec.runs.clear()
+    inode.size = old_size
+
+
+def _free_truncated(machine, rec) -> None:
+    for start, length in rec.runs:
+        machine.device.free(start, length)
+        machine.persistence.note_block_free(start, length)
 
 
 class FileSystem:
@@ -371,79 +409,57 @@ class FileSystem:
     # Each helper is a no-op without an attached domain.  Records are
     # created *before* the in-memory mutation they shadow, so a crash at
     # the record's own transition observes the pre-mutation state.  The
-    # ``undo`` closures implement logical rollback of uncommitted
-    # transactions; ``on_durable`` defers block frees to commit.
+    # ``undo`` actions implement logical rollback of uncommitted
+    # transactions; ``on_durable`` defers block frees to commit.  Both
+    # capture values only (module-level functions below) and act on the
+    # machine the domain hands them, so a rollback applied to a copy of
+    # the storage never reaches the live machine.
     # ------------------------------------------------------------------
     def _persist_create(self, path: str) -> None:
         if self.persistence is None:
             return
-        vfs = self.vfs
-        self.persistence.meta_store(
-            "create", None, 256, undo=lambda: vfs.forget(path))
+        self.persistence.meta_store("create", None, 256,
+                                    undo=partial(_undo_create, path))
 
     def _persist_unlink(self, path: str, inode: Inode) -> None:
-        if self.persistence is None:
+        domain = self.persistence
+        if domain is None:
             return
-        vfs = self.vfs
-        self.persistence.meta_store(
-            "unlink", inode.number, 256,
-            undo=lambda: vfs.restore(path, inode))
+        domain.meta_store("unlink", domain.track(inode), 256,
+                          undo=partial(_undo_unlink, path))
 
     def _persist_size(self, inode: Inode, new_size: int) -> None:
-        if self.persistence is None:
+        domain = self.persistence
+        if domain is None:
             return
-        old = inode.size
-
-        def undo():
-            inode.size = old
-        self.persistence.meta_store("inode-size", inode.number, 16,
-                                    undo=undo)
+        domain.meta_store("inode-size", domain.track(inode), 16,
+                          undo=partial(_undo_size, inode.size))
 
     def _persist_extent_append(self, inode: Inode,
                                runs: List[Tuple[int, int]]) -> None:
-        if self.persistence is None or not runs:
-            return
         domain = self.persistence
+        if domain is None or not runs:
+            return
         domain.note_block_alloc(runs)
-        device = self.device
-        before = inode.extents.block_count
-
-        def undo():
-            # Rolled-back allocation: the bitmap update was in the same
-            # transaction, so the blocks come back as free space.
-            for start, length in inode.extents.truncate_to(before):
-                device.free(start, length)
-                domain.note_block_free(start, length)
         total = sum(length for _start, length in runs)
-        domain.meta_store("extent-append", inode.number, 8 * total,
-                          undo=undo)
+        domain.meta_store(
+            "extent-append", domain.track(inode), 8 * total,
+            undo=partial(_undo_extent_append, inode.extents.block_count))
 
     def _persist_truncate(self, inode: Inode, new_blocks: int,
                           new_size: int) -> Optional[List[Tuple[int, int]]]:
-        if self.persistence is None:
+        """Returns the record's run list, to be filled with the freed
+        runs; the frees wait until the record is durable."""
+        domain = self.persistence
+        if domain is None:
             return None
         if inode.extents.block_count <= new_blocks and inode.size <= new_size:
             return None
-        domain = self.persistence
-        device = self.device
-        old_size = inode.size
-        deferred: List[Tuple[int, int]] = []
-
-        def undo():
-            # truncate_to pops extents tail-first; re-append reversed to
-            # restore the original logical order.
-            for start, length in reversed(deferred):
-                inode.extents.append(start, length)
-            deferred.clear()
-            inode.size = old_size
-
-        def on_durable():
-            for start, length in deferred:
-                device.free(start, length)
-                domain.note_block_free(start, length)
-        domain.meta_store("truncate", inode.number, 64, undo=undo,
-                          on_durable=on_durable)
-        return deferred
+        rec = domain.meta_store("truncate", domain.track(inode), 64,
+                                undo=partial(_undo_truncate, inode.size),
+                                on_durable=_free_truncated)
+        rec.runs = []
+        return rec.runs
 
     # ------------------------------------------------------------------
     # Media-error handling (repro.faults; every helper is unreachable

@@ -74,6 +74,18 @@ class BlockDevice:
         #: to the free pool again).  Capacity lost to media wear.
         self.quarantined: set = set()
 
+    def copy(self) -> "BlockDevice":
+        """An independent device with this one's allocator state and
+        badblocks, over the same frames."""
+        twin = object.__new__(BlockDevice)
+        twin.__dict__.update(self.__dict__)
+        twin._free = [FreeExtent(e.start, e.length) for e in self._free]
+        twin._starts = list(self._starts)
+        twin._contig_fail_hint = set(self._contig_fail_hint)
+        twin.badblocks = set(self.badblocks)
+        twin.quarantined = set(self.quarantined)
+        return twin
+
     # -- helpers -------------------------------------------------------------
     def frame_of(self, block: int) -> int:
         """The physical frame number backing a block."""

@@ -60,6 +60,13 @@ class ExtentTree:
     def block_count(self) -> int:
         return sum(e.length for e in self._extents)
 
+    def copy(self) -> "ExtentTree":
+        twin = ExtentTree()
+        twin._extents = [Extent(e.logical, e.physical, e.length)
+                         for e in self._extents]
+        twin._logical_starts = list(self._logical_starts)
+        return twin
+
     # -- mutation -----------------------------------------------------------
     def append(self, physical: int, length: int) -> Extent:
         """Map the next ``length`` file blocks onto ``physical``.

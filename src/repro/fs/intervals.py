@@ -29,6 +29,12 @@ class IntervalSet:
         """Total integers covered."""
         return sum(e - s for s, e in self)
 
+    def copy(self) -> "IntervalSet":
+        twin = IntervalSet()
+        twin._starts = list(self._starts)
+        twin._ends = list(self._ends)
+        return twin
+
     # -- mutation -----------------------------------------------------------
     def add(self, start: int, end: int) -> None:
         """Insert [start, end), merging any overlapping intervals."""

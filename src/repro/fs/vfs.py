@@ -55,6 +55,19 @@ class Inode:
     def block_count(self) -> int:
         return self.extents.block_count
 
+    def copy(self) -> "Inode":
+        """The on-media inode alone: size, links and extents are copied,
+        the persistent table is still this inode's (the caller re-homes
+        it), and in-core state — mappings, volatile table — is left
+        behind, as a power cycle leaves it."""
+        twin = Inode(self.path, number=self.number)
+        twin.size = self.size
+        twin.extents = self.extents.copy()
+        twin.nlink = self.nlink
+        twin.persistent_file_table = self.persistent_file_table
+        twin.recycled = self.recycled
+        return twin
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Inode #{self.number} {self.path} {self.size}B>"
 
@@ -135,6 +148,15 @@ class VFS:
         # two simulated machines built from the same workload assign
         # identical numbers — crash-point replicas depend on this.
         self._next_ino = 1
+
+    def copy(self, copy_inode: Callable[[Inode], Inode]) -> "VFS":
+        """The namespace over ``copy_inode``'s copies, with a cold inode
+        cache (nothing is cached after a power cycle)."""
+        twin = VFS()
+        twin._namespace = {path: copy_inode(inode)
+                           for path, inode in self._namespace.items()}
+        twin._next_ino = self._next_ino
+        return twin
 
     # -- namespace -----------------------------------------------------------
     def create(self, path: str) -> Inode:

@@ -87,10 +87,8 @@ class Counter(enum.Enum):
     NUMA_CROSS_IPI_CYCLES = "numa.cross_socket_ipi_cycles"
 
     # -- Crash exploration (crash/) ---------------------------------------
-    CRASH_POINTS_EXPLORED = "crash.points_explored"
     CRASH_RECOVERY_CYCLES = "crash.recovery_cycles"
     CRASH_INVARIANT_VIOLATIONS = "crash.invariant_violations"
-    CRASH_STORES_TRACKED = "crash.stores_tracked"
     CRASH_STORES_LOST = "crash.stores_lost"
     CRASH_RECORDS_REPLAYED = "crash.records_replayed"
     CRASH_TXNS_ROLLED_BACK = "crash.txns_rolled_back"

@@ -53,9 +53,9 @@ SWEEPS: Dict[str, Callable[..., Sweep]] = {}
 
 def point_runner(name: str, replicas: bool = False):
     """Register a point runner.  ``replicas=True`` marks an audit that
-    rebuilds a fresh machine per crash point or fault site: the worker
-    then also passes it the ``point``, so every replica takes the
-    point's machine shape."""
+    builds its own machines (two per crash audit, one per fault site):
+    the worker then also passes it the ``point``, so every machine it
+    builds takes the point's shape."""
     def decorate(fn):
         fn.replicas = replicas
         POINT_RUNNERS[name] = fn
@@ -127,8 +127,8 @@ def _apache_point(system: System, *, num_workers: int, requests: int,
 def _crash_point(system: System, point: SweepPoint, *, workload: str,
                  seed: int, max_points: int, media: str = "optane",
                  device_gib: int = 1) -> RunResult:
-    """Crash sweeps rebuild a machine per crash point, so the pool's
-    pre-built ``system`` is unused."""
+    """Crash audits build their own probe and exploring machines, so
+    the pool's pre-built ``system`` is unused."""
     from repro.crash import run_crash
 
     summary = run_crash(_replicas(point, media, device_gib), workload,
@@ -389,9 +389,9 @@ def _ablations_sweep(*, ops: int, size: int, media: str,
 def _crash_sweep(*, ops: int, size: int, media: str, device_gib: int,
                  aged: bool) -> Sweep:
     """Both crash workloads at three seeds each.  ``ops`` bounds the
-    crash points explored per sweep point (every point is a full
-    machine replay, so the budget matters).  ``aged`` is deliberately
-    ignored: replicas always start from fresh images."""
+    crash points explored per sweep point (each point crashes and
+    recovers one storage image).  ``aged`` is deliberately ignored:
+    the audit's machines always start from fresh images."""
     max_points = max(4, min(ops, 48))
     points = []
     for workload in ("syncbench", "kvstore"):

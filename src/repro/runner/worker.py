@@ -35,9 +35,9 @@ def _reset_naming_counters() -> None:
     point executed third in a sequential parent must produce the same
     bytes as the same point executed first in a pool worker, so every
     workload counter restarts from zero before a point runs.  The
-    crash injector leans on the same reset for replica determinism:
-    every crash point rebuilds the machine and must see identical
-    file-set and store names.
+    crash injector leans on the same reset: its probe and its exploring
+    run must see identical file-set and store names, and so must every
+    fault-site replica.
     """
     for name, module in list(sys.modules.items()):
         if not name.startswith("repro.workloads"):

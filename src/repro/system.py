@@ -238,8 +238,7 @@ class System:
         interceptors and barriers reset.  Storage — the device, the
         VFS namespace, persistent tables — is untouched.  Callers that
         model a *crash* (rather than a clean shutdown) must discard
-        non-durable state first; the crash injector does this through
-        its PersistenceDomain before rebooting.
+        non-durable state first (``PersistenceDomain.apply_crash``).
         """
         self.engine = Engine(len(self.engine.cores),
                              topology=self.topology,
@@ -269,6 +268,7 @@ class System:
                 "attach_persistence: a persistence domain is already "
                 "attached; build a fresh System per domain")
         self.persistence = domain
+        domain.machine = self
         self.fs.persistence = domain
         self.mem.persistence = domain
         self.physmem.persistence = domain

@@ -6,18 +6,28 @@ and find **zero** invariant violations — no acked msync/fsync data
 lost, no torn extent trees, bitmaps consistent, tables rebuildable.
 The second half checks the checker itself: an intentionally injected
 ordering bug (acknowledging journal commits without fencing the commit
-record) must be *caught*.
+record) must be *caught*.  The last part pins the checkpointed route:
+crashing storage images of one run gives, point for point, what
+rebuilding a machine and replaying its prefix gave, and leaves the
+running machine untouched.
 """
+
+import random
 
 import pytest
 
+from repro.config import MEDIA_PRESETS
 from repro.crash import (
     CrashInjector,
     CrashTriggered,
     PersistenceDomain,
+    RecoveryChecker,
     StoreState,
     run_crash,
 )
+from repro.errors import MediaError
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.system import System
 
 
@@ -134,8 +144,10 @@ def test_acked_data_loss_is_a_violation():
 def test_uncommitted_metadata_is_undone_in_reverse_order():
     undone = []
     domain = PersistenceDomain()
-    domain.meta_store("a", 1, 64, undo=lambda: undone.append("a"))
-    domain.meta_store("b", 1, 64, undo=lambda: undone.append("b"))
+    domain.meta_store("a", 1, 64,
+                      undo=lambda _machine, _rec: undone.append("a"))
+    domain.meta_store("b", 1, 64,
+                      undo=lambda _machine, _rec: undone.append("b"))
     state = domain.apply_crash(_NoLuck())
     assert undone == ["b", "a"]
     assert state.rolled_back_txns == 1
@@ -145,7 +157,8 @@ def test_committed_transaction_survives_and_runs_deferred_frees():
     freed = []
     domain = PersistenceDomain()
     domain.meta_store("trunc", 1, 64,
-                      on_durable=lambda: freed.append("blocks"))
+                      on_durable=lambda _machine, _rec: freed.append(
+                          "blocks"))
     domain.commit_metadata(acked=True)
     assert freed == ["blocks"]  # the commit fence ran the deferral
     state = domain.apply_crash(_NoLuck())
@@ -167,9 +180,11 @@ def test_journal_replay_stops_at_first_torn_commit():
     journal replay is a sequential scan."""
     undone = []
     domain = PersistenceDomain()
-    domain.meta_store("t1", 1, 64, undo=lambda: undone.append("t1"))
+    domain.meta_store("t1", 1, 64,
+                      undo=lambda _machine, _rec: undone.append("t1"))
     domain.commit_metadata(acked=False)
-    domain.meta_store("t2", 1, 64, undo=lambda: undone.append("t2"))
+    domain.meta_store("t2", 1, 64,
+                      undo=lambda _machine, _rec: undone.append("t2"))
     domain.commit_metadata(acked=False)
     # Tear the first commit record; leave the second durable.
     first_commit = next(r for r in domain.records if r.kind == "commit")
@@ -177,3 +192,110 @@ def test_journal_replay_stops_at_first_torn_commit():
     state = domain.apply_crash(_NoLuck())
     assert undone == ["t2", "t1"]
     assert state.rolled_back_txns == 2
+
+
+# ---------------------------------------------------------------------------
+# Checkpointed exploration: one run, a storage image per crash point.
+# ---------------------------------------------------------------------------
+def _replay_point(injector: CrashInjector, point: int):
+    """Reference for one crash point, by the route the injector took
+    before it crashed storage images of one run: rebuild the machine,
+    re-run the prefix until the armed domain raises, then crash, reboot
+    and recover the machine itself."""
+    domain = PersistenceDomain(crash_at=point)
+    system = injector._build(domain)
+    try:
+        injector.workload(system)
+    except CrashTriggered:
+        pass
+    except MediaError:
+        system.engine.reap_crashed()
+    rng = random.Random((injector.seed << 24) ^ (point * 0x9E3779B1))
+    state = domain.apply_crash(rng)
+    system.vfs.inode_cache.evict_all()
+    system._reboot()
+    return RecoveryChecker(system, domain, state).run(point=point)
+
+
+def _assert_matches_replay(injector: CrashInjector) -> None:
+    """Every transition, plus one past the last (power fails where the
+    run ended), must give the replayed outcome."""
+    points = list(range(injector.probe() + 1))
+    explored = injector.explore(points)
+    assert [o.point for o in explored] == points
+    for outcome in explored:
+        assert outcome == _replay_point(injector, outcome.point), (
+            f"crash point {outcome.point} differs from its replay")
+
+
+@pytest.mark.parametrize("workload", ["syncbench", "kvstore"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_checkpointed_points_equal_replayed_points(workload, seed):
+    _assert_matches_replay(CrashInjector(factory, workload, seed=seed))
+
+
+@pytest.mark.parametrize("workload", ["syncbench", "kvstore"])
+def test_checkpointed_points_equal_replayed_points_with_broken_fence(
+        workload):
+    _assert_matches_replay(CrashInjector(factory, workload, seed=0,
+                                         break_commit_fence=True))
+
+
+def _optane_factory() -> System:
+    return System(costs=MEDIA_PRESETS["optane"](), device_bytes=1 << 30,
+                  aged=False)
+
+
+def test_checkpointed_points_equal_replayed_points_under_a_fault_plan():
+    """The composed crash x faults case: a UE kills the run part-way,
+    so the point past the last transition crashes where the UE left
+    the machine."""
+    probe = FaultInjector(_optane_factory, "syncbench", seed=0,
+                          max_sites=4)
+    plan = FaultPlan.generate(probe.probe(), seed=0, max_sites=4,
+                              bw_windows=1, stalls=1)
+    injector = CrashInjector(_optane_factory, "syncbench", seed=0,
+                             fault_plan=plan)
+    unfaulted = CrashInjector(_optane_factory, "syncbench", seed=0)
+    assert injector.probe() < unfaulted.probe()
+    _assert_matches_replay(injector)
+
+
+def _live_state(system: System):
+    return (system.persistence.transitions,
+            [(path, system.vfs.lookup(path).size)
+             for path in system.vfs.paths()],
+            system.device.free_blocks,
+            system.ledger.to_state())
+
+
+@pytest.mark.parametrize("workload", ["syncbench", "kvstore"])
+def test_crashing_images_leaves_the_running_machine_as_the_probe_did(
+        workload):
+    built = []
+
+    def tracking_factory():
+        built.append(factory())
+        return built[-1]
+
+    summary = run_crash(tracking_factory, workload, seed=0,
+                        max_points=10_000)
+    probe, explored = built
+    assert summary.points_explored == summary.total_transitions
+    assert _live_state(explored) == _live_state(probe)
+
+
+@pytest.mark.parametrize("max_points", [1, 8, 64])
+def test_a_crash_audit_builds_two_machines_whatever_its_points(
+        monkeypatch, max_points):
+    built = []
+    build = System.__init__
+
+    def counted(system, *args, **kwargs):
+        build(system, *args, **kwargs)
+        built.append(system)
+
+    monkeypatch.setattr(System, "__init__", counted)
+    summary = run_crash(factory, "kvstore", seed=0, max_points=max_points)
+    assert summary.points_explored == max_points
+    assert len(built) == 2
