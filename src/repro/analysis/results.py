@@ -1,9 +1,9 @@
 """Containers for experiment results.
 
-Every workload returns a :class:`RunResult`; the benchmark harnesses
-assemble them into :class:`Series` (one line of a figure) and
-:class:`Table` (one table of the paper), which the report module
-renders as text mirrors of the paper's artifacts.
+Every workload returns a :class:`RunResult`; sweeps assemble them into
+:class:`Series` (one line of a figure) and :class:`Table` (one table of
+the paper), which the report module renders as text mirrors of the
+paper's artifacts.
 """
 
 from __future__ import annotations

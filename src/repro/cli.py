@@ -11,11 +11,12 @@ each gets the result cache, the worker pool and the fault isolation:
   counter columns; ``--json`` prints the point states instead;
 * ``crash``, ``faults`` and ``migrate`` audit one machine, shaped by
   the machine flags, as a one-point sweep;
+* ``claims`` checks the paper's claims (:mod:`repro.analysis.claims`),
+  all of them or the one named, as one sweep of their points;
 * ``golden`` recaptures gate files and ``list`` shows the registry.
 
-A command exits non-zero when a point is quarantined or an audit
-counter reports a violation.  The full-scale regenerations live in
-``benchmarks/``.
+A command exits non-zero when a point is quarantined, an audit counter
+reports a violation or a claim fails.
 """
 
 from __future__ import annotations
@@ -24,6 +25,12 @@ import argparse
 import json
 import sys
 
+from repro.analysis.claims import (
+    CLAIMS,
+    format_checks,
+    format_claims,
+    run_claims,
+)
 from repro.analysis.report import (
     format_lock_report,
     format_sweep,
@@ -244,6 +251,32 @@ def _report_cmd(args) -> int:
     return _status(args, result)
 
 
+def _claims_cmd(args) -> int:
+    """``claims [ID]``: the claims table on stdout; a named claim also
+    lists every check, and failing checks go to stderr."""
+    if args.target is not None and args.target not in CLAIMS:
+        print(f"claims takes a claim id: {', '.join(CLAIMS)}",
+              file=sys.stderr)
+        return 2
+    claims = [CLAIMS[args.target]] if args.target else list(CLAIMS.values())
+    result, verdicts = run_claims(claims, lambda sweep: _run(args, sweep))
+    print(format_claims(verdicts))
+    if args.target:
+        print()
+        print(format_checks(verdicts[0]))
+    print(f"claims: {len(result.points)} points ({result.hits} from cache, "
+          f"{result.misses} simulated), wall {result.wall_seconds:.1f}s",
+          file=sys.stderr)
+    status = _status(args, result)
+    for verdict in verdicts:
+        if not verdict.passed:
+            print(f"claims: FAIL {verdict.claim.id} "
+                  f"{verdict.error or format_checks(verdict, True)}",
+                  file=sys.stderr)
+            status = 1
+    return status
+
+
 def _golden_cmd(args) -> int:
     """Rewrite gate files from their reference captures; the gates
     themselves are replayed by ``tests/test_goldens.py``."""
@@ -262,19 +295,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="DaxVM reproduction: registered sweeps, their perf "
-                    "reports and the durability audits (full "
-                    "regenerations live in benchmarks/)")
+                    "reports, the durability audits and the paper's "
+                    "claims")
     parser.add_argument("command",
-                        choices=["sweep", "perf", *AUDITS, "golden",
-                                 "list"],
+                        choices=["sweep", "perf", *AUDITS, "claims",
+                                 "golden", "list"],
                         help="'sweep' fans a named sweep across worker "
                              "processes with result caching, 'perf' "
                              "reports where its cycles went, "
                              "'crash'/'faults'/'migrate' audit one "
-                             "machine, 'golden' recaptures "
+                             "machine, 'claims' checks the paper's "
+                             "claims, 'golden' recaptures "
                              "bit-identicality gate files")
-    parser.add_argument("target", nargs="?", choices=sorted(SWEEPS),
-                        help="sweep name (with 'sweep' or 'perf')")
+    parser.add_argument("target", nargs="?",
+                        choices=sorted({*SWEEPS, *CLAIMS}),
+                        help="sweep name (with 'sweep' or 'perf'), or "
+                             "one claim id (with 'claims')")
     parser.add_argument("--json", action="store_true",
                         help="print the point states as JSON (perf and "
                              "the audits)")
@@ -370,12 +406,16 @@ def main(argv=None) -> int:
             print(f"sweep|perf {name:<12} {fn.help_text}")
         for name, help_text in AUDITS.items():
             print(f"{name:<23} {help_text}")
+        for claim in CLAIMS.values():
+            print(f"claims {claim.id:<16} {claim.artifact}")
         return 0
     if args.command == "golden":
         return _golden_cmd(args)
+    if args.command == "claims":
+        return _claims_cmd(args)
     if args.command in AUDITS:
         return _report_cmd(args)
-    if args.target is None:
+    if args.target not in SWEEPS:
         print(f"{args.command} needs a sweep name: "
               + ", ".join(sorted(SWEEPS)), file=sys.stderr)
         return 2

@@ -4,8 +4,9 @@ Everything the simulator charges for — memory latencies, bandwidths,
 syscall crossings, fault handling, TLB shootdowns, journal commits — is
 declared here as one calibrated, documented constant.  Keeping every
 number in a single frozen dataclass makes calibration auditable: the
-benchmarks under ``benchmarks/`` only check *shapes* (who wins and by
-roughly what factor), and any retuning happens in this file alone.
+paper claims (:mod:`repro.analysis.claims`) only check *shapes* (who
+wins and by roughly what factor), and any retuning happens in this
+file alone.
 
 Units: time is measured in CPU cycles on a fixed-frequency clock
 (:attr:`MachineConfig.freq_hz`, 2.7 GHz as in the paper's Cascade Lake

@@ -24,8 +24,9 @@ from typing import Dict, List, Optional
 #: Default cache directory, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro_cache"
 
-#: Per-point telemetry drained by the benchmark harness: one record
-#: per served point, ``{"point", "experiment", "hit", "wall_seconds"}``.
+#: Per-point telemetry of this process: one record per served point,
+#: ``{"point", "experiment", "hit", "wall_seconds"}``, plus one per
+#: corrupt entry moved aside.
 TELEMETRY: List[Dict[str, object]] = []
 
 _fingerprint: Optional[str] = None

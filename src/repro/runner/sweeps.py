@@ -6,8 +6,8 @@ worker executes.  A *sweep builder* expands CLI-level knobs into a
 :class:`~repro.runner.manifest.Sweep` of independent points, and
 declares beside itself the counter columns its report shows and the
 CLI knobs of its smoke run.  Both are looked up by name, so the CLI,
-the benchmarks and the tests share one definition of what "the apache
-sweep" means.
+the paper claims (:mod:`repro.analysis.claims`) and the tests share
+one definition of what "the apache sweep" means.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.runner.manifest import Sweep, SweepPoint
 from repro.runner.worker import build_system
 from repro.system import System
 from repro.topology import PLACEMENTS
+from repro.vm.vma import MapFlags, Protection
 from repro.workloads import (
     ApacheConfig,
     AppendConfig,
@@ -36,13 +37,17 @@ from repro.workloads import (
     ServerInterface,
     SyncConfig,
     SyncDiscipline,
+    TextSearchConfig,
     YCSBConfig,
+    create_files,
+    linux_tree_sizes,
     run_apache,
     run_append,
     run_ephemeral,
     run_predis,
     run_repetitive,
     run_sync,
+    run_textsearch,
     run_ycsb,
 )
 
@@ -86,6 +91,16 @@ def _daxvm_params(opts: DaxVMOptions) -> dict:
             "sync": opts.sync, "nosync": opts.nosync}
 
 
+def _filetable_threshold(system: System, volatile_max: Optional[int]) -> None:
+    """Move the §IV-A1 volatile/persistent file-table split to
+    ``volatile_max`` bytes (``None`` keeps the preset's 32 KB).  Must
+    run before the workload builds its first table."""
+    if volatile_max is not None:
+        system.costs = system.costs.replace(
+            filetable_volatile_max=volatile_max)
+        system.fs.costs = system.costs
+
+
 def _replicas(point: SweepPoint, media: str,
               device_gib: int) -> Callable[[], System]:
     """A factory of fresh-image replicas of ``point``'s machine.  The
@@ -115,11 +130,14 @@ def _ephemeral_point(system: System, *, file_size: int, num_files: int,
 @point_runner("apache")
 def _apache_point(system: System, *, num_workers: int, requests: int,
                   interface: str, daxvm: Optional[dict] = None,
-                  batch_pages: Optional[int] = None) -> RunResult:
-    cfg = ApacheConfig(num_workers=num_workers, requests=requests,
+                  batch_pages: Optional[int] = None,
+                  page_size: int = 32 << 10,
+                  multiprocess: bool = False) -> RunResult:
+    cfg = ApacheConfig(page_size=page_size, num_workers=num_workers,
+                       requests=requests,
                        interface=ServerInterface(interface),
                        daxvm=_daxvm_options(daxvm),
-                       batch_pages=batch_pages)
+                       batch_pages=batch_pages, multiprocess=multiprocess)
     return run_apache(system, cfg)
 
 
@@ -199,11 +217,16 @@ def _kvstore_point(system: System, *, workload: str, num_ops: int,
 def _repetitive_point(system: System, *, file_size: int, op_size: int,
                       num_ops: int, pattern: str, interface: str,
                       monitor_every: int = 0,
-                      daxvm: Optional[dict] = None) -> RunResult:
+                      daxvm: Optional[dict] = None, write: bool = False,
+                      allow_huge: bool = True,
+                      filetable_volatile_max: Optional[int] = None
+                      ) -> RunResult:
+    _filetable_threshold(system, filetable_volatile_max)
     cfg = RepetitiveConfig(file_size=file_size, op_size=op_size,
                            num_ops=num_ops, pattern=AccessPattern(pattern),
-                           interface=Interface(interface),
+                           write=write, interface=Interface(interface),
                            monitor_every=monitor_every,
+                           allow_huge=allow_huge,
                            daxvm=_daxvm_options(daxvm))
     return run_repetitive(system, cfg)
 
@@ -211,8 +234,9 @@ def _repetitive_point(system: System, *, file_size: int, op_size: int,
 @point_runner("predis")
 def _predis_point(system: System, *, cache_size: int, num_gets: int,
                   window: int, interface: str) -> RunResult:
-    """P-Redis boot and warm-up; the boot cycles and the first and last
-    windows' throughput go into the run's counters."""
+    """P-Redis boot and warm-up; the boot cycles and the first, last,
+    slowest and fastest windows' throughput go into the run's
+    counters."""
     result = run_predis(system, PRedisConfig(
         cache_size=cache_size, num_gets=num_gets, window=window,
         interface=Interface(interface)))
@@ -222,15 +246,137 @@ def _predis_point(system: System, *, cache_size: int, num_gets: int,
     if windows:
         run.counters["predis.first_window_ops_per_s"] = windows[0][1]
         run.counters["predis.last_window_ops_per_s"] = windows[-1][1]
+        rates = [rate for _x, rate in windows]
+        run.counters["predis.min_window_ops_per_s"] = min(rates)
+        run.counters["predis.max_window_ops_per_s"] = max(rates)
     return run
 
 
 @point_runner("append")
 def _append_point(system: System, *, append_size: int, num_appends: int,
-                  variant: str) -> RunResult:
+                  variant: str, filetables: bool = False) -> RunResult:
+    """``filetables=True`` creates the file-table manager first, so
+    every append also maintains its persistent table (§V-B)."""
+    if filetables:
+        system.filetables
     return run_append(system, AppendConfig(
         append_size=append_size, num_appends=num_appends,
         variant=AppendVariant(variant)))
+
+
+@point_runner("textsearch")
+def _textsearch_point(system: System, *, num_files: int, total_bytes: int,
+                      num_threads: int, interface: str,
+                      daxvm: Optional[dict] = None) -> RunResult:
+    """Fig. 9a: ``ag`` over a Linux-tree-like file set."""
+    return run_textsearch(system, TextSearchConfig(
+        num_files=num_files, total_bytes=total_bytes,
+        num_threads=num_threads, interface=Interface(interface),
+        daxvm=_daxvm_options(daxvm)))
+
+
+@point_runner("prezero-interference")
+def _prezero_interference_point(system: System, *, junk_bytes: int,
+                                **kvstore) -> RunResult:
+    """§V-C: a kvstore point with the pre-zero daemon running beside
+    it.  A junk file of ``junk_bytes`` is written and unlinked first,
+    so the daemon has freed blocks to zero through the whole load; it
+    runs on the last core at the preset's throttle."""
+    core = system.engine.cores[-1].index
+    proc = system.new_process("junk")
+    dax = system.daxvm_for(proc)
+    dax.prezero.prezero_all_free()
+
+    def junk():
+        f = yield from system.fs.open("/junk", create=True)
+        yield from system.fs.write(f, 0, junk_bytes)
+        yield from system.fs.close(f)
+        yield from system.fs.unlink("/junk")
+
+    system.spawn(junk(), core=core, process=proc)
+    system.run()
+    dax.prezero.start(core=core)
+    return _kvstore_point(system, **kvstore)
+
+
+@point_runner("msync")
+def _msync_point(system: System, *, file_size: int, window_pages: int,
+                 writes: int, sync_every: int) -> RunResult:
+    """§III-A4's msync fault blow-up.  ``writes`` 1 KB writes revisit
+    a ``window_pages`` window of one shared mapping, first with no
+    msync and then with one every ``sync_every`` writes, on the same
+    machine; each pass's fault count goes into the counters."""
+    system.fs.allow_huge = False  # 4 KB PTE faults, as §III-A4 measures
+    proc = system.new_process()
+
+    def make():
+        f = yield from system.fs.open("/blow", create=True)
+        yield from system.fs.write(f, 0, file_size)
+        return f.inode
+
+    thread = system.spawn(make(), core=0)
+    system.run()
+    inode = thread.result
+    faults = []
+
+    def flow(every):
+        vma = yield from proc.mm.mmap(system.fs, inode, 0, file_size,
+                                      Protection.rw(), MapFlags.SHARED)
+        before = system.stats.get("vm.faults")
+        for i in range(writes):
+            offset = ((i * 179) % window_pages) * 4096
+            yield from proc.mm.access(vma, offset, 1024, write=True)
+            if every and (i + 1) % every == 0:
+                yield from proc.mm.msync(vma)
+        faults.append(system.stats.get("vm.faults") - before)
+        yield from proc.mm.munmap(vma)
+
+    for every in (0, sync_every):
+        system.spawn(flow(every), core=0, process=proc)
+        system.run()
+    return RunResult(label="msync", cycles=system.engine.now,
+                     operations=float(2 * writes),
+                     counters={"msync.faults_nosync": faults[0],
+                               "msync.faults_sync": faults[1]},
+                     freq_hz=system.costs.machine.freq_hz)
+
+
+def _table_bytes(system: System, inodes, prefix: str) -> Dict[str, float]:
+    """File-table bytes of ``inodes`` by medium, as run counters."""
+    report = system.filetables.storage_report(inodes)
+    return {f"{prefix}.pmem_bytes": float(report["pmem_bytes"]),
+            f"{prefix}.dram_bytes": float(report["dram_bytes"])}
+
+
+@point_runner("storage")
+def _storage_point(system: System, *, num_files: int, total_bytes: int,
+                   big_file: int) -> RunResult:
+    """§V-B storage tax: the file tables of a Linux-tree-like set of
+    ``num_files`` files, then of one ``big_file``-byte file.  The
+    manager exists before the files, so tables grow with them."""
+    system.filetables
+    sizes = linux_tree_sizes(num_files, total_bytes=total_bytes)
+    counters = _table_bytes(system, create_files(system, sizes), "tree")
+    counters.update(_table_bytes(
+        system, create_files(system, [big_file], prefix="/big"), "big"))
+    counters["tree.data_bytes"] = float(sum(sizes))
+    return RunResult(label="storage", cycles=system.engine.now,
+                     operations=float(num_files + 1), counters=counters,
+                     freq_hz=system.costs.machine.freq_hz)
+
+
+@point_runner("filetable-policy")
+def _filetable_policy_point(system: System, *, filetable_volatile_max: int,
+                            **ephemeral) -> RunResult:
+    """§IV-A1 placement policy: an ephemeral point with the volatile/
+    persistent split at ``filetable_volatile_max`` bytes; the tables
+    of every file left behind go into the counters by medium."""
+    _filetable_threshold(system, filetable_volatile_max)
+    run = _ephemeral_point(system, **ephemeral)
+    run.counters.update(_table_bytes(
+        system, [system.vfs.lookup(p) for p in system.vfs.paths()],
+        "filetable"))
+    return run
 
 
 #: Table II's walk cases: (counter suffix, access pattern, table medium).

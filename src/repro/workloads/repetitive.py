@@ -39,6 +39,9 @@ class RepetitiveConfig:
     #: Run the DaxVM MMU monitor every N ops (0 = off); on irregular
     #: access it migrates persistent file tables to DRAM (§IV-A1).
     monitor_every: int = 0
+    #: Huge (PMD) mappings on the file system; Tables II and III turn
+    #: them off to measure 4 KB PTE walks, as the paper does.
+    allow_huge: bool = True
     seed: int = 42
 
 
@@ -98,6 +101,7 @@ def _mapped_worker(system: System, process: Process, cfg: RepetitiveConfig,
 def run_repetitive(system: System, cfg: RepetitiveConfig) -> RunResult:
     """Create the big file, then measure the op phase."""
     run_id = next(_run_counter)
+    system.fs.allow_huge = cfg.allow_huge
     process = system.new_process(f"rep{run_id}")
     if cfg.interface is Interface.DAXVM and process.daxvm is None:
         system.daxvm_for(process)

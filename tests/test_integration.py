@@ -1,7 +1,7 @@
 """Integration tests: cross-module invariants and mini paper shapes.
 
 These run small versions of the headline experiments and assert the
-qualitative results the full benchmarks reproduce at scale.
+qualitative results the paper claims check at scale.
 """
 
 import pytest

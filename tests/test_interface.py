@@ -251,3 +251,39 @@ def test_sync_unmap_detaches_and_flushes(system):
     assert vma not in inode.i_mmap
     # The file table itself survives the unmap (it is shared state).
     assert system.filetables.table_for(inode).filled_pages == 256
+
+
+def test_table1_daxvm_capabilities_execute(system):
+    """Table I's DaxVM column, executed: O(1) mmap, PMem/DRAM tables,
+    scalable mmap, fast unmap, dirty-tracking avoidance, pre-zeroing."""
+    proc, dax = setup(system)
+    inode = make_file(system, 1 << 20, path="/cap")
+    caps = {}
+
+    def flow():
+        vma = yield from dax.mmap(inode, 0, 1 << 20)
+        caps["o1_mmap"] = (len(vma.attachments) <= 1
+                           and system.stats.get("vm.faults") == 0)
+        caps["pmem_tables"] = vma.leaf_medium is Medium.PMEM
+        system.filetables.migrate_to_dram(inode)
+        caps["dram_migration"] = inode.volatile_file_table is not None
+        yield from dax.munmap(vma)
+        before = proc.mm.mmap_sem.write_acquisitions
+        evma = yield from dax.mmap(
+            inode, 0, 1 << 20, Protection.READ,
+            MapFlags.SHARED | MapFlags.EPHEMERAL | MapFlags.UNMAP_ASYNC)
+        caps["scalable_mmap"] = \
+            proc.mm.mmap_sem.write_acquisitions == before
+        yield from dax.munmap(evma)
+        caps["fast_unmap"] = (evma.zombie or system.stats.get(
+            "daxvm.unmaps_deferred") >= 1)
+        nvma = yield from dax.mmap(
+            inode, 0, 1 << 20, Protection.rw(),
+            MapFlags.SHARED | MapFlags.SYNC | MapFlags.NO_MSYNC)
+        yield from proc.mm.access(nvma, 0, 1 << 20, write=True)
+        caps["no_dirty_tracking"] = system.stats.get("vm.dirty_faults") == 0
+        caps["prezero"] = system.fs.free_interceptor is not None
+
+    system.spawn(flow(), core=0, process=proc)
+    system.run()
+    assert len(caps) == 7 and all(caps.values()), caps

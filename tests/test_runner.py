@@ -301,3 +301,21 @@ def test_cli_sweep_smoke(tmp_path, capsys):
 
 def test_cli_sweep_requires_name():
     assert cli_main(["sweep"]) == 2
+
+
+def test_profile_rows_attach_outside_comparable_state():
+    """A profiled point carries its top functions, never in the
+    cacheable state, and the simulator core dominates them."""
+    result = run_sweep(tiny_sweep(), jobs=1, profile=True)
+    assert not result.failed
+    merged = {}
+    for pr in result.points:
+        rows = pr.state.get("profile")
+        assert rows, f"{pr.point.label}: no profile attached"
+        assert "profile" not in pr.comparable_state()
+        for row in rows:
+            merged[row["function"]] = (merged.get(row["function"], 0.0)
+                                       + row["tottime"])
+    top = sorted(merged, key=merged.get, reverse=True)[:5]
+    assert any(part in function for function in top
+               for part in ("repro/sim/", "repro/vm/", "repro/paging/"))

@@ -1,5 +1,5 @@
 """Workload smoke/semantics tests (small scales; shapes live in
-benchmarks/)."""
+repro.analysis.claims)."""
 
 import pytest
 
