@@ -3,9 +3,9 @@
 One import surface for everything the simulator can be *asked*:
 
 - :class:`CostDomain` / :func:`charge` — typed cycle charging; every
-  layer yields ``charge(domain, event, cycles)`` instead of a bare
-  ``Compute``, and the engine accrues the per-thread, per-domain
-  :class:`Ledger`.
+  layer yields ``charge(domain, event, cycles)``, the engine's one
+  time-burning effect, and the engine accrues the per-thread,
+  per-domain :class:`Ledger`.
 - :class:`Counter` — the typed counter taxonomy (values are the legacy
   string keys, so external readers are unaffected).
 - :class:`Histogram` — mergeable log-linear latency distributions

@@ -1,15 +1,14 @@
 """The typed cost-charging effect: ``yield charge(domain, event, cycles)``.
 
-:class:`Charge` is the instrumented counterpart of the engine's bare
-``Compute`` effect.  It burns the same simulated time but carries a
+:class:`Charge` is the engine's one time-burning effect.  It carries a
 :class:`~repro.obs.domains.CostDomain` and a short event name, which the
 engine records into its per-thread, per-domain
 :class:`~repro.obs.ledger.Ledger` as the effect is interpreted.
 
 Kernel layers outside ``repro/sim`` and ``repro/obs`` must charge time
-through this API — bare ``Compute`` yields are reserved for the engine
-itself, its tests, and truly unattributable compute (which the engine
-books under ``userspace/uncharged`` so nothing escapes the ledger).
+through this API.  The engine's ``Compute(cycles)`` is only a shorthand
+for ``Charge(CostDomain.USERSPACE, "uncharged", cycles)``, reserved for
+the engine itself, its tests, and truly unattributable compute.
 """
 
 from __future__ import annotations

@@ -18,16 +18,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 #: Default cache directory, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro_cache"
-
-#: Per-point telemetry of this process: one record per served point,
-#: ``{"point", "experiment", "hit", "wall_seconds"}``, plus one per
-#: corrupt entry moved aside.
-TELEMETRY: List[Dict[str, object]] = []
 
 _fingerprint: Optional[str] = None
 
@@ -70,9 +66,9 @@ class ResultCache:
 
         A present-but-unreadable entry (torn write, disk error, bad
         JSON) is never silently dropped: it is counted in ``corrupt``,
-        recorded in :data:`TELEMETRY` and moved aside with a
-        ``.corrupt`` suffix for post-mortem, then treated as a miss so
-        the point re-runs.
+        moved aside with a ``.corrupt`` suffix for post-mortem and
+        named in one stderr line, then treated as a miss so the point
+        re-runs.
         """
         path = self.path_for(key)
         try:
@@ -91,11 +87,9 @@ class ResultCache:
                 moved_to = str(target)
             except OSError:
                 pass
-            TELEMETRY.append({
-                "point": None, "experiment": None, "hit": False,
-                "corrupt": True, "key": key,
-                "error": f"{type(err).__name__}: {err}",
-                "moved_to": moved_to})
+            print(f"cache: corrupt entry {key} "
+                  f"({type(err).__name__}: {err}); moved to "
+                  f"{moved_to or '(not moved)'}", file=sys.stderr)
             return None
         self.hits += 1
         return state

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.results import Series, Table, series_from_points
 from repro.obs.ledger import Ledger
-from repro.runner.cache import TELEMETRY, ResultCache, code_fingerprint
+from repro.runner.cache import ResultCache, code_fingerprint
 from repro.runner.manifest import PointResult, Sweep, SweepPoint
 from repro.runner.worker import run_point
 from repro.sim.stats import Stats
@@ -166,9 +166,6 @@ def run_sweep(sweep: Sweep, jobs: int = 1,
             results[i] = PointResult.from_state(
                 point, state, cached=True, wall_seconds=load_wall)
             hits += 1
-            TELEMETRY.append({
-                "point": point.label, "experiment": point.experiment,
-                "hit": True, "wall_seconds": load_wall})
         else:
             pending.append({"slot": i, "point": point, "key": key,
                             "attempt": 0})
@@ -207,9 +204,6 @@ def run_sweep(sweep: Sweep, jobs: int = 1,
                 results[slot] = PointResult.from_state(
                     point, state, cached=False, wall_seconds=wall)
                 misses += 1
-                TELEMETRY.append({
-                    "point": point.label, "experiment": point.experiment,
-                    "hit": False, "wall_seconds": wall})
             elif out["retryable"] and t["attempt"] < max_retries:
                 retry_queue.append({**t, "attempt": attempts})
                 step = BACKOFF_BASE * (2 ** t["attempt"])

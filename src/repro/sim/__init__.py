@@ -1,7 +1,7 @@
 """Discrete-event simulation engine.
 
 The engine executes *simulated threads* — Python generators that yield
-effect objects (:class:`~repro.sim.engine.Compute`,
+effect objects (:class:`~repro.obs.Charge`,
 :class:`~repro.sim.engine.Block`, ...) — against a global cycle clock.
 Kernel code in the rest of the package is written as generator
 functions composed with ``yield from``, so a single workload thread

@@ -4,21 +4,22 @@ Simulated threads are Python generators.  A thread yields *effects*;
 the engine interprets each effect, advances the global clock, and
 resumes the generator with the effect's result.  The effects:
 
-``Compute(cycles)``
-    Burn CPU time.  The thread resumes ``cycles`` later.  Any interrupt
-    cycles stolen from the thread's core (e.g. by TLB-shootdown IPIs)
-    are added on top, which is how remote-core interference appears in
-    measured throughput.  Kernel layers should yield the instrumented
-    variant, ``repro.obs.charge(domain, event, cycles)``, which burns
-    the same time but attributes it in the engine's :class:`Ledger`;
-    bare ``Compute`` is reserved for the engine's own tests and books
-    under ``userspace/uncharged``.
+``Charge(domain, event, cycles)``
+    Burn CPU time.  The thread resumes ``cycles`` later, booked to
+    ``domain``/``event`` in the engine's :class:`Ledger` (kernel layers
+    yield it as ``repro.obs.charge(domain, event, cycles)``).  Any
+    interrupt cycles stolen from the thread's core (e.g. by
+    TLB-shootdown IPIs) are added on top and booked to the interrupting
+    source, which is how remote-core interference appears in measured
+    throughput.  ``Compute(cycles)`` builds the unattributed variant,
+    a ``Charge`` under ``userspace/uncharged``, reserved for the
+    engine's own tests and the lock primitives.
 
 ``ChargeSpan(entries)``
     Several consecutive charges delivered at one yield point (see
-    ``repro.obs.charge_span``).  Interpreted entry by entry with the
-    exact arithmetic of separate ``Charge`` yields, so hot kernel
-    paths can collapse adjacent charges without changing a cycle.
+    ``repro.obs.charge_span``).  Each entry is one event priced exactly
+    like a separate ``Charge`` yield, so hot kernel paths can collapse
+    adjacent charges without changing a cycle.
 
 ``Block()``
     Suspend until another thread wakes this one via ``Wake``.  Used by
@@ -40,17 +41,14 @@ The engine is deliberately sequential and deterministic: ties are
 broken by a monotone sequence number, so a given workload always
 produces the same schedule and the same measured cycle counts.
 
-Fast-forward: when the heap empties after a pop, the popped thread is
-provably the only runnable entity — nothing can preempt it until it
-yields a scheduling effect — so the engine drains its consecutive
-``Compute``/``Charge`` effects in a tight loop instead of round-
-tripping each one through the heap (see :meth:`Engine._drain` and
-DESIGN §12 for the invariants).  The drain posts each charge to the
-ledger the moment it is charged, in the heap path's order and with its
-clock floats, so its results are bit-identical and its memory does not
-grow with the drain's length; ``fast_forward=False`` forces the classic
-path, which the ``engine`` golden gate (:mod:`repro.analysis.goldens`)
-compares byte-for-byte.
+Fast-forward: after a charge, the thread that paid it keeps running in
+place, without a heap round-trip, whenever it would be the next event
+anyway — the heap is empty or its earliest entry lies strictly later
+(see :meth:`Engine.run` and DESIGN §12).  Each skipped round-trip still
+counts as one event and every clock float is the one the heap would
+have produced, so ``fast_forward=False``, which sends every charge
+through the heap, is the reference the ``engine`` golden gate
+(:mod:`repro.analysis.goldens`) compares byte-for-byte.
 """
 
 from __future__ import annotations
@@ -65,18 +63,13 @@ from repro.obs import Charge, ChargeSpan, CostDomain, Ledger
 
 KernelGen = Generator[Any, Any, Any]
 
-class Compute:
-    """Effect: consume ``cycles`` of CPU time on the thread's core."""
 
-    __slots__ = ("cycles",)
-
-    def __init__(self, cycles: float):
-        if cycles < 0:
-            raise SimulationError(f"negative compute time: {cycles}")
-        self.cycles = cycles
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Compute({self.cycles:.0f})"
+def Compute(cycles: float) -> Charge:
+    """Effect: consume ``cycles`` of unattributed CPU time, booked
+    under ``userspace/uncharged``."""
+    if cycles < 0:
+        raise SimulationError(f"negative compute time: {cycles}")
+    return Charge(CostDomain.USERSPACE, "uncharged", cycles)
 
 
 class Block:
@@ -251,9 +244,8 @@ class SimThread:
         #: Wake values that arrived while this thread was not blocked
         #: (racing wakers); each satisfies one future ``Block()``.
         self._pending_wakes: deque = deque()
-        #: Remaining :class:`ChargeSpan` entries when the engine is
-        #: replaying a span one scheduling point at a time (contended
-        #: path); ``None`` outside a span.
+        #: The :class:`ChargeSpan` entries being paid, one per event,
+        #: and the index of the next one; ``None`` outside a span.
         self._span_entries = None
         self._span_index = 0
 
@@ -335,64 +327,8 @@ class Engine:
             self._live_foreground -= 1
 
     # -- effect interpretation --------------------------------------------
-    def _charge_one(self, thread: SimThread, domain: CostDomain,
-                    event: str, cycles: float) -> None:
-        """Record one charge and reschedule: the shared arithmetic of
-        ``Charge``/``Compute`` and each :class:`ChargeSpan` entry."""
-        core = thread.core
-        if core.stolen_cycles:
-            stolen, stolen_entries = core.drain_attributed(cycles)
-        else:
-            stolen, stolen_entries = 0.0, ()
-        ledger = self.ledger
-        ledger.record(thread.name, domain, event, cycles)
-        if stolen:
-            # Time stolen by interrupts belongs to the interrupting
-            # source (shootdown IPI, media-stall broadcast, ...),
-            # whatever the interrupted thread was doing.
-            for sdomain, sevent, took in stolen_entries:
-                ledger.record(thread.name, sdomain, sevent, took)
-        throttle = thread.cpu_throttle
-        if throttle is not None:
-            extra = throttle.stretch(cycles)
-            if extra > 0.0:
-                ledger.record(thread.name, CostDomain.TENANCY,
-                              throttle.event, extra)
-                self._schedule(thread, cycles + stolen + extra)
-                return
-        self._schedule(thread, cycles + stolen)
-
-    def _apply_span(self, thread: SimThread, entries) -> None:
-        """Charge a run of span entries inside a fast-forward drain.
-
-        Only legal while the heap is empty (nothing can interleave):
-        each entry posts to the ledger, drains interrupt debt and
-        advances the clock exactly as :meth:`_charge_one` does for the
-        same entry on the contended path, clock association included
-        (``now + (cycles + stolen)``).
-        """
-        core = thread.core
-        name = thread.name
-        ledger = self.ledger
-        domains = ledger._domains
-        events = ledger._events
-        threads = ledger._threads
-        for domain, event, cycles in entries:
-            if cycles != 0.0:
-                domains[domain] += cycles
-                events[(domain, event)] += cycles
-                threads[name][domain] += cycles
-                ledger.records += 1
-            if core.stolen_cycles:
-                stolen, stolen_entries = core.drain_attributed(cycles)
-                for sdomain, sevent, took in stolen_entries:
-                    ledger.record(name, sdomain, sevent, took)
-                self.now += cycles + stolen
-            else:
-                self.now += cycles
-
     def _interpret(self, thread: SimThread, effect) -> None:
-        """Interpret a scheduling effect (anything but pure compute)."""
+        """Interpret a scheduling effect (anything but a charge)."""
         cls = effect.__class__
         if cls is Block:
             if thread._pending_wakes:
@@ -419,101 +355,12 @@ class Engine:
                                name=effect.name, daemon=effect.daemon)
             thread._wake_value = child
             self._schedule(thread, 0.0)
+        elif cls is ChargeSpan:
+            # An empty span: a zero-cost scheduling point.
+            self._schedule(thread, 0.0)
         else:
             raise SimulationError(f"unknown effect {effect!r} "
                                   f"from thread {thread.name}")
-
-    def _drain(self, thread: SimThread, limit: float,
-               max_events: Optional[int]) -> None:
-        """Fast-forward ``thread`` while it is the sole runnable entity.
-
-        Called with the heap empty after ``thread``'s pop: no other
-        thread, daemon or wake token can run until this one yields a
-        scheduling effect or its kernel code pushes something into the
-        heap.  Consecutive ``Compute``/``Charge``/``ChargeSpan``
-        effects are interpreted in a tight loop — same clock floats,
-        same ledger additions in the same order, same event accounting
-        — skipping only the heap round-trips.  Each charge posts to the
-        ledger as it is charged, exactly as ``run()``'s inline path
-        does, so nothing is held back for the end of the drain.
-        """
-        self.current = thread
-        heap = self._heap
-        core = thread.core
-        send = thread.gen.send
-        name = thread.name
-        ledger = self.ledger
-        domains = ledger._domains
-        events = ledger._events
-        threads = ledger._threads
-        value = thread._wake_value
-        thread._wake_value = None
-        span = thread._span_entries
-        if span is not None:
-            # The thread was popped mid-span (the contended path
-            # buffered the rest): this pop pays the next entry and the
-            # drain inlines the remainder, one event each.
-            rest = span[thread._span_index:]
-            thread._span_entries = None
-            self._apply_span(thread, rest)
-            self.events_processed += len(rest) - 1
-            if self.events_processed >= limit:
-                self._schedule(thread, 0.0)
-                raise SimulationError(
-                    f"event budget {max_events} exhausted "
-                    f"at t={self.now}")
-            self.events_processed += 1
-        while True:
-            try:
-                effect = send(value)
-            except StopIteration as stop:
-                self._finish(thread, stop.value)
-                return
-            value = None
-            cls = effect.__class__
-            if cls is Charge or cls is Compute:
-                if cls is Charge:
-                    domain, event = effect.domain, effect.event
-                else:
-                    domain, event = CostDomain.USERSPACE, "uncharged"
-                cycles = effect.cycles
-                if cycles != 0.0:
-                    domains[domain] += cycles
-                    events[(domain, event)] += cycles
-                    threads[name][domain] += cycles
-                    ledger.records += 1
-                if core.stolen_cycles:
-                    stolen, stolen_entries = core.drain_attributed(cycles)
-                    for sdomain, sevent, took in stolen_entries:
-                        ledger.record(name, sdomain, sevent, took)
-                    # ``(now + cycles) + stolen``: the classic path's
-                    # heap key, so the clock floats match it exactly.
-                    self.now = self.now + cycles + stolen
-                else:
-                    self.now += cycles
-            elif cls is ChargeSpan:
-                entries = effect.entries
-                if entries:
-                    self._apply_span(thread, entries)
-                    # Each entry is one scheduling point on the
-                    # contended path; keep the event accounting
-                    # identical (the loop bottom counts one).
-                    self.events_processed += len(entries) - 1
-            else:
-                self._interpret(thread, effect)
-                return
-            if heap:
-                # Kernel code scheduled something mid-effect (e.g. a
-                # daemon spawned directly); re-enter the heap so it can
-                # interleave.
-                self._schedule(thread, 0.0)
-                return
-            if self.events_processed >= limit:
-                self._schedule(thread, 0.0)
-                raise SimulationError(
-                    f"event budget {max_events} exhausted "
-                    f"at t={self.now}")
-            self.events_processed += 1
 
     # -- main loop ---------------------------------------------------------
     def run(self, max_events: Optional[int] = None) -> float:
@@ -524,12 +371,21 @@ class Engine:
         finished, remaining events are discarded.  ``max_events``
         budgets *this call* — repeated phases (crash recovery, fault
         repair) each get their full budget.
+
+        A popped thread runs in place, one event per charge or span
+        entry, for as long as it stays the earliest event: with
+        ``fast_forward`` it skips the heap while ``after`` is strictly
+        before the heap's head, which is exactly when a push would pop
+        it straight back (ties go to the older sequence number).
         """
         limit = (self.events_processed + max_events
                  if max_events is not None else float("inf"))
         heap = self._heap
         fast_forward = self.fast_forward
         ledger = self.ledger
+        domains = ledger._domains
+        events = ledger._events
+        threads = ledger._threads
         seq = self._seq
         while heap and self._live_foreground > 0:
             if self.events_processed >= limit:
@@ -558,78 +414,73 @@ class Engine:
                     continue
             self.now = when
             self.events_processed += 1
-            if fast_forward and not heap and thread.cpu_throttle is None:
-                # Throttled tenant threads always take the classic
-                # path: the drain's tight loop has no stretch hook, and
-                # a sole-runnable throttled thread is rare enough that
-                # skipping the fast path costs nothing measurable.
-                self._drain(thread, limit, max_events)
-                continue
-            # The contended path, inlined: this loop interprets every
-            # contended-path event and a call frame alone is
-            # measurable at tens of thousands of events per point.
-            span = thread._span_entries
-            if span is not None:
-                index = thread._span_index
-                domain, event, cycles = span[index]
-                index += 1
-                if index == len(span):
-                    thread._span_entries = None
-                else:
-                    thread._span_index = index
-                self._charge_one(thread, domain, event, cycles)
-                continue
             self.current = thread
-            try:
-                effect = thread.gen.send(thread._wake_value)
-            except StopIteration as stop:
-                self._finish(thread, stop.value)
-                continue
+            name = thread.name
+            core = thread.core
+            send = thread.gen.send
+            value = thread._wake_value
             thread._wake_value = None
-            cls = effect.__class__
-            if cls is Charge or cls is Compute:
-                if cls is Charge:
-                    domain, event = effect.domain, effect.event
+            while True:
+                span = thread._span_entries
+                if span is not None:
+                    # Mid-span: the span's next entry is this event.
+                    index = thread._span_index
+                    domain, event, cycles = span[index]
+                    index += 1
+                    if index == len(span):
+                        thread._span_entries = None
+                    else:
+                        thread._span_index = index
                 else:
-                    domain, event = CostDomain.USERSPACE, "uncharged"
-                cycles = effect.cycles
-                core = thread.core
-                if core.stolen_cycles:
-                    stolen, stolen_entries = \
-                        core.drain_attributed(cycles)
-                else:
-                    stolen, stolen_entries = 0.0, ()
+                    try:
+                        effect = send(value)
+                    except StopIteration as stop:
+                        self._finish(thread, stop.value)
+                        break
+                    value = None
+                    cls = effect.__class__
+                    if cls is Charge:
+                        domain = effect.domain
+                        event = effect.event
+                        cycles = effect.cycles
+                    elif cls is ChargeSpan and effect.entries:
+                        span = effect.entries
+                        if len(span) > 1:
+                            thread._span_entries = span
+                            thread._span_index = 1
+                        domain, event, cycles = span[0]
+                    else:
+                        self._interpret(thread, effect)
+                        break
+                # The one charge routine: book the charge, then the
+                # interrupt debt it absorbs (owned by the interrupting
+                # source), then the tenancy throttle's stretch.
                 if cycles != 0.0:
-                    ledger._domains[domain] += cycles
-                    ledger._events[(domain, event)] += cycles
-                    ledger._threads[thread.name][domain] += cycles
+                    domains[domain] += cycles
+                    events[(domain, event)] += cycles
+                    threads[name][domain] += cycles
                     ledger.records += 1
-                if stolen:
+                stolen = 0.0
+                if core.stolen_cycles:
+                    stolen, stolen_entries = core.drain_attributed(cycles)
                     for sdomain, sevent, took in stolen_entries:
-                        ledger.record(thread.name, sdomain, sevent, took)
+                        ledger.record(name, sdomain, sevent, took)
+                after = self.now + cycles + stolen
                 throttle = thread.cpu_throttle
                 if throttle is not None:
                     extra = throttle.stretch(cycles)
                     if extra > 0.0:
-                        ledger.record(thread.name, CostDomain.TENANCY,
+                        ledger.record(name, CostDomain.TENANCY,
                                       throttle.event, extra)
-                        heappush(heap,
-                                 (self.now + cycles + stolen + extra,
-                                  next(seq), thread))
-                        continue
-                heappush(heap,
-                         (self.now + cycles + stolen, next(seq), thread))
-            elif cls is ChargeSpan:
-                entries = effect.entries
-                if not entries:
-                    self._schedule(thread, 0.0)
+                        after += extra
+                if (fast_forward and (not heap or after < heap[0][0])
+                        and self.events_processed < limit):
+                    # The push would pop this thread straight back.
+                    self.now = after
+                    self.events_processed += 1
                     continue
-                if len(entries) > 1:
-                    thread._span_entries = entries
-                    thread._span_index = 1
-                self._charge_one(thread, *entries[0])
-            else:
-                self._interpret(thread, effect)
+                heappush(heap, (after, next(seq), thread))
+                break
         if self._live_foreground > 0:
             blocked = [t.name for t in self.threads
                        if t.state == SimThread.BLOCKED and not t.daemon]

@@ -1,6 +1,10 @@
 """Unit tests for the discrete-event engine."""
 
+import functools
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DeadlockError, SimulationError
 from repro.obs import CostDomain, charge
@@ -574,9 +578,8 @@ def _lock_contention(engine):
 
 def _interrupting_sender(engine):
     # The sender leaves interrupt debt on core 0 and finishes; the
-    # victim then drains alone and absorbs the debt on its next
-    # charge, whose clock must be ``(now + cycles) + stolen`` exactly
-    # as the classic path's heap key.
+    # victim then runs alone and absorbs the debt on its next charge,
+    # whose clock must be ``(now + cycles) + stolen`` on both paths.
     def victim():
         for cycles in (0.1, 0.2, 0.7):
             yield charge(CostDomain.COPY, "memcpy", cycles)
@@ -589,21 +592,122 @@ def _interrupting_sender(engine):
     engine.spawn(sender(), core=1)
 
 
-def test_fast_forward_off_matches_on():
-    """The classic heap path and the fast-forward drain must produce
-    identical clocks, ledgers and event counts."""
-    def build(scenario, fast_forward):
-        engine = Engine(4, fast_forward=fast_forward)
+def _run_program(engine, ops, share):
+    """One thread of a generated program; returns the clock it saw
+    after every yield."""
+    from repro.obs import charge_span
+    from repro.tenancy.controller import CpuThrottle
+
+    me = engine.current
+    if share is not None:
+        me.cpu_throttle = CpuThrottle(share)
+    seen = []
+    for op in ops:
+        kind = op[0]
+        if kind == "charge":
+            yield charge(CostDomain.COPY, "memcpy", op[1])
+        elif kind == "span":
+            yield charge_span([(CostDomain.WALK, "tlb-walk", c)
+                               for c in op[1]])
+        elif kind == "interrupt":
+            _, core, cycles, domain = op
+            engine.interrupt_cores([core % len(engine.cores)], cycles,
+                                   domain=domain, event="stolen")
+            continue
+        elif kind == "sleep":
+            # A helper wakes this thread ``delay`` cycles after its own
+            # charge; the helper always runs after the Block below.
+            _, pre, delay = op
+
+            def waker(pre=pre, delay=delay):
+                yield charge(CostDomain.JOURNAL, "commit", pre)
+                yield Wake(me, delay, value=delay)
+
+            yield Spawn(waker(), core=me.core.index)
+            assert (yield Block()) == delay
+        else:  # spawn
+            _, core, child_ops, child_share = op
+            yield Spawn(_run_program(engine, child_ops, child_share),
+                        core=core % len(engine.cores))
+        seen.append(engine.now)
+    return tuple(seen)
+
+
+def _populate(programs, engine):
+    for core, ops, share in programs:
+        engine.spawn(_run_program(engine, ops, share),
+                     core=core % len(engine.cores))
+
+
+@st.composite
+def _random_scenarios(draw):
+    cycles = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1e16]),
+                       st.floats(0.0, 5000.0))
+    share = st.one_of(st.none(), st.floats(0.05, 1.0))
+    core = st.integers(0, 3)
+    leaf = st.one_of(
+        st.tuples(st.just("charge"), cycles),
+        st.tuples(st.just("span"), st.lists(cycles, max_size=3)),
+        st.tuples(st.just("interrupt"), core, cycles,
+                  st.sampled_from([CostDomain.TLB_SHOOTDOWN,
+                                   CostDomain.FAULTS])),
+        st.tuples(st.just("sleep"), cycles, cycles))
+    op = st.one_of(leaf, st.tuples(st.just("spawn"), core,
+                                   st.lists(leaf, max_size=5), share))
+    programs = draw(st.lists(st.tuples(core, st.lists(op, max_size=8),
+                                       share), min_size=1, max_size=4))
+    return draw(st.integers(1, 4)), functools.partial(_populate, programs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_random_scenarios())
+@example(case=(4, _lock_contention))
+@example(case=(4, _interrupting_sender))
+def test_fast_forward_off_matches_on(case):
+    """Skipping the heap is exactly a push and re-pop: random effect
+    programs give the same clocks, ledgers, event counts and thread
+    outcomes whether every charge goes through the heap or not."""
+    num_cores, scenario = case
+
+    def build(fast_forward):
+        engine = Engine(num_cores, fast_forward=fast_forward)
         scenario(engine)
         engine.run()
-        return engine
+        return (engine.now, engine.events_processed,
+                engine.ledger.to_state(),
+                [(t.name, t.finished_at, t.result) for t in engine.threads])
 
-    for scenario in (_lock_contention, _interrupting_sender):
-        on = build(scenario, True)
-        off = build(scenario, False)
-        assert on.now == off.now, scenario.__name__
-        assert on.events_processed == off.events_processed
-        assert on.ledger.to_state() == off.ledger.to_state()
+    assert build(True) == build(False)
+
+
+@pytest.mark.parametrize("max_events", [4, 5, 6])
+def test_budget_exhaustion_agrees_on_both_paths(max_events):
+    """A budget that runs out right after a charge (4), inside a span
+    (5) or right after one (6) raises at the same clock on both paths,
+    and the run resumes from there to the same end."""
+    from repro.obs import charge_span
+
+    def build(fast_forward):
+        engine = Engine(1, fast_forward=fast_forward)
+
+        def worker():
+            for _ in range(3):
+                yield charge(CostDomain.COPY, "memcpy", 7.0)
+                yield charge_span([(CostDomain.WALK, "tlb-walk", 3.0),
+                                   (CostDomain.NUMA, "remote", 2.0)])
+            return engine.now
+
+        thread = engine.spawn(worker(), core=0)
+        with pytest.raises(SimulationError) as err:
+            engine.run(max_events=max_events)
+        at_raise = (engine.now, engine.events_processed,
+                    engine.ledger.to_state(), str(err.value))
+        engine.run()
+        return at_raise, (engine.now, engine.events_processed,
+                          engine.ledger.to_state(), thread.finished_at,
+                          thread.result)
+
+    assert build(True) == build(False)
 
 
 def test_drain_memory_does_not_grow_with_run_length():
