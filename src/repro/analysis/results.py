@@ -62,11 +62,6 @@ class RunResult:
             return 0.0
         return self.ops_per_second / other.ops_per_second
 
-    def domain_share(self, domain: str) -> float:
-        """Fraction of attributed cycles in one cost domain."""
-        total = sum(self.domains.values())
-        return self.domains.get(domain, 0.0) / total if total else 0.0
-
 
 @dataclass
 class Series:

@@ -38,6 +38,7 @@ from repro.analysis.report import (
 )
 from repro.analysis.results import Table
 from repro.config import MEDIA_PRESETS
+from repro.mem.physmem import Medium
 from repro.obs import DOMAIN_ORDER
 from repro.paging.schemes import SCHEME_NAMES
 from repro.runner import (
@@ -58,6 +59,9 @@ AUDITS = {
     "migrate": "crash/fault hardening audit of post-copy live migration",
 }
 
+#: Media ``--tiering`` may price file data on.
+TIERS = tuple(medium.value for medium in Medium)
+
 #: ``(domain, event)`` rows in perf's top-events table.
 TOP_EVENTS = 12
 
@@ -70,8 +74,7 @@ def _audit_point(args) -> SweepPoint:
                    placement=args.policy, pin_node=args.pin_node,
                    scheme=args.scheme, node_kinds=args.node_kinds or "")
     if args.tiering:
-        data, _, flag = args.tiering.partition(":")
-        machine["tiering"] = {"data": data, "daemon": flag == "daemon"}
+        machine["tiering"] = args.tiering
     budget = {"media": args.media, "device_gib": args.device}
     max_points = 64 if args.max_points is None else args.max_points
     if args.command == "migrate":
@@ -88,6 +91,16 @@ def _audit_point(args) -> SweepPoint:
         params["max_sites"] = args.max_sites
     return SweepPoint(args.command, args.workload, args.seed, params,
                       **machine)
+
+
+def _tiering(value: str) -> dict:
+    """``--tiering TIER[:daemon]`` as a point's ``tiering`` dict."""
+    data, sep, flag = value.partition(":")
+    if data not in TIERS or (sep and flag != "daemon"):
+        raise argparse.ArgumentTypeError(
+            f"{value!r}: expected one of {'/'.join(TIERS)}, optionally "
+            f"followed by ':daemon'")
+    return {"data": data, "daemon": bool(sep)}
 
 
 def _build(args) -> Sweep:
@@ -344,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "cxl, far), e.g. 'ddr,cxl' adds a CXL "
                              "expander beside the socket; overrides "
                              "--nodes")
-    parser.add_argument("--tiering", default=None,
+    parser.add_argument("--tiering", type=_tiering, default=None,
                         help="price file data on this tier instead of "
                              "the device medium (dram/pmem/cxl/far); "
                              "append ':daemon' to start the hot/cold "

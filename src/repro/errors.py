@@ -88,18 +88,14 @@ class NoSpaceError(FileSystemError):
 class MediaError(ReproError):
     """An uncorrectable PMem media error (a badblock / poisoned line).
 
-    Subclasses model the three ways Linux surfaces one: EIO from the
-    block path, SIGBUS from a DAX-mapped load, and transient device
-    stalls.  ``retryable`` marks failures the sweep runner may retry
-    with backoff instead of quarantining the point outright.
+    Subclasses model two ways Linux surfaces one: SIGBUS from a
+    DAX-mapped load and transient device stalls.  ``retryable`` marks
+    failures the sweep runner may retry with backoff instead of
+    quarantining the point outright.
     """
 
     errno_name = "EIO"
     retryable = False
-
-
-class BadBlockError(MediaError):
-    """A read/append touched a block on the device badblocks list."""
 
 
 class PoisonedPageError(MediaError):

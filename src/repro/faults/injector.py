@@ -179,12 +179,18 @@ class FaultInjector:
             # so the repair phase can reuse the machine.
             system.engine.reap_crashed()
             self._repair(system, err, violations)
+        violations.extend(self._site_violations(system))
         outcome = self._classify(site, faults, sigbus, violations)
         handling = system.engine.ledger.domain_total(CostDomain.FAULTS)
         return SiteOutcome(touch=site.touch, kind=site.kind,
                            outcome=outcome, violations=violations,
                            bytes_lost=faults.bytes_lost,
                            handling_cycles=handling)
+
+    def _site_violations(self, system: System) -> List[str]:
+        """Extra breaches of one site's finished run, before it is
+        classified; subclasses that attach more state audit it here."""
+        return []
 
     def _repair(self, system: System, err: PoisonedPageError,
                 violations: List[str]) -> None:

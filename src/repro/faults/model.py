@@ -31,6 +31,7 @@ construction and the injector asserts against it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.plan import (
@@ -42,34 +43,16 @@ from repro.faults.plan import (
 from repro.obs import Counter
 
 
+@dataclass
 class SiteOutcome:
     """What became of one armed site (filled in by the injector)."""
 
-    __slots__ = ("touch", "kind", "outcome", "violations", "bytes_lost",
-                 "handling_cycles")
-
-    def __init__(self, touch: int, kind: FaultKind, outcome: str,
-                 violations: Optional[List[str]] = None,
-                 bytes_lost: int = 0, handling_cycles: float = 0.0):
-        self.touch = touch
-        self.kind = kind
-        self.outcome = outcome
-        self.violations = violations or []
-        self.bytes_lost = bytes_lost
-        self.handling_cycles = handling_cycles
-
-    def to_state(self) -> Dict[str, object]:
-        return {
-            "touch": self.touch,
-            "kind": self.kind.value,
-            "outcome": self.outcome,
-            "violations": list(self.violations),
-            "bytes_lost": self.bytes_lost,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<SiteOutcome touch={self.touch} {self.kind} "
-                f"-> {self.outcome}>")
+    touch: int
+    kind: FaultKind
+    outcome: str
+    violations: List[str] = field(default_factory=list)
+    bytes_lost: int = 0
+    handling_cycles: float = 0.0
 
 
 class MediaFaults:

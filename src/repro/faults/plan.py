@@ -112,10 +112,6 @@ class FaultPlan:
     def ordered(self) -> List[FaultSite]:
         return [self.sites[touch] for touch in sorted(self.sites)]
 
-    def to_state(self) -> List[Dict[str, object]]:
-        return [{"touch": s.touch, "kind": s.kind.value}
-                for s in self.ordered()]
-
     # ------------------------------------------------------------------
     @classmethod
     def generate(cls, probe: Sequence[TouchRecord], *, seed: int,

@@ -23,7 +23,6 @@ from repro.paging.schemes import (
     RangeScheme,
     TranslationScheme,
     make_scheme,
-    restore_scheme,
 )
 from repro.paging.tlb import AccessPattern, ShootdownController, TLBModel
 from repro.paging.walker import PageWalker
@@ -53,5 +52,4 @@ __all__ = [
     "level_shift",
     "level_size",
     "make_scheme",
-    "restore_scheme",
 ]

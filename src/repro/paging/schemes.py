@@ -34,10 +34,11 @@ architectures:
     ``log2(ranges)`` binary search.
 
 Scheme instances own their structure frames (allocated per-node via
-:class:`~repro.mem.physmem.PhysicalMemory`, honouring NUMA placement)
-and serialise losslessly with ``to_state``/``from_state`` so sweep
-workers can prove parity with the parallel runner's Stats/Ledger
-round-trips.
+:class:`~repro.mem.physmem.PhysicalMemory`, honouring NUMA placement).
+``to_state`` dumps a scheme's whole structure as JSON-safe data.  No
+sweep point or cache entry carries it; equivalence tests compare it
+as one observer of everything a scheme holds (``map_run`` against
+``map_page``, the default scheme against an explicit ``radix4``).
 """
 
 from __future__ import annotations
@@ -83,10 +84,7 @@ class TranslationScheme:
     by inheritance.  On top sit the DaxVM capability hooks
     (``attach_region`` / ``attach_gb`` / ``detach_cost``), the
     walk-cost hooks the TLB model charges through, structure-frame
-    accounting with medium + NUMA node, and lossless state snapshots.
-
-    Restored (``from_state``) instances are *detached*: they carry no
-    allocator, so they translate and re-serialise but must not map.
+    accounting, and a ``to_state`` dump of the whole structure.
     """
 
     #: Registry key and per-scheme capability flag.
@@ -228,23 +226,8 @@ class TranslationScheme:
         """Frames owned by this scheme (shared fragments excluded)."""
         raise NotImplementedError
 
-    def structure_report(self) -> Dict[str, object]:
-        """Frames/bytes by NUMA node — the §V-B storage-tax view."""
-        frames = self.structure_frames()
-        by_node: Dict[str, int] = {}
-        for frame in frames:
-            node = (self.physmem.node_of(frame)
-                    if getattr(self, "physmem", None) is not None else -1)
-            by_node[str(node)] = by_node.get(str(node), 0) + 1
-        return {"scheme": self.name, "frames": len(frames),
-                "bytes": len(frames) * PAGE_SIZE, "by_node": by_node}
-
     # -- state ----------------------------------------------------------
     def to_state(self) -> Dict[str, object]:
-        raise NotImplementedError
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "TranslationScheme":
         raise NotImplementedError
 
 
@@ -334,19 +317,6 @@ class Radix4Scheme(PageTable, TranslationScheme):
             "root": _node_state(self.root),
         }
 
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "Radix4Scheme":
-        scheme = cls.__new__(cls)
-        scheme.physmem = None
-        scheme.costs = None
-        scheme.medium = Medium(state["medium"])
-        scheme.shared = False
-        scheme.node = state["node"]
-        scheme.policy = AllocPolicy.PREFERRED
-        scheme.root = _node_from_state(state["root"], scheme.medium)
-        scheme.nodes_allocated = int(state["nodes_allocated"])
-        return scheme
-
 
 class Radix5Scheme(Radix4Scheme):
     """5-level paging (LA57): one extra upper level on every walk.
@@ -379,8 +349,7 @@ def _node_state(node: PageTableNode) -> Dict[str, object]:
     """Serialise one owned node; shared children become stubs.
 
     Shared fragments belong to the file system, not the scheme, so the
-    snapshot records only the splice (frame/level) — restoring yields
-    a detached stub marked ``shared`` with no entries.
+    dump records only the splice (frame/level).
     """
     if node.shared:
         return {"level": node.level, "frame": node.frame, "shared": True}
@@ -398,23 +367,6 @@ def _node_state(node: PageTableNode) -> Dict[str, object]:
             for idx, entry in sorted(node.entries.items())
         },
     }
-
-
-def _node_from_state(state: Dict[str, object],
-                     medium: Medium) -> PageTableNode:
-    from repro.paging.pagetable import Entry
-
-    node = PageTableNode(int(state["level"]), state["frame"], medium,
-                         shared=bool(state["shared"]))
-    if state["shared"]:
-        return node
-    for idx, ent in state["entries"].items():
-        child = (None if ent["child"] is None
-                 else _node_from_state(ent["child"], medium))
-        node.entries[int(idx)] = Entry(frame=ent["frame"],
-                                       flags=PageFlags(ent["flags"]),
-                                       child=child)
-    return node
 
 
 # ---------------------------------------------------------------------------
@@ -633,26 +585,6 @@ class HashedScheme(TranslationScheme):
             "attach_page_inserts": self.attach_page_inserts,
             "last_clear_entries": self.last_clear_entries,
         }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "HashedScheme":
-        scheme = cls.__new__(cls)
-        scheme.physmem = None
-        scheme.costs = None
-        scheme.medium = Medium(state["medium"])
-        scheme.node = state["node"]
-        scheme.policy = AllocPolicy.PREFERRED
-        scheme.capacity = int(state["capacity"])
-        scheme.frames = list(state["frames"])
-        scheme.tables = {
-            int(level): {int(idx): [frame, PageFlags(flags)]
-                         for idx, (frame, flags) in tbl.items()}
-            for level, tbl in state["tables"].items()}
-        scheme.inserts = int(state["inserts"])
-        scheme.resizes = int(state["resizes"])
-        scheme.attach_page_inserts = int(state["attach_page_inserts"])
-        scheme.last_clear_entries = int(state["last_clear_entries"])
-        return scheme
 
 
 # ---------------------------------------------------------------------------
@@ -925,23 +857,6 @@ class RangeScheme(TranslationScheme):
             "last_clear_segments": self.last_clear_segments,
         }
 
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "RangeScheme":
-        scheme = cls.__new__(cls)
-        scheme.physmem = None
-        scheme.costs = None
-        scheme.medium = Medium(state["medium"])
-        scheme.node = state["node"]
-        scheme.policy = AllocPolicy.PREFERRED
-        scheme.frames = list(state["frames"])
-        scheme.ranges = [[start, end, base, PageFlags(flags)]
-                         for start, end, base, flags in state["ranges"]]
-        scheme.range_inserts = int(state["range_inserts"])
-        scheme.range_merges = int(state["range_merges"])
-        scheme.attach_run_inserts = int(state["attach_run_inserts"])
-        scheme.last_clear_segments = int(state["last_clear_segments"])
-        return scheme
-
 
 # ---------------------------------------------------------------------------
 # Registry.
@@ -967,14 +882,6 @@ def make_scheme(name: str, physmem: PhysicalMemory, costs: CostModel,
     return cls(physmem, costs, medium, node=node, policy=policy)
 
 
-def restore_scheme(state: Dict[str, object]) -> TranslationScheme:
-    """Rebuild a detached scheme from its ``to_state`` snapshot."""
-    cls = SCHEMES.get(state.get("name"))
-    if cls is None:
-        raise KeyError(f"unknown scheme state {state.get('name')!r}")
-    return cls.from_state(state)
-
-
 __all__ = [
     "SCHEMES",
     "SCHEME_NAMES",
@@ -984,5 +891,4 @@ __all__ = [
     "RangeScheme",
     "TranslationScheme",
     "make_scheme",
-    "restore_scheme",
 ]

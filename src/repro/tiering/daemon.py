@@ -135,37 +135,14 @@ class TierMap:
             counts[medium.value] = counts.get(medium.value, 0) + 1
         return counts
 
-    # -- state ----------------------------------------------------------
-    def to_state(self) -> Dict[str, object]:
-        return {
-            "default": self.default.value,
-            "placement": {str(ino): {str(g): m.value
-                                     for g, m in sorted(over.items())}
-                          for ino, over in sorted(
-                              self._placement.items())},
-            "touches": {str(ino): {str(g): list(c)
-                                   for g, c in sorted(tags.items())}
-                        for ino, tags in sorted(self._touches.items())},
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "TierMap":
-        """Detached restore: placement and tags, no live inode refs
-        (they re-register on the next touch)."""
-        tiers = cls(default=Medium(state["default"]))
-        for ino, over in state["placement"].items():
-            for granule, medium in over.items():
-                tiers.place(int(ino), int(granule), Medium(medium))
-        tiers._touches = {
-            int(ino): {int(g): [int(c[0]), int(c[1])]
-                       for g, c in tags.items()}
-            for ino, tags in state["touches"].items()}
-        return tiers
-
 
 @dataclass(frozen=True)
 class TieringConfig:
-    """Policy knobs of the tiering daemon (cache-key material)."""
+    """Policy knobs of the tiering daemon.
+
+    Built by the worker from a point's ``tiering`` dict, which is what
+    the sweep cache key covers.
+    """
 
     #: Cycles between hotness scans.
     scan_interval: float = 1.5e6
@@ -197,29 +174,6 @@ class TieringConfig:
         if not 0.0 <= self.bw_budget_fraction <= 1.0:
             raise InvalidArgumentError(
                 "bw_budget_fraction must be in [0, 1]")
-
-    def to_state(self) -> Dict[str, object]:
-        return {
-            "scan_interval": self.scan_interval,
-            "hot_touches": self.hot_touches,
-            "cold_scans": self.cold_scans,
-            "hot_medium": self.hot_medium.value,
-            "migrate_budget_bytes": self.migrate_budget_bytes,
-            "bw_budget_fraction": self.bw_budget_fraction,
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "TieringConfig":
-        return cls(
-            scan_interval=float(state["scan_interval"]),
-            hot_touches=int(state["hot_touches"]),
-            cold_scans=int(state["cold_scans"]),
-            hot_medium=Medium(state["hot_medium"]),
-            migrate_budget_bytes=int(state["migrate_budget_bytes"]),
-            # Absent in states written before the rate limiter existed.
-            bw_budget_fraction=float(state.get("bw_budget_fraction",
-                                               0.0)),
-        )
 
 
 class TieringDaemon:
@@ -413,39 +367,6 @@ class TieringDaemon:
         self._cold.pop((ino, granule), None)
         self._dirty.discard((ino, granule))
         self.stats.add(Counter.TIERING_DEMOTED_PAGES, GRANULE_PAGES)
-
-    # -- state ----------------------------------------------------------
-    def to_state(self) -> Dict[str, object]:
-        return {
-            "config": self.config.to_state(),
-            "tiers": self.tiers.to_state(),
-            "cold": [[ino, granule, count] for (ino, granule), count
-                     in sorted(self._cold.items())],
-            "dirty": [[ino, granule] for ino, granule
-                      in sorted(self._dirty)],
-            "scans": self.scans,
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object],
-                   engine: Optional[Engine] = None,
-                   mem: Optional[MemoryModel] = None,
-                   costs: Optional[CostModel] = None,
-                   stats: Optional[Stats] = None) -> "TieringDaemon":
-        """Detached restore (pass the live machine to re-arm)."""
-        daemon = cls.__new__(cls)
-        daemon.engine = engine
-        daemon.mem = mem
-        daemon.costs = costs
-        daemon.stats = stats
-        daemon.tiers = TierMap.from_state(state["tiers"])
-        daemon.config = TieringConfig.from_state(state["config"])
-        daemon._cold = {(int(i), int(g)): int(c)
-                        for i, g, c in state["cold"]}
-        daemon._dirty = {(int(i), int(g)) for i, g in state["dirty"]}
-        daemon.scans = int(state["scans"])
-        daemon._thread = None
-        return daemon
 
 
 __all__ = ["GRANULE_BYTES", "GRANULE_PAGES", "TierMap",

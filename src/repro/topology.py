@@ -10,9 +10,9 @@ the simulator starts from one :class:`MachineTopology`:
   :class:`~repro.mem.physmem.PhysicalMemory`);
 * a core -> node map (cores are split contiguously across sockets, as
   on the real machine's APIC enumeration);
-* same/cross-socket latency, bandwidth and IPI matrices, exposed as
+* same/cross-socket latency, bandwidth and IPI factors, exposed as
   :meth:`latency_factor` / :meth:`bandwidth_factor` / :meth:`ipi_extra`
-  and, in matrix form, :meth:`latency_matrix` / :meth:`ipi_matrix`.
+  and, for IPIs, in matrix form as :meth:`ipi_matrix`.
 
 Equivalence contract: a 1-node topology is the pre-topology simulator,
 bit for bit.  Every factor degenerates to exactly ``1.0`` (and every
@@ -26,7 +26,7 @@ multiplication by 1.0 is exact).  The ``one_node`` golden gate
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.config import (
     MachineConfig,
@@ -264,66 +264,10 @@ class MachineTopology:
         return (0.0 if src_node == dst_node
                 else self.ipi_cross_socket_extra)
 
-    def latency_matrix(self, medium: Medium) -> List[List[float]]:
-        """Full node x node latency-factor matrix."""
-        return [[self.latency_factor(i, j, medium)
-                 for j in range(self.num_nodes)]
-                for i in range(self.num_nodes)]
-
     def ipi_matrix(self) -> List[List[float]]:
         """Extra-initiator-cycle matrix for IPIs between sockets."""
         return [[self.ipi_extra(i, j) for j in range(self.num_nodes)]
                 for i in range(self.num_nodes)]
-
-    # ------------------------------------------------------------------
-    # Serialisation (sweep cache keys, pool payloads).
-    # ------------------------------------------------------------------
-    def to_stable_dict(self) -> Dict[str, object]:
-        return {
-            "nodes": [{"dram_bytes": n.dram_bytes,
-                       "pmem_bytes": n.pmem_bytes,
-                       "kind": n.kind,
-                       "cxl_bytes": n.cxl_bytes,
-                       "far_bytes": n.far_bytes} for n in self.nodes],
-            "num_cores": self.num_cores,
-            "remote_dram_latency": self.remote_dram_latency,
-            "remote_pmem_latency": self.remote_pmem_latency,
-            "remote_cxl_latency": self.remote_cxl_latency,
-            "remote_far_latency": self.remote_far_latency,
-            "remote_dram_bw": self.remote_dram_bw,
-            "remote_pmem_bw": self.remote_pmem_bw,
-            "remote_cxl_bw": self.remote_cxl_bw,
-            "remote_far_bw": self.remote_far_bw,
-            "ipi_cross_socket_extra": self.ipi_cross_socket_extra,
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "MachineTopology":
-        # .get defaults keep pre-tier payloads (and hand-written
-        # states) restorable.
-        return cls(
-            nodes=tuple(NodeSpec(int(n["dram_bytes"]),
-                                 int(n["pmem_bytes"]),
-                                 kind=str(n.get("kind", "ddr")),
-                                 cxl_bytes=int(n.get("cxl_bytes", 0)),
-                                 far_bytes=int(n.get("far_bytes", 0)))
-                        for n in state["nodes"]),
-            num_cores=int(state["num_cores"]),
-            remote_dram_latency=float(state["remote_dram_latency"]),
-            remote_pmem_latency=float(state["remote_pmem_latency"]),
-            remote_cxl_latency=float(
-                state.get("remote_cxl_latency", NUMA_REMOTE_CXL_LATENCY)),
-            remote_far_latency=float(
-                state.get("remote_far_latency", NUMA_REMOTE_FAR_LATENCY)),
-            remote_dram_bw=float(state["remote_dram_bw"]),
-            remote_pmem_bw=float(state["remote_pmem_bw"]),
-            remote_cxl_bw=float(
-                state.get("remote_cxl_bw", NUMA_REMOTE_CXL_BW)),
-            remote_far_bw=float(
-                state.get("remote_far_bw", NUMA_REMOTE_FAR_BW)),
-            ipi_cross_socket_extra=float(
-                state["ipi_cross_socket_extra"]),
-        )
 
 
 #: Blocks per 2 MB interleave granule (matches the PMD attach granule,

@@ -28,15 +28,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.analysis.results import RunResult
 from repro.crash.injector import CrashInjector, CrashSummary
-from repro.errors import PoisonedPageError
 from repro.faults.injector import FaultInjector, FaultSummary
-from repro.faults.model import MediaFaults, SiteOutcome
 from repro.faults.plan import FaultKind, FaultPlan, FaultSite, TouchRecord
-from repro.obs import CostDomain
 from repro.runner.manifest import SweepPoint
 from repro.runner.worker import build_system
 from repro.system import System
@@ -64,23 +61,6 @@ def migrate_factory(*, media: str = "optane", device_gib: int = 1,
     return lambda: build_system(shape)
 
 
-def _settle_for_faults(system: System) -> List[str]:
-    """Run ended: settle jobs and collect virt invariant breaches."""
-    hv = system.hypervisor
-    if hv is None:
-        return []
-    hv.finalize()
-    found = hv.violations()
-    for i, job in enumerate(hv.jobs):
-        if job.in_flight:
-            found.append(f"job {i} neither completed nor rolled back "
-                         f"({job.state})")
-        if job.absorbed:
-            found.append(f"job {i} absorbed poisoned pages: "
-                         f"{job.absorbed}")
-    return found
-
-
 class MigrateCrashInjector(CrashInjector):
     """Crash points taken mid-migration: the parent's enumeration and
     recovery audit, plus the virt invariants.
@@ -100,24 +80,21 @@ class MigrateFaultInjector(FaultInjector):
     """Fault sites armed mid-migration: the parent's handling audit,
     plus migration settlement checks per replica."""
 
-    def run_site(self, site: FaultSite) -> SiteOutcome:
-        faults = MediaFaults(FaultPlan((site,)))
-        system = self._build(faults)
-        violations: List[str] = []
-        sigbus: Optional[PoisonedPageError] = None
-        try:
-            self.workload(system)
-        except PoisonedPageError as err:
-            sigbus = err
-            system.engine.reap_crashed()
-            self._repair(system, err, violations)
-        violations.extend(_settle_for_faults(system))
-        outcome = self._classify(site, faults, sigbus, violations)
-        handling = system.engine.ledger.domain_total(CostDomain.FAULTS)
-        return SiteOutcome(touch=site.touch, kind=site.kind,
-                           outcome=outcome, violations=violations,
-                           bytes_lost=faults.bytes_lost,
-                           handling_cycles=handling)
+    def _site_violations(self, system: System) -> List[str]:
+        """Run ended: settle jobs and collect virt invariant breaches."""
+        hv = system.hypervisor
+        if hv is None:
+            return []
+        hv.finalize()
+        found = hv.violations()
+        for i, job in enumerate(hv.jobs):
+            if job.in_flight:
+                found.append(f"job {i} neither completed nor rolled "
+                             f"back ({job.state})")
+            if job.absorbed:
+                found.append(f"job {i} absorbed poisoned pages: "
+                             f"{job.absorbed}")
+        return found
 
 
 def link_targeted_plan(records: Sequence[TouchRecord], *, seed: int,

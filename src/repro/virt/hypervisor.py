@@ -170,12 +170,5 @@ class Hypervisor:
             found.extend(f"job {i}: {v}" for v in job.violations)
         return found
 
-    def to_state(self) -> Dict[str, object]:
-        return {
-            "config": self.config.to_state(),
-            "guests": len(self.guests),
-            "jobs": [job.to_state() for job in self.jobs],
-        }
-
 
 __all__ = ["GuestAddressSpace", "Hypervisor", "VirtConfig"]

@@ -82,10 +82,8 @@ class MigrationJob:
         self.pulled: Set[Tuple[int, int]] = set()
         self._inodes: Dict[int, object] = {}
         self.downtime_cycles = 0.0
-        self.demand_pulls = 0
         self.retries = 0
         self.degraded_count = 0
-        self.final_sweep_pages = 0
         self.abort_reason = ""
         self.degraded_reason = ""
         #: Poisoned pages that would have entered the destination image
@@ -252,9 +250,7 @@ class MigrationJob:
                 continue
             self.pulled.add((ino, fp))
         self.stats.add(Counter.VIRT_PAGES_PULLED, len(fps))
-        if demand:
-            self.demand_pulls += 1
-        else:
+        if not demand:
             self.stats.add(Counter.VIRT_PREFETCHED_PAGES, len(fps))
         if self.resident <= self.pulled:
             self._finish()
@@ -390,7 +386,6 @@ class MigrationJob:
                 f"transfer")
             return
         self.pulled |= sweep
-        self.final_sweep_pages = len(sweep)
         if sweep:
             self.stats.add(Counter.VIRT_PAGES_PULLED, len(sweep))
         self._finish()
@@ -403,21 +398,6 @@ class MigrationJob:
         return (inode is not None
                 and faults.find_poisoned(inode, key[1], key[1])
                 is not None)
-
-    # -- reporting --------------------------------------------------------
-    def to_state(self) -> Dict[str, object]:
-        return {
-            "state": self.state.value,
-            "downtime_cycles": self.downtime_cycles,
-            "resident_pages": len(self.resident),
-            "pulled_pages": len(self.pulled),
-            "demand_pulls": self.demand_pulls,
-            "retries": self.retries,
-            "degraded_accesses": self.degraded_count,
-            "final_sweep_pages": self.final_sweep_pages,
-            "abort_reason": self.abort_reason,
-            "violations": list(self.violations),
-        }
 
 
 __all__ = ["MigrationJob", "MigrationState"]

@@ -95,3 +95,14 @@ def test_audit_command_reports_counters(capsys):
     out = capsys.readouterr().out
     assert "crash.points_explored" in out
     assert "crash.invariant_violations" in out
+
+
+@pytest.mark.parametrize("value", ["bogus", "cxl:deamon"])
+def test_parser_rejects_bad_tiering(value, capsys):
+    """A misspelt tier or suffix is a usage error naming the accepted
+    forms, not a silent static tier or a quarantined point."""
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["crash", "--tiering", value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "dram/pmem/cxl/far" in err and ":daemon" in err

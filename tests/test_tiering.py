@@ -9,9 +9,9 @@ Covers the PR-8 satellites end to end:
   clean images walk once per access window while aged images pay per
   fragment;
 * :class:`~repro.topology.InterleaveMap` stripe-granule validation;
-* tier state round-trips (TierMap / TieringConfig / TieringDaemon /
-  expander topologies) and sequential-vs-parallel determinism of
-  daemon-enabled sweep points;
+* a point's tier overlay, daemon knobs and node kinds building the
+  same machine after the pool boundary, and sequential-vs-parallel
+  determinism of daemon-enabled sweep points;
 * the daemon's promote / clean-demote / dirty-writeback / budget
   behaviours against a live :class:`~repro.system.System`.
 """
@@ -30,13 +30,13 @@ from repro.paging.flags import PageFlags
 from repro.paging.pagetable import PAGE_SIZE
 from repro.paging.schemes import make_scheme
 from repro.runner import run_sweep
-from repro.runner.manifest import Sweep
+from repro.runner.manifest import Sweep, SweepPoint
+from repro.runner.worker import build_system
 from repro.runner.sweeps import build_sweep
 from repro.system import System
 from repro.tiering import (
     GRANULE_BYTES,
     GRANULE_PAGES,
-    TierMap,
     TieringConfig,
     TieringDaemon,
 )
@@ -175,7 +175,7 @@ def test_interleave_granule_must_tile_attach_granule():
 
 
 # ---------------------------------------------------------------------------
-# State round-trips.
+# Tier configuration across the point boundary.
 # ---------------------------------------------------------------------------
 class FakeInode:
     def __init__(self, number):
@@ -183,57 +183,36 @@ class FakeInode:
         self.i_mmap = []
 
 
-def test_tiermap_state_roundtrip_is_lossless():
-    tiers = TierMap(default=Medium.CXL)
-    tiers.place(3, 0, Medium.DRAM)
-    tiers.place(3, 7, Medium.DRAM)
-    tiers.place(9, 2, Medium.FAR)
-    tiers.note_touch(FakeInode(3), 0, GRANULE_PAGES * 2, write=True)
-    wire = json.loads(json.dumps(tiers.to_state()))
-    back = TierMap.from_state(wire)
-    assert back.to_state() == tiers.to_state()
-    assert back.default is Medium.CXL
-    assert back.placements() == tiers.placements()
-    assert back.medium_for(FakeInode(3), 7 * GRANULE_PAGES) is Medium.DRAM
-    assert back.medium_for(FakeInode(3), GRANULE_PAGES) is Medium.CXL
+def _wire_system(**machine):
+    """The machine a point builds after its payload crossed the pool
+    boundary as JSON."""
+    point = SweepPoint("tiering", "t", 0.0, media="optane", device_gib=1,
+                       aged=False, **machine)
+    wire = json.loads(json.dumps(point.to_payload()))
+    return build_system(SweepPoint.from_payload(wire))
 
 
 def test_tiering_config_roundtrip_and_validation():
     cfg = TieringConfig(scan_interval=7e5, hot_touches=3, cold_scans=1,
                         hot_medium=Medium.DRAM,
                         migrate_budget_bytes=8 << 20)
-    wire = json.loads(json.dumps(cfg.to_state()))
-    assert TieringConfig.from_state(wire) == cfg
+    system = _wire_system(tiering={
+        "data": "cxl", "daemon": True, "scan_interval": 7e5,
+        "hot_touches": 3, "cold_scans": 1, "hot": "dram",
+        "migrate_budget_bytes": 8 << 20})
+    assert system.tiering.config == cfg
+    assert system.mem.tiers.default is Medium.CXL
     with pytest.raises(InvalidArgumentError):
         TieringConfig(scan_interval=0)
     with pytest.raises(InvalidArgumentError):
         TieringConfig(hot_touches=0)
 
 
-def test_daemon_state_roundtrip_preserves_cold_and_dirty():
-    system = System(device_bytes=1 << 30, aged=False)
-    tiers = system.attach_tiering(data_medium=Medium.CXL)
-    daemon = TieringDaemon(system.engine, system.mem, system.costs,
-                           system.stats, tiers)
-    tiers.place(5, 1, Medium.DRAM)
-    daemon._cold[(5, 1)] = 1
-    daemon._dirty.add((5, 1))
-    daemon.scans = 4
-    wire = json.loads(json.dumps(daemon.to_state()))
-    back = TieringDaemon.from_state(wire)
-    assert back.to_state() == daemon.to_state()
-    assert back.config == daemon.config
-    assert back._cold == {(5, 1): 1}
-    assert back._dirty == {(5, 1)}
-
-
 def test_expander_topology_roundtrips():
     topo = MachineTopology.with_kinds(MACHINE, ("ddr", "cxl", "far"))
     assert [n.kind for n in topo.nodes] == ["ddr", "cxl", "far"]
     assert tuple(topo.compute_nodes) == (0,)
-    back = MachineTopology.from_state(
-        json.loads(json.dumps(topo.to_stable_dict())))
-    assert back == topo
+    assert _wire_system(node_kinds="ddr,cxl,far").topology == topo
 
 
 def test_daemon_rejects_hot_medium_equal_to_device_tier():
@@ -421,12 +400,11 @@ def test_fixed_budget_deferrals_stay_uncounted():
 
 
 def test_bw_budget_fraction_state_compat_and_validation():
-    # States written before the limiter existed rehydrate to 0.0.
-    old = TieringConfig().to_state()
-    del old["bw_budget_fraction"]
-    assert TieringConfig.from_state(old).bw_budget_fraction == 0.0
-    armed = TieringConfig(bw_budget_fraction=0.25)
-    assert (TieringConfig.from_state(armed.to_state())
-            .bw_budget_fraction == 0.25)
+    # Point tiering dicts that predate the limiter keep the fixed budget.
+    spec = {"data": "cxl", "daemon": True, "hot_touches": 1}
+    fixed = _wire_system(tiering=spec)
+    assert fixed.tiering.config.bw_budget_fraction == 0.0
+    armed = _wire_system(tiering={**spec, "bw_budget_fraction": 0.25})
+    assert armed.tiering.config.bw_budget_fraction == 0.25
     with pytest.raises(InvalidArgumentError):
         TieringConfig(bw_budget_fraction=1.5)

@@ -85,11 +85,6 @@ def test_cross_socket_factors_penalise():
                                  [NUMA_IPI_CROSS_SOCKET_EXTRA, 0.0]]
 
 
-def test_stable_dict_round_trips():
-    topo = two_nodes()
-    assert MachineTopology.from_state(topo.to_stable_dict()) == topo
-
-
 # ---------------------------------------------------------------------------
 # Interleaving and placement.
 # ---------------------------------------------------------------------------
