@@ -50,6 +50,7 @@ from repro.runner import (
     build_sweep,
     run_sweep,
 )
+from repro.tiering import TieringConfig
 from repro.topology import PLACEMENTS
 
 #: Audit commands: one machine, shaped by the machine flags.
@@ -100,6 +101,12 @@ def _tiering(value: str) -> dict:
         raise argparse.ArgumentTypeError(
             f"{value!r}: expected one of {'/'.join(TIERS)}, optionally "
             f"followed by ':daemon'")
+    hot = TieringConfig.hot_medium.value
+    if sep and data == hot:
+        raise argparse.ArgumentTypeError(
+            f"{value!r}: ktierd promotes hot data to {hot}, so its hot "
+            f"tier would equal the data tier; use ':daemon' with a "
+            f"slower data tier")
     return {"data": data, "daemon": bool(sep)}
 
 

@@ -228,16 +228,27 @@ class BlockDevice:
         return None
 
     def _carve(self, index: int, start: int, length: int) -> None:
-        """Remove [start, start+length) from the free extent at index."""
+        """Remove [start, start+length) from the free extent at index.
+
+        The extent is trimmed in place; only a carve from its middle
+        inserts (the tail piece), and only an exact fit deletes.
+        """
         extent = self._free[index]
+        end = start + length
         before = start - extent.start
-        after = extent.end - (start + length)
-        del self._free[index]
-        del self._starts[index]
+        after = extent.start + extent.length - end
         if before > 0:
-            self._insert_free(extent.start, before)
-        if after > 0:
-            self._insert_free(start + length, after)
+            extent.length = before
+            if after > 0:
+                self._free.insert(index + 1, FreeExtent(end, after))
+                self._starts.insert(index + 1, end)
+        elif after > 0:
+            extent.start = end
+            extent.length = after
+            self._starts[index] = end
+        else:
+            del self._free[index]
+            del self._starts[index]
 
     # -- freeing ------------------------------------------------------------
     def free(self, start: int, length: int) -> None:

@@ -58,7 +58,12 @@ class ExtentTree:
 
     @property
     def block_count(self) -> int:
-        return sum(e.length for e in self._extents)
+        # Extents are dense from block 0 (``check_invariants``), so the
+        # tail's end is the count.
+        if not self._extents:
+            return 0
+        tail = self._extents[-1]
+        return tail.logical + tail.length
 
     def copy(self) -> "ExtentTree":
         twin = ExtentTree()

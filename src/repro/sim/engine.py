@@ -175,12 +175,19 @@ class Core:
         if total == 0.0:
             return 0.0, ()
         debts = self._debts
-        if total == self.stolen_cycles and len(debts) == 1:
-            # Common case — one source, fully absorbed: the scalar
-            # total is the single bucket, nothing left to split.
+        if len(debts) == 1:
+            # Common case — one source: the scalar total is its whole
+            # attribution, and only the bucket's residue needs keeping.
             head = debts[0]
-            self.stolen_cycles = 0.0
-            debts.clear()
+            if total == self.stolen_cycles:
+                self.stolen_cycles = 0.0
+                debts.clear()
+            else:
+                self.stolen_cycles -= total
+                if head[0] <= total:
+                    debts.clear()
+                else:
+                    head[0] -= total
             return total, ((head[1], head[2], total),)
         self.stolen_cycles -= total
         entries = []

@@ -235,11 +235,14 @@ class BandwidthAdmission:
 class QuotaController:
     """The quota-controller kthread (one per consolidated machine).
 
-    Wakes every ``scan_interval`` cycles, samples each tenant's frame
-    usage, counts ``requests.memory`` breaches and publishes the
-    per-tenant gauges as timeline samples.  Scans are priced into the
-    ``tenancy`` domain so controller overhead shows up in the books
-    rather than being free.
+    Wakes every ``scan_interval`` cycles, reads each tenant's frame
+    usage and counts ``requests.memory`` breaches.  The per-tenant
+    ``tenant.<name>.memory_bytes`` gauge is a change-point series: a
+    sample is recorded at the first scan and then only at scans whose
+    usage differs from the tenant's last recorded value, so the series
+    is a lossless step function at scan resolution.  Scans are priced
+    into the ``tenancy`` domain so controller overhead shows up in the
+    books rather than being free.
     """
 
     #: Cycles one scan costs per tenant examined.
@@ -255,6 +258,12 @@ class QuotaController:
         self.scan_interval = scan_interval
         self.scans = 0
         self.soft_breaches: Dict[str, int] = {name: 0 for name in specs}
+        #: ``(name, spec, gauge series)`` in scan order.
+        self._tenants = [(name, self.specs[name],
+                          f"tenant.{name}.memory_bytes")
+                         for name in sorted(self.specs)]
+        #: Last usage recorded in each tenant's gauge series.
+        self._recorded: Dict[str, int] = {}
         self._thread = None
 
     def start(self, core: int = 0) -> None:
@@ -274,11 +283,12 @@ class QuotaController:
         self.scans += 1
         self.stats.add(Counter.TENANCY_QUOTA_SCANS)
         now = self.engine.now
-        for name in sorted(self.specs):
-            spec = self.specs[name]
+        recorded = self._recorded
+        for name, spec, series in self._tenants:
             usage = self.accountant.usage_bytes(name)
-            self.stats.sample(f"tenant.{name}.memory_bytes", now,
-                              float(usage))
+            if recorded.get(name) != usage:
+                recorded[name] = usage
+                self.stats.sample(series, now, float(usage))
             if spec.memory_request and usage > spec.memory_request:
                 self.soft_breaches[name] += 1
                 self.stats.add(Counter.TENANCY_SOFT_BREACHES)

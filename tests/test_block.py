@@ -96,3 +96,53 @@ def test_property_alloc_free_conservation(sizes):
         dev.check_invariants()
     allocated = sum(l for runs in live for _s, l in runs)
     assert dev.free_blocks + allocated == dev.total_blocks
+
+
+class _DelInsertDevice(BlockDevice):
+    """Reference allocator: the original ``_carve``, which deletes the
+    free extent and re-inserts whatever pieces remain."""
+
+    def _carve(self, index, start, length):
+        extent = self._free[index]
+        before = start - extent.start
+        after = extent.end - (start + length)
+        del self._free[index]
+        del self._starts[index]
+        if before > 0:
+            self._insert_free(extent.start, before)
+        if after > 0:
+            self._insert_free(start + length, after)
+
+
+def _allocator_state(dev):
+    return ([(e.start, e.length) for e in dev._free], list(dev._starts),
+            dev._cursor, dev.free_blocks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(
+    st.tuples(st.just("alloc"), st.integers(1, 700),
+              st.sampled_from([1, 8, BLOCKS_PER_PMD]), st.booleans()),
+    st.tuples(st.just("free"), st.integers(0, 1 << 16))),
+    min_size=1, max_size=80))
+def test_property_in_place_carve_matches_del_insert(ops):
+    """Trimming free extents in place leaves the free list, its start
+    index and the goal cursor exactly where delete-and-insert did."""
+    dev = BlockDevice(16 << 20)
+    ref = _DelInsertDevice(16 << 20)
+    live = []
+    for op in ops:
+        if op[0] == "alloc":
+            _, size, align, contiguous = op
+            if size > dev.free_blocks:
+                continue
+            runs = dev.alloc(size, align=align, prefer_contiguous=contiguous)
+            assert ref.alloc(size, align=align,
+                             prefer_contiguous=contiguous) == runs
+            live.extend(runs)
+        elif live:
+            start, length = live.pop(op[1] % len(live))
+            dev.free(start, length)
+            ref.free(start, length)
+        dev.check_invariants()
+        assert _allocator_state(dev) == _allocator_state(ref)

@@ -97,12 +97,16 @@ def test_audit_command_reports_counters(capsys):
     assert "crash.invariant_violations" in out
 
 
-@pytest.mark.parametrize("value", ["bogus", "cxl:deamon"])
+@pytest.mark.parametrize("value", ["bogus", "cxl:deamon", "dram:daemon"])
 def test_parser_rejects_bad_tiering(value, capsys):
-    """A misspelt tier or suffix is a usage error naming the accepted
-    forms, not a silent static tier or a quarantined point."""
+    """A misspelt tier or suffix, or a daemon with nowhere faster to
+    promote to, is a usage error saying why, not a silent static tier
+    or a quarantined point."""
     with pytest.raises(SystemExit) as exit_info:
         build_parser().parse_args(["crash", "--tiering", value])
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
-    assert "dram/pmem/cxl/far" in err and ":daemon" in err
+    if value == "dram:daemon":
+        assert "hot tier would equal the data tier" in err
+    else:
+        assert "dram/pmem/cxl/far" in err and ":daemon" in err

@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
 import functools
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import DeadlockError, SimulationError
 from repro.obs import CostDomain, charge
-from repro.sim.engine import Block, Compute, Engine, Spawn, Wake
+from repro.sim.engine import Block, Compute, Core, Engine, Spawn, Wake
 
 
 def test_compute_advances_clock():
@@ -592,6 +593,62 @@ def _interrupting_sender(engine):
     engine.spawn(sender(), core=1)
 
 
+def _partial_drains(engine):
+    # One source, drained in part twice (each charge absorbs at most
+    # ``cycles + 1000``) and then in full; then two sources, the first
+    # drained in part.
+    def victim():
+        for cycles in (100.0, 0.3, 5000.0):
+            yield charge(CostDomain.COPY, "memcpy", cycles)
+        engine.interrupt_cores([0], 700.25)
+        engine.cores[0].interrupt(900.5, domain=CostDomain.FAULTS,
+                                  event="stolen")
+        for cycles in (0.1, 0.7, 3000.0):
+            yield charge(CostDomain.COPY, "memcpy", cycles)
+
+    engine.interrupt_cores([0], 2500.1)
+    engine.spawn(victim(), core=0)
+
+
+def _reference_drain(self, compute_cycles=float("inf")):
+    """``Core.drain_attributed`` without its single-source shortcuts:
+    every drain that does not fully absorb one source walks the FIFO."""
+    limit = compute_cycles + 1000.0
+    total = min(self.stolen_cycles, limit)
+    if total == 0.0:
+        return 0.0, ()
+    debts = self._debts
+    if total == self.stolen_cycles and len(debts) == 1:
+        head = debts[0]
+        self.stolen_cycles = 0.0
+        debts.clear()
+        return total, ((head[1], head[2], total),)
+    self.stolen_cycles -= total
+    entries = []
+    remaining = total
+    while debts and remaining > 0.0:
+        head = debts[0]
+        if head[0] <= remaining:
+            debts.popleft()
+            take, domain, event = head
+            remaining -= take
+        else:
+            take = remaining
+            head[0] -= take
+            domain, event = head[1], head[2]
+            remaining = 0.0
+        if entries and entries[-1][0] is domain \
+                and entries[-1][1] == event:
+            entries[-1][2] += take
+        else:
+            entries.append([domain, event, take])
+    if self.stolen_cycles == 0.0:
+        debts.clear()
+    if len(entries) == 1:
+        entries[0][2] = total
+    return total, [(d, e, c) for d, e, c in entries]
+
+
 def _run_program(engine, ops, share):
     """One thread of a generated program; returns the clock it saw
     after every yield."""
@@ -643,12 +700,15 @@ def _populate(programs, engine):
 def _random_scenarios(draw):
     cycles = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1e16]),
                        st.floats(0.0, 5000.0))
+    # Debts past a charge's ``cycles + 1000`` absorption bound are
+    # drained in part.
+    debt = st.one_of(cycles, st.floats(1000.0, 20000.0))
     share = st.one_of(st.none(), st.floats(0.05, 1.0))
     core = st.integers(0, 3)
     leaf = st.one_of(
         st.tuples(st.just("charge"), cycles),
         st.tuples(st.just("span"), st.lists(cycles, max_size=3)),
-        st.tuples(st.just("interrupt"), core, cycles,
+        st.tuples(st.just("interrupt"), core, debt,
                   st.sampled_from([CostDomain.TLB_SHOOTDOWN,
                                    CostDomain.FAULTS])),
         st.tuples(st.just("sleep"), cycles, cycles))
@@ -663,10 +723,13 @@ def _random_scenarios(draw):
 @given(case=_random_scenarios())
 @example(case=(4, _lock_contention))
 @example(case=(4, _interrupting_sender))
+@example(case=(1, _partial_drains))
 def test_fast_forward_off_matches_on(case):
     """Skipping the heap is exactly a push and re-pop: random effect
     programs give the same clocks, ledgers, event counts and thread
-    outcomes whether every charge goes through the heap or not."""
+    outcomes whether every charge goes through the heap or not, and
+    the drain's single-source shortcut books what the FIFO walk of
+    :func:`_reference_drain` books."""
     num_cores, scenario = case
 
     def build(fast_forward):
@@ -675,9 +738,13 @@ def test_fast_forward_off_matches_on(case):
         engine.run()
         return (engine.now, engine.events_processed,
                 engine.ledger.to_state(),
-                [(t.name, t.finished_at, t.result) for t in engine.threads])
+                [(t.name, t.finished_at, t.result) for t in engine.threads],
+                [(c.stolen_cycles, list(c._debts)) for c in engine.cores])
 
-    assert build(True) == build(False)
+    fast = build(True)
+    assert fast == build(False)
+    with mock.patch.object(Core, "drain_attributed", _reference_drain):
+        assert fast == build(True)
 
 
 @pytest.mark.parametrize("max_events", [4, 5, 6])

@@ -94,3 +94,26 @@ def test_property_append_truncate_roundtrip(appends):
     assert sum(l for _p, l in freed) == total - keep
     assert tree.block_count == keep
     tree.check_invariants()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(
+    st.tuples(st.just("append"), st.integers(0, 4_000),
+              st.integers(1, 300)),
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("replace"), st.floats(0.0, 1.0),
+              st.integers(0, 4_000))), max_size=40))
+def test_property_block_count_is_sum_of_lengths(ops):
+    """The tail-end ``block_count`` equals the sum over every extent
+    under random append / truncate / replace_block sequences."""
+    tree = ExtentTree()
+    for op in ops:
+        total = sum(e.length for e in tree)
+        if op[0] == "append":
+            tree.append(op[1], op[2])
+        elif op[0] == "truncate":
+            tree.truncate_to(int(total * op[1]))
+        elif total:
+            tree.replace_block(min(int(total * op[1]), total - 1), op[2])
+        tree.check_invariants()
+        assert tree.block_count == sum(e.length for e in tree)

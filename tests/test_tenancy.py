@@ -9,6 +9,7 @@ containment, quota audit), and the spec round-trips that feed the
 sweep cache key.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -24,6 +25,7 @@ from repro.system import System
 from repro.tenancy import (
     CpuThrottle,
     QuotaAccountingError,
+    QuotaController,
     QuotaError,
     TenancyConfig,
     Tenant,
@@ -464,3 +466,84 @@ def test_audit_catches_lost_throttle_cycles():
     throttle.throttled_cycles += 12345.0  # lose a charge
     with pytest.raises(QuotaAccountingError):
         runtime.audit()
+
+
+# ---------------------------------------------------------------------------
+# The quota controller's gauges: change points of the per-scan usage.
+# ---------------------------------------------------------------------------
+def _gauged_run(requests, monkeypatch=None):
+    """A quota-enforcing mixed point with a hog on an aged image, every
+    tenant's ``requests.memory`` at two frames so soft breaches count.
+    With ``monkeypatch``, ``QuotaController.scan`` is wrapped to record
+    every tenant's usage at every scan."""
+    from repro.runner.worker import _reset_naming_counters
+
+    config = consolidate_config(4, "mixed", quotas=True, antagonist=True,
+                                requests=requests)
+    config = dataclasses.replace(config, tenants=tuple(
+        dataclasses.replace(t, spec=dataclasses.replace(
+            t.spec, memory_request=2 * 4096))
+        for t in config.tenants))
+    scans = []
+    if monkeypatch is not None:
+        scan = QuotaController.scan
+
+        def recording_scan(self):
+            scan(self)
+            scans.append((self.engine.now,
+                          {name: self.accountant.usage_bytes(name)
+                           for name in self.specs}))
+
+        monkeypatch.setattr(QuotaController, "scan", recording_scan)
+    _reset_naming_counters()
+    system = System(device_bytes=1 << 30, aged=True)
+    run_consolidate(system, config)
+    series = {t.name: system.stats.series(f"tenant.{t.name}.memory_bytes")
+              for t in config.tenants}
+    return system.stats, series, scans
+
+
+def test_memory_gauges_are_change_points_of_every_scan(monkeypatch):
+    _stats, series, scans = _gauged_run(16, monkeypatch)
+    assert len(scans) > 100
+    changed = False
+    for name, points in series.items():
+        values = [value for _t, value in points]
+        assert all(a != b for a, b in zip(values, values[1:])), name
+        assert points[0][0] == scans[0][0], name
+        expected, last = [], None
+        for now, usage in scans:
+            if usage[name] != last:
+                expected.append((now, float(usage[name])))
+                last = usage[name]
+        assert points == expected, name
+        changed = changed or len(points) > 1
+    assert changed, "no tenant's usage moved: the check is vacuous"
+
+
+def test_memory_gauges_leave_scan_counters_alone(monkeypatch):
+    """Every scan still reads every tenant: scan and soft-breach counts
+    match the per-scan record, and the recording wrapper changes
+    nothing."""
+    plain, _series, _ = _gauged_run(16)
+    stats, _series, scans = _gauged_run(16, monkeypatch)
+    names = sorted(scans[0][1])
+    keys = ([Counter.TENANCY_QUOTA_SCANS, Counter.TENANCY_SOFT_BREACHES]
+            + [f"tenant.{name}.soft_breaches" for name in names])
+    assert [stats.get(k) for k in keys] == [plain.get(k) for k in keys]
+    assert stats.get(Counter.TENANCY_QUOTA_SCANS) == len(scans)
+    for name in names:
+        breaches = sum(usage[name] > 2 * 4096 for _now, usage in scans)
+        assert stats.get(f"tenant.{name}.soft_breaches") == breaches
+    assert stats.get(Counter.TENANCY_SOFT_BREACHES) > 0
+
+
+def test_memory_gauge_samples_do_not_grow_with_scans():
+    small, _, _ = _gauged_run(16)
+    large, _, _ = _gauged_run(32)
+    scans = [s.get(Counter.TENANCY_QUOTA_SCANS) for s in (small, large)]
+    samples = [sum(len(points) for points in s.samples.values())
+               for s in (small, large)]
+    assert 1.8 < scans[1] / scans[0] < 2.2
+    assert samples[1] < 1.5 * samples[0]
+    assert samples[1] < scans[1] / 10
