@@ -143,6 +143,11 @@ class FileTable:
     def extend(self, fs: FileSystem) -> float:
         """Fill translations for pages appended since the last call.
 
+        Fills run by run: a region that may map huge gets one PMD leaf;
+        otherwise each stretch of pages inside one extent and one 2 MB
+        region takes one ``fs.frames_for_run`` lookup, and its PTEs are
+        written slot by slot.  A hole in the extents raises
+        :class:`SimulationError` naming the inode and the file page.
         Returns the cycles the triggering FS operation must be charged
         (PTE fills, plus cache-line flushes for persistent tables).
         """
@@ -163,32 +168,41 @@ class FileTable:
         cycles = 0.0
         new_ptes = 0
         nodes_before = self.node_count
+        rw = PageFlags.rw()
         page = self.filled_pages
         while page < total_pages:
             region = page // PAGES_PER_PMD
             region_start = region * PAGES_PER_PMD
-            if (page == region_start
-                    and region_start + PAGES_PER_PMD <= total_pages
+            region_end = region_start + PAGES_PER_PMD
+            if (page == region_start and region_end <= total_pages
                     and fs.pmd_capable(inode, region_start)):
                 frame = fs.frame_for_page(inode, region_start)
                 self.huge_frames[region] = frame
                 self._pmd_slot(region, Entry(
-                    frame=frame, flags=PageFlags.rw() | PageFlags.HUGE))
+                    frame=frame, flags=rw | PageFlags.HUGE))
                 cycles += self.costs.filetable_pte_fill
-                page = region_start + PAGES_PER_PMD
+                page = region_end
                 continue
             node = self.pte_nodes.get(region)
             if node is None:
                 node = self._new_node(PTE_LEVEL)
                 self.pte_nodes[region] = node
-                self._pmd_slot(region, Entry(frame=node.frame,
-                                             flags=PageFlags.rw(),
+                self._pmd_slot(region, Entry(frame=node.frame, flags=rw,
                                              child=node))
-            frame = fs.frame_for_page(inode, page)
-            node.entries[page % PAGES_PER_PMD] = Entry(
-                frame=frame, flags=PageFlags.rw())
-            new_ptes += 1
-            page += 1
+            entries = node.entries
+            stop = min(region_end, total_pages)
+            while page < stop:
+                frames = fs.frames_for_run(inode, page, stop - page)
+                if not frames:
+                    raise SimulationError(
+                        f"{inode.path} (inode {inode.number}): file table "
+                        f"fill hit a hole at file page {page}")
+                slot = page - region_start
+                for frame in frames:
+                    entries[slot] = Entry(frame=frame, flags=rw)
+                    slot += 1
+                page += len(frames)
+                new_ptes += len(frames)
         self.filled_pages = total_pages
         self.ptes_filled += new_ptes
         cycles += new_ptes * self.costs.filetable_pte_fill

@@ -37,6 +37,12 @@ the domain is attached to, so one rollback serves the live machine and
 any copy of its storage.  Data stores are tracked per inode so an
 acknowledged ``msync``/``fsync`` can be checked against what physically
 survived.
+
+The code that issues stores feeds the domain: the file systems, the
+file tables and the VM access path.  The memory model's pricing
+functions never do.  They stay free of side effects, so the access path
+may price one access twice (at its NUMA factors and at uniform ones)
+without recording anything twice.
 """
 
 from __future__ import annotations
@@ -161,9 +167,7 @@ class PersistenceDomain:
         #: persistent file-table nodes); the recovery checker reconciles
         #: this against the extent trees to find orphaned blocks.
         self.allocated = IntervalSet()
-        # Passive byte/frame accounting fed by mem.latency / mem.physmem.
-        self.bytes_stored = 0.0
-        self.bytes_flushed = 0.0
+        #: PMem frames in use, fed by mem.physmem.
         self.pmem_frames = 0
 
     # -- crash-point clock -------------------------------------------------
@@ -310,15 +314,7 @@ class PersistenceDomain:
     def note_block_free(self, start: int, length: int) -> None:
         self.allocated.remove(start, start + length)
 
-    # -- passive byte/frame accounting from the memory model ---------------
-    def note_stream(self, nbytes: float, ntstore: bool) -> None:
-        self.bytes_stored += nbytes
-        if ntstore:
-            self.bytes_flushed += nbytes
-
-    def note_flush(self, nbytes: float) -> None:
-        self.bytes_flushed += nbytes
-
+    # -- frame accounting from physical memory ----------------------------
     def note_pmem_frame(self, delta: int) -> None:
         self.pmem_frames += delta
 
@@ -338,8 +334,6 @@ class PersistenceDomain:
         twin._open_txn = [records[rec.seq] for rec in self._open_txn]
         twin._txn_seq = self._txn_seq
         twin.allocated = self.allocated.copy()
-        twin.bytes_stored = self.bytes_stored
-        twin.bytes_flushed = self.bytes_flushed
         twin.pmem_frames = self.pmem_frames
         return twin
 

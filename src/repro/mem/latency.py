@@ -59,12 +59,32 @@ class SharedBandwidth:
 
     def delay(self, read_bytes: float, write_bytes: float,
               now: float) -> float:
-        """Cycles until the device can complete this transfer."""
+        """Cycles until the device can complete this transfer.
+
+        Each bucket step is :meth:`BandwidthThrottle.delay_for` inlined,
+        with its arithmetic in its order: every device-pooled access
+        takes one.  A bucket's wait is never negative, so the first
+        needs no ``max`` against zero.
+        """
         wait = 0.0
         if read_bytes:
-            wait = max(wait, self._read.delay_for(int(read_bytes), now))
+            bucket = self._read
+            nbytes = int(read_bytes)
+            bucket.total_bytes += nbytes
+            paid_until = bucket._paid_until
+            start = paid_until if paid_until > now else now
+            bucket._paid_until = start + nbytes / bucket.bytes_per_cycle
+            wait = bucket._paid_until - now
         if write_bytes:
-            wait = max(wait, self._write.delay_for(int(write_bytes), now))
+            bucket = self._write
+            nbytes = int(write_bytes)
+            bucket.total_bytes += nbytes
+            paid_until = bucket._paid_until
+            start = paid_until if paid_until > now else now
+            bucket._paid_until = start + nbytes / bucket.bytes_per_cycle
+            write_wait = bucket._paid_until - now
+            if write_wait > wait:
+                wait = write_wait
         if self.admission is not None:
             wait = max(wait, self.admission.extra_delay(
                 self, read_bytes, write_bytes, now))
@@ -107,11 +127,11 @@ class MemoryModel:
         #: then behaves exactly like the uniform pre-topology model).
         self.topology: Optional["MachineTopology"] = None
         self.node_of_frame: Optional[Callable[[int], int]] = None
-        #: Optional :class:`repro.crash.PersistenceDomain`: durability
-        #: state rides the same calls that price the data movement.
-        #: Purely passive byte accounting — the cost results are
-        #: untouched, so performance runs are bit-identical with or
-        #: without a domain attached.
+        #: Optional :class:`repro.crash.PersistenceDomain`, the
+        #: machine's durability record.  The VM access path reports its
+        #: stores to it; the pricing functions below never touch it, so
+        #: every price is a pure function of its arguments and the
+        #: model's state (calling one twice changes nothing).
         self.persistence = None
         #: Optional :class:`repro.faults.MediaFaults`; the VM access
         #: path consults it for poisoned frames (SIGBUS) and it drives
@@ -245,8 +265,11 @@ class MemoryModel:
         else:
             spec = self.specs[medium]
             bandwidth = spec.read_bw * bw_factor
-            if spec.interference_prone:
-                bandwidth /= self.interference_for(node)
+            if spec.interference_prone and node < len(self._interference):
+                # ``interference_for`` inlined: once per mapped access.
+                stack = self._interference[node]
+                if stack:
+                    bandwidth /= max(stack)
         return self.costs.copy_cycles(nbytes, bandwidth)
 
     def stream_write(self, nbytes: int, medium: Medium,
@@ -261,27 +284,18 @@ class MemoryModel:
         whoever flushes (msync/fsync via :meth:`clwb_flush`).
         """
         spec = self.specs[medium]
-        if self.persistence is not None and spec.persistent:
-            self.persistence.note_stream(nbytes, ntstore)
         if not ntstore or not spec.ntstore_streams:
             # DRAM-class media (and non-temporal bypass disabled): the
             # cache hierarchy absorbs the stores at DRAM drain speed.
             bandwidth = self.costs.dram_write_bw
         else:
             bandwidth = spec.ntstore_bw * bw_factor
-            if spec.interference_prone:
-                bandwidth /= self.interference_for(node)
+            if spec.interference_prone and node < len(self._interference):
+                # ``interference_for`` inlined: once per mapped access.
+                stack = self._interference[node]
+                if stack:
+                    bandwidth /= max(stack)
         return self.costs.copy_cycles(nbytes, bandwidth)
-
-    def random_read(self, nbytes: int, granule: int, medium: Medium,
-                    node: int = 0, lat_factor: float = 1.0,
-                    bw_factor: float = 1.0) -> float:
-        """Read ``nbytes`` in random ``granule``-sized chunks."""
-        chunks = max(1, nbytes // granule)
-        per_chunk = (self.load_latency(medium, factor=lat_factor)
-                     + self.stream_read(granule, medium, node=node,
-                                        bw_factor=bw_factor) * 0.55)
-        return chunks * per_chunk
 
     # -- copies ---------------------------------------------------------------
     def memcpy(self, nbytes: int, src: Medium, dst: Medium,
@@ -294,8 +308,6 @@ class MemoryModel:
         whole pipe when either end sits across the UPI link.
         """
         dst_spec = self.specs[dst]
-        if self.persistence is not None and dst_spec.persistent:
-            self.persistence.note_stream(nbytes, ntstore)
         read_bw = self.specs[src].read_bw
         if not ntstore or not dst_spec.ntstore_streams:
             # Cached stores: the cache absorbs them at DRAM-like speed
@@ -313,8 +325,6 @@ class MemoryModel:
                    medium: Medium = Medium.PMEM) -> float:
         """Flush ``nbytes`` of dirty cache lines to the device
         (clwb+sfence)."""
-        if self.persistence is not None:
-            self.persistence.note_flush(nbytes)
         return self.costs.copy_cycles(
             nbytes, self.specs[medium].clwb_bw * bw_factor)
 

@@ -52,10 +52,6 @@ class TLBModel:
             return self.machine.tlb_entries_2m * page_size
         return self.machine.tlb_entries_4k * page_size
 
-    def scan_misses(self, nbytes: int, page_size: int) -> int:
-        """Misses for one sequential pass over ``nbytes``."""
-        return max(0, -(-nbytes // page_size))
-
     def random_op_misses(self, num_ops: int, op_bytes: int, page_size: int,
                          footprint: int) -> float:
         """Misses for ``num_ops`` random ops over ``footprint`` bytes.

@@ -76,10 +76,3 @@ class PageWalker:
         leaf_medium = translation.level_media[-1]
         return self.walk_cost(pattern, leaf_medium, translation.leaf_level,
                               leaf_factor=leaf_factor)
-
-    def mmu_overhead(self, misses: float, walk_cost: float,
-                     total_cycles: float) -> float:
-        """Fraction of execution spent in page walks (monitor input)."""
-        if total_cycles <= 0:
-            return 0.0
-        return (misses * walk_cost) / total_cycles

@@ -27,7 +27,9 @@ class DirtyTracker:
         self._bytes: Dict[int, float] = defaultdict(float)
         #: Granules collected by an in-flight msync (the *sync epoch*):
         #: popped from the dirty set but not yet re-protected/flushed.
-        self._syncing: Dict[int, Set[int]] = {}
+        #: Empty while no epoch is open, so writers test it before
+        #: scanning for races.
+        self.syncing: Dict[int, Set[int]] = {}
         #: Granules written concurrently with the epoch; re-marked dirty
         #: when the epoch ends so the next sync flushes them.
         self._deferred: Dict[int, Set[int]] = defaultdict(set)
@@ -65,12 +67,12 @@ class DirtyTracker:
         must be re-marked dirty after the epoch, not swallowed.
         """
         tags = self.collect(inode)
-        self._syncing[inode.number] = tags
+        self.syncing[inode.number] = tags
         return tags
 
     def in_sync(self, inode: Inode, granule_index: int) -> bool:
         """Is this granule being flushed by an in-flight msync?"""
-        return granule_index in self._syncing.get(inode.number, ())
+        return granule_index in self.syncing.get(inode.number, ())
 
     def remark_after_sync(self, inode: Inode, granule_index: int) -> None:
         """Queue a racing write's granule for re-tagging at epoch end."""
@@ -79,7 +81,7 @@ class DirtyTracker:
     def remark_racing(self, inode: Inode, lo: int, hi: int) -> None:
         """:meth:`remark_after_sync` every granule in ``lo..hi`` that an
         in-flight msync is flushing (one call per written window)."""
-        syncing = self._syncing.get(inode.number)
+        syncing = self.syncing.get(inode.number)
         if syncing:
             for granule_index in range(lo, hi + 1):
                 if granule_index in syncing:
@@ -87,7 +89,7 @@ class DirtyTracker:
 
     def end_sync(self, inode: Inode) -> None:
         """Close the epoch; re-mark granules written during it."""
-        self._syncing.pop(inode.number, None)
+        self.syncing.pop(inode.number, None)
         for granule_index in self._deferred.pop(inode.number, ()):
             self.mark(inode, granule_index)
 
@@ -98,5 +100,5 @@ class DirtyTracker:
         """Discard tags without flushing (unlink/eviction)."""
         self._dirty.pop(inode.number, None)
         self._bytes.pop(inode.number, None)
-        self._syncing.pop(inode.number, None)
+        self.syncing.pop(inode.number, None)
         self._deferred.pop(inode.number, None)

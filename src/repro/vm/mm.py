@@ -44,7 +44,7 @@ from repro.mem.latency import MemoryModel
 from repro.mem.physmem import Medium, PhysicalMemory
 from repro.paging.pagetable import PMD_LEVEL
 from repro.paging.flags import PageFlags
-from repro.paging.schemes import make_scheme
+from repro.paging.schemes import TranslationScheme, make_scheme
 from repro.obs import Counter, CostDomain, charge, charge_span
 from repro.obs.counters import counter_key
 from repro.paging.tlb import AccessPattern, ShootdownController, TLBModel
@@ -126,11 +126,18 @@ class MMStruct:
         #: there, and it is the fallback accessor node.
         self.topology = topology
         self.home_node = home_node
+        #: A uniform machine prices every access at factor 1 on node 0
+        #: and never asks where a frame lives.
+        self._uniform = topology is None or topology.num_nodes == 1
         #: The process's translation architecture.  ``radix4`` *is* the
         #: pre-refactor ``PageTable`` (same allocation order, same
         #: costs); the alternative MMUs plug in behind the same hooks.
         self.scheme = make_scheme(scheme, physmem, costs, Medium.DRAM,
                                   node=home_node)
+        #: Only schemes whose TLB entries span runs (the range MMU)
+        #: override the miss cap; for the others it is the identity.
+        self._coalesces = (type(self.scheme).coalesce_tlb_misses
+                           is not TranslationScheme.coalesce_tlb_misses)
         self.mmap_sem = RWSemaphore(engine, costs, f"{name}.mmap_sem")
         #: The trap-entry charge is a constant; the engine only reads
         #: effects, so one shared instance serves every demand fault.
@@ -558,46 +565,28 @@ class MMStruct:
             data_medium = tiers.medium_for(inode, vma.file_page(first_page))
             tiers.note_touch(inode, vma.file_page(first_page),
                              vma.file_page(last_page), write=write)
-        topology = self.topology
-        if topology is None or topology.num_nodes == 1:
-            numa = None
+        if self._uniform:
+            lat_f = bw_f = 1.0
+            target_node = 0
+            numa_remote = False
         else:
-            numa = self._numa_info(vma, first_page, data_medium)
-        lat_f, bw_f, target_node, numa_remote = numa or (1.0, 1.0, 0, False)
+            lat_f, bw_f, target_node, numa_remote = self._numa_info(
+                vma, first_page, data_medium)
 
         # Price at the access's NUMA factors.  A remote access prices
         # the uniform-factor variant too: the difference is the UPI
         # tax, ledgered separately so perf breakdowns can show it.
+        # Pricing has no side effects, so the second call is free to
+        # make.
         rand = pattern is AccessPattern.RANDOM
-        prices = []
-        for lat_factor, bw_factor in (((lat_f, bw_f), (1.0, 1.0))
-                                      if numa_remote else ((lat_f, bw_f),)):
-            if write and copy:
-                cycles = mem.memcpy(nbytes, Medium.DRAM, data_medium,
-                                    ntstore=ntstore, bw_factor=bw_factor)
-            elif write:
-                cycles = mem.stream_write(nbytes, data_medium,
-                                          ntstore=ntstore, node=target_node,
-                                          bw_factor=bw_factor)
-            elif copy:
-                cycles = mem.memcpy(nbytes, data_medium, Medium.DRAM,
-                                    bw_factor=bw_factor)
-                if rand:
-                    cycles += mem.load_latency(data_medium,
-                                               factor=lat_factor)
-            elif rand:
-                cycles = (mem.load_latency(data_medium, factor=lat_factor)
-                          + mem.stream_read(nbytes, data_medium,
-                                            cached=data_cached,
-                                            node=target_node,
-                                            bw_factor=bw_factor))
-            else:
-                cycles = mem.stream_read(nbytes, data_medium,
-                                         cached=data_cached, node=target_node,
-                                         bw_factor=bw_factor)
-            prices.append(cycles * num_ops)
-        data = prices[0]
-        numa_extra = data - prices[1] if numa_remote else 0.0
+        data = self._data_cycles(nbytes, data_medium, write, copy, rand,
+                                 ntstore, data_cached, target_node,
+                                 lat_f, bw_f) * num_ops
+        numa_extra = 0.0
+        if numa_remote:
+            numa_extra = data - self._data_cycles(
+                nbytes, data_medium, write, copy, rand, ntstore,
+                data_cached, target_node, 1.0, 1.0) * num_ops
 
         # -- device bandwidth contention ------------------------------------
         # Only media sharing the PMem DIMM pools contend there; data a
@@ -607,7 +596,8 @@ class MMStruct:
                 0 if write else total_bytes,
                 total_bytes if write else 0, self.engine.now,
                 node=target_node)
-            data = max(data, wait)
+            if wait > data:
+                data = wait
 
         # -- TLB misses --------------------------------------------------------
         tlb_cost = self._tlb_cost(vma, first_page, npages, pattern,
@@ -626,7 +616,9 @@ class MMStruct:
 
         # -- durability shadowing and sync-epoch races ----------------------
         if write and inode is not None:
-            if tracked:  # ``granule`` was set by the write-track step
+            if tracked and self.page_cache.syncing:
+                # An msync epoch is open; ``granule`` was set by the
+                # write-track step.
                 self.page_cache.remark_racing(
                     inode, (vma.file_offset + offset) // granule,
                     (vma.file_offset + offset + length - 1) // granule)
@@ -635,13 +627,39 @@ class MMStruct:
                 domain.data_store(inode.number, total_bytes, nt=ntstore)
         counters = self.stats.counters
         counters[_VM_ACCESS_BYTES_KEY] += total_bytes
-        if numa is not None:
+        if not self._uniform:
             if numa_remote:
                 counters[_NUMA_REMOTE_ACCESSES_KEY] += num_ops
                 counters[_NUMA_REMOTE_BYTES_KEY] += total_bytes
             else:
                 counters[_NUMA_LOCAL_ACCESSES_KEY] += num_ops
                 counters[_NUMA_LOCAL_BYTES_KEY] += total_bytes
+
+    def _data_cycles(self, nbytes: int, medium: Medium, write: bool,
+                     copy: bool, rand: bool, ntstore: bool, cached: bool,
+                     node: int, lat_factor: float,
+                     bw_factor: float) -> float:
+        """Cycles one op of :meth:`access` spends moving its data at
+        the given NUMA factors (the idiom picks the pricing call)."""
+        mem = self.mem
+        if write and copy:
+            return mem.memcpy(nbytes, Medium.DRAM, medium,
+                              ntstore=ntstore, bw_factor=bw_factor)
+        if write:
+            return mem.stream_write(nbytes, medium, ntstore=ntstore,
+                                    node=node, bw_factor=bw_factor)
+        if copy:
+            cycles = mem.memcpy(nbytes, medium, Medium.DRAM,
+                                bw_factor=bw_factor)
+            if rand:
+                cycles += mem.load_latency(medium, factor=lat_factor)
+            return cycles
+        if rand:
+            return (mem.load_latency(medium, factor=lat_factor)
+                    + mem.stream_read(nbytes, medium, cached=cached,
+                                      node=node, bw_factor=bw_factor))
+        return mem.stream_read(nbytes, medium, cached=cached, node=node,
+                               bw_factor=bw_factor)
 
     # ------------------------------------------------------------------
     # Media-fault handling (repro.faults).
@@ -797,9 +815,10 @@ class MMStruct:
         # Schemes whose TLB entries span more than one page (the
         # range MMU: one entry per contiguous run) cap the per-page
         # miss count here; radix/hashed return it unchanged.
-        misses_small = self.scheme.coalesce_tlb_misses(
-            misses_small, vma.start + first_page * PAGE_SIZE,
-            npages)
+        if self._coalesces:
+            misses_small = self.scheme.coalesce_tlb_misses(
+                misses_small, vma.start + first_page * PAGE_SIZE,
+                npages)
         walk_small = self.scheme.walk_cost(self.walker, pattern, leaf_medium,
                                            leaf_factor=leaf_factor)
         cost = misses_small * walk_small

@@ -1,6 +1,9 @@
 """Shared fixtures for the test suite."""
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.config import DEFAULT_COSTS
 from repro.mem.latency import MemoryModel
@@ -8,6 +11,14 @@ from repro.mem.physmem import PhysicalMemory
 from repro.sim.engine import Engine
 from repro.sim.stats import Stats
 from repro.system import System
+
+# CI runs (GitHub Actions sets ``CI``) draw the same examples every
+# time, so a property test's verdict cannot flip on a fresh random
+# draw; local runs keep exploring.
+settings.register_profile("ci", derandomize=True, deadline=None,
+                          print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

@@ -64,12 +64,6 @@ def test_memcpy_bandwidth_is_min_of_sides(mem):
     assert to_pmem > to_dram
 
 
-def test_random_read_pays_latency_per_chunk(mem):
-    seq = mem.stream_read(64 << 10, Medium.PMEM)
-    rand = mem.random_read(64 << 10, 4096, Medium.PMEM)
-    assert rand > seq
-
-
 def test_throttle_paces_consumption():
     throttle = BandwidthThrottle(64e6, 2.7e9)  # 64 MB/s
     one_chunk = (64 << 20) / 64e6 * 2.7e9  # cycles per 64 MiB chunk

@@ -108,6 +108,25 @@ def test_populate_prefaults(system):
     assert before == after == 0  # populate is not a fault
 
 
+@pytest.mark.parametrize("scheme, misses", [("radix4", 64.0), ("range", 1.0)])
+def test_range_mmu_coalesces_a_windows_tlb_misses(scheme, misses):
+    """One contiguous 64-page run: the radix MMU misses once per page,
+    the range MMU once for the whole window."""
+    system = System(device_bytes=1 << 30, scheme=scheme)
+    f = make_file(system, 64 * PAGE)
+    proc = system.new_process()
+
+    def flow():
+        vma = yield from proc.mm.mmap(
+            system.fs, f.inode, 0, 64 * PAGE, Protection.READ,
+            MapFlags.SHARED | MapFlags.POPULATE)
+        before = system.stats.get(Counter.VM_TLB_MISSES)
+        yield from proc.mm.access(vma, 0, 64 * PAGE)
+        return system.stats.get(Counter.VM_TLB_MISSES) - before
+
+    assert run(system, flow()) == misses
+
+
 def test_huge_page_mapping_on_fresh_image(system):
     f = make_file(system, 4 << 20)
     proc = system.new_process()

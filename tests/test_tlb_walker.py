@@ -38,16 +38,9 @@ def test_huge_walks_are_cheap(walker):
     assert huge < small / 10
 
 
-def test_mmu_overhead(walker):
-    assert walker.mmu_overhead(1000, 100, 1_000_000) == pytest.approx(0.1)
-    assert walker.mmu_overhead(0, 100, 0) == 0.0
-
-
-def test_tlb_reach_and_scan_misses():
+def test_tlb_reach():
     tlb = TLBModel(DEFAULT_COSTS, DEFAULT_MACHINE)
     assert tlb.reach(4096) == 1536 * 4096
-    assert tlb.scan_misses(1 << 20, 4096) == 256
-    assert tlb.scan_misses(1 << 20, 2 << 20) == 1
 
 
 def test_random_misses_saturate_out_of_reach():

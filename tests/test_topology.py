@@ -14,6 +14,7 @@ from repro.config import DEFAULT_COSTS, NUMA_IPI_CROSS_SOCKET_EXTRA
 from repro.errors import InvalidArgumentError, MemoryError_
 from repro.mem.physmem import AllocPolicy, Medium, PhysicalMemory
 from repro.obs import CostDomain
+from repro.paging.tlb import AccessPattern
 from repro.system import System
 from repro.topology import (
     INTERLEAVE_BLOCKS,
@@ -22,6 +23,7 @@ from repro.topology import (
     NodeSpec,
     device_placement,
 )
+from repro.vm.vma import MapFlags, Protection
 from repro.workloads import EphemeralConfig, Interface, run_ephemeral
 
 MACHINE = DEFAULT_COSTS.machine
@@ -227,6 +229,49 @@ def test_remote_accesses_charge_the_numa_domain():
                           pin_node=0)
     run_ephemeral(system, cfg)
     assert system.ledger.domain_total(CostDomain.NUMA) > 0
+
+
+@pytest.mark.parametrize("write", [True, False])
+def test_remote_access_tax_is_remote_price_minus_uniform_price(write):
+    """A remote mapped access ledgers, as ``numa/remote-access``, its
+    price at the NUMA factors minus its price at uniform ones."""
+    system = System(costs=DEFAULT_COSTS, device_bytes=1 << 30,
+                    topology=two_nodes(), placement="remote")
+    proc = system.new_process()
+    nbytes, ops = 4 << 12, 3
+    pattern = AccessPattern.SEQUENTIAL if write else AccessPattern.RANDOM
+
+    def flow():
+        handle = yield from system.fs.open("/remote", create=True)
+        yield from system.fs.write(handle, 0, 16 << 12)
+        vma = yield from proc.mm.mmap(
+            system.fs, handle.inode, 0, 16 << 12,
+            Protection.READ | Protection.WRITE,
+            MapFlags.SHARED | MapFlags.POPULATE)
+        before = system.ledger.event_total(CostDomain.NUMA, "remote-access")
+        yield from proc.mm.access(vma, 0, nbytes, write=write, copy=not write,
+                                  pattern=pattern, ops=ops)
+        after = system.ledger.event_total(CostDomain.NUMA, "remote-access")
+        return handle.inode, after - before
+
+    thread = system.spawn(flow(), core=0)
+    system.run()
+    inode, tax = thread.result
+    mem = system.mem
+    lat, bw, node, remote = mem.numa_factors(
+        0, system.fs.frame_for_page(inode, 0), Medium.PMEM)
+    assert remote and bw < 1.0
+
+    def price(lat_factor, bw_factor):
+        if write:
+            return mem.stream_write(nbytes, Medium.PMEM, node=node,
+                                    bw_factor=bw_factor) * ops
+        return (mem.memcpy(nbytes, Medium.PMEM, Medium.DRAM,
+                           bw_factor=bw_factor)
+                + mem.load_latency(Medium.PMEM, factor=lat_factor)) * ops
+
+    assert tax > 0
+    assert tax == price(lat, bw) - price(1.0, 1.0)
 
 
 def test_cross_socket_shootdowns_are_counted_and_priced():
