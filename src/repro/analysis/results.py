@@ -56,12 +56,6 @@ class RunResult:
             return 0.0
         return self.seconds / self.operations * 1e6
 
-    def speedup_over(self, other: "RunResult") -> float:
-        """This run's ops/s relative to another's."""
-        if other.ops_per_second == 0:
-            return 0.0
-        return self.ops_per_second / other.ops_per_second
-
 
 @dataclass
 class Series:
@@ -75,9 +69,6 @@ class Series:
 
     def xs(self) -> List[float]:
         return [p[0] for p in self.points]
-
-    def ys(self) -> List[float]:
-        return [p[1] for p in self.points]
 
     def y_at(self, x: float) -> Optional[float]:
         for px, py in self.points:

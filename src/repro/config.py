@@ -57,12 +57,6 @@ class MachineConfig:
     tlb_entries_4k: int = 1536
     tlb_entries_2m: int = 1536
 
-    def cycles_from_seconds(self, seconds: float) -> float:
-        return seconds * self.freq_hz
-
-    def seconds_from_cycles(self, cycles: float) -> float:
-        return cycles / self.freq_hz
-
 
 @dataclass(frozen=True)
 class CostModel:

@@ -167,8 +167,6 @@ class PersistenceDomain:
         #: persistent file-table nodes); the recovery checker reconciles
         #: this against the extent trees to find orphaned blocks.
         self.allocated = IntervalSet()
-        #: PMem frames in use, fed by mem.physmem.
-        self.pmem_frames = 0
 
     # -- crash-point clock -------------------------------------------------
     def checkpoint_at(self, points: Iterable[int],
@@ -314,10 +312,6 @@ class PersistenceDomain:
     def note_block_free(self, start: int, length: int) -> None:
         self.allocated.remove(start, start + length)
 
-    # -- frame accounting from physical memory ----------------------------
-    def note_pmem_frame(self, delta: int) -> None:
-        self.pmem_frames += delta
-
     # -- copying ------------------------------------------------------------
     def copy(self, machine, inodes: Dict[int, object]
              ) -> "PersistenceDomain":
@@ -334,7 +328,6 @@ class PersistenceDomain:
         twin._open_txn = [records[rec.seq] for rec in self._open_txn]
         twin._txn_seq = self._txn_seq
         twin.allocated = self.allocated.copy()
-        twin.pmem_frames = self.pmem_frames
         return twin
 
     # -- crash application -------------------------------------------------

@@ -49,12 +49,6 @@ class InvalidArgumentError(ReproError):
     errno_name = "EINVAL"
 
 
-class PermissionFault(ReproError):
-    """Access violated the permissions of a mapping (SIGSEGV-like)."""
-
-    errno_name = "EACCES"
-
-
 class SegmentationFault(ReproError):
     """Access touched an unmapped virtual address (SIGSEGV-like)."""
 

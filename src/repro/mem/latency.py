@@ -198,8 +198,12 @@ class MemoryModel:
                      now: float, node: int = 0) -> float:
         """Extra wait imposed by one node's aggregate PMem bandwidth
         (0 if the shared model is not wired up)."""
-        pools = self._pools  # ``pool(node)`` inlined: once per access
-        pool = pools[min(node, len(pools) - 1)]
+        # ``pool(node)`` inlined (once per access), without its two
+        # builtin calls on the common in-range node.
+        try:
+            pool = self._pools[node]
+        except IndexError:
+            pool = self._pools[-1]
         if pool is None:
             return 0.0
         return pool.delay(read_bytes, write_bytes, now)

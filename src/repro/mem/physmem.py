@@ -201,11 +201,6 @@ class PhysicalMemory:
                            Medium.CXL: self.cxl_regions,
                            Medium.FAR: self.far_regions}
         self._interleave_next = {medium: 0 for medium in Medium}
-        #: Optional :class:`repro.crash.PersistenceDomain`: PMem frame
-        #: lifecycle is reported so crash exploration can account for
-        #: persistent-capacity churn.  Passive — allocation behaviour
-        #: is unchanged.
-        self.persistence = None
         #: Optional per-tenant frame accountant (duck-typed, installed
         #: by repro.tenancy): ``charge_alloc(medium)`` runs *before* a
         #: frame is handed out and may reclaim or refuse (cgroup
@@ -266,8 +261,6 @@ class PhysicalMemory:
             except MemoryError_ as exc:
                 last_error = exc
                 continue
-            if self.persistence is not None and medium is Medium.PMEM:
-                self.persistence.note_pmem_frame(+1)
             if self.accountant is not None:
                 self.accountant.note_alloc(frame)
             return frame
@@ -276,8 +269,6 @@ class PhysicalMemory:
     def free_frame(self, frame: int) -> None:
         region = self.region_of(frame)
         region.free_frame(frame)
-        if self.persistence is not None and region.medium is Medium.PMEM:
-            self.persistence.note_pmem_frame(-1)
         if self.accountant is not None:
             self.accountant.note_free(frame)
 

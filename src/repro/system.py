@@ -271,7 +271,6 @@ class System:
         domain.machine = self
         self.fs.persistence = domain
         self.mem.persistence = domain
-        self.physmem.persistence = domain
 
     # -- media-fault injection ----------------------------------------------
     def attach_faults(self, faults) -> None:

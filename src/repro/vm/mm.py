@@ -29,6 +29,7 @@ exact for the single-threaded large-file workloads that use them.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional, Set, Tuple
 
 from repro.config import CostModel
@@ -44,7 +45,7 @@ from repro.mem.latency import MemoryModel
 from repro.mem.physmem import Medium, PhysicalMemory
 from repro.paging.pagetable import PMD_LEVEL
 from repro.paging.flags import PageFlags
-from repro.paging.schemes import TranslationScheme, make_scheme
+from repro.paging.schemes import Radix4Scheme, TranslationScheme, make_scheme
 from repro.obs import Counter, CostDomain, charge, charge_span
 from repro.obs.counters import counter_key
 from repro.paging.tlb import AccessPattern, ShootdownController, TLBModel
@@ -79,6 +80,16 @@ _NUMA_LOCAL_ACCESSES_KEY = counter_key(Counter.NUMA_LOCAL_ACCESSES)
 _NUMA_LOCAL_BYTES_KEY = counter_key(Counter.NUMA_LOCAL_BYTES)
 _NUMA_REMOTE_ACCESSES_KEY = counter_key(Counter.NUMA_REMOTE_ACCESSES)
 _NUMA_REMOTE_BYTES_KEY = counter_key(Counter.NUMA_REMOTE_BYTES)
+#: Enum members the same paths load on every access, bound once: a
+#: module global is one dict hit, a member load goes through the enum
+#: class's attribute lookup.
+_DRAM = Medium.DRAM
+_PMEM = Medium.PMEM
+_SEQUENTIAL = AccessPattern.SEQUENTIAL
+_RANDOM = AccessPattern.RANDOM
+_COPY = CostDomain.COPY
+_USERSPACE = CostDomain.USERSPACE
+_WALK = CostDomain.WALK
 
 
 def huge_covered_pages(huge_regions: Set[int], first_page: int,
@@ -147,6 +158,12 @@ class MMStruct:
         self.layout = AddressSpaceLayout(aslr_seed)
         self.page_cache = DirtyTracker()
         self.walker = PageWalker(costs)
+        #: A base-page walk's price.  radix4's hook only forwards to
+        #: the walker's memoised cost, so it calls the walker directly.
+        self._walk_cost = (
+            self.walker.walk_cost
+            if type(self.scheme).walk_cost is Radix4Scheme.walk_cost
+            else partial(self.scheme.walk_cost, self.walker))
         self.tlb = TLBModel(costs, costs.machine)
         self.shootdowns = ShootdownController(engine, costs, stats,
                                               topology=topology)
@@ -187,11 +204,10 @@ class MMStruct:
         native medium unless a tier overlay promoted it)."""
         frame = None
         if vma.fs is not None and vma.inode is not None:
-            try:
-                frame = vma.fs.frame_for_page(
-                    vma.inode, vma.file_page(first_page))
-            except Exception:
-                frame = None  # hole/ephemeral: fall back to uniform
+            # ``None`` for a hole: the access prices as uniform.  Any
+            # other failure of the lookup is a fault and propagates.
+            frame = vma.fs.frame_for_page(vma.inode,
+                                          vma.file_page(first_page))
         return self.mem.numa_factors(
             self._initiator_core(), frame, medium)
 
@@ -560,7 +576,7 @@ class MMStruct:
         # resolves to PMem, reproducing the pre-tiering model exactly.
         tiers = mem.tiers
         if tiers is None or inode is None:
-            data_medium = Medium.PMEM
+            data_medium = _PMEM
         else:
             data_medium = tiers.medium_for(inode, vma.file_page(first_page))
             tiers.note_touch(inode, vma.file_page(first_page),
@@ -578,7 +594,7 @@ class MMStruct:
         # tax, ledgered separately so perf breakdowns can show it.
         # Pricing has no side effects, so the second call is free to
         # make.
-        rand = pattern is AccessPattern.RANDOM
+        rand = pattern is _RANDOM
         data = self._data_cycles(nbytes, data_medium, write, copy, rand,
                                  ntstore, data_cached, target_node,
                                  lat_f, bw_f) * num_ops
@@ -605,9 +621,9 @@ class MMStruct:
         # One yield for the whole burst: there is no kernel code
         # between these charges, so span-merging them is bit-identical
         # (the engine interprets span entries with per-entry arithmetic).
-        moved = (CostDomain.COPY if copy else CostDomain.USERSPACE,
-                 "data-access", data - numa_extra)
-        walk = (CostDomain.WALK, "tlb-walk", tlb_cost)
+        moved = (_COPY if copy else _USERSPACE, "data-access",
+                 data - numa_extra)
+        walk = (_WALK, "tlb-walk", tlb_cost)
         if numa_extra:
             yield charge_span(
                 (moved, (CostDomain.NUMA, "remote-access", numa_extra), walk))
@@ -643,13 +659,13 @@ class MMStruct:
         the given NUMA factors (the idiom picks the pricing call)."""
         mem = self.mem
         if write and copy:
-            return mem.memcpy(nbytes, Medium.DRAM, medium,
+            return mem.memcpy(nbytes, _DRAM, medium,
                               ntstore=ntstore, bw_factor=bw_factor)
         if write:
             return mem.stream_write(nbytes, medium, ntstore=ntstore,
                                     node=node, bw_factor=bw_factor)
         if copy:
-            cycles = mem.memcpy(nbytes, medium, Medium.DRAM,
+            cycles = mem.memcpy(nbytes, medium, _DRAM,
                                 bw_factor=bw_factor)
             if rand:
                 cycles += mem.load_latency(medium, factor=lat_factor)
@@ -792,18 +808,17 @@ class MMStruct:
         stay at factor 1.
         """
         leaf_medium = vma.leaf_medium
-        if leaf_medium is not Medium.PMEM:
+        if leaf_medium is not _PMEM:
             leaf_factor = 1.0
         # Split the window into huge-covered and 4 KB-covered pages.
         huge_pages = (huge_covered_pages(vma.huge_regions, first_page, npages)
                       if vma.huge_regions else 0)
-        small_pages = npages - huge_pages
-        huge_fraction = huge_pages / npages if npages else 0.0
 
-        if pattern is AccessPattern.SEQUENTIAL and num_ops == 1:
-            misses_small = small_pages
+        if pattern is _SEQUENTIAL and num_ops == 1:
+            misses_small = npages - huge_pages
             misses_huge = max(1, huge_pages // PAGES_PER_PMD) if huge_pages else 0
         else:
+            huge_fraction = huge_pages / npages if npages else 0.0
             footprint = npages * PAGE_SIZE
             total = self.tlb.random_op_misses(num_ops, op_bytes,
                                               PAGE_SIZE, footprint)
@@ -819,8 +834,8 @@ class MMStruct:
             misses_small = self.scheme.coalesce_tlb_misses(
                 misses_small, vma.start + first_page * PAGE_SIZE,
                 npages)
-        walk_small = self.scheme.walk_cost(self.walker, pattern, leaf_medium,
-                                           leaf_factor=leaf_factor)
+        walk_small = self._walk_cost(pattern, leaf_medium,
+                                     leaf_factor=leaf_factor)
         cost = misses_small * walk_small
         if misses_huge:
             # Skipping a zero term is bit-exact: every walk cost is a

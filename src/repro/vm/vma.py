@@ -72,8 +72,11 @@ class VMA:
         self.end = end
         self.inode = inode
         self.file_offset = file_offset
-        self.prot = prot
+        #: ``inode`` and ``flags`` are fixed for the mapping's life;
+        #: ``prot`` is set last because its setter derives
+        #: :attr:`tracks_dirty` from all three.
         self.flags = flags
+        self.prot = prot
         #: Page indices (VMA-relative) with installed translations.
         self.populated: Set[int] = set()
         #: Page indices currently write-enabled (dirty-tracking state).
@@ -137,13 +140,20 @@ class VMA:
         return bool(self.flags & MapFlags.EPHEMERAL)
 
     @property
-    def tracks_dirty(self) -> bool:
-        """Kernel-side dirty tracking active for this mapping?"""
-        # Raw-int flag tests: this property gates every access/fault.
-        return (self.inode is not None
-                and self.flags._value_ & _SHARED_BIT != 0
-                and self.prot._value_ & _WRITE_BIT != 0
-                and self.flags._value_ & _NO_MSYNC_BIT == 0)
+    def prot(self) -> Protection:
+        return self._prot
+
+    @prot.setter
+    def prot(self, prot: Protection) -> None:
+        self._prot = prot
+        #: Kernel-side dirty tracking active for this mapping?  Read on
+        #: every access and fault, so it is stored, not derived: prot
+        #: is the only one of its inputs that changes (mprotect), and
+        #: this setter recomputes it.
+        self.tracks_dirty = (self.inode is not None
+                             and self.flags._value_ & _SHARED_BIT != 0
+                             and prot._value_ & _WRITE_BIT != 0
+                             and self.flags._value_ & _NO_MSYNC_BIT == 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         name = self.inode.path if self.inode else "anon"

@@ -68,11 +68,20 @@ class PmemKVStore:
         self.record_count = 0
         self.sstables: List[Tuple[DaxFile, VMA]] = []
         self.wal: Optional[Tuple[DaxFile, VMA]] = None
+        #: The WAL mapping's address base (``_base``), fixed per roll.
+        self._wal_base = 0
         self.wal_offset = 0
         self._wal_pool: List[DaxFile] = []
         self._file_seq = 0
         self.flushes = 0
         self.wal_rolls = 0
+        #: Memtable insert: skiplist walk + record copy in DRAM.  The
+        #: cost model is frozen and pricing is pure, so every put
+        #: yields this one charge.
+        self._memtable_insert = charge(
+            CostDomain.USERSPACE, "memtable-insert",
+            900.0 + system.mem.memcpy(cfg.record_size, Medium.DRAM,
+                                      Medium.DRAM))
 
     # -- mapping helpers -------------------------------------------------
     def _map(self, f: DaxFile, size: int):
@@ -122,6 +131,7 @@ class PmemKVStore:
             f = yield from self._new_file("wal", self.cfg.wal_size)
         vma = yield from self._map(f, self.cfg.wal_size)
         self.wal = (f, vma)
+        self._wal_base = self._base(vma)
         self.wal_offset = 0
 
     # -- operations ---------------------------------------------------------
@@ -130,16 +140,12 @@ class PmemKVStore:
         cfg = self.cfg
         if self.wal_offset + cfg.record_size > cfg.wal_size:
             yield from self._roll_wal()
-        _f, wal_vma = self.wal
         yield from self.process.mm.access(
-            wal_vma, self._base(wal_vma) + self.wal_offset,
+            self.wal[1], self._wal_base + self.wal_offset,
             cfg.record_size, write=True,
             pattern=AccessPattern.SEQUENTIAL, ntstore=True)
         self.wal_offset += cfg.record_size
-        # Memtable insert: skiplist walk + record copy in DRAM.
-        yield charge(CostDomain.USERSPACE, "memtable-insert",
-                     900.0 + self.system.mem.memcpy(
-                         cfg.record_size, Medium.DRAM, Medium.DRAM))
+        yield self._memtable_insert
         self.memtable_bytes += cfg.record_size
         self.record_count += 1
         if self.memtable_bytes >= cfg.memtable_limit:

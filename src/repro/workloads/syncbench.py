@@ -78,27 +78,32 @@ def _worker(system: System, process: Process, cfg: SyncConfig, path: str):
             MapFlags.SHARED | MapFlags.SYNC | MapFlags.NO_MSYNC)
         base = vma.user_addr - vma.start
 
+    # Everything the op loop reads is fixed for the run.
+    syscalls = d is SyncDiscipline.WRITE_FSYNC
+    # fsync disciplines buffer in the cache; user-space durability
+    # disciplines stream with nt-stores.
+    nt = d in (SyncDiscipline.MMAP_USER, SyncDiscipline.DAXVM_NOSYNC)
+    # daxvm-nosync's msync is a no-op by contract; mmap-user never syncs.
+    msyncs = d in (SyncDiscipline.MMAP_FSYNC, SyncDiscipline.DAXVM_FSYNC,
+                   SyncDiscipline.DAXVM_NOSYNC)
+    write = system.fs.write
+    access = process.mm.access
+    sequential = AccessPattern.SEQUENTIAL
+    op_size = cfg.op_size
+    wrap = cfg.file_size - op_size
     offset = 0
     for _sync in range(cfg.num_syncs):
         for _op in range(cfg.ops_per_sync):
-            if d is SyncDiscipline.WRITE_FSYNC:
-                yield from system.fs.write(f, offset, cfg.op_size)
+            if syscalls:
+                yield from write(f, offset, op_size)
             else:
-                # fsync disciplines buffer in the cache; user-space
-                # durability disciplines stream with nt-stores.
-                nt = d in (SyncDiscipline.MMAP_USER,
-                           SyncDiscipline.DAXVM_NOSYNC)
-                yield from process.mm.access(
-                    vma, base + offset, cfg.op_size, write=True,
-                    pattern=AccessPattern.SEQUENTIAL, copy=True,
-                    ntstore=nt)
-            offset = (offset + cfg.op_size) % (cfg.file_size - cfg.op_size)
-        if d is SyncDiscipline.WRITE_FSYNC:
+                yield from access(vma, base + offset, op_size, write=True,
+                                  pattern=sequential, copy=True, ntstore=nt)
+            offset = (offset + op_size) % wrap
+        if syscalls:
             yield from system.fs.fsync(f)
-        elif d in (SyncDiscipline.MMAP_FSYNC, SyncDiscipline.DAXVM_FSYNC):
+        elif msyncs:
             yield from process.mm.msync(vma)
-        elif d is SyncDiscipline.DAXVM_NOSYNC:
-            yield from process.mm.msync(vma)  # a no-op by contract
 
     if d is SyncDiscipline.DAXVM_FSYNC or d is SyncDiscipline.DAXVM_NOSYNC:
         yield from process.daxvm.munmap(vma)

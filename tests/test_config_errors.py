@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro import errors
-from repro.config import DEFAULT_COSTS, CostModel, MachineConfig
+from repro.config import DEFAULT_COSTS, CostModel
 
 
 def test_cost_model_is_frozen():
@@ -25,12 +25,6 @@ def test_cycles_per_byte_and_copy_cycles():
     cpb = cm.cycles_per_byte(2.7e9)
     assert cpb == pytest.approx(1.0)
     assert cm.copy_cycles(1000, 2.7e9, startup=90) == pytest.approx(1090)
-
-
-def test_machine_time_conversions():
-    m = MachineConfig()
-    assert m.cycles_from_seconds(1.0) == pytest.approx(2.7e9)
-    assert m.seconds_from_cycles(2.7e9) == pytest.approx(1.0)
 
 
 def test_fast20_bandwidth_ordering():
@@ -62,4 +56,3 @@ def test_error_hierarchy_and_errnos():
     assert issubclass(errors.DeadlockError, errors.SimulationError)
     assert errors.NoSuchFileError.errno_name == "ENOENT"
     assert errors.NotSupportedError.errno_name == "ENOTSUP"
-    assert errors.PermissionFault.errno_name == "EACCES"

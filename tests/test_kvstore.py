@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.config import MEDIA_PRESETS
+from repro.mem.physmem import Medium
+from repro.obs import CostDomain
 from repro.system import System
 from repro.workloads.common import DaxVMOptions, Interface
 from repro.workloads.kvstore import KVConfig, PmemKVStore
@@ -172,3 +175,18 @@ def test_op_stream_deterministic_by_seed():
                                    seed=99)))
     assert a == b
     assert a != c
+
+
+@pytest.mark.parametrize("preset", sorted(MEDIA_PRESETS))
+@pytest.mark.parametrize("record_size", [1 << 10, 4 << 10])
+def test_memtable_insert_charge_is_the_per_put_price(preset, record_size):
+    """The store prices its memtable insert once; under every media
+    preset that one charge is exactly what each put used to price."""
+    system = System(costs=MEDIA_PRESETS[preset](), device_bytes=1 << 30)
+    store = PmemKVStore(system, system.new_process(),
+                        KVConfig(record_size=record_size))
+    insert = store._memtable_insert
+    assert insert.domain is CostDomain.USERSPACE
+    assert insert.event == "memtable-insert"
+    assert insert.cycles == 900.0 + system.mem.memcpy(
+        record_size, Medium.DRAM, Medium.DRAM)

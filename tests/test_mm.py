@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from repro.fs.extent import ExtentTree
 from repro.fs.vfs import Inode
 from repro.mem.physmem import Medium
 from repro.obs import Counter
+from repro.obs.counters import counter_key
 from repro.paging.flags import PageFlags
 from repro.paging.pagetable import PMD_LEVEL
 from repro.paging.schemes import SCHEME_NAMES
@@ -667,6 +669,102 @@ def test_region_with_a_pte_stays_4k_after_its_poison_heals(scheme):
         heal=True, writable=True, first_page=0, npages=1024)
     assert outcome == ("ok", outcome[1], 511 + 1)  # 511 PTEs, 1 PMD leaf
     assert state["huge_regions"] == [1]
+
+
+def _reference_tlb_cost(mm, vma, first_page, npages, pattern, num_ops,
+                        op_bytes, leaf_factor=1.0):
+    """``MMStruct._tlb_cost`` as it was before its per-op invariants
+    were hoisted: the huge fraction computed for every window, the
+    base-page walk priced through the scheme's hook."""
+    leaf_medium = vma.leaf_medium
+    if leaf_medium is not Medium.PMEM:
+        leaf_factor = 1.0
+    huge_pages = (huge_covered_pages(vma.huge_regions, first_page, npages)
+                  if vma.huge_regions else 0)
+    small_pages = npages - huge_pages
+    huge_fraction = huge_pages / npages if npages else 0.0
+    if pattern is AccessPattern.SEQUENTIAL and num_ops == 1:
+        misses_small = small_pages
+        misses_huge = max(1, huge_pages // PAGES_PER_PMD) if huge_pages else 0
+    else:
+        footprint = npages * PAGE
+        total = mm.tlb.random_op_misses(num_ops, op_bytes, PAGE, footprint)
+        misses_small = total * (1 - huge_fraction)
+        hfoot = huge_pages * PAGE
+        misses_huge = (mm.tlb.random_op_misses(
+            int(num_ops * huge_fraction) or 0, op_bytes, PMD, hfoot)
+            if huge_fraction else 0)
+    if mm._coalesces:
+        misses_small = mm.scheme.coalesce_tlb_misses(
+            misses_small, vma.start + first_page * PAGE, npages)
+    walk_small = mm.scheme.walk_cost(mm.walker, pattern, leaf_medium,
+                                     leaf_factor=leaf_factor)
+    cost = misses_small * walk_small
+    if misses_huge:
+        cost += misses_huge * mm.scheme.huge_walk_cost(mm.walker)
+    counters = mm.stats.counters
+    if mm.guest is not None and mm.guest.nested:
+        nested = (misses_small * mm.scheme.nested_walk_cost(
+                      mm.walker, pattern, leaf_medium,
+                      leaf_factor=leaf_factor)
+                  + misses_huge * mm.scheme.nested_huge_walk_cost(mm.walker))
+        counters[counter_key(Counter.VIRT_NESTED_WALK_CYCLES)] += \
+            nested - cost
+        cost = nested
+    counters[counter_key(Counter.VM_TLB_MISSES)] += misses_small + misses_huge
+    counters[counter_key(Counter.VM_WALK_CYCLES)] += cost
+    return cost
+
+
+#: A 4-region mapping over three unaligned extents, so the range MMU
+#: holds several runs once pages are installed.
+_TLB_EXTENTS = [(700, 3, False), (700, 5, False), (648, 7, False)]
+_TLB_VMA_PAGES = 4 * PAGES_PER_PMD
+
+
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
+@settings(max_examples=60, deadline=None)
+@given(windows=st.lists(
+           st.tuples(st.integers(0, _TLB_VMA_PAGES - 1),
+                     st.integers(1, _TLB_VMA_PAGES),
+                     st.sampled_from(list(AccessPattern)),
+                     st.sampled_from([1, 1, 2, 7, 600, 100_000]),
+                     st.sampled_from([64, PAGE, 3 * PAGE, PMD])),
+           min_size=1, max_size=6),
+       installed=st.lists(st.integers(0, _TLB_VMA_PAGES - 1), max_size=4),
+       huge=st.sets(st.integers(0, 3)),
+       leaf_medium=st.sampled_from([Medium.DRAM, Medium.PMEM]),
+       leaf_factor=st.sampled_from([1.0, 1.7]),
+       nested=st.booleans())
+def test_tlb_cost_matches_reference(scheme, windows, installed, huge,
+                                    leaf_medium, leaf_factor, nested):
+    """Random windows over 4 KB and huge regions, both patterns, one or
+    many ops: bit-equal cycles and equal miss and walk counters."""
+    costs, counters = [], []
+    for tlb_cost in (_reference_tlb_cost, None):
+        system, mm, vma = _installer_machine(
+            scheme, _TLB_EXTENTS, poisoned=[], with_faults=False,
+            start_pages=0, offset_pages=0, vma_pages=_TLB_VMA_PAGES)
+        for page in installed:
+            mm._install_run(vma, page, 1, False)
+        vma.huge_regions |= huge
+        vma.leaf_medium = leaf_medium
+        if nested:
+            mm.guest = SimpleNamespace(nested=True)
+        side = []
+        for first_page, npages, pattern, num_ops, op_bytes in windows:
+            npages = min(npages, _TLB_VMA_PAGES - first_page)
+            if tlb_cost is None:
+                cost = mm._tlb_cost(vma, first_page, npages, pattern,
+                                    num_ops, op_bytes, leaf_factor)
+            else:
+                cost = tlb_cost(mm, vma, first_page, npages, pattern,
+                                num_ops, op_bytes, leaf_factor)
+            side.append(float(cost).hex())
+        costs.append(side)
+        counters.append(dict(system.stats.counters))
+    assert costs[0] == costs[1]
+    assert counters[0] == counters[1]
 
 
 def test_walk_cost_memo_is_pure_and_keeps_unknown_media_loud():

@@ -296,3 +296,38 @@ def test_one_node_runs_keep_numa_counters_silent(aged_system):
                  "numa.cross_socket_ipis"):
         assert aged_system.stats.get(name) == 0
     assert aged_system.ledger.domain_total(CostDomain.NUMA) == 0
+
+
+def test_frame_lookup_failure_propagates_on_two_nodes(monkeypatch):
+    """On a multi-node machine a mapped access asks where its frame
+    lives.  A hole (``None``) prices as uniform; a lookup that fails is
+    a fault and must surface, not price as uniform."""
+    system = System(costs=DEFAULT_COSTS, device_bytes=1 << 30,
+                    topology=two_nodes(), placement="remote")
+    proc = system.new_process()
+
+    class LookupFailed(Exception):
+        pass
+
+    def hole(inode, page):
+        return None
+
+    def broken(inode, page):
+        raise LookupFailed(page)
+
+    def flow():
+        handle = yield from system.fs.open("/numa", create=True)
+        yield from system.fs.write(handle, 0, 4 << 12)
+        vma = yield from proc.mm.mmap(
+            system.fs, handle.inode, 0, 4 << 12, Protection.READ,
+            MapFlags.SHARED | MapFlags.POPULATE)
+        monkeypatch.setattr(system.fs, "frame_for_page", hole)
+        yield from proc.mm.access(vma, 0, 4 << 12)
+        monkeypatch.setattr(system.fs, "frame_for_page", broken)
+        yield from proc.mm.access(vma, 0, 4 << 12)
+
+    system.spawn(flow(), core=0)
+    with pytest.raises(LookupFailed):
+        system.run()
+    assert system.stats.get("numa.local_accesses") == 1
+    assert system.stats.get("numa.remote_accesses") == 0

@@ -39,7 +39,7 @@ def test_file_page_translation():
     assert vma.file_page(3) == 5
 
 
-def test_tracks_dirty_logic():
+def test_tracks_dirty_logic(system):
     assert make_vma().tracks_dirty
     # Read-only mappings are not tracked.
     assert not make_vma(prot=Protection.READ).tracks_dirty
@@ -50,6 +50,35 @@ def test_tracks_dirty_logic():
     # Anonymous mappings are not file-backed.
     anon = VMA(0, 4096, None, 0, Protection.rw(), MapFlags.PRIVATE)
     assert not anon.tracks_dirty
+
+    # The flag is stored: both mprotect paths must recompute it.
+    proc = system.new_process()
+    dax = system.daxvm_for(proc)
+
+    def flow():
+        f = yield from system.fs.open("/tracked", create=True)
+        yield from system.fs.write(f, 0, PMD_SIZE)
+        base = yield from proc.mm.mmap(system.fs, f.inode, 0, PMD_SIZE,
+                                       Protection.rw(), MapFlags.SHARED)
+        synced = yield from dax.mmap(f.inode, 0, PMD_SIZE, Protection.rw(),
+                                     MapFlags.SHARED | MapFlags.SYNC)
+        nosync = yield from dax.mmap(f.inode, 0, PMD_SIZE, Protection.rw(),
+                                     MapFlags.SHARED | MapFlags.SYNC
+                                     | MapFlags.NO_MSYNC)
+        seen = []
+        for mprotect, vma in ((proc.mm.mprotect, base),
+                              (dax.mprotect, synced), (dax.mprotect, nosync)):
+            seen.append(vma.tracks_dirty)
+            for prot in (Protection.READ, Protection.rw()):
+                yield from mprotect(vma, 0, vma.length, prot)
+                seen.append(vma.tracks_dirty)
+        return seen
+
+    thread = system.spawn(flow(), core=0)
+    system.run()
+    assert thread.result == [True, False, True,
+                             True, False, True,
+                             False, False, False]
 
 
 def test_ephemeral_flag():
