@@ -31,10 +31,9 @@ from repro.errors import InvalidArgumentError, NotSupportedError
 from repro.fs.base import FileSystem
 from repro.fs.vfs import Inode
 from repro.mem.latency import MemoryModel
-from repro.mem.physmem import Medium, PhysicalMemory
+from repro.mem.physmem import PhysicalMemory
 from repro.paging.flags import PageFlags
 from repro.obs import Counter, CostDomain, charge
-from repro.paging.pagetable import PMD_LEVEL
 from repro.sim.engine import Engine
 from repro.sim.stats import Stats
 from repro.vm.mm import MMStruct
@@ -266,16 +265,6 @@ class DaxVM:
     def msync(self, vma: VMA):
         """msync: 2 MB-granule flush, or a no-op under MAP_NO_MSYNC."""
         yield from self.mm.msync(vma)
-
-    # ------------------------------------------------------------------
-    # User-space durability helper (nosync mode, §IV-D).
-    # ------------------------------------------------------------------
-    def persist_user(self, nbytes: int):
-        """clwb+sfence a user-written range (application-managed
-        durability)."""
-        yield charge(CostDomain.COPY, "user-flush",
-                     self.mem.clwb_flush(nbytes))
-        self.stats.add(Counter.DAXVM_USER_FLUSH_BYTES, nbytes)
 
     # ------------------------------------------------------------------
     # Monitor-driven table migration (§IV-A1).

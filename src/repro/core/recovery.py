@@ -1,4 +1,4 @@
-"""Crash consistency and reboot recovery for persistent file tables.
+"""Mount-time recovery of persistent file tables.
 
 Paper §IV-A1: persistent file tables are updated inside the file
 system's journal transaction (ext4) or before the log commit (NOVA);
@@ -7,21 +7,20 @@ crash, replaying open transactions recovers incomplete PTEs — a table
 can only ever lag or lead its inode's extent map by the contents of
 one uncommitted transaction, and recovery walks both back into sync.
 
-:func:`simulate_crash` models the power failure itself: it randomly
-truncates the *tail* of each persistent table's most recent extension
-(the unflushed cache lines of the last transaction), which is exactly
-the damage the persistence discipline permits.  :meth:`RecoveryLog.
-recover_all` is the mount-time replay that repairs it.  Volatile
-tables simply vanish with DRAM.
+:meth:`RecoveryLog.recover_all` is that mount-time replay.  The power
+failure itself is modelled by :mod:`repro.crash`: the persistence
+domain discards what was not durable and rolls torn transactions back
+on a :class:`~repro.crash.image.StorageImage`, and its
+:class:`~repro.crash.checker.RecoveryChecker` mounts the image through
+this module.  Volatile tables simply vanish with DRAM.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.core.filetable import FileTableManager
+from repro.core.filetable import PAGES_PER_PMD, FileTableManager
 from repro.fs.vfs import Inode, VFS
 from repro.obs import Counter
 
@@ -34,36 +33,7 @@ class RecoveryReport:
     tables_intact: int = 0
     tables_repaired: int = 0
     ptes_replayed: int = 0
-    volatile_dropped: int = 0
     repaired_paths: List[str] = field(default_factory=list)
-
-
-def simulate_crash(vfs: VFS, seed: int = 0,
-                   max_lost_ptes: int = 64) -> int:
-    """Power-fail the machine: drop volatile state, tear the tails of
-    persistent tables within the window the journal discipline allows.
-
-    Returns the number of PTEs lost (to be recovered by replay).
-    """
-    rng = random.Random(seed)
-    lost = 0
-    for path in vfs.paths():
-        inode = vfs.lookup(path)
-        # DRAM contents are gone.
-        if inode.volatile_file_table is not None:
-            inode.volatile_file_table.destroy()
-            inode.volatile_file_table = None
-        table = inode.persistent_file_table
-        if table is None or table.filled_pages == 0:
-            continue
-        # At most the last (unfenced) batch of PTE fills can be torn.
-        torn = rng.randrange(0, max_lost_ptes + 1)
-        torn = min(torn, table.filled_pages)
-        if torn:
-            table.truncate(table.filled_pages - torn)
-            lost += torn
-    vfs.inode_cache.evict_all()
-    return lost
 
 
 class RecoveryLog:
@@ -111,26 +81,31 @@ class RecoveryLog:
 
 
 def verify_table_consistency(inode: Inode) -> bool:
-    """Invariant check: every filled translation matches the extents.
+    """Invariant check: every filled translation of the inode's
+    persistent table matches the extents.
 
-    Used by tests and by the recovery pass's post-condition: for each
-    file page below ``filled_pages``, the table's frame (huge or PTE)
-    must equal the extent map's physical frame.
+    The recovery pass's post-condition: the table covers exactly the
+    extent map, each PTE holds the frame of its file page's block, and
+    each PMD huge leaf sits on a huge-capable region and holds the
+    frame of the region's first block.
     """
-    table = inode.persistent_file_table or inode.volatile_file_table
+    table = inode.persistent_file_table
     if table is None:
-        return inode.extents.block_count == 0 or True
-    if table.filled_pages != inode.extents.block_count:
+        # Nothing durable to disagree with the extents: a volatile
+        # table dies with DRAM and is rebuilt from them on cold open.
+        return True
+    extents = inode.extents
+    if table.filled_pages != extents.block_count:
         return False
+    device = table._allocator.device
+    for region, frame in table.huge_frames.items():
+        start = region * PAGES_PER_PMD
+        if not extents.pmd_capable(start) or \
+                frame != device.frame_of(extents.physical_block(start)):
+            return False
     for region, node in table.pte_nodes.items():
         for idx, entry in node.entries.items():
-            page = region * 512 + idx
-            phys = inode.extents.physical_block(page)
-            if phys is None:
-                return False
-            expected_frame = table._allocator.device.frame_of(phys) \
-                if hasattr(table._allocator, "device") else None
-            if expected_frame is not None and \
-                    entry.frame != expected_frame:
+            phys = extents.physical_block(region * PAGES_PER_PMD + idx)
+            if phys is None or entry.frame != device.frame_of(phys):
                 return False
     return True

@@ -15,7 +15,11 @@ durability path the checker knows how to verify:
 * ``mmap()`` + stores + ``msync()`` — acked data flushes through the
   dirty-tracking sync epoch;
 * DaxVM ``mmap`` of a large-enough file — persistent per-extent page
-  tables, i.e. the RecoveryLog replay path;
+  tables whose fills ride the journal transaction of the extent
+  append they translate.  A torn transaction rolls the fill back with
+  the append, so every mounted table equals its extent map and
+  ``RecoveryLog`` finds it intact; its repair branch is not reached
+  from here (DESIGN.md §9);
 * the KV store — MAP_SYNC acked commits, WAL rolls (unlink+create)
   and memtable flushes to fresh SSTables.
 
@@ -76,7 +80,8 @@ def syncbench_crash(system: System) -> None:
         file_size=1 << 20, op_size=1 << 10, ops_per_sync=4,
         num_syncs=16, discipline=SyncDiscipline.MMAP_FSYNC))
     # DaxVM + msync over a >=32 KB file: persistent per-extent page
-    # tables are built and their PTE fills ride journal commits.
+    # tables are built and their PTE fills ride journal commits, so a
+    # torn commit rolls a fill back with its extent append.
     run_sync(system, SyncConfig(
         file_size=1 << 20, op_size=1 << 12, ops_per_sync=2,
         num_syncs=6, discipline=SyncDiscipline.DAXVM_FSYNC))

@@ -203,7 +203,7 @@ class PhysicalMemory:
         self._interleave_next = {medium: 0 for medium in Medium}
         #: Optional per-tenant frame accountant (duck-typed, installed
         #: by repro.tenancy): ``charge_alloc(medium)`` runs *before* a
-        #: frame is handed out and may reclaim or refuse (cgroup
+        #: frame is handed out and may refuse it (cgroup
         #: ``limits.memory`` semantics), ``note_alloc(frame)`` /
         #: ``note_free(frame)`` track ownership.  ``None`` = untracked.
         self.accountant = None
@@ -251,8 +251,8 @@ class PhysicalMemory:
         else:
             order = [node or 0]
         if self.accountant is not None:
-            # May raise MemoryError_ when the requesting tenant is over
-            # its hard limit and reclaim could not free enough frames.
+            # May raise MemoryError_ when the requesting tenant is at
+            # its hard limit.
             self.accountant.charge_alloc(medium)
         last_error: Optional[MemoryError_] = None
         for candidate in order:

@@ -64,7 +64,6 @@ class Counter(enum.Enum):
     DAXVM_MMAP_CALLS = "daxvm.mmap_calls"
     DAXVM_MUNMAP_CALLS = "daxvm.munmap_calls"
     DAXVM_ATTACHMENTS = "daxvm.attachments"
-    DAXVM_USER_FLUSH_BYTES = "daxvm.user_flush_bytes"
     DAXVM_VOLATILE_REBUILDS = "daxvm.volatile_rebuilds"
     DAXVM_VOLATILE_EVICTIONS = "daxvm.volatile_evictions"
     DAXVM_TABLE_MIGRATIONS = "daxvm.table_migrations"
@@ -125,7 +124,6 @@ class Counter(enum.Enum):
     TENANCY_QUOTA_SCANS = "tenancy.quota_scans"
     TENANCY_SOFT_BREACHES = "tenancy.soft_limit_breaches"
     TENANCY_HARD_FAILURES = "tenancy.hard_limit_failures"
-    TENANCY_RECLAIMED_FRAMES = "tenancy.reclaimed_frames"
     TENANCY_BW_THROTTLE_CYCLES = "tenancy.bw_throttle_cycles"
     TENANCY_ANTAGONIST_PAGES = "tenancy.antagonist_pages_dirtied"
 

@@ -310,22 +310,6 @@ class PageTable:
                                   child=fragment)
         return created
 
-    def detach_fragment(self, vaddr: int, attach_level: Level) -> bool:
-        """Remove a previously attached shared fragment (not freed)."""
-        node = self.root
-        while node.level > attach_level:
-            idx = level_index(vaddr, node.level)
-            entry = node.entries.get(idx)
-            if entry is None or entry.is_leaf:
-                return False
-            node = entry.child
-        idx = level_index(vaddr, node.level)
-        entry = node.entries.get(idx)
-        if entry is None or entry.is_leaf or not entry.child.shared:
-            return False
-        del node.entries[idx]
-        return True
-
     # -- translation ---------------------------------------------------------
     def translate(self, vaddr: int) -> Translation:
         """Walk the tree; raises SegmentationFault on a hole."""

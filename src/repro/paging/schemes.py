@@ -132,10 +132,6 @@ class TranslationScheme:
         raise NotSupportedError(
             f"{self.name}: no shareable fragments to attach")
 
-    def detach_fragment(self, vaddr: int, attach_level: Level) -> bool:
-        raise NotSupportedError(
-            f"{self.name}: no shareable fragments to detach")
-
     # -- DaxVM capability hooks ----------------------------------------
     def attach_region(self, vaddr: int, table, region: int,
                       flags: PageFlags

@@ -17,7 +17,7 @@ from typing import Dict, Tuple
 from repro.config import CostModel
 from repro.mem.physmem import Medium
 from repro.mem.tiers import medium_specs
-from repro.paging.pagetable import PMD_LEVEL, PTE_LEVEL, Translation
+from repro.paging.pagetable import PMD_LEVEL, PTE_LEVEL
 from repro.paging.tlb import AccessPattern
 
 
@@ -62,17 +62,3 @@ class PageWalker:
             leaf = self._specs[leaf_medium].walk_leaf
             cost = self._walk_memo[key] = upper + miss * leaf * leaf_factor
         return cost
-
-    def walk_cost_for(self, translation: Translation,
-                      pattern: AccessPattern,
-                      leaf_factor: float = 1.0) -> float:
-        """Walk cost using the media actually recorded by a tree walk.
-
-        ``leaf_factor`` carries the same NUMA leaf multiplier as
-        :meth:`walk_cost`; it used to be dropped here, so costs derived
-        from an actual tree walk never charged the remote-leaf penalty
-        that ``walk_cost`` callers pay.
-        """
-        leaf_medium = translation.level_media[-1]
-        return self.walk_cost(pattern, leaf_medium, translation.leaf_level,
-                              leaf_factor=leaf_factor)

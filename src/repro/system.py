@@ -206,39 +206,20 @@ class System:
     def run(self, max_events: Optional[int] = None) -> float:
         return self.engine.run(max_events=max_events)
 
-    # -- power cycling -----------------------------------------------------
-    def power_cycle(self, crash: bool = False, seed: int = 0):
-        """Reboot the machine: volatile state dies, storage persists.
-
-        A fresh engine replaces the old one (all processes and kernel
-        threads are gone); the inode cache is dropped, which destroys
-        volatile file tables; persistent file tables and every block
-        on the device survive.  With ``crash=True`` the power failure
-        tears the unfenced tail of recent persistent-table updates
-        (within the journal discipline's window) and a mount-time
-        recovery pass replays them — returns the RecoveryReport.
-        """
-        from repro.core.recovery import RecoveryLog, simulate_crash
-
-        report = None
-        if crash:
-            simulate_crash(self.vfs, seed=seed)
-        else:
-            self.vfs.inode_cache.evict_all()
-        self._reboot()
-        if self._filetables is not None:
-            report = RecoveryLog(self.vfs, self._filetables).recover_all()
-        return report
-
+    # -- reboot ---------------------------------------------------------------
     def _reboot(self) -> None:
-        """Replace the volatile machine state after a power cycle.
+        """Replace the volatile machine state after a crash.
 
         A fresh engine replaces the old one (all processes and kernel
         threads are gone); bandwidth pools, interference stacks, free
         interceptors and barriers reset.  Storage — the device, the
-        VFS namespace, persistent tables — is untouched.  Callers that
-        model a *crash* (rather than a clean shutdown) must discard
-        non-durable state first (``PersistenceDomain.apply_crash``).
+        VFS namespace, persistent tables — is untouched.  The caller
+        discards non-durable state first
+        (``PersistenceDomain.apply_crash``) and drops the inode cache.
+        Crash audits recover a :class:`~repro.crash.image.StorageImage`
+        instead of rebooting the machine they run on; this in-place
+        reboot is the reference that route is tested against
+        (``tests/test_crash.py``).
         """
         self.engine = Engine(len(self.engine.cores),
                              topology=self.topology,

@@ -11,7 +11,7 @@ the layer it polices:
 * :class:`TenantAccountant` — installed on ``PhysicalMemory.
   accountant``; tracks which tenant owns each dynamically allocated
   frame (page-table pages, DaxVM ephemeral pools, kernel metadata)
-  and, when enforcing, implements ``limits.memory`` reclaim-or-fail.
+  and, when enforcing, refuses allocations past ``limits.memory``.
 * :class:`BandwidthAdmission` — installed on each ``SharedBandwidth``
   pool; weighted-fair admission via a per-(tenant, pool) token bucket
   sized at the tenant's weight share of the pool.  The sub-bucket
@@ -25,7 +25,7 @@ per-tenant gauges.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import MemoryError_, SimulationError
 from repro.mem.latency import BandwidthThrottle
@@ -37,7 +37,7 @@ FRAME_SIZE = 4096
 
 
 class QuotaError(MemoryError_):
-    """A tenant breached ``limits.memory`` and reclaim fell short."""
+    """A tenant allocation would breach ``limits.memory``."""
 
 
 class QuotaAccountingError(SimulationError):
@@ -90,14 +90,9 @@ class TenantAccountant:
         self.frames: Dict[str, int] = {name: 0 for name in self.specs}
         self.peak_frames: Dict[str, int] = {name: 0 for name in self.specs}
         self._owner: Dict[int, str] = {}
-        #: Per-tenant reclaim callbacks: ``fn(frames_needed) -> freed``.
-        #: Callbacks free frames through ``physmem.free_frame`` so the
-        #: books update through the normal path.
-        self.reclaimers: Dict[str, List[Callable[[int], int]]] = {}
         #: Hard-limit enforcement armed (quotas on)?
         self.enforcing = False
         self.hard_failures = 0
-        self.reclaimed_frames = 0
 
     # -- identity -----------------------------------------------------------
     def _current_tenant(self) -> Optional[str]:
@@ -111,9 +106,8 @@ class TenantAccountant:
     def charge_alloc(self, medium) -> None:
         """Gate one frame allocation against ``limits.memory``.
 
-        Runs *before* the frame is handed out.  Over the hard limit:
-        run the tenant's reclaimers; if the books still show no
-        headroom, refuse (the cgroup OOM analog).
+        Runs *before* the frame is handed out.  At the hard limit the
+        allocation is refused (the cgroup OOM analog).
         """
         if not self.enforcing:
             return
@@ -126,22 +120,11 @@ class TenantAccountant:
         limit = spec.memory_limit // FRAME_SIZE
         if self.frames[tenant] < limit:
             return
-        needed = self.frames[tenant] - limit + 1
-        freed = 0
-        for reclaim in self.reclaimers.get(tenant, ()):
-            freed += int(reclaim(needed - freed))
-            if self.frames[tenant] < limit:
-                break
-        if freed > 0:
-            self.reclaimed_frames += freed
-            self.stats.add(Counter.TENANCY_RECLAIMED_FRAMES, freed)
-        if self.frames[tenant] >= limit:
-            self.hard_failures += 1
-            self.stats.add(Counter.TENANCY_HARD_FAILURES)
-            raise QuotaError(
-                f"tenant {tenant}: limits.memory "
-                f"({spec.memory_limit} B = {limit} frames) exceeded and "
-                f"reclaim freed only {freed} frames")
+        self.hard_failures += 1
+        self.stats.add(Counter.TENANCY_HARD_FAILURES)
+        raise QuotaError(
+            f"tenant {tenant}: limits.memory "
+            f"({spec.memory_limit} B = {limit} frames) exceeded")
 
     def note_alloc(self, frame: int) -> None:
         tenant = self._current_tenant()
@@ -164,10 +147,6 @@ class TenantAccountant:
 
     def peak_bytes(self, tenant: str) -> int:
         return self.peak_frames.get(tenant, 0) * FRAME_SIZE
-
-    def register_reclaimer(self, tenant: str,
-                           fn: Callable[[int], int]) -> None:
-        self.reclaimers.setdefault(tenant, []).append(fn)
 
     def audit(self) -> None:
         """Cross-check the books; raises QuotaAccountingError on drift."""

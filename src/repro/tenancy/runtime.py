@@ -182,9 +182,6 @@ class TenancyRuntime:
                 view[domain] = view.get(domain, 0.0) + cycles
         return view
 
-    def ledger_views(self) -> Dict[str, Dict[str, float]]:
-        return {name: self.ledger_view(name) for name in self.tenants}
-
     def publish(self) -> None:
         """Fold enforcement totals into the counters (end of run)."""
         stats = self.system.stats

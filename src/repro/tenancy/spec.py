@@ -36,8 +36,8 @@ class TenantSpec:
     1.0 means unthrottled, 0.5 stretches every cycle the tenant's
     threads charge by 2x.  ``memory_request`` is the soft guarantee
     (breaches are counted, not enforced), ``memory_limit`` the hard
-    cap on dynamically allocated physical frames — on breach the
-    accountant reclaims or the allocation fails.  ``bandwidth_weight``
+    cap on dynamically allocated physical frames — an allocation past
+    it fails.  ``bandwidth_weight``
     is the tenant's proportional share of each device bandwidth pool.
     """
 

@@ -926,17 +926,21 @@ class MMStruct:
     # ------------------------------------------------------------------
     def mprotect(self, vma: VMA, offset: int, length: int,
                  prot: Protection):
+        """Change the protection of the whole mapping.
+
+        ``vma.prot`` is one value per mapping and there is no VMA
+        split, so a partial range is refused, as DaxVM refuses it.
+        """
         if vma.is_ephemeral:
             raise NotSupportedError("mprotect on an ephemeral mapping")
+        if offset != 0 or length < vma.length:
+            raise NotSupportedError("partial mprotect: no VMA split")
         yield charge(CostDomain.SYSCALL, "mprotect",
                      self.costs.syscall_crossing)
         yield from self.mmap_sem.acquire_write()
-        first = offset // PAGE_SIZE
-        npages = -(-length // PAGE_SIZE)
         flags = (PageFlags.rw() if prot & Protection.WRITE
                  else PageFlags.ro())
-        changed = self.scheme.protect_range(
-            vma.start + first * PAGE_SIZE, npages * PAGE_SIZE, flags)
+        changed = self.scheme.protect_range(vma.start, vma.length, flags)
         yield charge(CostDomain.SYSCALL, "mprotect-ptes",
                      changed * self.costs.pte_teardown
                      + self.costs.vma_alloc)

@@ -72,10 +72,6 @@ class DaxVMOptions:
     def full() -> "DaxVMOptions":
         return DaxVMOptions(ephemeral=True, unmap_async=True)
 
-    @staticmethod
-    def full_nosync() -> "DaxVMOptions":
-        return DaxVMOptions(ephemeral=True, unmap_async=True, nosync=True)
-
 
 class Measurement:
     """Delta-based measurement of a phase of simulated execution."""

@@ -53,10 +53,6 @@ class SyncConfig:
     #: the comparison with DaxVM's fixed 2 MB flush granularity.
     allow_huge: bool = False
 
-    @property
-    def sync_interval_bytes(self) -> int:
-        return self.op_size * self.ops_per_sync
-
 
 def _worker(system: System, process: Process, cfg: SyncConfig, path: str):
     f = yield from system.fs.open(path)

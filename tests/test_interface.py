@@ -227,16 +227,6 @@ def test_dirty_tracking_at_2mb_granularity(system):
     assert proc.mm.page_cache.dirty_count(inode) == 2
 
 
-def test_user_space_persistence_helper(system):
-    proc, dax = setup(system)
-
-    def flow():
-        yield from dax.persist_user(1 << 20)
-
-    run(system, flow())
-    assert system.stats.get("daxvm.user_flush_bytes") == 1 << 20
-
-
 def test_sync_unmap_detaches_and_flushes(system):
     proc, dax = setup(system)
     inode = make_file(system, 1 << 20)

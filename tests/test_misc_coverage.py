@@ -65,17 +65,13 @@ def test_daxvm_mmap_default_length_covers_file():
     assert vma.length >= 3 << 20
 
 
-def test_walk_cost_for_uses_translation_media():
+def test_walk_cost_uses_leaf_medium():
     from repro.paging.tlb import AccessPattern
     from repro.paging.walker import PageWalker
 
     walker = PageWalker(DEFAULT_COSTS)
-    pmem_leaf = Translation(1, PageFlags.rw(), PTE_LEVEL,
-                            [Medium.DRAM, Medium.DRAM, Medium.PMEM])
-    dram_leaf = Translation(1, PageFlags.rw(), PTE_LEVEL,
-                            [Medium.DRAM, Medium.DRAM, Medium.DRAM])
-    assert walker.walk_cost_for(pmem_leaf, AccessPattern.RANDOM) > \
-        walker.walk_cost_for(dram_leaf, AccessPattern.RANDOM)
+    assert walker.walk_cost(AccessPattern.RANDOM, Medium.PMEM, PTE_LEVEL) > \
+        walker.walk_cost(AccessPattern.RANDOM, Medium.DRAM, PTE_LEVEL)
 
 
 def test_msync_on_clean_mapping_is_cheap():

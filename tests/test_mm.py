@@ -286,6 +286,33 @@ def test_mprotect_full_range(system):
     assert not proc.mm.page_table.translate(vma.start).flags.writable
 
 
+def test_partial_mprotect_is_refused(system):
+    """``vma.prot`` covers the whole mapping and there is no VMA split,
+    so a partial mprotect is refused.  Applied, it would mark all eight
+    pages READ while page 5's PTE stayed writable, and a write there
+    would take no dirty-tracking fault and never be flushed."""
+    f = make_file(system, 8 * PAGE)
+    proc = system.new_process()
+
+    def flow():
+        vma = yield from proc.mm.mmap(system.fs, f.inode, 0, 8 * PAGE,
+                                      Protection.rw(), MapFlags.SHARED)
+        yield from proc.mm.access(vma, 0, 8 * PAGE)
+        with pytest.raises(NotSupportedError):
+            yield from proc.mm.mprotect(vma, 0, PAGE, Protection.READ)
+        with pytest.raises(NotSupportedError):
+            yield from proc.mm.mprotect(vma, PAGE, 7 * PAGE,
+                                        Protection.READ)
+        yield from proc.mm.access(vma, 5 * PAGE, PAGE, write=True)
+        return vma
+
+    vma = run(system, flow())
+    assert vma.prot == Protection.rw()
+    assert vma.tracks_dirty
+    assert system.stats.get("vm.dirty_faults") == 1
+    assert system.stats.get("vm.untracked_writes") == 0
+
+
 def test_mprotect_rejected_on_ephemeral(system):
     f = make_file(system, 8 * PAGE)
     proc = system.new_process()

@@ -128,18 +128,6 @@ def test_attach_slot_conflict(pm, pt):
         pt.attach_fragment(PMD, frag2, PageFlags.rw())
 
 
-def test_detach_fragment_preserves_shared_node(pm, pt):
-    fragment = PageTableNode(PTE_LEVEL, pm.alloc_frame(Medium.PMEM),
-                             Medium.PMEM, shared=True)
-    fragment.entries[0] = Entry(frame=55, flags=PageFlags.rw())
-    pt.attach_fragment(PMD, fragment, PageFlags.rw())
-    assert pt.detach_fragment(PMD, PTE_LEVEL + 1)
-    with pytest.raises(SegmentationFault):
-        pt.translate(PMD)
-    # The fragment itself is untouched (other processes may use it).
-    assert fragment.entries[0].frame == 55
-
-
 def test_clear_range_counts_pages(pt):
     for i in range(10):
         pt.map_page(0x10000 + i * 4096, i, PageFlags.rw())

@@ -1,11 +1,21 @@
-"""Crash consistency and reboot recovery tests (paper §IV-A1)."""
+"""Crash consistency and reboot recovery tests (paper §IV-A1).
 
-from repro.core.recovery import (
-    RecoveryLog,
-    simulate_crash,
-    verify_table_consistency,
-)
+Every case runs the audited crash route: a machine with a
+:class:`PersistenceDomain` attached runs a workload, its storage is
+copied into a :class:`StorageImage` (or, where a process must map the
+recovered file, the machine itself is rebooted in place), the domain
+drops what was not durable, and recovery mounts the result.  The
+domain rolls a torn table fill back with its transaction, so a crash
+alone never leaves a table out of step with its extent map; cases that
+need a torn or leading table make one explicitly.
+"""
+
+import random
+
+from repro.core.recovery import RecoveryLog, verify_table_consistency
+from repro.crash import PersistenceDomain, RecoveryChecker, StorageImage
 from repro.mem.physmem import Medium
+from repro.system import System
 from repro.vm.vma import Protection
 
 
@@ -15,12 +25,25 @@ def run(system, gen):
     return thread.result
 
 
+def tracked_system(allow_huge=True):
+    """A small fresh-image ext4 machine whose stores the persistence
+    domain tracks, with DaxVM file tables."""
+    system = System(device_bytes=1 << 30)
+    system.attach_persistence(PersistenceDomain())
+    system.filetables  # the manager hooks the FS before any file exists
+    system.fs.allow_huge = allow_huge
+    return system
+
+
 def make_files(system, specs):
+    """Create, write and fsync each ``(path, size)``: the files are
+    durable before any crash."""
     def flow():
         inodes = []
         for path, size in specs:
             f = yield from system.fs.open(path, create=True)
             yield from system.fs.write(f, 0, size)
+            yield from system.fs.fsync(f)
             yield from system.fs.close(f)
             inodes.append(f.inode)
         return inodes
@@ -28,58 +51,97 @@ def make_files(system, specs):
     return run(system, flow())
 
 
-def test_persistent_tables_survive_clean_power_cycle(system):
-    manager = system.filetables
-    (big,) = make_files(system, [("/big", 2 << 20)])
-    small, = make_files(system, [("/small", 16 << 10)])
+def crash_image(system, seed=0):
+    """Power-fail a copy of ``system``'s storage: returns the image
+    and what the crash did to it."""
+    image = StorageImage(system)
+    state = image.persistence.apply_crash(random.Random(seed))
+    return image, state
+
+
+def tear(inode, ptes):
+    """Drop the last ``ptes`` translations of the inode's persistent
+    table, as if their fills never reached the media."""
+    table = inode.persistent_file_table
+    table.truncate(table.filled_pages - ptes)
+    return ptes
+
+
+def test_clean_image_mount_finds_every_persistent_table_intact():
+    system = tracked_system()
+    big, small = make_files(system, [("/big", 2 << 20),
+                                     ("/small", 16 << 10)])
     assert big.persistent_file_table is not None
     assert small.volatile_file_table is not None
 
-    report = system.power_cycle()
+    image = StorageImage(system)
+    report = RecoveryLog(image.vfs, image._filetables).recover_all()
     # Volatile tables died with DRAM; persistent ones survive intact.
-    assert small.volatile_file_table is None
-    assert big.persistent_file_table is not None
-    assert report.tables_intact >= 1
+    inodes = list(image.vfs.inodes())
+    assert all(inode.volatile_file_table is None for inode in inodes)
+    persistent = [inode for inode in inodes
+                  if inode.persistent_file_table is not None]
+    assert [inode.path for inode in persistent] == ["/big"]
+    assert report.inodes_scanned == 2
+    assert report.tables_intact == len(persistent)
     assert report.tables_repaired == 0
-    assert verify_table_consistency(big)
+    assert report.ptes_replayed == 0
+    assert all(verify_table_consistency(inode) for inode in persistent)
+    # The running machine keeps its own tables.
+    assert small.volatile_file_table is not None
 
 
-def test_crash_tears_and_recovery_replays(system):
-    manager = system.filetables
-    system.fs.allow_huge = False  # PTE-level tables, tearable tails
-    inodes = make_files(system, [(f"/f{i}", 1 << 20) for i in range(6)])
+def test_crash_tears_and_recovery_replays():
+    system = tracked_system(allow_huge=False)  # PTE-level tables
+    make_files(system, [(f"/f{i}", 1 << 20) for i in range(6)])
 
-    lost = simulate_crash(system.vfs, seed=3)
-    assert lost > 0
+    image, state = crash_image(system, seed=3)
+    inodes = list(image.vfs.inodes())
+    lost = sum(tear(inode, 8 * n + 1)
+               for n, inode in enumerate(inodes[::2]))
+    assert lost == 1 + 9 + 17
     torn = [i for i in inodes
             if i.persistent_file_table.filled_pages
             != i.extents.block_count]
-    assert torn, "the crash should have torn at least one table"
+    assert len(torn) == 3
 
-    report = RecoveryLog(system.vfs, manager).recover_all()
-    assert report.tables_repaired == len(torn)
-    assert report.ptes_replayed == lost
+    outcome = RecoveryChecker(image, image.persistence, state).run(point=0)
+    assert outcome.ok, outcome.violations
+    assert outcome.tables_repaired == len(torn)
+    assert outcome.ptes_replayed == lost
     for inode in inodes:
         assert inode.persistent_file_table.filled_pages == \
             inode.extents.block_count
         assert verify_table_consistency(inode)
 
 
-def test_crash_recovery_via_power_cycle(system):
-    manager = system.filetables
-    system.fs.allow_huge = False
+def test_crash_recovery_via_image_mount():
+    system = tracked_system(allow_huge=False)
     make_files(system, [("/a", 512 << 10), ("/b", 512 << 10)])
-    report = system.power_cycle(crash=True, seed=1)
+    image, _state = crash_image(system, seed=1)
+    tear(image.vfs.lookup("/b"), 9)
+
+    report = RecoveryLog(image.vfs, image._filetables).recover_all()
     assert report is not None
     assert report.inodes_scanned == 2
     assert report.tables_intact + report.tables_repaired == 2
+    assert report.tables_repaired == 1
+    assert report.ptes_replayed == 9
+    assert report.repaired_paths == ["/b"]
 
 
-def test_recovered_tables_are_mappable(system):
-    manager = system.filetables
-    system.fs.allow_huge = False
+def test_recovered_tables_are_mappable():
+    system = tracked_system(allow_huge=False)
     (inode,) = make_files(system, [("/x", 1 << 20)])
-    system.power_cycle(crash=True, seed=7)
+    # Crash the machine itself, so a process can map the result.
+    domain = system.persistence
+    state = domain.apply_crash(random.Random(7))
+    tear(inode, 40)
+    system.vfs.inode_cache.evict_all()
+    system._reboot()
+    outcome = RecoveryChecker(system, domain, state).run(point=0)
+    assert outcome.ok, outcome.violations
+    assert outcome.ptes_replayed == 40
 
     proc = system.new_process()
     dax = system.daxvm_for(proc)
@@ -98,19 +160,42 @@ def test_recovered_tables_are_mappable(system):
         inode.extents.physical_block(100))
 
 
-def test_leading_table_truncated_back(system):
+def test_leading_table_truncated_back():
     """A table that *leads* the extent map (torn after table flush)
     is truncated back to the metadata's truth."""
-    manager = system.filetables
-    system.fs.allow_huge = False
-    (inode,) = make_files(system, [("/lead", 256 << 10)])
+    system = tracked_system(allow_huge=False)
+    make_files(system, [("/lead", 256 << 10)])
+    image, state = crash_image(system)
+    inode = image.vfs.lookup("/lead")
     table = inode.persistent_file_table
-    # Fake a lead: pretend the extents lost their last block.
-    freed = inode.extents.truncate_to(inode.extents.block_count - 4)
+    # Fake a lead: the extents and size lost their last four blocks
+    # while the table kept their fills.
+    inode.extents.truncate_to(inode.extents.block_count - 4)
+    inode.size = inode.extents.block_count * 4096
     assert table.filled_pages > inode.extents.block_count
 
-    report_holder = []
-    log = RecoveryLog(system.vfs, manager)
-    report = log.recover_all()
-    assert report.tables_repaired == 1
+    outcome = RecoveryChecker(image, image.persistence, state).run(point=0)
+    assert outcome.ok, outcome.violations
+    assert outcome.tables_repaired == 1
     assert table.filled_pages == inode.extents.block_count
+    # The four blocks the extents dropped are orphans mount reclaims.
+    assert outcome.orphan_blocks == 4
+
+
+def test_checker_catches_a_corrupt_huge_leaf():
+    system = tracked_system()
+    (live,) = make_files(system, [("/huge", 4 << 20)])
+    assert len(live.persistent_file_table.huge_frames) == 2
+
+    image, state = crash_image(system)
+    inode = image.vfs.lookup("/huge")
+    assert verify_table_consistency(inode)
+    table = inode.persistent_file_table
+    table.huge_frames[1] += 1
+
+    outcome = RecoveryChecker(image, image.persistence, state).run(point=0)
+    assert outcome.violations == [
+        "/huge: persistent file table inconsistent with extent map "
+        "after replay"]
+    # Only the image was corrupted.
+    assert verify_table_consistency(live)

@@ -8,7 +8,7 @@ Covers the satellites of the scheme refactor (DESIGN.md §11):
   double attach/detach and teardown while another process is attached;
 * pool-worker parity (a point simulated twice produces identical
   bytes, like Stats/Ledger);
-* the ``PageWalker.walk_cost_for`` leaf-factor regression;
+* the ``PageWalker.walk_cost`` leaf-factor regression;
 * the sweep cache fingerprint: scheme name and per-scheme cost
   parameters both invalidate cached results;
 * ``map_run`` equals one ``map_page`` per page (DESIGN.md §12).
@@ -29,7 +29,7 @@ from repro.errors import (
 )
 from repro.mem.physmem import Medium, PhysicalMemory
 from repro.obs import CostDomain
-from repro.paging.pagetable import PMD_LEVEL, PTE_LEVEL, Translation
+from repro.paging.pagetable import PMD_LEVEL, PTE_LEVEL
 from repro.paging.flags import PageFlags
 from repro.paging.schemes import (
     SCHEME_NAMES,
@@ -136,8 +136,6 @@ def test_fragment_capability_matches_flag(scheme):
     else:
         with pytest.raises(NotSupportedError):
             scheme.attach_fragment(BASE, None, PageFlags.ro())
-        with pytest.raises(NotSupportedError):
-            scheme.detach_fragment(BASE, PMD_LEVEL)
 
 
 def test_structure_report_accounts_every_frame(scheme, physmem):
@@ -221,19 +219,19 @@ def test_hashed_walks_ignore_pattern_and_table_medium(physmem):
 
 
 # ---------------------------------------------------------------------------
-# Satellite: walk_cost_for must forward the NUMA leaf factor.
+# Satellite: walk_cost must charge the NUMA leaf factor.
 # ---------------------------------------------------------------------------
-def test_walk_cost_for_forwards_leaf_factor():
+def test_walk_cost_charges_leaf_factor():
     walker = PageWalker(DEFAULT_COSTS)
-    tr = Translation(1, PageFlags.rw(), PTE_LEVEL,
-                     [Medium.DRAM, Medium.DRAM, Medium.DRAM, Medium.PMEM])
-    remote = walker.walk_cost_for(tr, AccessPattern.RANDOM,
-                                  leaf_factor=2.0)
-    local = walker.walk_cost_for(tr, AccessPattern.RANDOM)
+    # Local first: the memo must not hand its value to the remote walk.
+    local = walker.walk_cost(AccessPattern.RANDOM, Medium.PMEM, PTE_LEVEL)
+    remote = walker.walk_cost(AccessPattern.RANDOM, Medium.PMEM, PTE_LEVEL,
+                              leaf_factor=2.0)
     # The regression: leaf_factor used to be dropped, making these equal.
     assert remote > local
-    assert remote == walker.walk_cost(AccessPattern.RANDOM, Medium.PMEM,
-                                      leaf_factor=2.0)
+    costs = DEFAULT_COSTS
+    assert remote == costs.walk_upper_rand + \
+        costs.walk_leaf_miss_rand * costs.walk_leaf_pmem * 2.0
     assert local == walker.walk_cost(AccessPattern.RANDOM, Medium.PMEM)
 
 

@@ -1,7 +1,10 @@
-"""System facade tests: wiring, processes, power cycling basics."""
+"""System facade tests: wiring, processes, crash-image basics."""
+
+import random
 
 import pytest
 
+from repro.crash import PersistenceDomain, RecoveryChecker, StorageImage
 from repro.errors import InvalidArgumentError
 from repro.fs.ext4 import Ext4Dax
 from repro.fs.nova import Nova
@@ -78,29 +81,44 @@ def test_shared_bandwidth_is_wired():
     assert system.fs.engine is system.engine
 
 
-def test_power_cycle_resets_engine_and_caches():
+def _crashed_image(system):
+    """Copy ``system``'s storage and power-fail the copy."""
+    image = StorageImage(system)
+    state = image.persistence.apply_crash(random.Random(0))
+    return image, state
+
+
+def test_storage_image_mounts_on_a_fresh_engine_with_a_cold_cache():
     system = System(device_bytes=1 << 30)
+    system.attach_persistence(PersistenceDomain())
     proc = system.new_process()
 
     def flow():
         from repro.sim.engine import Compute
         f = yield from system.fs.open("/x", create=True)
         yield from system.fs.write(f, 0, 4096)
+        yield from system.fs.fsync(f)
         yield Compute(1000)
 
     system.spawn(flow(), core=0, process=proc)
     system.run()
     assert system.engine.now > 0
-    old_engine = system.engine
-    system.power_cycle()
-    assert system.engine is not old_engine
-    assert system.engine.now == 0.0
-    assert len(system.vfs.inode_cache) == 0
+    image, state = _crashed_image(system)
+    assert image.engine is not system.engine
+    assert image.engine.now == 0.0
+    assert len(image.vfs.inode_cache) == 0
     # Storage persisted.
-    assert "/x" in system.vfs
-    assert system.vfs.lookup("/x").block_count == 1
+    assert "/x" in image.vfs
+    assert image.vfs.lookup("/x").block_count == 1
+    assert RecoveryChecker(image, image.persistence, state).run(0).ok
+    assert image.vfs.lookup("/x").block_count == 1
 
 
-def test_power_cycle_without_filetables_returns_none():
+def test_image_without_filetables_replays_no_table():
     system = System(device_bytes=1 << 30)
-    assert system.power_cycle() is None
+    system.attach_persistence(PersistenceDomain())
+    image, state = _crashed_image(system)
+    assert image._filetables is None
+    outcome = RecoveryChecker(image, image.persistence, state).run(0)
+    assert outcome.ok
+    assert outcome.tables_repaired == outcome.ptes_replayed == 0

@@ -40,7 +40,7 @@ def test_daxvm_options_flags():
     assert not flags & MapFlags.SYNC  # read mapping: no MAP_SYNC
     wflags = full.flags(write=True)
     assert wflags & MapFlags.SYNC
-    ns = DaxVMOptions.full_nosync().flags(write=True)
+    ns = DaxVMOptions(nosync=True).flags(write=True)
     assert ns & MapFlags.NO_MSYNC
     tables = DaxVMOptions.filetables_only().flags()
     assert not tables & MapFlags.EPHEMERAL
@@ -130,11 +130,6 @@ def test_sync_daxvm_flushes_whole_granules():
     assert result.counters.get("vm.msync_calls") == 5
 
 
-def test_sync_interval_bytes_property():
-    cfg = SyncConfig(op_size=1024, ops_per_sync=16)
-    assert cfg.sync_interval_bytes == 16 << 10
-
-
 # ---------------------------------------------------------------------------
 # P-Redis mechanics.
 # ---------------------------------------------------------------------------
@@ -171,6 +166,6 @@ def test_ephemeral_run_labels_reflect_options():
     assert result.label == "daxvm[tables]"
     cfg2 = EphemeralConfig(file_size=16 << 10, num_files=10,
                            interface=Interface.DAXVM,
-                           daxvm=DaxVMOptions.full_nosync())
+                           daxvm=DaxVMOptions(nosync=True))
     result2 = run_ephemeral(system, cfg2)
     assert "eph" in result2.label and "nosync" in result2.label
