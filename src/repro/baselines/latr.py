@@ -52,7 +52,7 @@ class LatrUnmapper:
         yield charge(CostDomain.SYSCALL, "latr-munmap",
                      self.costs.syscall_crossing)
         yield from self.mm.mmap_sem.acquire_write()
-        pages = self.mm.page_table.clear_range(vma.start, vma.length)
+        pages = self.mm.scheme.clear_range(vma.start, vma.length)
         yield charge(CostDomain.SYSCALL, "pte-teardown",
                      pages * self.costs.pte_teardown
                      + self.costs.vma_free)

@@ -72,7 +72,7 @@ class AsyncUnmapper:
         pages, self._zombie_pages = self._zombie_pages, 0
         teardown = 0.0
         for vma in zombies:
-            self.mm.page_table.clear_range(vma.start, vma.length)
+            self.mm.scheme.clear_range(vma.start, vma.length)
             # A zombie can carry both PMD attachments (DaxVM file
             # tables) and individually faulted PTEs (regular mappings
             # deferred through MAP_UNMAP_ASYNC); tear down each for

@@ -133,7 +133,3 @@ class EphemeralHeap:
 
     def contains(self, addr: int) -> bool:
         return self._region_of(addr) is not None
-
-    @property
-    def live_mappings(self) -> int:
-        return len(self.vmas)

@@ -130,17 +130,6 @@ class BlockDevice:
     def is_bad(self, block: int) -> bool:
         return block in self.badblocks
 
-    def bad_in_run(self, start: int, length: int) -> List[int]:
-        """Badblocks inside ``[start, start+length)``, sorted.
-
-        Iterates the badblocks list (not the run): the list is tiny
-        while runs can span gigabytes.
-        """
-        if not self.badblocks:
-            return []
-        end = start + length
-        return sorted(b for b in self.badblocks if start <= b < end)
-
     def quarantine(self, block: int) -> None:
         """Permanently retire an in-use block after a remap.
 
@@ -322,9 +311,6 @@ class BlockDevice:
     # -- fragmentation metrics ----------------------------------------------
     def free_extent_count(self) -> int:
         return len(self._free)
-
-    def largest_free_extent(self) -> int:
-        return max((e.length for e in self._free), default=0)
 
     def huge_capable_free_blocks(self) -> int:
         """Free blocks inside 2 MB-aligned, 2 MB-sized free runs."""

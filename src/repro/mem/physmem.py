@@ -144,8 +144,6 @@ class PhysicalMemory:
 
     Constructed either the historical way (``dram_bytes, pmem_bytes``
     — one node) or from a :class:`~repro.topology.MachineTopology`.
-    ``.dram`` / ``.pmem`` remain node 0's regions so single-socket
-    call sites are untouched.
     """
 
     def __init__(self, dram_bytes: Optional[int] = None,
@@ -194,18 +192,14 @@ class PhysicalMemory:
                 self.far_regions.append(region)
                 base += region.total_frames
         self._frames_end = base
-        self.dram = self.dram_regions[0]
-        self.pmem = self.pmem_regions[0]
         self._by_medium = {Medium.DRAM: self.dram_regions,
                            Medium.PMEM: self.pmem_regions,
                            Medium.CXL: self.cxl_regions,
                            Medium.FAR: self.far_regions}
         self._interleave_next = {medium: 0 for medium in Medium}
         #: Optional per-tenant frame accountant (duck-typed, installed
-        #: by repro.tenancy): ``charge_alloc(medium)`` runs *before* a
-        #: frame is handed out and may refuse it (cgroup
-        #: ``limits.memory`` semantics), ``note_alloc(frame)`` /
-        #: ``note_free(frame)`` track ownership.  ``None`` = untracked.
+        #: by repro.tenancy): ``note_alloc(frame)`` / ``note_free(frame)``
+        #: book ownership and never refuse a frame.  ``None`` = untracked.
         self.accountant = None
 
     @property
@@ -250,10 +244,6 @@ class PhysicalMemory:
                                 if n != target]
         else:
             order = [node or 0]
-        if self.accountant is not None:
-            # May raise MemoryError_ when the requesting tenant is at
-            # its hard limit.
-            self.accountant.charge_alloc(medium)
         last_error: Optional[MemoryError_] = None
         for candidate in order:
             try:

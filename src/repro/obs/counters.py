@@ -122,8 +122,6 @@ class Counter(enum.Enum):
     TENANCY_THINK_CYCLES = "tenancy.think_cycles"
     TENANCY_THROTTLE_CYCLES = "tenancy.cpu_throttle_cycles"
     TENANCY_QUOTA_SCANS = "tenancy.quota_scans"
-    TENANCY_SOFT_BREACHES = "tenancy.soft_limit_breaches"
-    TENANCY_HARD_FAILURES = "tenancy.hard_limit_failures"
     TENANCY_BW_THROTTLE_CYCLES = "tenancy.bw_throttle_cycles"
     TENANCY_ANTAGONIST_PAGES = "tenancy.antagonist_pages_dirtied"
 

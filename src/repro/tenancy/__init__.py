@@ -17,8 +17,7 @@ matrix.
 
 from repro.tenancy.controller import (BandwidthAdmission, CpuThrottle,
                                       QuotaAccountingError,
-                                      QuotaController, QuotaError,
-                                      TenantAccountant)
+                                      QuotaController, TenantAccountant)
 from repro.tenancy.runtime import TenancyRuntime, run_consolidate
 from repro.tenancy.spec import (ANTAGONIST_SPEC, CONSOLIDATE_MIXES,
                                 TENANT_KINDS, TENANT_SPEC, TenancyConfig,
@@ -31,7 +30,6 @@ __all__ = [
     "CpuThrottle",
     "QuotaAccountingError",
     "QuotaController",
-    "QuotaError",
     "TENANT_KINDS",
     "TENANT_SPEC",
     "TenancyConfig",

@@ -1,31 +1,27 @@
-"""The antagonist tenant: a stress-ng style ``--vm`` memory hog.
+"""The antagonist tenant: a stress-ng style ``--vm`` hog.
 
 Each iteration maps a window of its scratch file, dirties every page
 (write faults → page-table allocation, dirty tracking, TLB pressure)
 and unmaps it again (shootdowns) — the classic noisy neighbour that
 hammers mmap_sem, the fault path and the device write bandwidth all
-at once.  Under quotas the hog is the tenant the controller is
-expected to box in.
+at once.  Under quotas the hog is the tenant the CPU throttle and
+bandwidth admission are expected to box in.
 
-Memory discipline: the hog checks its own frame books *before* each
-map and parks (a priced back-off) when a new window would push it
-past ``limits.memory`` — the cooperative high-watermark style real
-stressors use under cgroups.  A hard-limit raise mid-page-fault
-would abandon held mmap_sem state, so the hog never lets it happen;
-the raise path is exercised by unit tests with bare allocations.
+The window is a DAX file, so the pages the hog dirties are device
+blocks, not frames: the tenant's frame books see only the page-table
+frames its faults allocate.  The stressor it imitates dirties
+anonymous memory instead, which this model does not have, so no
+memory limit applies to the hog.
 """
 
 from __future__ import annotations
 
-from repro.obs import CostDomain, charge
 from repro.obs.counters import Counter
 from repro.paging.tlb import AccessPattern
 from repro.vm.vma import MapFlags, Protection
 
 #: Bytes mapped and dirtied per iteration.
 WINDOW_BYTES = 2 << 20
-#: Cycles the hog parks when its books show no headroom.
-BACKOFF_CYCLES = 200_000.0
 
 
 def hog_loop(runtime, tenant, ctx):
@@ -35,17 +31,7 @@ def hog_loop(runtime, tenant, ctx):
     handle = ctx["handle"]
     window = ctx["window_bytes"]
     pages = window // 4096
-    accountant = runtime.accountant
-    # Headroom check in *frames*: a window's worth of page tables is
-    # tiny, so demand a conservative window-sized cushion.
-    limit_frames = tenant.spec.memory_limit // 4096
     for _ in range(tenant.requests):
-        if (accountant is not None and accountant.enforcing
-                and accountant.frames.get(tenant.name, 0) + pages // 8
-                >= limit_frames):
-            yield charge(CostDomain.TENANCY, "hog-backoff",
-                         BACKOFF_CYCLES)
-            continue
         vma = yield from process.mm.mmap(
             system.fs, handle.inode, 0, window,
             Protection.rw(), MapFlags.SHARED)

@@ -1,7 +1,7 @@
-"""Quota enforcement: CPU throttles, frame accounting, bandwidth WFQ.
+"""Tenant quotas and books: CPU throttles, frame accounting, bandwidth WFQ.
 
 Three cgroup-analog mechanisms, each wired into an existing hook on
-the layer it polices:
+the layer it polices or observes:
 
 * :class:`CpuThrottle` — installed on ``SimThread.cpu_throttle``; the
   engine stretches every cycle the thread charges by ``1/share - 1``
@@ -10,8 +10,10 @@ the layer it polices:
   runqueue).
 * :class:`TenantAccountant` — installed on ``PhysicalMemory.
   accountant``; tracks which tenant owns each dynamically allocated
-  frame (page-table pages, DaxVM ephemeral pools, kernel metadata)
-  and, when enforcing, refuses allocations past ``limits.memory``.
+  frame (page-table pages, DaxVM ephemeral pools, kernel metadata).
+  It attributes memory and never refuses it: DAX file data lives in
+  device blocks outside these books, so a tenant's kernel frames are
+  all a memory limit could see, and they stay kilobytes.
 * :class:`BandwidthAdmission` — installed on each ``SharedBandwidth``
   pool; weighted-fair admission via a per-(tenant, pool) token bucket
   sized at the tenant's weight share of the pool.  The sub-bucket
@@ -19,25 +21,19 @@ the layer it polices:
   throttled tenant cannot push other tenants' ``_paid_until`` out.
 
 :class:`QuotaController` is the kthread that periodically scans
-usage, counts soft (``requests.memory``) breaches and publishes the
-per-tenant gauges.
+frame usage and publishes the per-tenant gauges.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
-from repro.errors import MemoryError_, SimulationError
+from repro.errors import SimulationError
 from repro.mem.latency import BandwidthThrottle
 from repro.obs import CostDomain, charge
 from repro.obs.counters import Counter
-from repro.tenancy.spec import TenantSpec
 
 FRAME_SIZE = 4096
-
-
-class QuotaError(MemoryError_):
-    """A tenant allocation would breach ``limits.memory``."""
 
 
 class QuotaAccountingError(SimulationError):
@@ -83,16 +79,11 @@ class TenantAccountant:
     sitting outside every cgroup.
     """
 
-    def __init__(self, engine, stats, specs: Dict[str, TenantSpec]):
+    def __init__(self, engine, names: Iterable[str]):
         self.engine = engine
-        self.stats = stats
-        self.specs = dict(specs)
-        self.frames: Dict[str, int] = {name: 0 for name in self.specs}
-        self.peak_frames: Dict[str, int] = {name: 0 for name in self.specs}
+        self.frames: Dict[str, int] = {name: 0 for name in names}
+        self.peak_frames: Dict[str, int] = dict(self.frames)
         self._owner: Dict[int, str] = {}
-        #: Hard-limit enforcement armed (quotas on)?
-        self.enforcing = False
-        self.hard_failures = 0
 
     # -- identity -----------------------------------------------------------
     def _current_tenant(self) -> Optional[str]:
@@ -100,32 +91,9 @@ class TenantAccountant:
         if thread is None:
             return None
         tenant = getattr(thread, "tenant", None)
-        return tenant if tenant in self.specs else None
+        return tenant if tenant in self.frames else None
 
     # -- PhysicalMemory hook ------------------------------------------------
-    def charge_alloc(self, medium) -> None:
-        """Gate one frame allocation against ``limits.memory``.
-
-        Runs *before* the frame is handed out.  At the hard limit the
-        allocation is refused (the cgroup OOM analog).
-        """
-        if not self.enforcing:
-            return
-        tenant = self._current_tenant()
-        if tenant is None:
-            return
-        spec = self.specs[tenant]
-        if spec.memory_limit <= 0:
-            return
-        limit = spec.memory_limit // FRAME_SIZE
-        if self.frames[tenant] < limit:
-            return
-        self.hard_failures += 1
-        self.stats.add(Counter.TENANCY_HARD_FAILURES)
-        raise QuotaError(
-            f"tenant {tenant}: limits.memory "
-            f"({spec.memory_limit} B = {limit} frames) exceeded")
-
     def note_alloc(self, frame: int) -> None:
         tenant = self._current_tenant()
         if tenant is None:
@@ -150,7 +118,7 @@ class TenantAccountant:
 
     def audit(self) -> None:
         """Cross-check the books; raises QuotaAccountingError on drift."""
-        counts: Dict[str, int] = {name: 0 for name in self.specs}
+        counts: Dict[str, int] = {name: 0 for name in self.frames}
         for tenant in self._owner.values():
             counts[tenant] = counts.get(tenant, 0) + 1
         for tenant, used in self.frames.items():
@@ -214,8 +182,8 @@ class BandwidthAdmission:
 class QuotaController:
     """The quota-controller kthread (one per consolidated machine).
 
-    Wakes every ``scan_interval`` cycles, reads each tenant's frame
-    usage and counts ``requests.memory`` breaches.  The per-tenant
+    Wakes every :attr:`SCAN_INTERVAL` cycles and reads each tenant's
+    frame usage.  The per-tenant
     ``tenant.<name>.memory_bytes`` gauge is a change-point series: a
     sample is recorded at the first scan and then only at scans whose
     usage differs from the tenant's last recorded value, so the series
@@ -224,23 +192,21 @@ class QuotaController:
     books rather than being free.
     """
 
+    #: Cycles between scans.
+    SCAN_INTERVAL = 2.0e6
     #: Cycles one scan costs per tenant examined.
     SCAN_COST_PER_TENANT = 4_000.0
 
     def __init__(self, engine, stats, accountant: TenantAccountant,
-                 specs: Dict[str, TenantSpec],
-                 scan_interval: float = 2.0e6):
+                 names: Iterable[str]):
         self.engine = engine
         self.stats = stats
         self.accountant = accountant
-        self.specs = dict(specs)
-        self.scan_interval = scan_interval
+        self.names = sorted(names)
         self.scans = 0
-        self.soft_breaches: Dict[str, int] = {name: 0 for name in specs}
-        #: ``(name, spec, gauge series)`` in scan order.
-        self._tenants = [(name, self.specs[name],
-                          f"tenant.{name}.memory_bytes")
-                         for name in sorted(self.specs)]
+        #: ``(name, gauge series)`` in scan order.
+        self._tenants = [(name, f"tenant.{name}.memory_bytes")
+                         for name in self.names]
         #: Last usage recorded in each tenant's gauge series.
         self._recorded: Dict[str, int] = {}
         self._thread = None
@@ -252,10 +218,10 @@ class QuotaController:
     def _run(self):
         while True:
             yield charge(CostDomain.TENANCY, "quota-scan-idle",
-                         self.scan_interval)
+                         self.SCAN_INTERVAL)
             self.scan()
             yield charge(CostDomain.TENANCY, "quota-scan",
-                         self.SCAN_COST_PER_TENANT * len(self.specs))
+                         self.SCAN_COST_PER_TENANT * len(self.names))
 
     def scan(self) -> None:
         """One scan: pure bookkeeping (priced by the caller)."""
@@ -263,12 +229,8 @@ class QuotaController:
         self.stats.add(Counter.TENANCY_QUOTA_SCANS)
         now = self.engine.now
         recorded = self._recorded
-        for name, spec, series in self._tenants:
+        for name, series in self._tenants:
             usage = self.accountant.usage_bytes(name)
             if recorded.get(name) != usage:
                 recorded[name] = usage
                 self.stats.sample(series, now, float(usage))
-            if spec.memory_request and usage > spec.memory_request:
-                self.soft_breaches[name] += 1
-                self.stats.add(Counter.TENANCY_SOFT_BREACHES)
-                self.stats.add(f"tenant.{name}.soft_breaches")

@@ -117,13 +117,11 @@ class TenancyRuntime:
         system = self.system
         engine = system.engine
         engine.tenant_resolver = self.tenant_of
-        specs = {t.name: t.spec for t in self.config.tenants}
-        self.accountant = TenantAccountant(engine, system.stats, specs)
+        self.accountant = TenantAccountant(engine, self.tenants)
         system.physmem.accountant = self.accountant
         if self.config.quotas:
-            self.accountant.enforcing = True
-            weights = {name: spec.bandwidth_weight
-                       for name, spec in specs.items()}
+            weights = {name: tenant.spec.bandwidth_weight
+                       for name, tenant in self.tenants.items()}
             self.admission = BandwidthAdmission(engine, system.stats,
                                                 weights)
             for pool in system.mem.pools:
@@ -393,8 +391,7 @@ def run_consolidate(system, config: Optional[TenancyConfig] = None):
     if cfg.quotas:
         runtime.controller = QuotaController(
             system.engine, system.stats, runtime.accountant,
-            {t.name: t.spec for t in cfg.tenants},
-            scan_interval=cfg.scan_interval)
+            runtime.tenants)
         runtime.controller.start(core=system.engine.cores[-1].index)
     system.run()
 

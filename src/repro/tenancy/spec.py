@@ -5,8 +5,9 @@ workload with a closed-loop request stream (each logical client issues
 the next request only after the previous one completes, optionally
 after a seeded think time) and a :class:`TenantSpec` quota block in
 the Kubernetes resource-model shape — ``limits.cpu`` as a fractional
-core share, ``requests.memory`` / ``limits.memory`` in bytes, and a
-proportional device-bandwidth weight.
+core share and a proportional device-bandwidth weight.  Memory is
+attributed per tenant (``TenantAccountant``) but not limited: DAX file
+data bypasses the frame books, so there is no memory quota to set.
 
 This module is deliberately dependency-light (no workload or engine
 imports): specs round-trip through JSON so sweeps can key their result
@@ -34,55 +35,37 @@ class TenantSpec:
 
     ``cpu_limit`` is a fractional share of one core (``limits.cpu``):
     1.0 means unthrottled, 0.5 stretches every cycle the tenant's
-    threads charge by 2x.  ``memory_request`` is the soft guarantee
-    (breaches are counted, not enforced), ``memory_limit`` the hard
-    cap on dynamically allocated physical frames — an allocation past
-    it fails.  ``bandwidth_weight``
-    is the tenant's proportional share of each device bandwidth pool.
+    threads charge by 2x.  ``bandwidth_weight`` is the tenant's
+    proportional share of each device bandwidth pool.
     """
 
     cpu_limit: float = 1.0
-    memory_request: int = 48 << 20
-    memory_limit: int = 192 << 20
     bandwidth_weight: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.cpu_limit <= 1.0:
             raise InvalidArgumentError(
                 f"limits.cpu must be in (0, 1], got {self.cpu_limit}")
-        if self.memory_request < 0 or self.memory_limit < 0:
-            raise InvalidArgumentError("memory quotas must be >= 0")
-        if self.memory_limit and self.memory_request > self.memory_limit:
-            raise InvalidArgumentError(
-                f"requests.memory ({self.memory_request}) exceeds "
-                f"limits.memory ({self.memory_limit})")
         if self.bandwidth_weight <= 0.0:
             raise InvalidArgumentError("bandwidth_weight must be > 0")
 
     def to_state(self) -> Dict:
         return {"cpu_limit": self.cpu_limit,
-                "memory_request": self.memory_request,
-                "memory_limit": self.memory_limit,
                 "bandwidth_weight": self.bandwidth_weight}
 
     @staticmethod
     def from_state(state: Dict) -> "TenantSpec":
         return TenantSpec(
             cpu_limit=state.get("cpu_limit", 1.0),
-            memory_request=state.get("memory_request", 48 << 20),
-            memory_limit=state.get("memory_limit", 192 << 20),
             bandwidth_weight=state.get("bandwidth_weight", 1.0))
 
 
 #: Default quota block for an interactive tenant.
 TENANT_SPEC = TenantSpec()
 
-#: Default quota block for the antagonist: half a core, a quarter of
-#: everyone else's bandwidth weight, and a tight memory box.
-ANTAGONIST_SPEC = TenantSpec(cpu_limit=0.5,
-                             memory_request=16 << 20,
-                             memory_limit=64 << 20,
-                             bandwidth_weight=0.25)
+#: Default quota block for the antagonist: half a core and a quarter
+#: of everyone else's bandwidth weight.
+ANTAGONIST_SPEC = TenantSpec(cpu_limit=0.5, bandwidth_weight=0.25)
 
 
 @dataclass(frozen=True)
@@ -133,16 +116,14 @@ class Tenant:
 class TenancyConfig:
     """The full multi-tenant shape of one run.
 
-    ``quotas`` arms enforcement (CPU throttles, hard memory limits,
-    bandwidth admission and the quota-controller kthread); with it off
-    tenants still run concurrently and are still *attributed*, they
-    are just not policed.  ``scan_interval`` is the controller's scan
-    period in cycles.
+    ``quotas`` arms enforcement (CPU throttles, bandwidth admission
+    and the quota-controller kthread); with it off tenants still run
+    concurrently and are still *attributed*, they are just not
+    policed.
     """
 
     tenants: Tuple[Tenant, ...] = ()
     quotas: bool = False
-    scan_interval: float = 2.0e6
 
     def __post_init__(self):
         if not self.tenants:
@@ -150,8 +131,6 @@ class TenancyConfig:
         names = [t.name for t in self.tenants]
         if len(set(names)) != len(names):
             raise InvalidArgumentError(f"duplicate tenant names: {names}")
-        if self.scan_interval <= 0:
-            raise InvalidArgumentError("scan_interval must be > 0")
 
     @property
     def passive(self) -> bool:
@@ -179,16 +158,14 @@ class TenancyConfig:
 
     def to_state(self) -> Dict:
         return {"tenants": [t.to_state() for t in self.tenants],
-                "quotas": self.quotas,
-                "scan_interval": self.scan_interval}
+                "quotas": self.quotas}
 
     @staticmethod
     def from_state(state: Dict) -> "TenancyConfig":
         return TenancyConfig(
             tenants=tuple(Tenant.from_state(t)
                           for t in state.get("tenants", [])),
-            quotas=state.get("quotas", False),
-            scan_interval=state.get("scan_interval", 2.0e6))
+            quotas=state.get("quotas", False))
 
 
 def consolidate_config(num_tenants: int, mix: str = "apache", *,

@@ -53,7 +53,7 @@ def test_coalescing_both_sides():
     dev.free(20, 5)
     dev.free(15, 5)  # bridges the two
     assert dev.free_extent_count() == 1
-    assert dev.largest_free_extent() == 15
+    assert [(e.start, e.length) for e in dev._free] == [(10, 15)]
     dev.check_invariants()
 
 

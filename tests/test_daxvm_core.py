@@ -65,7 +65,7 @@ def test_ephemeral_region_recycles_when_quiet(system):
 
     run(system, flow())
     assert system.stats.get("daxvm.ephemeral_region_recycles") >= 1
-    assert heap.live_mappings == 0
+    assert len(heap.vmas) == 0
 
 
 def test_ephemeral_mappings_bypass_vma_tree(system):
@@ -284,5 +284,5 @@ def test_monitor_triggers_migration_and_repoints_mapping(system):
     assert migrated
     assert vma.leaf_medium is Medium.DRAM
     assert inode.volatile_file_table is not None
-    tr = proc.mm.page_table.translate(vma.user_addr)
+    tr = proc.mm.scheme.translate(vma.user_addr)
     assert tr.level_media[-1] is Medium.DRAM

@@ -94,7 +94,7 @@ def test_device_badblocks_and_quarantine_split_free_space():
     bad = start + 3
     device.mark_bad(bad)
     assert device.is_bad(bad)
-    assert device.bad_in_run(start, 8) == [bad]
+    assert device.badblocks == {bad}
     device.quarantine(bad)
     assert not device.is_bad(bad)  # quarantine retires the badblock
     free_before = device.free_blocks

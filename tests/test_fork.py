@@ -38,8 +38,8 @@ def test_fork_copies_vmas_and_translations(system):
     assert clone is not vma
     assert clone.populated == vma.populated
     # Both address spaces translate to the same PMem frames.
-    pt = parent.mm.page_table.translate(vma.start)
-    ct = child.mm.page_table.translate(vma.start)
+    pt = parent.mm.scheme.translate(vma.start)
+    ct = child.mm.scheme.translate(vma.start)
     assert pt.frame == ct.frame
     assert system.stats.get("vm.forks") == 1
 

@@ -118,8 +118,8 @@ def test_per_process_permissions_on_shared_tables(system):
         return ro, rw
 
     ro, rw = run(system, flow())
-    assert not proc1.mm.page_table.translate(ro.user_addr).flags.writable
-    assert proc2.mm.page_table.translate(rw.user_addr).flags.writable
+    assert not proc1.mm.scheme.translate(ro.user_addr).flags.writable
+    assert proc2.mm.scheme.translate(rw.user_addr).flags.writable
     # Same shared fragment object underneath.
     assert ro.attachments[0][2] is rw.attachments[0][2]
 

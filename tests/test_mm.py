@@ -283,7 +283,7 @@ def test_mprotect_full_range(system):
 
     vma = run(system, flow())
     assert vma.prot == Protection.READ
-    assert not proc.mm.page_table.translate(vma.start).flags.writable
+    assert not proc.mm.scheme.translate(vma.start).flags.writable
 
 
 def test_partial_mprotect_is_refused(system):

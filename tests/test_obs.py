@@ -6,15 +6,19 @@ and the ``python -m repro perf`` CLI entry point.
 """
 
 import json
+import pathlib
+import re
 
 import pytest
 
+import repro
 from repro.cli import main as cli_main
 from repro.config import DEFAULT_COSTS
 from repro.errors import MissingCounterError, SimulationError
 from repro.obs import (
     Charge,
     CostDomain,
+    Counter,
     DOMAIN_ORDER,
     Histogram,
     Ledger,
@@ -41,6 +45,21 @@ def test_charge_validates_domain_and_cycles():
 
 def test_domain_order_covers_every_domain():
     assert set(DOMAIN_ORDER) == set(CostDomain)
+
+
+def test_every_counter_is_named_outside_its_enum():
+    """A Counter member no code names is an orphan left by a deletion:
+    each must appear in ``src/repro`` outside ``obs/counters.py``, as
+    ``Counter.NAME`` or as its quoted value string."""
+    root = pathlib.Path(repro.__file__).parent
+    enum_file = root / "obs" / "counters.py"
+    source = "\n".join(path.read_text() for path in root.rglob("*.py")
+                       if path != enum_file)
+    orphans = [member.name for member in Counter
+               if not re.search(rf"\bCounter\.{member.name}\b", source)
+               and f'"{member.value}"' not in source
+               and f"'{member.value}'" not in source]
+    assert orphans == []
 
 
 # -- Ledger ----------------------------------------------------------------

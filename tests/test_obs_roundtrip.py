@@ -26,7 +26,7 @@ def _tenant_stats(offset: float) -> Stats:
     stats.add(Counter.TENANCY_REQUESTS, 10 + offset)
     for i, name in enumerate(TENANTS):
         stats.add(f"tenant.{name}.requests", 5 + i + offset)
-        stats.add(f"tenant.{name}.soft_breaches", i)
+        stats.add(f"tenant.{name}.cpu_throttle_cycles", i)
         stats.sample(f"tenant.{name}.memory_bytes", 100.0 + i, 4096.0 * i)
         rng = random.Random(17 * i + int(offset))
         for _ in range(40):

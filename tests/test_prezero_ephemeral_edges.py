@@ -52,12 +52,12 @@ def test_prezero_interference_resets_when_idle(system):
 
     run(system, flow())
     assert dax.prezero.pending_blocks == 0
-    assert system.mem.interference == 1.0
+    assert system.mem.interference_for(0) == 1.0
 
 
 def test_prezero_idle_tick_does_not_clobber_other_streams(system):
-    """Regression: the daemon's idle path used to write the scalar
-    ``mem.interference = 1.0``, erasing penalties owned by *other*
+    """Regression: the daemon's idle path used to reset node 0's
+    interference to 1.0 outright, erasing penalties owned by *other*
     background streams.  Idle must release only the daemon's claim."""
     daemon = PreZeroDaemon(system.engine, system.fs, system.costs,
                            system.mem, system.stats)
@@ -170,6 +170,6 @@ def test_zombie_mapping_still_translates_until_reap(system):
     vma = run(system, flow())
     assert vma.zombie
     # The data is still reachable (the paper's vulnerability window).
-    tr = proc.mm.page_table.translate(vma.user_addr)
+    tr = proc.mm.scheme.translate(vma.user_addr)
     assert tr.frame == system.device.frame_of(
         inode.extents.physical_block(0))

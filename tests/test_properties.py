@@ -11,7 +11,7 @@ from repro.config import DEFAULT_COSTS
 from repro.errors import SegmentationFault
 from repro.fs.block import BlockDevice
 from repro.fs.extent import ExtentTree
-from repro.mem.physmem import PhysicalMemory
+from repro.mem.physmem import Medium, PhysicalMemory
 from repro.paging.flags import PageFlags
 from repro.paging.pagetable import PageTable
 from repro.vm.layout import AddressSpaceLayout
@@ -53,13 +53,13 @@ def test_pagetable_frame_accounting_balances(pages):
     """After unmapping everything, all interior frames are freed."""
     pm = PhysicalMemory(1 << 30, 1 << 30)
     pt = PageTable(pm)
-    baseline = pm.dram.allocated_frames
+    baseline = pm.region(Medium.DRAM, 0).allocated_frames
     unique = sorted(set(pages))
     for page in unique:
         pt.map_page(page * 4096, page, PageFlags.rw())
     for page in unique:
         pt.unmap_page(page * 4096)
-    assert pm.dram.allocated_frames == baseline
+    assert pm.region(Medium.DRAM, 0).allocated_frames == baseline
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +138,6 @@ def test_chunked_alloc_free_conservation(sizes, seed):
 @given(st.integers(1, 1 << 28))
 def test_cost_functions_are_positive_and_monotone(nbytes):
     from repro.mem.latency import MemoryModel
-    from repro.mem.physmem import Medium
 
     mem = MemoryModel(DEFAULT_COSTS)
     read = mem.stream_read(nbytes, Medium.PMEM)

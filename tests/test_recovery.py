@@ -155,7 +155,7 @@ def test_recovered_tables_are_mappable():
     vma = run(system, flow())
     assert vma.leaf_medium is Medium.PMEM
     # Every page of the recovered mapping translates correctly.
-    tr = proc.mm.page_table.translate(vma.user_addr + 100 * 4096)
+    tr = proc.mm.scheme.translate(vma.user_addr + 100 * 4096)
     assert tr.frame == system.device.frame_of(
         inode.extents.physical_block(100))
 

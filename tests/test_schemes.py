@@ -309,14 +309,14 @@ def test_double_attach_detach_leaves_table_reusable(scheme_name):
     assert first.start != second.start
     dax_unmap(system, dax, first)
     # The surviving mapping still translates after its twin detached.
-    assert proc.mm.page_table.translate(second.user_addr) is not None
+    assert proc.mm.scheme.translate(second.user_addr) is not None
     dax_unmap(system, dax, second)
 
     assert _table_snapshot(table) == before
     assert not (set(freed) & _table_frames(table))
     # And the table is still attachable: a third mapping works.
     third = dax_map(system, dax, inode, 1 << 20)
-    assert proc.mm.page_table.translate(third.user_addr) is not None
+    assert proc.mm.scheme.translate(third.user_addr) is not None
 
 
 def test_teardown_while_another_process_attached(scheme_name):
@@ -337,12 +337,12 @@ def test_teardown_while_another_process_attached(scheme_name):
 
     assert _table_snapshot(table) == snapshot
     assert not (set(freed) & _table_frames(table))
-    t = proc2.mm.page_table.translate(vma2.user_addr)
+    t = proc2.mm.scheme.translate(vma2.user_addr)
     assert t.frame in {frame for _idx, frame
                        in sum(snapshot["pte"].values(), [])} \
         or snapshot["huge"]
     with pytest.raises(SegmentationFault):
-        proc1.mm.page_table.translate(vma1.user_addr)
+        proc1.mm.scheme.translate(vma1.user_addr)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,14 @@
-"""The multi-tenant consolidation subsystem (PR-9 tentpole).
+"""The multi-tenant consolidation subsystem.
 
-Covers the enforcement mechanisms in isolation (CPU throttle stretch,
-reclaim-then-fail frame accounting, weighted bandwidth admission),
-the attribution machinery (cross-tenant lock waits booked with the
-holder recorded, exact-match ledger views — ``t1`` never absorbs
-``t10``), the end-to-end consolidate driver (determinism, antagonist
-containment, quota audit), and the spec round-trips that feed the
-sweep cache key.
+Covers the quota mechanisms in isolation (CPU throttle stretch,
+weighted bandwidth admission), the per-tenant frame books (which
+attribute memory and never refuse it), the attribution machinery
+(cross-tenant lock waits booked with the holder recorded, exact-match
+ledger views — ``t1`` never absorbs ``t10``), the end-to-end
+consolidate driver (determinism, antagonist containment, quota
+audit), and the spec round-trips that feed the sweep cache key.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -26,7 +25,6 @@ from repro.tenancy import (
     CpuThrottle,
     QuotaAccountingError,
     QuotaController,
-    QuotaError,
     TenancyConfig,
     Tenant,
     TenantAccountant,
@@ -44,8 +42,6 @@ def test_spec_validation():
         TenantSpec(cpu_limit=0.0)
     with pytest.raises(InvalidArgumentError):
         TenantSpec(cpu_limit=1.5)
-    with pytest.raises(InvalidArgumentError):
-        TenantSpec(memory_request=2 << 20, memory_limit=1 << 20)
     with pytest.raises(InvalidArgumentError):
         TenantSpec(bandwidth_weight=0.0)
     with pytest.raises(InvalidArgumentError):
@@ -114,20 +110,14 @@ def test_cpu_throttle_share_validation():
 
 
 # ---------------------------------------------------------------------------
-# Frame accounting: requests/limits.memory with reclaim-or-fail.
+# Frame accounting: per-tenant ownership books, never a refusal.
 # ---------------------------------------------------------------------------
-def _accountant_rig(limit_frames=4):
+def _accountant_rig():
     engine = Engine(1)
     physmem = PhysicalMemory(dram_bytes=8 << 20, pmem_bytes=8 << 20)
-    from repro.sim.stats import Stats
-
-    stats = Stats()
-    spec = TenantSpec(memory_request=0,
-                      memory_limit=limit_frames * 4096)
-    accountant = TenantAccountant(engine, stats, {"t0": spec})
-    accountant.enforcing = True
+    accountant = TenantAccountant(engine, ["t0"])
     physmem.accountant = accountant
-    return engine, physmem, stats, accountant
+    return engine, physmem, accountant
 
 
 def _run_as_tenant(engine, fn, name="t0.worker", tenant="t0"):
@@ -143,32 +133,53 @@ def _run_as_tenant(engine, fn, name="t0.worker", tenant="t0"):
     return out.get("result")
 
 
-def test_accountant_tracks_and_limits_frames():
-    engine, physmem, stats, accountant = _accountant_rig(limit_frames=2)
+def test_accountant_tracks_frames():
+    engine, physmem, accountant = _accountant_rig()
 
     def body():
-        frames = [physmem.alloc_frame(Medium.DRAM) for _ in range(2)]
-        # Books reflect ownership...
-        assert accountant.usage_bytes("t0") == 2 * 4096
-        # ...and the third allocation breaches limits.memory: refuse.
-        with pytest.raises(QuotaError):
-            physmem.alloc_frame(Medium.DRAM)
-        return frames
+        return [physmem.alloc_frame(Medium.DRAM) for _ in range(2)]
 
     frames = _run_as_tenant(engine, body)
-    assert stats.get(Counter.TENANCY_HARD_FAILURES) == 1
-    assert accountant.hard_failures == 1
-    # Frees return the frames to the tenant's headroom.
+    assert accountant.usage_bytes("t0") == 2 * 4096
+    # Frees leave the books; the peak remembers the high-water mark.
     for frame in frames:
         physmem.free_frame(frame)
     assert accountant.usage_bytes("t0") == 0
+    assert accountant.peak_bytes("t0") == 2 * 4096
+    accountant.audit()
+
+
+def test_quota_tenant_is_never_refused_frames():
+    """Quotas police CPU and bandwidth only: on a quota-armed machine a
+    hog thread allocates one frame past 64 MiB (its old
+    ``limits.memory``) and every frame lands on its books."""
+    system = System(device_bytes=1 << 30, aged=False)
+    config = consolidate_config(1, "apache", quotas=True, antagonist=True,
+                                requests=1)
+    runtime = system.attach_tenancy(config).install()
+    count = (64 << 20) // 4096 + 1
+
+    def body():
+        return [system.physmem.alloc_frame(Medium.DRAM)
+                for _ in range(count)]
+
+    frames = _run_as_tenant(system.engine, body, name="hog.worker",
+                            tenant="hog")
+    assert len(frames) == count
+    assert runtime.accountant.usage_bytes("hog") == count * 4096
+    runtime.audit()
+    for frame in frames:
+        system.physmem.free_frame(frame)
+    assert runtime.accountant.usage_bytes("hog") == 0
+    assert runtime.accountant.peak_bytes("hog") == count * 4096
+    runtime.audit()
 
 
 def test_accountant_ignores_untagged_threads():
-    engine, physmem, _stats, accountant = _accountant_rig(limit_frames=1)
+    engine, physmem, accountant = _accountant_rig()
 
     def body():
-        # No tenant tag: frames are kernel-global, never limited.
+        # No tenant tag: frames are kernel-global, never booked.
         return [physmem.alloc_frame(Medium.DRAM) for _ in range(4)]
 
     frames = _run_as_tenant(engine, body, tenant=None)
@@ -178,7 +189,7 @@ def test_accountant_ignores_untagged_threads():
 
 
 def test_accountant_audit_detects_drift():
-    engine, physmem, _stats, accountant = _accountant_rig()
+    engine, physmem, accountant = _accountant_rig()
 
     def body():
         return physmem.alloc_frame(Medium.DRAM)
@@ -405,12 +416,11 @@ def test_quotas_contain_the_antagonist():
                                 antagonist=True, requests=5)
     system, run, _state = _consolidate_state(config)
     runtime = system.tenancy
-    hog_spec = runtime.tenants["hog"].spec
-    # The hog dirtied pages, was CPU-throttled, and its kernel-memory
-    # footprint stayed inside limits.memory.
+    # The hog dirtied pages, was CPU-throttled, and its page-table
+    # frames are on its books.
     assert run.counters[Counter.TENANCY_ANTAGONIST_PAGES.value] > 0
     assert system.stats.get("tenant.hog.cpu_throttle_cycles") > 0
-    assert runtime.accountant.peak_bytes("hog") <= hog_spec.memory_limit
+    assert runtime.accountant.peak_bytes("hog") > 0
     # Quota scans ran and the books audit clean.
     assert run.counters[Counter.TENANCY_QUOTA_SCANS.value] > 0
     runtime.audit()
@@ -422,7 +432,6 @@ def test_quotas_off_leaves_enforcement_idle():
     # Attribution runs (resolver + accountant installed, passive
     # books), but no throttle, no admission, no controller.
     assert system.tenancy.accountant is not None
-    assert not system.tenancy.accountant.enforcing
     assert system.tenancy.admission is None
     assert system.tenancy.controller is None
     assert Counter.TENANCY_QUOTA_SCANS.value not in run.counters
@@ -445,18 +454,13 @@ def test_audit_catches_lost_throttle_cycles():
 # The quota controller's gauges: change points of the per-scan usage.
 # ---------------------------------------------------------------------------
 def _gauged_run(requests, monkeypatch=None):
-    """A quota-enforcing mixed point with a hog on an aged image, every
-    tenant's ``requests.memory`` at two frames so soft breaches count.
-    With ``monkeypatch``, ``QuotaController.scan`` is wrapped to record
+    """A quotas-on mixed point with a hog on an aged image.  With
+    ``monkeypatch``, ``QuotaController.scan`` is wrapped to record
     every tenant's usage at every scan."""
     from repro.runner.worker import _reset_naming_counters
 
     config = consolidate_config(4, "mixed", quotas=True, antagonist=True,
                                 requests=requests)
-    config = dataclasses.replace(config, tenants=tuple(
-        dataclasses.replace(t, spec=dataclasses.replace(
-            t.spec, memory_request=2 * 4096))
-        for t in config.tenants))
     scans = []
     if monkeypatch is not None:
         scan = QuotaController.scan
@@ -465,7 +469,7 @@ def _gauged_run(requests, monkeypatch=None):
             scan(self)
             scans.append((self.engine.now,
                           {name: self.accountant.usage_bytes(name)
-                           for name in self.specs}))
+                           for name in self.names}))
 
         monkeypatch.setattr(QuotaController, "scan", recording_scan)
     _reset_naming_counters()
@@ -495,20 +499,12 @@ def test_memory_gauges_are_change_points_of_every_scan(monkeypatch):
 
 
 def test_memory_gauges_leave_scan_counters_alone(monkeypatch):
-    """Every scan still reads every tenant: scan and soft-breach counts
-    match the per-scan record, and the recording wrapper changes
-    nothing."""
+    """Every scan still runs: the scan count matches the per-scan
+    record, and the recording wrapper changes nothing."""
     plain, _series, _ = _gauged_run(16)
     stats, _series, scans = _gauged_run(16, monkeypatch)
-    names = sorted(scans[0][1])
-    keys = ([Counter.TENANCY_QUOTA_SCANS, Counter.TENANCY_SOFT_BREACHES]
-            + [f"tenant.{name}.soft_breaches" for name in names])
-    assert [stats.get(k) for k in keys] == [plain.get(k) for k in keys]
     assert stats.get(Counter.TENANCY_QUOTA_SCANS) == len(scans)
-    for name in names:
-        breaches = sum(usage[name] > 2 * 4096 for _now, usage in scans)
-        assert stats.get(f"tenant.{name}.soft_breaches") == breaches
-    assert stats.get(Counter.TENANCY_SOFT_BREACHES) > 0
+    assert plain.get(Counter.TENANCY_QUOTA_SCANS) == len(scans)
 
 
 def test_memory_gauge_samples_do_not_grow_with_scans():

@@ -192,9 +192,10 @@ def test_single_node_layout_matches_historical_construction():
     modern = PhysicalMemory(topology=topo)
     legacy = PhysicalMemory(dram_bytes=MACHINE.dram_bytes,
                             pmem_bytes=MACHINE.pmem_bytes)
-    assert modern.dram.base_frame == legacy.dram.base_frame
-    assert modern.pmem.base_frame == legacy.pmem.base_frame
-    assert modern.pmem.total_frames == legacy.pmem.total_frames
+    for medium in (Medium.DRAM, Medium.PMEM):
+        ours, theirs = modern.region(medium, 0), legacy.region(medium, 0)
+        assert ours.base_frame == theirs.base_frame
+        assert ours.total_frames == theirs.total_frames
 
 
 # ---------------------------------------------------------------------------
