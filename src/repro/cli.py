@@ -130,7 +130,6 @@ def _run(args, sweep: Sweep):
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     return run_sweep(sweep, jobs=args.jobs, cache=cache,
                      point_timeout=args.point_timeout,
-                     max_retries=args.max_retries, retry_seed=args.seed,
                      profile=args.profile)
 
 
@@ -375,8 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="crash/fault workload ('readbench' is "
                              "faults-only)")
     parser.add_argument("--seed", type=int, default=0,
-                        help="crash/fault sampling seed (also seeds "
-                             "sweep retry backoff)")
+                        help="crash/fault sampling seed")
     parser.add_argument("--max-points", type=int, default=None,
                         help="with 'sweep'/'perf', run only the first N "
                              "points; crash points to explore with "
@@ -390,9 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="watchdog seconds per sweep point; hung "
                              "points are quarantined (needs --jobs >= 2 "
                              "for isolation)")
-    parser.add_argument("--max-retries", type=int, default=0,
-                        help="retries for retryable sweep-point "
-                             "failures (seeded exponential backoff)")
     parser.add_argument("--expect-failed", type=int, default=None,
                         help="exit 0 only if exactly this many points "
                              "were quarantined (isolation checks); "

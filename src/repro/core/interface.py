@@ -133,7 +133,7 @@ class DaxVM:
             self.ephemeral.record(vma)
             yield from self.mm.mmap_sem.release_read()
         else:
-            self.mm.vmas.insert(start, vma)
+            self.mm.vmas[start] = vma
             yield from self.mm.mmap_sem.release_write()
         self.stats.add(Counter.DAXVM_MMAP_CALLS)
         return vma
@@ -221,7 +221,7 @@ class DaxVM:
 
     def _release_regular(self, vma: VMA):
         yield from self.mm.mmap_sem.acquire_write()
-        self.mm.vmas.delete(vma.start)
+        self.mm.vmas.pop(vma.start, None)
         self.mm.layout.free(vma.start, vma.length,
                             align=PUD_SIZE if vma.length > PUD_SIZE
                             else PMD_SIZE)

@@ -83,13 +83,10 @@ class MediaError(ReproError):
     """An uncorrectable PMem media error (a badblock / poisoned line).
 
     Subclasses model two ways Linux surfaces one: SIGBUS from a
-    DAX-mapped load and transient device stalls.  ``retryable`` marks
-    failures the sweep runner may retry with backoff instead of
-    quarantining the point outright.
+    DAX-mapped load and transient device stalls.
     """
 
     errno_name = "EIO"
-    retryable = False
 
 
 class PoisonedPageError(MediaError):
@@ -113,8 +110,6 @@ class PoisonedPageError(MediaError):
 
 class DeviceStallError(MediaError):
     """The device stalled past an operation deadline (transient)."""
-
-    retryable = True
 
 
 class NotSupportedError(ReproError):

@@ -70,7 +70,6 @@ class SharedBandwidth:
         if read_bytes:
             bucket = self._read
             nbytes = int(read_bytes)
-            bucket.total_bytes += nbytes
             paid_until = bucket._paid_until
             start = paid_until if paid_until > now else now
             bucket._paid_until = start + nbytes / bucket.bytes_per_cycle
@@ -78,7 +77,6 @@ class SharedBandwidth:
         if write_bytes:
             bucket = self._write
             nbytes = int(write_bytes)
-            bucket.total_bytes += nbytes
             paid_until = bucket._paid_until
             start = paid_until if paid_until > now else now
             bucket._paid_until = start + nbytes / bucket.bytes_per_cycle
@@ -89,11 +87,6 @@ class SharedBandwidth:
             wait = max(wait, self.admission.extra_delay(
                 self, read_bytes, write_bytes, now))
         return wait
-
-    def bytes_moved(self) -> float:
-        """Cumulative bytes admitted through this pool (telemetry for
-        the tiering daemon's expander-side rate limiter)."""
-        return self._read.total_bytes + self._write.total_bytes
 
 
 class MemoryModel:
@@ -332,13 +325,9 @@ class BandwidthThrottle:
             raise ValueError("throttle bandwidth must be positive")
         self.bytes_per_cycle = bytes_per_second / freq_hz
         self._paid_until = 0.0
-        #: Cumulative bytes charged through this bucket — pure
-        #: telemetry (never read back into pricing decisions here).
-        self.total_bytes = 0.0
 
     def delay_for(self, nbytes: int, now: float) -> float:
         """Cycles to wait (possibly 0) before moving ``nbytes`` now."""
-        self.total_bytes += nbytes
         cost_cycles = nbytes / self.bytes_per_cycle
         start = max(now, self._paid_until)
         self._paid_until = start + cost_cycles

@@ -113,7 +113,6 @@ class Counter(enum.Enum):
     TIERING_MIGRATED_BYTES = "tiering.migrated_bytes"
     TIERING_WRITEBACK_BYTES = "tiering.writeback_bytes"
     TIERING_SHOOTDOWNS = "tiering.shootdowns"
-    TIERING_RATE_DEFERRED = "tiering.rate_limited_granules"
 
     # -- Multi-tenant consolidation (tenancy/) ----------------------------
     # Machine-wide totals; the per-tenant split uses namespaced string

@@ -18,18 +18,18 @@ bit-identical to ``--jobs 1`` and to a cache replay.
 
 Fault isolation: a worker that *raises* never takes the sweep down —
 the exception is captured in the worker, the point is quarantined into
-:attr:`SweepResult.failed` (or retried with seeded exponential backoff
-when the error is marked retryable) and every other point completes
-normally.  With ``point_timeout`` set, a *hung* point is detected by a
-watchdog on result collection and quarantined as a timeout; hang
-isolation needs ``jobs >= 2``, since a pool of one cannot make
-progress past the hung worker to run the remaining points.
+:attr:`SweepResult.failed` and every other point completes normally.
+A point runs once: it is deterministic (fresh machine, reset naming
+counters, same payload), so a rerun would fail exactly as it did.
+With ``point_timeout`` set, a *hung* point is detected by a watchdog
+on result collection and quarantined as a timeout; hang isolation
+needs ``jobs >= 2``, since a pool of one cannot make progress past the
+hung worker to run the remaining points.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -41,10 +41,6 @@ from repro.runner.manifest import PointResult, Sweep, SweepPoint
 from repro.runner.worker import run_point
 from repro.sim.stats import Stats
 
-#: First-retry backoff in seconds; doubles per attempt, jittered.
-BACKOFF_BASE = 0.05
-#: Upper bound on a single backoff sleep.
-BACKOFF_CAP = 2.0
 #: Run counters whose non-zero value is an audit failure.
 VIOLATION_COUNTERS = ("crash.invariant_violations", "faults.violations",
                       "virt.violations")
@@ -57,7 +53,6 @@ class PointFailure:
     point: SweepPoint
     error_type: str
     message: str
-    attempts: int
     #: ``"error"`` (worker raised) or ``"timeout"`` (watchdog fired).
     reason: str
 
@@ -124,22 +119,18 @@ class SweepResult:
                 if pr.run.counters.get(key)]
 
     def failed_table(self) -> Table:
-        """Quarantined points: what failed, how, after how many tries."""
+        """Quarantined points: what failed and how."""
         table = Table(f"{self.sweep.title} — quarantined points",
-                      ["series", self.sweep.axis, "reason", "error",
-                       "attempts"])
+                      ["series", self.sweep.axis, "reason", "error"])
         for failure in self.failed:
             table.add_row(failure.point.series, failure.point.x,
-                          failure.reason, failure.error_type,
-                          failure.attempts)
+                          failure.reason, failure.error_type)
         return table
 
 
 def run_sweep(sweep: Sweep, jobs: int = 1,
               cache: Optional[ResultCache] = None, *,
               point_timeout: Optional[float] = None,
-              max_retries: int = 0,
-              retry_seed: int = 0,
               profile: bool = False) -> SweepResult:
     """Execute a sweep; see the module docstring for the contract.
 
@@ -151,7 +142,7 @@ def run_sweep(sweep: Sweep, jobs: int = 1,
     started = time.perf_counter()
     fingerprint = code_fingerprint()
     results: List[Optional[PointResult]] = [None] * len(sweep.points)
-    failures: Dict[int, PointFailure] = {}
+    failures: List[PointFailure] = []
     pending = []
     hits = misses = 0
 
@@ -167,63 +158,44 @@ def run_sweep(sweep: Sweep, jobs: int = 1,
                 point, state, cached=True, wall_seconds=load_wall)
             hits += 1
         else:
-            pending.append({"slot": i, "point": point, "key": key,
-                            "attempt": 0})
+            pending.append((i, point, key))
 
-    rng = random.Random(retry_seed)
-    queue = pending
-    while queue:
-        # ``profile`` rides in the task, NOT the payload: the payload
-        # feeds the cache key and profiling must not shift it.
-        tasks = [{"slot": t["slot"],
-                  "payload": t["point"].to_payload(),
-                  "attempt": t["attempt"],
-                  "profile": profile} for t in queue]
-        if jobs > 1 or point_timeout is not None:
-            outcomes = _map_parallel(tasks, jobs, point_timeout)
+    # ``profile`` rides in the task, NOT the payload: the payload feeds
+    # the cache key and profiling must not shift it.
+    tasks = [{"slot": slot, "payload": point.to_payload(),
+              "profile": profile} for slot, point, _ in pending]
+    if tasks and (jobs > 1 or point_timeout is not None):
+        outcomes = _map_parallel(tasks, jobs, point_timeout)
+    else:
+        outcomes = {task["slot"]: _guarded_run_point(task)
+                    for task in tasks}
+    for slot, point, key in pending:
+        out = outcomes.get(slot)
+        if out is None:
+            failures.append(PointFailure(
+                point=point, error_type="TimeoutError",
+                message=(f"no result within {point_timeout:g}s; "
+                         f"worker pool terminated"),
+                reason="timeout"))
+        elif out["ok"]:
+            state = out["state"]
+            if cache is not None and not profile:
+                cache.put(key, state)
+            wall = float(state.get("wall_seconds", 0.0))
+            results[slot] = PointResult.from_state(
+                point, state, cached=False, wall_seconds=wall)
+            misses += 1
         else:
-            outcomes = {task["slot"]: _guarded_run_point(task)
-                        for task in tasks}
-        retry_queue = []
-        backoff = 0.0
-        for t in queue:
-            slot, point, key = t["slot"], t["point"], t["key"]
-            attempts = t["attempt"] + 1
-            out = outcomes.get(slot)
-            if out is None:
-                failures[slot] = PointFailure(
-                    point=point, error_type="TimeoutError",
-                    message=(f"no result within {point_timeout:g}s; "
-                             f"worker pool terminated"),
-                    attempts=attempts, reason="timeout")
-            elif out["ok"]:
-                state = out["state"]
-                if cache is not None and not profile:
-                    cache.put(key, state)
-                wall = float(state.get("wall_seconds", 0.0))
-                results[slot] = PointResult.from_state(
-                    point, state, cached=False, wall_seconds=wall)
-                misses += 1
-            elif out["retryable"] and t["attempt"] < max_retries:
-                retry_queue.append({**t, "attempt": attempts})
-                step = BACKOFF_BASE * (2 ** t["attempt"])
-                backoff = max(backoff,
-                              min(BACKOFF_CAP, step) * (0.5 + rng.random()))
-            else:
-                failures[slot] = PointFailure(
-                    point=point, error_type=out["error_type"],
-                    message=out["message"], attempts=attempts,
-                    reason="error")
-        if retry_queue and backoff > 0:
-            time.sleep(backoff)
-        queue = retry_queue
+            failures.append(PointFailure(
+                point=point, error_type=out["error_type"],
+                message=out["message"], reason="error"))
 
     return SweepResult(sweep=sweep,
                        points=[r for r in results if r is not None],
                        hits=hits, misses=misses,
                        wall_seconds=time.perf_counter() - started,
                        jobs=jobs,
-                       failed=[failures[slot] for slot in sorted(failures)])
+                       failed=failures)
 
 
 def _guarded_run_point(task: dict) -> dict:
@@ -231,13 +203,8 @@ def _guarded_run_point(task: dict) -> dict:
 
     Runs inside the worker process: a raising point must never
     propagate (it would poison ``pool.map`` and abort every sibling) —
-    it is captured with enough context for quarantine and retry
-    decisions.  The attempt number is published so diagnostic
-    workloads (the ``selftest`` flaky mode) can behave per-attempt.
+    it is captured with enough context for quarantine.
     """
-    from repro.runner import worker
-
-    worker.CURRENT_ATTEMPT = task["attempt"]
     try:
         state = run_point(task["payload"],
                           profile=task.get("profile", False))
@@ -245,8 +212,7 @@ def _guarded_run_point(task: dict) -> dict:
     except Exception as err:  # noqa: BLE001 — quarantine, never crash
         return {"slot": task["slot"], "ok": False,
                 "error_type": type(err).__name__,
-                "message": str(err)[:500],
-                "retryable": bool(getattr(err, "retryable", False))}
+                "message": str(err)[:500]}
 
 
 def _map_parallel(tasks: List[dict], jobs: int,

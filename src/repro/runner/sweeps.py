@@ -422,23 +422,18 @@ def _walks_point(system: System) -> RunResult:
 def _selftest_point(system: System, *, mode: str,
                     hang_seconds: float = 3600.0) -> RunResult:
     """Runner-hardening diagnostics: each mode exercises one failure
-    path of the sweep driver itself (quarantine, watchdog, retry).
-    ``ok`` completes instantly; ``crash`` raises; ``hang`` sleeps past
-    any sane watchdog; ``flaky`` raises a retryable error on attempt 0
-    and succeeds on retries; ``oom``/``deadlock`` raise the simulator's
+    path of the sweep driver itself (quarantine, watchdog).  ``ok``
+    completes instantly; ``crash`` raises; ``hang`` sleeps past any
+    sane watchdog; ``oom``/``deadlock`` raise the simulator's
     ENOMEM/deadlock errors, exercising those surfaces end to end."""
     import time as _time
 
-    from repro.errors import DeadlockError, DeviceStallError, MemoryError_
-    from repro.runner import worker as _worker
+    from repro.errors import DeadlockError, MemoryError_
 
     if mode == "crash":
         raise RuntimeError("selftest: injected worker crash")
     if mode == "hang":
         _time.sleep(hang_seconds)
-    elif mode == "flaky":
-        if _worker.CURRENT_ATTEMPT == 0:
-            raise DeviceStallError("selftest: transient stall, retry me")
     elif mode == "oom":
         raise MemoryError_("selftest: simulated allocation failure")
     elif mode == "deadlock":

@@ -19,12 +19,6 @@ from repro.runner.manifest import SweepPoint, result_state
 from repro.system import System
 from repro.topology import MachineTopology
 
-#: Which delivery attempt of the current point this worker is running
-#: (0 = first try).  Published by the pool's guarded wrapper before
-#: ``run_point``; diagnostic workloads (the ``selftest`` flaky mode)
-#: read it to fail deterministically on early attempts only.
-CURRENT_ATTEMPT = 0
-
 
 def _reset_naming_counters() -> None:
     """Make point output independent of in-process run history.
@@ -59,7 +53,7 @@ def _attach_tiering(system: System, spec: Dict[str, object]) -> None:
     daemon = bool(spec.get("daemon", False))
     knobs = {key: spec[key] for key in
              ("scan_interval", "hot_touches", "cold_scans",
-              "migrate_budget_bytes", "bw_budget_fraction")
+              "migrate_budget_bytes")
              if key in spec}
     if "hot" in spec:
         knobs["hot_medium"] = Medium(spec["hot"])

@@ -154,16 +154,6 @@ class TieringConfig:
     hot_medium: Medium = Medium.DRAM
     #: Migration budget per scan (bounds burst interference).
     migrate_budget_bytes: int = 32 << 20
-    #: Bandwidth-aware promotion rate limiting: the fraction of the
-    #: device pools' *idle* capacity (capacity per scan period minus
-    #: the foreground bytes the pools actually moved since the last
-    #: scan) migrations may consume.  The per-scan budget becomes
-    #: ``min(migrate_budget_bytes, fraction * headroom)`` — a hot-set
-    #: storm arriving while foreground traffic saturates the device
-    #: defers its promotions instead of stealing bandwidth.  0.0 (the
-    #: default) disables the telemetry and reproduces the fixed
-    #: budget bit for bit.
-    bw_budget_fraction: float = 0.0
 
     def __post_init__(self):
         if self.scan_interval <= 0:
@@ -171,9 +161,6 @@ class TieringConfig:
         if self.hot_touches < 1 or self.cold_scans < 1:
             raise InvalidArgumentError(
                 "hot_touches and cold_scans must be >= 1")
-        if not 0.0 <= self.bw_budget_fraction <= 1.0:
-            raise InvalidArgumentError(
-                "bw_budget_fraction must be in [0, 1]")
 
 
 class TieringDaemon:
@@ -200,34 +187,6 @@ class TieringDaemon:
         self._dirty: Set[Tuple[int, int]] = set()
         self.scans = 0
         self._thread = None
-        #: Pool byte odometer at the last scan (bandwidth telemetry).
-        self._pool_bytes_seen = 0.0
-
-    # -- bandwidth telemetry --------------------------------------------
-    def _scan_budget(self) -> float:
-        """Migration byte budget for this scan.
-
-        With ``bw_budget_fraction`` armed, reads the device pools'
-        byte odometers: whatever the foreground moved since the last
-        scan is traffic the device already served, and migrations may
-        only claim the configured fraction of what was left idle.
-        ktierd's own copies run through ``memcpy`` (not the pools),
-        so the odometer delta is foreground traffic, exactly.
-        """
-        frac = self.config.bw_budget_fraction
-        if frac <= 0.0 or self.mem is None:
-            return self.config.migrate_budget_bytes
-        pools = [pool for pool in self.mem.pools if pool is not None]
-        if not pools:
-            return self.config.migrate_budget_bytes
-        total = sum(pool.bytes_moved() for pool in pools)
-        foreground = max(0.0, total - self._pool_bytes_seen)
-        self._pool_bytes_seen = total
-        capacity = sum((pool.read_bw + pool.write_bw) / pool.freq_hz
-                       for pool in pools) * self.config.scan_interval
-        headroom = max(0.0, capacity - foreground)
-        return min(float(self.config.migrate_budget_bytes),
-                   frac * headroom)
 
     # -- the kthread ----------------------------------------------------
     def start(self, core: int = 0) -> None:
@@ -258,8 +217,7 @@ class TieringDaemon:
         if tracked:
             yield charge(CostDomain.TIERING, "tiering-scan",
                          len(tracked) * self.costs.tiering_scan_granule)
-        budget = self._scan_budget()
-        rate_limited = self.config.bw_budget_fraction > 0.0
+        budget = self.config.migrate_budget_bytes
         for ino, granule in sorted(tracked):
             counts = touched.get(ino, {}).get(granule)
             touches = (counts[0] + counts[1]) if counts else 0
@@ -270,12 +228,6 @@ class TieringDaemon:
                 if budget >= GRANULE_BYTES:
                     budget -= GRANULE_BYTES
                     yield from self._promote(ino, granule)
-                elif rate_limited:
-                    # Hot but deferred: the bandwidth telemetry left
-                    # no headroom this scan.  (Counted only with the
-                    # limiter armed — the fixed-budget path predates
-                    # the counter and stays bit-identical.)
-                    self.stats.add(Counter.TIERING_RATE_DEFERRED)
             elif is_promoted and touches == 0:
                 key = (ino, granule)
                 self._cold[key] = self._cold.get(key, 0) + 1

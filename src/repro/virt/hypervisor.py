@@ -47,12 +47,6 @@ class VirtConfig:
     migrate_after: int = 32
     #: Run the background prefetch kthread after resume.
     prefetch: bool = True
-    #: Allow the degraded-mode fallback (remote-access pricing) when
-    #: the pull retry ladder is exhausted; ``False`` aborts instead.
-    degraded_ok: bool = True
-    #: Diagnostic: enter degraded mode on the first pull (exercises
-    #: the fallback path deterministically without a fault plan).
-    force_degraded: bool = False
     #: Seeds the retry-backoff jitter.
     seed: int = 0
 
@@ -71,8 +65,6 @@ class VirtConfig:
             "migrate": self.migrate,
             "migrate_after": self.migrate_after,
             "prefetch": self.prefetch,
-            "degraded_ok": self.degraded_ok,
-            "force_degraded": self.force_degraded,
             "seed": self.seed,
         }
 
@@ -83,8 +75,6 @@ class VirtConfig:
             migrate=bool(state.get("migrate", False)),
             migrate_after=int(state.get("migrate_after", 32)),
             prefetch=bool(state.get("prefetch", True)),
-            degraded_ok=bool(state.get("degraded_ok", True)),
-            force_degraded=bool(state.get("force_degraded", False)),
             seed=int(state.get("seed", 0)),
         )
 

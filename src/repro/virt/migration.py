@@ -207,12 +207,6 @@ class MigrationJob:
             fps = clean
         if not fps:
             return
-        if self.config.force_degraded and \
-                self.state is MigrationState.PULLING:
-            self._enter_degraded("forced by config")
-            if demand:
-                yield from self._degraded_access(len(fps))
-            return
         nbytes = len(fps) * PAGE_SIZE
         attempt = 0
         while True:
@@ -221,8 +215,7 @@ class MigrationJob:
                 break
             except DeviceStallError:
                 if attempt >= self.costs.migrate_max_pull_retries:
-                    if (self.config.degraded_ok
-                            and self.state is MigrationState.PULLING):
+                    if self.state is MigrationState.PULLING:
                         self._enter_degraded("pull retries exhausted")
                         if demand:
                             yield from self._degraded_access(len(fps))

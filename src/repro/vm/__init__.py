@@ -1,6 +1,6 @@
 """The Linux-like virtual memory manager.
 
-``MMStruct`` is the simulated ``mm_struct``: a red-black tree of VMAs
+``MMStruct`` is the simulated ``mm_struct``: a table of VMAs
 protected by a global ``mmap_sem`` reader/writer semaphore, demand
 paging with software dirty tracking, and TLB-coherent unmapping — the
 baseline whose costs §III of the paper dissects.
@@ -8,7 +8,6 @@ baseline whose costs §III of the paper dissects.
 
 from repro.vm.layout import AddressSpaceLayout
 from repro.vm.mm import MMStruct
-from repro.vm.rbtree import RBTree
 from repro.vm.vma import VMA, MapFlags, Protection
 
 __all__ = [
@@ -16,6 +15,5 @@ __all__ = [
     "MMStruct",
     "MapFlags",
     "Protection",
-    "RBTree",
     "VMA",
 ]

@@ -4,7 +4,8 @@ This is the baseline whose inherent costs §III of the paper dissects:
 
 * one global ``mmap_sem`` reader/writer semaphore serialising every
   address-space operation (writers: mmap/munmap; readers: faults);
-* a red-black tree recording every VMA;
+* a table recording every VMA, keyed by start address (its cost is
+  the constant ``vma_alloc``/``vma_free`` charge plus the semaphore);
 * demand paging — each first touch of a page takes a fault that
   installs a PTE (or a PMD leaf when extent geometry allows);
 * software dirty tracking — shared writable file pages start
@@ -16,7 +17,7 @@ This is the baseline whose inherent costs §III of the paper dissects:
 
 DaxVM (in :mod:`repro.core`) subclasses none of this; it *composes*
 with it, replacing exactly the pieces the paper replaces and leaving
-the rest (the semaphore, the VMA tree for non-ephemeral mappings, the
+the rest (the semaphore, the VMA table for non-ephemeral mappings, the
 shootdown controller) shared — which is what lets the benchmarks turn
 individual optimisations on and off (Fig. 8a's incremental bars).
 
@@ -30,7 +31,7 @@ exact for the single-threaded large-file workloads that use them.
 from __future__ import annotations
 
 from functools import partial
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.config import CostModel
 from repro.errors import (
@@ -55,7 +56,6 @@ from repro.sim.locks import RWSemaphore
 from repro.sim.stats import Stats
 from repro.vm.dirty import DirtyTracker
 from repro.vm.layout import AddressSpaceLayout
-from repro.vm.rbtree import RBTree
 from repro.vm.vma import PAGE_SIZE, VMA, MapFlags, Protection
 
 PMD_SIZE = 2 << 20
@@ -154,7 +154,7 @@ class MMStruct:
         #: effects, so one shared instance serves every demand fault.
         self._fault_entry_charge = charge(CostDomain.FAULT, "fault-entry",
                                           costs.fault_entry)
-        self.vmas = RBTree()
+        self.vmas: Dict[int, VMA] = {}
         self.layout = AddressSpaceLayout(aslr_seed)
         self.page_cache = DirtyTracker()
         self.walker = PageWalker(costs)
@@ -205,11 +205,11 @@ class MMStruct:
     # VMA lookup.
     # ------------------------------------------------------------------
     def find_vma(self, addr: int) -> Optional[VMA]:
-        hit = self.vmas.floor(addr)
-        if hit is None:
-            return None
-        vma = hit[1]
-        return vma if vma.contains(addr) else None
+        # VMAs never overlap, so at most one contains ``addr``.
+        for vma in self.vmas.values():
+            if vma.contains(addr):
+                return vma
+        return None
 
     # ------------------------------------------------------------------
     # mmap / munmap.
@@ -228,7 +228,7 @@ class MMStruct:
         vma = VMA(start, start + length, inode, offset, prot, flags)
         vma.fs = fs
         vma.mm = self
-        self.vmas.insert(start, vma)
+        self.vmas[start] = vma
         inode.i_mmap.append(vma)
         if self.guest is not None:
             self.guest.note_mapping(vma)
@@ -264,7 +264,7 @@ class MMStruct:
         self._drop_vma(vma)
 
     def _drop_vma(self, vma: VMA) -> None:
-        self.vmas.delete(vma.start)
+        self.vmas.pop(vma.start, None)
         if vma.inode is not None and vma in vma.inode.i_mmap:
             vma.inode.i_mmap.remove(vma)
         self.layout.free(vma.start, vma.length)
@@ -954,7 +954,10 @@ class MMStruct:
                      self.costs.syscall_crossing)
         yield from self.mmap_sem.acquire_write()
         copy_cost = 0.0
-        for start, vma in list(self.vmas.items()):
+        # Address order, as Linux walks the VMA list: it fixes the
+        # child's table order, each inode's i_mmap order and the
+        # summation order of ``copy_cost``.
+        for start, vma in sorted(self.vmas.items()):
             if vma.is_ephemeral or vma.attachments:
                 continue
             clone = VMA(vma.start, vma.end, vma.inode, vma.file_offset,
@@ -963,7 +966,7 @@ class MMStruct:
             clone.mm = child
             clone.dirty_granule = vma.dirty_granule
             clone.leaf_medium = vma.leaf_medium
-            child.vmas.insert(start, clone)
+            child.vmas[start] = clone
             child.layout.allocated_bytes += clone.length
             if vma.inode is not None:
                 vma.inode.i_mmap.append(clone)

@@ -117,10 +117,10 @@ def _serve_request(system: System, process: Process, cfg: ApacheConfig,
 
 
 def _regular_releaser(process: Process):
-    """Virtual-address release for deferred regular (mm_rb) VMAs."""
+    """Virtual-address release for deferred regular (mm-table) VMAs."""
     def release(vma):
         yield from process.mm.mmap_sem.acquire_write()
-        process.mm.vmas.delete(vma.start)
+        process.mm.vmas.pop(vma.start, None)
         process.mm.layout.free(vma.start, vma.length)
         yield from process.mm.mmap_sem.release_write()
     return release

@@ -1,5 +1,6 @@
 """fork() address-space duplication tests."""
 
+from repro.obs import CostDomain
 from repro.vm.vma import MapFlags, Protection
 
 PAGE = 4096
@@ -84,3 +85,56 @@ def test_fork_skips_ephemeral_and_daxvm_mappings(system):
     # (children re-establish it with an O(1) daxvm_mmap).
     assert child.mm.find_vma(pvma.start) is not None
     assert child.mm.find_vma(dvma.start) is None
+
+
+def test_fork_copies_vmas_in_address_order(system):
+    """fork walks the parent's VMAs by address, not by when they were
+    mapped.  The fourth mapping recycles the first one's freed range,
+    so it is the newest VMA at the lowest address; it maps the second
+    file again, so that file's ``i_mmap`` holds two parent mappings
+    whose clones land in walk order."""
+    size = 4 * PAGE
+    inodes = [make_file(system, size, path=f"/f{i}") for i in range(3)]
+    parent = system.new_process("parent")
+    child = system.new_process("child")
+
+    def flow():
+        vmas = []
+        for pages, inode in enumerate(inodes, start=1):
+            vma = yield from parent.mm.mmap(system.fs, inode, 0, size,
+                                            Protection.READ,
+                                            MapFlags.SHARED)
+            yield from parent.mm.access(vma, 0, pages * PAGE)
+            vmas.append(vma)
+        yield from parent.mm.munmap(vmas[0])
+        fourth = yield from parent.mm.mmap(system.fs, inodes[1], 0, size,
+                                           Protection.READ,
+                                           MapFlags.SHARED)
+        yield from parent.mm.access(fourth, 0, size)
+        return vmas[0].start, fourth
+
+    first_start, fourth = run(system, flow())
+    assert fourth.start == first_start
+    assert list(parent.mm.vmas)[-1] == fourth.start
+    in_order = [vma for _, vma in sorted(parent.mm.vmas.items())]
+    assert in_order[0] is fourth
+    before = {inode.number: list(inode.i_mmap) for inode in inodes}
+    fork_copy = system.ledger.event_total(CostDomain.COPY, "fork-copy")
+
+    def fork():
+        yield from parent.mm.fork(child.mm)
+
+    run(system, fork())
+    assert list(child.mm.vmas) == [vma.start for vma in in_order]
+    clones = list(child.mm.vmas.values())
+    for inode in inodes:
+        assert inode.i_mmap == before[inode.number] + [
+            clone for clone in clones if clone.inode is inode]
+    assert [c.start for c in inodes[1].i_mmap[2:]] == [
+        fourth.start, in_order[1].start]
+    expected = 0.0
+    for vma in in_order:
+        expected += system.costs.vma_alloc
+        expected += len(vma.populated) * system.costs.pte_teardown
+    assert (system.ledger.event_total(CostDomain.COPY, "fork-copy")
+            - fork_copy) == expected

@@ -12,11 +12,12 @@ import time
 import pytest
 
 from repro.cli import main as cli_main
-from repro.errors import DeadlockError, MemoryError_
+from repro.errors import DeadlockError, DeviceStallError, MemoryError_
 from repro.obs import CostDomain
 from repro.obs.histogram import Histogram
 from repro.obs.ledger import Ledger
 from repro.runner import (
+    POINT_RUNNERS,
     ResultCache,
     SweepPoint,
     build_sweep,
@@ -205,7 +206,7 @@ def test_worker_crash_is_quarantined_with_partial_results():
     assert [pr.point.series for pr in result.points] == ["ok", "ok"]
     assert len(result.failed) == 1
     failure = result.failed[0]
-    assert failure.reason == "error" and failure.attempts == 1
+    assert failure.reason == "error"
     assert failure.error_type == "RuntimeError"
     assert "injected worker crash" in failure.message
     assert len(result.failed_table().rows) == 1
@@ -227,20 +228,25 @@ def test_oom_and_deadlock_surface_with_their_types():
     assert all(f.reason == "error" for f in result.failed)
 
 
-def test_retryable_error_retries_with_backoff_then_succeeds():
-    sweep = selftest_sweep_of(["flaky", "ok", "flaky"])
-    no_retry = run_sweep(sweep, jobs=1, max_retries=0)
-    assert ([f.error_type for f in no_retry.failed]
-            == ["DeviceStallError", "DeviceStallError"])
-    assert len(no_retry.points) == 1
-    retried = run_sweep(sweep, jobs=1, max_retries=2, retry_seed=7)
-    assert not retried.failed
-    assert [pr.point.series for pr in retried.points] == sweep_series(
-        sweep)
+def test_device_stall_point_is_quarantined_on_its_first_run(monkeypatch):
+    """A point is deterministic, so a stalled device fails it exactly
+    as any other error does: it runs once and is quarantined."""
+    runs = []
 
+    def stall(system, **params):
+        runs.append(params)
+        raise DeviceStallError("stalled past the deadline")
 
-def sweep_series(sweep: Sweep):
-    return [p.series for p in sweep.points]
+    stall.replicas = False
+    monkeypatch.setitem(POINT_RUNNERS, "stall", stall)
+    sweep = Sweep(name="stall", title="stall", axis="slot", points=[
+        SweepPoint(experiment="stall", series="stall", x=0, params={},
+                   media="optane", device_gib=1, aged=False)])
+    result = run_sweep(sweep, jobs=1)
+    assert not result.points and len(runs) == 1
+    [failure] = result.failed
+    assert failure.reason == "error"
+    assert failure.error_type == "DeviceStallError"
 
 
 def test_hung_point_quarantined_by_watchdog():

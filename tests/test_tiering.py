@@ -348,63 +348,3 @@ def test_daemon_points_parallel_matches_sequential():
         assert (json.dumps(a.comparable_state(), sort_keys=True)
                 == json.dumps(b.comparable_state(), sort_keys=True))
 
-
-# ---------------------------------------------------------------------------
-# Bandwidth-aware promotion rate limiting (PR-9 satellite).
-# ---------------------------------------------------------------------------
-def test_bw_budget_defers_hotset_storm_under_foreground_load():
-    """A hot-set storm arriving while the foreground saturates the
-    device defers its promotions instead of stealing bandwidth — and
-    catches up once the device goes idle."""
-    system, tiers, daemon = _daemon_rig(hot_touches=1,
-                                        bw_budget_fraction=0.5)
-    pool = system.mem.pool(0)
-    inode = FakeInode(15)
-    for granule in range(8):
-        first = granule * GRANULE_PAGES
-        tiers.note_touch(inode, first, first)
-    # Foreground traffic fills one full scan period of pool capacity
-    # before the scan runs: the telemetry must see zero headroom.
-    capacity = ((pool.read_bw + pool.write_bw) / pool.freq_hz
-                * daemon.config.scan_interval)
-    pool.delay(int(capacity / 2), int(capacity / 2), now=0.0)
-    _run_scans(system, daemon, 1)
-    assert tiers.placements() == []
-    assert system.stats.get(Counter.TIERING_RATE_DEFERRED) == 8
-    # Device idle since the last scan: headroom returns, the storm
-    # drains at the configured fraction of capacity per scan.
-    for granule in range(8):
-        first = granule * GRANULE_PAGES
-        tiers.note_touch(inode, first, first)
-    _run_scans(system, daemon, 1)
-    promoted = len(tiers.placements())
-    assert promoted >= 1
-    # Still rate-limited below the whole storm (0.5 of a scan period
-    # of capacity is ~3 granules).
-    assert promoted < 8
-
-
-def test_fixed_budget_deferrals_stay_uncounted():
-    """With the limiter disarmed (the default), budget-exhausted
-    scans behave exactly as before the telemetry existed: silent —
-    no rate-limit counter, bit-identical stats."""
-    system, tiers, daemon = _daemon_rig(
-        hot_touches=1, migrate_budget_bytes=GRANULE_BYTES)
-    inode = FakeInode(16)
-    for granule in range(3):
-        first = granule * GRANULE_PAGES
-        tiers.note_touch(inode, first, first)
-    _run_scans(system, daemon, 1)
-    assert len(tiers.placements()) == 1
-    assert system.stats.get(Counter.TIERING_RATE_DEFERRED) == 0
-
-
-def test_bw_budget_fraction_state_compat_and_validation():
-    # Point tiering dicts that predate the limiter keep the fixed budget.
-    spec = {"data": "cxl", "daemon": True, "hot_touches": 1}
-    fixed = _wire_system(tiering=spec)
-    assert fixed.tiering.config.bw_budget_fraction == 0.0
-    armed = _wire_system(tiering={**spec, "bw_budget_fraction": 0.25})
-    assert armed.tiering.config.bw_budget_fraction == 0.25
-    with pytest.raises(InvalidArgumentError):
-        TieringConfig(bw_budget_fraction=1.5)

@@ -180,38 +180,6 @@ def test_stalled_link_walks_retry_ladder_then_degrades():
     assert not hv.violations()
 
 
-def test_stalled_link_aborts_when_degraded_mode_is_disallowed():
-    system = _system()
-    system.attach_faults(_StalledLink())
-    hv = system.attach_hypervisor(VirtConfig(migrate=True,
-                                             migrate_after=8,
-                                             prefetch=False,
-                                             degraded_ok=False))
-    CRASH_WORKLOADS["syncbench"](system)
-    hv.finalize()
-    for job in hv.jobs:
-        assert job.state is MigrationState.ABORTED
-        assert job.abort_reason == "pull retries exhausted"
-        assert not job.pulled, "rollback must discard the partial image"
-    assert system.stats.get(Counter.VIRT_MIGRATIONS_ABORTED) == \
-        float(len(hv.jobs))
-    assert not hv.violations()
-
-
-def test_forced_degraded_serves_remotely_and_rolls_back():
-    system = _system()
-    hv = system.attach_hypervisor(VirtConfig(migrate=True,
-                                             migrate_after=8,
-                                             prefetch=False,
-                                             force_degraded=True))
-    result = run_migrate(system, "syncbench")
-    assert result.counters["virt.degraded_accesses"] > 0
-    assert result.counters["virt.pages_pulled"] == 0
-    for job in hv.jobs:
-        assert job.state is MigrationState.ABORTED
-    assert not hv.violations()
-
-
 # -- crash x faults composition (satellite) ------------------------------
 def test_crash_points_compose_with_an_armed_fault_plan():
     from repro.crash.injector import CrashInjector
