@@ -37,7 +37,18 @@ from repro.obs import Counter, CostDomain, charge
 from repro.sim.engine import Engine
 from repro.sim.stats import Stats
 from repro.vm.mm import MMStruct
-from repro.vm.vma import PAGE_SIZE, VMA, MapFlags, Protection
+from repro.vm.vma import (
+    EPHEMERAL_BIT,
+    NO_MSYNC_BIT,
+    PAGE_SIZE,
+    SHARED_BIT,
+    SYNC_BIT,
+    UNMAP_ASYNC_BIT,
+    VMA,
+    WRITE_BIT,
+    MapFlags,
+    Protection,
+)
 
 PMD_SIZE = 2 << 20
 PUD_SIZE = 1 << 30
@@ -82,10 +93,11 @@ class DaxVM:
         """Map a file through its pre-populated tables.  Generator;
         returns the VMA (``vma.user_addr`` maps the requested offset).
         """
-        if not flags & MapFlags.SHARED:
+        bits = flags._value_
+        if not bits & SHARED_BIT:
             raise NotSupportedError(
                 "daxvm_mmap currently supports shared mappings only")
-        if flags & MapFlags.NO_MSYNC and not flags & MapFlags.SYNC:
+        if bits & NO_MSYNC_BIT and not bits & SYNC_BIT:
             raise InvalidArgumentError(
                 "MAP_NO_MSYNC must be combined with MAP_SYNC")
         if length is None:
@@ -106,7 +118,7 @@ class DaxVM:
         hi = max(hi, lo + granule)
         span = hi - lo
 
-        ephemeral = bool(flags & MapFlags.EPHEMERAL)
+        ephemeral = bits & EPHEMERAL_BIT != 0
         if ephemeral:
             yield from self.mm.mmap_sem.acquire_read()
             start = yield from self.ephemeral.allocate(span, align=granule)
@@ -148,7 +160,7 @@ class DaxVM:
         """
         tracks = vma.tracks_dirty
         base_flags = (PageFlags.ro() if tracks or
-                      not vma.prot & Protection.WRITE else PageFlags.rw())
+                      not vma.prot._value_ & WRITE_BIT else PageFlags.rw())
         scheme = self.mm.scheme
         first_region = vma.file_offset // PMD_SIZE
         num_regions = vma.length // PMD_SIZE
@@ -194,7 +206,7 @@ class DaxVM:
         """Unmap (possibly deferred).  Generator."""
         yield charge(CostDomain.SYSCALL, "daxvm-munmap",
                      self.costs.syscall_crossing)
-        if vma.flags & MapFlags.UNMAP_ASYNC:
+        if vma.flags._value_ & UNMAP_ASYNC_BIT:
             releaser = (self._release_ephemeral if vma.is_ephemeral
                         else self._release_regular)
             yield from self.unmapper.defer(vma, releaser)

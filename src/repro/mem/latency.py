@@ -115,6 +115,11 @@ class MemoryModel:
         #: a per-node stack of active factors so multiple background
         #: streams compose (enter/exit) instead of clobbering a scalar.
         self._interference: List[List[float]] = [[]]
+        #: Bumped on every change to an interference stack.  A price
+        #: memoised in one epoch (the VM access path's shape memo) may
+        #: be stale in the next; every other input of a price is an
+        #: argument or the frozen cost model.
+        self.interference_epoch = 0
         #: Static NUMA description + frame->node recovery; wired by
         #: System via :meth:`set_topology`, absent in unit use (which
         #: then behaves exactly like the uniform pre-topology model).
@@ -205,6 +210,7 @@ class MemoryModel:
         while node >= len(self._interference):
             self._interference.append([])
         self._interference[node].append(float(factor))
+        self.interference_epoch += 1
 
     def exit_interference(self, factor: float, node: int = 0) -> None:
         """The matching end of :meth:`enter_interference` — removes one
@@ -216,10 +222,12 @@ class MemoryModel:
             raise InvalidArgumentError(
                 f"exit_interference({factor}, node={node}) without a "
                 f"matching enter") from None
+        self.interference_epoch += 1
 
     def reset_interference(self) -> None:
         """Forget all active streams (power cycle)."""
         self._interference = [[] for _ in self._interference]
+        self.interference_epoch += 1
 
     # -- scalar access ------------------------------------------------------
     def load_latency(self, medium: Medium, cached: bool = False,

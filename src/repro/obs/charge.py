@@ -9,11 +9,16 @@ Kernel layers outside ``repro/sim`` and ``repro/obs`` must charge time
 through this API.  The engine's ``Compute(cycles)`` is only a shorthand
 for ``Charge(CostDomain.USERSPACE, "uncharged", cycles)``, reserved for
 the engine itself, its tests, and truly unattributable compute.
+
+Neither constructor checks its arguments: a charge is validated once,
+where the engine books it (``Engine.run``'s charge block), and a
+negative cycle count or a domain that is not a :class:`CostDomain`
+raises :class:`~repro.errors.SimulationError` there, naming the thread,
+before anything of that charge is booked or the clock moves.
 """
 
 from __future__ import annotations
 
-from repro.errors import SimulationError
 from repro.obs.domains import CostDomain
 
 
@@ -23,12 +28,6 @@ class Charge:
     __slots__ = ("cycles", "domain", "event")
 
     def __init__(self, domain: CostDomain, event: str, cycles: float):
-        if not isinstance(domain, CostDomain):
-            raise SimulationError(f"charge needs a CostDomain, "
-                                  f"got {domain!r}")
-        if cycles < 0:
-            raise SimulationError(
-                f"negative charge for {domain.value}/{event}: {cycles}")
         self.domain = domain
         self.event = event
         self.cycles = cycles
@@ -54,20 +53,17 @@ class ChargeSpan:
     side-effecting kernel code between them (they form one atomic run
     on the thread).  Hot paths use this to collapse their charge
     bursts, cutting scheduler round-trips without moving a cycle.
+
+    ``entries`` is a sequence of ``(domain, event, cycles)`` triples,
+    kept as given (not copied), so it must not change once yielded.  The
+    engine validates each entry as it books it, so a bad entry raises
+    after the entries before it were paid, exactly as separate yields
+    would.
     """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        entries = tuple(entries)
-        for domain, event, cycles in entries:
-            if not isinstance(domain, CostDomain):
-                raise SimulationError(f"charge_span needs CostDomains, "
-                                      f"got {domain!r}")
-            if cycles < 0:
-                raise SimulationError(
-                    f"negative charge for {domain.value}/{event}: "
-                    f"{cycles}")
         self.entries = entries
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

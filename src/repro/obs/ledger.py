@@ -13,7 +13,28 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Optional, Tuple
 
+from repro.errors import SimulationError
 from repro.obs.domains import DOMAIN_ORDER, CostDomain
+
+
+class _EventTotals(dict):
+    """``{(domain, event): cycles}``, checking each key's domain once.
+
+    A missing key reads as 0.0, like ``defaultdict(float)``, but only
+    after its domain is found to be a :class:`CostDomain`: the first
+    booking of a ``(domain, event)`` pair validates the domain, and
+    every later booking of the pair is a plain dict hit.  A key with a
+    bad domain is never stored, so it is checked again each time.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key) -> float:
+        domain = key[0]
+        if domain.__class__ is not CostDomain:
+            raise SimulationError(f"charge needs a CostDomain, "
+                                  f"got {domain!r}")
+        return 0.0
 
 
 class Ledger:
@@ -21,8 +42,7 @@ class Ledger:
 
     def __init__(self) -> None:
         self._domains: Dict[CostDomain, float] = defaultdict(float)
-        self._events: Dict[Tuple[CostDomain, str], float] = \
-            defaultdict(float)
+        self._events: Dict[Tuple[CostDomain, str], float] = _EventTotals()
         self._threads: Dict[str, Dict[CostDomain, float]] = \
             defaultdict(lambda: defaultdict(float))
         self.records = 0
@@ -30,11 +50,14 @@ class Ledger:
     # -- recording ---------------------------------------------------------
     def record(self, thread: str, domain: CostDomain, event: str,
                cycles: float) -> None:
-        """Attribute ``cycles`` of ``thread``'s time to a domain/event."""
+        """Attribute ``cycles`` of ``thread``'s time to a domain/event.
+
+        The event total is booked first: its first booking checks the
+        domain (:class:`_EventTotals`), before any total has moved."""
         if cycles == 0.0:
             return
-        self._domains[domain] += cycles
         self._events[(domain, event)] += cycles
+        self._domains[domain] += cycles
         self._threads[thread][domain] += cycles
         self.records += 1
 

@@ -72,6 +72,19 @@ def Compute(cycles: float) -> Charge:
     return Charge(CostDomain.USERSPACE, "uncharged", cycles)
 
 
+def _refused(thread: str, domain, event: str,
+             cycles: float) -> SimulationError:
+    """The error for a charge the engine will not book: a domain that
+    is not a :class:`CostDomain`, or a negative cycle count."""
+    if domain.__class__ is not CostDomain:
+        return SimulationError(
+            f"thread {thread}: charge {domain!r}/{event} needs a "
+            f"CostDomain")
+    return SimulationError(
+        f"thread {thread}: negative charge for {domain.value}/{event}: "
+        f"{cycles}")
+
+
 class Block:
     """Effect: suspend the thread until a matching :class:`Wake`."""
 
@@ -459,19 +472,39 @@ class Engine:
                     else:
                         self._interpret(thread, effect)
                         break
-                # The one charge routine: book the charge, then the
-                # interrupt debt it absorbs (owned by the interrupting
-                # source), then the tenancy throttle's stretch.
+                # The one charge routine: validate and book the charge,
+                # then the interrupt debt it absorbs (owned by the
+                # interrupting source), then the tenancy throttle's
+                # stretch.  A charge is validated here and nowhere
+                # else: a negative count is one compare, and a domain
+                # is checked when its (domain, event) key is first
+                # booked (``_EventTotals``) -- or, for a zero charge,
+                # which books nothing, by one class test.  Either way
+                # a bad charge raises before any of it is booked.
                 if cycles != 0.0:
+                    if cycles < 0.0:
+                        raise _refused(name, domain, event, cycles)
+                    try:
+                        events[(domain, event)] += cycles
+                    except SimulationError:
+                        raise _refused(name, domain, event,
+                                       cycles) from None
                     domains[domain] += cycles
-                    events[(domain, event)] += cycles
                     threads[name][domain] += cycles
                     ledger.records += 1
+                elif domain.__class__ is not CostDomain:
+                    raise _refused(name, domain, event, cycles)
                 stolen = 0.0
                 if core.stolen_cycles:
                     stolen, stolen_entries = core.drain_attributed(cycles)
+                    # ``Ledger.record``'s rules, inline: a zero entry
+                    # books nothing, every other counts one record.
                     for sdomain, sevent, took in stolen_entries:
-                        ledger.record(name, sdomain, sevent, took)
+                        if took != 0.0:
+                            events[(sdomain, sevent)] += took
+                            domains[sdomain] += took
+                            threads[name][sdomain] += took
+                            ledger.records += 1
                 after = self.now + cycles + stolen
                 throttle = thread.cpu_throttle
                 if throttle is not None:

@@ -56,7 +56,16 @@ from repro.sim.locks import RWSemaphore
 from repro.sim.stats import Stats
 from repro.vm.dirty import DirtyTracker
 from repro.vm.layout import AddressSpaceLayout
-from repro.vm.vma import PAGE_SIZE, VMA, MapFlags, Protection
+from repro.vm.vma import (
+    NO_MSYNC_BIT,
+    PAGE_SIZE,
+    POPULATE_BIT,
+    SYNC_BIT,
+    VMA,
+    WRITE_BIT,
+    MapFlags,
+    Protection,
+)
 
 PMD_SIZE = 2 << 20
 PAGES_PER_PMD = PMD_SIZE // PAGE_SIZE
@@ -164,6 +173,11 @@ class MMStruct:
             self.walker.walk_cost
             if type(self.scheme).walk_cost is Radix4Scheme.walk_cost
             else partial(self.scheme.walk_cost, self.walker))
+        #: The access-shape price memo (:meth:`_shape_price`), holding
+        #: the prices of one interference epoch of ``mem``: a mapped
+        #: access re-prices only a shape it has not seen in the epoch.
+        self._prices: Dict[tuple, Tuple[float, Optional[float]]] = {}
+        self._prices_epoch = mem.interference_epoch
         self.tlb = TLBModel(costs, costs.machine)
         self.shootdowns = ShootdownController(engine, costs, stats,
                                               topology=topology)
@@ -233,11 +247,11 @@ class MMStruct:
         if self.guest is not None:
             self.guest.note_mapping(vma)
         yield from self.mmap_sem.release_write()
-        if flags & MapFlags.POPULATE:
+        if flags._value_ & POPULATE_BIT:
             # mm_populate runs after the map is installed, holding the
             # semaphore only as a reader (as Linux does).
             yield from self._populate(
-                vma, 0, vma.num_pages, write=bool(prot & Protection.WRITE))
+                vma, 0, vma.num_pages, write=prot._value_ & WRITE_BIT != 0)
         self.stats.add(Counter.VM_MMAP_CALLS)
         return vma
 
@@ -447,7 +461,7 @@ class MMStruct:
         self.page_cache.mark(vma.inode, gindex)
         cost = self.costs.dirty_track_per_page
         self.stats.counters[_VM_DIRTY_FAULTS_KEY] += 1.0
-        if vma.flags & MapFlags.SYNC:
+        if vma.flags._value_ & SYNC_BIT:
             fs: FileSystem = vma.fs
             yield from fs.mapsync_fault()
         return cost
@@ -582,17 +596,33 @@ class MMStruct:
         # Price at the access's NUMA factors.  A remote access prices
         # the uniform-factor variant too: the difference is the UPI
         # tax, ledgered separately so perf breakdowns can show it.
-        # Pricing has no side effects, so the second call is free to
-        # make.
+        # Pricing has no side effects, so the second price is free to
+        # take.  Both come from the shape memo, emptied whenever an
+        # interference stack has changed since it was filled.
         rand = pattern is _RANDOM
-        data = self._data_cycles(nbytes, data_medium, write, copy, rand,
-                                 ntstore, data_cached, target_node,
-                                 lat_f, bw_f) * num_ops
+        prices = self._prices
+        if self._prices_epoch != mem.interference_epoch:
+            prices.clear()
+            self._prices_epoch = mem.interference_epoch
+        leaf_medium = vma.leaf_medium
+        key = (nbytes,        # bytes one op moves
+               data_medium,   # where the data lives
+               write,         # stores, not loads
+               copy,          # memcpy to/from a DRAM buffer
+               rand,          # a dependent load per op
+               ntstore,       # stores bypass the cache
+               data_cached,   # reads hit the LLC
+               target_node,   # whose interference stack applies
+               lat_f,         # NUMA latency factor
+               bw_f,          # NUMA bandwidth factor
+               leaf_medium)   # where the walk's leaf entry lives
+        price = prices.get(key) or self._shape_price(key)
+        data = price[0] * num_ops
         numa_extra = 0.0
         if numa_remote:
-            numa_extra = data - self._data_cycles(
-                nbytes, data_medium, write, copy, rand, ntstore,
-                data_cached, target_node, 1.0, 1.0) * num_ops
+            uniform = key[:8] + (1.0, 1.0, leaf_medium)
+            numa_extra = data - (prices.get(uniform)
+                                 or self._shape_price(uniform))[0] * num_ops
 
         # -- device bandwidth contention ------------------------------------
         # Only media sharing the PMem DIMM pools contend there; data a
@@ -606,8 +636,21 @@ class MMStruct:
                 data = wait
 
         # -- TLB misses --------------------------------------------------------
-        tlb_cost = self._tlb_cost(vma, first_page, npages, pattern,
-                                  num_ops, nbytes, leaf_factor=lat_f)
+        counters = self.stats.counters
+        walk_price = price[1]
+        guest = self.guest
+        if (pattern is _SEQUENTIAL and num_ops == 1
+                and walk_price is not None and not vma.huge_regions
+                and (guest is None or not guest.nested)):
+            # ``_tlb_cost``'s sequential single-op case with no huge
+            # region, no coalescing and no nested walk: every page
+            # misses once and pays the memoised base-page walk.
+            tlb_cost = npages * walk_price
+            counters[_VM_TLB_MISSES_KEY] += npages
+            counters[_VM_WALK_CYCLES_KEY] += tlb_cost
+        else:
+            tlb_cost = self._tlb_cost(vma, first_page, npages, pattern,
+                                      num_ops, nbytes, leaf_factor=lat_f)
         # One yield for the whole burst: there is no kernel code
         # between these charges, so span-merging them is bit-identical
         # (the engine interprets span entries with per-entry arithmetic).
@@ -631,7 +674,6 @@ class MMStruct:
             domain = mem.persistence
             if domain is not None:
                 domain.data_store(inode.number, total_bytes, nt=ntstore)
-        counters = self.stats.counters
         counters[_VM_ACCESS_BYTES_KEY] += total_bytes
         if not self._uniform:
             if numa_remote:
@@ -640,6 +682,30 @@ class MMStruct:
             else:
                 counters[_NUMA_LOCAL_ACCESSES_KEY] += num_ops
                 counters[_NUMA_LOCAL_BYTES_KEY] += total_bytes
+
+    def _shape_price(self, key: tuple) -> Tuple[float, Optional[float]]:
+        """Price an access shape and memoise it under ``key``.
+
+        ``key`` is :meth:`access`'s memo key.  The price is one op's
+        data cycles (:meth:`_data_cycles`) and the base-page walk of
+        the shape's pattern and leaf medium -- ``None`` under a
+        coalescing MMU, whose walk depth (the range MMU's) moves with
+        its table, so it is no function of the key.  Both read only
+        the key, the frozen cost model and ``mem``'s interference
+        stacks, which :meth:`access` keys by epoch.
+        """
+        (nbytes, medium, write, copy, rand, ntstore, cached, node,
+         lat_factor, bw_factor, leaf_medium) = key
+        data = self._data_cycles(nbytes, medium, write, copy, rand,
+                                 ntstore, cached, node, lat_factor,
+                                 bw_factor)
+        walk = None
+        if not self._coalesces:
+            walk = self._walk_cost(
+                _RANDOM if rand else _SEQUENTIAL, leaf_medium,
+                leaf_factor=lat_factor if leaf_medium is _PMEM else 1.0)
+        price = self._prices[key] = (data, walk)
+        return price
 
     def _data_cycles(self, nbytes: int, medium: Medium, write: bool,
                      copy: bool, rand: bool, ntstore: bool, cached: bool,
@@ -776,7 +842,7 @@ class MMStruct:
             counters = self.stats.counters
             counters[_VM_DIRTY_FAULTS_KEY] += len(pending)
             counters[_VM_FAULTS_KEY] += len(pending)
-            if vma.flags & MapFlags.SYNC:
+            if vma.flags._value_ & SYNC_BIT:
                 fs: FileSystem = vma.fs
                 if fs.mapsync_needs_commit:
                     yield charge(CostDomain.JOURNAL, "mapsync-commit",
@@ -857,7 +923,7 @@ class MMStruct:
         """Flush the mapping's dirty granules and restart tracking."""
         yield charge(CostDomain.SYSCALL, "msync",
                      self.costs.syscall_crossing)
-        if vma.flags & MapFlags.NO_MSYNC:
+        if vma.flags._value_ & NO_MSYNC_BIT:
             # DaxVM nosync mode: msync is a no-op (§IV-D).
             self.stats.add(Counter.VM_MSYNC_NOOP)
             return

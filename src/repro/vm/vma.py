@@ -50,9 +50,17 @@ class MapFlags(enum.Flag):
     NO_MSYNC = enum.auto()
 
 
-_SHARED_BIT = MapFlags.SHARED.value
-_NO_MSYNC_BIT = MapFlags.NO_MSYNC.value
-_WRITE_BIT = Protection.WRITE.value
+#: Flag bits as plain ints.  ``flags._value_ & SHARED_BIT`` tests a
+#: flag with one int ``&``; ``flags & MapFlags.SHARED`` runs two
+#: Python-level ``enum.Flag`` methods and builds a member, on paths that
+#: run once per mapping, fault or unmap.
+SHARED_BIT = MapFlags.SHARED.value
+POPULATE_BIT = MapFlags.POPULATE.value
+SYNC_BIT = MapFlags.SYNC.value
+EPHEMERAL_BIT = MapFlags.EPHEMERAL.value
+UNMAP_ASYNC_BIT = MapFlags.UNMAP_ASYNC.value
+NO_MSYNC_BIT = MapFlags.NO_MSYNC.value
+WRITE_BIT = Protection.WRITE.value
 
 
 class VMA:
@@ -137,7 +145,7 @@ class VMA:
     # -- classification ---------------------------------------------------
     @property
     def is_ephemeral(self) -> bool:
-        return bool(self.flags & MapFlags.EPHEMERAL)
+        return self.flags._value_ & EPHEMERAL_BIT != 0
 
     @property
     def prot(self) -> Protection:
@@ -151,9 +159,9 @@ class VMA:
         #: is the only one of its inputs that changes (mprotect), and
         #: this setter recomputes it.
         self.tracks_dirty = (self.inode is not None
-                             and self.flags._value_ & _SHARED_BIT != 0
-                             and prot._value_ & _WRITE_BIT != 0
-                             and self.flags._value_ & _NO_MSYNC_BIT == 0)
+                             and self.flags._value_ & SHARED_BIT != 0
+                             and prot._value_ & WRITE_BIT != 0
+                             and self.flags._value_ & NO_MSYNC_BIT == 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         name = self.inode.path if self.inode else "anon"

@@ -540,12 +540,34 @@ def test_charge_span_matches_separate_charges():
 
 
 def test_charge_span_validates_entries():
+    """The engine checks each span entry as it books it: a bad entry
+    raises, naming the thread and ``domain/event``, after the entries
+    before it were paid (as separate yields would) and before any of
+    its own cycles are booked or the clock moves past them."""
     from repro.obs import charge_span
 
-    with pytest.raises(SimulationError):
-        charge_span([("copy", "data", 1.0)])
-    with pytest.raises(SimulationError):
-        charge_span([(CostDomain.COPY, "data", -1.0)])
+    def refuse(entries):
+        engine = Engine(1)
+
+        def worker():
+            yield charge_span(entries)
+
+        engine.spawn(worker(), name="spanner")
+        with pytest.raises(SimulationError) as err:
+            engine.run()
+        return engine, str(err.value)
+
+    for bad, label in [(("copy", "data", 1.0), "'copy'/data"),
+                       (("copy", "data", 0.0), "'copy'/data"),
+                       ((CostDomain.COPY, "data", -1.0), "copy/data")]:
+        engine, message = refuse([bad])
+        assert "spanner" in message and label in message
+        assert (engine.now, engine.ledger.records) == (0.0, 0)
+        assert engine.ledger.total() == 0.0
+        engine, message = refuse([(CostDomain.WALK, "tlb-walk", 4.0), bad])
+        assert "spanner" in message and label in message
+        assert (engine.now, engine.ledger.records) == (4.0, 1)
+        assert engine.ledger.events() == {"walk/tlb-walk": 4.0}
     # An empty span is a zero-cost scheduling point, like Compute(0).
     engine = Engine(1)
 

@@ -32,15 +32,55 @@ from repro.sim.stats import Stats
 
 # -- Charge ----------------------------------------------------------------
 
+def _refused_charge(effect):
+    """Run one thread that pays 5 cycles, then yields ``effect``;
+    return the engine's error and the engine, checked for having
+    booked nothing of ``effect``."""
+    engine = Engine(1)
+
+    def worker():
+        yield charge(CostDomain.SYSCALL, "entry", 5.0)
+        yield effect
+
+    engine.spawn(worker(), name="victim")
+    with pytest.raises(SimulationError) as err:
+        engine.run()
+    assert engine.now == 5.0
+    assert engine.ledger.records == 1
+    assert engine.ledger.to_state()["events"] == [["syscall", "entry", 5.0]]
+    return str(err.value)
+
+
 def test_charge_validates_domain_and_cycles():
+    """A charge is checked where the engine books it: building one
+    checks nothing, and a bad one raises before anything is booked or
+    the clock moves, naming the thread and ``domain/event``."""
     c = charge(CostDomain.JOURNAL, "commit", 12.5)
     assert isinstance(c, Charge)
     assert (c.domain, c.event, c.cycles) == (CostDomain.JOURNAL,
                                              "commit", 12.5)
-    with pytest.raises(SimulationError):
-        charge(CostDomain.JOURNAL, "commit", -1.0)
-    with pytest.raises(SimulationError):
-        Charge("journal", "commit", 1.0)
+    message = _refused_charge(charge(CostDomain.JOURNAL, "commit", -1.0))
+    assert "victim" in message and "journal/commit" in message
+    message = _refused_charge(Charge("journal", "commit", 1.0))
+    assert "victim" in message and "'journal'/commit" in message
+    # A zero charge books nothing, so its domain is checked on its own.
+    message = _refused_charge(Charge("journal", "commit", 0.0))
+    assert "victim" in message and "'journal'/commit" in message
+
+
+def test_bad_domain_is_refused_at_every_booking():
+    """The ledger checks a domain when its ``(domain, event)`` key is
+    first booked; a refused key is never stored, so it is refused again
+    and the good keys beside it keep booking."""
+    ledger = Ledger()
+    ledger.record("t", CostDomain.COPY, "memcpy", 2.0)
+    for _ in range(2):
+        with pytest.raises(SimulationError):
+            ledger.record("t", "copy", "memcpy", 1.0)
+    ledger.record("t", CostDomain.COPY, "memcpy", 3.0)
+    assert ledger.event_total(CostDomain.COPY, "memcpy") == 5.0
+    assert ledger.records == 2
+    assert ledger.domains() == {"copy": 5.0}
 
 
 def test_domain_order_covers_every_domain():
