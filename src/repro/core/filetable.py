@@ -30,7 +30,7 @@ from repro.errors import SimulationError
 from repro.fs.base import FileSystem
 from repro.fs.block import BLOCK_SIZE, BlockDevice
 from repro.fs.vfs import Inode
-from repro.mem.physmem import AllocPolicy, Medium, PhysicalMemory
+from repro.mem.physmem import Medium, PhysicalMemory
 from repro.obs import Counter
 from repro.paging.flags import PageFlags
 from repro.paging.pagetable import (
@@ -86,8 +86,7 @@ class _DramFrameAllocator:
         self.node = node
 
     def alloc_frame(self, medium: Medium) -> int:
-        return self.physmem.alloc_frame(Medium.DRAM, node=self.node,
-                                        policy=AllocPolicy.PREFERRED)
+        return self.physmem.alloc_frame(Medium.DRAM, node=self.node)
 
     def free_frame(self, frame: int) -> None:
         self.physmem.free_frame(frame)

@@ -61,8 +61,7 @@ class DaxVM:
     def __init__(self, engine: Engine, mm: MMStruct, fs: FileSystem,
                  physmem: PhysicalMemory, mem: MemoryModel,
                  costs: CostModel, stats: Stats,
-                 filetables: Optional[FileTableManager] = None,
-                 enable_prezero: bool = True,
+                 filetables: FileTableManager,
                  batch_pages: Optional[int] = None):
         self.engine = engine
         self.mm = mm
@@ -70,15 +69,12 @@ class DaxVM:
         self.costs = costs
         self.stats = stats
         #: The file-table manager is FS-wide; processes share it.
-        self.filetables = filetables or FileTableManager(
-            fs, physmem, costs, stats)
+        self.filetables = filetables
         self.ephemeral = EphemeralHeap(engine, mm, costs, stats)
         self.unmapper = AsyncUnmapper(engine, mm, costs, stats,
                                       batch_pages)
         fs.free_barriers.append(self.unmapper.force_sync_for_inode)
-        self.prezero: Optional[PreZeroDaemon] = None
-        if enable_prezero:
-            self.prezero = PreZeroDaemon(engine, fs, costs, mem, stats)
+        self.prezero = PreZeroDaemon(engine, fs, costs, mem, stats)
         self.monitor = MMUMonitor(engine, costs, stats, self.filetables)
         self.mem = mem
         self.physmem = physmem

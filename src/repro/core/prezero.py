@@ -42,19 +42,16 @@ class PreZeroDaemon:
     IDLE_PERIOD = 200_000.0
 
     def __init__(self, engine: Engine, fs: FileSystem, costs: CostModel,
-                 mem: MemoryModel, stats: Stats,
-                 throttle_bytes_per_s: float = None,
-                 num_cores: int = None):
+                 mem: MemoryModel, stats: Stats):
         self.engine = engine
         self.fs = fs
         self.costs = costs
         self.mem = mem
         self.stats = stats
-        bw = throttle_bytes_per_s or costs.prezero_throttle_bw
-        self.throttle = BandwidthThrottle(bw, costs.machine.freq_hz)
-        cores = num_cores or costs.machine.num_cores
+        self.throttle = BandwidthThrottle(costs.prezero_throttle_bw,
+                                          costs.machine.freq_hz)
         self._lists: List[Deque[Tuple[int, int]]] = [
-            deque() for _ in range(cores)]
+            deque() for _ in range(costs.machine.num_cores)]
         self._pending_blocks = 0
         self.blocks_zeroed = 0
         fs.free_interceptor = self.intercept

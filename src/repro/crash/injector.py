@@ -225,15 +225,10 @@ class CrashInjector:
 
 def run_crash(factory: Callable[[], System],
               workload: Union[str, Callable[[System], None]],
-              *, seed: int = 0, max_points: int = 64,
-              break_commit_fence: bool = False,
-              fault_plan: "FaultPlan | None" = None) -> CrashSummary:
+              *, seed: int = 0, max_points: int = 64) -> CrashSummary:
     """One-call crash sweep: enumerate, inject, recover, audit."""
-    injector = CrashInjector(factory, workload, seed=seed,
-                             max_points=max_points,
-                             break_commit_fence=break_commit_fence,
-                             fault_plan=fault_plan)
-    return injector.run()
+    return CrashInjector(factory, workload, seed=seed,
+                         max_points=max_points).run()
 
 
 __all__ = ["CrashInjector", "CrashSummary", "run_crash"]

@@ -100,7 +100,6 @@ def kvstore_crash(system: System) -> None:
                    sstable_size=256 << 10,
                    wal_size=128 << 10,
                    interface=Interface.MMAP,
-                   recycle=True,
                    seed=11)
     process = system.new_process("kvcrash")
     store = PmemKVStore(system, process, cfg)

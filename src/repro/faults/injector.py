@@ -276,12 +276,10 @@ class FaultInjector:
 
 def run_faults(factory: Callable[[], System],
                workload: Union[str, Callable[[System], None]],
-               *, seed: int = 0, max_sites: int = 64,
-               plan: Optional[FaultPlan] = None) -> FaultSummary:
+               *, seed: int = 0, max_sites: int = 64) -> FaultSummary:
     """One-call media-fault sweep: probe, arm, inject, audit."""
-    injector = FaultInjector(factory, workload, seed=seed,
-                             max_sites=max_sites, plan=plan)
-    return injector.run()
+    return FaultInjector(factory, workload, seed=seed,
+                         max_sites=max_sites).run()
 
 
 __all__ = ["FAULT_WORKLOADS", "FaultInjector", "FaultSummary",

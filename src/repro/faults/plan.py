@@ -45,6 +45,12 @@ class FaultKind(enum.Enum):
 
 UE_KINDS = (FaultKind.UE_BLOCK, FaultKind.UE_MAP)
 
+#: A generated bandwidth window slows the media 3x for 8 touches.
+BW_WINDOW_FACTOR = 3.0
+BW_WINDOW_TOUCHES = 8
+#: A generated stall freezes the device for 200 k cycles (~74 us).
+STALL_CYCLES = 200_000.0
+
 
 class TouchRecord(NamedTuple):
     """One instrumented media operation seen by a probe run."""
@@ -116,9 +122,7 @@ class FaultPlan:
     @classmethod
     def generate(cls, probe: Sequence[TouchRecord], *, seed: int,
                  max_sites: int = 64, bw_windows: int = 4,
-                 stalls: int = 6, bw_factor: float = 3.0,
-                 bw_duration: int = 8,
-                 stall_cycles: float = 200_000.0) -> "FaultPlan":
+                 stalls: int = 6) -> "FaultPlan":
         """Draw a seeded site sample over a probe run's touches.
 
         UE sites take the budget left after the requested bandwidth
@@ -149,11 +153,11 @@ class FaultPlan:
             if i < min(bw_windows, n_aux):
                 sites.append(FaultSite(touch=touch,
                                        kind=FaultKind.BW_WINDOW,
-                                       factor=bw_factor,
-                                       duration=bw_duration))
+                                       factor=BW_WINDOW_FACTOR,
+                                       duration=BW_WINDOW_TOUCHES))
             else:
                 sites.append(FaultSite(touch=touch, kind=FaultKind.STALL,
-                                       stall_cycles=stall_cycles))
+                                       stall_cycles=STALL_CYCLES))
         return cls(sites)
 
 

@@ -1,6 +1,6 @@
 """PMem file systems: block allocation, journaling, VFS, ext4-DAX, NOVA."""
 
-from repro.fs.aging import AgingProfile, age_filesystem
+from repro.fs.aging import AgingProfile
 from repro.fs.block import BlockDevice, FreeExtent
 from repro.fs.extent import Extent, ExtentTree
 from repro.fs.journal import Journal
@@ -23,5 +23,4 @@ __all__ = [
     "Nova",
     "VFS",
     "XfsDax",
-    "age_filesystem",
 ]

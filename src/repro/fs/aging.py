@@ -3,14 +3,11 @@
 The paper ages its ext4 image with Geriatrix under the Agrawal profile
 (FAST'07 file-size distribution) and 100 TB of write churn at 70 %
 utilisation, then runs every experiment on the resulting *fragmented*
-image.  We reproduce the mechanism rather than the tool: deterministic
-create/delete churn against the extent allocator until the free-space
-distribution stops changing, which leaves the device with the property
-every aged-image result depends on — **few 2 MB-aligned free runs**, so
-newly created files get patchy huge-page coverage.
-
-The Agrawal profile is approximated by a lognormal body (median ~4 KB)
-with a heavy tail, capped at 64 MB.
+image.  We reproduce the churn's steady state rather than the churn:
+a free list whose holes follow the dead-file size distribution, which
+leaves the device with the property every aged-image result depends on
+— **few 2 MB-aligned free runs**, so newly created files get patchy
+huge-page coverage.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Tuple
 
 from repro.fs.block import BLOCK_SIZE, BlockDevice
 
@@ -30,93 +26,14 @@ class AgingProfile:
     seed: int = 1234
     #: Target live-data fraction of the device (paper: 70 %).
     utilization: float = 0.70
-    #: Churn, as a multiple of device capacity (paper: 100 TB on
-    #: 384 GB, i.e. ~260x; a few passes already reach steady state in
-    #: this allocator, so the default keeps setup fast).
-    churn_multiple: float = 3.0
-    #: Lognormal body: median file size in bytes and shape parameter.
-    median_file_bytes: int = 4096
-    sigma: float = 2.1
+    #: Largest hole, in bytes (the Agrawal tail's 64 MB cap).
     max_file_bytes: int = 64 << 20
-    #: Build the aged free-space state directly from the dead-file
-    #: hole distribution instead of replaying churn.  The churn ager
-    #: is exact but needs device-scale×time the benchmarks don't have;
-    #: the synthetic builder reproduces its *steady state* — a free
-    #: list whose hole sizes follow the dead-file size distribution —
-    #: in milliseconds.  See DESIGN.md (aging substitution).
-    synthetic: bool = True
-    #: Hole-size distribution of the synthetic builder (median/sigma):
-    #: calibrated so roughly 30 % of free bytes sit in >=2 MB holes,
+    #: Hole-size distribution (median/sigma), calibrated so roughly
+    #: 30 % of free bytes sit in >=2 MB holes,
     #: giving new large files the partial, non-deterministic huge-page
     #: coverage the paper reports for its aged image.
     hole_median_bytes: int = 32 << 10
     hole_sigma: float = 1.8
-
-
-def _sample_file_blocks(rng: random.Random, profile: AgingProfile) -> int:
-    """Draw a file size (in blocks) from the Agrawal-like distribution."""
-    mu = math.log(profile.median_file_bytes)
-    size = int(rng.lognormvariate(mu, profile.sigma))
-    size = max(1, min(size, profile.max_file_bytes))
-    return -(-size // BLOCK_SIZE)
-
-
-def age_filesystem(device: BlockDevice,
-                   profile: AgingProfile = AgingProfile()
-                   ) -> List[List[Tuple[int, int]]]:
-    """Churn the allocator until aged; returns the surviving files' runs.
-
-    The surviving allocations are left in place (they are the aged
-    image's resident data); callers typically ignore the return value
-    and simply create their workload files on the now-fragmented
-    device.
-    """
-    rng = random.Random(profile.seed)
-    live: List[List[Tuple[int, int]]] = []
-    live_blocks = 0
-    target_blocks = int(device.total_blocks * profile.utilization)
-
-    def create_one() -> bool:
-        nonlocal live_blocks
-        nblocks = _sample_file_blocks(rng, profile)
-        if nblocks > device.free_blocks:
-            return False
-        # Chunked allocation, mirroring FileSystem._allocate.
-        runs: List[Tuple[int, int]] = []
-        remaining = nblocks
-        while remaining > 0:
-            chunk = min(remaining, 512)
-            align = 512 if chunk == 512 else 1
-            runs.extend(device.alloc(chunk, align=align))
-            remaining -= chunk
-        live.append(runs)
-        live_blocks += nblocks
-        return True
-
-    # Phase 1: fill to target utilisation.
-    while live_blocks < target_blocks:
-        if not create_one():
-            break
-
-    # Phase 2: steady-state churn — delete a random file, create a new
-    # one, holding utilisation roughly constant.
-    churn_budget = int(device.total_blocks * profile.churn_multiple)
-    churned = 0
-    while churned > -1 and churned < churn_budget and live:
-        victim_idx = rng.randrange(len(live))
-        victim = live[victim_idx]
-        last = live.pop()
-        if victim_idx < len(live):
-            live[victim_idx] = last
-        for start, length in victim:
-            device.free(start, length)
-            live_blocks -= length
-        while live_blocks < target_blocks:
-            before = live_blocks
-            if not create_one():
-                break
-            churned += live_blocks - before
-    return live
 
 
 def synthesize_aged_state(device: BlockDevice,
@@ -185,10 +102,7 @@ def aged_device(size_bytes: int, profile: AgingProfile = AgingProfile(),
     key = (size_bytes, profile, base_frame)
     if key not in _AGED_CACHE:
         device = BlockDevice(size_bytes, base_frame=base_frame)
-        if profile.synthetic:
-            synthesize_aged_state(device, profile)
-        else:
-            age_filesystem(device, profile)
+        synthesize_aged_state(device, profile)
         _AGED_CACHE[key] = device
     clone = _clone_device(_AGED_CACHE[key])
     clone.frame_map = frame_map

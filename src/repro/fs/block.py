@@ -148,8 +148,7 @@ class BlockDevice:
     GOAL_WINDOW = 32
 
     def alloc(self, nblocks: int, align: int = 1,
-              prefer_contiguous: bool = True,
-              window: Optional[int] = None) -> List[Tuple[int, int]]:
+              prefer_contiguous: bool = True) -> List[Tuple[int, int]]:
         """Allocate ``nblocks``; returns [(start, length), ...] extents.
 
         Next-fit with a goal cursor: tries one contiguous (optionally
@@ -167,8 +166,8 @@ class BlockDevice:
                 f"need {nblocks} blocks, {self.free_blocks} free")
 
         if prefer_contiguous:
-            got = self._alloc_contiguous(
-                nblocks, align, window or BlockDevice.GOAL_WINDOW)
+            got = self._alloc_contiguous(nblocks, align,
+                                         BlockDevice.GOAL_WINDOW)
             if got is not None:
                 return [got]
 

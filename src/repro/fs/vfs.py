@@ -123,10 +123,9 @@ class InodeCache:
 class DaxFile:
     """An open file description (the result of ``open()``)."""
 
-    def __init__(self, inode: Inode, fs: "object", writable: bool = True):
+    def __init__(self, inode: Inode, fs: "object"):
         self.inode = inode
         self.fs = fs
-        self.writable = writable
         self.pos = 0
         self.closed = False
 
@@ -141,8 +140,8 @@ class DaxFile:
 class VFS:
     """A single-mount namespace mapping paths to inodes."""
 
-    def __init__(self, inode_cache: Optional[InodeCache] = None):
-        self.inode_cache = inode_cache or InodeCache()
+    def __init__(self):
+        self.inode_cache = InodeCache()
         self._namespace: Dict[str, Inode] = {}
         # Inode numbers are per-mount, like a real file system's, so
         # two simulated machines built from the same workload assign

@@ -230,12 +230,9 @@ class MemoryModel:
         self.interference_epoch += 1
 
     # -- scalar access ------------------------------------------------------
-    def load_latency(self, medium: Medium, cached: bool = False,
-                     factor: float = 1.0) -> float:
+    def load_latency(self, medium: Medium, factor: float = 1.0) -> float:
         """Latency of one dependent load from ``medium``; ``factor``
-        is the NUMA latency multiplier (cache hits never pay it)."""
-        if cached:
-            return self.costs.cache_load_latency
+        is the NUMA latency multiplier."""
         return self.specs[medium].load_latency * factor
 
     # -- streaming access ---------------------------------------------------
@@ -305,18 +302,16 @@ class MemoryModel:
         return self.costs.copy_cycles(nbytes, bandwidth)
 
     # -- persistence ------------------------------------------------------
-    def clwb_flush(self, nbytes: int, bw_factor: float = 1.0,
-                   medium: Medium = Medium.PMEM) -> float:
-        """Flush ``nbytes`` of dirty cache lines to the device
+    def clwb_flush(self, nbytes: int) -> float:
+        """Flush ``nbytes`` of dirty cache lines to PMem
         (clwb+sfence)."""
-        return self.costs.copy_cycles(
-            nbytes, self.specs[medium].clwb_bw * bw_factor)
+        return self.costs.copy_cycles(nbytes,
+                                      self.specs[Medium.PMEM].clwb_bw)
 
-    def zero(self, nbytes: int, bw_factor: float = 1.0,
-             medium: Medium = Medium.PMEM) -> float:
-        """Zero ``nbytes`` of device memory with nt-stores."""
-        return self.costs.copy_cycles(
-            nbytes, self.specs[medium].zero_bw * bw_factor)
+    def zero(self, nbytes: int) -> float:
+        """Zero ``nbytes`` of PMem with nt-stores."""
+        return self.costs.copy_cycles(nbytes,
+                                      self.specs[Medium.PMEM].zero_bw)
 
 
 class BandwidthThrottle:

@@ -52,17 +52,6 @@ class Medium(enum.Enum):
     __hash__ = object.__hash__
 
 
-class AllocPolicy(enum.Enum):
-    """NUMA placement policy for frame allocations."""
-
-    #: Allocate on the target node or fail.
-    LOCAL = "local"
-    #: Prefer the target node, spill to the others in node order.
-    PREFERRED = "preferred"
-    #: Round-robin across all nodes.
-    INTERLEAVE = "interleave"
-
-
 class Region:
     """A frame allocator over one contiguous physical medium."""
 
@@ -196,7 +185,6 @@ class PhysicalMemory:
                            Medium.PMEM: self.pmem_regions,
                            Medium.CXL: self.cxl_regions,
                            Medium.FAR: self.far_regions}
-        self._interleave_next = {medium: 0 for medium in Medium}
         #: Optional per-tenant frame accountant (duck-typed, installed
         #: by repro.tenancy): ``note_alloc(frame)`` / ``note_free(frame)``
         #: book ownership and never refuse a frame.  ``None`` = untracked.
@@ -221,29 +209,20 @@ class PhysicalMemory:
                 if any(region.total_frames for region in regions)]
 
     # -- allocation ---------------------------------------------------------
-    def alloc_frame(self, medium: Medium, node: Optional[int] = None,
-                    policy: AllocPolicy = AllocPolicy.LOCAL) -> int:
-        """Allocate a frame of ``medium`` under a placement policy.
+    def alloc_frame(self, medium: Medium, node: Optional[int] = None) -> int:
+        """Allocate a frame of ``medium``, preferring ``node``.
 
-        With no ``node`` (the historical call shape) allocation comes
-        from node 0 — identical to the pre-topology allocator.
+        The frame comes from ``node`` (node 0 when ``None``, the
+        pre-topology allocator) and spills to the other nodes in node
+        order when that node's region is full.
         """
         regions = self._by_medium[medium]
         if not regions:
             raise MemoryError_(
                 f"this machine has no {medium.value} memory (no node "
                 f"carries the medium; see --node-kinds)")
-        if policy is AllocPolicy.INTERLEAVE and len(regions) > 1:
-            order = list(range(len(regions)))
-            start = self._interleave_next[medium]
-            self._interleave_next[medium] = (start + 1) % len(regions)
-            order = order[start:] + order[:start]
-        elif policy is AllocPolicy.PREFERRED:
-            target = node or 0
-            order = [target] + [n for n in range(len(regions))
-                                if n != target]
-        else:
-            order = [node or 0]
+        target = node or 0
+        order = [target] + [n for n in range(len(regions)) if n != target]
         last_error: Optional[MemoryError_] = None
         for candidate in order:
             try:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import AddressSpaceError, SegmentationFault
-from repro.mem.physmem import AllocPolicy, Medium, PhysicalMemory
+from repro.mem.physmem import Medium, PhysicalMemory
 from repro.paging.flags import PageFlags
 
 #: Radix-tree levels, leaf to root.
@@ -122,16 +122,13 @@ class PageTable:
 
     def __init__(self, physmem: PhysicalMemory, medium: Medium = Medium.DRAM,
                  root_level: Level = PGD_LEVEL, shared: bool = False,
-                 node: Optional[int] = None,
-                 policy: AllocPolicy = AllocPolicy.PREFERRED):
+                 node: Optional[int] = None):
         self.physmem = physmem
         self.medium = medium
         self.shared = shared
-        #: NUMA placement of table frames: a process's tables live on
-        #: its home node, a persistent file table on the file's node.
-        #: ``None`` keeps the legacy node-0 allocation.
+        #: The node table frames prefer (``None`` is node 0); a full
+        #: node spills to the others.
         self.node = node
-        self.policy = policy
         self.root = self._new_node(root_level)
         self.nodes_allocated = 1
         # Last PTE-level node a 4 KB map landed in, keyed by the
@@ -145,8 +142,7 @@ class PageTable:
 
     # -- node lifecycle -----------------------------------------------------
     def _new_node(self, level: Level) -> PageTableNode:
-        frame = self.physmem.alloc_frame(self.medium, node=self.node,
-                                         policy=self.policy)
+        frame = self.physmem.alloc_frame(self.medium, node=self.node)
         return PageTableNode(level, frame, self.medium, shared=self.shared)
 
     def _free_node(self, node: PageTableNode) -> None:

@@ -51,7 +51,7 @@ from repro.errors import (
     NotSupportedError,
     SegmentationFault,
 )
-from repro.mem.physmem import AllocPolicy, Medium, PhysicalMemory
+from repro.mem.physmem import Medium, PhysicalMemory
 from repro.paging.flags import PageFlags
 from repro.paging.pagetable import (
     PAGE_SHIFT,
@@ -248,10 +248,9 @@ class Radix4Scheme(PageTable, TranslationScheme):
 
     def __init__(self, physmem: PhysicalMemory, costs: CostModel,
                  medium: Medium = Medium.DRAM,
-                 node: Optional[int] = None,
-                 policy: AllocPolicy = AllocPolicy.PREFERRED):
+                 node: Optional[int] = None):
         super().__init__(physmem, medium, root_level=type(self).ROOT_LEVEL,
-                         shared=False, node=node, policy=policy)
+                         shared=False, node=node)
         self.costs = costs
 
     # -- DaxVM hooks: replicate the historical DaxVM._attach body ------
@@ -388,13 +387,11 @@ class HashedScheme(TranslationScheme):
 
     def __init__(self, physmem: PhysicalMemory, costs: CostModel,
                  medium: Medium = Medium.DRAM,
-                 node: Optional[int] = None,
-                 policy: AllocPolicy = AllocPolicy.PREFERRED):
+                 node: Optional[int] = None):
         self.physmem = physmem
         self.costs = costs
         self.medium = medium
         self.node = node
-        self.policy = policy
         #: leaf level -> {vpn-at-that-level -> [frame, flags]}.
         self.tables: Dict[int, Dict[int, List]] = {}
         self.capacity = self.INITIAL_CAPACITY
@@ -413,7 +410,7 @@ class HashedScheme(TranslationScheme):
         added = 0
         while len(self.frames) < self._frames_for(capacity):
             self.frames.append(self.physmem.alloc_frame(
-                self.medium, node=self.node, policy=self.policy))
+                self.medium, node=self.node))
             added += 1
         return added
 
@@ -603,13 +600,11 @@ class RangeScheme(TranslationScheme):
 
     def __init__(self, physmem: PhysicalMemory, costs: CostModel,
                  medium: Medium = Medium.DRAM,
-                 node: Optional[int] = None,
-                 policy: AllocPolicy = AllocPolicy.PREFERRED):
+                 node: Optional[int] = None):
         self.physmem = physmem
         self.costs = costs
         self.medium = medium
         self.node = node
-        self.policy = policy
         #: Sorted, non-overlapping [start, end, base_frame, flags].
         self.ranges: List[List] = []
         self.frames: List[int] = []
@@ -625,7 +620,7 @@ class RangeScheme(TranslationScheme):
         added = 0
         while len(self.frames) < needed:
             self.frames.append(self.physmem.alloc_frame(
-                self.medium, node=self.node, policy=self.policy))
+                self.medium, node=self.node))
             added += 1
         return added
 
@@ -868,14 +863,12 @@ SCHEME_NAMES: Tuple[str, ...] = tuple(SCHEMES)
 
 def make_scheme(name: str, physmem: PhysicalMemory, costs: CostModel,
                 medium: Medium = Medium.DRAM,
-                node: Optional[int] = None,
-                policy: AllocPolicy = AllocPolicy.PREFERRED
-                ) -> TranslationScheme:
+                node: Optional[int] = None) -> TranslationScheme:
     cls = SCHEMES.get(name)
     if cls is None:
         raise KeyError(
             f"unknown translation scheme {name!r}; known: {SCHEME_NAMES}")
-    return cls(physmem, costs, medium, node=node, policy=policy)
+    return cls(physmem, costs, medium, node=node)
 
 
 __all__ = [

@@ -52,19 +52,19 @@ class TLBModel:
             return self.machine.tlb_entries_2m * page_size
         return self.machine.tlb_entries_4k * page_size
 
-    def random_op_misses(self, num_ops: int, op_bytes: int, page_size: int,
+    def random_op_misses(self, op_bytes: int, page_size: int,
                          footprint: int) -> float:
-        """Misses for ``num_ops`` random ops over ``footprint`` bytes.
+        """Misses for one random op over ``footprint`` bytes.
 
-        When the footprint exceeds TLB reach, essentially every op
-        misses (plus page-crossing misses for multi-page ops); within
-        reach, misses decay to the cold-start fill.
+        When the footprint exceeds TLB reach, the op misses on every
+        page it crosses; within reach, misses are capped by the
+        cold-start fill of the footprint's entries.
         """
         pages_per_op = max(1, -(-op_bytes // page_size))
         if footprint > self.reach(page_size):
-            return num_ops * pages_per_op
+            return pages_per_op
         resident = footprint // page_size
-        return min(num_ops * pages_per_op, resident)
+        return min(pages_per_op, resident)
 
 
 class ShootdownController:

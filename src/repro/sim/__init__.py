@@ -14,7 +14,6 @@ from repro.sim.engine import (
     Compute,
     Engine,
     SimThread,
-    Spawn,
     Wake,
 )
 from repro.sim.locks import Mutex, RWSemaphore, Spinlock
@@ -27,7 +26,6 @@ __all__ = [
     "Mutex",
     "RWSemaphore",
     "SimThread",
-    "Spawn",
     "Spinlock",
     "Stats",
     "Wake",

@@ -33,9 +33,8 @@ resumes the generator with the effect's result.  The effects:
     failing; a wake delivered to a thread that already resumed is
     banked and satisfies its next ``Block()`` immediately.
 
-``Spawn(generator, core=..., name=..., daemon=...)``
-    Create and start a new simulated thread; returns the
-    :class:`SimThread`.
+A running thread starts another with :meth:`Engine.spawn`, a plain
+call rather than an effect.
 
 The engine is deliberately sequential and deterministic: ties are
 broken by a monotone sequence number, so a given workload always
@@ -107,19 +106,6 @@ class Wake:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Wake({self.thread.name}, delay={self.delay})"
-
-
-class Spawn:
-    """Effect: start a new simulated thread; yields the SimThread."""
-
-    __slots__ = ("gen", "core", "name", "daemon")
-
-    def __init__(self, gen: KernelGen, core: Optional[int] = None,
-                 name: str = "", daemon: bool = False):
-        self.gen = gen
-        self.core = core
-        self.name = name
-        self.daemon = daemon
 
 
 class _WakeToken:
@@ -370,11 +356,6 @@ class Engine:
                       _WakeToken(target, effect.value)))
             thread._wake_value = None
             self._schedule(thread, 0.0)
-        elif cls is Spawn:
-            child = self.spawn(effect.gen, core=effect.core,
-                               name=effect.name, daemon=effect.daemon)
-            thread._wake_value = child
-            self._schedule(thread, 0.0)
         elif cls is ChargeSpan:
             # An empty span: a zero-cost scheduling point.
             self._schedule(thread, 0.0)
@@ -529,18 +510,18 @@ class Engine:
                 f"forever: {blocked}")
         return self.now
 
-    def reap_crashed(self, thread: Optional[SimThread] = None) -> None:
-        """Retire a thread whose generator raised out of :meth:`run`.
+    def reap_crashed(self) -> None:
+        """Retire the thread whose generator raised out of :meth:`run`.
 
         An exception escaping a kernel path (a simulated SIGBUS, say)
         leaves the raising thread mid-step: still counted as live
         foreground, so a later :meth:`run` would diagnose a deadlock.
         Callers that catch the exception and keep using the simulation
         (the media-fault injector's repair phase) retire the crashed
-        thread here first.  Defaults to the thread that was being
-        stepped when the exception escaped.
+        thread here first: the one that was being stepped when the
+        exception escaped.
         """
-        thread = thread if thread is not None else self.current
+        thread = self.current
         if thread is None or thread.state == SimThread.FINISHED:
             return
         thread.state = SimThread.FINISHED

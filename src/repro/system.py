@@ -65,7 +65,6 @@ class System:
     :class:`~repro.topology.MachineTopology` for NUMA configurations)."""
 
     def __init__(self, costs: CostModel = DEFAULT_COSTS,
-                 num_cores: Optional[int] = None,
                  device_bytes: int = 8 << 30,
                  fs_type: str = "ext4",
                  aged: bool = False,
@@ -86,8 +85,7 @@ class System:
         #: repro.topology.device_placement); a no-op on one node.
         self.placement = placement
         self.pin_node = pin_node
-        cores = num_cores or topology.num_cores
-        self.engine = Engine(cores, topology=topology,
+        self.engine = Engine(topology.num_cores, topology=topology,
                              freq_hz=costs.machine.freq_hz)
         self.stats = Stats()
         self.physmem = PhysicalMemory(topology=topology)
@@ -111,7 +109,13 @@ class System:
                 f"unknown fs_type {fs_type!r}; use one of {set(_FS_TYPES)}")
         self.fs = fs_cls(self.device, self.vfs, costs, self.mem, self.stats)
         self.fs.engine = self.engine
-        self.trace = self._make_tracer()
+        #: Span tracer on the engine's clock; the lambdas read
+        #: ``self.engine``, so they follow a reboot's new engine.
+        self.trace = Tracer(
+            clock=lambda: self.engine.now,
+            current=lambda: (self.engine.current.name
+                             if self.engine.current is not None else "main"),
+            stats=self.stats, ring=256)
         self._filetables: Optional[FileTableManager] = None
         self._process_count = 0
         #: Attached :class:`repro.crash.PersistenceDomain`, if any.
@@ -136,32 +140,19 @@ class System:
                                 self.costs.machine.freq_hz)
                 for _ in range(n)]
 
-    def _make_tracer(self, ring: int = 256) -> Tracer:
-        """Span tracer bound to the current engine's clock/scheduler."""
-        return Tracer(
-            clock=lambda: self.engine.now,
-            current=lambda: (self.engine.current.name
-                             if self.engine.current is not None else "main"),
-            stats=self.stats,
-            ring=ring,
-        )
-
     @property
     def ledger(self) -> Ledger:
         """The engine's per-domain cycle-attribution ledger."""
         return self.engine.ledger
 
     # -- processes -----------------------------------------------------------
-    def new_process(self, name: str = "", aslr_seed: int = 0,
-                    home_node: int = 0) -> Process:
-        """Create a process; its private page tables (and fallback
-        accessor node) live on ``home_node``."""
+    def new_process(self, name: str = "", aslr_seed: int = 0) -> Process:
+        """Create a process; its private page tables prefer node 0."""
         self._process_count += 1
         pname = name or f"proc{self._process_count}"
         mm = MMStruct(self.engine, self.costs, self.physmem, self.mem,
                       self.stats, aslr_seed=aslr_seed, name=pname,
-                      topology=self.topology, home_node=home_node,
-                      scheme=self.scheme)
+                      topology=self.topology, scheme=self.scheme)
         process = Process(self, mm, pname)
         if self.hypervisor is not None:
             self.hypervisor.enroll(process)
@@ -178,17 +169,14 @@ class System:
                 table_node=self.physmem.node_of(self.device.base_frame))
         return self._filetables
 
-    def daxvm_for(self, process: Process, enable_prezero: bool = True,
-                  batch_pages: Optional[int] = None,
-                  start_prezero_thread: bool = False) -> DaxVM:
-        """Equip a process with the DaxVM interface."""
+    def daxvm_for(self, process: Process,
+                  batch_pages: Optional[int] = None) -> DaxVM:
+        """Equip a process with the DaxVM interface.  Its pre-zeroing
+        daemon intercepts frees at once; the caller starts the
+        kthread when a run wants it."""
         dax = DaxVM(self.engine, process.mm, self.fs, self.physmem,
-                    self.mem, self.costs, self.stats,
-                    filetables=self.filetables,
-                    enable_prezero=enable_prezero,
+                    self.mem, self.costs, self.stats, self.filetables,
                     batch_pages=batch_pages)
-        if enable_prezero and start_prezero_thread:
-            dax.prezero.start(core=self.engine.cores[-1].index)
         process.daxvm = dax
         return dax
 
@@ -275,7 +263,7 @@ class System:
 
     # -- memory tiering ------------------------------------------------------
     def attach_tiering(self, data_medium=None, daemon: bool = False,
-                       config=None, core: Optional[int] = None):
+                       config=None):
         """Attach a data-placement overlay (and optionally start the
         migration daemon).
 
@@ -285,7 +273,8 @@ class System:
         a DRAM-resident (tmpfs-like) placement.  With ``daemon=True``
         a ktierd thread scans hotness tags every ``config.
         scan_interval`` cycles and migrates 2 MB granules between the
-        device tier and ``config.hot_medium``.  Returns the TierMap.
+        device tier and ``config.hot_medium``; the daemon runs on the
+        last core.  Returns the TierMap.
         """
         from repro.mem.physmem import Medium
         from repro.tiering import TierMap, TieringDaemon
@@ -301,8 +290,7 @@ class System:
             self.tiering = TieringDaemon(self.engine, self.mem,
                                          self.costs, self.stats,
                                          tiers, config=config)
-            self.tiering.start(core=core if core is not None
-                               else self.engine.cores[-1].index)
+            self.tiering.start(core=self.engine.cores[-1].index)
         return tiers
 
     # -- multi-tenant consolidation ------------------------------------------

@@ -41,7 +41,7 @@ from repro.config import (
     NUMA_REMOTE_PMEM_LATENCY,
 )
 from repro.errors import InvalidArgumentError
-from repro.mem.physmem import AllocPolicy, Medium
+from repro.mem.physmem import Medium
 
 
 #: File/device placements the NUMA experiments compare (§ DESIGN 8.3).
@@ -364,7 +364,6 @@ def device_placement(topology: MachineTopology, pmem_bases: List[int],
 
 
 __all__ = [
-    "AllocPolicy",
     "INTERLEAVE_BLOCKS",
     "InterleaveMap",
     "MachineTopology",

@@ -33,7 +33,14 @@ from typing import Dict, List, Sequence
 from repro.analysis.results import RunResult
 from repro.crash.injector import CrashInjector, CrashSummary
 from repro.faults.injector import FaultInjector, FaultSummary
-from repro.faults.plan import FaultKind, FaultPlan, FaultSite, TouchRecord
+from repro.faults.plan import (
+    BW_WINDOW_FACTOR,
+    BW_WINDOW_TOUCHES,
+    FaultKind,
+    FaultPlan,
+    FaultSite,
+    TouchRecord,
+)
 from repro.runner.manifest import SweepPoint
 from repro.runner.worker import build_system
 from repro.system import System
@@ -43,20 +50,25 @@ from repro.virt.hypervisor import VirtConfig
 #: appends+fsync, mmap stores+msync and DaxVM attachments).
 AUDIT_WORKLOADS = ("syncbench", "kvstore")
 
+#: The audit's guests pause for migration after 24 guest accesses,
+#: and resume with the prefetch kthread on.
+MIGRATE_AFTER = 24
+
 #: Link stalls planted by the audit exceed ``migrate_pull_timeout``
 #: so they time the pull out and enter the retry ladder.
 _LINK_STALL_CYCLES = 400_000.0
+#: Sites a link-targeted plan steers onto migration-link touches.
+_LINK_SITES = 6
 
 
 def migrate_factory(*, media: str = "optane", device_gib: int = 1,
-                    migrate_after: int = 24, seed: int = 0,
-                    prefetch: bool = True):
+                    seed: int = 0):
     """A replica factory whose machines carry an armed hypervisor."""
     shape = SweepPoint("migrate", "", 0, media=media,
                        device_gib=device_gib, aged=False,
                        virt=VirtConfig(nested=True, migrate=True,
-                                       migrate_after=migrate_after,
-                                       prefetch=prefetch,
+                                       migrate_after=MIGRATE_AFTER,
+                                       prefetch=True,
                                        seed=seed).to_state())
     return lambda: build_system(shape)
 
@@ -98,7 +110,7 @@ class MigrateFaultInjector(FaultInjector):
 
 
 def link_targeted_plan(records: Sequence[TouchRecord], *, seed: int,
-                       max_sites: int, link_sites: int = 6) -> FaultPlan:
+                       max_sites: int) -> FaultPlan:
     """The generated plan plus sites steered onto migration-link
     touches: alternating stalls (pull timeout -> retry ladder) and
     bandwidth windows (throttled transfers)."""
@@ -110,7 +122,7 @@ def link_targeted_plan(records: Sequence[TouchRecord], *, seed: int,
     rng.shuffle(link)
     added = 0
     for i, touch in enumerate(link):
-        if added >= link_sites:
+        if added >= _LINK_SITES:
             break
         if touch in sites:
             continue
@@ -120,7 +132,8 @@ def link_targeted_plan(records: Sequence[TouchRecord], *, seed: int,
         else:
             sites[touch] = FaultSite(touch=touch,
                                      kind=FaultKind.BW_WINDOW,
-                                     factor=3.0, duration=8)
+                                     factor=BW_WINDOW_FACTOR,
+                                     duration=BW_WINDOW_TOUCHES)
         added += 1
     return FaultPlan(sites.values())
 
@@ -130,7 +143,6 @@ class MigrateAuditSummary:
     """Aggregate of one full migration-hardening audit."""
 
     seeds: List[int]
-    migrate_after: int
     crash: List[CrashSummary] = field(default_factory=list)
     faults: List[FaultSummary] = field(default_factory=list)
     composed: List[CrashSummary] = field(default_factory=list)
@@ -159,7 +171,7 @@ class MigrateAuditSummary:
     def to_state(self) -> Dict[str, object]:
         return {
             "seeds": list(self.seeds),
-            "migrate_after": self.migrate_after,
+            "migrate_after": MIGRATE_AFTER,
             "crash_points": sum(s.points_explored for s in self.crash),
             "fault_sites": sum(s.sites_explored for s in self.faults),
             "composed_points": sum(s.points_explored
@@ -176,7 +188,7 @@ class MigrateAuditSummary:
                   + sum(s.handling_cycles for s in self.faults)
                   + sum(s.recovery_cycles for s in self.composed))
         return RunResult(
-            label=f"migrate-audit/after{self.migrate_after}",
+            label=f"migrate-audit/after{MIGRATE_AFTER}",
             cycles=cycles,
             operations=float(self.points_explored),
             counters={f"virt.{key}": float(value)
@@ -187,22 +199,18 @@ class MigrateAuditSummary:
         )
 
 
-def run_migrate_audit(*, workloads: Sequence[str] = AUDIT_WORKLOADS,
-                      seeds: Sequence[int] = (0, 1),
+def run_migrate_audit(*, seeds: Sequence[int] = (0, 1),
                       max_points: int = 18, max_sites: int = 12,
                       composed_points: int = 6,
-                      media: str = "optane", device_gib: int = 1,
-                      migrate_after: int = 24) -> MigrateAuditSummary:
+                      media: str = "optane",
+                      device_gib: int = 1) -> MigrateAuditSummary:
     """The full audit: crash, fault and composed attacks over every
     guest workload and seed.  Zero violations is the acceptance bar."""
-    summary = MigrateAuditSummary(seeds=list(seeds),
-                                  migrate_after=migrate_after)
-    for workload in workloads:
+    summary = MigrateAuditSummary(seeds=list(seeds))
+    for workload in AUDIT_WORKLOADS:
         for seed in seeds:
             factory = migrate_factory(media=media,
-                                      device_gib=device_gib,
-                                      migrate_after=migrate_after,
-                                      seed=seed)
+                                      device_gib=device_gib, seed=seed)
             crash_inj = MigrateCrashInjector(
                 factory, workload, seed=seed, max_points=max_points)
             crash_summary = crash_inj.run()
@@ -220,7 +228,6 @@ def run_migrate_audit(*, workloads: Sequence[str] = AUDIT_WORKLOADS,
             # fault plan and a crash point (satellite of PR 10).
             factory = migrate_factory(media=media,
                                       device_gib=device_gib,
-                                      migrate_after=migrate_after,
                                       seed=seeds[0])
             probe_inj = MigrateFaultInjector(
                 factory, workload, seed=seeds[0], max_sites=4)

@@ -133,19 +133,16 @@ class MMStruct:
     def __init__(self, engine: Engine, costs: CostModel,
                  physmem: PhysicalMemory, mem: MemoryModel, stats: Stats,
                  aslr_seed: int = 0, name: str = "mm",
-                 topology=None, home_node: int = 0,
-                 scheme: str = "radix4"):
+                 topology=None, scheme: str = "radix4"):
         self.engine = engine
         self.costs = costs
         self.physmem = physmem
         self.mem = mem
         self.stats = stats
         self.name = name
-        #: repro.topology.MachineTopology (duck-typed; None = uniform)
-        #: and the process's home socket: private page tables allocate
-        #: there, and it is the fallback accessor node.
+        #: repro.topology.MachineTopology (duck-typed; None = uniform).
+        #: Private page tables prefer node 0 and spill to the others.
         self.topology = topology
-        self.home_node = home_node
         #: A uniform machine prices every access at factor 1 on node 0
         #: and never asks where a frame lives.
         self._uniform = topology is None or topology.num_nodes == 1
@@ -153,7 +150,7 @@ class MMStruct:
         #: pre-refactor ``PageTable`` (same allocation order, same
         #: costs); the alternative MMUs plug in behind the same hooks.
         self.scheme = make_scheme(scheme, physmem, costs, Medium.DRAM,
-                                  node=home_node)
+                                  node=0)
         #: Only schemes whose TLB entries span runs (the range MMU)
         #: override the miss cap; for the others it is the identity.
         self._coalesces = (type(self.scheme).coalesce_tlb_misses
@@ -264,14 +261,14 @@ class MMStruct:
         yield from self.mmap_sem.release_write()
         self.stats.add(Counter.VM_MUNMAP_CALLS)
 
-    def _teardown_locked(self, vma: VMA, flush: bool = True):
+    def _teardown_locked(self, vma: VMA):
         """Clear translations, flush TLBs, drop the VMA (sem held)."""
         pages = self.scheme.clear_range(vma.start, vma.length)
         teardown = pages * self.costs.pte_teardown
         teardown += self.scheme.detach_cost(len(vma.attachments))
         yield charge(CostDomain.SYSCALL, "pte-teardown",
                      teardown + self.costs.vma_free)
-        if flush and pages + len(vma.attachments) > 0:
+        if pages + len(vma.attachments) > 0:
             flush_pages = pages + len(vma.attachments) * PAGES_PER_PMD
             yield from self.shootdowns.flush(
                 self._initiator_core(), self.active_cores, flush_pages)
@@ -494,22 +491,17 @@ class MMStruct:
     def access(self, vma: VMA, offset: int, length: int, *,
                write: bool = False,
                pattern: AccessPattern = AccessPattern.SEQUENTIAL,
-               ops: Optional[int] = None,
-               data_cached: bool = False,
                ntstore: bool = True,
-               copy: bool = False,
-               touch_bytes: Optional[int] = None):
+               copy: bool = False):
         """Access ``[offset, offset+length)`` of a mapping.
 
         Performs demand faulting for unpopulated pages, write-protect
         (dirty-tracking) faults for tracked writable mappings, charges
         the data movement itself, and charges TLB miss costs.
 
-        ``ops`` — for RANDOM pattern: the number of random operations
-        of size ``length`` issued within the VMA window starting at
-        ``offset`` (default 1 sequential pass).  ``touch_bytes`` lets a
-        caller touch less data than the faulted window (e.g. a 1 KB
-        write into a 4 KB page).  ``copy=True`` models memcpy between
+        One access is one op that moves all ``length`` bytes, and it
+        never hits the LLC.  ``pattern=RANDOM`` prices that op as a
+        dependent load into the window.  ``copy=True`` models memcpy between
         the mapping and a DRAM buffer (the database access idiom of
         Figs. 1c/5) instead of in-place scanning; with ``write=True``
         and ``ntstore=False`` the stores stay in the cache and
@@ -520,10 +512,6 @@ class MMStruct:
         first_page = offset // PAGE_SIZE
         last_page = (offset + length - 1) // PAGE_SIZE
         npages = last_page - first_page + 1
-        # Bytes moved: priced, dirty-tagged and counted alike.
-        nbytes = touch_bytes if touch_bytes is not None else length
-        num_ops = ops or 1
-        total_bytes = nbytes * num_ops
         mem = self.mem
         inode = vma.inode
         tracked = write and vma.tracks_dirty
@@ -570,7 +558,7 @@ class MMStruct:
             # takes no fault and needs no generator.
             if lo != hi or lo not in vma.writable:
                 yield from self._write_track(vma, first_page, lo, hi)
-            self.page_cache.add_bytes(inode, total_bytes)
+            self.page_cache.add_bytes(inode, length)
         elif write:
             self.stats.counters[_VM_UNTRACKED_WRITES_KEY] += 1.0
 
@@ -605,32 +593,31 @@ class MMStruct:
             prices.clear()
             self._prices_epoch = mem.interference_epoch
         leaf_medium = vma.leaf_medium
-        key = (nbytes,        # bytes one op moves
+        key = (length,        # bytes the access moves
                data_medium,   # where the data lives
                write,         # stores, not loads
                copy,          # memcpy to/from a DRAM buffer
-               rand,          # a dependent load per op
+               rand,          # a dependent load first
                ntstore,       # stores bypass the cache
-               data_cached,   # reads hit the LLC
                target_node,   # whose interference stack applies
                lat_f,         # NUMA latency factor
                bw_f,          # NUMA bandwidth factor
                leaf_medium)   # where the walk's leaf entry lives
         price = prices.get(key) or self._shape_price(key)
-        data = price[0] * num_ops
+        data = price[0]
         numa_extra = 0.0
         if numa_remote:
-            uniform = key[:8] + (1.0, 1.0, leaf_medium)
+            uniform = key[:7] + (1.0, 1.0, leaf_medium)
             numa_extra = data - (prices.get(uniform)
-                                 or self._shape_price(uniform))[0] * num_ops
+                                 or self._shape_price(uniform))[0]
 
         # -- device bandwidth contention ------------------------------------
         # Only media sharing the PMem DIMM pools contend there; data a
         # tier overlay moved to DRAM/CXL rides its own channel.
-        if not data_cached and mem.specs[data_medium].device_pooled:
+        if mem.specs[data_medium].device_pooled:
             wait = mem.device_delay(
-                0 if write else total_bytes,
-                total_bytes if write else 0, self.engine.now,
+                0 if write else length,
+                length if write else 0, self.engine.now,
                 node=target_node)
             if wait > data:
                 data = wait
@@ -639,18 +626,18 @@ class MMStruct:
         counters = self.stats.counters
         walk_price = price[1]
         guest = self.guest
-        if (pattern is _SEQUENTIAL and num_ops == 1
+        if (pattern is _SEQUENTIAL
                 and walk_price is not None and not vma.huge_regions
                 and (guest is None or not guest.nested)):
-            # ``_tlb_cost``'s sequential single-op case with no huge
-            # region, no coalescing and no nested walk: every page
-            # misses once and pays the memoised base-page walk.
+            # ``_tlb_cost``'s sequential case with no huge region, no
+            # coalescing and no nested walk: every page misses once
+            # and pays the memoised base-page walk.
             tlb_cost = npages * walk_price
             counters[_VM_TLB_MISSES_KEY] += npages
             counters[_VM_WALK_CYCLES_KEY] += tlb_cost
         else:
             tlb_cost = self._tlb_cost(vma, first_page, npages, pattern,
-                                      num_ops, nbytes, leaf_factor=lat_f)
+                                      length, leaf_factor=lat_f)
         # One yield for the whole burst: there is no kernel code
         # between these charges, so span-merging them is bit-identical
         # (the engine interprets span entries with per-entry arithmetic).
@@ -673,20 +660,20 @@ class MMStruct:
                     (vma.file_offset + offset + length - 1) // granule)
             domain = mem.persistence
             if domain is not None:
-                domain.data_store(inode.number, total_bytes, nt=ntstore)
-        counters[_VM_ACCESS_BYTES_KEY] += total_bytes
+                domain.data_store(inode.number, length, nt=ntstore)
+        counters[_VM_ACCESS_BYTES_KEY] += length
         if not self._uniform:
             if numa_remote:
-                counters[_NUMA_REMOTE_ACCESSES_KEY] += num_ops
-                counters[_NUMA_REMOTE_BYTES_KEY] += total_bytes
+                counters[_NUMA_REMOTE_ACCESSES_KEY] += 1
+                counters[_NUMA_REMOTE_BYTES_KEY] += length
             else:
-                counters[_NUMA_LOCAL_ACCESSES_KEY] += num_ops
-                counters[_NUMA_LOCAL_BYTES_KEY] += total_bytes
+                counters[_NUMA_LOCAL_ACCESSES_KEY] += 1
+                counters[_NUMA_LOCAL_BYTES_KEY] += length
 
     def _shape_price(self, key: tuple) -> Tuple[float, Optional[float]]:
         """Price an access shape and memoise it under ``key``.
 
-        ``key`` is :meth:`access`'s memo key.  The price is one op's
+        ``key`` is :meth:`access`'s memo key.  The price is the access's
         data cycles (:meth:`_data_cycles`) and the base-page walk of
         the shape's pattern and leaf medium -- ``None`` under a
         coalescing MMU, whose walk depth (the range MMU's) moves with
@@ -694,11 +681,10 @@ class MMStruct:
         the key, the frozen cost model and ``mem``'s interference
         stacks, which :meth:`access` keys by epoch.
         """
-        (nbytes, medium, write, copy, rand, ntstore, cached, node,
+        (nbytes, medium, write, copy, rand, ntstore, node,
          lat_factor, bw_factor, leaf_medium) = key
         data = self._data_cycles(nbytes, medium, write, copy, rand,
-                                 ntstore, cached, node, lat_factor,
-                                 bw_factor)
+                                 ntstore, node, lat_factor, bw_factor)
         walk = None
         if not self._coalesces:
             walk = self._walk_cost(
@@ -708,11 +694,10 @@ class MMStruct:
         return price
 
     def _data_cycles(self, nbytes: int, medium: Medium, write: bool,
-                     copy: bool, rand: bool, ntstore: bool, cached: bool,
-                     node: int, lat_factor: float,
-                     bw_factor: float) -> float:
-        """Cycles one op of :meth:`access` spends moving its data at
-        the given NUMA factors (the idiom picks the pricing call)."""
+                     copy: bool, rand: bool, ntstore: bool, node: int,
+                     lat_factor: float, bw_factor: float) -> float:
+        """Cycles :meth:`access` spends moving its data at the given
+        NUMA factors (the idiom picks the pricing call)."""
         mem = self.mem
         if write and copy:
             return mem.memcpy(nbytes, _DRAM, medium,
@@ -728,9 +713,9 @@ class MMStruct:
             return cycles
         if rand:
             return (mem.load_latency(medium, factor=lat_factor)
-                    + mem.stream_read(nbytes, medium, cached=cached,
-                                      node=node, bw_factor=bw_factor))
-        return mem.stream_read(nbytes, medium, cached=cached, node=node,
+                    + mem.stream_read(nbytes, medium, node=node,
+                                      bw_factor=bw_factor))
+        return mem.stream_read(nbytes, medium, node=node,
                                bw_factor=bw_factor)
 
     # ------------------------------------------------------------------
@@ -853,8 +838,8 @@ class MMStruct:
             yield from self.mmap_sem.release_read()
 
     def _tlb_cost(self, vma: VMA, first_page: int, npages: int,
-                  pattern: AccessPattern, num_ops: int,
-                  op_bytes: int, leaf_factor: float = 1.0) -> float:
+                  pattern: AccessPattern, op_bytes: int,
+                  leaf_factor: float = 1.0) -> float:
         """TLB miss cycles for an access window.
 
         ``leaf_factor`` is the NUMA latency multiplier on PMem-resident
@@ -870,19 +855,20 @@ class MMStruct:
         huge_pages = (huge_covered_pages(vma.huge_regions, first_page, npages)
                       if vma.huge_regions else 0)
 
-        if pattern is _SEQUENTIAL and num_ops == 1:
+        if pattern is _SEQUENTIAL:
             misses_small = npages - huge_pages
             misses_huge = max(1, huge_pages // PAGES_PER_PMD) if huge_pages else 0
         else:
             huge_fraction = huge_pages / npages if npages else 0.0
             footprint = npages * PAGE_SIZE
-            total = self.tlb.random_op_misses(num_ops, op_bytes,
-                                              PAGE_SIZE, footprint)
+            total = self.tlb.random_op_misses(op_bytes, PAGE_SIZE, footprint)
             misses_small = total * (1 - huge_fraction)
+            # The one op walks a huge entry only when huge pages cover
+            # the whole window (``int(huge_fraction)`` is 1).
             hfoot = huge_pages * PAGE_SIZE
-            misses_huge = (self.tlb.random_op_misses(
-                int(num_ops * huge_fraction) or 0, op_bytes, PMD_SIZE, hfoot)
-                if huge_fraction else 0)
+            misses_huge = (self.tlb.random_op_misses(op_bytes, PMD_SIZE,
+                                                     hfoot)
+                           if int(huge_fraction) else 0)
         # Schemes whose TLB entries span more than one page (the
         # range MMU: one entry per contiguous run) cap the per-page
         # miss count here; radix/hashed return it unchanged.

@@ -45,6 +45,15 @@ class ServerInterface(enum.Enum):
     DAXVM = "daxvm"
 
 
+#: Per-request CPU work outside file access: HTTP parsing, socket
+#: syscalls, connection handling (~20 us — the reason a webserver
+#: is CPU-bound rather than PMem-bandwidth-bound at 16 cores).
+REQUEST_OVERHEAD_CYCLES = 55_000.0
+#: Network-stack per-byte work (skb handling, checksums) paid by
+#: every interface when pushing the page into the socket.
+SOCKET_CYCLES_PER_BYTE = 0.5
+
+
 @dataclass
 class ApacheConfig:
     page_size: int = 32 << 10
@@ -59,13 +68,6 @@ class ApacheConfig:
     multiprocess: bool = False
     #: Zombie batch level for DaxVM async unmapping (§V-C ablation).
     batch_pages: Optional[int] = None
-    #: Per-request CPU work outside file access: HTTP parsing, socket
-    #: syscalls, connection handling (~20 us — the reason a webserver
-    #: is CPU-bound rather than PMem-bandwidth-bound at 16 cores).
-    request_overhead_cycles: float = 55_000.0
-    #: Network-stack per-byte work (skb handling, checksums) paid by
-    #: every interface when pushing the page into the socket.
-    socket_cycles_per_byte: float = 0.5
 
 
 def _serve_request(system: System, process: Process, cfg: ApacheConfig,
@@ -76,8 +78,8 @@ def _serve_request(system: System, process: Process, cfg: ApacheConfig,
     span = system.trace.span("apache.request")
     span.__enter__()
     yield charge(CostDomain.USERSPACE, "http-handling",
-                 cfg.request_overhead_cycles
-                 + cfg.page_size * cfg.socket_cycles_per_byte)
+                 REQUEST_OVERHEAD_CYCLES
+                 + cfg.page_size * SOCKET_CYCLES_PER_BYTE)
     f = yield from system.fs.open(path)
     if iface is ServerInterface.READ:
         # Copy 1: PMem -> user buffer (kernel).  Copy 2: buffer ->

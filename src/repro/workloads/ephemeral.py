@@ -34,9 +34,6 @@ class EphemeralConfig:
     num_threads: int = 1
     interface: Interface = Interface.READ
     daxvm: DaxVMOptions = field(default_factory=DaxVMOptions.full)
-    #: Drop the inode cache before measuring (files are opened once,
-    #: so cold opens are the realistic condition).
-    cold_caches: bool = True
     #: Pin worker threads to one NUMA socket's cores (``None`` keeps
     #: the historical core-per-thread layout; ignored on one node).
     pin_node: "int | None" = None
@@ -101,8 +98,9 @@ def run_ephemeral(system: System, cfg: EphemeralConfig) -> RunResult:
 
     inodes = create_file_set(system, cfg.num_files, cfg.file_size,
                              prefix=prefix)
-    if cfg.cold_caches:
-        drop_caches(system)
+    # Drop the inode cache before measuring: files are opened once,
+    # so cold opens are the realistic condition.
+    drop_caches(system)
 
     paths = [inode.path for inode in inodes]
     shard_sizes = spread(len(paths), cfg.num_threads)

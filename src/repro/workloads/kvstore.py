@@ -50,8 +50,6 @@ class KVConfig:
     interface: Interface = Interface.MMAP
     daxvm: DaxVMOptions = field(default_factory=lambda: DaxVMOptions(
         ephemeral=False, unmap_async=False))
-    #: Recycle rolled WAL files (Pmem-RocksDB behaviour).
-    recycle: bool = True
     seed: int = 5
 
 
@@ -122,8 +120,8 @@ class PmemKVStore:
         if self.wal is not None:
             f, vma = self.wal
             yield from self._unmap(vma)
-            if self.cfg.recycle:
-                self._wal_pool.append(f)
+            # Rolled WAL files are recycled (Pmem-RocksDB behaviour).
+            self._wal_pool.append(f)
             self.wal_rolls += 1
         if self._wal_pool:
             f = self._wal_pool.pop()

@@ -28,6 +28,11 @@ from repro.workloads.filegen import create_files
 _run_counter = itertools.count()
 
 
+#: The cache and index stay mapped for the whole run: long-lived
+#: DaxVM mappings, neither ephemeral nor unmapped asynchronously.
+_DAXVM = DaxVMOptions(ephemeral=False, unmap_async=False)
+
+
 @dataclass
 class PRedisConfig:
     """Scaled from the paper's 60 GB cache of 16 KB values."""
@@ -39,8 +44,6 @@ class PRedisConfig:
     #: Gets per throughput sample window.
     window: int = 2000
     interface: Interface = Interface.MMAP
-    daxvm: DaxVMOptions = field(default_factory=lambda: DaxVMOptions(
-        ephemeral=False, unmap_async=False))
     seed: int = 99
 
 
@@ -64,10 +67,10 @@ def _server(system: System, process: Process, cfg: PRedisConfig,
     if cfg.interface is Interface.DAXVM:
         cache_vma = yield from process.daxvm.mmap(
             cache.inode, 0, cfg.cache_size, Protection.rw(),
-            cfg.daxvm.flags())
+            _DAXVM.flags())
         index_vma = yield from process.daxvm.mmap(
             index.inode, 0, cfg.index_size, Protection.rw(),
-            cfg.daxvm.flags())
+            _DAXVM.flags())
     else:
         flags = MapFlags.SHARED
         if cfg.interface is Interface.MMAP_POPULATE:

@@ -49,9 +49,6 @@ class SyncConfig:
     ops_per_sync: int = 16
     num_syncs: int = 250
     discipline: SyncDiscipline = SyncDiscipline.WRITE_FSYNC
-    #: The paper turns huge pages off for this experiment, to stress
-    #: the comparison with DaxVM's fixed 2 MB flush granularity.
-    allow_huge: bool = False
 
 
 def _worker(system: System, process: Process, cfg: SyncConfig, path: str):
@@ -110,7 +107,9 @@ def _worker(system: System, process: Process, cfg: SyncConfig, path: str):
 
 def run_sync(system: System, cfg: SyncConfig) -> RunResult:
     run_id = next(_run_counter)
-    system.fs.allow_huge = cfg.allow_huge
+    # The paper turns huge pages off for this experiment, to stress
+    # the comparison with DaxVM's fixed 2 MB flush granularity.
+    system.fs.allow_huge = False
     process = system.new_process(f"sync{run_id}")
     if cfg.discipline in (SyncDiscipline.DAXVM_FSYNC,
                           SyncDiscipline.DAXVM_NOSYNC):

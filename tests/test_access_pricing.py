@@ -76,10 +76,7 @@ _SHAPES = st.fixed_dictionaries({
     "write": st.booleans(),
     "copy": st.sampled_from([False, False, True]),
     "pattern": st.sampled_from(list(AccessPattern)),
-    "ops": st.sampled_from([None, 1, 3]),
     "ntstore": st.booleans(),
-    "cached": st.sampled_from([False, False, True]),
-    "touch": st.sampled_from([None, 64, 1000]),
     "medium": st.sampled_from([Medium.PMEM, Medium.PMEM, Medium.DRAM,
                                Medium.CXL]),
     "leaf": st.sampled_from([Medium.DRAM, Medium.PMEM]),
@@ -131,26 +128,23 @@ def test_memoised_price_equals_direct_price(scheme, pool, steps, huge,
         spans = []
         _run(system, _spans(mm.access(
             vma, first_page * PAGE, npages * PAGE, write=shape["write"],
-            pattern=shape["pattern"], ops=shape["ops"],
-            data_cached=shape["cached"], ntstore=shape["ntstore"],
-            copy=shape["copy"], touch_bytes=shape["touch"]), spans))
+            pattern=shape["pattern"], ntstore=shape["ntstore"],
+            copy=shape["copy"]), spans))
         charged = {event: cycles for entries in spans
                    for _, event, cycles in entries}
 
         # The direct price, taken after the access: nothing the access
         # does after pricing changes a price.
         lat_f, bw_f, node, remote = shape["numa"]
-        nbytes = shape["touch"] if shape["touch"] is not None \
-            else npages * PAGE
-        num_ops = shape["ops"] or 1
+        nbytes = npages * PAGE
         args = (nbytes, shape["medium"], shape["write"], shape["copy"],
                 shape["pattern"] is AccessPattern.RANDOM, shape["ntstore"],
-                shape["cached"], node)
-        data = mm._data_cycles(*args, lat_f, bw_f) * num_ops
-        extra = (data - mm._data_cycles(*args, 1.0, 1.0) * num_ops
+                node)
+        data = mm._data_cycles(*args, lat_f, bw_f)
+        extra = (data - mm._data_cycles(*args, 1.0, 1.0)
                  if remote else 0.0)
         walk = mm._tlb_cost(vma, first_page, npages, shape["pattern"],
-                            num_ops, nbytes, leaf_factor=lat_f)
+                            nbytes, leaf_factor=lat_f)
         expected = {"data-access": data - extra, "tlb-walk": walk}
         if extra:
             expected["remote-access"] = extra
@@ -177,7 +171,7 @@ def test_memo_reprices_after_interference_change():
     noisy = data_cycles()
     assert noisy > quiet
     assert noisy == mm._data_cycles(4 * PAGE, Medium.PMEM, False, False,
-                                    False, True, False, 0, 1.0, 1.0)
+                                    False, True, 0, 1.0, 1.0)
     mem.exit_interference(2.0)
     assert data_cycles() == quiet
     mem.enter_interference(2.0)

@@ -1,31 +1,11 @@
-"""Aging tests: churn ager, synthetic ager, determinism, caching."""
+"""Aging tests: the synthetic ager, determinism, caching."""
 
 from repro.fs.aging import (
     AgingProfile,
-    age_filesystem,
     aged_device,
     synthesize_aged_state,
 )
 from repro.fs.block import BlockDevice
-
-
-def test_churn_ager_reaches_utilization():
-    device = BlockDevice(64 << 20)
-    profile = AgingProfile(utilization=0.6, churn_multiple=0.5,
-                           synthetic=False, max_file_bytes=1 << 20)
-    live = age_filesystem(device, profile)
-    assert live
-    util = device.utilization
-    assert 0.45 <= util <= 0.75
-    device.check_invariants()
-
-
-def test_churn_ager_fragments_free_space():
-    device = BlockDevice(64 << 20)
-    profile = AgingProfile(utilization=0.7, churn_multiple=1.0,
-                           synthetic=False, max_file_bytes=1 << 20)
-    age_filesystem(device, profile)
-    assert device.free_extent_count() > 10
 
 
 def test_synthetic_ager_matches_utilization_and_fragments():

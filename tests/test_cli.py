@@ -1,6 +1,5 @@
 """CLI tests: every command runs through the sweep registry."""
 
-import functools
 import json
 
 import pytest
@@ -80,8 +79,12 @@ def test_crash_sweep_fails_on_violations(monkeypatch, capsys):
     """An audit that finds violations fails the sweep and names the
     point and the count (a sweep used to exit 0 whatever its crash
     counters held)."""
-    monkeypatch.setattr(repro.crash, "run_crash", functools.partial(
-        repro.crash.run_crash, break_commit_fence=True))
+    def broken_run_crash(factory, workload, *, seed, max_points):
+        return repro.crash.CrashInjector(
+            factory, workload, seed=seed, max_points=max_points,
+            break_commit_fence=True).run()
+
+    monkeypatch.setattr(repro.crash, "run_crash", broken_run_crash)
     assert main(["sweep", "crash", "--ops", "6", "--device", "1",
                  "--no-cache"]) == 1
     err = capsys.readouterr().err

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import DeadlockError, SimulationError
 from repro.obs import CostDomain, charge
-from repro.sim.engine import Block, Compute, Core, Engine, Spawn, Wake
+from repro.sim.engine import Block, Compute, Core, Engine, Wake
 
 
 def test_compute_advances_clock():
@@ -94,7 +94,8 @@ def test_wake_non_blocked_thread_fails():
         engine.run()
 
 
-def test_spawn_effect_returns_child():
+def test_spawn_mid_run_returns_child():
+    """A running thread starts another with ``engine.spawn``."""
     engine = Engine(2)
     seen = {}
 
@@ -103,8 +104,7 @@ def test_spawn_effect_returns_child():
         return 42
 
     def parent():
-        handle = yield Spawn(child(), name="kid")
-        seen["child"] = handle
+        seen["child"] = engine.spawn(child(), name="kid")
         yield Compute(1)
 
     engine.spawn(parent())
@@ -702,12 +702,14 @@ def _run_program(engine, ops, share):
                 yield charge(CostDomain.JOURNAL, "commit", pre)
                 yield Wake(me, delay, value=delay)
 
-            yield Spawn(waker(), core=me.core.index)
+            engine.spawn(waker(), core=me.core.index)
+            yield charge_span(())
             assert (yield Block()) == delay
-        else:  # spawn
+        else:  # spawn, then a zero-cost scheduling point
             _, core, child_ops, child_share = op
-            yield Spawn(_run_program(engine, child_ops, child_share),
-                        core=core % len(engine.cores))
+            engine.spawn(_run_program(engine, child_ops, child_share),
+                         core=core % len(engine.cores))
+            yield charge_span(())
         seen.append(engine.now)
     return tuple(seen)
 

@@ -353,8 +353,7 @@ def test_random_access_charges_more_tlb_than_sequential(system):
             system.fs, f.inode, 0, 8 << 20, Protection.READ,
             MapFlags.SHARED | MapFlags.POPULATE)
         before = system.stats.get("vm.walk_cycles")
-        yield from proc.mm.access(vma, 0, 4096, pattern=pattern,
-                                  ops=500)
+        yield from proc.mm.access(vma, 0, 4096, pattern=pattern)
         cost = system.stats.get("vm.walk_cycles") - before
         yield from proc.mm.munmap(vma)
         return cost
@@ -364,27 +363,29 @@ def test_random_access_charges_more_tlb_than_sequential(system):
     assert rand > seq
 
 
-def test_touch_bytes_zero_prices_and_tags_zero_bytes(system):
-    """Pricing and dirty-byte tagging share one byte count: a
-    ``touch_bytes=0`` write moves no data and dirties no bytes (it used
-    to be tagged with the whole window's ``length``)."""
+def test_write_dirties_persists_and_counts_its_length(system):
+    """Pricing, dirty-byte tagging, the persistence record and the
+    byte counter share one byte count: a write of ``length`` bytes
+    dirties, persists and counts exactly ``length`` bytes."""
     f = make_file(system, 8 * PAGE)
     proc = system.new_process()
+    stored = []
+    system.mem.persistence = SimpleNamespace(
+        data_store=lambda inode, nbytes, nt: stored.append(nbytes))
 
     def flow():
         vma = yield from proc.mm.mmap(system.fs, f.inode, 0, 8 * PAGE,
                                       Protection.rw(), MapFlags.SHARED)
-        yield from proc.mm.access(vma, 0, 2 * PAGE, write=True,
-                                  touch_bytes=0, ops=3)
-        zero = proc.mm.page_cache.written_bytes(f.inode)
-        yield from proc.mm.access(vma, 0, 2 * PAGE, write=True,
-                                  touch_bytes=512, ops=3)
-        return zero, proc.mm.page_cache.written_bytes(f.inode)
+        yield from proc.mm.access(vma, 100, 512, write=True)
+        first = proc.mm.page_cache.written_bytes(f.inode)
+        yield from proc.mm.access(vma, PAGE, 2 * PAGE, write=True)
+        return first, proc.mm.page_cache.written_bytes(f.inode)
 
-    zero, partial = run(system, flow())
-    assert zero == 0
-    assert partial == 512 * 3
-    assert system.stats.get("vm.access_bytes") == 512 * 3
+    first, total = run(system, flow())
+    assert first == 512
+    assert total == 512 + 2 * PAGE
+    assert stored == [512, 2 * PAGE]
+    assert system.stats.get("vm.access_bytes") == 512 + 2 * PAGE
 
 
 # ---------------------------------------------------------------------------
@@ -698,11 +699,23 @@ def test_region_with_a_pte_stays_4k_after_its_poison_heals(scheme):
     assert state["huge_regions"] == [1]
 
 
-def _reference_tlb_cost(mm, vma, first_page, npages, pattern, num_ops,
-                        op_bytes, leaf_factor=1.0):
+def _reference_random_op_misses(mm, num_ops, op_bytes, page_size,
+                                footprint):
+    """``TLBModel.random_op_misses`` as it was when an access could
+    issue ``num_ops`` ops."""
+    pages_per_op = max(1, -(-op_bytes // page_size))
+    if footprint > mm.tlb.reach(page_size):
+        return num_ops * pages_per_op
+    return min(num_ops * pages_per_op, footprint // page_size)
+
+
+def _reference_tlb_cost(mm, vma, first_page, npages, pattern, op_bytes,
+                        leaf_factor=1.0):
     """``MMStruct._tlb_cost`` as it was before its per-op invariants
-    were hoisted: the huge fraction computed for every window, the
+    were hoisted and its op count was fixed at one: the huge fraction
+    computed for every window, the multi-op miss model at one op, the
     base-page walk priced through the scheme's hook."""
+    num_ops = 1
     leaf_medium = vma.leaf_medium
     if leaf_medium is not Medium.PMEM:
         leaf_factor = 1.0
@@ -715,11 +728,12 @@ def _reference_tlb_cost(mm, vma, first_page, npages, pattern, num_ops,
         misses_huge = max(1, huge_pages // PAGES_PER_PMD) if huge_pages else 0
     else:
         footprint = npages * PAGE
-        total = mm.tlb.random_op_misses(num_ops, op_bytes, PAGE, footprint)
+        total = _reference_random_op_misses(mm, num_ops, op_bytes, PAGE,
+                                            footprint)
         misses_small = total * (1 - huge_fraction)
         hfoot = huge_pages * PAGE
-        misses_huge = (mm.tlb.random_op_misses(
-            int(num_ops * huge_fraction) or 0, op_bytes, PMD, hfoot)
+        misses_huge = (_reference_random_op_misses(
+            mm, int(num_ops * huge_fraction) or 0, op_bytes, PMD, hfoot)
             if huge_fraction else 0)
     if mm._coalesces:
         misses_small = mm.scheme.coalesce_tlb_misses(
@@ -755,7 +769,6 @@ _TLB_VMA_PAGES = 4 * PAGES_PER_PMD
            st.tuples(st.integers(0, _TLB_VMA_PAGES - 1),
                      st.integers(1, _TLB_VMA_PAGES),
                      st.sampled_from(list(AccessPattern)),
-                     st.sampled_from([1, 1, 2, 7, 600, 100_000]),
                      st.sampled_from([64, PAGE, 3 * PAGE, PMD])),
            min_size=1, max_size=6),
        installed=st.lists(st.integers(0, _TLB_VMA_PAGES - 1), max_size=4),
@@ -765,8 +778,8 @@ _TLB_VMA_PAGES = 4 * PAGES_PER_PMD
        nested=st.booleans())
 def test_tlb_cost_matches_reference(scheme, windows, installed, huge,
                                     leaf_medium, leaf_factor, nested):
-    """Random windows over 4 KB and huge regions, both patterns, one or
-    many ops: bit-equal cycles and equal miss and walk counters."""
+    """Random windows over 4 KB and huge regions, both patterns:
+    bit-equal cycles and equal miss and walk counters."""
     costs, counters = [], []
     for tlb_cost in (_reference_tlb_cost, None):
         system, mm, vma = _installer_machine(
@@ -779,14 +792,14 @@ def test_tlb_cost_matches_reference(scheme, windows, installed, huge,
         if nested:
             mm.guest = SimpleNamespace(nested=True)
         side = []
-        for first_page, npages, pattern, num_ops, op_bytes in windows:
+        for first_page, npages, pattern, op_bytes in windows:
             npages = min(npages, _TLB_VMA_PAGES - first_page)
             if tlb_cost is None:
                 cost = mm._tlb_cost(vma, first_page, npages, pattern,
-                                    num_ops, op_bytes, leaf_factor)
+                                    op_bytes, leaf_factor)
             else:
                 cost = tlb_cost(mm, vma, first_page, npages, pattern,
-                                num_ops, op_bytes, leaf_factor)
+                                op_bytes, leaf_factor)
             side.append(float(cost).hex())
         costs.append(side)
         counters.append(dict(system.stats.counters))

@@ -1,0 +1,60 @@
+"""Every keyword option of the machine's main entry points has a caller.
+
+An option that no shipped code path passes has exactly one value in
+use; its other values are dead branches that tests, goldens and any
+sensitivity screen would still have to cover.  This scans the package
+source (not the tests) for calls of each entry point and fails when a
+parameter with a default is never passed, by keyword or by position.
+"""
+
+import ast
+import inspect
+from pathlib import Path
+
+import pytest
+
+from repro.system import System
+from repro.vm.mm import MMStruct
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+#: Entry point -> the method name its calls are found by.
+ENTRY_POINTS = {
+    "MMStruct.access": (MMStruct.access, "access"),
+    "System.daxvm_for": (System.daxvm_for, "daxvm_for"),
+    "System.new_process": (System.new_process, "new_process"),
+}
+
+
+def _optional_params(func):
+    """Names and positions (after ``self``) of the parameters that
+    have defaults: the options a caller may leave out."""
+    params = list(inspect.signature(func).parameters.values())[1:]
+    return {p.name: i for i, p in enumerate(params)
+            if p.default is not inspect.Parameter.empty}
+
+
+def _passed(method: str):
+    """Keyword names and the highest positional count over every
+    ``<expr>.<method>(...)`` call in the package."""
+    keywords, most_positional = set(), 0
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == method):
+                keywords.update(k.arg for k in node.keywords if k.arg)
+                most_positional = max(most_positional, len(node.args))
+    return keywords, most_positional
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_every_option_is_passed_somewhere(name):
+    func, method = ENTRY_POINTS[name]
+    keywords, most_positional = _passed(method)
+    assert most_positional or keywords, f"no call of {name} found"
+    unused = sorted(param for param, index in _optional_params(func).items()
+                    if param not in keywords and index >= most_positional)
+    assert not unused, (
+        f"{name}: no call in src/repro passes {unused}; an option with "
+        f"one value in use should be that value as a constant")

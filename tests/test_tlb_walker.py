@@ -45,10 +45,12 @@ def test_tlb_reach():
 
 def test_random_misses_saturate_out_of_reach():
     tlb = TLBModel(DEFAULT_COSTS, DEFAULT_MACHINE)
-    big = 10 << 30
-    assert tlb.random_op_misses(1000, 4096, 4096, big) == 1000
+    big = 10 << 30  # out of reach: the op misses on every page
+    assert tlb.random_op_misses(4096, 4096, big) == 1
+    assert tlb.random_op_misses(3 * 4096, 4096, big) == 3
     small = 1 << 20  # fits in reach: bounded by resident pages
-    assert tlb.random_op_misses(10_000, 4096, 4096, small) == 256
+    assert tlb.random_op_misses(4096, 4096, small) == 1
+    assert tlb.random_op_misses(8 * 4096, 4096, 4 * 4096) == 4
 
 
 def _flush(engine, controller, initiator, cores, pages, force=False):

@@ -12,7 +12,7 @@ import pytest
 
 from repro.config import DEFAULT_COSTS, NUMA_IPI_CROSS_SOCKET_EXTRA
 from repro.errors import InvalidArgumentError, MemoryError_
-from repro.mem.physmem import AllocPolicy, Medium, PhysicalMemory
+from repro.mem.physmem import Medium, PhysicalMemory
 from repro.obs import CostDomain
 from repro.paging.tlb import AccessPattern
 from repro.system import System
@@ -158,33 +158,16 @@ def test_physmem_refuses_absent_medium():
         pm.alloc_frame(Medium.CXL, node=0)
 
 
-def test_physmem_local_policy_does_not_spill():
-    topo = MachineTopology(nodes=(NodeSpec(2 * 4096, 4096),
-                                  NodeSpec(2 * 4096, 4096)),
-                           num_cores=4)
-    pm = PhysicalMemory(topology=topo)
-    pm.alloc_frame(Medium.PMEM, node=0)
-    with pytest.raises(MemoryError_):
-        pm.alloc_frame(Medium.PMEM, node=0, policy=AllocPolicy.LOCAL)
-
-
 def test_physmem_preferred_policy_spills_in_node_order():
     topo = MachineTopology(nodes=(NodeSpec(2 * 4096, 4096),
                                   NodeSpec(2 * 4096, 4096)),
                            num_cores=4)
     pm = PhysicalMemory(topology=topo)
     pm.alloc_frame(Medium.PMEM, node=0)
-    spilled = pm.alloc_frame(Medium.PMEM, node=0,
-                             policy=AllocPolicy.PREFERRED)
+    spilled = pm.alloc_frame(Medium.PMEM, node=0)
     assert pm.node_of(spilled) == 1
-
-
-def test_physmem_interleave_policy_round_robins():
-    pm = PhysicalMemory(topology=two_nodes())
-    nodes = [pm.node_of(pm.alloc_frame(Medium.DRAM,
-                                       policy=AllocPolicy.INTERLEAVE))
-             for _ in range(4)]
-    assert nodes == [0, 1, 0, 1]
+    with pytest.raises(MemoryError_):  # every node is full
+        pm.alloc_frame(Medium.PMEM, node=0)
 
 
 def test_single_node_layout_matches_historical_construction():
@@ -239,7 +222,7 @@ def test_remote_access_tax_is_remote_price_minus_uniform_price(write):
     system = System(costs=DEFAULT_COSTS, device_bytes=1 << 30,
                     topology=two_nodes(), placement="remote")
     proc = system.new_process()
-    nbytes, ops = 4 << 12, 3
+    nbytes = 4 << 12
     pattern = AccessPattern.SEQUENTIAL if write else AccessPattern.RANDOM
 
     def flow():
@@ -251,7 +234,7 @@ def test_remote_access_tax_is_remote_price_minus_uniform_price(write):
             MapFlags.SHARED | MapFlags.POPULATE)
         before = system.ledger.event_total(CostDomain.NUMA, "remote-access")
         yield from proc.mm.access(vma, 0, nbytes, write=write, copy=not write,
-                                  pattern=pattern, ops=ops)
+                                  pattern=pattern)
         after = system.ledger.event_total(CostDomain.NUMA, "remote-access")
         return handle.inode, after - before
 
@@ -266,10 +249,10 @@ def test_remote_access_tax_is_remote_price_minus_uniform_price(write):
     def price(lat_factor, bw_factor):
         if write:
             return mem.stream_write(nbytes, Medium.PMEM, node=node,
-                                    bw_factor=bw_factor) * ops
+                                    bw_factor=bw_factor)
         return (mem.memcpy(nbytes, Medium.PMEM, Medium.DRAM,
                            bw_factor=bw_factor)
-                + mem.load_latency(Medium.PMEM, factor=lat_factor)) * ops
+                + mem.load_latency(Medium.PMEM, factor=lat_factor))
 
     assert tax > 0
     assert tax == price(lat, bw) - price(1.0, 1.0)

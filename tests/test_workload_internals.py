@@ -97,17 +97,6 @@ def test_apache_mmap_async_uses_deferred_unmaps():
     assert result.counters.get("daxvm.zombie_reaps", 0) >= 1
 
 
-def test_apache_request_overhead_scales_latency():
-    def latency(overhead):
-        system = small_system()
-        cfg = ApacheConfig(num_pages=4, num_workers=1, requests=20,
-                           interface=ServerInterface.READ,
-                           request_overhead_cycles=overhead)
-        return run_apache(system, cfg).latency_us
-
-    assert latency(200_000) > latency(0) + 50
-
-
 # ---------------------------------------------------------------------------
 # Sync bench semantics.
 # ---------------------------------------------------------------------------
