@@ -45,7 +45,6 @@ class LatrUnmapper:
         self.stats = stats
         #: LATR's global state lock — its documented scalability wart.
         self.state_lock = Spinlock(engine, costs, "latr.state")
-        self.lazy_invalidations = 0
 
     def munmap(self, vma: VMA):
         """Unmap with lazy TLB coherence.  Generator."""
@@ -65,7 +64,6 @@ class LatrUnmapper:
                      + self.costs.tlb_invlpg * min(
                          pages, self.costs.full_flush_threshold))
         self.engine.interrupt_cores(remote, LATR_APPLY)
-        self.lazy_invalidations += len(remote)
         self.stats.add(Counter.LATR_LAZY_INVALIDATIONS, len(remote))
         yield from self.state_lock.release()
         self.mm._drop_vma(vma)

@@ -46,7 +46,6 @@ class AsyncUnmapper:
                             else costs.async_unmap_batch_pages)
         self._zombies: List[VMA] = []
         self._zombie_pages = 0
-        self.reaps = 0
 
     @property
     def pending_vmas(self) -> int:
@@ -89,7 +88,6 @@ class AsyncUnmapper:
                 vma.inode.i_mmap.remove(vma)
             yield from vma._releaser(vma)
             vma.zombie = False
-        self.reaps += 1
         self.stats.add(Counter.DAXVM_ZOMBIE_REAPS)
         self.stats.add(Counter.DAXVM_ZOMBIE_PAGES_REAPED, pages)
 

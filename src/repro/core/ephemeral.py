@@ -66,7 +66,6 @@ class EphemeralHeap:
         self._current: Optional[_Region] = None
         #: The heap's own VMA table (replaces mm_rb for these mappings).
         self.vmas: Dict[int, VMA] = {}
-        self.allocations = 0
 
     # -- region management (no simulated cost: rare, setup-ish) ----------
     def _grow(self) -> _Region:
@@ -100,7 +99,6 @@ class EphemeralHeap:
         start = -(-start // align) * align
         region.bump = (start + size) - region.base
         region.live += 1
-        self.allocations += 1
         self.stats.add(Counter.DAXVM_EPHEMERAL_ALLOCS)
         yield from self.lock.release()
         return start

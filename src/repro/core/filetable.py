@@ -53,13 +53,11 @@ class _DeviceFrameAllocator:
     def __init__(self, device: BlockDevice, fs: Optional[FileSystem] = None):
         self.device = device
         self.fs = fs
-        self.blocks_allocated = 0
 
     def alloc_frame(self, medium: Medium) -> int:
         if medium is not Medium.PMEM:
             raise SimulationError("device allocator only serves PMem")
         runs = self.device.alloc(1)
-        self.blocks_allocated += 1
         if self.fs is not None and self.fs.persistence is not None:
             self.fs.persistence.note_block_alloc(runs)
         return self.device.frame_of(runs[0][0])
@@ -67,7 +65,6 @@ class _DeviceFrameAllocator:
     def free_frame(self, frame: int) -> None:
         block = self.device.block_of(frame)
         self.device.free(block, 1)
-        self.blocks_allocated -= 1
         if self.fs is not None and self.fs.persistence is not None:
             self.fs.persistence.note_block_free(block, 1)
 
@@ -362,8 +359,6 @@ class FileTableManager:
         fs.free_hooks.append(self._on_free)
         fs.vfs.inode_cache.load_hooks.append(self._on_inode_load)
         fs.vfs.inode_cache.evict_hooks.append(self._on_inode_evict)
-        self.tables_built = 0
-        self.migrations = 0
 
     # -- policy ---------------------------------------------------------------
     def _wants_persistent(self, inode: Inode) -> bool:
@@ -394,7 +389,6 @@ class FileTableManager:
                 table = FileTable(inode, Medium.DRAM, self._dram_alloc,
                                   self.costs)
                 inode.volatile_file_table = table
-            self.tables_built += 1
         cycles = table.extend(self.fs)
         return table, cycles
 
@@ -413,7 +407,6 @@ class FileTableManager:
             volatile = inode.volatile_file_table
             volatile.destroy()
             inode.volatile_file_table = None
-            self.tables_built += 1
         return cycles
 
     def _on_free(self, inode: Inode, freed: List[Tuple[int, int]]
@@ -441,7 +434,6 @@ class FileTableManager:
                               self.costs)
             inode.volatile_file_table = table
             cycles = table.extend(self.fs)
-            self.tables_built += 1
             self.stats.add(Counter.DAXVM_VOLATILE_REBUILDS)
             return cycles
         return 0.0
@@ -466,7 +458,6 @@ class FileTableManager:
                              self.costs)
         inode.volatile_file_table = volatile
         cycles = volatile.extend(self.fs)
-        self.migrations += 1
         self.stats.add(Counter.DAXVM_TABLE_MIGRATIONS)
         return cycles
 

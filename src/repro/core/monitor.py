@@ -37,8 +37,6 @@ class MMUMonitor:
         self._last_walk_cycles = 0.0
         self._last_misses = 0.0
         self._last_time = 0.0
-        self.evaluations = 0
-        self.triggers = 0
         #: Optional ``inode -> bool`` predicate: inodes it approves are
         #: *skipped* by table migration.  A hypervisor quiesces table
         #: movement for files under an active post-copy migration —
@@ -73,11 +71,9 @@ class MMUMonitor:
         foreground thread, matching the paper's "builds asynchronously
         volatile tables" description.
         """
-        self.evaluations += 1
         avg_walk, overhead = self.sample()
         if not self.should_migrate(avg_walk, overhead):
             return 0.0
-        self.triggers += 1
         cycles = 0.0
         defer = self.defer
         for inode in mapped_inodes:

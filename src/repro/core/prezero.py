@@ -53,9 +53,7 @@ class PreZeroDaemon:
         self._lists: List[Deque[Tuple[int, int]]] = [
             deque() for _ in range(costs.machine.num_cores)]
         self._pending_blocks = 0
-        self.blocks_zeroed = 0
         fs.free_interceptor = self.intercept
-        self._thread = None
         #: Node whose media the daemon is currently disturbing (None
         #: when idle).  Interference is entered/exited — never written
         #: as a scalar — so concurrent daemons on other nodes keep
@@ -82,7 +80,7 @@ class PreZeroDaemon:
     # -- the kthread -----------------------------------------------------------
     def start(self, core: int = 0) -> None:
         """Spawn the daemon thread on an (ideally idle) core."""
-        self._thread = self.engine.spawn(
+        self.engine.spawn(
             self._run(), core=core, name="prezero-kthread", daemon=True)
 
     def _next_run(self) -> Tuple[int, int]:
@@ -137,7 +135,6 @@ class PreZeroDaemon:
                          delay + zero_cycles)
             self.fs.zeroed.add(start, start + length)
             self.fs.device.free(start, length)
-            self.blocks_zeroed += length
             self.stats.add(Counter.DAXVM_BLOCKS_PREZEROED, length)
             if self._pending_blocks == 0:
                 self._set_interfering(None)
@@ -153,7 +150,6 @@ class PreZeroDaemon:
                 self.fs.device.free(start, length)
                 drained += length
         self._pending_blocks = 0
-        self.blocks_zeroed += drained
         return drained
 
     def prezero_all_free(self) -> None:

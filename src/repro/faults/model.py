@@ -79,9 +79,6 @@ class MediaFaults:
         self.armed = 0
         self.remapped = 0
         self.cleared = 0
-        self.sigbus = 0
-        self.memory_failures = 0
-        self.ptes_unmapped = 0
         self.quarantined = 0
         self.bytes_lost = 0
         self.bw_entered = 0
@@ -282,12 +279,9 @@ class MediaFaults:
         self._stats.add(Counter.FAULTS_CLEAR_POISON_CALLS)
 
     def note_sigbus(self) -> None:
-        self.sigbus += 1
         self._stats.add(Counter.FAULTS_SIGBUS_DELIVERED)
 
     def note_memory_failure(self, ptes: int) -> None:
-        self.memory_failures += 1
-        self.ptes_unmapped += ptes
         self._stats.add(Counter.FAULTS_MEMORY_FAILURES)
         if ptes:
             self._stats.add(Counter.FAULTS_PTES_UNMAPPED, ptes)

@@ -58,8 +58,6 @@ class BlockDevice:
         self._free: List[FreeExtent] = [FreeExtent(0, self.total_blocks)]
         self._starts: List[int] = [0]
         self.free_blocks = self.total_blocks
-        self.allocations = 0
-        self.frees = 0
         #: (nblocks, align) requests known to have no contiguous fit;
         #: cleared on free.  Keeps repeated chunked allocations cheap.
         self._contig_fail_hint: set = set()
@@ -185,7 +183,6 @@ class BlockDevice:
             result.append((extent.start, take))
             self._carve(i, extent.start, take)
             remaining -= take
-        self.allocations += 1
         self.free_blocks -= nblocks
         return result
 
@@ -206,7 +203,6 @@ class BlockDevice:
             if extent.length - waste >= nblocks:
                 self._carve(i, aligned_start, nblocks)
                 self._cursor = i
-                self.allocations += 1
                 self.free_blocks -= nblocks
                 return (aligned_start, nblocks)
             i = (i + 1) % count
@@ -263,7 +259,6 @@ class BlockDevice:
         else:
             self._insert_free(start, length, coalesce=True)
             self.free_blocks += length
-        self.frees += 1
         self._contig_fail_hint.clear()
 
     def _insert_free(self, start: int, length: int,

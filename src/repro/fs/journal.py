@@ -46,7 +46,6 @@ class Journal:
         self.costs = costs
         self.stats = stats
         self.fs = fs
-        self.sync_commits = 0
         self.batched_updates = 0
         #: Test-only fault fixture: seal transactions without flushing or
         #: fencing the commit record while acknowledging them anyway —
@@ -71,7 +70,6 @@ class Journal:
 
     def commit_sync(self):
         """Force the running transaction to commit synchronously."""
-        self.sync_commits += 1
         self.stats.add(Counter.JOURNAL_SYNC_COMMITS)
         cost = self.costs.journal_commit
         if self.fs is not None:

@@ -16,13 +16,8 @@ Fig. 7 (right panel) and the NOVA YCSB results exercise:
 
 from __future__ import annotations
 
-from repro.config import CostModel
 from repro.fs.base import FileSystem
-from repro.fs.block import BlockDevice
-from repro.fs.vfs import VFS
-from repro.mem.latency import MemoryModel
 from repro.obs import Counter, CostDomain, charge
-from repro.sim.stats import Stats
 
 
 class Nova(FileSystem):
@@ -33,13 +28,7 @@ class Nova(FileSystem):
     zeroes_on_fallocate = True
     mapsync_needs_commit = False
 
-    def __init__(self, device: BlockDevice, vfs: VFS, costs: CostModel,
-                 mem: MemoryModel, stats: Stats):
-        super().__init__(device, vfs, costs, mem, stats)
-        self.log_appends = 0
-
     def _metadata_update(self):
-        self.log_appends += 1
         self.stats.add(Counter.NOVA_LOG_APPENDS)
         yield charge(CostDomain.JOURNAL, "nova-log-append",
                      self.costs.nova_log_append)

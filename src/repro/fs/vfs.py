@@ -75,8 +75,10 @@ class Inode:
 class InodeCache:
     """LRU cache of in-core inodes with load/evict hooks."""
 
-    def __init__(self, capacity: int = 1 << 16):
-        self.capacity = capacity
+    #: In-core inodes kept before the least recently used is evicted.
+    capacity = 1 << 16
+
+    def __init__(self):
         self._cached: "OrderedDict[int, Inode]" = OrderedDict()
         self.load_hooks: List[InodeHook] = []
         self.evict_hooks: List[InodeHook] = []
@@ -126,7 +128,6 @@ class DaxFile:
     def __init__(self, inode: Inode, fs: "object"):
         self.inode = inode
         self.fs = fs
-        self.pos = 0
         self.closed = False
 
     def _check_open(self) -> None:

@@ -60,7 +60,6 @@ class Region:
     def __init__(self, medium: Medium, size_bytes: int, base_frame: int = 0,
                  node: int = 0):
         self.medium = medium
-        self.size_bytes = size_bytes
         self.total_frames = size_bytes // Region.FRAME_SIZE
         self.base_frame = base_frame
         self.node = node
@@ -194,8 +193,9 @@ class PhysicalMemory:
     def num_nodes(self) -> int:
         return len(self.dram_regions)
 
-    def region(self, medium: Medium, node: int = 0) -> Region:
-        return self._by_medium[medium][node]
+    def region(self, medium: Medium) -> Region:
+        """Node 0's region of ``medium``."""
+        return self._by_medium[medium][0]
 
     def pmem_bases(self) -> List[int]:
         return [region.base_frame for region in self.pmem_regions]

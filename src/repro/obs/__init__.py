@@ -10,8 +10,8 @@ One import surface for everything the simulator can be *asked*:
   string keys, so external readers are unaffected).
 - :class:`Histogram` — mergeable log-linear latency distributions
   (p50/p95/p99) behind ``Stats.observe``.
-- :class:`Tracer` — span-scoped tracing with nested attribution and an
-  optional ring-buffer event trace.
+- :class:`Tracer` — span-scoped tracing: each closed span's elapsed
+  cycles land in the ``span.<name>`` histogram on ``Stats``.
 
 This package never imports ``repro.sim`` (the engine imports *us*), so
 it stays dependency-free and importable from anywhere in the kernel.

@@ -45,13 +45,13 @@ class Histogram:
         base = 1 << exponent
         return base * (1.0 + (sub + 0.5) / (1 << self.SUB_BITS))
 
-    def record(self, value: float, count: int = 1) -> None:
+    def record(self, value: float) -> None:
         if value < 0:
             raise ValueError(f"histogram value must be >= 0: {value}")
         index = self._index(value)
-        self._buckets[index] = self._buckets.get(index, 0) + count
-        self.count += count
-        self.total += value * count
+        self._buckets[index] = self._buckets.get(index, 0) + 1
+        self.count += 1
+        self.total += value
         self.min_value = min(self.min_value, value)
         self.max_value = max(self.max_value, value)
 

@@ -3,35 +3,29 @@
 ``with tracer.span("append"):`` brackets a region of a simulated
 thread's execution.  On exit the span's elapsed simulated cycles are
 recorded into a per-operation latency histogram on ``Stats``
-(``span.<name>``), and nested spans attribute self-time to parents, so
-"how long is an append, and how much of it is the msync inside?" falls
-out of the trace instead of being re-derived by differencing runs.
+(``span.<name>``).  A nested span's cycles count in its parent's
+elapsed time too; no shipped span nests.
 
 The tracer is deliberately decoupled from the engine: it is constructed
 with *callables* for the clock and the current-thread name, so it works
 for any time source and ``repro.obs`` never imports ``repro.sim``.
-
-An optional ring buffer (``Tracer(ring=512)``) keeps the last N span
-events for debugging schedules — bounded, so it is safe to leave on.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List
 
 
 class _Span:
     """One open span on a thread's span stack (context manager)."""
 
-    __slots__ = ("tracer", "name", "thread", "start", "child_cycles")
+    __slots__ = ("tracer", "name", "thread", "start")
 
     def __init__(self, tracer: "Tracer", name: str):
         self.tracer = tracer
         self.name = name
         self.thread = ""
         self.start = 0.0
-        self.child_cycles = 0.0
 
     def __enter__(self) -> "_Span":
         self.thread = self.tracer._current()
@@ -44,21 +38,14 @@ class _Span:
 
 
 class Tracer:
-    """Collects span timings against an injected simulated clock."""
+    """Records span timings against an injected simulated clock."""
 
     def __init__(self, clock: Callable[[], float],
-                 current: Callable[[], str],
-                 stats: Optional[object] = None,
-                 ring: int = 0) -> None:
+                 current: Callable[[], str], stats) -> None:
         self._clock = clock
         self._current = current
         self._stats = stats
         self._stacks: Dict[str, List[_Span]] = {}
-        #: (thread, name, start, elapsed, self_cycles) for the last N spans.
-        self.ring: Optional[Deque[Tuple[str, str, float, float, float]]] = \
-            deque(maxlen=ring) if ring else None
-        #: Aggregate {span name: (count, total cycles, total self cycles)}.
-        self.totals: Dict[str, Tuple[int, float, float]] = {}
 
     def span(self, name: str) -> _Span:
         """Open a named span: ``with tracer.span("append"): ...``"""
@@ -71,41 +58,7 @@ class Tracer:
                 f"span {span.name!r} closed out of order on "
                 f"thread {span.thread!r}")
         stack.pop()
-        elapsed = end - span.start
-        self_cycles = elapsed - span.child_cycles
-        if stack:
-            stack[-1].child_cycles += elapsed
-        count, total, self_total = self.totals.get(span.name,
-                                                   (0, 0.0, 0.0))
-        self.totals[span.name] = (count + 1, total + elapsed,
-                                  self_total + self_cycles)
-        if self.ring is not None:
-            self.ring.append((span.thread, span.name, span.start,
-                              elapsed, self_cycles))
-        if self._stats is not None:
-            self._stats.observe(f"span.{span.name}", elapsed)
-
-    # -- queries ----------------------------------------------------------
-    def active_depth(self, thread: Optional[str] = None) -> int:
-        if thread is None:
-            thread = self._current()
-        return len(self._stacks.get(thread, []))
-
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        """{name: {count, total_cycles, self_cycles, mean_cycles}}."""
-        return {
-            name: {
-                "count": count,
-                "total_cycles": total,
-                "self_cycles": self_total,
-                "mean_cycles": total / count if count else 0.0,
-            }
-            for name, (count, total, self_total)
-            in sorted(self.totals.items())
-        }
+        self._stats.observe(f"span.{span.name}", end - span.start)
 
     def reset(self) -> None:
         self._stacks.clear()
-        self.totals.clear()
-        if self.ring is not None:
-            self.ring.clear()

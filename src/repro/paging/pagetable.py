@@ -232,32 +232,6 @@ class PageTable:
                 i = stop
         return created
 
-    def unmap_page(self, vaddr: int, leaf_level: Level = PTE_LEVEL) -> bool:
-        """Clear the leaf mapping ``vaddr``; returns True if present."""
-        path = self._path_to(vaddr, leaf_level)
-        if path is None:
-            return False
-        node, idx = path[-1]
-        if idx in node.entries:
-            del node.entries[idx]
-            self._prune(path[:-1])
-            return True
-        return False
-
-    def _path_to(self, vaddr: int, leaf_level: Level
-                 ) -> Optional[List[Tuple[PageTableNode, int]]]:
-        node = self.root
-        path: List[Tuple[PageTableNode, int]] = []
-        while node.level > leaf_level:
-            idx = level_index(vaddr, node.level)
-            path.append((node, idx))
-            entry = node.entries.get(idx)
-            if entry is None or entry.is_leaf or entry.child.shared:
-                return None
-            node = entry.child
-        path.append((node, level_index(vaddr, node.level)))
-        return path
-
     def _prune(self, path: List[Tuple[PageTableNode, int]]) -> None:
         """Free interior nodes that became empty, bottom-up."""
         for node, idx in reversed(path):

@@ -79,8 +79,8 @@ class TranslationScheme:
     """The contract every MMU architecture implements.
 
     Mapping primitives mirror :class:`PageTable` (``map_page`` /
-    ``unmap_page`` / ``translate`` / ``protect_range`` /
-    ``clear_range`` / ``destroy``), so the radix schemes satisfy them
+    ``translate`` / ``protect_range`` / ``clear_range`` /
+    ``destroy``), so the radix schemes satisfy them
     by inheritance.  On top sit the DaxVM capability hooks
     (``attach_region`` / ``attach_gb`` / ``detach_cost``), the
     walk-cost hooks the TLB model charges through, structure-frame
@@ -110,9 +110,6 @@ class TranslationScheme:
         for i, frame in enumerate(frames):
             created += self.map_page(vaddr + i * PAGE_SIZE, frame, flags)
         return created
-
-    def unmap_page(self, vaddr: int, leaf_level: Level = PTE_LEVEL) -> bool:
-        raise NotImplementedError
 
     def translate(self, vaddr: int) -> Translation:
         raise NotImplementedError
@@ -443,12 +440,6 @@ class HashedScheme(TranslationScheme):
         self.inserts += 1
         return self._ensure_capacity()
 
-    def unmap_page(self, vaddr, leaf_level=PTE_LEVEL):
-        tbl = self.tables.get(leaf_level)
-        if tbl is None:
-            return False
-        return tbl.pop(vaddr >> level_shift(leaf_level), None) is not None
-
     def translate(self, vaddr):
         for level in sorted(self.tables):
             entry = self.tables[level].get(vaddr >> level_shift(level))
@@ -702,10 +693,6 @@ class RangeScheme(TranslationScheme):
             flags |= PageFlags.HUGE
         self._insert(vaddr, vaddr + span, frame, flags)
         return 0
-
-    def unmap_page(self, vaddr, leaf_level=PTE_LEVEL):
-        pages, _segments = self._remove(vaddr, level_size(leaf_level))
-        return pages > 0
 
     def translate(self, vaddr):
         i = self._find(vaddr)

@@ -25,13 +25,14 @@ resumes the generator with the effect's result.  The effects:
     Suspend until another thread wakes this one via ``Wake``.  Used by
     the lock implementations.
 
-``Wake(thread, delay=0.0, value=None)``
+``Wake(thread, delay=0.0)``
     Schedule ``thread`` (which must be blocked) to resume ``delay``
-    cycles from now; its ``Block()`` yield returns ``value``.  The
-    target stays blocked until the wake *delivers*, so a second waker
-    racing within the delay window queues deterministically instead of
-    failing; a wake delivered to a thread that already resumed is
-    banked and satisfies its next ``Block()`` immediately.
+    cycles from now; its ``Block()`` yield returns ``None``.  A wake
+    carries no payload, only the resumption.  The target stays blocked
+    until the wake *delivers*, so a second waker racing within the
+    delay window queues deterministically instead of failing; a wake
+    delivered to a thread that already resumed is banked (the thread
+    keeps a count) and satisfies its next ``Block()`` immediately.
 
 A running thread starts another with :meth:`Engine.spawn`, a plain
 call rather than an effect.
@@ -96,13 +97,11 @@ class Block:
 class Wake:
     """Effect: resume a blocked thread ``delay`` cycles from now."""
 
-    __slots__ = ("thread", "delay", "value")
+    __slots__ = ("thread", "delay")
 
-    def __init__(self, thread: "SimThread", delay: float = 0.0,
-                 value: Any = None):
+    def __init__(self, thread: "SimThread", delay: float = 0.0):
         self.thread = thread
         self.delay = delay
-        self.value = value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Wake({self.thread.name}, delay={self.delay})"
@@ -115,11 +114,10 @@ class _WakeToken:
     waker inside the delay window queues another token instead of
     tripping the issue-time state check."""
 
-    __slots__ = ("thread", "value")
+    __slots__ = ("thread",)
 
-    def __init__(self, thread: "SimThread", value: Any):
+    def __init__(self, thread: "SimThread"):
         self.thread = thread
-        self.value = value
 
 
 class Core:
@@ -237,7 +235,6 @@ class SimThread:
         self.started_at = engine.now
         self.finished_at: Optional[float] = None
         self.result: Any = None
-        self._wake_value: Any = None
         #: Tenant this thread is accounted to (a name string), set by
         #: the repro.tenancy runtime; ``None`` for un-tenanted threads.
         self.tenant: Optional[str] = None
@@ -247,9 +244,9 @@ class SimThread:
         #: stretched by ``extra`` cycles booked to the ``tenancy``
         #: domain; ``None`` (the default) leaves scheduling untouched.
         self.cpu_throttle = None
-        #: Wake values that arrived while this thread was not blocked
+        #: Wakes that arrived while this thread was not blocked
         #: (racing wakers); each satisfies one future ``Block()``.
-        self._pending_wakes: deque = deque()
+        self._pending_wakes = 0
         #: The :class:`ChargeSpan` entries being paid, one per event,
         #: and the index of the next one; ``None`` outside a span.
         self._span_entries = None
@@ -338,9 +335,9 @@ class Engine:
         cls = effect.__class__
         if cls is Block:
             if thread._pending_wakes:
-                # A racing waker already queued a credit for us: the
+                # A racing waker already banked a credit for us: the
                 # block is satisfied immediately and deterministically.
-                thread._wake_value = thread._pending_wakes.popleft()
+                thread._pending_wakes -= 1
                 self._schedule(thread, 0.0)
             else:
                 thread.state = SimThread.BLOCKED
@@ -353,8 +350,7 @@ class Engine:
             # further wakers inside the delay window queue behind it.
             heappush(self._heap,
                      (self.now + effect.delay, next(self._seq),
-                      _WakeToken(target, effect.value)))
-            thread._wake_value = None
+                      _WakeToken(target)))
             self._schedule(thread, 0.0)
         elif cls is ChargeSpan:
             # An empty span: a zero-cost scheduling point.
@@ -398,13 +394,12 @@ class Engine:
                 state = thread.state
                 if state == SimThread.BLOCKED:
                     thread.state = SimThread.RUNNABLE
-                    thread._wake_value = item.value
                 elif state == SimThread.FINISHED:
                     continue
                 else:
                     # The target already resumed (racing wakers): bank
                     # the credit for its next Block().
-                    thread._pending_wakes.append(item.value)
+                    thread._pending_wakes += 1
                     continue
             else:
                 thread = item
@@ -419,8 +414,6 @@ class Engine:
             name = thread.name
             core = thread.core
             send = thread.gen.send
-            value = thread._wake_value
-            thread._wake_value = None
             while True:
                 span = thread._span_entries
                 if span is not None:
@@ -434,11 +427,10 @@ class Engine:
                         thread._span_index = index
                 else:
                     try:
-                        effect = send(value)
+                        effect = send(None)
                     except StopIteration as stop:
                         self._finish(thread, stop.value)
                         break
-                    value = None
                     cls = effect.__class__
                     if cls is Charge:
                         domain = effect.domain
@@ -568,9 +560,6 @@ class Engine:
         return self.interrupt_cores(sorted(victims), cycles,
                                     domain=domain, event=event)
 
-    def seconds(self, cycles: Optional[float] = None,
-                freq_hz: Optional[float] = None) -> float:
-        """Convert cycles (default: current time) to seconds at the
-        engine's configured clock (default: ``self.freq_hz``)."""
-        value = self.now if cycles is None else cycles
-        return value / (self.freq_hz if freq_hz is None else freq_hz)
+    def seconds(self) -> float:
+        """The current time in seconds at the engine's clock."""
+        return self.now / self.freq_hz

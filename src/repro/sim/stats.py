@@ -66,13 +66,13 @@ class Stats:
         return list(self.samples.get(counter_key(name), []))
 
     # -- latency histograms ------------------------------------------------
-    def observe(self, name: Name, value: float, count: int = 1) -> None:
+    def observe(self, name: Name, value: float) -> None:
         """Record one latency/size observation into a histogram."""
         key = counter_key(name)
         hist = self.timings.get(key)
         if hist is None:
             hist = self.timings[key] = Histogram()
-        hist.record(value, count)
+        hist.record(value)
 
     def percentile(self, series: Name, q: float) -> float:
         """Quantile ``q`` (0-100) of a histogram or sampled series."""

@@ -115,7 +115,7 @@ class System:
             clock=lambda: self.engine.now,
             current=lambda: (self.engine.current.name
                              if self.engine.current is not None else "main"),
-            stats=self.stats, ring=256)
+            stats=self.stats)
         self._filetables: Optional[FileTableManager] = None
         self._process_count = 0
         #: Attached :class:`repro.crash.PersistenceDomain`, if any.
@@ -335,6 +335,5 @@ class System:
         self.hypervisor = Hypervisor(self, config or VirtConfig())
         return self.hypervisor
 
-    def seconds(self, cycles: Optional[float] = None) -> float:
-        value = self.engine.now if cycles is None else cycles
-        return value / self.costs.machine.freq_hz
+    def seconds(self) -> float:
+        return self.engine.seconds()

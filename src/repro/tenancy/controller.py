@@ -203,16 +203,14 @@ class QuotaController:
         self.stats = stats
         self.accountant = accountant
         self.names = sorted(names)
-        self.scans = 0
         #: ``(name, gauge series)`` in scan order.
         self._tenants = [(name, f"tenant.{name}.memory_bytes")
                          for name in self.names]
         #: Last usage recorded in each tenant's gauge series.
         self._recorded: Dict[str, int] = {}
-        self._thread = None
 
     def start(self, core: int = 0) -> None:
-        self._thread = self.engine.spawn(
+        self.engine.spawn(
             self._run(), core=core, name="quota-kthread", daemon=True)
 
     def _run(self):
@@ -225,7 +223,6 @@ class QuotaController:
 
     def scan(self) -> None:
         """One scan: pure bookkeeping (priced by the caller)."""
-        self.scans += 1
         self.stats.add(Counter.TENANCY_QUOTA_SCANS)
         now = self.engine.now
         recorded = self._recorded

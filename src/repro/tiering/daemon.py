@@ -185,12 +185,10 @@ class TieringDaemon:
         #: Promoted granules written since promotion (need write-back
         #: on demote).
         self._dirty: Set[Tuple[int, int]] = set()
-        self.scans = 0
-        self._thread = None
 
     # -- the kthread ----------------------------------------------------
     def start(self, core: int = 0) -> None:
-        self._thread = self.engine.spawn(
+        self.engine.spawn(
             self._run(), core=core, name="tiering-kthread", daemon=True)
 
     def _run(self):
@@ -206,7 +204,6 @@ class TieringDaemon:
         Deterministic by construction: iteration is in sorted
         (inode, granule) order and consumes only simulated state.
         """
-        self.scans += 1
         self.stats.add(Counter.TIERING_SCANS)
         touched = self.tiers.drain_touches()
         promoted = {(ino, granule)

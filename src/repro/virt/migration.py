@@ -81,10 +81,7 @@ class MigrationJob:
         #: Pages transferred to the destination so far.
         self.pulled: Set[Tuple[int, int]] = set()
         self._inodes: Dict[int, object] = {}
-        self.downtime_cycles = 0.0
-        self.retries = 0
         self.degraded_count = 0
-        self.abort_reason = ""
         self.degraded_reason = ""
         #: Poisoned pages that would have entered the destination image
         #: (must stay empty; the audit asserts on it).
@@ -109,7 +106,6 @@ class MigrationJob:
                     + costs.migrate_link_latency
                     + costs.copy_cycles(costs.migrate_handover_bytes,
                                         costs.migrate_link_bw))
-        self.downtime_cycles = downtime
         self.stats.add(Counter.VIRT_DOWNTIME_CYCLES, downtime)
         if downtime > costs.migrate_downtime_budget:
             self.violations.append(
@@ -220,12 +216,11 @@ class MigrationJob:
                         if demand:
                             yield from self._degraded_access(len(fps))
                     else:
-                        yield from self._abort("pull retries exhausted")
+                        yield from self._abort()
                     return
                 backoff = (self.costs.migrate_retry_backoff
                            * (2 ** attempt)
                            * (0.75 + 0.5 * self.rng.random()))
-                self.retries += 1
                 self.stats.add(Counter.VIRT_PULL_RETRIES)
                 yield charge(CostDomain.VIRT, "pull-retry-backoff",
                              backoff)
@@ -306,7 +301,6 @@ class MigrationJob:
     # -- degraded mode ----------------------------------------------------
     def _enter_degraded(self, reason: str) -> None:
         self.state = MigrationState.DEGRADED
-        self.abort_reason = ""
         self.degraded_reason = reason
 
     def _degraded_access(self, npages: int):
@@ -322,7 +316,7 @@ class MigrationJob:
                                 costs.migrate_link_bw))
         yield charge(CostDomain.VIRT, "degraded-access", cost)
         if self.degraded_count > costs.migrate_degraded_budget:
-            yield from self._abort("degraded-access budget exceeded")
+            yield from self._abort()
 
     # -- settlement -------------------------------------------------------
     def _finish(self) -> None:
@@ -330,12 +324,11 @@ class MigrationJob:
         self.stats.add(Counter.VIRT_MIGRATIONS_COMPLETED)
         self._clear_defer()
 
-    def _abort(self, reason: str):
+    def _abort(self):
         """Roll back to a consistent source (generator)."""
         if not self.in_flight:
             return
         self.state = MigrationState.ABORTED
-        self.abort_reason = reason
         self.stats.add(Counter.VIRT_MIGRATIONS_ABORTED)
         # Destination discards its partial image; the source's DAX
         # files were authoritative throughout, so nothing replays.
@@ -346,10 +339,9 @@ class MigrationJob:
                                          self.costs.migrate_link_bw))
         yield charge(CostDomain.VIRT, "rollback", cost)
 
-    def _rollback_now(self, reason: str) -> None:
+    def _rollback_now(self) -> None:
         """Abort outside the engine (post-run settlement)."""
         self.state = MigrationState.ABORTED
-        self.abort_reason = reason
         self.stats.add(Counter.VIRT_MIGRATIONS_ABORTED)
         self.pulled.clear()
         self._clear_defer()
@@ -367,16 +359,14 @@ class MigrationJob:
         if not self.in_flight:
             return
         if self.state is MigrationState.DEGRADED:
-            self._rollback_now("finalized while degraded")
+            self._rollback_now()
             return
         remaining = self.resident - self.pulled
         poisoned_left = {key for key in remaining
                          if self._poisoned_key(key)}
         sweep = remaining - poisoned_left
         if poisoned_left:
-            self._rollback_now(
-                f"{len(poisoned_left)} poisoned source pages cannot "
-                f"transfer")
+            self._rollback_now()
             return
         self.pulled |= sweep
         if sweep:

@@ -193,7 +193,7 @@ def test_prezero_intercepts_frees_and_daemon_zeroes(system):
         yield Compute(5e8)
 
     run(system, flow())
-    assert dax.prezero.blocks_zeroed >= 256
+    assert system.stats.get("daxvm.blocks_prezeroed") >= 256
     assert dax.prezero.pending_blocks == 0
     # Blocks returned to the allocator *and* marked zeroed.
     assert system.device.free_blocks > free_before
@@ -223,7 +223,7 @@ def test_prezero_throttle_paces_the_daemon(system):
         yield Compute(1e8)  # ~37 ms at 2.7 GHz; 64 MB/s => ~2.3 MB
 
     run(system, flow())
-    zeroed_bytes = dax.prezero.blocks_zeroed * 4096
+    zeroed_bytes = system.stats.get("daxvm.blocks_prezeroed") * 4096
     assert zeroed_bytes < 8 << 20  # the throttle kept it from finishing
 
 

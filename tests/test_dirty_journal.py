@@ -81,7 +81,6 @@ def test_journal_sync_commit_charges_full_cost():
 
     total = _run(flow())
     assert total == DEFAULT_COSTS.journal_commit
-    assert journal.sync_commits == 1
     assert stats.get("journal.sync_commits") == 1
 
 

@@ -174,7 +174,6 @@ def test_sigbus_carries_the_poisoned_location():
     err = excinfo.value
     assert err.signal_name == "SIGBUS"
     assert err.path and err.file_page >= 0 and err.frame >= 0
-    assert faults.sigbus == 1 and faults.memory_failures == 1
     assert system.stats.get("faults.sigbus_delivered") == 1
     assert system.stats.get("faults.memory_failures") == 1
 

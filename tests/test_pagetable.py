@@ -56,10 +56,10 @@ def test_translate_hole_faults(pt):
 
 def test_unmap_page(pt):
     pt.map_page(0x1000, 1, PageFlags.rw())
-    assert pt.unmap_page(0x1000)
+    assert pt.clear_range(0x1000, 4096) == 1
     with pytest.raises(SegmentationFault):
         pt.translate(0x1000)
-    assert not pt.unmap_page(0x1000)  # already gone
+    assert pt.clear_range(0x1000, 4096) == 0  # already gone
 
 
 def test_huge_page_mapping(pt):
@@ -79,11 +79,11 @@ def test_huge_mapping_requires_alignment(pt):
 
 def test_interior_nodes_freed_on_unmap(pm):
     pt = PageTable(pm)
-    before = pm.region(Medium.DRAM, 0).allocated_frames
+    before = pm.region(Medium.DRAM).allocated_frames
     pt.map_page(0x1000, 1, PageFlags.rw())
-    assert pm.region(Medium.DRAM, 0).allocated_frames > before
-    pt.unmap_page(0x1000)
-    assert pm.region(Medium.DRAM, 0).allocated_frames == before
+    assert pm.region(Medium.DRAM).allocated_frames > before
+    pt.clear_range(0x1000, 4096)
+    assert pm.region(Medium.DRAM).allocated_frames == before
 
 
 def test_permissions_combine_minimum():
@@ -162,7 +162,7 @@ def test_protect_range(pt):
 
 def test_destroy_frees_everything_but_shared(pm):
     pt = PageTable(pm)
-    baseline = pm.region(Medium.DRAM, 0).allocated_frames
+    baseline = pm.region(Medium.DRAM).allocated_frames
     shared_frame = pm.alloc_frame(Medium.PMEM)
     fragment = PageTableNode(PTE_LEVEL, shared_frame, Medium.PMEM,
                              shared=True)
@@ -171,6 +171,6 @@ def test_destroy_frees_everything_but_shared(pm):
     pt.attach_fragment(PMD, fragment, PageFlags.rw())
     pt.destroy()
     # All private DRAM nodes gone (the root itself was pre-baseline).
-    assert pm.region(Medium.DRAM, 0).allocated_frames == baseline - 1
-    pmem_before = pm.region(Medium.PMEM, 0).allocated_frames
+    assert pm.region(Medium.DRAM).allocated_frames == baseline - 1
+    pmem_before = pm.region(Medium.PMEM).allocated_frames
     assert pmem_before == 1  # the shared fragment survives

@@ -59,12 +59,12 @@ def test_media_are_distinguishable_by_frame_number():
     pmem_frame = pm.alloc_frame(Medium.PMEM)
     assert pm.medium_of(dram_frame) is Medium.DRAM
     assert pm.medium_of(pmem_frame) is Medium.PMEM
-    assert pmem_frame >= pm.region(Medium.PMEM, 0).base_frame
+    assert pmem_frame >= pm.region(Medium.PMEM).base_frame
 
 
 def test_free_routes_to_owning_region():
     pm = PhysicalMemory(dram_bytes=1 << 20, pmem_bytes=1 << 20)
     frame = pm.alloc_frame(Medium.PMEM)
-    before = pm.region(Medium.PMEM, 0).allocated_frames
+    before = pm.region(Medium.PMEM).allocated_frames
     pm.free_frame(frame)
-    assert pm.region(Medium.PMEM, 0).allocated_frames == before - 1
+    assert pm.region(Medium.PMEM).allocated_frames == before - 1

@@ -34,7 +34,8 @@ def test_pagetable_matches_dict_model(ops):
                 pt.map_page(vaddr, 1000 + page, PageFlags.rw())
                 model[page] = 1000 + page
         else:
-            assert pt.unmap_page(vaddr) == (page in model)
+            assert pt.clear_range(vaddr, 4096) == (1 if page in model
+                                                   else 0)
             model.pop(page, None)
     for page in range(201):
         if page in model:
@@ -53,13 +54,13 @@ def test_pagetable_frame_accounting_balances(pages):
     """After unmapping everything, all interior frames are freed."""
     pm = PhysicalMemory(1 << 30, 1 << 30)
     pt = PageTable(pm)
-    baseline = pm.region(Medium.DRAM, 0).allocated_frames
+    baseline = pm.region(Medium.DRAM).allocated_frames
     unique = sorted(set(pages))
     for page in unique:
         pt.map_page(page * 4096, page, PageFlags.rw())
     for page in unique:
-        pt.unmap_page(page * 4096)
-    assert pm.region(Medium.DRAM, 0).allocated_frames == baseline
+        pt.clear_range(page * 4096, 4096)
+    assert pm.region(Medium.DRAM).allocated_frames == baseline
 
 
 # ---------------------------------------------------------------------------

@@ -98,10 +98,10 @@ def test_map_translate_unmap_roundtrip(scheme):
     t = scheme.translate(BASE + 3 * PAGE)
     assert t.frame == 103
     assert t.flags.writable
-    assert scheme.unmap_page(BASE + 3 * PAGE)
+    assert scheme.clear_range(BASE + 3 * PAGE, PAGE) == 1
     with pytest.raises(SegmentationFault):
         scheme.translate(BASE + 3 * PAGE)
-    assert not scheme.unmap_page(BASE + 3 * PAGE)
+    assert scheme.clear_range(BASE + 3 * PAGE, PAGE) == 0
     assert scheme.translate(BASE + 4 * PAGE).frame == 104
 
 
@@ -144,7 +144,7 @@ def test_structure_report_accounts_every_frame(scheme, physmem):
     frames = scheme.structure_frames()
     # The scheme is the only allocator user: every frame it took from
     # its medium's region is reported, once.
-    region = physmem.region(scheme.medium, 0)
+    region = physmem.region(scheme.medium)
     assert len(set(frames)) == len(frames) >= 1
     assert region.allocated_frames == len(frames)
     assert all(physmem.medium_of(frame) is scheme.medium

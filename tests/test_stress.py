@@ -63,7 +63,7 @@ def test_sixteen_processes_mixed_interfaces_complete():
     # address spaces (no corruption of the shared file tables).
     for inode in inodes:
         frame = system.device.frame_of(inode.extents.physical_block(0))
-        assert frame >= system.physmem.region(Medium.PMEM, 0).base_frame
+        assert frame >= system.physmem.region(Medium.PMEM).base_frame
 
 
 def test_concurrent_appends_and_truncates_conserve_blocks():

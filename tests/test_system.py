@@ -71,8 +71,16 @@ def test_spawn_registers_core_in_cpumask():
 
 
 def test_seconds_conversion():
+    from repro.sim.engine import Compute
+
     system = System(device_bytes=1 << 30)
-    assert system.seconds(2.7e9) == pytest.approx(1.0)
+
+    def worker():
+        yield Compute(2.7e9)
+
+    system.engine.spawn(worker())
+    system.run()
+    assert system.seconds() == pytest.approx(1.0)
 
 
 def test_shared_bandwidth_is_wired():

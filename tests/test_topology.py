@@ -176,7 +176,7 @@ def test_single_node_layout_matches_historical_construction():
     legacy = PhysicalMemory(dram_bytes=MACHINE.dram_bytes,
                             pmem_bytes=MACHINE.pmem_bytes)
     for medium in (Medium.DRAM, Medium.PMEM):
-        ours, theirs = modern.region(medium, 0), legacy.region(medium, 0)
+        ours, theirs = modern.region(medium), legacy.region(medium)
         assert ours.base_frame == theirs.base_frame
         assert ours.total_frames == theirs.total_frames
 

@@ -38,7 +38,8 @@ def test_inode_numbers_unique():
 
 
 def test_cache_hit_miss_and_lru_eviction():
-    cache = InodeCache(capacity=2)
+    cache = InodeCache()
+    cache.capacity = 2
     inodes = [Inode(f"/f{i}") for i in range(3)]
     hit, _ = cache.lookup(inodes[0])
     assert not hit
@@ -53,7 +54,8 @@ def test_cache_hit_miss_and_lru_eviction():
 
 
 def test_cache_hooks_fire_and_charge():
-    cache = InodeCache(capacity=1)
+    cache = InodeCache()
+    cache.capacity = 1
     events = []
     cache.load_hooks.append(lambda i: events.append(("load", i.path)) or 42.0)
     cache.evict_hooks.append(lambda i: events.append(("evict", i.path)))
