@@ -364,13 +364,14 @@ class CostModel:
         """Convert a bandwidth into a per-byte cycle cost."""
         return self.machine.freq_hz / bandwidth_bytes_per_s
 
-    def copy_cycles(self, nbytes: int, bandwidth_bytes_per_s: float,
-                    startup: float = 90.0) -> float:
-        """Cycles to move ``nbytes`` at the given bandwidth."""
+    def copy_cycles(self, nbytes: int,
+                    bandwidth_bytes_per_s: float) -> float:
+        """Cycles to move ``nbytes`` at the given bandwidth, after a
+        90-cycle start-up."""
         # ``cycles_per_byte`` inlined: every priced data movement lands
         # here, and the expression is the same.
-        return startup + nbytes * (self.machine.freq_hz
-                                   / bandwidth_bytes_per_s)
+        return 90.0 + nbytes * (self.machine.freq_hz
+                                / bandwidth_bytes_per_s)
 
     def replace(self, **changes) -> "CostModel":
         """Return a copy with the given fields overridden."""

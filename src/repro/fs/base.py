@@ -121,12 +121,12 @@ class FileSystem:
         #: the scan entirely and charge nothing.
         self.faults = None
 
-    def _device_wait(self, read_bytes: float, write_bytes: float) -> float:
-        """Extra cycles from aggregate PMem bandwidth contention."""
+    def _device_wait(self, nbytes: int, write: bool) -> float:
+        """Extra cycles from aggregate PMem bandwidth contention on a
+        transfer of ``nbytes`` one way."""
         if self.engine is None:
             return 0.0
-        return self.mem.device_delay(read_bytes, write_bytes,
-                                     self.engine.now)
+        return self.mem.device_delay(nbytes, write, self.engine.now)
 
     def _data_medium(self, inode: Inode, offset: int, nbytes: int,
                      write: bool) -> Medium:
@@ -199,7 +199,7 @@ class FileSystem:
         copy = self.mem.memcpy(nbytes, src, Medium.DRAM, kernel=True)
         if random_access:
             copy += self.mem.load_latency(src)
-        copy = max(copy, self._device_wait(nbytes, 0))
+        copy = max(copy, self._device_wait(nbytes, False))
         yield charge(CostDomain.SYSCALL, "extent-lookup", lookup)
         yield charge(CostDomain.COPY, "read-copy", copy)
         self.stats.add(Counter.FS_READ_BYTES, nbytes)
@@ -228,7 +228,7 @@ class FileSystem:
         dst = self._data_medium(file.inode, offset, nbytes, write=True)
         copy = self.mem.memcpy(nbytes, Medium.DRAM, dst,
                                kernel=True, ntstore=True)
-        copy = max(copy, self._device_wait(0, nbytes))
+        copy = max(copy, self._device_wait(nbytes, True))
         yield charge(CostDomain.SYSCALL, "extent-lookup", lookup)
         yield charge(CostDomain.COPY, "write-copy", copy)
         if self.persistence is not None:
@@ -357,7 +357,7 @@ class FileSystem:
                 dirty += length - pre
             if dirty:
                 cost = self.mem.zero(dirty * BLOCK_SIZE)
-                cost = max(cost, self._device_wait(0, dirty * BLOCK_SIZE))
+                cost = max(cost, self._device_wait(dirty * BLOCK_SIZE, True))
                 self.stats.add(Counter.FS_ZEROING_CYCLES, cost)
                 self.stats.add(Counter.FS_BLOCKS_ZEROED_SYNC, dirty)
                 yield charge(CostDomain.ZEROING, "sync-zero", cost)

@@ -75,7 +75,7 @@ class Journal:
         if self.fs is not None:
             # The commit record contends for device write bandwidth; a
             # saturated pool stretches the commit past its base latency.
-            cost = max(cost, self.fs._device_wait(0, COMMIT_RECORD_BYTES))
+            cost = max(cost, self.fs._device_wait(COMMIT_RECORD_BYTES, True))
         yield charge(CostDomain.JOURNAL, "sync-commit", cost)
         domain = self._domain
         if domain is not None:

@@ -57,35 +57,38 @@ class SharedBandwidth:
         #: consuming anyone else's tokens.  ``None`` = unweighted.
         self.admission = None
 
-    def delay(self, read_bytes: float, write_bytes: float,
-              now: float) -> float:
-        """Cycles until the device can complete this transfer.
-
-        Each bucket step is :meth:`BandwidthThrottle.delay_for` inlined,
-        with its arithmetic in its order: every device-pooled access
-        takes one.  A bucket's wait is never negative, so the first
-        needs no ``max`` against zero.
-        """
-        wait = 0.0
-        if read_bytes:
-            bucket = self._read
-            nbytes = int(read_bytes)
-            paid_until = bucket._paid_until
-            start = paid_until if paid_until > now else now
-            bucket._paid_until = start + nbytes / bucket.bytes_per_cycle
-            wait = bucket._paid_until - now
-        if write_bytes:
-            bucket = self._write
-            nbytes = int(write_bytes)
-            paid_until = bucket._paid_until
-            start = paid_until if paid_until > now else now
-            bucket._paid_until = start + nbytes / bucket.bytes_per_cycle
-            write_wait = bucket._paid_until - now
-            if write_wait > wait:
-                wait = write_wait
+    # A transfer moves its bytes one way, so it takes one of the two
+    # waits below.  Each is one token-bucket step of the direction's
+    # bucket (:meth:`BandwidthThrottle.delay_for` inlined, with its
+    # arithmetic in its order), then the admission hook, if any.
+    def delay_read(self, nbytes: int, now: float) -> float:
+        """Cycles until the device can complete a read of ``nbytes``
+        (a positive int)."""
+        bucket = self._read
+        paid_until = bucket._paid_until
+        paid_until = bucket._paid_until = (
+            (paid_until if paid_until > now else now)
+            + nbytes / bucket.bytes_per_cycle)
+        wait = paid_until - now
         if self.admission is not None:
-            wait = max(wait, self.admission.extra_delay(
-                self, read_bytes, write_bytes, now))
+            extra = self.admission.extra_delay(self, nbytes, 0, now)
+            if extra > wait:
+                wait = extra
+        return wait
+
+    def delay_write(self, nbytes: int, now: float) -> float:
+        """Cycles until the device can complete a write of ``nbytes``
+        (a positive int)."""
+        bucket = self._write
+        paid_until = bucket._paid_until
+        paid_until = bucket._paid_until = (
+            (paid_until if paid_until > now else now)
+            + nbytes / bucket.bytes_per_cycle)
+        wait = paid_until - now
+        if self.admission is not None:
+            extra = self.admission.extra_delay(self, 0, nbytes, now)
+            if extra > wait:
+                wait = extra
         return wait
 
 
@@ -105,10 +108,12 @@ class MemoryModel:
         #: lives on the device's native medium, which reproduces the
         #: pre-tiering model exactly.
         self.tiers = None
-        #: Per-node device-level contention pools; set by System,
-        #: absent in unit use.  Node 0's pool doubles as the legacy
-        #: single-socket ``shared`` attribute.
-        self._pools: List[Optional[SharedBandwidth]] = [None]
+        #: Per-node device-level contention pools, one per NUMA node
+        #: (entries may be ``None``): the handle the mapped-access path
+        #: prices its pool wait on.  Set by System, ``(None,)`` in unit
+        #: use.  :meth:`set_pools` replaces the whole tuple, so a
+        #: reboot's new pools are what every later read sees.
+        self.pools: Tuple[Optional[SharedBandwidth], ...] = (None,)
         #: Optane media interference: background write streams
         #: (pre-zeroing) disturb concurrent accesses beyond their
         #: bandwidth share (FAST'20's mixed-traffic penalty).  Kept as
@@ -170,31 +175,19 @@ class MemoryModel:
     # -- per-node device bandwidth pools ------------------------------------
     def set_pools(self, pools: List["SharedBandwidth"]) -> None:
         """Install one aggregate-bandwidth pool per NUMA node."""
-        self._pools = list(pools)
+        self.pools = tuple(pools)
 
-    def pool(self, node: int) -> Optional["SharedBandwidth"]:
-        # Device frames past the modelled regions clamp to the last
-        # node (mirrors PhysicalMemory.node_of for synthetic devices).
-        return self._pools[min(node, len(self._pools) - 1)]
-
-    @property
-    def pools(self) -> List[Optional["SharedBandwidth"]]:
-        """Every per-node bandwidth pool (entries may be ``None``)."""
-        return list(self._pools)
-
-    def device_delay(self, read_bytes: float, write_bytes: float,
-                     now: float, node: int = 0) -> float:
-        """Extra wait imposed by one node's aggregate PMem bandwidth
-        (0 if the shared model is not wired up)."""
-        # ``pool(node)`` inlined (once per access), without its two
-        # builtin calls on the common in-range node.
-        try:
-            pool = self._pools[node]
-        except IndexError:
-            pool = self._pools[-1]
+    def device_delay(self, nbytes: int, write: bool, now: float) -> float:
+        """Extra wait imposed by node 0's aggregate PMem bandwidth on a
+        transfer of ``nbytes`` one way, where the file system's copy
+        paths place their data (0 if the shared model is not wired
+        up)."""
+        pool = self.pools[0]
         if pool is None:
             return 0.0
-        return pool.delay(read_bytes, write_bytes, now)
+        if write:
+            return pool.delay_write(nbytes, now)
+        return pool.delay_read(nbytes, now)
 
     # -- media interference (enter/exit, per node) --------------------------
     def interference_for(self, node: int) -> float:

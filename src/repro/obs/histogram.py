@@ -10,7 +10,7 @@ worker folds into one distribution at the end).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable
+from typing import Dict
 
 
 class Histogram:
@@ -76,9 +76,9 @@ class Histogram:
                 return self._midpoint(index)
         return self.max_value
 
-    def percentiles(self, qs: Iterable[float] = (50, 95, 99)
-                    ) -> Dict[str, float]:
-        return {f"p{q:g}": self.percentile(q) for q in qs}
+    def percentiles(self) -> Dict[str, float]:
+        """``{"p50": ..., "p95": ..., "p99": ...}``."""
+        return {f"p{q:g}": self.percentile(q) for q in (50, 95, 99)}
 
     # -- lifecycle ---------------------------------------------------------
     def merge(self, other: "Histogram") -> "Histogram":

@@ -11,7 +11,7 @@ behind Table II — without differencing configurations by hand.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import SimulationError
 from repro.obs.domains import DOMAIN_ORDER, CostDomain
@@ -68,15 +68,6 @@ class Ledger:
     def event_total(self, domain: CostDomain, event: str) -> float:
         return self._events.get((domain, event), 0.0)
 
-    def thread_total(self, thread: str,
-                     domain: Optional[CostDomain] = None) -> float:
-        per = self._threads.get(thread)
-        if per is None:
-            return 0.0
-        if domain is None:
-            return sum(per.values())
-        return per.get(domain, 0.0)
-
     def total(self) -> float:
         """All cycles attributed so far (across every domain)."""
         return sum(self._domains.values())
@@ -90,13 +81,11 @@ class Ledger:
                 out[domain.value] = value
         return out
 
-    def events(self, domain: Optional[CostDomain] = None
-               ) -> Dict[str, float]:
-        """Snapshot ``{"domain/event": cycles}``, optionally filtered."""
+    def events(self) -> Dict[str, float]:
+        """Snapshot ``{"domain/event": cycles}``, largest first."""
         return {f"{d.value}/{e}": v
                 for (d, e), v in sorted(self._events.items(),
-                                        key=lambda kv: -kv[1])
-                if domain is None or d is domain}
+                                        key=lambda kv: -kv[1])}
 
     def per_thread(self) -> Dict[str, Dict[str, float]]:
         return {thread: {d.value: v for d, v in per.items() if v}

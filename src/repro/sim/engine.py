@@ -75,14 +75,15 @@ def Compute(cycles: float) -> Charge:
 def _refused(thread: str, domain, event: str,
              cycles: float) -> SimulationError:
     """The error for a charge the engine will not book: a domain that
-    is not a :class:`CostDomain`, or a negative cycle count."""
+    is not a :class:`CostDomain`, or a cycle count that is negative or
+    NaN."""
     if domain.__class__ is not CostDomain:
         return SimulationError(
             f"thread {thread}: charge {domain!r}/{event} needs a "
             f"CostDomain")
     return SimulationError(
-        f"thread {thread}: negative charge for {domain.value}/{event}: "
-        f"{cycles}")
+        f"thread {thread}: charge for {domain.value}/{event} needs a "
+        f"non-negative cycle count, got {cycles}")
 
 
 class Block:
@@ -247,10 +248,14 @@ class SimThread:
         #: Wakes that arrived while this thread was not blocked
         #: (racing wakers); each satisfies one future ``Block()``.
         self._pending_wakes = 0
-        #: The :class:`ChargeSpan` entries being paid, one per event,
-        #: and the index of the next one; ``None`` outside a span.
+        #: The :class:`ChargeSpan` entries of a span this thread was
+        #: pushed in the middle of (one event per entry), the index of
+        #: the next one and the span's length; ``None`` otherwise.
+        #: While the thread runs in place, ``Engine.run`` holds the
+        #: span in locals.
         self._span_entries = None
         self._span_index = 0
+        self._span_end = 0
 
     @property
     def finished(self) -> bool:
@@ -375,8 +380,7 @@ class Engine:
         before the heap's head, which is exactly when a push would pop
         it straight back (ties go to the older sequence number).
         """
-        limit = (self.events_processed + max_events
-                 if max_events is not None else float("inf"))
+        limit = max_events if max_events is not None else float("inf")
         heap = self._heap
         fast_forward = self.fast_forward
         ledger = self.ledger
@@ -384,116 +388,149 @@ class Engine:
         events = ledger._events
         threads = ledger._threads
         seq = self._seq
-        while heap and self._live_foreground > 0:
-            if self.events_processed >= limit:
-                raise SimulationError(
-                    f"event budget {max_events} exhausted at t={self.now}")
-            when, _seq, item = heappop(heap)
-            if item.__class__ is _WakeToken:
-                thread = item.thread
-                state = thread.state
-                if state == SimThread.BLOCKED:
-                    thread.state = SimThread.RUNNABLE
-                elif state == SimThread.FINISHED:
-                    continue
+        # Events run and charges booked by this call, added to
+        # ``events_processed`` and ``ledger.records`` when it returns or
+        # raises (a nested run on another engine keeps its own counts).
+        processed = 0
+        records = 0
+        try:
+            while heap and self._live_foreground > 0:
+                if processed >= limit:
+                    raise SimulationError(
+                        f"event budget {max_events} exhausted at "
+                        f"t={self.now}")
+                when, _seq, item = heappop(heap)
+                if item.__class__ is _WakeToken:
+                    thread = item.thread
+                    state = thread.state
+                    if state == SimThread.BLOCKED:
+                        thread.state = SimThread.RUNNABLE
+                    elif state == SimThread.FINISHED:
+                        continue
+                    else:
+                        # The target already resumed (racing wakers):
+                        # bank the credit for its next Block().
+                        thread._pending_wakes += 1
+                        continue
                 else:
-                    # The target already resumed (racing wakers): bank
-                    # the credit for its next Block().
-                    thread._pending_wakes += 1
-                    continue
-            else:
-                thread = item
-                if thread.state != SimThread.RUNNABLE:
-                    # Stale entry: a finished thread's leftovers, or a
-                    # thread that blocked after this event was queued
-                    # (the wake token will resume it).
-                    continue
-            self.now = when
-            self.events_processed += 1
-            self.current = thread
-            name = thread.name
-            core = thread.core
-            send = thread.gen.send
-            while True:
+                    thread = item
+                    if thread.state != SimThread.RUNNABLE:
+                        # Stale entry: a finished thread's leftovers,
+                        # or a thread that blocked after this event was
+                        # queued (the wake token will resume it).
+                        continue
+                self.now = when
+                processed += 1
+                self.current = thread
+                name = thread.name
+                # The thread's ledger row, looked up at its first
+                # booking: a thread that books nothing gets no row.
+                row = None
+                core = thread.core
+                send = thread.gen.send
+                # The span being paid lives in locals while the thread
+                # runs in place; a thread pushed mid-span left it on
+                # itself, and resumes at its next entry.
                 span = thread._span_entries
                 if span is not None:
-                    # Mid-span: the span's next entry is this event.
+                    thread._span_entries = None
                     index = thread._span_index
-                    domain, event, cycles = span[index]
-                    index += 1
-                    if index == len(span):
-                        thread._span_entries = None
+                    end = thread._span_end
+                while True:
+                    if span is not None:
+                        # Mid-span: the span's next entry is this event.
+                        domain, event, cycles = span[index]
+                        index += 1
+                        if index == end:
+                            span = None
                     else:
-                        thread._span_index = index
-                else:
-                    try:
-                        effect = send(None)
-                    except StopIteration as stop:
-                        self._finish(thread, stop.value)
-                        break
-                    cls = effect.__class__
-                    if cls is Charge:
-                        domain = effect.domain
-                        event = effect.event
-                        cycles = effect.cycles
-                    elif cls is ChargeSpan and effect.entries:
-                        span = effect.entries
-                        if len(span) > 1:
-                            thread._span_entries = span
-                            thread._span_index = 1
-                        domain, event, cycles = span[0]
-                    else:
-                        self._interpret(thread, effect)
-                        break
-                # The one charge routine: validate and book the charge,
-                # then the interrupt debt it absorbs (owned by the
-                # interrupting source), then the tenancy throttle's
-                # stretch.  A charge is validated here and nowhere
-                # else: a negative count is one compare, and a domain
-                # is checked when its (domain, event) key is first
-                # booked (``_EventTotals``) -- or, for a zero charge,
-                # which books nothing, by one class test.  Either way
-                # a bad charge raises before any of it is booked.
-                if cycles != 0.0:
-                    if cycles < 0.0:
+                        try:
+                            effect = send(None)
+                        except StopIteration as stop:
+                            self._finish(thread, stop.value)
+                            break
+                        cls = effect.__class__
+                        if cls is Charge:
+                            domain = effect.domain
+                            event = effect.event
+                            cycles = effect.cycles
+                        elif cls is ChargeSpan and effect.entries:
+                            span = effect.entries
+                            end = len(span)
+                            domain, event, cycles = span[0]
+                            if end > 1:
+                                index = 1
+                            else:
+                                span = None
+                        else:
+                            self._interpret(thread, effect)
+                            break
+                    # The one charge routine: validate and book the
+                    # charge, then the interrupt debt it absorbs (owned
+                    # by the interrupting source), then the tenancy
+                    # throttle's stretch.  A charge is validated here
+                    # and nowhere else: a positive count is booked
+                    # after one compare, and a domain is checked when
+                    # its (domain, event) key is first booked
+                    # (``_EventTotals``).  Any other count books
+                    # nothing: a zero passes after one class test of
+                    # its domain, a negative or NaN one is refused.
+                    # Either way a bad charge raises before any of it
+                    # is booked.
+                    if cycles > 0.0:
+                        try:
+                            events[(domain, event)] += cycles
+                        except SimulationError:
+                            raise _refused(name, domain, event,
+                                           cycles) from None
+                        domains[domain] += cycles
+                        if row is None:
+                            row = threads[name]
+                        row[domain] += cycles
+                        records += 1
+                    elif cycles != 0.0 or domain.__class__ is not CostDomain:
                         raise _refused(name, domain, event, cycles)
-                    try:
-                        events[(domain, event)] += cycles
-                    except SimulationError:
-                        raise _refused(name, domain, event,
-                                       cycles) from None
-                    domains[domain] += cycles
-                    threads[name][domain] += cycles
-                    ledger.records += 1
-                elif domain.__class__ is not CostDomain:
-                    raise _refused(name, domain, event, cycles)
-                stolen = 0.0
-                if core.stolen_cycles:
-                    stolen, stolen_entries = core.drain_attributed(cycles)
-                    # ``Ledger.record``'s rules, inline: a zero entry
-                    # books nothing, every other counts one record.
-                    for sdomain, sevent, took in stolen_entries:
-                        if took != 0.0:
-                            events[(sdomain, sevent)] += took
-                            domains[sdomain] += took
-                            threads[name][sdomain] += took
-                            ledger.records += 1
-                after = self.now + cycles + stolen
-                throttle = thread.cpu_throttle
-                if throttle is not None:
-                    extra = throttle.stretch(cycles)
-                    if extra > 0.0:
-                        ledger.record(name, CostDomain.TENANCY,
-                                      throttle.event, extra)
-                        after += extra
-                if (fast_forward and (not heap or after < heap[0][0])
-                        and self.events_processed < limit):
-                    # The push would pop this thread straight back.
-                    self.now = after
-                    self.events_processed += 1
-                    continue
-                heappush(heap, (after, next(seq), thread))
-                break
+                    if core.stolen_cycles:
+                        stolen, stolen_entries = core.drain_attributed(
+                            cycles)
+                        # ``Ledger.record``'s rules, inline: a zero
+                        # entry books nothing, every other counts one
+                        # record.
+                        for sdomain, sevent, took in stolen_entries:
+                            if took != 0.0:
+                                events[(sdomain, sevent)] += took
+                                domains[sdomain] += took
+                                if row is None:
+                                    row = threads[name]
+                                row[sdomain] += took
+                                records += 1
+                        after = self.now + cycles + stolen
+                    else:
+                        # Nothing stolen: adding 0.0 is the identity on
+                        # a clock that is never -0.0.
+                        after = self.now + cycles
+                    throttle = thread.cpu_throttle
+                    if throttle is not None:
+                        extra = throttle.stretch(cycles)
+                        if extra > 0.0:
+                            ledger.record(name, CostDomain.TENANCY,
+                                          throttle.event, extra)
+                            after += extra
+                    if (fast_forward and (not heap or after < heap[0][0])
+                            and processed < limit):
+                        # The push would pop this thread straight back.
+                        self.now = after
+                        processed += 1
+                        continue
+                    if span is not None:
+                        thread._span_entries = span
+                        thread._span_index = index
+                        thread._span_end = end
+                    heappush(heap, (after, next(seq), thread))
+                    break
+        finally:
+            self.events_processed += processed
+            ledger.records += records
         if self._live_foreground > 0:
             blocked = [t.name for t in self.threads
                        if t.state == SimThread.BLOCKED and not t.daemon]

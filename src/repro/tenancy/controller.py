@@ -49,15 +49,17 @@ class CpuThrottle:
     returns 0.0 extra — callers should simply not install one.
     """
 
-    __slots__ = ("share", "rate", "event", "throttled_cycles")
+    __slots__ = ("share", "rate", "throttled_cycles")
 
-    def __init__(self, share: float, event: str = "cpu-throttle"):
+    #: The ``tenancy`` ledger event every stretch is booked under.
+    event = "cpu-throttle"
+
+    def __init__(self, share: float):
         if not 0.0 < share <= 1.0:
             raise QuotaAccountingError(
                 f"cpu share must be in (0, 1], got {share}")
         self.share = share
         self.rate = 1.0 / share - 1.0
-        self.event = event
         self.throttled_cycles = 0.0
 
     def stretch(self, cycles: float) -> float:

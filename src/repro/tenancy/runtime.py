@@ -209,7 +209,7 @@ class TenancyRuntime:
             for domain, event, cycles in \
                     self.system.ledger.to_state()["events"]:
                 if (domain == CostDomain.TENANCY.value
-                        and event == "cpu-throttle"):
+                        and event == CpuThrottle.event):
                     booked += cycles
             held = sum(t.throttled_cycles
                        for t in self._throttles.values())

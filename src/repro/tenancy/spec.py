@@ -170,14 +170,14 @@ class TenancyConfig:
 
 def consolidate_config(num_tenants: int, mix: str = "apache", *,
                        quotas: bool = False, antagonist: bool = False,
-                       requests: int = 64, think_cycles: float = 0.0,
-                       seed: int = 0) -> TenancyConfig:
+                       requests: int = 64, seed: int = 0) -> TenancyConfig:
     """Build the standard consolidation-sweep tenant set.
 
     ``num_tenants`` foreground tenants named ``t0..t{n-1}`` run the
     ``mix`` workload (``mixed`` cycles apache/predis/kvstore);
     ``antagonist=True`` appends a ``hog`` tenant on top.  Seeds are
     derived per-tenant so streams differ but runs are reproducible.
+    Every tenant runs a saturating closed loop (``think_cycles=0``).
     """
     if num_tenants <= 0:
         raise InvalidArgumentError("num_tenants must be > 0")
@@ -188,11 +188,11 @@ def consolidate_config(num_tenants: int, mix: str = "apache", *,
              else (mix,))
     tenants = [Tenant(name=f"t{i}", kind=cycle[i % len(cycle)],
                       spec=TENANT_SPEC, requests=requests,
-                      think_cycles=think_cycles, seed=seed + i)
+                      seed=seed + i)
                for i in range(num_tenants)]
     if antagonist:
         tenants.append(Tenant(name="hog", kind="antagonist",
                               spec=ANTAGONIST_SPEC,
                               requests=max(2 * requests, 8),
-                              think_cycles=0.0, seed=seed + 7919))
+                              seed=seed + 7919))
     return TenancyConfig(tenants=tuple(tenants), quotas=quotas)

@@ -24,7 +24,10 @@ class DirtyTracker:
 
     def __init__(self) -> None:
         self._dirty: Dict[int, Set[int]] = defaultdict(set)
-        self._bytes: Dict[int, float] = defaultdict(float)
+        #: Bytes actually written per inode number since its last
+        #: collect (bounds flush write-back).  A write adds to it in
+        #: place: ``bytes_written[inode.number] += nbytes``.
+        self.bytes_written: Dict[int, float] = defaultdict(float)
         #: Granules collected by an in-flight msync (the *sync epoch*):
         #: popped from the dirty set but not yet re-protected/flushed.
         #: Empty while no epoch is open, so writers test it before
@@ -44,17 +47,13 @@ class DirtyTracker:
         self.tags_written += 1
         return True
 
-    def add_bytes(self, inode: Inode, nbytes: float) -> None:
-        """Account bytes actually written (bounds flush write-back)."""
-        self._bytes[inode.number] += nbytes
-
     def dirty_count(self, inode: Inode) -> int:
         return len(self._dirty.get(inode.number, ()))
 
     def collect(self, inode: Inode) -> Set[int]:
         """Return and clear the inode's dirty tags (sync path)."""
         tags = self._dirty.pop(inode.number, set())
-        self._bytes.pop(inode.number, None)
+        self.bytes_written.pop(inode.number, None)
         return tags
 
     # -- sync epochs (msync in flight) ---------------------------------
@@ -94,11 +93,11 @@ class DirtyTracker:
             self.mark(inode, granule_index)
 
     def written_bytes(self, inode: Inode) -> float:
-        return self._bytes.get(inode.number, 0.0)
+        return self.bytes_written.get(inode.number, 0.0)
 
     def drop(self, inode: Inode) -> None:
         """Discard tags without flushing (unlink/eviction)."""
         self._dirty.pop(inode.number, None)
-        self._bytes.pop(inode.number, None)
+        self.bytes_written.pop(inode.number, None)
         self.syncing.pop(inode.number, None)
         self._deferred.pop(inode.number, None)

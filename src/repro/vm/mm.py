@@ -558,7 +558,7 @@ class MMStruct:
             # takes no fault and needs no generator.
             if lo != hi or lo not in vma.writable:
                 yield from self._write_track(vma, first_page, lo, hi)
-            self.page_cache.add_bytes(inode, length)
+            self.page_cache.bytes_written[inode.number] += length
         elif write:
             self.stats.counters[_VM_UNTRACKED_WRITES_KEY] += 1.0
 
@@ -603,7 +603,10 @@ class MMStruct:
                lat_f,         # NUMA latency factor
                bw_f,          # NUMA bandwidth factor
                leaf_medium)   # where the walk's leaf entry lives
-        price = prices.get(key) or self._shape_price(key)
+        try:
+            price = prices[key]
+        except KeyError:
+            price = self._shape_price(key)
         data = price[0]
         numa_extra = 0.0
         if numa_remote:
@@ -613,14 +616,24 @@ class MMStruct:
 
         # -- device bandwidth contention ------------------------------------
         # Only media sharing the PMem DIMM pools contend there; data a
-        # tier overlay moved to DRAM/CXL rides its own channel.
+        # tier overlay moved to DRAM/CXL rides its own channel.  The
+        # access moves its bytes one way, so the target node's pool
+        # prices it with one one-direction call.  Device frames past
+        # the modelled regions clamp to the last node (mirrors
+        # PhysicalMemory.node_of for synthetic devices).
         if mem.specs[data_medium].device_pooled:
-            wait = mem.device_delay(
-                0 if write else length,
-                length if write else 0, self.engine.now,
-                node=target_node)
-            if wait > data:
-                data = wait
+            pools = mem.pools
+            try:
+                pool = pools[target_node]
+            except IndexError:
+                pool = pools[-1]
+            if pool is not None:
+                if write:
+                    wait = pool.delay_write(length, self.engine.now)
+                else:
+                    wait = pool.delay_read(length, self.engine.now)
+                if wait > data:
+                    data = wait
 
         # -- TLB misses --------------------------------------------------------
         counters = self.stats.counters

@@ -133,15 +133,14 @@ class PmemKVStore:
         self.wal_offset = 0
 
     # -- operations ---------------------------------------------------------
-    def put(self, hot: bool = False):
+    def put(self):
         """Insert/update one record."""
         cfg = self.cfg
         if self.wal_offset + cfg.record_size > cfg.wal_size:
             yield from self._roll_wal()
         yield from self.process.mm.access(
             self.wal[1], self._wal_base + self.wal_offset,
-            cfg.record_size, write=True,
-            pattern=AccessPattern.SEQUENTIAL, ntstore=True)
+            cfg.record_size, write=True)
         self.wal_offset += cfg.record_size
         yield self._memtable_insert
         self.memtable_bytes += cfg.record_size

@@ -23,7 +23,6 @@ import itertools
 from dataclasses import dataclass
 
 from repro.analysis.results import RunResult
-from repro.paging.tlb import AccessPattern
 from repro.system import Process, System
 from repro.vm.vma import MapFlags, Protection
 from repro.workloads.common import Measurement
@@ -81,7 +80,6 @@ def _worker(system: System, process: Process, cfg: SyncConfig, path: str):
                    SyncDiscipline.DAXVM_NOSYNC)
     write = system.fs.write
     access = process.mm.access
-    sequential = AccessPattern.SEQUENTIAL
     op_size = cfg.op_size
     wrap = cfg.file_size - op_size
     offset = 0
@@ -91,7 +89,7 @@ def _worker(system: System, process: Process, cfg: SyncConfig, path: str):
                 yield from write(f, offset, op_size)
             else:
                 yield from access(vma, base + offset, op_size, write=True,
-                                  pattern=sequential, copy=True, ntstore=nt)
+                                  copy=True, ntstore=nt)
             offset = (offset + op_size) % wrap
         if syscalls:
             yield from system.fs.fsync(f)

@@ -8,6 +8,7 @@ E = 95/5 scan/insert, F = 50/50 read/read-modify-write.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -44,20 +45,25 @@ class YCSBConfig:
     seed: int = 11
 
 
+#: The op a draw picks, by its index in the mix; a draw past the
+#: mix's last bound (a mix summing below 1.0) picks the last, a read.
+OPS = ("read", "update", "insert", "scan", "rmw", "read")
+
+
 def _op_stream(cfg: YCSBConfig):
-    mix = WORKLOAD_MIXES[cfg.workload]
-    rng = random.Random(cfg.seed)
-    names = ("read", "update", "insert", "scan", "rmw")
+    """The index into :data:`OPS` of each op, one draw per op.
+
+    An op's bound is the running sum of the mix up to it, and a draw
+    picks the first op whose bound lies above it.
+    """
+    bounds = []
+    acc = 0.0
+    for frac in WORKLOAD_MIXES[cfg.workload]:
+        acc += frac
+        bounds.append(acc)
+    draw = random.Random(cfg.seed).random
     for _ in range(cfg.num_ops):
-        x = rng.random()
-        acc = 0.0
-        for name, frac in zip(names, mix):
-            acc += frac
-            if x < acc:
-                yield name
-                break
-        else:
-            yield "read"
+        yield bisect_right(bounds, draw())
 
 
 def _driver(store: PmemKVStore, cfg: YCSBConfig):
@@ -69,17 +75,19 @@ def _driver(store: PmemKVStore, cfg: YCSBConfig):
 
 def _measured(store: PmemKVStore, cfg: YCSBConfig):
     daxvm = store.process.daxvm
-    for i, op in enumerate(_op_stream(cfg)):
-        if op == "read":
-            yield from store.get()
-        elif op in ("update", "insert"):
-            yield from store.put()
-        elif op == "scan":
-            yield from store.scan()
-        else:
-            yield from store.read_modify_write()
-        if (daxvm is not None and cfg.monitor_every
-                and (i + 1) % cfg.monitor_every == 0):
+    by_name = {"read": store.get, "update": store.put,
+               "insert": store.put, "scan": store.scan,
+               "rmw": store.read_modify_write}
+    handlers = tuple(by_name[name] for name in OPS)
+    # Ops left until the next DaxVM MMU-monitor tick; with no monitor,
+    # one more than there are ops, so it never reaches zero.
+    every = cfg.monitor_every if daxvm is not None else 0
+    until_tick = every or cfg.num_ops + 1
+    for op in _op_stream(cfg):
+        yield from handlers[op]()
+        until_tick -= 1
+        if not until_tick:
+            until_tick = every
             vmas = [vma for _f, vma in store.sstables]
             if store.wal is not None:
                 vmas.append(store.wal[1])

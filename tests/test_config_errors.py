@@ -24,7 +24,7 @@ def test_cycles_per_byte_and_copy_cycles():
     cm = CostModel()
     cpb = cm.cycles_per_byte(2.7e9)
     assert cpb == pytest.approx(1.0)
-    assert cm.copy_cycles(1000, 2.7e9, startup=90) == pytest.approx(1090)
+    assert cm.copy_cycles(1000, 2.7e9) == pytest.approx(1090)
 
 
 def test_fast20_bandwidth_ordering():

@@ -61,7 +61,7 @@ def test_sync_commit_pays_base_latency_on_an_idle_device(system):
 def test_sync_commit_stretches_when_write_bandwidth_is_saturated(system):
     # Backlog the shared write pool far into the simulated future, the
     # way a concurrent streaming writer would.
-    system.mem.device_delay(0, 10 << 30, now=system.engine.now)
+    system.mem.device_delay(10 << 30, True, now=system.engine.now)
     cost = drain(system.fs.journal.commit_sync())
     assert cost > system.costs.journal_commit * 5
 

@@ -25,7 +25,7 @@ def test_collect_clears_tags_and_bytes():
     tracker = DirtyTracker()
     inode = Inode("/f")
     tracker.mark(inode, 0)
-    tracker.add_bytes(inode, 1024)
+    tracker.bytes_written[inode.number] += 1024
     assert tracker.written_bytes(inode) == 1024
     tags = tracker.collect(inode)
     assert tags == {0}
@@ -37,7 +37,7 @@ def test_drop_discards_without_flushing():
     tracker = DirtyTracker()
     inode = Inode("/f")
     tracker.mark(inode, 1)
-    tracker.add_bytes(inode, 10)
+    tracker.bytes_written[inode.number] += 10
     tracker.drop(inode)
     assert tracker.dirty_count(inode) == 0
 

@@ -849,3 +849,92 @@ def test_drain_ledger_order_matches_direct_records():
     off = build(False)
     assert off.ledger.domain_total(CostDomain.JOURNAL) == 2.0 + 1e16
     assert on.ledger.to_state() == off.ledger.to_state()
+
+
+# -- the charge block's local counts ---------------------------------------
+
+def test_records_flush_when_a_span_is_refused_midway():
+    """``Engine.run`` counts ledger records in a local and adds them to
+    ``ledger.records`` on the way out, also when a charge is refused
+    part-way through a span: the entries booked before it count."""
+    from repro.obs import charge_span
+
+    for fast_forward in (True, False):
+        engine = Engine(1, fast_forward=fast_forward)
+
+        def worker():
+            yield charge(CostDomain.COPY, "memcpy", 5.0)
+            yield charge_span([(CostDomain.WALK, "tlb-walk", 4.0),
+                               (CostDomain.COPY, "memcpy", 0.0),
+                               (CostDomain.COPY, "memcpy", 2.0),
+                               ("copy", "bad", 1.0),
+                               (CostDomain.WALK, "tlb-walk", 1.0)])
+
+        engine.spawn(worker(), name="refused")
+        with pytest.raises(SimulationError):
+            engine.run()
+        assert engine.ledger.records == 3
+        assert engine.ledger.total() == engine.now == 11.0
+        assert engine.events_processed == 5
+
+
+def test_thread_with_only_zero_charges_has_no_ledger_row():
+    from repro.obs import charge_span
+
+    engine = Engine(1)
+
+    def idle():
+        yield Compute(0)
+        yield charge_span([(CostDomain.WALK, "tlb-walk", 0.0),
+                           (CostDomain.COPY, "memcpy", 0.0)])
+
+    def busy():
+        yield Compute(3)
+
+    engine.spawn(idle(), name="idle")
+    engine.spawn(busy(), name="busy")
+    engine.run()
+    assert list(engine.ledger.per_thread()) == ["busy"]
+    assert list(engine.ledger.to_state()["threads"]) == ["busy"]
+    assert engine.ledger.records == 1
+
+
+def test_nested_run_on_another_engine_keeps_both_counts():
+    """A thread that runs a second engine to completion inside its own
+    step (the crash checker's ``_charge_recovery`` does) leaves each
+    engine its own ``records`` and ``events_processed``."""
+    from repro.obs import charge_span
+
+    outer, inner = Engine(1), Engine(1)
+
+    def inner_worker():
+        for _ in range(3):
+            yield Compute(2)
+
+    def outer_worker():
+        yield Compute(1)
+        inner.spawn(inner_worker(), name="inner")
+        inner.run()
+        yield Compute(1)
+        yield charge_span([(CostDomain.WALK, "tlb-walk", 1.0),
+                           (CostDomain.COPY, "memcpy", 1.0)])
+
+    outer.spawn(outer_worker(), name="outer")
+    outer.run()
+    assert (outer.ledger.records, outer.events_processed) == (4, 5)
+    assert (inner.ledger.records, inner.events_processed) == (3, 4)
+    assert list(outer.ledger.per_thread()) == ["outer"]
+    assert list(inner.ledger.per_thread()) == ["inner"]
+    assert (outer.now, inner.now) == (4.0, 6.0)
+
+
+def test_nan_charge_is_refused():
+    engine = Engine(1)
+
+    def worker():
+        yield charge(CostDomain.COPY, "memcpy", float("nan"))
+
+    engine.spawn(worker(), name="nan")
+    with pytest.raises(SimulationError, match="nan.*copy/memcpy"):
+        engine.run()
+    assert (engine.now, engine.ledger.records) == (0.0, 0)

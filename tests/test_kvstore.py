@@ -1,5 +1,9 @@
 """Pmem-RocksDB-like KV store unit tests."""
 
+import math
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.config import MEDIA_PRESETS
@@ -8,7 +12,9 @@ from repro.obs import CostDomain
 from repro.system import System
 from repro.workloads.common import DaxVMOptions, Interface
 from repro.workloads.kvstore import KVConfig, PmemKVStore
-from repro.workloads.ycsb import WORKLOAD_MIXES, YCSBConfig, _op_stream
+from repro.workloads import ycsb
+from repro.workloads.ycsb import (OPS, WORKLOAD_MIXES, YCSBConfig,
+                                  _op_stream)
 
 
 def make_store(interface=Interface.MMAP, **kv_kwargs):
@@ -162,10 +168,59 @@ def test_mixes_sum_to_one():
 
 def test_op_stream_follows_mix():
     cfg = YCSBConfig(workload="run_b", num_ops=4000)
-    ops = list(_op_stream(cfg))
+    ops = [OPS[op] for op in _op_stream(cfg)]
     assert len(ops) == 4000
     reads = ops.count("read")
     assert 0.9 < reads / 4000 / 0.95 < 1.1
+
+
+def _running_sum_choice(mix, x):
+    """The chooser's reference: the running-sum loop it replaced."""
+    acc = 0.0
+    for name, frac in zip(("read", "update", "insert", "scan", "rmw"),
+                          mix):
+        acc += frac
+        if x < acc:
+            return name
+    return "read"
+
+
+#: Every shipped mix, plus one that sums below 1.0 (a draw past its
+#: last bound is a read).
+_CHOOSER_MIXES = sorted(WORKLOAD_MIXES) + ["short"]
+
+
+def _with_short_mix(monkeypatch):
+    monkeypatch.setitem(WORKLOAD_MIXES, "short",
+                        (0.1, 0.2, 0.0, 0.3, 0.1))
+
+
+@pytest.mark.parametrize("name", _CHOOSER_MIXES)
+def test_op_chooser_matches_running_sum_at_bounds(name, monkeypatch):
+    """Draws of 0.0, each running-sum bound and the float just below
+    it pick what the running-sum loop picks."""
+    _with_short_mix(monkeypatch)
+    mix = WORKLOAD_MIXES[name]
+    draws, acc = [0.0], 0.0
+    for frac in mix:
+        acc += frac
+        draws += [acc, math.nextafter(acc, 0.0)]
+    feed = iter(draws)
+    monkeypatch.setattr(ycsb, "random", SimpleNamespace(
+        Random=lambda seed: SimpleNamespace(random=feed.__next__)))
+    cfg = YCSBConfig(workload=name, num_ops=len(draws))
+    assert [OPS[op] for op in _op_stream(cfg)] == \
+        [_running_sum_choice(mix, x) for x in draws]
+
+
+@pytest.mark.parametrize("name", _CHOOSER_MIXES)
+def test_op_stream_matches_running_sum_at_seed_11(name, monkeypatch):
+    _with_short_mix(monkeypatch)
+    mix = WORKLOAD_MIXES[name]
+    rng = random.Random(11)
+    cfg = YCSBConfig(workload=name, num_ops=10_000, seed=11)
+    assert [OPS[op] for op in _op_stream(cfg)] == \
+        [_running_sum_choice(mix, rng.random()) for _ in range(10_000)]
 
 
 def test_op_stream_deterministic_by_seed():

@@ -115,19 +115,19 @@ def test_shared_bandwidth_is_invisible_at_low_load():
     shared = SharedBandwidth(19.8e9, 7.5e9, 2.7e9)
     # One 4 KB read takes ~0.56 us of device time; a second request a
     # long time later sees no queueing.
-    assert shared.delay(4096, 0, now=0.0) > 0
-    assert shared.delay(4096, 0, now=1e9) < 1000
+    assert shared.delay_read(4096, now=0.0) > 0
+    assert shared.delay_read(4096, now=1e9) < 1000
 
 
 def test_shared_bandwidth_queues_at_saturation():
     shared = SharedBandwidth(1e9, 1e9, 1e9)  # 1 B/cycle
-    d1 = shared.delay(1 << 20, 0, now=0.0)
-    d2 = shared.delay(1 << 20, 0, now=0.0)
+    d1 = shared.delay_read(1 << 20, now=0.0)
+    d2 = shared.delay_read(1 << 20, now=0.0)
     assert d2 > d1  # back-to-back requests queue
 
 
 def test_device_delay_absent_without_wiring(mem):
-    assert mem.device_delay(1 << 20, 0, now=0.0) == 0.0
+    assert mem.device_delay(1 << 20, False, now=0.0) == 0.0
 
 
 def test_interference_enter_exit_composes(mem):

@@ -111,7 +111,7 @@ def test_ledger_records_and_aggregates():
     ledger.record("t1", CostDomain.FAULT, "fault-entry", 30)
     assert ledger.domain_total(CostDomain.ZEROING) == 150
     assert ledger.event_total(CostDomain.ZEROING, "sync-zero") == 150
-    assert ledger.thread_total("t0") == 150
+    assert ledger.per_thread()["t0"] == {"zeroing": 150}
     assert ledger.total() == 180
     assert ledger.share(CostDomain.ZEROING) == pytest.approx(150 / 180)
     assert ledger.domains() == {"zeroing": 150, "fault": 30}

@@ -2,9 +2,10 @@
 
 An option that no shipped code path passes has exactly one value in
 use; its other values are dead branches that tests, goldens and any
-sensitivity screen would still have to cover.  This scans the package
-source (not the tests) for calls of each entry point and fails when a
-parameter with a default is never passed, by keyword or by position.
+sensitivity screen would still have to cover.  This scans the shipped
+source -- the package, the benchmark and the examples, not the tests
+-- for calls of each entry point and fails when a parameter with a
+default is never passed, by keyword or by position.
 An entry point whose options were all folded to constants has nothing
 left to pass; it stays listed so that a new option needs a caller.
 """
@@ -15,33 +16,46 @@ from pathlib import Path
 
 import pytest
 
+from repro.config import CostModel
 from repro.fs.vfs import InodeCache
+from repro.mem.latency import MemoryModel
 from repro.mem.physmem import PhysicalMemory
+from repro.obs.histogram import Histogram
+from repro.obs.ledger import Ledger
 from repro.sim.engine import Engine, Wake
 from repro.sim.stats import Stats
 from repro.system import System
+from repro.tenancy import CpuThrottle, consolidate_config
 from repro.vm.mm import MMStruct
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = (ROOT / "src" / "repro", ROOT / "bench", ROOT / "examples")
 
 #: Entry point -> the function or class name its calls are found by.
 ENTRY_POINTS = {
+    "CostModel.copy_cycles": (CostModel.copy_cycles, "copy_cycles"),
+    "CpuThrottle": (CpuThrottle.__init__, "CpuThrottle"),
     "Engine.seconds": (Engine.seconds, "seconds"),
+    "Histogram.percentiles": (Histogram.percentiles, "percentiles"),
     "InodeCache": (InodeCache.__init__, "InodeCache"),
+    "Ledger.events": (Ledger.events, "events"),
     "MMStruct.access": (MMStruct.access, "access"),
+    "MemoryModel.device_delay": (MemoryModel.device_delay, "device_delay"),
     "PhysicalMemory.region": (PhysicalMemory.region, "region"),
     "Stats.observe": (Stats.observe, "observe"),
     "System.daxvm_for": (System.daxvm_for, "daxvm_for"),
     "System.new_process": (System.new_process, "new_process"),
     "System.seconds": (System.seconds, "seconds"),
     "Wake": (Wake.__init__, "Wake"),
+    "consolidate_config": (consolidate_config, "consolidate_config"),
 }
 
 
 def _optional_params(func):
-    """Names and positions (after ``self``) of the parameters that
-    have defaults: the options a caller may leave out."""
-    params = list(inspect.signature(func).parameters.values())[1:]
+    """Names and positions (after ``self``, if any) of the parameters
+    that have defaults: the options a caller may leave out."""
+    params = [p for p in inspect.signature(func).parameters.values()
+              if p.name != "self"]
     return {p.name: i for i, p in enumerate(params)
             if p.default is not inspect.Parameter.empty}
 
@@ -55,10 +69,10 @@ def _called(func, method: str) -> bool:
 
 def _passed(method: str):
     """Keyword names and the highest positional count over every
-    ``<expr>.<method>(...)`` or ``<method>(...)`` call in the
-    package."""
+    ``<expr>.<method>(...)`` or ``<method>(...)`` call in the shipped
+    source."""
     keywords, most_positional = set(), 0
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted(p for root in SHIPPED for p in root.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Call) and _called(node.func, method):
                 keywords.update(k.arg for k in node.keywords if k.arg)
@@ -76,5 +90,5 @@ def test_every_option_is_passed_somewhere(name):
     unused = sorted(param for param, index in optional.items()
                     if param not in keywords and index >= most_positional)
     assert not unused, (
-        f"{name}: no call in src/repro passes {unused}; an option with "
+        f"{name}: no shipped call passes {unused}; an option with "
         f"one value in use should be that value as a constant")

@@ -9,6 +9,7 @@ consolidate driver (determinism, antagonist containment, quota
 audit), and the spec round-trips that feed the sweep cache key.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -52,9 +53,20 @@ def test_spec_validation():
         TenancyConfig(tenants=(Tenant(name="a"), Tenant(name="a")))
 
 
+def _thinking(config, think_cycles):
+    """``config`` with every foreground tenant's mean think time set
+    (the antagonist keeps its saturating loop)."""
+    return TenancyConfig(
+        tenants=tuple(t if t.kind == "antagonist" else
+                      dataclasses.replace(t, think_cycles=think_cycles)
+                      for t in config.tenants),
+        quotas=config.quotas)
+
+
 def test_config_roundtrip_is_lossless():
-    config = consolidate_config(3, "mixed", quotas=True, antagonist=True,
-                                requests=12, think_cycles=500.0, seed=4)
+    config = _thinking(consolidate_config(3, "mixed", quotas=True,
+                                          antagonist=True, requests=12,
+                                          seed=4), 500.0)
     wire = json.loads(json.dumps(config.to_state()))
     back = TenancyConfig.from_state(wire)
     assert back == config
@@ -66,8 +78,7 @@ def test_passive_detection():
     assert not consolidate_config(2, "apache").passive
     assert not consolidate_config(1, "apache", quotas=True).passive
     assert not consolidate_config(1, "apache", antagonist=True).passive
-    assert not consolidate_config(1, "apache",
-                                  think_cycles=100.0).passive
+    assert not _thinking(consolidate_config(1, "apache"), 100.0).passive
 
 
 def test_consolidate_config_mix_and_names():
@@ -221,8 +232,8 @@ def test_admission_delays_low_weight_tenant_only():
         def gen():
             # Two back-to-back windows: the second pays the sub-bucket
             # debt of the first.
-            pool.delay(8 << 20, 0, engine.now)
-            waits[tenant] = pool.delay(8 << 20, 0, engine.now)
+            pool.delay_read(8 << 20, engine.now)
+            waits[tenant] = pool.delay_read(8 << 20, engine.now)
             yield Compute(1)
 
         thread = engine.spawn(gen(), core=0, name=f"{tenant}.worker")
@@ -240,8 +251,8 @@ def test_admission_delays_low_weight_tenant_only():
     pool2 = SharedBandwidth(read_bw=10e9, write_bw=5e9, freq_hz=2e9)
     # No admission: the shared bucket alone.
     def bare():
-        pool2.delay(8 << 20, 0, engine2.now)
-        waits["bare"] = pool2.delay(8 << 20, 0, engine2.now)
+        pool2.delay_read(8 << 20, engine2.now)
+        waits["bare"] = pool2.delay_read(8 << 20, engine2.now)
         yield Compute(1)
 
     engine2.spawn(bare(), core=0)
@@ -403,8 +414,7 @@ def test_consolidate_observes_per_tenant_latency():
 
 def test_consolidate_think_time_paces_the_loop():
     fast = consolidate_config(2, "apache", requests=4)
-    slow = consolidate_config(2, "apache", requests=4,
-                              think_cycles=5e6)
+    slow = _thinking(consolidate_config(2, "apache", requests=4), 5e6)
     _s1, run_fast, _ = _consolidate_state(fast)
     _s2, run_slow, _ = _consolidate_state(slow)
     assert run_slow.cycles > run_fast.cycles + 4 * 2.5e6 / 2
