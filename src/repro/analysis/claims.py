@@ -2,15 +2,17 @@
 
 A :class:`Claim` is one shape the reproduction promises (DESIGN.md §3
 names them): who wins, by roughly how much, and where the crossovers
-fall.  It names the sweep points it needs (a registered sweep at given
-knobs, explicit points, or both) and yields :class:`Check` s, each
-``value OP bound``, with the paper's stated value where there is one.
-The first check a claim yields is its headline.
+fall.  It names its points as ``(sweep, knobs)`` pairs: registered
+sweeps of :mod:`repro.runner.sweeps`, their knobs merged over the
+CLI's.  It yields :class:`Check` s, each ``value OP bound``, with the
+paper's stated value where there is one.  The first check a claim
+yields is its headline.
 
 ``python -m repro claims`` runs the union of every claim's points
 through :func:`repro.runner.run_sweep`, so claims get the result cache,
-the pool and ``--jobs``, and prints one row per claim.  Every machine
-is built by :func:`repro.runner.worker.build_system` from its point.
+the pool and ``--jobs``, and prints one row per claim; ``sweep ID``
+and ``perf ID`` run one claim's pairs the same way.  Every machine is
+built by :func:`repro.runner.worker.build_system` from its point.
 
 A check's *margin* is its signed distance from its bound, relative to
 the bound: positive when the operator holds with room to spare, zero
@@ -21,17 +23,23 @@ when every check's operator holds.
 
 from __future__ import annotations
 
-import json
 import operator
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro.analysis.results import RunResult
 from repro.config import MEDIA_PRESETS, CostModel
 from repro.obs import CostDomain
-from repro.runner.manifest import PointResult, Sweep, SweepPoint
-from repro.runner.sweeps import TIERING_TIERS, build_sweep
-from repro.workloads import AppendVariant, DaxVMOptions, SyncDiscipline
+from repro.runner.manifest import PointResult, Sweep, SweepPoint, pooled
+from repro.runner.sweeps import (
+    CONSOLIDATE_TENANTS,
+    PAGE_SIZES,
+    SYNC_INTERVALS,
+    TIERING_TIERS,
+    Pair,
+    build_pairs,
+)
+from repro.workloads import AppendVariant, SyncDiscipline
 
 OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
        ">=": operator.ge, "==": operator.eq}
@@ -95,14 +103,7 @@ class Claim:
     id: str
     artifact: str
     checks: Callable[[Results], Iterable[Check]]
-    #: ``(sweep name, knobs)``; knobs are merged over :data:`KNOBS`.
-    sweeps: Tuple[Tuple[str, Dict[str, object]], ...] = ()
-    extra: Tuple[SweepPoint, ...] = ()
-
-    def points(self) -> List[SweepPoint]:
-        points = [point for name, knobs in self.sweeps
-                  for point in build_sweep(name, **{**KNOBS, **knobs}).points]
-        return points + list(self.extra)
+    sweeps: Tuple[Pair, ...] = ()
 
 
 @dataclass
@@ -126,37 +127,16 @@ class Verdict:
 
 CLAIMS: Dict[str, Claim] = {}
 
-#: Sweep knobs every claim starts from: the benchmark machine (Optane,
-#: a 4 GiB device, aged ext4) and 32 KB files.
-KNOBS = {"size": 32 << 10, "media": "optane", "device_gib": 4,
-         "aged": True}
 
-
-def claim(claim_id: str, artifact: str, *,
-          sweeps: Iterable[Tuple[str, Dict[str, object]]] = (),
-          points: Iterable[SweepPoint] = ()):
-    """Register a claim; the decorated function yields its checks."""
+def claim(claim_id: str, artifact: str, *sweeps: Pair):
+    """Register a claim on its ``(sweep, knobs)`` pairs; the decorated
+    function yields its checks.  The CLI's default knobs are the
+    benchmark machine: Optane, a 4 GiB device, aged ext4, 32 KB
+    files."""
     def decorate(fn):
-        CLAIMS[claim_id] = Claim(claim_id, artifact, fn, tuple(sweeps),
-                                 tuple(points))
+        CLAIMS[claim_id] = Claim(claim_id, artifact, fn, sweeps)
         return fn
     return decorate
-
-
-def _pt(experiment: str, series: str, x: float, params: Dict[str, object],
-        **machine) -> SweepPoint:
-    """A point on the :data:`KNOBS` machine unless ``machine`` says
-    otherwise."""
-    base = {"media": KNOBS["media"], "device_gib": KNOBS["device_gib"],
-            "aged": KNOBS["aged"]}
-    return SweepPoint(experiment, series, x, params, **{**base, **machine})
-
-
-#: ``daxvm`` runner params: the long-lived mapping of the repetitive
-#: and YCSB experiments, with and without kernel dirty tracking.
-LONG_LIVED = asdict(DaxVMOptions(ephemeral=False, unmap_async=False))
-NOSYNC = asdict(DaxVMOptions(ephemeral=False, unmap_async=False,
-                             nosync=True))
 
 
 def _ratio(label: str, num: float, den: float, op: str, bound: float,
@@ -177,8 +157,7 @@ FIG1A_SIZES = (4 << 10, 32 << 10, 128 << 10, 512 << 10, 2 << 20, 16 << 20,
 
 
 @claim("fig1a", "Fig. 1a read-once latency vs file size",
-       sweeps=[("ephemeral", {"ops": _files(s), "size": s})
-               for s in FIG1A_SIZES])
+       *[("ephemeral", {"ops": _files(s), "size": s}) for s in FIG1A_SIZES])
 def _fig1a(r: Results):
     def lat(series, kb):
         return r.run(series=series, file_size=kb << 10).latency_us
@@ -194,7 +173,7 @@ def _fig1a(r: Results):
 
 
 @claim("fig1b", "Fig. 1b read-once throughput vs threads",
-       sweeps=[("scaling", {"ops": 1600})])
+       ("scaling", {"ops": 1600}))
 def _fig1b(r: Results):
     def kops(series, threads):
         return r.run(series=series, x=threads).ops_per_second / 1e3
@@ -214,29 +193,30 @@ def _fig1b(r: Results):
                  kops("read", 1), ">", 1.0)
 
 
-_MODES = ((False, "read"), (True, "write"))
+#: Figs. 1c and 5: one pass of 4 KB ops over the 96 MB file.
+REPETITIVE = ("repetitive", {"ops": 384})
 
 
-@claim("fig1c", "Fig. 1c repetitive 4 KB ops over a large file",
-       points=[_pt("repetitive", iface, 0,
-                   {"file_size": 96 << 20, "op_size": 4096,
-                    "num_ops": (96 << 20) // 4096, "pattern": pattern,
-                    "write": write, "interface": iface, "daxvm": NOSYNC})
-               for pattern in ("seq", "rand") for write, _ in _MODES
-               for iface in ("read", "mmap", "daxvm")])
+def _repetitive(r: Results, iface: str, pattern: str, mode: str, kb: int,
+                suffix: str = "") -> float:
+    """Ops/s of one ``repetitive`` sweep point."""
+    return r.run(series=f"{iface}+{pattern}+{mode}{suffix}",
+                 x=kb).ops_per_second
+
+
+@claim("fig1c", "Fig. 1c repetitive 4 KB ops over a large file", REPETITIVE)
 def _fig1c(r: Results):
-    def kops(pattern, write, iface):
-        return r.run(pattern=pattern, write=write,
-                     interface=iface).ops_per_second / 1e3
+    def kops(pattern, mode, iface):
+        return _repetitive(r, iface, pattern, mode, 4, "+nomonitor") / 1e3
 
-    yield _ratio("seq read mmap/read", kops("seq", False, "mmap"),
-                 kops("seq", False, "read"), "<=", 1.05, "<= 1")
+    yield _ratio("seq read mmap/read", kops("seq", "read", "mmap"),
+                 kops("seq", "read", "read"), "<=", 1.05, "<= 1")
     for pattern in ("seq", "rand"):
-        for write, mode in _MODES:
+        for mode in ("read", "write"):
             for other in ("mmap", "read"):
                 yield _ratio(f"{pattern} {mode} daxvm/{other}",
-                             kops(pattern, write, "daxvm"),
-                             kops(pattern, write, other), ">", 1.0, "> 1")
+                             kops(pattern, mode, "daxvm"),
+                             kops(pattern, mode, other), ">", 1.0, "> 1")
 
 
 # ---------------------------------------------------------------------------
@@ -248,23 +228,11 @@ TABLE2 = {("seq", "dram"): 28, ("rand", "dram"): 111,
           ("seq", "pmem"): 103, ("rand", "pmem"): 821}
 
 
-def _walks(file_size: int, num_ops: int, pattern: str, **params):
-    """A 4 KB-page DaxVM walk measurement on a fresh image."""
-    return _pt("repetitive", "daxvm", 0,
-               {"file_size": file_size, "op_size": 4096, "num_ops": num_ops,
-                "pattern": pattern, "interface": "daxvm", "daxvm": NOSYNC,
-                "allow_huge": False, **params}, aged=False)
-
-
 @claim("tab2", "Table II average page-walk cycles",
-       points=[_walks(64 << 20, 16384, pattern, **(
-           {"filetable_volatile_max": 1 << 30} if tables == "dram" else {}))
-           for pattern, tables in TABLE2])
+       ("tables", {"ops": 16384, "aged": False}))
 def _tab2(r: Results):
     def walk(pattern, tables):
-        volatile_max = (1 << 30) if tables == "dram" else None
-        c = r.run(pattern=pattern,
-                  filetable_volatile_max=volatile_max).counters
+        c = r.run(series=tables, pattern=pattern).counters
         return c["vm.walk_cycles"] / c["vm.tlb_misses"]
 
     yield Check("rand read, PMem tables: cycles/walk", walk("rand", "pmem"),
@@ -280,10 +248,10 @@ def _tab2(r: Results):
 
 
 @claim("tab3", "Table III MMU monitor rule",
-       points=[_walks(32 << 20, 8192, pattern) for pattern in ("seq", "rand")])
+       ("tables", {"ops": 8192, "aged": False}))
 def _tab3(r: Results):
     def monitor(pattern):
-        pr = r.get(pattern=pattern)
+        pr = r.get(series="pmem", pattern=pattern)
         walk = pr.run.counters.get("vm.walk_cycles", 0.0)
         avg = walk / pr.run.counters.get("vm.tlb_misses", 1.0)
         overhead = walk / pr.run.cycles
@@ -315,8 +283,7 @@ def _rel_read(r: Results, series: str, **match) -> float:
 
 
 @claim("fig4", "Fig. 4 ephemeral throughput rel. to read",
-       sweeps=[("ephemeral", {"ops": _files(s), "size": s})
-               for s in FIG4_SIZES])
+       *[("ephemeral", {"ops": _files(s), "size": s}) for s in FIG4_SIZES])
 def _fig4(r: Results):
     def rel(series, kb):
         return _rel_read(r, series, file_size=kb << 10)
@@ -336,8 +303,8 @@ def _fig4(r: Results):
 
 
 @claim("fig4-aging", "Fig. 4 robustness to fragmentation (16 MB files)",
-       sweeps=[("ephemeral", {"ops": _files(16 << 20), "size": 16 << 20,
-                              "aged": aged}) for aged in (False, True)])
+       *[("ephemeral", {"ops": _files(16 << 20), "size": 16 << 20,
+                        "aged": aged}) for aged in (False, True)])
 def _fig4_aging(r: Results):
     def drop(series):
         return _rel_read(r, series, aged=False) - _rel_read(r, series,
@@ -349,73 +316,36 @@ def _fig4_aging(r: Results):
                 drop("mmap") / 2, "robust")
 
 
-#: Fig. 5's variants: (interface, ``daxvm`` runner params).
-FIG5_VARIANTS = (("read", LONG_LIVED), ("mmap", LONG_LIVED),
-                 ("populate", LONG_LIVED), ("daxvm", NOSYNC))
-
-
-def _fig5_point(op: int, pattern: str, write: bool, iface: str,
-                daxvm: Dict[str, object]) -> SweepPoint:
-    """One pass over a 96 MB file; ``write`` rides in the params only
-    when set, as in the ``repetitive`` sweep's points."""
-    params = {"file_size": 96 << 20, "op_size": op,
-              "num_ops": (96 << 20) // op, "pattern": pattern,
-              "interface": iface, "monitor_every": 8192, "daxvm": daxvm}
-    if write:
-        params["write"] = True
-    return _pt("repetitive", iface, op, params)
-
-
-# The ``repetitive`` sweep at 384 ops is the 4 KB read/mmap/daxvm reads
-# (its read and mmap points carry DaxVM's nosync params, which only the
-# daxvm interface reads); the other points are listed.
-@claim("fig5", "Fig. 5 repetitive 1 KB/4 KB access",
-       sweeps=[("repetitive", {"ops": 384})],
-       points=[_fig5_point(op, pattern, write, iface, daxvm)
-               for op in (1024, 4096) for pattern in ("seq", "rand")
-               for write, _ in _MODES for iface, daxvm in FIG5_VARIANTS
-               if op == 1024 or write or iface == "populate"])
+@claim("fig5", "Fig. 5 repetitive 1 KB/4 KB access", REPETITIVE)
 def _fig5(r: Results):
-    def ratio(op, pattern, write, a, b):
-        def kops(iface):
-            return r.run(series=iface, op_size=op, pattern=pattern,
-                         write=write or None).ops_per_second
-        return kops(a) / kops(b)
+    def ratio(kb, pattern, mode, a, b):
+        return (_repetitive(r, a, pattern, mode, kb)
+                / _repetitive(r, b, pattern, mode, kb))
 
     for pattern in ("seq", "rand"):
-        for write, mode in _MODES:
+        for mode in ("read", "write"):
             where = f"4 KB {pattern} {mode}"
-            daxvm = ratio(4096, pattern, write, "daxvm", "read")
+            daxvm = ratio(4, pattern, mode, "daxvm", "read")
             yield Check(f"{where} daxvm/syscall", daxvm, ">", 1.3, "1.3-3.9")
             yield Check(f"{where} daxvm/syscall", daxvm, "<", 4.2, "1.3-3.9")
             yield Check(f"{where} daxvm/mmap",
-                        ratio(4096, pattern, write, "daxvm", "mmap"),
+                        ratio(4, pattern, mode, "daxvm", "mmap"),
                         ">", 1.25, "1.8-2.2")
-    for write, mode in _MODES:
+    for mode in ("read", "write"):
         yield Check(f"4 KB seq {mode} mmap/syscall",
-                    ratio(4096, "seq", write, "mmap", "read"), "<", 1.0,
-                    "< 1")
+                    ratio(4, "seq", mode, "mmap", "read"), "<", 1.0, "< 1")
     for pattern in ("seq", "rand"):
-        for write, mode in _MODES:
+        for mode in ("read", "write"):
             where = f"1 KB {pattern} {mode}"
             yield Check(f"{where} mmap/syscall",
-                        ratio(1024, pattern, write, "mmap", "read"),
+                        ratio(1, pattern, mode, "mmap", "read"),
                         ">", 0.85, ">= 1")
             yield Check(f"{where} daxvm/syscall",
-                        ratio(1024, pattern, write, "daxvm", "read"),
+                        ratio(1, pattern, mode, "daxvm", "read"),
                         ">", 1.3, "1.3-3.9")
             yield Check(f"{where} daxvm/mmap",
-                        ratio(1024, pattern, write, "daxvm", "mmap"),
+                        ratio(1, pattern, mode, "daxvm", "mmap"),
                         ">", 1.4, "up to 2")
-
-
-def _monitor_points(file_size: int, num_ops: int, every: int):
-    """Random 4 KB DaxVM reads with the MMU monitor off and on."""
-    return [_pt("repetitive", "daxvm", monitor,
-                {"file_size": file_size, "op_size": 4096, "num_ops": num_ops,
-                 "pattern": "rand", "interface": "daxvm",
-                 "monitor_every": monitor, "daxvm": NOSYNC})
-            for monitor in (0, every)]
 
 
 def _monitor_gain(r: Results, every: int) -> float:
@@ -424,22 +354,15 @@ def _monitor_gain(r: Results, every: int) -> float:
 
 
 @claim("fig5-monitor", "§V-B table migration on irregular access",
-       points=_monitor_points(64 << 20, 16384, 2048))
+       ("monitor", {"ops": 16384}))
 def _fig5_monitor(r: Results):
     gain = _monitor_gain(r, 2048)
     yield Check("monitor on/off throughput", gain, ">", 1.02, "~1.10")
     yield Check("monitor on/off throughput", gain, "<", 1.35, "~1.10")
 
 
-FIG6_INTERVALS = (4, 64, 512, 2048, 8192)
-
-
 @claim("fig6", "Fig. 6 sync disciplines rel. to write()+fsync",
-       points=[_pt("syncbench", d.value, k,
-                   {"file_size": 384 << 20, "op_size": 1 << 10,
-                    "ops_per_sync": k, "num_syncs": max(10, 2000 // k),
-                    "discipline": d.value})
-               for k in FIG6_INTERVALS for d in SyncDiscipline])
+       ("sync", {"ops": 2000, "size": 384 << 20}))
 def _fig6(r: Results):
     def rel(discipline, k):
         return (r.run(discipline=discipline.value, x=k).mb_per_second
@@ -460,7 +383,7 @@ def _fig6(r: Results):
         yield Check(f"mmap+fsync, {k} ops/sync", rel(mmap_fsync, k), "<",
                     1.0, "down to 0.32")
     yield Check("mmap+fsync, worst interval",
-                min(rel(mmap_fsync, k) for k in FIG6_INTERVALS), ">", 0.3,
+                min(rel(mmap_fsync, k) for k in SYNC_INTERVALS), ">", 0.3,
                 "0.32")
     yield Check("daxvm+fsync, 4 ops/sync", rel(daxvm_fsync, 4), "<", 0.35,
                 "~10x worse")
@@ -469,8 +392,9 @@ def _fig6(r: Results):
                  "parity")
 
 
-#: Fig. 7: the appends sweep on fresh images, 40 appends per point.
-FIG7_SWEEP = ("appends", {"ops": 320, "aged": False})
+#: Fig. 7: the appends sweep on fresh images, 40 appends per point
+#: (30 for §III-B's zeroing points, 60 for §V-B's table points).
+APPENDS = ("appends", {"ops": 320, "aged": False})
 
 
 def _append_rel(r: Results, fs_type: str, variant: str, kb: int) -> float:
@@ -480,7 +404,7 @@ def _append_rel(r: Results, fs_type: str, variant: str, kb: int) -> float:
     return mb(variant) / mb(AppendVariant.WRITE.value)
 
 
-@claim("fig7-ext4", "Fig. 7 appends on ext4-DAX", sweeps=[FIG7_SWEEP])
+@claim("fig7-ext4", "Fig. 7 appends on ext4-DAX", APPENDS)
 def _fig7_ext4(r: Results):
     def rel(variant, kb=1024):
         return _append_rel(r, "ext4", variant, kb)
@@ -496,7 +420,7 @@ def _fig7_ext4(r: Results):
     yield Check("daxvm/write, 4 KB", rel("daxvm", 4), "<", 1.0, "< 1")
 
 
-@claim("fig7-nova", "Fig. 7 appends on NOVA", sweeps=[FIG7_SWEEP])
+@claim("fig7-nova", "Fig. 7 appends on NOVA", APPENDS)
 def _fig7_nova(r: Results):
     def rel(variant, kb=1024):
         return _append_rel(r, "nova", variant, kb)
@@ -524,7 +448,7 @@ def _zeroing_shares(r: Results, series: str, sizes: Sequence[int],
 
 
 @claim("fig7-zeroing", "§III-B zeroing share of MM appends (Fig. 7 runs)",
-       sweeps=[FIG7_SWEEP])
+       APPENDS)
 def _fig7_zeroing(r: Results):
     yield from _zeroing_shares(r, "ext4+", (64 << 10, 256 << 10, 1 << 20),
                                0.2, 0.6)
@@ -533,25 +457,13 @@ def _fig7_zeroing(r: Results):
 # ---------------------------------------------------------------------------
 # Figure 8: Apache.
 # ---------------------------------------------------------------------------
-def _apache(series: str, workers: int, interface: str, daxvm=None,
-            requests: int = 2400, **params) -> SweepPoint:
-    params = {"num_workers": workers, "requests": requests,
-              "interface": interface, **params}
-    if daxvm is not None:
-        params["daxvm"] = daxvm
-    return _pt("apache", series, workers, params)
-
-
-#: The 16-core incremental DaxVM bars at 2400 requests (``+async`` is
-#: the full DaxVM, at the default unmap batch).
+#: Fig. 8a at 2400 requests, and its 16-core incremental bars.
+APACHE = ("apache", {"ops": 2400})
 ABLATIONS = ("ablations", {"ops": 2400})
 
 
-@claim("fig8a", "Fig. 8a Apache scalability, 32 KB pages",
-       sweeps=[("apache", {"ops": 2400}), ABLATIONS],
-       points=[_apache("mmap", 2, "mmap")]
-       + [_apache(name, 16, name) for name in ("populate", "latr",
-                                               "mmap+async")])
+@claim("fig8a", "Fig. 8a Apache scalability, 32 KB pages", APACHE,
+       ABLATIONS)
 def _fig8a(r: Results):
     def kreq(series, cores=16):
         return r.run(series=series, x=cores).ops_per_second / 1e3
@@ -583,7 +495,7 @@ def _fig8a(r: Results):
 
 
 @claim("fig8a-sweep", "Fig. 8a through the apache sweep",
-       sweeps=[("apache", {"ops": 800})])
+       ("apache", {"ops": 800}))
 def _fig8a_sweep(r: Results):
     def kreq(series, cores=16):
         return r.run(series=series, x=cores).ops_per_second / 1e3
@@ -597,12 +509,10 @@ def _fig8a_sweep(r: Results):
 
 
 @claim("fig8a-multiprocess", "§V-C Apache with single-thread processes",
-       points=[_apache("mmap", 8, "mmap"), _apache("read", 8, "read"),
-               _apache("mmap+procs", 8, "mmap", multiprocess=True),
-               _apache("daxvm+procs", 8, "daxvm", multiprocess=True)])
+       APACHE)
 def _fig8a_multiprocess(r: Results):
     def kreq(series):
-        return r.run(series=series).ops_per_second
+        return r.run(series=series, x=8).ops_per_second
 
     yield _ratio("mmap processes/threads", kreq("mmap+procs"), kreq("mmap"),
                  ">", 1.3)
@@ -612,44 +522,26 @@ def _fig8a_multiprocess(r: Results):
                  kreq("mmap+procs"), ">", 1.0)
 
 
-FIG8B_PAGES = (4 << 10, 16 << 10, 32 << 10, 64 << 10)
-
-
 @claim("fig8b", "Fig. 8b Apache vs page size, 16 cores",
-       points=[_apache(iface, 16, iface,
-                       requests=max(400, min(2400, (64 << 20) // page)),
-                       page_size=page)
-               for page in FIG8B_PAGES for iface in ("read", "mmap", "daxvm")])
+       ("pages", {"ops": 2400}))
 def _fig8b(r: Results):
     def rel(series, page):
         return (r.run(series=series, page_size=page).ops_per_second
                 / r.run(series="read", page_size=page).ops_per_second)
 
-    daxvm = [rel("daxvm", page) for page in FIG8B_PAGES]
+    daxvm = [rel("daxvm", page) for page in PAGE_SIZES]
     yield Check("best daxvm/read", max(daxvm), ">", 1.05, "up to 1.5")
     yield _ratio("daxvm/read at 32 KB over 4 KB", rel("daxvm", 32 << 10),
                  rel("daxvm", 4 << 10), ">", 1.0, "grows with size")
     yield Check("worst daxvm/read", min(daxvm), ">", 0.95, ">= 1")
     yield Check("best mmap/read", max(rel("mmap", page)
-                                      for page in FIG8B_PAGES), "<", 1.0)
+                                      for page in PAGE_SIZES), "<", 1.0)
 
 
 # ---------------------------------------------------------------------------
 # Figure 9: applications.
 # ---------------------------------------------------------------------------
-FIG9A_SERIES = (("read", "read", None), ("mmap", "mmap", None),
-                ("daxvm", "daxvm", None),
-                ("daxvm-sync-unmap", "daxvm",
-                 asdict(DaxVMOptions.with_ephemeral())))
-
-
-@claim("fig9a", "Fig. 9a text search",
-       points=[_pt("textsearch", name, threads,
-                   {"num_files": 1200, "total_bytes": 160 << 20,
-                    "num_threads": threads, "interface": iface,
-                    **({"daxvm": daxvm} if daxvm else {})})
-               for threads in (1, 2, 4, 8, 16)
-               for name, iface, daxvm in FIG9A_SERIES])
+@claim("fig9a", "Fig. 9a text search", ("textsearch", {"ops": 1200}))
 def _fig9a(r: Results):
     def mbs(series, threads=16):
         return r.run(series=series, x=threads).mb_per_second
@@ -665,10 +557,7 @@ def _fig9a(r: Results):
 
 
 @claim("fig9b", "Fig. 9b P-Redis boot and warm-up",
-       points=[_pt("predis", iface, 768,
-                   {"cache_size": 768 << 20, "num_gets": 50_000,
-                    "window": 2_500, "interface": iface})
-               for iface in ("mmap", "populate", "daxvm")])
+       ("predis", {"ops": 50_000, "size": 768 << 20}))
 def _fig9b(r: Results):
     def boot(series):
         run = r.run(series=series)
@@ -693,37 +582,19 @@ def _fig9b(r: Results):
                  window("populate", "last_window"), ">", 0.95, "~1")
 
 
-YCSB_VARIANTS = (
-    ("mmap", "mmap", LONG_LIVED, False),
-    ("populate", "populate", LONG_LIVED, False),
-    ("daxvm", "daxvm", LONG_LIVED, False),
-    ("daxvm+pz", "daxvm", LONG_LIVED, True),
-    ("daxvm+pz+ns", "daxvm", NOSYNC, True),
-)
-YCSB_WORKLOADS = ("load_a", "load_e", "run_a", "run_b", "run_c", "run_d",
-                  "run_e", "run_f")
-
-
-def _ycsb(workload: str, variant: str, fs_type: str = "ext4") -> SweepPoint:
-    name, iface, daxvm, prezero = next(v for v in YCSB_VARIANTS
-                                       if v[0] == variant)
-    return _pt("kvstore", name, 0,
-               {"workload": workload, "num_ops": 10_000,
-                "preload_records": 10_000, "interface": iface,
-                "daxvm": daxvm, "prezero": prezero},
-               device_gib=6, fs_type=fs_type)
+#: Fig. 9c and §V-C's NOVA runs: 10k operations on a 6 GiB device.
+YCSB = ("ycsb", {"ops": 10_000, "device_gib": 6})
 
 
 def _ycsb_gain(r: Results, workload: str, variant: str,
                fs_type: str = "ext4") -> float:
     def ops(series):
-        return r.run(series=series, workload=workload,
-                     fs_type=fs_type).ops_per_second
+        return r.run(series=f"{fs_type}+{series}",
+                     workload=workload).ops_per_second
     return ops(variant) / ops("mmap")
 
 
-@claim("fig9c", "Fig. 9c YCSB on Pmem-RocksDB, aged ext4",
-       points=[_ycsb(w, v[0]) for w in YCSB_WORKLOADS for v in YCSB_VARIANTS])
+@claim("fig9c", "Fig. 9c YCSB on Pmem-RocksDB, aged ext4", YCSB)
 def _fig9c(r: Results):
     def gain(workload, variant):
         return _ycsb_gain(r, workload, variant)
@@ -745,11 +616,7 @@ def _fig9c(r: Results):
                 "< 1")
 
 
-@claim("fig9c-nova", "§V-C YCSB on NOVA",
-       points=[_ycsb(w, v, fs) for w, fs in (("load_a", "nova"),
-                                             ("run_b", "nova"),
-                                             ("load_a", "ext4"))
-               for v in ("mmap", "daxvm+pz+ns")])
+@claim("fig9c-nova", "§V-C YCSB on NOVA", YCSB)
 def _fig9c_nova(r: Results):
     load = _ycsb_gain(r, "load_a", "daxvm+pz+ns", "nova")
     run = _ycsb_gain(r, "run_b", "daxvm+pz+ns", "nova")
@@ -766,9 +633,7 @@ def _fig9c_nova(r: Results):
 # §III and §V-B: motivation and overheads.
 # ---------------------------------------------------------------------------
 @claim("s5b-storage", "§V-B storage overheads",
-       points=[_pt("storage", "tree", 0,
-                   {"num_files": 1200, "total_bytes": 128 << 20,
-                    "big_file": 64 << 20}, aged=False)])
+       ("storage", {"ops": 1200, "size": 64 << 20, "aged": False}))
 def _s5b_storage(r: Results):
     c = r.run().counters
     yield Check("64 MB file: table/data", c["big.pmem_bytes"] / (64 << 20),
@@ -780,21 +645,8 @@ def _s5b_storage(r: Results):
     yield Check("Linux tree: PMem table bytes", c["tree.pmem_bytes"], ">", 0)
 
 
-def _append_points(series: str, sizes: Sequence[int], num_appends: int,
-                   variants: Sequence[str], **params) -> List[SweepPoint]:
-    return [_pt("append", f"{series}{variant}", size >> 10,
-                {"append_size": size, "num_appends": num_appends,
-                 "variant": variant, **params}, aged=False)
-            for size in sizes for variant in variants]
-
-
-S5B_SIZES = (32 << 10, 64 << 10, 256 << 10, 1 << 20)
-
-
 @claim("s5b-latency", "§V-B append latency of file-table maintenance",
-       points=_append_points("", S5B_SIZES, 60, ["write"])
-       + _append_points("tables+", S5B_SIZES, 60, ["write"],
-                        filetables=True))
+       APPENDS)
 def _s5b_latency(r: Results):
     def overhead(size):
         return (r.run(series="tables+write", append_size=size).latency_us
@@ -809,10 +661,8 @@ def _s5b_latency(r: Results):
 
 
 @claim("s3-sync", "§III-A4 msync fault blow-up",
-       points=[_pt("msync", "msync", 10,
-                   {"file_size": 16 << 20, "window_pages": 400,
-                    "writes": 2000, "sync_every": 10},
-                   device_gib=2, aged=False)])
+       ("msync", {"ops": 2000, "size": 16 << 20, "device_gib": 2,
+                  "aged": False}))
 def _s3_sync(r: Results):
     c = r.run().counters
     blowup = c["msync.faults_sync"] / c["msync.faults_nosync"]
@@ -821,9 +671,7 @@ def _s3_sync(r: Results):
                     bound, "~2.8")
 
 
-@claim("s3-zero", "§III-B zeroing share of MM appends",
-       points=_append_points("", (64 << 10, 512 << 10, 2 << 20), 30,
-                             ["daxvm", "daxvm+prezero"]))
+@claim("s3-zero", "§III-B zeroing share of MM appends", APPENDS)
 def _s3_zero(r: Results):
     yield from _zeroing_shares(r, "", (64 << 10, 512 << 10, 2 << 20),
                                0.25, 0.55)
@@ -832,10 +680,7 @@ def _s3_zero(r: Results):
 # ---------------------------------------------------------------------------
 # §V-C ablations and the §IV-A1 policy.
 # ---------------------------------------------------------------------------
-@claim("abl-batch", "§V-C unmap batching level",
-       sweeps=[ABLATIONS],
-       points=[_apache("daxvm", 16, "daxvm", batch_pages=batch)
-               for batch in (8, 128)])
+@claim("abl-batch", "§V-C unmap batching level", ABLATIONS)
 def _abl_batch(r: Results):
     def kreq(batch):
         if batch == 33:  # ``+async``: the default async_unmap_batch_pages
@@ -849,14 +694,8 @@ def _abl_batch(r: Results):
     yield _ratio("batch 512/128 pages", kreq(512), kreq(128), ">=", 0.98)
 
 
-PREZERO_LOAD = {"workload": "load_a", "num_ops": 8000, "preload_records": 0,
-                "interface": "daxvm", "daxvm": NOSYNC, "prezero": True}
-
-
 @claim("abl-prezero", "§V-C pre-zero throttle interference",
-       points=[_pt("kvstore", "quiet", 0, PREZERO_LOAD, device_gib=6),
-               _pt("prezero-interference", "zeroing", 1,
-                   {**PREZERO_LOAD, "junk_bytes": 256 << 20}, device_gib=6)])
+       ("prezero", {"ops": 8000, "device_gib": 6}))
 def _abl_prezero(r: Results):
     slowdown = 1 - (r.run(series="zeroing").ops_per_second
                     / r.run(series="quiet").ops_per_second)
@@ -866,7 +705,7 @@ def _abl_prezero(r: Results):
 
 
 @claim("abl-migrate", "§V-B table migration, 128 MB file",
-       points=_monitor_points(128 << 20, 32768, 4096))
+       ("monitor", {"ops": 32768}))
 def _abl_migrate(r: Results):
     gain = _monitor_gain(r, 4096)
     yield Check("monitor on/off throughput", gain, ">", 1.03, "~1.10")
@@ -876,16 +715,8 @@ def _abl_migrate(r: Results):
                     "daxvm.table_migrations", 0), ">=", 1)
 
 
-FILETABLE_POLICIES = (("all-persistent", 0), ("paper", 32 << 10),
-                      ("all-volatile", 1 << 30))
-
-
 @claim("abl-policy", "§IV-A1 volatile/persistent table placement",
-       points=[_pt("filetable-policy", name, 0,
-                   {"file_size": 32 << 10, "num_files": 800,
-                    "num_threads": 1, "interface": "daxvm",
-                    "filetable_volatile_max": volatile_max})
-               for name, volatile_max in FILETABLE_POLICIES])
+       ("policy", {"ops": 800}))
 def _abl_policy(r: Results):
     best = max(pr.run.ops_per_second for pr in r.points)
     yield _ratio("32 KB split / best policy",
@@ -902,12 +733,7 @@ def _abl_policy(r: Results):
 # ---------------------------------------------------------------------------
 # Extensions beyond the paper's evaluation.
 # ---------------------------------------------------------------------------
-@claim("ext-media", "§VI DaxVM beyond PMem",
-       sweeps=[("media", {"ops": 400})],
-       points=[_pt("ephemeral", f"{preset}+mmap", 32,
-                   {"file_size": 32 << 10, "num_files": 400,
-                    "num_threads": 1, "interface": "mmap"}, media=preset)
-               for preset in MEDIA_PRESETS])
+@claim("ext-media", "§VI DaxVM beyond PMem", ("media", {"ops": 400}))
 def _ext_media(r: Results):
     def rel(preset, iface):
         return (r.run(series=f"{preset}+{iface}").mb_per_second
@@ -930,7 +756,7 @@ def _distinct(r: Results, expected: int):
 
 
 @claim("ext-numa", "NUMA file placement, two sockets",
-       sweeps=[("numa", {"ops": 800})])
+       ("numa", {"ops": 800}))
 def _ext_numa(r: Results):
     def kops(placement, threads):
         return r.run(series=placement, x=threads).ops_per_second
@@ -962,7 +788,7 @@ def _ext_numa(r: Results):
 
 
 @claim("ext-mmu", "DaxVM attach under four translation schemes",
-       sweeps=[("mmu", {"ops": 48, "size": 4 << 20, "device_gib": 1})])
+       ("mmu", {"ops": 48, "size": 4 << 20, "device_gib": 1}))
 def _ext_mmu(r: Results):
     def attach(workload, scheme, aged):
         return r.get(series=f"{workload}+{scheme}", aged=aged).ledger \
@@ -989,8 +815,8 @@ def _ext_mmu(r: Results):
 
 
 @claim("ext-tiering", "Interfaces across data tiers, with ktierd",
-       sweeps=[("tiering", {"ops": 64, "size": 64 << 10, "device_gib": 1,
-                            "aged": False})])
+       ("tiering", {"ops": 64, "size": 64 << 10, "device_gib": 1,
+                    "aged": False}))
 def _ext_tiering(r: Results):
     def cycles(series, tier):
         return r.run(series=series, x=TIERING_TIERS.index(tier)).cycles
@@ -1029,9 +855,6 @@ def _ext_tiering(r: Results):
                 ">", 0)
 
 
-CONSOLIDATE_TENANTS = (1, 2, 4, 8, 16)
-
-
 def _tenant_p99(pr: PointResult) -> float:
     """Worst foreground-tenant p99 of one point (degenerate points
     fall back to the un-tenanted span histogram)."""
@@ -1043,8 +866,7 @@ def _tenant_p99(pr: PointResult) -> float:
 
 
 @claim("ext-consolidate", "Consolidation knee, 1-16 tenants",
-       sweeps=[("consolidate", {"ops": 16, "size": 64 << 10,
-                                "device_gib": 1})])
+       ("consolidate", {"ops": 16, "size": 64 << 10, "device_gib": 1}))
 def _ext_consolidate(r: Results):
     def p99(series, n):
         return _tenant_p99(r.get(series=series, x=n))
@@ -1089,8 +911,8 @@ def _ext_consolidate(r: Results):
 
 
 @claim("ext-migrate", "Post-copy live migration of a guest",
-       sweeps=[("migrate", {"ops": 16, "size": 64 << 10, "device_gib": 1,
-                            "aged": False})])
+       ("migrate", {"ops": 16, "size": 64 << 10, "device_gib": 1,
+                    "aged": False}))
 def _ext_migrate(r: Results):
     budget = CostModel().migrate_downtime_budget
     base = {pr.point.series.split("+")[0]: pr.run.cycles
@@ -1144,30 +966,25 @@ def _ext_migrate(r: Results):
 # ---------------------------------------------------------------------------
 # Running and rendering.
 # ---------------------------------------------------------------------------
-def _key(point: SweepPoint) -> str:
-    return json.dumps(point.to_payload(), sort_keys=True)
-
-
-def run_claims(claims: Sequence[Claim], run: Callable[[Sweep], object]):
-    """Run the union of ``claims``' points as one sweep through ``run``
-    (a :func:`repro.runner.run_sweep` call) and evaluate every claim.
-    Returns ``(sweep result, verdicts)``; a claim with a quarantined
-    point, or whose checks raise, fails with the reason."""
-    wanted = {c.id: c.points() for c in claims}
-    unique = {_key(p): p for points in wanted.values() for p in points}
-    result = run(Sweep(name="claims", title="Paper claims",
-                       points=list(unique.values())))
-    done = {_key(pr.point): pr for pr in result.points}
+def run_claims(claims: Sequence[Claim], run: Callable[[Sweep], object],
+               knobs: Dict[str, object]):
+    """Run the union of ``claims``' pairs, their knobs merged over
+    ``knobs``, as one sweep through ``run`` (a
+    :func:`repro.runner.run_sweep` call) and evaluate every claim on
+    its share.  Returns ``(sweep result, verdicts)``; a claim with a
+    quarantined point, or whose checks raise, fails with the reason."""
+    wanted = {c.id: pooled(c.id, c.artifact, build_pairs(c.sweeps, knobs))
+              for c in claims}
+    result = run(pooled("claims", "Paper claims", list(wanted.values())))
     verdicts = []
     for c in claims:
-        missing = [p.label for p in wanted[c.id] if _key(p) not in done]
-        if missing:
-            verdicts.append(Verdict(c, error="quarantined point(s): "
-                                    + ", ".join(missing)))
+        part = result.part(wanted[c.id])
+        if part.failed:
+            verdicts.append(Verdict(c, error="quarantined point(s): " + ", "
+                                    .join(f.point.label for f in part.failed)))
             continue
-        keys = dict.fromkeys(_key(p) for p in wanted[c.id])
         try:
-            checks = list(c.checks(Results([done[k] for k in keys])))
+            checks = list(c.checks(Results(part.points)))
         except Exception as err:  # noqa: BLE001 — the claim fails
             verdicts.append(Verdict(c, error=f"{type(err).__name__}: {err}"))
             continue

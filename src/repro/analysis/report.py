@@ -27,7 +27,7 @@ def format_table(table: Table) -> str:
 
 
 def format_series(title: str, series: Iterable[Series],
-                  x_label: str = "x", y_label: str = "y") -> str:
+                  x_label: str = "x") -> str:
     """Render several series as one aligned grid keyed by x."""
     series = list(series)
     xs: List[float] = []
@@ -92,14 +92,15 @@ def format_sweep(title: str, series: Iterable[Series],
 
 
 def render_bars(title: str, labels: Iterable[str],
-                values: Iterable[float], width: int = 40) -> str:
-    """An ASCII bar chart (for quick visual shape checks)."""
+                values: Iterable[float]) -> str:
+    """An ASCII bar chart, 40 columns at its peak (for quick visual
+    shape checks)."""
     labels = list(labels)
     values = list(values)
     peak = max(values) if values else 1.0
     lwidth = max(len(l) for l in labels) if labels else 0
     lines = [title]
     for label, value in zip(labels, values):
-        bar = "#" * max(1, int(width * value / peak)) if peak else ""
+        bar = "#" * max(1, int(40 * value / peak)) if peak else ""
         lines.append(f"{label.ljust(lwidth)}  {bar} {value:.3g}")
     return "\n".join(lines)

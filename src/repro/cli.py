@@ -9,6 +9,9 @@ each gets the result cache, the worker pool and the fault isolation:
   renders one ledger-driven report: cycle shares per domain, the top
   ``(domain, event)`` rows, contended locks and the sweep's declared
   counter columns; ``--json`` prints the point states instead;
+* ``sweep ID`` and ``perf ID`` take a claim id too: a claim is a list
+  of ``(sweep, knobs)`` pairs, run as one pooled sweep with one
+  section per pair (a sweep name is the one-pair case);
 * ``crash``, ``faults`` and ``migrate`` audit one machine, shaped by
   the machine flags, as a one-point sweep;
 * ``claims`` checks the paper's claims (:mod:`repro.analysis.claims`),
@@ -47,9 +50,10 @@ from repro.runner import (
     SWEEPS,
     Sweep,
     SweepPoint,
-    build_sweep,
+    pooled,
     run_sweep,
 )
+from repro.runner.sweeps import build_pairs
 from repro.tiering import TieringConfig
 from repro.topology import PLACEMENTS
 
@@ -110,20 +114,35 @@ def _tiering(value: str) -> dict:
     return {"data": data, "daemon": bool(sep)}
 
 
-def _build(args) -> Sweep:
-    if args.command in AUDITS:
-        return Sweep(name=args.command,
-                     title=f"{AUDITS[args.command]}, seed {args.seed}",
-                     points=[_audit_point(args)], axis="seed")
-    sweep = build_sweep(args.target, ops=args.ops, size=args.size,
-                        media=args.media, device_gib=args.device,
-                        aged=not args.fresh)
+def _knobs(args) -> dict:
+    """The five sweep knobs the flags set; a claim's pairs override
+    them."""
+    return {"ops": args.ops, "size": args.size, "media": args.media,
+            "device_gib": args.device, "aged": not args.fresh}
+
+
+def _sections(args):
+    """``sweep``/``perf``'s target as ``(sections, sweep)``: one
+    ``(sweep name, heading, sweep)`` per pair of a claim (a sweep name
+    is the one-pair case), and the sweep of their distinct points that
+    runs, pooled as ``claims`` pools them."""
+    claim = CLAIMS.get(args.target)
+    pairs = claim.sweeps if claim else ((args.target, {}),)
+    knobs = _knobs(args)
+    sweeps = build_pairs(pairs, knobs)
+    sections = []
+    for (name, own), sweep in zip(pairs, sweeps):
+        merged = " ".join(f"{key}={value}"
+                          for key, value in {**knobs, **own}.items())
+        sections.append((name, f"{name} {merged}", sweep))
+    sweep = pooled(args.target, claim.artifact if claim else sweeps[0].title,
+                   sweeps)
     if args.max_points is not None and len(sweep.points) > args.max_points:
         print(f"sweep: truncating {args.target} to the first "
               f"{args.max_points} of {len(sweep.points)} points "
               f"(--max-points)", file=sys.stderr)
         sweep.points = sweep.points[:args.max_points]
-    return sweep
+    return sections, sweep
 
 
 def _run(args, sweep: Sweep):
@@ -133,22 +152,14 @@ def _run(args, sweep: Sweep):
                      profile=args.profile)
 
 
-def _status(args, result) -> int:
-    """Exit status of a run: quarantined points fail it (unless there
-    are exactly ``--expect-failed`` of them), and so does any point
-    whose audit counters report a violation."""
+def _status(result) -> int:
+    """Exit status of a run: a quarantined point fails it, and so does
+    any point whose audit counters report a violation."""
     status = 0
     if result.failed:
         print(format_table(result.failed_table()), file=sys.stderr)
         print(f"sweep: {len(result.failed)} point(s) quarantined, "
               f"{len(result.points)} completed", file=sys.stderr)
-    if args.expect_failed is not None:
-        if len(result.failed) != args.expect_failed:
-            print(f"sweep: expected exactly {args.expect_failed} "
-                  f"quarantined point(s), got {len(result.failed)}",
-                  file=sys.stderr)
-            status = 1
-    elif result.failed:
         status = 1
     for line in result.violations():
         print(f"sweep: VIOLATION: point {line}", file=sys.stderr)
@@ -216,18 +227,34 @@ def _report(result, columns) -> str:
 
 
 def _sweep_cmd(args) -> int:
-    """``sweep NAME``: the figure grid, per-point rows, cache check."""
-    sweep = _build(args)
+    """``sweep``/``perf`` NAME or ID: one section per pair, the figure
+    grid and per-point rows or the perf report (``perf --json``: the
+    point states by pair), and the cache check."""
+    sections, sweep = _sections(args)
     result = _run(args, sweep)
-    print(format_sweep(sweep.title, result.series(), sweep.axis,
-                       result.hits, result.misses, result.wall_seconds))
-    print()
-    print(format_table(result.table(SWEEPS[args.target].columns)))
-    if args.profile:
-        print()
+    parts = [(name, heading, result.part(sweep))
+             for name, heading, sweep in sections]
+    if args.command == "perf" and args.json:
+        print(json.dumps({heading: {pr.point.label: pr.comparable_state()
+                                    for pr in part.points}
+                          for _name, heading, part in parts},
+                         indent=2, sort_keys=True))
+    else:
+        for name, heading, part in parts:
+            print(f"== {heading}")
+            if args.command == "perf":
+                print(_report(part, SWEEPS[name].columns))
+            else:
+                print(format_sweep(part.sweep.title, part.series(),
+                                   part.sweep.axis, part.hits, part.misses,
+                                   part.wall_seconds))
+                print()
+                print(format_table(part.table(SWEEPS[name].columns)))
+            print()
+    if args.profile and args.command == "sweep":
         print(format_table(_profile_table(result)))
-    status = _status(args, result)
-    if status or not args.verify_cache:
+    status = _status(result)
+    if status or args.command == "perf" or not args.verify_cache:
         return status
     if args.no_cache:
         print("sweep: --verify-cache needs the cache; drop --no-cache",
@@ -252,22 +279,23 @@ def _sweep_cmd(args) -> int:
     return 0
 
 
-def _report_cmd(args) -> int:
-    """``perf NAME`` and the audits: the report, or ``--json`` states."""
-    result = _run(args, _build(args))
+def _audit_cmd(args) -> int:
+    """An audit: one point shaped by the machine flags, its counters
+    as a table or ``--json`` state."""
+    result = _run(args, Sweep(
+        name=args.command, title=f"{AUDITS[args.command]}, seed {args.seed}",
+        points=[_audit_point(args)], axis="seed"))
     if args.json:
         print(json.dumps({pr.point.label: pr.comparable_state()
                           for pr in result.points},
                          indent=2, sort_keys=True))
-    elif args.command in AUDITS:
+    else:
         audit = Table(result.sweep.title, ["metric", "value"])
         for pr in result.points:
             for key, value in sorted(pr.run.counters.items()):
                 audit.add_row(key, f"{value:g}")
         print(format_table(audit))
-    else:
-        print(_report(result, SWEEPS[args.target].columns))
-    return _status(args, result)
+    return _status(result)
 
 
 def _claims_cmd(args) -> int:
@@ -278,7 +306,8 @@ def _claims_cmd(args) -> int:
               file=sys.stderr)
         return 2
     claims = [CLAIMS[args.target]] if args.target else list(CLAIMS.values())
-    result, verdicts = run_claims(claims, lambda sweep: _run(args, sweep))
+    result, verdicts = run_claims(claims, lambda sweep: _run(args, sweep),
+                                  _knobs(args))
     print(format_claims(verdicts))
     if args.target:
         print()
@@ -286,7 +315,7 @@ def _claims_cmd(args) -> int:
     print(f"claims: {len(result.points)} points ({result.hits} from cache, "
           f"{result.misses} simulated), wall {result.wall_seconds:.1f}s",
           file=sys.stderr)
-    status = _status(args, result)
+    status = _status(result)
     for verdict in verdicts:
         if not verdict.passed:
             print(f"claims: FAIL {verdict.claim.id} "
@@ -319,17 +348,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command",
                         choices=["sweep", "perf", *AUDITS, "claims",
                                  "golden", "list"],
-                        help="'sweep' fans a named sweep across worker "
-                             "processes with result caching, 'perf' "
-                             "reports where its cycles went, "
+                        help="'sweep' fans a named sweep, or a claim's "
+                             "sweeps, across worker processes with result "
+                             "caching, 'perf' reports where its cycles "
+                             "went, "
                              "'crash'/'faults'/'migrate' audit one "
                              "machine, 'claims' checks the paper's "
                              "claims, 'golden' recaptures "
                              "bit-identicality gate files")
     parser.add_argument("target", nargs="?",
                         choices=sorted({*SWEEPS, *CLAIMS}),
-                        help="sweep name (with 'sweep' or 'perf'), or "
-                             "one claim id (with 'claims')")
+                        help="sweep name or claim id (with 'sweep' or "
+                             "'perf'; a claim runs its sweeps), or one "
+                             "claim id (with 'claims')")
     parser.add_argument("--json", action="store_true",
                         help="print the point states as JSON (perf and "
                              "the audits)")
@@ -388,10 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="watchdog seconds per sweep point; hung "
                              "points are quarantined (needs --jobs >= 2 "
                              "for isolation)")
-    parser.add_argument("--expect-failed", type=int, default=None,
-                        help="exit 0 only if exactly this many points "
-                             "were quarantined (isolation checks); "
-                             "default: any failure exits 1")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the sweep result cache")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
@@ -418,25 +445,23 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
         for name, fn in sorted(SWEEPS.items()):
-            print(f"sweep|perf {name:<12} {fn.help_text}")
+            print(f"sweep|perf {name:<25} {fn.help_text}")
         for name, help_text in AUDITS.items():
-            print(f"{name:<23} {help_text}")
+            print(f"{name:<36} {help_text}")
         for claim in CLAIMS.values():
-            print(f"claims {claim.id:<16} {claim.artifact}")
+            print(f"sweep|perf|claims {claim.id:<18} {claim.artifact}")
         return 0
     if args.command == "golden":
         return _golden_cmd(args)
     if args.command == "claims":
         return _claims_cmd(args)
     if args.command in AUDITS:
-        return _report_cmd(args)
-    if args.target not in SWEEPS:
-        print(f"{args.command} needs a sweep name: "
-              + ", ".join(sorted(SWEEPS)), file=sys.stderr)
+        return _audit_cmd(args)
+    if args.target is None:
+        print(f"{args.command} needs a sweep name or a claim id",
+              file=sys.stderr)
         return 2
-    if args.command == "sweep":
-        return _sweep_cmd(args)
-    return _report_cmd(args)
+    return _sweep_cmd(args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

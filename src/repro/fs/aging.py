@@ -73,7 +73,7 @@ def synthesize_aged_state(device: BlockDevice,
 
 
 # ---------------------------------------------------------------------------
-# Cached aged images: aging is deterministic, so each (size, profile)
+# Cached aged images: aging is deterministic, so each (size, base)
 # pair is aged once per process and cloned for every experiment.
 # ---------------------------------------------------------------------------
 _AGED_CACHE: dict = {}
@@ -90,19 +90,19 @@ def _clone_device(device: BlockDevice) -> BlockDevice:
     return clone
 
 
-def aged_device(size_bytes: int, profile: AgingProfile = AgingProfile(),
-                base_frame: int = 1 << 30,
+def aged_device(size_bytes: int, base_frame: int = 1 << 30,
                 frame_map=None) -> BlockDevice:
-    """An aged block device (memoised per (size, profile, base)).
+    """A device aged under the default :class:`AgingProfile`
+    (memoised per (size, base)).
 
     Aging operates purely on block numbers, so the NUMA ``frame_map``
     (if any) is attached to the clone after the fact — the same aged
     image serves every placement.
     """
-    key = (size_bytes, profile, base_frame)
+    key = (size_bytes, base_frame)
     if key not in _AGED_CACHE:
         device = BlockDevice(size_bytes, base_frame=base_frame)
-        synthesize_aged_state(device, profile)
+        synthesize_aged_state(device)
         _AGED_CACHE[key] = device
     clone = _clone_device(_AGED_CACHE[key])
     clone.frame_map = frame_map

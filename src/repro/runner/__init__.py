@@ -11,7 +11,7 @@ from repro.runner.cache import (
     ResultCache,
     code_fingerprint,
 )
-from repro.runner.manifest import PointResult, Sweep, SweepPoint
+from repro.runner.manifest import PointResult, Sweep, SweepPoint, pooled
 from repro.runner.pool import SweepResult, run_sweep
 from repro.runner.sweeps import POINT_RUNNERS, SWEEPS, build_sweep
 from repro.runner.worker import run_point
@@ -27,6 +27,7 @@ __all__ = [
     "SweepResult",
     "build_sweep",
     "code_fingerprint",
+    "pooled",
     "run_point",
     "run_sweep",
 ]

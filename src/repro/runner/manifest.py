@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from repro.analysis.results import RunResult
 from repro.config import MEDIA_PRESETS
@@ -112,6 +112,11 @@ class SweepPoint:
     def from_payload(cls, payload: Dict[str, object]) -> "SweepPoint":
         return cls(**payload)
 
+    @property
+    def key(self) -> str:
+        """The payload as canonical JSON: equal keys, equal points."""
+        return json.dumps(self.to_payload(), sort_keys=True)
+
     def cache_key(self, code_fingerprint: str) -> str:
         """Content hash identifying this point's result.
 
@@ -142,6 +147,14 @@ class Sweep:
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+def pooled(name: str, title: str, sweeps: Sequence[Sweep]) -> Sweep:
+    """One sweep of the distinct points of ``sweeps``, in first-seen
+    order; :meth:`repro.runner.SweepResult.part` matches its results
+    back to each sweep by payload."""
+    unique = {point.key: point for sweep in sweeps for point in sweep.points}
+    return Sweep(name=name, title=title, points=list(unique.values()))
 
 
 @dataclass

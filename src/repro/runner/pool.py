@@ -118,6 +118,19 @@ class SweepResult:
                 for pr in self.points for key in VIOLATION_COUNTERS
                 if pr.run.counters.get(key)]
 
+    def part(self, sweep: Sweep) -> "SweepResult":
+        """``sweep``'s share of this (pooled) run, in ``sweep``'s order:
+        its points matched by payload, each a cache hit or a miss."""
+        done = {pr.point.key: pr for pr in self.points}
+        failed = {f.point.key: f for f in self.failed}
+        points = [done[p.key] for p in sweep.points if p.key in done]
+        hits = sum(pr.cached for pr in points)
+        return SweepResult(
+            sweep=sweep, points=points, hits=hits,
+            misses=len(points) - hits, wall_seconds=self.wall_seconds,
+            jobs=self.jobs,
+            failed=[failed[p.key] for p in sweep.points if p.key in failed])
+
     def failed_table(self) -> Table:
         """Quarantined points: what failed and how."""
         table = Table(f"{self.sweep.title} — quarantined points",

@@ -12,8 +12,8 @@ one definition of what "the apache sweep" means.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Callable, Dict, Optional, Sequence
+from dataclasses import asdict, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.results import RunResult
 from repro.config import MEDIA_PRESETS
@@ -86,9 +86,13 @@ def _daxvm_options(state: Optional[dict]) -> DaxVMOptions:
     return DaxVMOptions(**state) if state else DaxVMOptions.full()
 
 
-def _daxvm_params(opts: DaxVMOptions) -> dict:
-    return {"ephemeral": opts.ephemeral, "unmap_async": opts.unmap_async,
-            "sync": opts.sync, "nosync": opts.nosync}
+#: ``daxvm`` runner params: the full DaxVM, and the long-lived mapping
+#: of the repetitive, walk and YCSB points, with and without kernel
+#: dirty tracking.  Only the ``daxvm`` interface reads them.
+FULL = asdict(DaxVMOptions.full())
+LONG_LIVED = asdict(DaxVMOptions(ephemeral=False, unmap_async=False))
+NOSYNC = asdict(DaxVMOptions(ephemeral=False, unmap_async=False,
+                             nosync=True))
 
 
 def _filetable_threshold(system: System, volatile_max: Optional[int]) -> None:
@@ -445,104 +449,105 @@ def _selftest_point(system: System, *, mode: str,
 
 
 # ---------------------------------------------------------------------------
-# Sweep builders (figure -> list of points).
+# Sweep builders (figure -> list of points).  Each takes the five CLI
+# knobs: ``ops`` and ``size`` shape the workload; ``machine`` holds
+# ``media``, ``device_gib`` and ``aged``, the point's machine fields.
 # ---------------------------------------------------------------------------
 @sweep("scaling", "read-once throughput vs thread count (fig 1b)",
        smoke="--ops 8 --device 1")
-def _scaling_sweep(*, ops: int, size: int, media: str, device_gib: int,
-                   aged: bool) -> Sweep:
-    points = []
-    for threads in (1, 2, 4, 8, 16):
-        for interface in (Interface.READ, Interface.MMAP,
-                          Interface.DAXVM):
-            points.append(SweepPoint(
-                experiment="ephemeral", series=interface.value,
-                x=threads,
-                params={"file_size": size, "num_files": ops,
-                        "num_threads": threads,
-                        "interface": interface.value},
-                media=media, device_gib=device_gib, aged=aged))
-    return Sweep(name="scaling",
-                 title="Read-once throughput (Kops/s)",
+def _scaling_sweep(*, ops: int, size: int, **machine) -> Sweep:
+    points = [SweepPoint(
+        "ephemeral", interface.value, threads,
+        {"file_size": size, "num_files": ops, "num_threads": threads,
+         "interface": interface.value}, **machine)
+        for threads in (1, 2, 4, 8, 16)
+        for interface in (Interface.READ, Interface.MMAP, Interface.DAXVM)]
+    return Sweep(name="scaling", title="Read-once throughput (Kops/s)",
                  points=points, axis="threads")
 
 
-@sweep("apache", "webserver scalability (fig 8a)",
+@sweep("apache", "webserver scalability (fig 8a, §V-C processes)",
        smoke="--ops 120 --device 2")
-def _apache_sweep(*, ops: int, size: int, media: str, device_gib: int,
-                  aged: bool) -> Sweep:
-    bars = [("read", ServerInterface.READ, None),
-            ("mmap", ServerInterface.MMAP, None),
-            ("daxvm", ServerInterface.DAXVM, DaxVMOptions.full())]
-    points = []
-    for workers in (1, 4, 8, 16):
-        for series, interface, opts in bars:
-            params = {"num_workers": workers, "requests": ops,
-                      "interface": interface.value}
-            if opts is not None:
-                params["daxvm"] = _daxvm_params(opts)
-            points.append(SweepPoint(
-                experiment="apache", series=series, x=workers,
-                params=params, media=media, device_gib=device_gib,
-                aged=aged))
-    return Sweep(name="apache",
-                 title="Apache throughput (Kreq/s)",
+def _apache_sweep(*, ops: int, size: int, **machine) -> Sweep:
+    """read, mmap and DaxVM serving ``ops`` requests at 1-16 workers
+    (2 workers last, so a ``--max-points`` prefix keeps the 1-16
+    shape), and at 8 workers mmap and DaxVM with one single-thread
+    process per worker (§V-C)."""
+    bars = (("read", {}), ("mmap", {}), ("daxvm", {"daxvm": FULL}))
+    points = [SweepPoint(
+        "apache", interface, workers,
+        {"num_workers": workers, "requests": ops, "interface": interface,
+         **params}, **machine)
+        for workers in (1, 4, 8, 16, 2) for interface, params in bars]
+    points += [SweepPoint(
+        "apache", f"{interface}+procs", 8,
+        {"num_workers": 8, "requests": ops, "interface": interface,
+         "multiprocess": True}, **machine)
+        for interface in ("mmap", "daxvm")]
+    return Sweep(name="apache", title="Apache throughput (Kreq/s)",
                  points=points, axis="cores")
 
 
 @sweep("ablations", "incremental DaxVM mechanisms at 16 cores (§V-C)",
        smoke="--ops 8 --device 1 --profile")
-def _ablations_sweep(*, ops: int, size: int, media: str,
-                     device_gib: int, aged: bool) -> Sweep:
-    workers = 16
-    bars = [
-        ("read", ServerInterface.READ, None, None),
-        ("mmap", ServerInterface.MMAP, None, None),
-        ("+filetables", ServerInterface.DAXVM,
-         DaxVMOptions.filetables_only(), None),
-        ("+ephemeral", ServerInterface.DAXVM,
-         DaxVMOptions.with_ephemeral(), None),
-        ("+async", ServerInterface.DAXVM, DaxVMOptions.full(), None),
-        ("+batch512", ServerInterface.DAXVM, DaxVMOptions.full(), 512),
-    ]
-    points = []
-    for series, interface, opts, batch in bars:
-        params = {"num_workers": workers, "requests": ops,
-                  "interface": interface.value}
-        if opts is not None:
-            params["daxvm"] = _daxvm_params(opts)
-        if batch is not None:
-            params["batch_pages"] = batch
-        points.append(SweepPoint(
-            experiment="apache", series=series, x=workers,
-            params=params, media=media, device_gib=device_gib,
-            aged=aged))
+def _ablations_sweep(*, ops: int, size: int, **machine) -> Sweep:
+    """Fig. 8a's 16-core bars: the mmap variants, then DaxVM's
+    mechanisms one by one (``+async`` is the full DaxVM, at the default
+    unmap batch) and at three other unmap batch sizes."""
+    bars = [(name, name, {}) for name in ("read", "mmap", "populate",
+                                          "latr", "mmap+async")]
+    bars += [("+filetables", "daxvm",
+              {"daxvm": asdict(DaxVMOptions.filetables_only())}),
+             ("+ephemeral", "daxvm",
+              {"daxvm": asdict(DaxVMOptions.with_ephemeral())}),
+             ("+async", "daxvm", {"daxvm": FULL})]
+    bars += [(f"+batch{batch}", "daxvm",
+              {"daxvm": FULL, "batch_pages": batch})
+             for batch in (8, 128, 512)]
+    points = [SweepPoint(
+        "apache", series, 16,
+        {"num_workers": 16, "requests": ops, "interface": interface,
+         **params}, **machine)
+        for series, interface, params in bars]
     return Sweep(name="ablations",
-                 title=f"Fig. 8a incremental bars, {workers} cores "
-                       f"(Kreq/s)",
+                 title="Fig. 8a incremental bars, 16 cores (Kreq/s)",
                  points=points, axis="cores")
+
+
+#: Fig. 8b's served page sizes, the pages sweep's x axis (in KB).
+PAGE_SIZES = (4 << 10, 16 << 10, 32 << 10, 64 << 10)
+
+
+@sweep("pages", "webserver vs served page size, 16 cores (fig 8b)",
+       smoke="--ops 16 --device 1 --max-points 6")
+def _pages_sweep(*, ops: int, size: int, **machine) -> Sweep:
+    """read, mmap and DaxVM at 16 workers serving pages of each size,
+    ``ops`` requests per point but at most 64 MB of pages."""
+    points = [SweepPoint(
+        "apache", interface, page >> 10,
+        {"num_workers": 16, "requests": min(ops, (64 << 20) // page),
+         "interface": interface, "page_size": page}, **machine)
+        for page in PAGE_SIZES for interface in ("read", "mmap", "daxvm")]
+    return Sweep(name="pages", title="Apache vs page size (Kreq/s)",
+                 points=points, axis="page KB")
 
 
 @sweep("crash", "crash-point injection + recovery audit per workload",
        columns=("crash.points_explored", "crash.replayed_records",
                 "crash.invariant_violations"),
        smoke="--ops 24 --device 1")
-def _crash_sweep(*, ops: int, size: int, media: str, device_gib: int,
-                 aged: bool) -> Sweep:
+def _crash_sweep(*, ops: int, size: int, **machine) -> Sweep:
     """Both crash workloads at three seeds each.  ``ops`` bounds the
     crash points explored per sweep point (each point crashes and
     recovers one storage image).  ``aged`` is deliberately ignored:
     the audit's machines always start from fresh images."""
-    max_points = max(4, min(ops, 48))
-    points = []
-    for workload in ("syncbench", "kvstore"):
-        for seed in (0, 1, 2):
-            points.append(SweepPoint(
-                experiment="crash", series=workload, x=seed,
-                params={"workload": workload, "seed": seed,
-                        "max_points": max_points, "media": media,
-                        "device_gib": device_gib},
-                media=media, device_gib=device_gib, aged=False))
+    budget = {"media": machine["media"], "device_gib": machine["device_gib"]}
+    points = [SweepPoint(
+        "crash", workload, seed,
+        {"workload": workload, "seed": seed,
+         "max_points": max(4, min(ops, 48)), **budget},
+        **budget, aged=False)
+        for workload in ("syncbench", "kvstore") for seed in (0, 1, 2)]
     return Sweep(name="crash",
                  title="Crash recovery audit (points explored)",
                  points=points, axis="seed")
@@ -552,51 +557,36 @@ def _crash_sweep(*, ops: int, size: int, media: str, device_gib: int,
        columns=("faults.sites_explored", "faults.remapped",
                 "faults.violations"),
        smoke="--ops 8 --device 1")
-def _faults_sweep(*, ops: int, size: int, media: str, device_gib: int,
-                  aged: bool) -> Sweep:
+def _faults_sweep(*, ops: int, size: int, **machine) -> Sweep:
     """Every fault workload at two seeds.  ``ops`` bounds the armed
     sites per sweep point (each site is a full machine replica).
     ``aged`` is deliberately ignored: replicas start fresh."""
-    max_sites = max(4, min(ops, 64))
-    points = []
-    for workload in ("syncbench", "kvstore", "readbench"):
-        for seed in (0, 1):
-            points.append(SweepPoint(
-                experiment="faults", series=workload, x=seed,
-                params={"workload": workload, "seed": seed,
-                        "max_sites": max_sites, "media": media,
-                        "device_gib": device_gib},
-                media=media, device_gib=device_gib, aged=False))
+    budget = {"media": machine["media"], "device_gib": machine["device_gib"]}
+    points = [SweepPoint(
+        "faults", workload, seed,
+        {"workload": workload, "seed": seed,
+         "max_sites": max(4, min(ops, 64)), **budget},
+        **budget, aged=False)
+        for workload in ("syncbench", "kvstore", "readbench")
+        for seed in (0, 1)]
     return Sweep(name="faults",
                  title="Media-fault handling audit (sites explored)",
                  points=points, axis="seed")
 
 
-@sweep("selftest", "runner fault-isolation diagnostics (ok/crash/hang)",
-       smoke="--ops 3 --device 1 --no-cache --point-timeout 3 "
-             "--expect-failed 2")
-def _selftest_sweep(*, ops: int, size: int, media: str, device_gib: int,
-                    aged: bool) -> Sweep:
-    """One crashing point and one hung point among healthy ones: used
-    by CI to prove a sweep survives both with exactly the bad points
-    quarantined.  ``ops`` sets the healthy-point count."""
-    modes = ["ok"] * max(2, min(ops, 8))
-    modes.insert(1, "crash")
-    modes.append("hang")
-    points = [SweepPoint(experiment="selftest", series=mode, x=i,
-                         params={"mode": mode},
-                         media=media, device_gib=device_gib, aged=False)
-              for i, mode in enumerate(modes)]
-    return Sweep(name="selftest",
-                 title="Runner isolation selftest",
-                 points=points, axis="slot")
+def _syncbench(ops: int, size: int) -> dict:
+    """DaxVM+fsync syncbench params of the mmu and tiering sweeps: 1 KB
+    writes to a file of ``size`` (at least 4 MB, so its file table is
+    persistent), synced every 16 writes, ``ops`` times (8 to 64)."""
+    return {"file_size": max(size, 4 << 20), "op_size": 1 << 10,
+            "ops_per_sync": 16, "num_syncs": max(8, min(ops, 64)),
+            "discipline": "daxvm+fsync"}
 
 
 @sweep("mmu", "four translation schemes x workload x clean/aged image",
        columns=("vm.walk_cycles", "vm.tlb_misses"),
        smoke="--ops 16 --device 1 --max-points 8")
-def _mmu_sweep(*, ops: int, size: int, media: str, device_gib: int,
-               aged: bool) -> Sweep:
+def _mmu_sweep(*, ops: int, size: int, **machine) -> Sweep:
     """DaxVM under four MMUs (see repro.paging.schemes).
 
     Two attach-heavy workloads — syncbench (one long-lived DaxVM
@@ -606,39 +596,23 @@ def _mmu_sweep(*, ops: int, size: int, media: str, device_gib: int,
     knob is deliberately ignored: the clean/aged contrast *is* the
     experiment for the range scheme.  ``ops`` scales sync rounds and
     KV operations; ``size`` scales the syncbench file (floored at 4 MB
-    so its file table goes persistent and walks pay PMem leaves).
+    so walks pay PMem leaves).
     """
     from repro.paging.schemes import SCHEME_NAMES
 
-    num_syncs = max(8, min(ops, 64))
-    kv_ops = max(160, min(ops * 20, 3200))
-    points = []
-    for scheme in SCHEME_NAMES:
-        for aged_image in (False, True):
-            x = float(aged_image)
-            points.append(SweepPoint(
-                experiment="syncbench", series=f"syncbench+{scheme}",
-                x=x,
-                params={"file_size": max(size, 4 << 20),
-                        "op_size": 1 << 10, "ops_per_sync": 16,
-                        "num_syncs": num_syncs,
-                        "discipline": "daxvm+fsync"},
-                media=media, device_gib=device_gib, aged=aged_image,
-                scheme=scheme))
-            points.append(SweepPoint(
-                experiment="kvstore", series=f"kvstore+{scheme}",
-                x=x,
-                params={"workload": "load_a", "num_ops": kv_ops,
-                        "preload_records": 0,
-                        "interface": Interface.DAXVM.value,
-                        "record_size": 4096,
-                        "memtable_limit": 1 << 20,
-                        "sstable_size": 1 << 20, "wal_size": 1 << 20,
-                        "daxvm": {"ephemeral": False,
-                                  "unmap_async": False,
-                                  "sync": True, "nosync": False}},
-                media=media, device_gib=device_gib, aged=aged_image,
-                scheme=scheme))
+    workloads = (
+        ("syncbench", _syncbench(ops, size)),
+        ("kvstore", {"workload": "load_a",
+                     "num_ops": max(160, min(ops * 20, 3200)),
+                     "preload_records": 0, "interface": "daxvm",
+                     "record_size": 4096, "memtable_limit": 1 << 20,
+                     "sstable_size": 1 << 20, "wal_size": 1 << 20,
+                     "daxvm": LONG_LIVED}))
+    points = [SweepPoint(workload, f"{workload}+{scheme}", float(aged),
+                         dict(params), **{**machine, "aged": aged},
+                         scheme=scheme)
+              for scheme in SCHEME_NAMES for aged in (False, True)
+              for workload, params in workloads]
     return Sweep(name="mmu",
                  title="DaxVM across translation architectures "
                        "(cycles/op)",
@@ -649,22 +623,16 @@ def _mmu_sweep(*, ops: int, size: int, media: str, device_gib: int,
        columns=("numa.local_accesses", "numa.remote_accesses",
                 "numa.local_bytes", "numa.remote_bytes"),
        smoke="--ops 60 --device 2")
-def _numa_sweep(*, ops: int, size: int, media: str, device_gib: int,
-                aged: bool) -> Sweep:
+def _numa_sweep(*, ops: int, size: int, **machine) -> Sweep:
     """Read-once mmap with workload threads pinned to socket 0 and the
     file placed local to them, on the remote socket, or interleaved
     across both — the dual-socket Optane placement experiment."""
-    points = []
-    for threads in (1, 2, 4, 8, 16):
-        for placement in PLACEMENTS:
-            points.append(SweepPoint(
-                experiment="ephemeral", series=placement, x=threads,
-                params={"file_size": size, "num_files": ops,
-                        "num_threads": threads,
-                        "interface": Interface.MMAP.value,
-                        "pin_node": 0},
-                media=media, device_gib=device_gib, aged=aged,
-                num_nodes=2, placement=placement, pin_node=0))
+    points = [SweepPoint(
+        "ephemeral", placement, threads,
+        {"file_size": size, "num_files": ops, "num_threads": threads,
+         "interface": "mmap", "pin_node": 0},
+        **machine, num_nodes=2, placement=placement, pin_node=0)
+        for threads in (1, 2, 4, 8, 16) for placement in PLACEMENTS]
     return Sweep(name="numa",
                  title="NUMA file placement, mmap read-once (Kops/s)",
                  points=points, axis="threads")
@@ -672,17 +640,14 @@ def _numa_sweep(*, ops: int, size: int, media: str, device_gib: int,
 
 @sweep("ephemeral", "read-once file access across interfaces",
        smoke="--ops 40 --device 1")
-def _ephemeral_sweep(*, ops: int, size: int, media: str, device_gib: int,
-                     aged: bool) -> Sweep:
+def _ephemeral_sweep(*, ops: int, size: int, **machine) -> Sweep:
     """``ops`` files of ``size`` bytes read once by one thread through
     each interface."""
     points = [SweepPoint(
-        experiment="ephemeral", series=interface.value, x=1,
-        params={"file_size": size, "num_files": ops, "num_threads": 1,
-                "interface": interface.value},
-        media=media, device_gib=device_gib, aged=aged)
-        for interface in (Interface.READ, Interface.MMAP,
-                          Interface.MMAP_POPULATE, Interface.DAXVM)]
+        "ephemeral", interface.value, 1,
+        {"file_size": size, "num_files": ops, "num_threads": 1,
+         "interface": interface.value}, **machine)
+        for interface in Interface]
     return Sweep(name="ephemeral",
                  title=f"Ephemeral access, {size >> 10} KB files (Kops/s)",
                  points=points, axis="threads")
@@ -690,87 +655,181 @@ def _ephemeral_sweep(*, ops: int, size: int, media: str, device_gib: int,
 
 @sweep("media", "DaxVM across storage media (§VI)",
        smoke="--ops 30 --device 1")
-def _media_sweep(*, ops: int, size: int, media: str, device_gib: int,
-                 aged: bool) -> Sweep:
-    """32 KB read-once files, read() vs DaxVM, on every media preset
-    (the ``media`` knob is replaced per point); x is the file size in
-    KB."""
+def _media_sweep(*, ops: int, size: int, **machine) -> Sweep:
+    """32 KB read-once files through read(), mmap and DaxVM on every
+    media preset (the ``media`` knob is replaced per point); x is the
+    file size in KB."""
     points = [SweepPoint(
-        experiment="ephemeral", series=f"{preset}+{interface.value}",
-        x=32,
-        params={"file_size": 32 << 10, "num_files": ops, "num_threads": 1,
-                "interface": interface.value},
-        media=preset, device_gib=device_gib, aged=aged)
+        "ephemeral", f"{preset}+{interface}", 32,
+        {"file_size": 32 << 10, "num_files": ops, "num_threads": 1,
+         "interface": interface}, **{**machine, "media": preset})
         for preset in MEDIA_PRESETS
-        for interface in (Interface.READ, Interface.DAXVM)]
+        for interface in ("read", "daxvm", "mmap")]
     return Sweep(name="media",
                  title="32KB ephemeral access across media (Kops/s)",
                  points=points, axis="KB")
 
 
-@sweep("ycsb", "YCSB load_a over the Pmem-RocksDB model (fig 9c)",
-       columns=("journal.sync_commits",), smoke="--ops 200 --device 1")
-def _ycsb_sweep(*, ops: int, size: int, media: str, device_gib: int,
-                aged: bool) -> Sweep:
-    """mmap, DaxVM and DaxVM with pre-zeroing and nosync over the
-    kvstore, on ext4 (x = 0) and NOVA (x = 1)."""
-    long_lived = {"ephemeral": False, "unmap_async": False}
-    variants = (
-        ("mmap", Interface.MMAP, DaxVMOptions(**long_lived), False),
-        ("daxvm", Interface.DAXVM, DaxVMOptions(**long_lived), False),
-        ("daxvm+pz+ns", Interface.DAXVM,
-         DaxVMOptions(**long_lived, nosync=True), True),
-    )
-    points = [SweepPoint(
-        experiment="kvstore", series=name, x=x,
-        params={"workload": "load_a", "num_ops": ops,
-                "preload_records": 0, "interface": interface.value,
-                "daxvm": _daxvm_params(opts), "prezero": prezero},
-        media=media, device_gib=device_gib, aged=aged, fs_type=fs_type)
-        for x, fs_type in enumerate(("ext4", "nova"))
-        for name, interface, opts, prezero in variants]
-    return Sweep(name="ycsb", title="YCSB load_a (Kops/s)",
-                 points=points, axis="nova")
+#: Fig. 9c's workloads, the ycsb sweep's x axis (by index).
+YCSB_WORKLOADS = ("load_a", "load_e", "run_a", "run_b", "run_c", "run_d",
+                  "run_e", "run_f")
+#: Fig. 9c's bars: (name, interface, ``daxvm`` params, pre-zeroing).
+YCSB_VARIANTS = (("mmap", "mmap", LONG_LIVED, False),
+                 ("populate", "populate", LONG_LIVED, False),
+                 ("daxvm", "daxvm", LONG_LIVED, False),
+                 ("daxvm+pz", "daxvm", LONG_LIVED, True),
+                 ("daxvm+pz+ns", "daxvm", NOSYNC, True))
 
 
-@sweep("repetitive", "database-style 4KB ops over one big file",
-       smoke="--ops 8 --device 1")
-def _repetitive_sweep(*, ops: int, size: int, media: str,
-                      device_gib: int, aged: bool) -> Sweep:
-    """``64 * ops`` 4 KB reads over a 96 MB file, sequential (x = 0)
-    and random (x = 1), with DaxVM's MMU monitor ticking."""
-    daxvm = _daxvm_params(DaxVMOptions(ephemeral=False, unmap_async=False,
-                                       nosync=True))
+@sweep("ycsb", "YCSB over the Pmem-RocksDB model (fig 9c, §V-C NOVA)",
+       columns=("journal.sync_commits",),
+       smoke="--ops 100 --device 1 --max-points 5")
+def _ycsb_sweep(*, ops: int, size: int, **machine) -> Sweep:
+    """Every Fig. 9c bar on ext4 at every YCSB workload (x indexes
+    :data:`YCSB_WORKLOADS`), then mmap against DaxVM with pre-zeroing
+    and nosync on NOVA for load_a and run_b.  Each point runs ``ops``
+    operations; run phases first preload ``ops`` records."""
+    cells = [("ext4", workload, variant) for workload in YCSB_WORKLOADS
+             for variant in YCSB_VARIANTS]
+    cells += [("nova", workload, variant) for workload in ("load_a", "run_b")
+              for variant in (YCSB_VARIANTS[0], YCSB_VARIANTS[-1])]
     points = [SweepPoint(
-        experiment="repetitive", series=interface.value, x=x,
-        params={"file_size": 96 << 20, "op_size": 4096,
-                "num_ops": 64 * ops, "pattern": pattern.value,
-                "interface": interface.value, "monitor_every": 8192,
-                "daxvm": daxvm},
-        media=media, device_gib=device_gib, aged=aged)
-        for x, pattern in enumerate((AccessPattern.SEQUENTIAL,
-                                     AccessPattern.RANDOM))
-        for interface in (Interface.READ, Interface.MMAP, Interface.DAXVM)]
+        "kvstore", f"{fs_type}+{name}", YCSB_WORKLOADS.index(workload),
+        {"workload": workload, "num_ops": ops, "preload_records": ops,
+         "interface": interface, "daxvm": daxvm, "prezero": prezero},
+        **machine, fs_type=fs_type)
+        for fs_type, workload, (name, interface, daxvm, prezero) in cells]
+    return Sweep(name="ycsb", title="YCSB (Kops/s)", points=points,
+                 axis="workload")
+
+
+@sweep("prezero", "a kvstore load beside the pre-zero daemon (§V-C)",
+       smoke="--ops 100 --device 1")
+def _prezero_sweep(*, ops: int, size: int, **machine) -> Sweep:
+    """``ops`` load_a inserts through DaxVM with pre-zeroing and
+    nosync, alone (x = 0) and while the throttled daemon zeroes the
+    blocks of a freed 256 MB file (x = 1)."""
+    load = {"workload": "load_a", "num_ops": ops, "preload_records": 0,
+            "interface": "daxvm", "daxvm": NOSYNC, "prezero": True}
+    points = [SweepPoint("kvstore", "quiet", 0, load, **machine),
+              SweepPoint("prezero-interference", "zeroing", 1,
+                         {**load, "junk_bytes": 256 << 20}, **machine)]
+    return Sweep(name="prezero", title="Load with pre-zeroing (Kops/s)",
+                 points=points, axis="daemon")
+
+
+@sweep("repetitive", "1 KB/4 KB ops over one 96 MB file (figs 1c, 5)",
+       smoke="--ops 2 --device 1 --max-points 8")
+def _repetitive_sweep(*, ops: int, size: int, **machine) -> Sweep:
+    """Sequential and random reads and writes of 1 KB and 4 KB (x, in
+    KB) over a 96 MB file through every interface, with DaxVM's MMU
+    monitor ticking (Fig. 5); then the 4 KB ones through read, mmap and
+    DaxVM with the monitor off (Fig. 1c).  Each point moves
+    ``ops * 256 KB``; ``size`` is ignored."""
+    shapes = [(op, 8192, tuple(Interface)) for op in (1024, 4096)]
+    shapes.append((4096, 0, (Interface.READ, Interface.MMAP,
+                             Interface.DAXVM)))
+    points = [SweepPoint(
+        "repetitive",
+        f"{interface.value}+{pattern}+{'write' if write else 'read'}"
+        + ("" if every else "+nomonitor"), op >> 10,
+        {"file_size": 96 << 20, "op_size": op, "num_ops": (ops << 18) // op,
+         "pattern": pattern, "write": write, "interface": interface.value,
+         "monitor_every": every, "daxvm": NOSYNC}, **machine)
+        for op, every, interfaces in shapes for pattern in ("seq", "rand")
+        for write in (False, True) for interface in interfaces]
     return Sweep(name="repetitive",
-                 title="Repetitive 4KB ops over a large file (Kops/s)",
+                 title="Repetitive ops over a large file (Kops/s)",
+                 points=points, axis="KB")
+
+
+@sweep("tables", "4KB DaxVM walks by pattern x file-table medium (tab 2-3)",
+       columns=("vm.walk_cycles", "vm.tlb_misses"),
+       smoke="--ops 64 --device 1 --fresh")
+def _tables_sweep(*, ops: int, size: int, **machine) -> Sweep:
+    """``ops`` sequential (x = 0) and random (x = 1) 4 KB DaxVM reads
+    over an ``ops``-page file mapped without huge pages, its file table
+    in DRAM (a volatile table) or PMem (a persistent one)."""
+    tables = (("dram", {"filetable_volatile_max": 1 << 30}), ("pmem", {}))
+    points = [SweepPoint(
+        "repetitive", medium, x,
+        {"file_size": ops << 12, "op_size": 4096, "num_ops": ops,
+         "pattern": pattern, "interface": "daxvm", "daxvm": NOSYNC,
+         "allow_huge": False, **params}, **machine)
+        for medium, params in tables
+        for x, pattern in enumerate(("seq", "rand"))]
+    return Sweep(name="tables", title="DaxVM page walks (Kops/s)",
                  points=points, axis="random")
+
+
+@sweep("monitor", "MMU monitor off/on, random 4KB DaxVM reads (§V-B)",
+       smoke="--ops 256 --device 1")
+def _monitor_sweep(*, ops: int, size: int, **machine) -> Sweep:
+    """``ops`` random 4 KB DaxVM reads over an ``ops``-page file with
+    the MMU monitor off (x = 0) and checking every ``ops // 8`` reads
+    (at least 1; x = that interval)."""
+    points = [SweepPoint(
+        "repetitive", "daxvm", every,
+        {"file_size": ops << 12, "op_size": 4096, "num_ops": ops,
+         "pattern": "rand", "interface": "daxvm", "monitor_every": every,
+         "daxvm": NOSYNC}, **machine)
+        for every in (0, max(1, ops // 8))]
+    return Sweep(name="monitor", title="MMU monitor (Kops/s)",
+                 points=points, axis="check every")
+
+
+#: Fig. 6's sync intervals (writes per sync), the sync sweep's x axis.
+SYNC_INTERVALS = (4, 64, 512, 2048, 8192)
+
+
+@sweep("sync", "sync disciplines vs writes per sync (fig 6)",
+       smoke="--ops 40 --device 1 --max-points 5")
+def _sync_sweep(*, ops: int, size: int, **machine) -> Sweep:
+    """1 KB writes to a ``size``-byte file under every sync discipline,
+    syncing every x writes, ``ops // x`` times (at least 10)."""
+    points = [SweepPoint(
+        "syncbench", discipline.value, every,
+        {"file_size": size, "op_size": 1 << 10, "ops_per_sync": every,
+         "num_syncs": max(10, ops // every),
+         "discipline": discipline.value}, **machine)
+        for every in SYNC_INTERVALS for discipline in SyncDiscipline]
+    return Sweep(name="sync", title="Sync disciplines (Kops/s)",
+                 points=points, axis="writes/sync")
+
+
+@sweep("textsearch", "ag over a Linux-like file tree vs threads (fig 9a)",
+       smoke="--ops 40 --device 1 --max-points 4")
+def _textsearch_sweep(*, ops: int, size: int, **machine) -> Sweep:
+    """``ops`` files totalling 160 MB (``size`` is ignored) searched by
+    1-16 threads through read, mmap and DaxVM, and through DaxVM with
+    synchronous unmap."""
+    series = (("read", "read", {}), ("mmap", "mmap", {}),
+              ("daxvm", "daxvm", {}),
+              ("daxvm-sync-unmap", "daxvm",
+               {"daxvm": asdict(DaxVMOptions.with_ephemeral())}))
+    points = [SweepPoint(
+        "textsearch", name, threads,
+        {"num_files": ops, "total_bytes": 160 << 20, "num_threads": threads,
+         "interface": interface, **params}, **machine)
+        for threads in (1, 2, 4, 8, 16) for name, interface, params in series]
+    return Sweep(name="textsearch", title="Text search (Kops/s)",
+                 points=points, axis="threads")
 
 
 @sweep("predis", "P-Redis boot and warm-up timeline (fig 9b)",
        columns=("predis.boot_cycles", "predis.first_window_ops_per_s",
                 "predis.last_window_ops_per_s"),
        smoke="--ops 1000 --device 2")
-def _predis_sweep(*, ops: int, size: int, media: str, device_gib: int,
-                  aged: bool) -> Sweep:
-    """``ops`` gets from a 512 MB cache after a cold boot, per
-    interface; throughput is sampled every ``max(500, ops // 16)``
-    gets."""
+def _predis_sweep(*, ops: int, size: int, **machine) -> Sweep:
+    """``ops`` gets from a ``size``-byte cache (at least 512 MB) after
+    a cold boot, per interface; throughput is sampled every
+    ``max(500, ops // 20)`` gets."""
+    cache = max(size, 512 << 20)
     points = [SweepPoint(
-        experiment="predis", series=interface.value, x=512,
-        params={"cache_size": 512 << 20, "num_gets": ops,
-                "window": max(500, ops // 16),
-                "interface": interface.value},
-        media=media, device_gib=device_gib, aged=aged)
+        "predis", interface.value, cache >> 20,
+        {"cache_size": cache, "num_gets": ops,
+         "window": max(500, ops // 20), "interface": interface.value},
+        **machine)
         for interface in (Interface.MMAP, Interface.MMAP_POPULATE,
                           Interface.DAXVM)]
     return Sweep(name="predis", title="P-Redis gets (Kops/s)",
@@ -783,22 +842,83 @@ APPEND_SIZES = (4 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20)
 
 @sweep("appends", "single-op appends: Fig. 7 variants x size, ext4/NOVA",
        smoke="--ops 64 --device 1")
-def _appends_sweep(*, ops: int, size: int, media: str, device_gib: int,
-                   aged: bool) -> Sweep:
-    """Every append variant at every Fig. 7 size on ext4-DAX and NOVA;
-    each point appends ``max(8, ops // 8)`` times, each append onto
-    its own empty file."""
-    points = [SweepPoint(
-        experiment="append", series=f"{fs_type}+{variant.value}",
-        x=append_size >> 10,
-        params={"append_size": append_size,
-                "num_appends": max(8, ops // 8), "variant": variant.value},
-        media=media, device_gib=device_gib, aged=aged, fs_type=fs_type)
-        for fs_type in ("ext4", "nova")
-        for variant in AppendVariant
-        for append_size in APPEND_SIZES]
+def _appends_sweep(*, ops: int, size: int, **machine) -> Sweep:
+    """Every append variant at every Fig. 7 size on ext4-DAX and NOVA,
+    each point appending ``n = max(8, ops // 8)`` times, each append
+    onto its own empty file.  Then, on ext4: §III-B's DaxVM appends
+    with and without pre-zeroing (``3n/4`` each), and §V-B's write()
+    appends with and without file tables (``3n/2`` each)."""
+    n = max(8, ops // 8)
+
+    def append(series, nbytes, count, variant, fs_type="ext4", **params):
+        return SweepPoint("append", series, nbytes >> 10,
+                          {"append_size": nbytes, "num_appends": count,
+                           "variant": variant, **params},
+                          **machine, fs_type=fs_type)
+
+    points = [append(f"{fs_type}+{variant.value}", nbytes, n, variant.value,
+                     fs_type)
+              for fs_type in ("ext4", "nova") for variant in AppendVariant
+              for nbytes in APPEND_SIZES]
+    points += [append(variant, nbytes, 3 * n // 4, variant)
+               for nbytes in (64 << 10, 512 << 10, 2 << 20)
+               for variant in ("daxvm", "daxvm+prezero")]
+    points += [append(f"{prefix}write", nbytes, 3 * n // 2, "write",
+                      **params)
+               for prefix, params in (("", {}),
+                                      ("tables+", {"filetables": True}))
+               for nbytes in (32 << 10, 64 << 10, 256 << 10, 1 << 20)]
     return Sweep(name="appends", title="Append throughput (Kops/s)",
                  points=points, axis="KB")
+
+
+@sweep("storage", "file-table bytes of a Linux-like tree, one big file",
+       columns=("tree.pmem_bytes", "tree.dram_bytes", "big.pmem_bytes"),
+       smoke="--ops 40 --device 1 --fresh")
+def _storage_sweep(*, ops: int, size: int, **machine) -> Sweep:
+    """§V-B's storage tax: the file tables of ``ops`` files totalling
+    128 MB, then of one ``size``-byte file."""
+    points = [SweepPoint("storage", "tree", 0,
+                         {"num_files": ops, "total_bytes": 128 << 20,
+                          "big_file": size}, **machine)]
+    return Sweep(name="storage", title="File-table storage", points=points,
+                 axis="-")
+
+
+@sweep("msync", "mapped-write faults with and without msync (§III-A4)",
+       columns=("msync.faults_nosync", "msync.faults_sync"),
+       smoke="--ops 100 --device 1 --fresh")
+def _msync_sweep(*, ops: int, size: int, **machine) -> Sweep:
+    """``ops`` 1 KB writes over a 400-page window of one shared mapping
+    of a ``size``-byte file (at least 2 MB), without msync and with one
+    every 10 writes (x)."""
+    points = [SweepPoint("msync", "msync", 10,
+                         {"file_size": max(size, 2 << 20),
+                          "window_pages": 400, "writes": ops,
+                          "sync_every": 10}, **machine)]
+    return Sweep(name="msync", title="msync fault blow-up", points=points,
+                 axis="writes/msync")
+
+
+#: §IV-A1's placements: (series, volatile-table threshold in bytes).
+FILETABLE_POLICIES = (("all-persistent", 0), ("paper", 32 << 10),
+                      ("all-volatile", 1 << 30))
+
+
+@sweep("policy", "volatile/persistent file-table placement (§IV-A1)",
+       columns=("filetable.dram_bytes", "filetable.pmem_bytes"),
+       smoke="--ops 40 --device 1")
+def _policy_sweep(*, ops: int, size: int, **machine) -> Sweep:
+    """``ops`` files of ``size`` bytes read once through DaxVM under
+    each file-table placement threshold."""
+    points = [SweepPoint(
+        "filetable-policy", name, 0,
+        {"file_size": size, "num_files": ops, "num_threads": 1,
+         "interface": "daxvm", "filetable_volatile_max": volatile_max},
+        **machine)
+        for name, volatile_max in FILETABLE_POLICIES]
+    return Sweep(name="policy", title="File-table placement (Kops/s)",
+                 points=points, axis="-")
 
 
 @sweep("walks", "Table II/III walk costs per translation scheme",
@@ -806,17 +926,16 @@ def _appends_sweep(*, ops: int, size: int, media: str, device_gib: int,
        + ("walk.huge_cycles", "walk.pmem_trips_monitor",
           "walk.frames_2mb"),
        smoke="--device 1")
-def _walks_sweep(*, ops: int, size: int, media: str, device_gib: int,
-                 aged: bool) -> Sweep:
+def _walks_sweep(*, ops: int, size: int, **machine) -> Sweep:
     """One analytic walk point per translation scheme; ``ops``,
     ``size`` and ``aged`` are ignored."""
     from repro.paging.schemes import SCHEME_NAMES
 
-    points = [SweepPoint(experiment="walks", series=scheme, x=0,
-                         media=media, device_gib=device_gib, aged=False,
+    points = [SweepPoint("walks", scheme, 0, **{**machine, "aged": False},
                          scheme=scheme)
               for scheme in SCHEME_NAMES]
-    return Sweep(name="walks", title=f"Avg cycles per 4KB walk ({media})",
+    return Sweep(name="walks",
+                 title=f"Avg cycles per 4KB walk ({machine['media']})",
                  points=points, axis="-")
 
 
@@ -830,8 +949,7 @@ TIERING_TIERS = ("dram", "pmem", "cxl")
                 "tiering.demoted_pages", "tiering.migrated_bytes",
                 "tiering.writeback_bytes", "tiering.shootdowns"),
        smoke="--ops 16 --device 1")
-def _tiering_sweep(*, ops: int, size: int, media: str, device_gib: int,
-                   aged: bool) -> Sweep:
+def _tiering_sweep(*, ops: int, size: int, **machine) -> Sweep:
     """Where does each interface break even as file data moves down
     the memory hierarchy?  Read-once (read/mmap/daxvm) plus syncbench
     at every data tier (x = tier index: 0 dram, 1 pmem, 2 cxl), with
@@ -840,37 +958,20 @@ def _tiering_sweep(*, ops: int, size: int, media: str, device_gib: int,
     medium it prices.  The daemon runs hair-triggered (one touch
     promotes, short scan interval) so short sweep points exercise real
     migrations, not just scans."""
-    daemon_knobs = {"daemon": True, "scan_interval": 5e5,
-                    "hot_touches": 1, "cold_scans": 4}
-    num_syncs = max(8, min(ops, 64))
-    points = []
-    for x, tier in enumerate(TIERING_TIERS):
-        node_kinds = "ddr,cxl" if tier == "cxl" else ""
-        daemons = (False,) if tier == "dram" else (False, True)
-        for daemon in daemons:
-            tiering = dict(daemon_knobs) if daemon else {"data": tier}
-            if daemon:
-                tiering["data"] = tier
-            suffix = "+ktierd" if daemon else ""
-            for interface in (Interface.READ, Interface.MMAP,
-                              Interface.DAXVM):
-                points.append(SweepPoint(
-                    experiment="ephemeral",
-                    series=f"{interface.value}{suffix}", x=x,
-                    params={"file_size": size, "num_files": ops,
-                            "num_threads": 4,
-                            "interface": interface.value},
-                    media=media, device_gib=device_gib, aged=aged,
-                    node_kinds=node_kinds, tiering=tiering))
-            points.append(SweepPoint(
-                experiment="syncbench", series=f"syncbench{suffix}",
-                x=x,
-                params={"file_size": max(size, 4 << 20),
-                        "op_size": 1 << 10, "ops_per_sync": 16,
-                        "num_syncs": num_syncs,
-                        "discipline": "daxvm+fsync"},
-                media=media, device_gib=device_gib, aged=aged,
-                node_kinds=node_kinds, tiering=tiering))
+    daemon = {"daemon": True, "scan_interval": 5e5, "hot_touches": 1,
+              "cold_scans": 4}
+    workloads = [("ephemeral", interface,
+                  {"file_size": size, "num_files": ops, "num_threads": 4,
+                   "interface": interface})
+                 for interface in ("read", "mmap", "daxvm")]
+    workloads.append(("syncbench", "syncbench", _syncbench(ops, size)))
+    points = [SweepPoint(
+        experiment, series + suffix, x, dict(params), **machine,
+        node_kinds="ddr,cxl" if tier == "cxl" else "",
+        tiering={**(daemon if suffix else {}), "data": tier})
+        for x, tier in enumerate(TIERING_TIERS)
+        for suffix in (("",) if tier == "dram" else ("", "+ktierd"))
+        for experiment, series, params in workloads]
     return Sweep(name="tiering",
                  title="Interfaces across data tiers (Kops/s)",
                  points=points, axis="tier")
@@ -899,8 +1000,7 @@ CONSOLIDATE_TENANTS = (1, 2, 4, 8, 16)
        columns=("tenancy.requests", "tenancy.cpu_throttle_cycles",
                 "tenancy.bw_throttle_cycles", "tenancy.quota_scans"),
        smoke="--ops 16 --device 1 --max-points 8")
-def _consolidate_sweep(*, ops: int, size: int, media: str,
-                       device_gib: int, aged: bool) -> Sweep:
+def _consolidate_sweep(*, ops: int, size: int, **machine) -> Sweep:
     """How does per-tenant p99 degrade as tenants pile onto one
     machine?  Each mix runs 1..16 closed-loop tenants, with quota
     enforcement on/off and with/without a stress-ng-style ``vm`` hog
@@ -913,20 +1013,14 @@ def _consolidate_sweep(*, ops: int, size: int, media: str,
     from repro.tenancy import consolidate_config
 
     requests = max(8, min(ops, 64))
-    points = []
-    for n in CONSOLIDATE_TENANTS:
-        for mix in ("apache", "predis", "kvstore"):
-            for antagonist in (False, True):
-                for quotas in (True, False):
-                    config = consolidate_config(
-                        n, mix, quotas=quotas, antagonist=antagonist,
-                        requests=requests)
-                    series = (f"{mix}+{'q' if quotas else 'noq'}"
-                              f"+{'hog' if antagonist else 'nohog'}")
-                    points.append(SweepPoint(
-                        experiment="consolidate", series=series, x=n,
-                        params={}, media=media, device_gib=device_gib,
-                        aged=aged, tenancy=config.to_state()))
+    points = [SweepPoint(
+        "consolidate", f"{mix}+{'q' if quotas else 'noq'}"
+        f"+{'hog' if antagonist else 'nohog'}", n, {}, **machine,
+        tenancy=consolidate_config(n, mix, quotas=quotas,
+                                   antagonist=antagonist,
+                                   requests=requests).to_state())
+        for n in CONSOLIDATE_TENANTS for mix in ("apache", "predis", "kvstore")
+        for antagonist in (False, True) for quotas in (True, False)]
     return Sweep(name="consolidate",
                  title="Consolidation: per-tenant p99 vs tenant count",
                  points=points, axis="tenants")
@@ -956,8 +1050,7 @@ MIGRATE_AFTER = (8, 16, 32, 64)
        columns=("virt.downtime_cycles", "virt.pages_pulled",
                 "virt.prefetched_pages", "virt.migrations_completed"),
        smoke="--ops 16 --device 1 --max-points 10")
-def _migrate_sweep(*, ops: int, size: int, media: str, device_gib: int,
-                   aged: bool) -> Sweep:
+def _migrate_sweep(*, ops: int, size: int, **machine) -> Sweep:
     """Downtime and pull traffic vs when the migration triggers, with
     and without the prefetch kthread, for both guest workloads.  The
     ``base`` series (x = 0) is the nested-but-never-migrated guest —
@@ -965,24 +1058,17 @@ def _migrate_sweep(*, ops: int, size: int, media: str, device_gib: int,
     and ``size`` are deliberately ignored: guest workloads are the
     pinned crash workloads, so points stay byte-comparable across
     budget knobs."""
+    fresh = {**machine, "aged": False}
     points = []
     for workload in ("syncbench", "kvstore"):
-        points.append(SweepPoint(
-            experiment="migrate", series=f"{workload}+base", x=0,
-            params={"workload": workload},
-            media=media, device_gib=device_gib, aged=False,
-            virt={"nested": True, "migrate": False}))
-        for after in MIGRATE_AFTER:
-            for prefetch in (True, False):
-                suffix = "+prefetch" if prefetch else "+noprefetch"
-                points.append(SweepPoint(
-                    experiment="migrate",
-                    series=f"{workload}{suffix}", x=after,
-                    params={"workload": workload},
-                    media=media, device_gib=device_gib, aged=False,
-                    virt={"nested": True, "migrate": True,
-                          "migrate_after": after,
-                          "prefetch": prefetch, "seed": 0}))
+        runs = [("base", 0, {"nested": True, "migrate": False})]
+        runs += [("prefetch" if prefetch else "noprefetch", after,
+                  {"nested": True, "migrate": True, "migrate_after": after,
+                   "prefetch": prefetch, "seed": 0})
+                 for after in MIGRATE_AFTER for prefetch in (True, False)]
+        points += [SweepPoint("migrate", f"{workload}+{suffix}", x,
+                              {"workload": workload}, **fresh, virt=virt)
+                   for suffix, x, virt in runs]
     return Sweep(name="migrate",
                  title="Post-copy migration: downtime and pull traffic",
                  points=points, axis="migrate_after")
@@ -996,3 +1082,14 @@ def build_sweep(name: str, *, ops: int, size: int, media: str,
         raise KeyError(f"unknown sweep {name!r}; known: {sorted(SWEEPS)}")
     return builder(ops=ops, size=size, media=media,
                    device_gib=device_gib, aged=aged)
+
+
+#: A registered sweep's name and the knobs it overrides.
+Pair = Tuple[str, Dict[str, object]]
+
+
+def build_pairs(pairs: Sequence[Pair], knobs: Dict[str, object]
+                ) -> List[Sweep]:
+    """One sweep per pair, its own knobs merged over ``knobs`` (all
+    five of :func:`build_sweep`'s)."""
+    return [build_sweep(name, **{**knobs, **own}) for name, own in pairs]

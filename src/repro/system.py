@@ -33,7 +33,7 @@ from repro.config import DEFAULT_COSTS, CostModel
 from repro.core.filetable import FileTableManager
 from repro.core.interface import DaxVM
 from repro.errors import InvalidArgumentError
-from repro.fs.aging import AgingProfile, aged_device
+from repro.fs.aging import aged_device
 from repro.fs.block import BlockDevice
 from repro.fs.ext4 import Ext4Dax
 from repro.fs.nova import Nova
@@ -68,7 +68,6 @@ class System:
                  device_bytes: int = 8 << 30,
                  fs_type: str = "ext4",
                  aged: bool = False,
-                 aging_profile: AgingProfile = AgingProfile(),
                  topology: Optional[MachineTopology] = None,
                  placement: str = "local",
                  pin_node: int = 0,
@@ -96,8 +95,7 @@ class System:
             topology, self.physmem.pmem_bases(),
             self.physmem.pmem_frames(), placement, pin_node)
         if aged:
-            self.device = aged_device(device_bytes, aging_profile,
-                                      base_frame=base_frame,
+            self.device = aged_device(device_bytes, base_frame=base_frame,
                                       frame_map=frame_map)
         else:
             self.device = BlockDevice(device_bytes, base_frame=base_frame,

@@ -6,7 +6,7 @@ import pytest
 
 import repro.crash
 from repro.cli import AUDITS, build_parser, main
-from repro.runner import SWEEPS
+from repro.runner import SWEEPS, Sweep, SweepPoint
 
 
 def test_list_prints_registry(capsys):
@@ -61,18 +61,36 @@ def test_sweep_smoke(name, tmp_path, capsys):
     in some point's counters, so a misspelt column fails here."""
     knobs = SWEEPS[name].smoke.split()
     argv = [name, *knobs, "--jobs", "2", "--cache-dir", str(tmp_path)]
-    verify = ([] if {"--no-cache", "--profile"} & set(knobs)
-              else ["--verify-cache"])
+    verify = [] if "--profile" in knobs else ["--verify-cache"]
     assert main(["sweep", *argv, *verify]) == 0
     out = capsys.readouterr().out
     if verify:
         assert "cache verify OK" in out
     assert main(["perf", *argv, "--json"]) == 0
-    states = json.loads(capsys.readouterr().out)
+    [states] = json.loads(capsys.readouterr().out).values()
     assert states
     for column in SWEEPS[name].columns:
         assert any(column in state["run"]["counters"]
                    for state in states.values()), column
+
+
+def test_quarantined_point_fails_the_sweep(monkeypatch, capsys):
+    """A crashing point among healthy ones: the sweep exits 1 and its
+    failed-points table names the point and the error.  The sweep is
+    registered here; pool workers only see its points' payloads."""
+    def build(**knobs):
+        return Sweep(name="isolation", title="isolation", points=[
+            SweepPoint("selftest", mode, slot, {"mode": mode},
+                       device_gib=1, aged=False)
+            for slot, mode in enumerate(("ok", "crash", "ok"))])
+
+    build.help_text, build.columns, build.smoke = "isolation", (), ""
+    monkeypatch.setitem(SWEEPS, "isolation", build)
+    assert main(["sweep", "isolation", "--jobs", "2", "--no-cache"]) == 1
+    captured = capsys.readouterr()
+    assert "ok@0" not in captured.err and "crash" in captured.err
+    assert "RuntimeError" in captured.err
+    assert "1 point(s) quarantined, 2 completed" in captured.err
 
 
 def test_crash_sweep_fails_on_violations(monkeypatch, capsys):

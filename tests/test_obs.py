@@ -360,7 +360,8 @@ def test_perf_fig7_reports_zeroing_share_in_band(capsys):
     30-40 % of the attributed cycles."""
     assert cli_main(["perf", "appends", "--ops", "64", "--max-points",
                      "8", "--no-cache", "--json"]) == 0
-    run = json.loads(capsys.readouterr().out)["ext4+mmap@256"]["run"]
+    [states] = json.loads(capsys.readouterr().out).values()
+    run = states["ext4+mmap@256"]["run"]
     share = run["domains"]["zeroing"] / sum(run["domains"].values())
     assert 0.30 <= share <= 0.40
 

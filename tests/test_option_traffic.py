@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.report import format_series, render_bars
 from repro.config import CostModel
 from repro.fs.vfs import InodeCache
 from repro.mem.latency import MemoryModel
@@ -45,9 +46,12 @@ ENTRY_POINTS = {
     "Stats.observe": (Stats.observe, "observe"),
     "System.daxvm_for": (System.daxvm_for, "daxvm_for"),
     "System.new_process": (System.new_process, "new_process"),
+    "System": (System.__init__, "System"),
     "System.seconds": (System.seconds, "seconds"),
     "Wake": (Wake.__init__, "Wake"),
     "consolidate_config": (consolidate_config, "consolidate_config"),
+    "format_series": (format_series, "format_series"),
+    "render_bars": (render_bars, "render_bars"),
 }
 
 

@@ -282,7 +282,8 @@ def test_parallel_survivors_match_sequential_with_failures():
 def test_build_sweep_registry():
     sweep = build_sweep("apache", ops=8, size=32 << 10, media="optane",
                         device_gib=1, aged=False)
-    assert len(sweep.points) == 12
+    # 3 interfaces x 5 worker counts, and 2 multi-process bars at 8.
+    assert len(sweep.points) == 17
     with pytest.raises(KeyError):
         build_sweep("nope", ops=8, size=32 << 10, media="optane",
                     device_gib=1, aged=False)
@@ -293,10 +294,10 @@ def test_cli_sweep_smoke(tmp_path, capsys):
             "--jobs", "2", "--cache-dir", str(tmp_path / "cache")]
     assert cli_main(argv) == 0
     cold = capsys.readouterr().out
-    assert "0/12 points served from cache" in cold
+    assert "0/17 points served from cache" in cold
     assert cli_main(argv + ["--verify-cache"]) == 0
     warm = capsys.readouterr().out
-    assert "12/12 points served from cache" in warm
+    assert "17/17 points served from cache" in warm
     assert "cache verify OK" in warm
 
 
