@@ -41,6 +41,7 @@ from repro.analysis.report import (
 )
 from repro.analysis.results import Table
 from repro.config import MEDIA_PRESETS
+from repro.crash.workloads import CRASH_WORKLOADS
 from repro.mem.physmem import Medium
 from repro.obs import DOMAIN_ORDER
 from repro.paging.schemes import SCHEME_NAMES
@@ -399,11 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "the device medium (dram/pmem/cxl/far); "
                              "append ':daemon' to start the hot/cold "
                              "migration kthread, e.g. 'cxl:daemon'")
-    parser.add_argument("--workload",
-                        choices=("syncbench", "kvstore", "readbench"),
+    parser.add_argument("--workload", choices=tuple(CRASH_WORKLOADS),
                         default="syncbench",
-                        help="crash/fault workload ('readbench' is "
-                             "faults-only)")
+                        help="workload the 'crash'/'faults' audit drives, "
+                             f"one of {', '.join(CRASH_WORKLOADS)}")
     parser.add_argument("--seed", type=int, default=0,
                         help="crash/fault sampling seed")
     parser.add_argument("--max-points", type=int, default=None,

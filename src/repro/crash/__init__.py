@@ -14,7 +14,10 @@ rest of the simulator checks its *performance* claims:
   re-syncs persistent file tables, reclaims orphans and asserts the
   no-acked-data-lost invariants;
 * ``workloads`` — small durability-heavy drivers registered in
-  :data:`CRASH_WORKLOADS`.
+  :data:`CRASH_WORKLOADS`, the one registry of the crash, media-fault
+  and migration audits (:func:`audit_workload` looks a name up), and
+  what those audits share: :class:`AuditInjector` (lookup and replica
+  build) and :class:`AuditSummary` (the report shape).
 
 Entry points: ``python -m repro crash ...`` and ``sweep crash``.
 """
@@ -25,9 +28,12 @@ from repro.crash.domain import (COMMIT_RECORD_BYTES, CrashState,
                                 PersistRecord, StoreState)
 from repro.crash.image import StorageImage
 from repro.crash.injector import CrashInjector, CrashSummary, run_crash
-from repro.crash.workloads import CRASH_WORKLOADS, crash_workload
+from repro.crash.workloads import (AuditInjector, AuditSummary,
+                                   CRASH_WORKLOADS, audit_workload)
 
 __all__ = [
+    "AuditInjector",
+    "AuditSummary",
     "COMMIT_RECORD_BYTES",
     "CRASH_WORKLOADS",
     "CrashInjector",
@@ -40,6 +46,6 @@ __all__ = [
     "RecoveryChecker",
     "StorageImage",
     "StoreState",
-    "crash_workload",
+    "audit_workload",
     "run_crash",
 ]

@@ -15,33 +15,35 @@ point, so no prefix is ever re-run.
 
 Determinism is load-bearing: the factory plus the naming-counter reset
 guarantee transition *k* of the exploring run is transition *k* of the
-probe, so summaries are reproducible and golden-file-able.
-``break_commit_fence=True`` installs the test-only ordering-bug
-fixture (``Journal.skip_commit_fence``) that the checker is required
-to catch.
+probe, so summaries are reproducible and golden-file-able.  A replica
+that carries a hypervisor is a migrating guest: each point also reads
+the breaches its migration jobs recorded.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.analysis.results import RunResult
 from repro.crash.checker import CrashPointOutcome, RecoveryChecker
 from repro.crash.domain import PersistenceDomain
 from repro.crash.image import StorageImage
-from repro.crash.workloads import CRASH_WORKLOADS
-from repro.errors import InvalidArgumentError, MediaError
+from repro.crash.workloads import AuditInjector, AuditSummary
+from repro.errors import MediaError
 from repro.faults.model import MediaFaults
 from repro.faults.plan import FaultPlan
-from repro.runner.worker import _reset_naming_counters
 from repro.system import System
 
 
 @dataclass
-class CrashSummary:
-    """Aggregate of one crash sweep (one workload, one seed)."""
+class CrashSummary(AuditSummary):
+    """Aggregate of one crash sweep (one workload, one seed):
+    operations are explored crash points, cycles are mount-time
+    recovery work."""
+
+    domain = "crash"
+    locator = "point"
 
     workload: str
     seed: int
@@ -51,23 +53,11 @@ class CrashSummary:
     freq_hz: float = 2.7e9
 
     @property
-    def points_explored(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def violations(self) -> List[str]:
-        found = []
-        for outcome in self.outcomes:
-            found.extend(f"point {outcome.point}: {v}"
-                         for v in outcome.violations)
-        return found
-
-    @property
     def invariant_violations(self) -> int:
         return sum(len(o.violations) for o in self.outcomes)
 
     @property
-    def recovery_cycles(self) -> float:
+    def cycles(self) -> float:
         return sum(o.recovery_cycles for o in self.outcomes)
 
     def to_state(self) -> Dict[str, object]:
@@ -89,72 +79,32 @@ class CrashSummary:
             "ptes_replayed": sum(o.ptes_replayed for o in self.outcomes),
         }
 
-    def to_result(self) -> RunResult:
-        """Shape the sweep like any other workload run: operations are
-        explored crash points, cycles are mount-time recovery work."""
-        state = self.to_state()
-        counters = {f"crash.{key}": float(value)
-                    for key, value in state.items()
-                    if isinstance(value, (int, float))}
-        return RunResult(
-            label=f"crash:{self.workload}/seed{self.seed}",
-            cycles=self.recovery_cycles,
-            operations=float(self.points_explored),
-            counters=counters,
-            domains={"crash": self.recovery_cycles},
-            freq_hz=self.freq_hz,
-        )
 
-
-class CrashInjector:
+class CrashInjector(AuditInjector):
     """Enumerates, injects and verifies crash points for one workload."""
 
-    def __init__(self, factory: Callable[[], System],
-                 workload: Union[str, Callable[[System], None]],
+    def __init__(self, factory: Callable[[], System], workload: str,
                  *, seed: int = 0, max_points: int = 64,
-                 break_commit_fence: bool = False,
-                 fault_plan: "FaultPlan | None" = None):
-        self.factory = factory
-        if callable(workload):
-            self.workload = workload
-            self.workload_name = getattr(workload, "__name__", "custom")
-        else:
-            fn = CRASH_WORKLOADS.get(workload)
-            if fn is None:
-                raise InvalidArgumentError(
-                    f"unknown crash workload {workload!r}; known: "
-                    f"{sorted(CRASH_WORKLOADS)}")
-            self.workload = fn
-            self.workload_name = workload
-        self.seed = seed
+                 fault_plan: Optional[FaultPlan] = None):
+        super().__init__(factory, workload, seed)
         self.max_points = max_points
-        self.break_commit_fence = break_commit_fence
         #: Optional armed media-fault plan attached to both runs (probe
         #: included, so transition counts line up): crash points
         #: then compose with live UEs/stalls, and recovery must satisfy
         #: both the crash audit and the fault accounting.
         self.fault_plan = fault_plan
-        self._freq = 2.7e9
 
-    # -- machine construction ----------------------------------------------
-    def _build(self, domain: PersistenceDomain) -> System:
-        _reset_naming_counters()
-        system = self.factory()
-        system.attach_persistence(domain)
-        if self.fault_plan is not None:
-            system.attach_faults(MediaFaults(self.fault_plan))
-        if self.break_commit_fence:
-            journal = getattr(system.fs, "journal", None)
-            if journal is not None:
-                journal.skip_commit_fence = True
-        self._freq = system.costs.machine.freq_hz
-        return system
+    def _replica(self, domain: PersistenceDomain) -> System:
+        """A replica with ``domain`` and the armed fault plan, if any."""
+        faults = (None if self.fault_plan is None
+                  else MediaFaults(self.fault_plan))
+        return self._build(faults, domain)
 
     # -- exploration -------------------------------------------------------
     def probe(self) -> int:
         """Run once unarmed; returns the number of crash candidates."""
         domain = PersistenceDomain()
-        system = self._build(domain)
+        system = self._replica(domain)
         try:
             self.workload(system)
         except MediaError:
@@ -169,7 +119,7 @@ class CrashInjector:
         points = sorted(set(points))
         outcomes: List[CrashPointOutcome] = []
         domain = PersistenceDomain()
-        system = self._build(domain)
+        system = self._replica(domain)
         domain.checkpoint_at(points, lambda point: outcomes.append(
             self._crash_image(system, point)))
         try:
@@ -182,11 +132,6 @@ class CrashInjector:
             outcomes.append(self._crash_image(system, point))
         return outcomes
 
-    def run_point(self, point: int) -> CrashPointOutcome:
-        """Crash the machine at transition ``point``, recover it and
-        audit the result."""
-        return self.explore([point])[0]
-
     def _crash_image(self, system: System, point: int) -> CrashPointOutcome:
         """Power-fail a copy of ``system``'s storage, recover and audit
         it; ``system`` itself is left as it was."""
@@ -197,13 +142,12 @@ class CrashInjector:
         state = image.persistence.apply_crash(rng)
         outcome = RecoveryChecker(image, image.persistence,
                                   state).run(point=point)
-        outcome.violations.extend(self._crash_violations(system))
+        if system.hypervisor is not None:
+            # Power failure rolls in-flight jobs back, which touches
+            # only volatile state and never a job's recorded breaches,
+            # so the running machine's breaches hold at this point.
+            outcome.violations.extend(system.hypervisor.violations())
         return outcome
-
-    def _crash_violations(self, system: System) -> List[str]:
-        """Invariant breaches a subclass reads off the machine at a
-        crash point, beyond the storage audit."""
-        return []
 
     def select_points(self, total: int) -> List[int]:
         """All points when they fit the budget, else a seeded sample."""
@@ -223,8 +167,7 @@ class CrashInjector:
         return summary
 
 
-def run_crash(factory: Callable[[], System],
-              workload: Union[str, Callable[[System], None]],
+def run_crash(factory: Callable[[], System], workload: str,
               *, seed: int = 0, max_points: int = 64) -> CrashSummary:
     """One-call crash sweep: enumerate, inject, recover, audit."""
     return CrashInjector(factory, workload, seed=seed,

@@ -1,6 +1,6 @@
-"""Crash workloads: small, deterministic drivers for crash-point sweeps.
+"""Audit workloads: small, deterministic drivers for the durability audits.
 
-A crash workload is a plain callable ``fn(system)`` that runs a short
+An audit workload is a plain callable ``fn(system)`` that runs a short
 mix of durability-relevant operations to completion.  The crash
 injector runs it twice — once unarmed to count persistence-state
 transitions, then once copying the storage at every selected point —
@@ -21,29 +21,27 @@ durability path the checker knows how to verify:
   ``RecoveryLog`` finds it intact; its repair branch is not reached
   from here (DESIGN.md §9);
 * the KV store — MAP_SYNC acked commits, WAL rolls (unlink+create)
-  and memtable flushes to fresh SSTables.
+  and memtable flushes to fresh SSTables;
+* append-then-read — FS *reads*, whose partial-block UEs exercise the
+  extent remap and quarantine path.
 
-Register new workloads with :func:`crash_workload`; the CLI and the
-``sweep crash`` experiment both look them up in :data:`CRASH_WORKLOADS`.
+:data:`CRASH_WORKLOADS` is the one registry: the crash, media-fault
+and migration audits, ``sweep faults`` and the CLI's ``--workload``
+choices all go through :func:`audit_workload`.  The module also holds
+what every audit shares: :class:`AuditInjector` (the workload lookup
+and the replica build) and :class:`AuditSummary` (the report shape).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, List
 
+from repro.analysis.results import RunResult
+from repro.errors import InvalidArgumentError
+from repro.runner.worker import _reset_naming_counters
 from repro.system import System
 from repro.workloads.kvstore import Interface, KVConfig, PmemKVStore
 from repro.workloads.syncbench import SyncConfig, SyncDiscipline, run_sync
-
-CRASH_WORKLOADS: Dict[str, Callable[[System], None]] = {}
-
-
-def crash_workload(name: str):
-    """Decorator: register a crash workload under ``name``."""
-    def register(fn: Callable[[System], None]):
-        CRASH_WORKLOADS[name] = fn
-        return fn
-    return register
 
 
 def _append_fsync_phase(system: System, writes: int = 24,
@@ -66,7 +64,6 @@ def _append_fsync_phase(system: System, writes: int = 24,
     system.run()
 
 
-@crash_workload("syncbench")
 def syncbench_crash(system: System) -> None:
     """Three durability phases over one mounted image.
 
@@ -87,7 +84,6 @@ def syncbench_crash(system: System) -> None:
         num_syncs=6, discipline=SyncDiscipline.DAXVM_FSYNC))
 
 
-@crash_workload("kvstore")
 def kvstore_crash(system: System) -> None:
     """The paper's pmem KV store, shrunk until every structural event
     (WAL roll, memtable flush, SSTable map) happens within ~50 puts.
@@ -116,5 +112,111 @@ def kvstore_crash(system: System) -> None:
     system.run()
 
 
-__all__ = ["CRASH_WORKLOADS", "crash_workload", "syncbench_crash",
-           "kvstore_crash"]
+def readbench_crash(system: System) -> None:
+    """Append-then-read: the only touch mix the other workloads lack
+    is FS *reads*, whose partial-block UEs exercise the extent remap
+    and quarantine path (a full-block write clears in place
+    instead)."""
+    fs = system.fs
+
+    def io():
+        f = yield from fs.open("/faults-read", create=True)
+        for i in range(16):
+            yield from fs.write(f, i * (16 << 10), 16 << 10)
+        yield from fs.fsync(f)
+        for i in range(32):
+            offset = (i % 16) * (16 << 10) + 1024
+            yield from fs.read(f, offset, 4 << 10)
+        yield from fs.close(f)
+
+    system.spawn(io(), core=0, name="faults-read")
+    system.run()
+
+
+#: Every audit workload, by name (``fn(system)`` runs it to the end).
+CRASH_WORKLOADS: Dict[str, Callable[[System], None]] = {
+    "syncbench": syncbench_crash,
+    "kvstore": kvstore_crash,
+    "readbench": readbench_crash,
+}
+
+
+def audit_workload(name: str) -> Callable[[System], None]:
+    """The registered workload called ``name``."""
+    fn = CRASH_WORKLOADS.get(name)
+    if fn is None:
+        raise InvalidArgumentError(
+            f"unknown audit workload {name!r}; known: "
+            f"{sorted(CRASH_WORKLOADS)}")
+    return fn
+
+
+class AuditInjector:
+    """What the crash and fault injectors share: the workload, looked
+    up by name, its seed, and the build of every replica it runs on."""
+
+    def __init__(self, factory: Callable[[], System], workload: str,
+                 seed: int):
+        self.factory = factory
+        self.workload = audit_workload(workload)
+        self.workload_name = workload
+        self.seed = seed
+        self._freq = 2.7e9
+
+    def _build(self, faults=None, domain=None) -> System:
+        """A fresh replica with ``domain`` (a persistence domain) and
+        ``faults`` (a media-fault model) attached when given.  The
+        naming counters are reset first, so the k-th transition or
+        touch of every replica is the probe's k-th."""
+        _reset_naming_counters()
+        system = self.factory()
+        if domain is not None:
+            system.attach_persistence(domain)
+        if faults is not None:
+            system.attach_faults(faults)
+        self._freq = system.costs.machine.freq_hz
+        return system
+
+
+class AuditSummary:
+    """The report shape every audit shares.
+
+    A summary gives ``to_state()``, ``cycles`` (the recovery or
+    handling work its audit charged) and ``freq_hz``; ``domain`` names
+    its cost domain, which is also its counters' namespace.  A
+    one-workload summary holds ``outcomes`` and locates each outcome's
+    violations by the attribute ``locator`` names.
+    """
+
+    domain = ""
+    locator = ""
+
+    @property
+    def label(self) -> str:
+        return f"{self.domain}:{self.workload}/seed{self.seed}"
+
+    @property
+    def points_explored(self) -> int:
+        return len(self.outcomes)
+
+    @property
+    def violations(self) -> List[str]:
+        return [f"{self.locator} {getattr(outcome, self.locator)}: {v}"
+                for outcome in self.outcomes for v in outcome.violations]
+
+    def to_result(self) -> RunResult:
+        """Shape the audit like any other run: operations are the
+        explored points, cycles the domain's work, counters the
+        numeric fields of ``to_state()``."""
+        cycles = self.cycles
+        counters = {f"{self.domain}.{key}": float(value)
+                    for key, value in self.to_state().items()
+                    if isinstance(value, (int, float))}
+        return RunResult(label=self.label, cycles=cycles,
+                         operations=float(self.points_explored),
+                         counters=counters, domains={self.domain: cycles},
+                         freq_hz=self.freq_hz)
+
+
+__all__ = ["AuditInjector", "AuditSummary", "CRASH_WORKLOADS",
+           "audit_workload"]

@@ -2,65 +2,42 @@
 
 The injector shares the crash injector's determinism discipline: a
 probe run over a fresh machine counts every media touch the workload makes;
-:meth:`FaultPlan.generate` draws a seeded site sample over those
-touches; then each site runs on its *own* fresh replica (naming
-counters reset, same factory), so the site fires on exactly the
-operation the probe observed and outcomes are reproducible and
-golden-file-able.
+the injector's planner (:meth:`FaultPlan.generate` unless another is
+given) draws a seeded site sample over those touches; then each site
+runs on its *own* fresh replica (naming counters reset, same factory),
+so the site fires on exactly the operation the probe observed and
+outcomes are reproducible and golden-file-able.
 
 The audit is the point: an uncorrectable error must end **handled** —
 remapped (loss accounted), cleared in place, or SIGBUS-delivered and
 then repaired by the userspace protocol (full-block nt-store overwrite
 → DAX clear-poison → read-back verify).  Any other ending is a
-violation and the ``faults`` experiment exits non-zero on it.
+violation and the ``faults`` experiment exits non-zero on it.  A
+replica that carries a hypervisor also settles its migration jobs and
+audits them (:meth:`~repro.virt.hypervisor.Hypervisor.settle`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
-from repro.analysis.results import RunResult
-from repro.crash.workloads import CRASH_WORKLOADS
-from repro.errors import InvalidArgumentError, PoisonedPageError
+from repro.crash.workloads import AuditInjector, AuditSummary
+from repro.errors import PoisonedPageError
 from repro.faults.model import MediaFaults, SiteOutcome
 from repro.faults.plan import FaultKind, FaultPlan, FaultSite, TouchRecord
 from repro.fs.block import BLOCK_SIZE
 from repro.obs import CostDomain
-from repro.runner.worker import _reset_naming_counters
 from repro.system import System
 
-def _readbench(system: System) -> None:
-    """Append-then-read driver: the only touch mix the crash workloads
-    lack is FS *reads*, whose partial-block UEs exercise the extent
-    remap + quarantine path (a full-block write clears in place
-    instead)."""
-    fs = system.fs
-
-    def io():
-        f = yield from fs.open("/faults-read", create=True)
-        for i in range(16):
-            yield from fs.write(f, i * (16 << 10), 16 << 10)
-        yield from fs.fsync(f)
-        for i in range(32):
-            offset = (i % 16) * (16 << 10) + 1024
-            yield from fs.read(f, offset, 4 << 10)
-        yield from fs.close(f)
-
-    system.spawn(io(), core=0, name="faults-read")
-    system.run()
-
-
-#: Media-fault workloads are the crash workloads (short, deterministic
-#: drivers covering the FS append path, mmap stores + msync and DaxVM
-#: attachments) plus a read-heavy driver for the remap path.
-FAULT_WORKLOADS = dict(CRASH_WORKLOADS)
-FAULT_WORKLOADS["readbench"] = _readbench
-
-
 @dataclass
-class FaultSummary:
-    """Aggregate of one fault sweep (one workload, one seed)."""
+class FaultSummary(AuditSummary):
+    """Aggregate of one fault sweep (one workload, one seed):
+    operations are explored sites, cycles are the machine's
+    fault-handling work."""
+
+    domain = "faults"
+    locator = "touch"
 
     workload: str
     seed: int
@@ -70,19 +47,7 @@ class FaultSummary:
     freq_hz: float = 2.7e9
 
     @property
-    def sites_explored(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def violations(self) -> List[str]:
-        found = []
-        for outcome in self.outcomes:
-            found.extend(f"touch {outcome.touch}: {v}"
-                         for v in outcome.violations)
-        return found
-
-    @property
-    def handling_cycles(self) -> float:
+    def cycles(self) -> float:
         return sum(o.handling_cycles for o in self.outcomes)
 
     def outcome_counts(self) -> Dict[str, int]:
@@ -98,7 +63,7 @@ class FaultSummary:
             "workload": self.workload,
             "seed": self.seed,
             "total_touches": self.total_touches,
-            "sites_explored": self.sites_explored,
+            "sites_explored": self.points_explored,
             "remapped": counts.get("remapped", 0),
             "cleared": counts.get("cleared", 0),
             "sigbus_cleared": counts.get("sigbus-cleared", 0),
@@ -108,54 +73,18 @@ class FaultSummary:
             "violations": len(self.violations),
         }
 
-    def to_result(self) -> RunResult:
-        """Shape the sweep like any other run: operations are explored
-        sites, cycles are the machine's fault-handling work."""
-        state = self.to_state()
-        counters = {f"faults.{key}": float(value)
-                    for key, value in state.items()
-                    if isinstance(value, (int, float))}
-        return RunResult(
-            label=f"faults:{self.workload}/seed{self.seed}",
-            cycles=self.handling_cycles,
-            operations=float(self.sites_explored),
-            counters=counters,
-            domains={"faults": self.handling_cycles},
-            freq_hz=self.freq_hz,
-        )
 
-
-class FaultInjector:
+class FaultInjector(AuditInjector):
     """Probes, arms and audits media-fault sites for one workload."""
 
-    def __init__(self, factory: Callable[[], System],
-                 workload: Union[str, Callable[[System], None]],
+    def __init__(self, factory: Callable[[], System], workload: str,
                  *, seed: int = 0, max_sites: int = 64,
-                 plan: Optional[FaultPlan] = None):
-        self.factory = factory
-        if callable(workload):
-            self.workload = workload
-            self.workload_name = getattr(workload, "__name__", "custom")
-        else:
-            fn = FAULT_WORKLOADS.get(workload)
-            if fn is None:
-                raise InvalidArgumentError(
-                    f"unknown fault workload {workload!r}; known: "
-                    f"{sorted(FAULT_WORKLOADS)}")
-            self.workload = fn
-            self.workload_name = workload
-        self.seed = seed
+                 plan: Callable[..., FaultPlan] = FaultPlan.generate):
+        super().__init__(factory, workload, seed)
         self.max_sites = max_sites
+        #: ``plan(records, seed=, max_sites=)`` draws the sites to arm
+        #: from the probe's touch records.
         self.plan = plan
-        self._freq = 2.7e9
-
-    # -- machine construction ------------------------------------------
-    def _build(self, faults: MediaFaults) -> System:
-        _reset_naming_counters()
-        system = self.factory()
-        system.attach_faults(faults)
-        self._freq = system.costs.machine.freq_hz
-        return system
 
     # -- exploration ----------------------------------------------------
     def probe(self) -> List[TouchRecord]:
@@ -179,18 +108,14 @@ class FaultInjector:
             # so the repair phase can reuse the machine.
             system.engine.reap_crashed()
             self._repair(system, err, violations)
-        violations.extend(self._site_violations(system))
+        if system.hypervisor is not None:
+            violations.extend(system.hypervisor.settle())
         outcome = self._classify(site, faults, sigbus, violations)
         handling = system.engine.ledger.domain_total(CostDomain.FAULTS)
         return SiteOutcome(touch=site.touch, kind=site.kind,
                            outcome=outcome, violations=violations,
                            bytes_lost=faults.bytes_lost,
                            handling_cycles=handling)
-
-    def _site_violations(self, system: System) -> List[str]:
-        """Extra breaches of one site's finished run, before it is
-        classified; subclasses that attach more state audit it here."""
-        return []
 
     def _repair(self, system: System, err: PoisonedPageError,
                 violations: List[str]) -> None:
@@ -261,10 +186,7 @@ class FaultInjector:
     # -- the sweep -------------------------------------------------------
     def run(self) -> FaultSummary:
         records = self.probe()
-        plan = self.plan
-        if plan is None:
-            plan = FaultPlan.generate(records, seed=self.seed,
-                                      max_sites=self.max_sites)
+        plan = self.plan(records, seed=self.seed, max_sites=self.max_sites)
         summary = FaultSummary(workload=self.workload_name,
                                seed=self.seed, max_sites=self.max_sites,
                                total_touches=len(records),
@@ -274,13 +196,11 @@ class FaultInjector:
         return summary
 
 
-def run_faults(factory: Callable[[], System],
-               workload: Union[str, Callable[[System], None]],
+def run_faults(factory: Callable[[], System], workload: str,
                *, seed: int = 0, max_sites: int = 64) -> FaultSummary:
     """One-call media-fault sweep: probe, arm, inject, audit."""
     return FaultInjector(factory, workload, seed=seed,
                          max_sites=max_sites).run()
 
 
-__all__ = ["FAULT_WORKLOADS", "FaultInjector", "FaultSummary",
-           "run_faults"]
+__all__ = ["FaultInjector", "FaultSummary", "run_faults"]

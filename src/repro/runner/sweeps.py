@@ -558,17 +558,18 @@ def _crash_sweep(*, ops: int, size: int, **machine) -> Sweep:
                 "faults.violations"),
        smoke="--ops 8 --device 1")
 def _faults_sweep(*, ops: int, size: int, **machine) -> Sweep:
-    """Every fault workload at two seeds.  ``ops`` bounds the armed
+    """Every audit workload at two seeds.  ``ops`` bounds the armed
     sites per sweep point (each site is a full machine replica).
     ``aged`` is deliberately ignored: replicas start fresh."""
+    from repro.crash.workloads import CRASH_WORKLOADS
+
     budget = {"media": machine["media"], "device_gib": machine["device_gib"]}
     points = [SweepPoint(
         "faults", workload, seed,
         {"workload": workload, "seed": seed,
          "max_sites": max(4, min(ops, 64)), **budget},
         **budget, aged=False)
-        for workload in ("syncbench", "kvstore", "readbench")
-        for seed in (0, 1)]
+        for workload in CRASH_WORKLOADS for seed in (0, 1)]
     return Sweep(name="faults",
                  title="Media-fault handling audit (sites explored)",
                  points=points, axis="seed")

@@ -2,7 +2,11 @@
 
 See :mod:`repro.virt.hypervisor` for the guest/hypervisor layer,
 :mod:`repro.virt.migration` for the migration state machine,
-:mod:`repro.virt.audit` for the crash/fault hardening audit and the
+:mod:`repro.virt.audit` for the crash/fault hardening audit (the
+plain crash and fault injectors run on replicas that carry a
+hypervisor, and read it through :meth:`Hypervisor.violations` and
+:meth:`Hypervisor.settle`), :mod:`repro.virt.runner` for one guest run
+of an audit workload and the
 ``virt`` gate of :mod:`repro.analysis.goldens` for the pass-through
 equivalence gate.
 """
@@ -10,24 +14,19 @@ equivalence gate.
 from repro.virt.audit import (
     AUDIT_WORKLOADS,
     MigrateAuditSummary,
-    MigrateCrashInjector,
-    MigrateFaultInjector,
     link_targeted_plan,
     migrate_factory,
     run_migrate_audit,
 )
 from repro.virt.hypervisor import GuestAddressSpace, Hypervisor, VirtConfig
 from repro.virt.migration import MigrationJob, MigrationState
-from repro.virt.runner import MIGRATE_WORKLOADS, run_migrate
+from repro.virt.runner import run_migrate
 
 __all__ = [
     "AUDIT_WORKLOADS",
     "GuestAddressSpace",
     "Hypervisor",
-    "MIGRATE_WORKLOADS",
     "MigrateAuditSummary",
-    "MigrateCrashInjector",
-    "MigrateFaultInjector",
     "MigrationJob",
     "MigrationState",
     "VirtConfig",

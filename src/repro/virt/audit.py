@@ -9,17 +9,19 @@ migration in COMPLETED or ABORTED (rolled back to a consistent
 source), and keeps downtime under the budget.
 
 Three attacks, all replica-deterministic (factory + naming-counter
-reset, the PR-4/PR-5 discipline):
+reset), run by the plain crash and fault injectors on replicas that
+carry an armed hypervisor:
 
 * **Crash attack** — the crash injector's point enumeration, with a
   hypervisor attached so points land mid-migration.  A power failure
   with pulls in flight rolls the job back (the destination's volatile
-  state died); the standard recovery audit then checks the source.
+  state died); the standard recovery audit then checks the source,
+  and the injector adds the jobs' recorded breaches.
 * **Fault attack** — the fault injector's site sweep over the same
   guests, with extra sites steered onto the *migration link* touches
   (stalls exercise the pull-timeout → retry ladder; bandwidth windows
   throttle transfers) and UE sites landing on pages migration still
-  has to pull.
+  has to pull.  The injector settles and audits every job per site.
 * **Composed attack** — crash points taken on replicas that *also*
   carry an armed fault plan; recovery must satisfy both audits.
 """
@@ -30,8 +32,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.analysis.results import RunResult
 from repro.crash.injector import CrashInjector, CrashSummary
+from repro.crash.workloads import AuditSummary
 from repro.faults.injector import FaultInjector, FaultSummary
 from repro.faults.plan import (
     BW_WINDOW_FACTOR,
@@ -43,11 +45,10 @@ from repro.faults.plan import (
 )
 from repro.runner.manifest import SweepPoint
 from repro.runner.worker import build_system
-from repro.system import System
 from repro.virt.hypervisor import VirtConfig
 
-#: Guest workloads the audit sweeps (the crash workloads: they cover
-#: appends+fsync, mmap stores+msync and DaxVM attachments).
+#: Guest workloads the audit sweeps: of the audit workloads, the two
+#: that cover appends+fsync, mmap stores+msync and DaxVM attachments.
 AUDIT_WORKLOADS = ("syncbench", "kvstore")
 
 #: The audit's guests pause for migration after 24 guest accesses,
@@ -71,42 +72,6 @@ def migrate_factory(*, media: str = "optane", device_gib: int = 1,
                                        prefetch=True,
                                        seed=seed).to_state())
     return lambda: build_system(shape)
-
-
-class MigrateCrashInjector(CrashInjector):
-    """Crash points taken mid-migration: the parent's enumeration and
-    recovery audit, plus the virt invariants.
-
-    Power failure rolls every in-flight job back (the destination's
-    volatile state died).  That rollback touches only volatile state —
-    job state, the monitor's deferral — and never a job's recorded
-    breaches, so each point reads the breaches off the running machine.
-    """
-
-    def _crash_violations(self, system: System) -> List[str]:
-        hv = system.hypervisor
-        return [] if hv is None else hv.violations()
-
-
-class MigrateFaultInjector(FaultInjector):
-    """Fault sites armed mid-migration: the parent's handling audit,
-    plus migration settlement checks per replica."""
-
-    def _site_violations(self, system: System) -> List[str]:
-        """Run ended: settle jobs and collect virt invariant breaches."""
-        hv = system.hypervisor
-        if hv is None:
-            return []
-        hv.finalize()
-        found = hv.violations()
-        for i, job in enumerate(hv.jobs):
-            if job.in_flight:
-                found.append(f"job {i} neither completed nor rolled "
-                             f"back ({job.state})")
-            if job.absorbed:
-                found.append(f"job {i} absorbed poisoned pages: "
-                             f"{job.absorbed}")
-        return found
 
 
 def link_targeted_plan(records: Sequence[TouchRecord], *, seed: int,
@@ -139,8 +104,11 @@ def link_targeted_plan(records: Sequence[TouchRecord], *, seed: int,
 
 
 @dataclass
-class MigrateAuditSummary:
-    """Aggregate of one full migration-hardening audit."""
+class MigrateAuditSummary(AuditSummary):
+    """Aggregate of one full migration-hardening audit: the crash,
+    fault and composed summaries, summed through their own totals."""
+
+    domain = "virt"
 
     seeds: List[int]
     crash: List[CrashSummary] = field(default_factory=list)
@@ -148,32 +116,36 @@ class MigrateAuditSummary:
     composed: List[CrashSummary] = field(default_factory=list)
     freq_hz: float = 2.7e9
 
+    def _attacks(self):
+        return (("crash", self.crash), ("faults", self.faults),
+                ("composed", self.composed))
+
+    @property
+    def label(self) -> str:
+        return f"migrate-audit/after{MIGRATE_AFTER}"
+
     @property
     def points_explored(self) -> int:
-        return (sum(s.points_explored for s in self.crash)
-                + sum(s.sites_explored for s in self.faults)
-                + sum(s.points_explored for s in self.composed))
+        return sum(s.points_explored for _, summaries in self._attacks()
+                   for s in summaries)
+
+    @property
+    def cycles(self) -> float:
+        return sum(sum(s.cycles for s in summaries)
+                   for _, summaries in self._attacks())
 
     @property
     def violations(self) -> List[str]:
-        found: List[str] = []
-        for s in self.crash:
-            found.extend(f"crash/{s.workload}/seed{s.seed}: {v}"
-                         for v in s.violations)
-        for s in self.faults:
-            found.extend(f"faults/{s.workload}/seed{s.seed}: {v}"
-                         for v in s.violations)
-        for s in self.composed:
-            found.extend(f"composed/{s.workload}/seed{s.seed}: {v}"
-                         for v in s.violations)
-        return found
+        return [f"{attack}/{s.workload}/seed{s.seed}: {v}"
+                for attack, summaries in self._attacks()
+                for s in summaries for v in s.violations]
 
     def to_state(self) -> Dict[str, object]:
         return {
             "seeds": list(self.seeds),
             "migrate_after": MIGRATE_AFTER,
             "crash_points": sum(s.points_explored for s in self.crash),
-            "fault_sites": sum(s.sites_explored for s in self.faults),
+            "fault_sites": sum(s.points_explored for s in self.faults),
             "composed_points": sum(s.points_explored
                                    for s in self.composed),
             "points_explored": self.points_explored,
@@ -182,21 +154,6 @@ class MigrateAuditSummary:
             "faults": [s.to_state() for s in self.faults],
             "composed": [s.to_state() for s in self.composed],
         }
-
-    def to_result(self) -> RunResult:
-        cycles = (sum(s.recovery_cycles for s in self.crash)
-                  + sum(s.handling_cycles for s in self.faults)
-                  + sum(s.recovery_cycles for s in self.composed))
-        return RunResult(
-            label=f"migrate-audit/after{MIGRATE_AFTER}",
-            cycles=cycles,
-            operations=float(self.points_explored),
-            counters={f"virt.{key}": float(value)
-                      for key, value in self.to_state().items()
-                      if isinstance(value, (int, float))},
-            domains={"virt": cycles},
-            freq_hz=self.freq_hz,
-        )
 
 
 def run_migrate_audit(*, seeds: Sequence[int] = (0, 1),
@@ -211,36 +168,29 @@ def run_migrate_audit(*, seeds: Sequence[int] = (0, 1),
         for seed in seeds:
             factory = migrate_factory(media=media,
                                       device_gib=device_gib, seed=seed)
-            crash_inj = MigrateCrashInjector(
-                factory, workload, seed=seed, max_points=max_points)
-            crash_summary = crash_inj.run()
-            summary.freq_hz = crash_inj._freq
+            crash_summary = CrashInjector(
+                factory, workload, seed=seed, max_points=max_points).run()
+            summary.freq_hz = crash_summary.freq_hz
             summary.crash.append(crash_summary)
-
-            fault_inj = MigrateFaultInjector(
-                factory, workload, seed=seed, max_sites=max_sites)
-            records = fault_inj.probe()
-            fault_inj.plan = link_targeted_plan(
-                records, seed=seed, max_sites=max_sites)
-            summary.faults.append(fault_inj.run())
+            summary.faults.append(FaultInjector(
+                factory, workload, seed=seed, max_sites=max_sites,
+                plan=link_targeted_plan).run())
         if composed_points > 0:
             # Crash x faults composition: replicas carry both an armed
-            # fault plan and a crash point (satellite of PR 10).
+            # fault plan and a crash point.
             factory = migrate_factory(media=media,
                                       device_gib=device_gib,
                                       seed=seeds[0])
-            probe_inj = MigrateFaultInjector(
-                factory, workload, seed=seeds[0], max_sites=4)
-            plan = FaultPlan.generate(probe_inj.probe(), seed=seeds[0],
+            records = FaultInjector(factory, workload, seed=seeds[0],
+                                    max_sites=4).probe()
+            plan = FaultPlan.generate(records, seed=seeds[0],
                                       max_sites=4, bw_windows=1,
                                       stalls=1)
-            composed = MigrateCrashInjector(
+            summary.composed.append(CrashInjector(
                 factory, workload, seed=seeds[0],
-                max_points=composed_points, fault_plan=plan)
-            summary.composed.append(composed.run())
+                max_points=composed_points, fault_plan=plan).run())
     return summary
 
 
 __all__ = ["AUDIT_WORKLOADS", "MigrateAuditSummary",
-           "MigrateCrashInjector", "MigrateFaultInjector",
            "link_targeted_plan", "migrate_factory", "run_migrate_audit"]

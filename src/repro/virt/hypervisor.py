@@ -160,5 +160,20 @@ class Hypervisor:
             found.extend(f"job {i}: {v}" for v in job.violations)
         return found
 
+    def settle(self) -> List[str]:
+        """Settle every job (:meth:`finalize`) after a finished run and
+        audit them: the recorded breaches, plus each job left in
+        flight or that absorbed poisoned pages."""
+        self.finalize()
+        found = self.violations()
+        for i, job in enumerate(self.jobs):
+            if job.in_flight:
+                found.append(f"job {i} neither completed nor rolled "
+                             f"back ({job.state})")
+            if job.absorbed:
+                found.append(f"job {i} absorbed poisoned pages: "
+                             f"{job.absorbed}")
+        return found
+
 
 __all__ = ["GuestAddressSpace", "Hypervisor", "VirtConfig"]

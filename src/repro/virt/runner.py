@@ -1,7 +1,7 @@
 """Run one guest workload under the hypervisor and report it.
 
 ``run_migrate`` drives a guest workload (the short, deterministic
-crash workloads double as guest drivers — they exercise mmap stores,
+audit workloads double as guest drivers — they exercise mmap stores,
 msync epochs and DaxVM attachments, exactly the surfaces migration
 intercepts) on a system with a hypervisor attached, settles every
 migration job and shapes the outcome as a
@@ -13,12 +13,9 @@ sweep point goes through here.
 from __future__ import annotations
 
 from repro.analysis.results import RunResult
-from repro.crash.workloads import CRASH_WORKLOADS
+from repro.crash.workloads import audit_workload
 from repro.errors import InvalidArgumentError
 from repro.obs import CostDomain, Counter
-
-#: Guest workloads runnable under migration (name -> fn(system)).
-MIGRATE_WORKLOADS = dict(CRASH_WORKLOADS)
 
 #: The virt counter namespace reported by every migrate run.
 VIRT_COUNTERS = (
@@ -44,12 +41,7 @@ def run_migrate(system, workload: str = "syncbench") -> RunResult:
         raise InvalidArgumentError(
             "run_migrate needs a hypervisor: call "
             "system.attach_hypervisor(VirtConfig(...)) first")
-    fn = MIGRATE_WORKLOADS.get(workload)
-    if fn is None:
-        raise InvalidArgumentError(
-            f"unknown migrate workload {workload!r}; known: "
-            f"{sorted(MIGRATE_WORKLOADS)}")
-    fn(system)
+    audit_workload(workload)(system)
     hv.finalize()
     stats = system.stats
     ledger = system.engine.ledger
@@ -68,4 +60,4 @@ def run_migrate(system, workload: str = "syncbench") -> RunResult:
     )
 
 
-__all__ = ["MIGRATE_WORKLOADS", "run_migrate"]
+__all__ = ["run_migrate"]

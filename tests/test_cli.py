@@ -6,6 +6,7 @@ import pytest
 
 import repro.crash
 from repro.cli import AUDITS, build_parser, main
+from repro.crash.workloads import CRASH_WORKLOADS
 from repro.runner import SWEEPS, Sweep, SweepPoint
 
 
@@ -98,9 +99,12 @@ def test_crash_sweep_fails_on_violations(monkeypatch, capsys):
     point and the count (a sweep used to exit 0 whatever its crash
     counters held)."""
     def broken_run_crash(factory, workload, *, seed, max_points):
+        def broken():
+            system = factory()
+            system.fs.journal.skip_commit_fence = True
+            return system
         return repro.crash.CrashInjector(
-            factory, workload, seed=seed, max_points=max_points,
-            break_commit_fence=True).run()
+            broken, workload, seed=seed, max_points=max_points).run()
 
     monkeypatch.setattr(repro.crash, "run_crash", broken_run_crash)
     assert main(["sweep", "crash", "--ops", "6", "--device", "1",
@@ -108,6 +112,21 @@ def test_crash_sweep_fails_on_violations(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "VIOLATION: point syncbench@0 reports " \
            "crash.invariant_violations = " in err
+
+
+def test_workload_choices_are_the_audit_registry():
+    workload = next(action for action in build_parser()._actions
+                    if action.dest == "workload")
+    assert tuple(workload.choices) == tuple(CRASH_WORKLOADS)
+    assert all(name in workload.help for name in CRASH_WORKLOADS)
+
+
+def test_crash_audit_runs_every_registered_workload(capsys):
+    """``readbench`` was a fault-only workload; the one registry makes
+    it a crash workload too, and it recovers cleanly."""
+    assert main(["crash", "--workload", "readbench", "--max-points", "6",
+                 "--device", "1", "--no-cache"]) == 0
+    assert "crash.invariant_violations" in capsys.readouterr().out
 
 
 def test_audit_command_reports_counters(capsys):

@@ -35,6 +35,16 @@ def factory():
     return System(device_bytes=1 << 30)
 
 
+def broken_fence(build):
+    """``build``'s machines with the ordering-bug fixture installed:
+    journal commits are acked without fencing the commit record."""
+    def broken():
+        system = build()
+        system.fs.journal.skip_commit_fence = True
+        return system
+    return broken
+
+
 # ---------------------------------------------------------------------------
 # The recovery property, over both workloads and several seeds.
 # ---------------------------------------------------------------------------
@@ -81,15 +91,15 @@ def test_crash_sweep_is_replica_deterministic():
 # The bug fixture: the checker must catch a broken fence discipline.
 # ---------------------------------------------------------------------------
 def test_skipped_commit_fence_is_caught_by_checker():
-    broken = CrashInjector(factory, "syncbench", seed=0, max_points=4,
-                           break_commit_fence=True)
+    broken = CrashInjector(broken_fence(factory), "syncbench", seed=0,
+                           max_points=4)
     total = broken.probe()
-    outcome = broken.run_point(total - 1)
+    outcome = broken.explore([total - 1])[0]
     assert not outcome.ok
     assert any("acked" in v and "lost" in v for v in outcome.violations)
 
     clean = CrashInjector(factory, "syncbench", seed=0, max_points=4)
-    good = clean.run_point(clean.probe() - 1)
+    good = clean.explore([clean.probe() - 1])[0]
     assert good.ok
 
 
@@ -203,7 +213,7 @@ def _replay_point(injector: CrashInjector, point: int):
     re-run the prefix until the armed domain raises, then crash, reboot
     and recover the machine itself."""
     domain = PersistenceDomain(crash_at=point)
-    system = injector._build(domain)
+    system = injector._replica(domain)
     try:
         injector.workload(system)
     except CrashTriggered:
@@ -237,8 +247,8 @@ def test_checkpointed_points_equal_replayed_points(workload, seed):
 @pytest.mark.parametrize("workload", ["syncbench", "kvstore"])
 def test_checkpointed_points_equal_replayed_points_with_broken_fence(
         workload):
-    _assert_matches_replay(CrashInjector(factory, workload, seed=0,
-                                         break_commit_fence=True))
+    _assert_matches_replay(CrashInjector(broken_fence(factory), workload,
+                                         seed=0))
 
 
 def _optane_factory() -> System:

@@ -201,10 +201,10 @@ def test_fault_sweep_is_deterministic():
 
 def test_acceptance_syncbench_seed7_explores_sites_without_loss():
     summary = run_faults(factory, "syncbench", seed=7, max_sites=64)
-    assert summary.sites_explored >= 50
+    assert summary.points_explored >= 50
     assert summary.violations == []
     state = summary.to_state()
-    assert state["sites_explored"] == summary.sites_explored
+    assert state["sites_explored"] == summary.points_explored
     # Every UE ended in a handled outcome.
     counts = summary.outcome_counts()
     ue_sites = sum(1 for o in summary.outcomes if o.kind in UE_KINDS)

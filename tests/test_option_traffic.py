@@ -18,6 +18,8 @@ import pytest
 
 from repro.analysis.report import format_series, render_bars
 from repro.config import CostModel
+from repro.crash import CrashInjector
+from repro.faults import FaultInjector
 from repro.fs.vfs import InodeCache
 from repro.mem.latency import MemoryModel
 from repro.mem.physmem import PhysicalMemory
@@ -36,7 +38,9 @@ SHIPPED = (ROOT / "src" / "repro", ROOT / "bench", ROOT / "examples")
 ENTRY_POINTS = {
     "CostModel.copy_cycles": (CostModel.copy_cycles, "copy_cycles"),
     "CpuThrottle": (CpuThrottle.__init__, "CpuThrottle"),
+    "CrashInjector": (CrashInjector.__init__, "CrashInjector"),
     "Engine.seconds": (Engine.seconds, "seconds"),
+    "FaultInjector": (FaultInjector.__init__, "FaultInjector"),
     "Histogram.percentiles": (Histogram.percentiles, "percentiles"),
     "InodeCache": (InodeCache.__init__, "InodeCache"),
     "Ledger.events": (Ledger.events, "events"),

@@ -8,13 +8,17 @@ abort path), the forced-degraded diagnostic, the crash x faults
 composition satellite, and a compact end-to-end hardening audit.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.config import MEDIA_PRESETS
 from repro.crash.domain import PersistenceDomain
+from repro.crash.injector import CrashInjector, run_crash
 from repro.crash.workloads import CRASH_WORKLOADS
 from repro.errors import InvalidArgumentError
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import FaultInjector, run_faults
 from repro.faults.model import MediaFaults
 from repro.faults.plan import FaultPlan
 from repro.obs import CostDomain, Counter
@@ -24,6 +28,7 @@ from repro.tenancy import consolidate_config
 from repro.virt import (
     MigrationState,
     VirtConfig,
+    migrate_factory,
     run_migrate,
     run_migrate_audit,
 )
@@ -106,6 +111,27 @@ def test_run_migrate_needs_hypervisor_and_known_workload():
         run_migrate(system, "no-such-guest")
 
 
+def _run_migrate_of(name):
+    system = _system()
+    system.attach_hypervisor(VirtConfig())
+    return run_migrate(system, name)
+
+
+@pytest.mark.parametrize("audit", [
+    lambda name: run_crash(_factory, name),
+    lambda name: run_faults(_factory, name),
+    _run_migrate_of,
+], ids=["crash", "faults", "run_migrate"])
+def test_every_audit_rejects_an_unknown_workload_naming_the_known(audit):
+    """The crash, fault and migration audits look a workload up in the
+    one registry, so each refuses the same way."""
+    with pytest.raises(InvalidArgumentError) as excinfo:
+        audit("no-such-guest")
+    message = str(excinfo.value)
+    assert "'no-such-guest'" in message
+    assert f"known: {sorted(CRASH_WORKLOADS)}" in message
+
+
 # -- the pass-through promise -------------------------------------------
 def test_passive_hypervisor_is_inert():
     system = _system()
@@ -182,8 +208,6 @@ def test_stalled_link_walks_retry_ladder_then_degrades():
 
 # -- crash x faults composition (satellite) ------------------------------
 def test_crash_points_compose_with_an_armed_fault_plan():
-    from repro.crash.injector import CrashInjector
-
     probe = FaultInjector(_factory, "syncbench", seed=0, max_sites=4)
     plan = FaultPlan.generate(probe.probe(), seed=0, max_sites=4,
                               bw_windows=1, stalls=1)
@@ -206,3 +230,71 @@ def test_migrate_audit_finds_no_violations():
     assert state["points_explored"] == summary.points_explored
     assert summary.to_result().operations == float(
         summary.points_explored)
+
+
+def test_migrate_audit_probes_each_fault_audit_once(monkeypatch):
+    """The fault plan is given up front, so each fault audit probes
+    once: four audits plus the two composed-plan probes, and one
+    machine fewer per fault audit than probing a second time built.
+    The summary is the one the double probe gave."""
+    probes, built = [], []
+    probe, build = FaultInjector.probe, System.__init__
+
+    def counted_probe(injector):
+        probes.append(injector.workload_name)
+        return probe(injector)
+
+    def counted_build(system, *args, **kwargs):
+        build(system, *args, **kwargs)
+        built.append(system)
+
+    monkeypatch.setattr(FaultInjector, "probe", counted_probe)
+    monkeypatch.setattr(System, "__init__", counted_build)
+    summary = run_migrate_audit(seeds=(0, 1), max_points=8, max_sites=6,
+                                composed_points=6)
+    assert len(probes) == 6
+    assert len(built) == 66
+    state = summary.to_state()
+    assert (state["crash_points"], state["fault_sites"],
+            state["composed_points"], state["points_explored"]) == (
+                32, 48, 12, 92)
+    digest = hashlib.sha256(
+        json.dumps(state, sort_keys=True).encode()).hexdigest()
+    assert digest[:16] == "718060ec26c8a2b7"
+
+
+def _breached_replicas():
+    """Migrating replicas whose every migration job records a breach."""
+    factory = migrate_factory()
+
+    def build():
+        system = factory()
+        hv = system.hypervisor
+        start = hv.start_migration
+
+        def start_breached(guest):
+            job = start(guest)
+            job.violations.append("planted breach")
+            return job
+
+        hv.start_migration = start_breached
+        return system
+    return build
+
+
+@pytest.mark.parametrize("audit", [
+    lambda factory: CrashInjector(factory, "syncbench").run(),
+    lambda factory: FaultInjector(factory, "syncbench",
+                                  max_sites=4).run(),
+], ids=["crash", "faults"])
+def test_a_replica_hypervisor_breach_reaches_a_plain_injector(audit):
+    """A plain injector reads the breaches of a replica that carries a
+    hypervisor: a crash point after the migration started, and every
+    fault site, reports the job's recorded breach."""
+    clean = audit(migrate_factory())
+    assert clean.violations == []
+    summary = audit(_breached_replicas())
+    breaches = [v for v in summary.violations
+                if v.endswith("job 0: planted breach")]
+    assert breaches
+    assert len(summary.violations) == len(breaches)
