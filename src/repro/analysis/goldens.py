@@ -34,11 +34,7 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.runner.manifest import SweepPoint, result_state
-from repro.runner.worker import (
-    _reset_naming_counters,
-    build_system,
-    run_point,
-)
+from repro.runner.worker import build_system, run_point
 
 GOLDEN_DIR = Path(__file__).resolve().parents[3] / "tests" / "golden"
 
@@ -82,7 +78,6 @@ def _points(pinned: Tuple[Pinned, ...],
 
 def _machine(device_gib: int, aged: bool, **fields):
     """A fresh optane machine of the given shape, named from zero."""
-    _reset_naming_counters()
     return build_system(SweepPoint("golden", "", 0, device_gib=device_gib,
                                    aged=aged, **fields))
 
@@ -211,7 +206,6 @@ def _untenanted() -> Dict[str, object]:
     for _key, point in _pinned_points(TENANCY):
         config = TenancyConfig.from_state(point.tenancy)
         assert config.passive, "tenancy gate points must be passive"
-        _reset_naming_counters()
         system = build_system(replace(point, tenancy={}))
         run = _run_untenanted(system, config.tenants[0])
         locks = [lock.report() for lock in system.engine.locks

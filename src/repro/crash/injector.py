@@ -13,11 +13,12 @@ and hands the freshly mounted copy to the :class:`RecoveryChecker`.
 The copy is then dropped and the original run continues to the next
 point, so no prefix is ever re-run.
 
-Determinism is load-bearing: the factory plus the naming-counter reset
-guarantee transition *k* of the exploring run is transition *k* of the
-probe, so summaries are reproducible and golden-file-able.  A replica
-that carries a hypervisor is a migrating guest: each point also reads
-the breaches its migration jobs recorded.
+Determinism is load-bearing: every run is on a fresh machine from the
+factory, and a fresh machine names its runs from 0, so transition *k*
+of the exploring run is transition *k* of the probe and summaries are
+reproducible and golden-file-able.  A replica that carries a
+hypervisor is a migrating guest: each point also reads the breaches
+its migration jobs recorded.
 """
 
 from __future__ import annotations

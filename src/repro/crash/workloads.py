@@ -38,7 +38,6 @@ from typing import Callable, Dict, List
 
 from repro.analysis.results import RunResult
 from repro.errors import InvalidArgumentError
-from repro.runner.worker import _reset_naming_counters
 from repro.system import System
 from repro.workloads.kvstore import Interface, KVConfig, PmemKVStore
 from repro.workloads.syncbench import SyncConfig, SyncDiscipline, run_sync
@@ -165,10 +164,9 @@ class AuditInjector:
 
     def _build(self, faults=None, domain=None) -> System:
         """A fresh replica with ``domain`` (a persistence domain) and
-        ``faults`` (a media-fault model) attached when given.  The
-        naming counters are reset first, so the k-th transition or
-        touch of every replica is the probe's k-th."""
-        _reset_naming_counters()
+        ``faults`` (a media-fault model) attached when given.  A fresh
+        machine names its runs from 0, so the k-th transition or touch
+        of every replica is the probe's k-th."""
         system = self.factory()
         if domain is not None:
             system.attach_persistence(domain)

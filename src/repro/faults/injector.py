@@ -4,9 +4,10 @@ The injector shares the crash injector's determinism discipline: a
 probe run over a fresh machine counts every media touch the workload makes;
 the injector's planner (:meth:`FaultPlan.generate` unless another is
 given) draws a seeded site sample over those touches; then each site
-runs on its *own* fresh replica (naming counters reset, same factory),
-so the site fires on exactly the operation the probe observed and
-outcomes are reproducible and golden-file-able.
+runs on its *own* fresh replica from the same factory (a fresh
+machine names its runs from 0), so the site fires on exactly the
+operation the probe observed and outcomes are reproducible and
+golden-file-able.
 
 The audit is the point: an uncorrectable error must end **handled** —
 remapped (loss accounted), cleared in place, or SIGBUS-delivered and
@@ -85,6 +86,9 @@ class FaultInjector(AuditInjector):
         #: ``plan(records, seed=, max_sites=)`` draws the sites to arm
         #: from the probe's touch records.
         self.plan = plan
+        #: The touch records :meth:`run` probed, kept so another plan
+        #: over the same replica shape needs no second probe.
+        self.records: List[TouchRecord] = []
 
     # -- exploration ----------------------------------------------------
     def probe(self) -> List[TouchRecord]:
@@ -185,7 +189,7 @@ class FaultInjector(AuditInjector):
 
     # -- the sweep -------------------------------------------------------
     def run(self) -> FaultSummary:
-        records = self.probe()
+        self.records = records = self.probe()
         plan = self.plan(records, seed=self.seed, max_sites=self.max_sites)
         summary = FaultSummary(workload=self.workload_name,
                                seed=self.seed, max_sites=self.max_sites,

@@ -4,10 +4,11 @@ A plan maps **touch indices** to fault sites.  A touch is one
 instrumented media operation — a file-system read/append window or a
 mapped-access window — counted by :class:`repro.faults.model.
 MediaFaults` in the deterministic order the simulation performs them.
-Because replicas are rebuilt from a factory with naming counters
-reset, touch *k* always lands on the same operation of the same file,
-so a site armed at *k* fires identically in every replica (the same
-property the crash injector relies on for crash points).
+Because replicas are fresh machines from one factory, and a fresh
+machine names its runs from 0, touch *k* always lands on the same
+operation of the same file, so a site armed at *k* fires identically
+in every replica (the same property the crash injector relies on for
+crash points).
 
 Plans are usually *generated* from a probe run: the probe records each
 touch's category and UE eligibility, and :meth:`FaultPlan.generate`

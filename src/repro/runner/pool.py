@@ -19,8 +19,8 @@ bit-identical to ``--jobs 1`` and to a cache replay.
 Fault isolation: a worker that *raises* never takes the sweep down —
 the exception is captured in the worker, the point is quarantined into
 :attr:`SweepResult.failed` and every other point completes normally.
-A point runs once: it is deterministic (fresh machine, reset naming
-counters, same payload), so a rerun would fail exactly as it did.
+A point runs once: it is deterministic (a fresh machine that names its
+runs from 0, same payload), so a rerun would fail exactly as it did.
 With ``point_timeout`` set, a *hung* point is detected by a watchdog
 on result collection and quarantined as a timeout; hang isolation
 needs ``jobs >= 2``, since a pool of one cannot make progress past the

@@ -9,8 +9,6 @@ which process (and in which order) it runs.
 
 from __future__ import annotations
 
-import itertools
-import sys
 import time
 from typing import Callable, Dict, Optional
 
@@ -18,27 +16,6 @@ from repro.config import MEDIA_PRESETS
 from repro.runner.manifest import SweepPoint, result_state
 from repro.system import System
 from repro.topology import MachineTopology
-
-
-def _reset_naming_counters() -> None:
-    """Make point output independent of in-process run history.
-
-    Workload modules draw file-set prefixes and process names from
-    module-level ``itertools.count`` counters, and those names leak
-    into lock reports (``eph3.mmap_sem`` vs ``eph0.mmap_sem``).  A
-    point executed third in a sequential parent must produce the same
-    bytes as the same point executed first in a pool worker, so every
-    workload counter restarts from zero before a point runs.  The
-    crash injector leans on the same reset: its probe and its exploring
-    run must see identical file-set and store names, and so must every
-    fault-site replica.
-    """
-    for name, module in list(sys.modules.items()):
-        if not name.startswith("repro.workloads"):
-            continue
-        for counter in ("_run_counter", "_store_counter"):
-            if hasattr(module, counter):
-                setattr(module, counter, itertools.count())
 
 
 def _attach_tiering(system: System, spec: Dict[str, object]) -> None:
@@ -156,7 +133,6 @@ def run_point(payload: Dict[str, object], profile: bool = False,
     if runner is None:
         raise KeyError(f"unknown point experiment {point.experiment!r}; "
                        f"known: {sorted(POINT_RUNNERS)}")
-    _reset_naming_counters()
     system = build_system(point)
     if attach is not None:
         attach(system)

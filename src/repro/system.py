@@ -27,7 +27,7 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.config import DEFAULT_COSTS, CostModel
 from repro.core.filetable import FileTableManager
@@ -115,7 +115,8 @@ class System:
                              if self.engine.current is not None else "main"),
             stats=self.stats)
         self._filetables: Optional[FileTableManager] = None
-        self._process_count = 0
+        #: Per-kind run numbers handed out by :meth:`run_id`.
+        self._run_ids: Dict[str, int] = {}
         #: Attached :class:`repro.crash.PersistenceDomain`, if any.
         self.persistence = None
         #: Attached :class:`repro.faults.MediaFaults`, if any.
@@ -144,10 +145,22 @@ class System:
         return self.engine.ledger
 
     # -- processes -----------------------------------------------------------
+    def run_id(self, kind: str) -> int:
+        """The next number for ``kind`` on this machine, from 0.
+
+        Workloads name their files, processes and stores from it, so a
+        fresh machine names its runs the same way whatever ran before
+        it in the same Python process."""
+        n = self._run_ids.get(kind, 0)
+        self._run_ids[kind] = n + 1
+        return n
+
     def new_process(self, name: str = "", aslr_seed: int = 0) -> Process:
-        """Create a process; its private page tables prefer node 0."""
-        self._process_count += 1
-        pname = name or f"proc{self._process_count}"
+        """Create a process; its private page tables prefer node 0.
+        Unnamed processes are ``proc1``, ``proc2``, … counting every
+        process this machine created."""
+        n = self.run_id("proc")
+        pname = name or f"proc{n + 1}"
         mm = MMStruct(self.engine, self.costs, self.physmem, self.mem,
                       self.stats, aslr_seed=aslr_seed, name=pname,
                       topology=self.topology, scheme=self.scheme)

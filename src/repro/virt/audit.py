@@ -8,9 +8,10 @@ lets poison into the destination image silently, always lands every
 migration in COMPLETED or ABORTED (rolled back to a consistent
 source), and keeps downtime under the budget.
 
-Three attacks, all replica-deterministic (factory + naming-counter
-reset), run by the plain crash and fault injectors on replicas that
-carry an armed hypervisor:
+Three attacks, all replica-deterministic (each replica is a fresh
+machine from one factory, and a fresh machine names its runs from 0),
+run by the plain crash and fault injectors on replicas that carry an
+armed hypervisor:
 
 * **Crash attack** — the crash injector's point enumeration, with a
   hypervisor attached so points land mid-migration.  A power failure
@@ -165,6 +166,7 @@ def run_migrate_audit(*, seeds: Sequence[int] = (0, 1),
     guest workload and seed.  Zero violations is the acceptance bar."""
     summary = MigrateAuditSummary(seeds=list(seeds))
     for workload in AUDIT_WORKLOADS:
+        first = None
         for seed in seeds:
             factory = migrate_factory(media=media,
                                       device_gib=device_gib, seed=seed)
@@ -172,22 +174,21 @@ def run_migrate_audit(*, seeds: Sequence[int] = (0, 1),
                 factory, workload, seed=seed, max_points=max_points).run()
             summary.freq_hz = crash_summary.freq_hz
             summary.crash.append(crash_summary)
-            summary.faults.append(FaultInjector(
-                factory, workload, seed=seed, max_sites=max_sites,
-                plan=link_targeted_plan).run())
+            injector = FaultInjector(factory, workload, seed=seed,
+                                     max_sites=max_sites,
+                                     plan=link_targeted_plan)
+            summary.faults.append(injector.run())
+            if first is None:
+                first = injector
         if composed_points > 0:
             # Crash x faults composition: replicas carry both an armed
-            # fault plan and a crash point.
-            factory = migrate_factory(media=media,
-                                      device_gib=device_gib,
-                                      seed=seeds[0])
-            records = FaultInjector(factory, workload, seed=seeds[0],
-                                    max_sites=4).probe()
-            plan = FaultPlan.generate(records, seed=seeds[0],
+            # fault plan and a crash point.  The plan is drawn over the
+            # first seed's fault-audit probe: the same replica shape.
+            plan = FaultPlan.generate(first.records, seed=seeds[0],
                                       max_sites=4, bw_windows=1,
                                       stalls=1)
             summary.composed.append(CrashInjector(
-                factory, workload, seed=seeds[0],
+                first.factory, workload, seed=seeds[0],
                 max_points=composed_points, fault_plan=plan).run())
     return summary
 

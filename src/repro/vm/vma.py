@@ -66,18 +66,18 @@ WRITE_BIT = Protection.WRITE.value
 class VMA:
     """One virtual memory area."""
 
-    _next_id = 1
-
     def __init__(self, start: int, end: int, inode: Optional[Inode],
                  file_offset: int, prot: Protection, flags: MapFlags):
         if end <= start:
             raise InvalidArgumentError("empty VMA")
         if start % PAGE_SIZE or end % PAGE_SIZE:
             raise InvalidArgumentError("VMA bounds must be page aligned")
-        self.id = VMA._next_id
-        VMA._next_id += 1
         self.start = start
         self.end = end
+        #: The address the caller's data starts at: ``start``, except
+        #: for DaxVM mappings, which place the requested offset inside
+        #: a larger aligned span (``DaxVM.mmap`` sets it).
+        self.user_addr = start
         self.inode = inode
         self.file_offset = file_offset
         #: ``inode`` and ``flags`` are fixed for the mapping's life;
@@ -165,5 +165,5 @@ class VMA:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         name = self.inode.path if self.inode else "anon"
-        return (f"<VMA#{self.id} [{self.start:#x},{self.end:#x}) {name} "
+        return (f"<VMA [{self.start:#x},{self.end:#x}) {name} "
                 f"{self.flags}>")

@@ -16,7 +16,6 @@ real server.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -28,8 +27,6 @@ from repro.system import Process, System
 from repro.vm.vma import MapFlags, Protection
 from repro.workloads.common import DaxVMOptions, Measurement, spread
 from repro.workloads.filegen import create_file_set
-
-_run_counter = itertools.count()
 
 
 class ServerInterface(enum.Enum):
@@ -104,7 +101,8 @@ def _serve_request(system: System, process: Process, cfg: ApacheConfig,
         vma = yield from process.mm.mmap(system.fs, f.inode, 0,
                                          cfg.page_size, Protection.READ,
                                          flags)
-        yield from process.mm.access(vma, 0, cfg.page_size, copy=True)
+        yield from process.mm.access(vma, vma.user_addr - vma.start,
+                                     cfg.page_size, copy=True)
         if iface is ServerInterface.MMAP_LATR:
             yield from latr.munmap(vma)
         elif iface is ServerInterface.MMAP_ASYNC:
@@ -139,7 +137,7 @@ def _worker(system: System, process: Process, cfg: ApacheConfig,
 
 def run_apache(system: System, cfg: ApacheConfig) -> RunResult:
     """Create the page set, warm it, then measure request serving."""
-    run_id = next(_run_counter)
+    run_id = system.run_id("apache")
     inodes = create_file_set(system, cfg.num_pages, cfg.page_size,
                              prefix=f"/htdocs{run_id}")
     paths = [inode.path for inode in inodes]
@@ -157,7 +155,7 @@ def run_apache(system: System, cfg: ApacheConfig) -> RunResult:
         if process not in unique:
             unique.append(process)
     for process in unique:
-        if cfg.interface is ServerInterface.DAXVM and process.daxvm is None:
+        if cfg.interface is ServerInterface.DAXVM:
             system.daxvm_for(process, batch_pages=cfg.batch_pages)
 
     latr_by_process = {}

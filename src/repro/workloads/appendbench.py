@@ -10,7 +10,6 @@ the MM path; nosync mode removes the dirty-tracking faults on top.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 from repro.analysis.results import RunResult
@@ -18,8 +17,6 @@ from repro.paging.tlb import AccessPattern
 from repro.system import Process, System
 from repro.vm.vma import MapFlags, Protection
 from repro.workloads.common import Measurement
-
-_run_counter = itertools.count()
 
 
 class AppendVariant(enum.Enum):
@@ -54,16 +51,14 @@ def _append_once(system: System, process: Process, cfg: AppendConfig,
             vma = yield from process.mm.mmap(
                 system.fs, f.inode, 0, cfg.append_size, Protection.rw(),
                 MapFlags.SHARED)
-            base = 0
         else:
             flags = MapFlags.SHARED | MapFlags.SYNC
             if v is AppendVariant.DAXVM_PREZERO_NOSYNC:
                 flags |= MapFlags.NO_MSYNC
             vma = yield from process.daxvm.mmap(
                 f.inode, 0, cfg.append_size, Protection.rw(), flags)
-            base = vma.user_addr - vma.start
         yield from process.mm.access(
-            vma, base, cfg.append_size, write=True,
+            vma, vma.user_addr - vma.start, cfg.append_size, write=True,
             pattern=AccessPattern.SEQUENTIAL, ntstore=True)
         if v is AppendVariant.MMAP:
             yield from process.mm.munmap(vma)
@@ -74,7 +69,7 @@ def _append_once(system: System, process: Process, cfg: AppendConfig,
 
 
 def run_append(system: System, cfg: AppendConfig) -> RunResult:
-    run_id = next(_run_counter)
+    run_id = system.run_id("app")
     process = system.new_process(f"app{run_id}")
     uses_daxvm = cfg.variant not in (AppendVariant.WRITE,
                                      AppendVariant.MMAP)

@@ -1,4 +1,5 @@
-"""Shared workload vocabulary: interfaces, DaxVM options, measurement.
+"""Shared workload vocabulary: interfaces, DaxVM options, mapping,
+measurement.
 
 Every evaluation figure compares some subset of:
 
@@ -8,6 +9,9 @@ Every evaluation figure compares some subset of:
 * ``DAXVM`` with a configuration of its optional flags —
   Fig. 8a's incremental bars are just different
   :class:`DaxVMOptions` settings.
+
+:func:`map_file` and :func:`unmap_file` are the one place that picks
+the kernel call for a mapped interface.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.analysis.results import RunResult
-from repro.system import System
-from repro.vm.vma import MapFlags
+from repro.fs.vfs import Inode
+from repro.system import Process, System
+from repro.vm.vma import VMA, MapFlags, Protection
 
 
 class Interface(enum.Enum):
@@ -71,6 +76,33 @@ class DaxVMOptions:
     @staticmethod
     def full() -> "DaxVMOptions":
         return DaxVMOptions(ephemeral=True, unmap_async=True)
+
+
+def map_file(process: Process, inode: Inode, size: int, prot: Protection,
+             interface: Interface, daxvm_flags: MapFlags,
+             flags: MapFlags = MapFlags.SHARED):
+    """Map ``size`` bytes of ``inode`` from offset 0 the way
+    ``interface`` does: ``daxvm.mmap`` with ``daxvm_flags`` for DAXVM,
+    else ``mm.mmap`` with ``flags`` (plus MAP_POPULATE for
+    MMAP_POPULATE).  The VMA's data sits at ``vma.user_addr -
+    vma.start`` past its start.
+
+    Returns the kernel call's generator rather than wrapping it, so a
+    mapping resumes through no extra frame.
+    """
+    if interface is Interface.DAXVM:
+        return process.daxvm.mmap(inode, 0, size, prot, daxvm_flags)
+    if interface is Interface.MMAP_POPULATE:
+        flags |= MapFlags.POPULATE
+    return process.mm.mmap(process.system.fs, inode, 0, size, prot, flags)
+
+
+def unmap_file(process: Process, vma: VMA, interface: Interface):
+    """Unmap a :func:`map_file` mapping; returns the kernel call's
+    generator."""
+    if interface is Interface.DAXVM:
+        return process.daxvm.munmap(vma)
+    return process.mm.munmap(vma)
 
 
 class Measurement:

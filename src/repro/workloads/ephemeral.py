@@ -10,7 +10,6 @@ tables, ephemeral heap and asynchronous unmapping remove those costs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import List
 
@@ -19,10 +18,15 @@ from repro.mem.physmem import Medium
 from repro.obs import CostDomain, charge
 from repro.system import Process, System
 from repro.vm.vma import MapFlags, Protection
-from repro.workloads.common import DaxVMOptions, Interface, Measurement, spread
+from repro.workloads.common import (
+    DaxVMOptions,
+    Interface,
+    Measurement,
+    map_file,
+    spread,
+    unmap_file,
+)
 from repro.workloads.filegen import create_file_set, drop_caches
-
-_run_counter = itertools.count()
 
 
 @dataclass
@@ -48,52 +52,35 @@ def _read_one(system: System, path: str, size: int):
     yield from system.fs.close(f)
 
 
-def _mmap_one(system: System, process: Process, path: str, size: int,
-              populate: bool):
-    flags = MapFlags.SHARED
-    if populate:
-        flags |= MapFlags.POPULATE
+def _map_one(system: System, process: Process, path: str, size: int,
+             interface: Interface, daxvm_flags: MapFlags):
     f = yield from system.fs.open(path)
-    vma = yield from process.mm.mmap(system.fs, f.inode, 0, size,
-                                     Protection.READ, flags)
-    yield from process.mm.access(vma, 0, size)
-    yield from process.mm.munmap(vma)
-    yield from system.fs.close(f)
-
-
-def _daxvm_one(system: System, process: Process, path: str, size: int,
-               opts: DaxVMOptions):
-    f = yield from system.fs.open(path)
-    vma = yield from process.daxvm.mmap(f.inode, 0, size,
-                                        Protection.READ, opts.flags())
-    delta = vma.user_addr - vma.start
-    yield from process.mm.access(vma, delta, size)
-    yield from process.daxvm.munmap(vma)
+    vma = yield from map_file(process, f.inode, size, Protection.READ,
+                              interface, daxvm_flags)
+    yield from process.mm.access(vma, vma.user_addr - vma.start, size)
+    yield from unmap_file(process, vma, interface)
     yield from system.fs.close(f)
 
 
 def _worker(system: System, process: Process, cfg: EphemeralConfig,
             paths: List[str]):
+    size = cfg.file_size
+    if cfg.interface is Interface.READ:
+        for path in paths:
+            yield from _read_one(system, path, size)
+        return
+    daxvm_flags = cfg.daxvm.flags()
     for path in paths:
-        if cfg.interface is Interface.READ:
-            yield from _read_one(system, path, cfg.file_size)
-        elif cfg.interface is Interface.MMAP:
-            yield from _mmap_one(system, process, path, cfg.file_size,
-                                 populate=False)
-        elif cfg.interface is Interface.MMAP_POPULATE:
-            yield from _mmap_one(system, process, path, cfg.file_size,
-                                 populate=True)
-        else:
-            yield from _daxvm_one(system, process, path, cfg.file_size,
-                                  cfg.daxvm)
+        yield from _map_one(system, process, path, size, cfg.interface,
+                            daxvm_flags)
 
 
 def run_ephemeral(system: System, cfg: EphemeralConfig) -> RunResult:
     """Create the file set, then measure the read-once phase."""
-    run_id = next(_run_counter)
+    run_id = system.run_id("eph")
     prefix = f"/eph{run_id}"
     process = system.new_process(f"eph{run_id}")
-    if cfg.interface is Interface.DAXVM and process.daxvm is None:
+    if cfg.interface is Interface.DAXVM:
         system.daxvm_for(process)
 
     inodes = create_file_set(system, cfg.num_files, cfg.file_size,

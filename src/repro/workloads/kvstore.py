@@ -24,7 +24,6 @@ drops tracking entirely (nosync).
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -35,9 +34,16 @@ from repro.obs import CostDomain, charge
 from repro.paging.tlb import AccessPattern
 from repro.system import Process, System
 from repro.vm.vma import MapFlags, Protection, VMA
-from repro.workloads.common import DaxVMOptions, Interface
+from repro.workloads.common import (
+    DaxVMOptions,
+    Interface,
+    map_file,
+    unmap_file,
+)
 
-_store_counter = itertools.count()
+#: Baseline mapping flags: user-space durability on ext4 needs
+#: MAP_SYNC.
+_MMAP_FLAGS = MapFlags.SHARED | MapFlags.SYNC
 
 
 @dataclass
@@ -60,19 +66,21 @@ class PmemKVStore:
         self.system = system
         self.process = process
         self.cfg = cfg
-        self.root = f"/kv{next(_store_counter)}"
+        self.root = f"/kv{system.run_id('kv')}"
         self.rng = random.Random(cfg.seed)
         self.memtable_bytes = 0
         self.record_count = 0
         self.sstables: List[Tuple[DaxFile, VMA]] = []
         self.wal: Optional[Tuple[DaxFile, VMA]] = None
-        #: The WAL mapping's address base (``_base``), fixed per roll.
+        #: The WAL mapping's address base, fixed per roll.
         self._wal_base = 0
         self.wal_offset = 0
         self._wal_pool: List[DaxFile] = []
         self._file_seq = 0
         self.flushes = 0
         self.wal_rolls = 0
+        #: DaxVM mapping flags, fixed for the store's life.
+        self._daxvm_flags = cfg.daxvm.flags(write=True)
         #: Memtable insert: skiplist walk + record copy in DRAM.  The
         #: cost model is frozen and pricing is pure, so every put
         #: yields this one charge.
@@ -80,30 +88,6 @@ class PmemKVStore:
             CostDomain.USERSPACE, "memtable-insert",
             900.0 + system.mem.memcpy(cfg.record_size, Medium.DRAM,
                                       Medium.DRAM))
-
-    # -- mapping helpers -------------------------------------------------
-    def _map(self, f: DaxFile, size: int):
-        cfg = self.cfg
-        if cfg.interface is Interface.DAXVM:
-            vma = yield from self.process.daxvm.mmap(
-                f.inode, 0, size, Protection.rw(),
-                cfg.daxvm.flags(write=True))
-        else:
-            flags = MapFlags.SHARED | MapFlags.SYNC
-            if cfg.interface is Interface.MMAP_POPULATE:
-                flags |= MapFlags.POPULATE
-            vma = yield from self.process.mm.mmap(
-                self.system.fs, f.inode, 0, size, Protection.rw(), flags)
-        return vma
-
-    def _unmap(self, vma: VMA):
-        if self.cfg.interface is Interface.DAXVM:
-            yield from self.process.daxvm.munmap(vma)
-        else:
-            yield from self.process.mm.munmap(vma)
-
-    def _base(self, vma: VMA) -> int:
-        return getattr(vma, "user_addr", vma.start) - vma.start
 
     # -- lifecycle -----------------------------------------------------------
     def start(self):
@@ -119,7 +103,7 @@ class PmemKVStore:
     def _roll_wal(self):
         if self.wal is not None:
             f, vma = self.wal
-            yield from self._unmap(vma)
+            yield from unmap_file(self.process, vma, self.cfg.interface)
             # Rolled WAL files are recycled (Pmem-RocksDB behaviour).
             self._wal_pool.append(f)
             self.wal_rolls += 1
@@ -127,9 +111,11 @@ class PmemKVStore:
             f = self._wal_pool.pop()
         else:
             f = yield from self._new_file("wal", self.cfg.wal_size)
-        vma = yield from self._map(f, self.cfg.wal_size)
+        vma = yield from map_file(self.process, f.inode, self.cfg.wal_size,
+                                  Protection.rw(), self.cfg.interface,
+                                  self._daxvm_flags, _MMAP_FLAGS)
         self.wal = (f, vma)
-        self._wal_base = self._base(vma)
+        self._wal_base = vma.user_addr - vma.start
         self.wal_offset = 0
 
     # -- operations ---------------------------------------------------------
@@ -152,9 +138,11 @@ class PmemKVStore:
         """Write the memtable out as a new mapped SSTable."""
         cfg = self.cfg
         f = yield from self._new_file("sst", cfg.sstable_size)
-        vma = yield from self._map(f, cfg.sstable_size)
+        vma = yield from map_file(self.process, f.inode, cfg.sstable_size,
+                                  Protection.rw(), cfg.interface,
+                                  self._daxvm_flags, _MMAP_FLAGS)
         yield from self.process.mm.access(
-            vma, self._base(vma), self.memtable_bytes, write=True,
+            vma, vma.user_addr - vma.start, self.memtable_bytes, write=True,
             pattern=AccessPattern.SEQUENTIAL, ntstore=True)
         self.sstables.append((f, vma))
         self.memtable_bytes = 0
@@ -179,7 +167,7 @@ class PmemKVStore:
         # Index block lookup + record copy out.
         yield charge(CostDomain.USERSPACE, "index-lookup", 1200.0)
         yield from self.process.mm.access(
-            vma, self._base(vma) + offset, cfg.record_size,
+            vma, vma.user_addr - vma.start + offset, cfg.record_size,
             pattern=AccessPattern.RANDOM, copy=True)
 
     def scan(self, records: int = 8):
@@ -193,7 +181,7 @@ class PmemKVStore:
         start = self.rng.randrange(max(1, slots - records))
         yield charge(CostDomain.USERSPACE, "index-lookup", 1200.0)
         yield from self.process.mm.access(
-            vma, self._base(vma) + start * cfg.record_size,
+            vma, vma.user_addr - vma.start + start * cfg.record_size,
             records * cfg.record_size,
             pattern=AccessPattern.SEQUENTIAL, copy=True)
 

@@ -13,7 +13,6 @@ boot), which is the exact shape Fig. 9b plots.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -21,12 +20,14 @@ from repro.analysis.results import RunResult, Series
 from repro.paging.tlb import AccessPattern
 from repro.obs import CostDomain, charge
 from repro.system import Process, System
-from repro.vm.vma import MapFlags, Protection
-from repro.workloads.common import DaxVMOptions, Interface, Measurement
+from repro.vm.vma import Protection
+from repro.workloads.common import (
+    DaxVMOptions,
+    Interface,
+    Measurement,
+    map_file,
+)
 from repro.workloads.filegen import create_files
-
-_run_counter = itertools.count()
-
 
 #: The cache and index stay mapped for the whole run: long-lived
 #: DaxVM mappings, neither ephemeral nor unmapped asynchronously.
@@ -64,23 +65,13 @@ def _server(system: System, process: Process, cfg: PRedisConfig,
     # ---- boot: open and map the cache and index ----------------------
     cache = yield from system.fs.open(cache_path)
     index = yield from system.fs.open(index_path)
-    if cfg.interface is Interface.DAXVM:
-        cache_vma = yield from process.daxvm.mmap(
-            cache.inode, 0, cfg.cache_size, Protection.rw(),
-            _DAXVM.flags())
-        index_vma = yield from process.daxvm.mmap(
-            index.inode, 0, cfg.index_size, Protection.rw(),
-            _DAXVM.flags())
-    else:
-        flags = MapFlags.SHARED
-        if cfg.interface is Interface.MMAP_POPULATE:
-            flags |= MapFlags.POPULATE
-        cache_vma = yield from process.mm.mmap(
-            system.fs, cache.inode, 0, cfg.cache_size, Protection.rw(),
-            flags)
-        index_vma = yield from process.mm.mmap(
-            system.fs, index.inode, 0, cfg.index_size, Protection.rw(),
-            flags)
+    daxvm_flags = _DAXVM.flags()
+    cache_vma = yield from map_file(process, cache.inode, cfg.cache_size,
+                                    Protection.rw(), cfg.interface,
+                                    daxvm_flags)
+    index_vma = yield from map_file(process, index.inode, cfg.index_size,
+                                    Protection.rw(), cfg.interface,
+                                    daxvm_flags)
     result.boot_seconds = (system.engine.now - boot_t0) / freq
 
     # ---- serve gets ------------------------------------------------------
@@ -88,10 +79,8 @@ def _server(system: System, process: Process, cfg: PRedisConfig,
     index_pages = cfg.index_size // 4096
     window_start = system.engine.now
     served = 0
-    cache_base = getattr(cache_vma, "user_addr", cache_vma.start) \
-        - cache_vma.start
-    index_base = getattr(index_vma, "user_addr", index_vma.start) \
-        - index_vma.start
+    cache_base = cache_vma.user_addr - cache_vma.start
+    index_base = index_vma.user_addr - index_vma.start
     for i in range(cfg.num_gets):
         # Index probe: one random 64 B bucket read.
         bucket_page = rng.randrange(index_pages)
@@ -118,9 +107,9 @@ def _server(system: System, process: Process, cfg: PRedisConfig,
 
 
 def run_predis(system: System, cfg: PRedisConfig) -> PRedisResult:
-    run_id = next(_run_counter)
+    run_id = system.run_id("predis")
     process = system.new_process(f"predis{run_id}")
-    if cfg.interface is Interface.DAXVM and process.daxvm is None:
+    if cfg.interface is Interface.DAXVM:
         system.daxvm_for(process)
     inodes = create_files(system, [cfg.cache_size, cfg.index_size],
                           prefix=f"/predis{run_id}")

@@ -9,18 +9,21 @@ the leaf-medium of the page tables (Table II) setting the TLB price.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 
 from repro.analysis.results import RunResult
 from repro.paging.tlb import AccessPattern
 from repro.system import Process, System
-from repro.vm.vma import MapFlags, Protection
-from repro.workloads.common import DaxVMOptions, Interface, Measurement
+from repro.vm.vma import Protection
+from repro.workloads.common import (
+    DaxVMOptions,
+    Interface,
+    Measurement,
+    map_file,
+    unmap_file,
+)
 from repro.workloads.filegen import create_files
-
-_run_counter = itertools.count()
 
 
 @dataclass
@@ -73,17 +76,9 @@ def _mapped_worker(system: System, process: Process, cfg: RepetitiveConfig,
                    path: str):
     f = yield from system.fs.open(path)
     prot = Protection.rw() if cfg.write else Protection.READ
-    if cfg.interface is Interface.DAXVM:
-        vma = yield from process.daxvm.mmap(
-            f.inode, 0, cfg.file_size, prot, cfg.daxvm.flags(cfg.write))
-        base = vma.user_addr - vma.start
-    else:
-        flags = MapFlags.SHARED
-        if cfg.interface is Interface.MMAP_POPULATE:
-            flags |= MapFlags.POPULATE
-        vma = yield from process.mm.mmap(system.fs, f.inode, 0,
-                                         cfg.file_size, prot, flags)
-        base = 0
+    vma = yield from map_file(process, f.inode, cfg.file_size, prot,
+                              cfg.interface, cfg.daxvm.flags(cfg.write))
+    base = vma.user_addr - vma.start
     for i, offset in enumerate(_offsets(cfg)):
         yield from process.mm.access(
             vma, base + offset, cfg.op_size, write=cfg.write,
@@ -91,19 +86,16 @@ def _mapped_worker(system: System, process: Process, cfg: RepetitiveConfig,
         if cfg.monitor_every and (i + 1) % cfg.monitor_every == 0 \
                 and process.daxvm is not None:
             yield from process.daxvm.monitor_check([vma])
-    if cfg.interface is Interface.DAXVM:
-        yield from process.daxvm.munmap(vma)
-    else:
-        yield from process.mm.munmap(vma)
+    yield from unmap_file(process, vma, cfg.interface)
     yield from system.fs.close(f)
 
 
 def run_repetitive(system: System, cfg: RepetitiveConfig) -> RunResult:
     """Create the big file, then measure the op phase."""
-    run_id = next(_run_counter)
+    run_id = system.run_id("rep")
     system.fs.allow_huge = cfg.allow_huge
     process = system.new_process(f"rep{run_id}")
-    if cfg.interface is Interface.DAXVM and process.daxvm is None:
+    if cfg.interface is Interface.DAXVM:
         system.daxvm_for(process)
     inodes = create_files(system, [cfg.file_size], prefix=f"/rep{run_id}")
     path = inodes[0].path

@@ -19,7 +19,6 @@ Sequential writes over a mapped (or open) file with a sync after every
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 from repro.analysis.results import RunResult
@@ -27,8 +26,6 @@ from repro.system import Process, System
 from repro.vm.vma import MapFlags, Protection
 from repro.workloads.common import Measurement
 from repro.workloads.filegen import create_files
-
-_run_counter = itertools.count()
 
 
 class SyncDiscipline(enum.Enum):
@@ -54,7 +51,6 @@ def _worker(system: System, process: Process, cfg: SyncConfig, path: str):
     f = yield from system.fs.open(path)
     d = cfg.discipline
     vma = None
-    base = 0
     if d in (SyncDiscipline.MMAP_FSYNC, SyncDiscipline.MMAP_USER):
         vma = yield from process.mm.mmap(
             system.fs, f.inode, 0, cfg.file_size, Protection.rw(),
@@ -63,12 +59,11 @@ def _worker(system: System, process: Process, cfg: SyncConfig, path: str):
         vma = yield from process.daxvm.mmap(
             f.inode, 0, cfg.file_size, Protection.rw(),
             MapFlags.SHARED | MapFlags.SYNC)
-        base = vma.user_addr - vma.start
     elif d is SyncDiscipline.DAXVM_NOSYNC:
         vma = yield from process.daxvm.mmap(
             f.inode, 0, cfg.file_size, Protection.rw(),
             MapFlags.SHARED | MapFlags.SYNC | MapFlags.NO_MSYNC)
-        base = vma.user_addr - vma.start
+    base = vma.user_addr - vma.start if vma is not None else 0
 
     # Everything the op loop reads is fixed for the run.
     syscalls = d is SyncDiscipline.WRITE_FSYNC
@@ -104,7 +99,7 @@ def _worker(system: System, process: Process, cfg: SyncConfig, path: str):
 
 
 def run_sync(system: System, cfg: SyncConfig) -> RunResult:
-    run_id = next(_run_counter)
+    run_id = system.run_id("sync")
     # The paper turns huge pages off for this experiment, to stress
     # the comparison with DaxVM's fixed 2 MB flush granularity.
     system.fs.allow_huge = False

@@ -10,7 +10,6 @@ top of the data movement.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import List
 
@@ -20,10 +19,14 @@ from repro.mem.physmem import Medium
 from repro.obs import CostDomain, charge
 from repro.system import Process, System
 from repro.vm.vma import MapFlags, Protection
-from repro.workloads.common import DaxVMOptions, Interface, Measurement
+from repro.workloads.common import (
+    DaxVMOptions,
+    Interface,
+    Measurement,
+    map_file,
+    unmap_file,
+)
 from repro.workloads.filegen import create_files, drop_caches, linux_tree_sizes
-
-_run_counter = itertools.count()
 
 #: SIMD pattern-scan cost per byte, on top of fetching the data.
 SEARCH_CYCLES_PER_BYTE = 0.05
@@ -40,7 +43,7 @@ class TextSearchConfig:
 
 
 def _search_one(system: System, process: Process, cfg: TextSearchConfig,
-                inode: Inode):
+                inode: Inode, daxvm_flags: MapFlags):
     size = max(inode.size, 1)
     f = yield from system.fs.open(inode.path)
     if cfg.interface is Interface.READ:
@@ -48,37 +51,27 @@ def _search_one(system: System, process: Process, cfg: TextSearchConfig,
         yield charge(CostDomain.USERSPACE, "pattern-scan",
                      system.mem.stream_read(size, Medium.DRAM, cached=True)
                      + size * SEARCH_CYCLES_PER_BYTE)
-    elif cfg.interface is Interface.DAXVM:
-        vma = yield from process.daxvm.mmap(f.inode, 0, size,
-                                            Protection.READ,
-                                            cfg.daxvm.flags())
+    else:
+        vma = yield from map_file(process, f.inode, size, Protection.READ,
+                                  cfg.interface, daxvm_flags)
         yield from process.mm.access(vma, vma.user_addr - vma.start, size)
         yield charge(CostDomain.USERSPACE, "pattern-scan",
                      size * SEARCH_CYCLES_PER_BYTE)
-        yield from process.daxvm.munmap(vma)
-    else:
-        flags = MapFlags.SHARED
-        if cfg.interface is Interface.MMAP_POPULATE:
-            flags |= MapFlags.POPULATE
-        vma = yield from process.mm.mmap(system.fs, f.inode, 0, size,
-                                         Protection.READ, flags)
-        yield from process.mm.access(vma, 0, size)
-        yield charge(CostDomain.USERSPACE, "pattern-scan",
-                     size * SEARCH_CYCLES_PER_BYTE)
-        yield from process.mm.munmap(vma)
+        yield from unmap_file(process, vma, cfg.interface)
     yield from system.fs.close(f)
 
 
 def _worker(system: System, process: Process, cfg: TextSearchConfig,
             inodes: List[Inode]):
+    daxvm_flags = cfg.daxvm.flags()
     for inode in inodes:
-        yield from _search_one(system, process, cfg, inode)
+        yield from _search_one(system, process, cfg, inode, daxvm_flags)
 
 
 def run_textsearch(system: System, cfg: TextSearchConfig) -> RunResult:
-    run_id = next(_run_counter)
+    run_id = system.run_id("ag")
     process = system.new_process(f"ag{run_id}")
-    if cfg.interface is Interface.DAXVM and process.daxvm is None:
+    if cfg.interface is Interface.DAXVM:
         system.daxvm_for(process)
     sizes = linux_tree_sizes(cfg.num_files, seed=cfg.seed,
                              total_bytes=cfg.total_bytes)

@@ -99,7 +99,7 @@ def run_ycsb(system: System, cfg: YCSBConfig) -> RunResult:
     if cfg.workload not in WORKLOAD_MIXES:
         raise ValueError(f"unknown YCSB workload {cfg.workload!r}")
     process = system.new_process(f"ycsb-{cfg.workload}")
-    if cfg.kv.interface is Interface.DAXVM and process.daxvm is None:
+    if cfg.kv.interface is Interface.DAXVM:
         dax = system.daxvm_for(process)
         if cfg.prezero:
             dax.prezero.prezero_all_free()

@@ -30,6 +30,7 @@ from repro.sim.stats import Stats
 from repro.system import System
 from repro.tenancy import CpuThrottle, consolidate_config
 from repro.vm.mm import MMStruct
+from repro.workloads.common import map_file
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = (ROOT / "src" / "repro", ROOT / "bench", ROOT / "examples")
@@ -55,6 +56,7 @@ ENTRY_POINTS = {
     "Wake": (Wake.__init__, "Wake"),
     "consolidate_config": (consolidate_config, "consolidate_config"),
     "format_series": (format_series, "format_series"),
+    "map_file": (map_file, "map_file"),
     "render_bars": (render_bars, "render_bars"),
 }
 

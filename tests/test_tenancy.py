@@ -388,13 +388,9 @@ def _consolidate_state(config):
 
 
 def test_consolidate_is_deterministic():
-    from repro.runner.worker import _reset_naming_counters
-
     config = consolidate_config(2, "mixed", quotas=True, antagonist=True,
                                 requests=6)
-    _reset_naming_counters()
     _sys1, _run1, state1 = _consolidate_state(config)
-    _reset_naming_counters()
     _sys2, _run2, state2 = _consolidate_state(config)
     assert (json.dumps(state1, sort_keys=True)
             == json.dumps(state2, sort_keys=True))
@@ -467,8 +463,6 @@ def _gauged_run(requests, monkeypatch=None):
     """A quotas-on mixed point with a hog on an aged image.  With
     ``monkeypatch``, ``QuotaController.scan`` is wrapped to record
     every tenant's usage at every scan."""
-    from repro.runner.worker import _reset_naming_counters
-
     config = consolidate_config(4, "mixed", quotas=True, antagonist=True,
                                 requests=requests)
     scans = []
@@ -482,7 +476,6 @@ def _gauged_run(requests, monkeypatch=None):
                            for name in self.names}))
 
         monkeypatch.setattr(QuotaController, "scan", recording_scan)
-    _reset_naming_counters()
     system = System(device_bytes=1 << 30, aged=True)
     run_consolidate(system, config)
     series = {t.name: system.stats.series(f"tenant.{t.name}.memory_bytes")

@@ -22,7 +22,6 @@ from repro.faults.injector import FaultInjector, run_faults
 from repro.faults.model import MediaFaults
 from repro.faults.plan import FaultPlan
 from repro.obs import CostDomain, Counter
-from repro.runner.worker import _reset_naming_counters
 from repro.system import System
 from repro.tenancy import consolidate_config
 from repro.virt import (
@@ -35,7 +34,6 @@ from repro.virt import (
 
 
 def _system() -> System:
-    _reset_naming_counters()
     return System(costs=MEDIA_PRESETS["optane"](), device_bytes=1 << 30,
                   aged=False)
 
@@ -234,9 +232,10 @@ def test_migrate_audit_finds_no_violations():
 
 def test_migrate_audit_probes_each_fault_audit_once(monkeypatch):
     """The fault plan is given up front, so each fault audit probes
-    once: four audits plus the two composed-plan probes, and one
-    machine fewer per fault audit than probing a second time built.
-    The summary is the one the double probe gave."""
+    once, and the composed plan is drawn over the first seed's
+    fault-audit probe: four probes for four audits, and one machine
+    fewer per probe saved.  The summary is the one the extra probes
+    gave."""
     probes, built = [], []
     probe, build = FaultInjector.probe, System.__init__
 
@@ -252,8 +251,8 @@ def test_migrate_audit_probes_each_fault_audit_once(monkeypatch):
     monkeypatch.setattr(System, "__init__", counted_build)
     summary = run_migrate_audit(seeds=(0, 1), max_points=8, max_sites=6,
                                 composed_points=6)
-    assert len(probes) == 6
-    assert len(built) == 66
+    assert len(probes) == 4
+    assert len(built) == 64
     state = summary.to_state()
     assert (state["crash_points"], state["fault_sites"],
             state["composed_points"], state["points_explored"]) == (

@@ -235,3 +235,72 @@ def test_ycsb_daxvm_takes_fewer_sync_commits_than_mmap():
                           DaxVMOptions(ephemeral=False,
                                        unmap_async=False))
     assert mmap_commits > dax_commits * 4  # "10x less" in the paper
+
+
+# ---------------------------------------------------------------------------
+# Run names come from the machine.
+# ---------------------------------------------------------------------------
+#: One small run of every driver that names its files, processes or
+#: store, and a name its first run on a fresh machine must use.
+_NAMED_RUNS = {
+    "ephemeral": (lambda s: run_ephemeral(s, EphemeralConfig(
+        file_size=16 << 10, num_files=12, num_threads=2,
+        interface=Interface.MMAP)), "eph0.mmap_sem"),
+    "repetitive": (lambda s: run_repetitive(s, RepetitiveConfig(
+        file_size=4 << 20, num_ops=50, interface=Interface.DAXVM)),
+        "rep0.mmap_sem"),
+    "textsearch": (lambda s: run_textsearch(s, TextSearchConfig(
+        num_files=12, total_bytes=1 << 20, num_threads=2,
+        interface=Interface.MMAP_POPULATE)), "ag0.mmap_sem"),
+    "predis": (lambda s: run_predis(s, PRedisConfig(
+        cache_size=8 << 20, index_size=1 << 20, num_gets=200,
+        window=100, interface=Interface.DAXVM)).run, "predis0.mmap_sem"),
+    "apache": (lambda s: run_apache(s, ApacheConfig(
+        num_pages=4, num_workers=2, requests=8,
+        interface=ServerInterface.MMAP)), "apache0.mmap_sem"),
+    "sync": (lambda s: run_sync(s, SyncConfig(
+        file_size=4 << 20, ops_per_sync=4, num_syncs=3,
+        discipline=SyncDiscipline.MMAP_FSYNC)), "sync0.mmap_sem"),
+    "append": (lambda s: run_append(s, AppendConfig(
+        append_size=64 << 10, num_appends=2,
+        variant=AppendVariant.DAXVM)), "/app0/f0"),
+    "kvstore": (lambda s: run_ycsb(s, YCSBConfig(
+        workload="load_a", num_ops=300, preload_records=0,
+        kv=KVConfig(interface=Interface.DAXVM, memtable_limit=1 << 20,
+                    wal_size=1 << 20, sstable_size=1 << 20))),
+        "/kv0/wal00001"),
+}
+
+
+def _named_state(run):
+    """A fresh machine's result state, lock reports and file names."""
+    from repro.runner.manifest import result_state
+
+    system = small_system()
+    result = run(system)
+    locks = [lock.report() for lock in system.engine.locks
+             if lock.acquisitions]
+    state = result_state(result, system.stats, system.ledger, locks, 0.0)
+    names = {lock["name"] for lock in locks} | set(system.vfs.paths())
+    return state, names
+
+
+@pytest.mark.parametrize("driver", sorted(_NAMED_RUNS))
+def test_fresh_machines_name_their_runs_alike(driver):
+    """Two fresh machines in one process run the same workload to the
+    same state, lock and file names included, with nothing reset in
+    between: a machine names its runs from 0 on its own."""
+    run, first_name = _NAMED_RUNS[driver]
+    state1, names1 = _named_state(run)
+    state2, names2 = _named_state(run)
+    assert first_name in names1
+    assert names1 == names2
+    assert state1 == state2
+
+
+def test_a_machine_numbers_each_kind_of_run_on_its_own():
+    system = small_system()
+    assert [system.run_id("eph"), system.run_id("eph"),
+            system.run_id("kv")] == [0, 1, 0]
+    assert [system.new_process().name, system.new_process("x").name,
+            system.new_process().name] == ["proc1", "x", "proc3"]
