@@ -12,7 +12,8 @@ named *candidates* that must reproduce it byte for byte:
   ``(sweep, knobs, x filter, series filter)`` points replayed through
   :func:`repro.runner.worker.run_point`, optionally with an
   ``attach(system)`` that arms a passive subsystem or picks the
-  classic engine path;
+  classic engine path on every machine a point builds (an audit
+  point's replicas included);
 * ``one_node``, ``crash``, ``tenancy`` and ``virt`` keep their own
   capture callables, because their states have other shapes; they
   still build every machine through

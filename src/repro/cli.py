@@ -76,21 +76,18 @@ def _audit_point(args) -> SweepPoint:
     """The one point an audit command runs.  Replicas start from fresh
     images; every other machine field comes from the flags."""
     machine = dict(media=args.media, device_gib=args.device, aged=False,
-                   fs_type=args.fs, num_nodes=args.nodes,
-                   placement=args.policy, pin_node=args.pin_node,
-                   scheme=args.scheme, node_kinds=args.node_kinds or "")
+                   fs_type=args.fs, placement=args.policy,
+                   scheme=args.scheme, node_kinds=args.node_kinds)
     if args.tiering:
         machine["tiering"] = args.tiering
-    budget = {"media": args.media, "device_gib": args.device}
     max_points = 64 if args.max_points is None else args.max_points
     if args.command == "migrate":
         params = {"seeds": [args.seed, args.seed + 1],
                   "max_points": max_points, "max_sites": args.max_sites,
-                  "composed_points": max(2, min(max_points, 6)),
-                  **budget}
+                  "composed_points": max(2, min(max_points, 6))}
         return SweepPoint("migrate-audit", "migrate", args.seed, params,
                           **machine)
-    params = {"workload": args.workload, "seed": args.seed, **budget}
+    params = {"workload": args.workload, "seed": args.seed}
     if args.command == "crash":
         params["max_points"] = max_points
     else:
@@ -149,8 +146,7 @@ def _sections(args):
 def _run(args, sweep: Sweep):
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     return run_sweep(sweep, jobs=args.jobs, cache=cache,
-                     point_timeout=args.point_timeout,
-                     profile=args.profile)
+                     point_timeout=args.point_timeout)
 
 
 def _status(result) -> int:
@@ -166,34 +162,6 @@ def _status(result) -> int:
         print(f"sweep: VIOLATION: point {line}", file=sys.stderr)
         status = 1
     return status
-
-
-def _profile_table(result) -> Table:
-    """Merge per-point cProfile tables into one sweep-wide top-N.
-
-    Rows are summed by function across every profiled point, so the
-    table answers "where did the whole sweep spend its time", not
-    "where did one point".
-    """
-    from repro.runner.worker import PROFILE_TOP
-
-    merged = {}
-    for pr in result.points:
-        for row in pr.state.get("profile", ()):
-            bucket = merged.setdefault(
-                row["function"], {"ncalls": 0, "tottime": 0.0,
-                                  "cumtime": 0.0})
-            bucket["ncalls"] += row["ncalls"]
-            bucket["tottime"] += row["tottime"]
-            bucket["cumtime"] += row["cumtime"]
-    table = Table("Profile — top functions by own time (all points)",
-                  ["function", "ncalls", "tottime s", "cumtime s"])
-    ranked = sorted(merged.items(), key=lambda kv: -kv[1]["tottime"])
-    for function, bucket in ranked[:PROFILE_TOP]:
-        table.add_row(function, bucket["ncalls"],
-                      round(bucket["tottime"], 4),
-                      round(bucket["cumtime"], 4))
-    return table
 
 
 def _report(result, columns) -> str:
@@ -252,8 +220,6 @@ def _sweep_cmd(args) -> int:
                 print()
                 print(format_table(part.table(SWEEPS[name].columns)))
             print()
-    if args.profile and args.command == "sweep":
-        print(format_table(_profile_table(result)))
     status = _status(result)
     if status or args.command == "perf" or not args.verify_cache:
         return status
@@ -382,19 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scheme", choices=SCHEME_NAMES,
                         default="radix4",
                         help="audit machine's translation architecture")
-    parser.add_argument("--nodes", type=int, default=1,
-                        help="audit machine's NUMA sockets (1 = uniform "
-                             "machine)")
     parser.add_argument("--policy", choices=PLACEMENTS, default="local",
-                        help="file/device placement relative to "
-                             "--pin-node (multi-socket only)")
-    parser.add_argument("--pin-node", type=int, default=0,
-                        help="socket the placement is defined against")
-    parser.add_argument("--node-kinds", default=None,
-                        help="comma list of memory-node kinds (ddr, "
-                             "cxl, far), e.g. 'ddr,cxl' adds a CXL "
-                             "expander beside the socket; overrides "
-                             "--nodes")
+                        help="file/device placement relative to socket "
+                             "0 (multi-socket only)")
+    parser.add_argument("--node-kinds", default="",
+                        help="audit machine's NUMA nodes as a comma list "
+                             "of kinds (ddr, cxl, far): 'ddr,ddr' is two "
+                             "sockets, 'ddr,cxl' adds a CXL expander "
+                             "beside the socket (default: one socket)")
     parser.add_argument("--tiering", type=_tiering, default=None,
                         help="price file data on this tier instead of "
                              "the device medium (dram/pmem/cxl/far); "
@@ -427,12 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="after a sweep, replay it from cache and "
                              "fail unless every point round-trips "
                              "identically")
-    parser.add_argument("--profile", action="store_true",
-                        help="cProfile every sweep point and print a "
-                             "merged top-functions table (bypasses the "
-                             "result cache; simulated numbers are "
-                             "unchanged, walls include profiler "
-                             "overhead)")
     parser.add_argument("--recapture", default=None, metavar="NAME",
                         help="with 'golden': rewrite gate NAME's file "
                              "(or 'all') from its reference capture; "

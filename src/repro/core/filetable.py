@@ -151,7 +151,7 @@ class FileTable:
         total_pages = inode.extents.block_count
         if total_pages <= self.filled_pages:
             return 0.0
-        domain = getattr(fs, "persistence", None)
+        domain = fs.persistence
         if domain is not None and self.medium is Medium.PMEM:
             # Persistent-table fills are clwb'd as they are written
             # (§IV-A1) but only fence-ordered with the journal commit;

@@ -48,19 +48,17 @@ class SweepPoint:
     aged: bool = True
     #: File system on the device (``ext4``, ``nova`` or ``xfs``).
     fs_type: str = "ext4"
-    #: NUMA sockets (1 = the historical uniform machine).
-    num_nodes: int = 1
-    #: File/device placement relative to ``pin_node`` — one of
+    #: File/device placement relative to socket 0 — one of
     #: :data:`repro.topology.PLACEMENTS`; a no-op on one node.
     placement: str = "local"
-    #: Socket the placement is defined against.
-    pin_node: int = 0
     #: Translation architecture (see :data:`repro.paging.schemes.
     #: SCHEMES`); part of the payload, hence of the cache key.
     scheme: str = "radix4"
-    #: Memory-expander node kinds beyond the ddr sockets, as a
-    #: comma-joined string (e.g. ``"cxl"`` or ``"cxl,far"``); empty =
-    #: the historical DRAM+PMem machine.  JSON-safe by construction.
+    #: The machine's NUMA nodes as comma-joined kinds of
+    #: :data:`repro.topology.NODE_KINDS` (``"ddr,ddr"`` is two sockets,
+    #: ``"ddr,cxl"`` one socket beside a CXL expander); empty = the
+    #: historical one-socket DRAM+PMem machine.  The point's only
+    #: topology field.
     node_kinds: str = ""
     #: Tier overlay for the point: ``{}`` = none (pre-tiering model);
     #: otherwise ``{"data": "cxl", "daemon": true, ...}`` — consumed by
@@ -98,9 +96,7 @@ class SweepPoint:
             "device_gib": self.device_gib,
             "aged": self.aged,
             "fs_type": self.fs_type,
-            "num_nodes": self.num_nodes,
             "placement": self.placement,
-            "pin_node": self.pin_node,
             "scheme": self.scheme,
             "node_kinds": self.node_kinds,
             "tiering": dict(self.tiering),
@@ -118,17 +114,21 @@ class SweepPoint:
         return json.dumps(self.to_payload(), sort_keys=True)
 
     def cache_key(self, code_fingerprint: str) -> str:
-        """Content hash identifying this point's result.
+        """Content hash identifying this point's simulation.
 
-        The key covers the experiment name, the full point config, the
-        *values* of every cost-model constant the media preset expands
-        to (not just the preset's name — retuning ``config.py`` must
-        invalidate old results), and a fingerprint of the package
-        source, so any code change re-simulates.
+        The key covers the experiment name, the point config minus its
+        label (``series`` and ``x`` name a figure line and never reach
+        the runner, so two points that differ only there are one
+        simulation), the *values* of every cost-model constant the
+        media preset expands to (not just the preset's name — retuning
+        ``config.py`` must invalidate old results), and a fingerprint
+        of the package source, so any code change re-simulates.
         """
         costs = MEDIA_PRESETS[self.media]()
+        simulation = {k: v for k, v in self.to_payload().items()
+                      if k not in ("series", "x")}
         blob = json.dumps(
-            {"point": self.to_payload(),
+            {"point": simulation,
              "costs": costs.to_stable_dict(),
              "code": code_fingerprint},
             sort_keys=True)
@@ -152,7 +152,9 @@ class Sweep:
 def pooled(name: str, title: str, sweeps: Sequence[Sweep]) -> Sweep:
     """One sweep of the distinct points of ``sweeps``, in first-seen
     order; :meth:`repro.runner.SweepResult.part` matches its results
-    back to each sweep by payload."""
+    back to each sweep by payload.  Points that differ only in their
+    label stay apart, since each sweep reads its own labels;
+    :func:`repro.runner.run_sweep` simulates them once."""
     unique = {point.key: point for sweep in sweeps for point in sweep.points}
     return Sweep(name=name, title=title, points=list(unique.values()))
 
@@ -201,10 +203,10 @@ class PointResult:
         )
 
     def comparable_state(self) -> Dict[str, object]:
-        """The state minus fields that vary run-to-run (wall time,
-        profiler tables)."""
+        """The state minus the field that varies run-to-run (wall
+        time)."""
         return {k: v for k, v in self.state.items()
-                if k not in ("wall_seconds", "profile")}
+                if k != "wall_seconds"}
 
 
 def result_state(run: RunResult, stats: Stats, ledger: Ledger,

@@ -2,11 +2,12 @@
 
 ``run_sweep`` executes a :class:`~repro.runner.manifest.Sweep`:
 
-1. every point is content-hashed; hits load the stored result state
-   from the cache,
-2. misses fan out across a ``multiprocessing`` pool (``jobs`` worker
-   processes) — each worker simulates its points in a fresh
-   :class:`~repro.system.System` and returns plain state dicts,
+1. every point is content-hashed, its label excluded; hits load the
+   stored result state from the cache,
+2. misses, one per distinct hash, fan out across a ``multiprocessing``
+   pool (``jobs`` worker processes) — each worker simulates its
+   points in a fresh :class:`~repro.system.System` and returns plain
+   state dicts,
 3. the parent rehydrates each state into
    :class:`~repro.runner.manifest.PointResult` and folds the per-point
    ``Stats``/``Ledger`` with the PR 1 merge machinery.
@@ -32,7 +33,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.results import Series, Table, series_from_points
 from repro.obs.ledger import Ledger
@@ -143,27 +144,25 @@ class SweepResult:
 
 def run_sweep(sweep: Sweep, jobs: int = 1,
               cache: Optional[ResultCache] = None, *,
-              point_timeout: Optional[float] = None,
-              profile: bool = False) -> SweepResult:
+              point_timeout: Optional[float] = None) -> SweepResult:
     """Execute a sweep; see the module docstring for the contract.
 
-    ``profile=True`` wraps every point in cProfile and attaches its
-    top-functions table to the point state.  Profiled runs bypass the
-    cache in both directions: a hit would return no profile, and a
-    profiled wall (inflated by instrumentation) must never be stored.
+    Points that differ only in their label share a cache key and run
+    as one simulation (counted once in ``misses``); each keeps its own
+    label in the result.
     """
     started = time.perf_counter()
     fingerprint = code_fingerprint()
     results: List[Optional[PointResult]] = [None] * len(sweep.points)
     failures: List[PointFailure] = []
-    pending = []
+    #: cache key -> the ``(slot, point)`` pairs it simulates for.
+    pending: Dict[str, List[Tuple[int, SweepPoint]]] = {}
     hits = misses = 0
 
     for i, point in enumerate(sweep.points):
         load_started = time.perf_counter()
         key = point.cache_key(fingerprint)
-        state = (cache.get(key)
-                 if cache is not None and not profile else None)
+        state = cache.get(key) if cache is not None else None
         if state is not None:
             # Wall time of *this* load, not the sweep's elapsed time.
             load_wall = time.perf_counter() - load_started
@@ -171,37 +170,37 @@ def run_sweep(sweep: Sweep, jobs: int = 1,
                 point, state, cached=True, wall_seconds=load_wall)
             hits += 1
         else:
-            pending.append((i, point, key))
+            pending.setdefault(key, []).append((i, point))
 
-    # ``profile`` rides in the task, NOT the payload: the payload feeds
-    # the cache key and profiling must not shift it.
-    tasks = [{"slot": slot, "payload": point.to_payload(),
-              "profile": profile} for slot, point, _ in pending]
+    tasks = [{"slot": slot, "payload": point.to_payload()}
+             for (slot, point), *_ in pending.values()]
     if tasks and (jobs > 1 or point_timeout is not None):
         outcomes = _map_parallel(tasks, jobs, point_timeout)
     else:
         outcomes = {task["slot"]: _guarded_run_point(task)
                     for task in tasks}
-    for slot, point, key in pending:
-        out = outcomes.get(slot)
-        if out is None:
-            failures.append(PointFailure(
-                point=point, error_type="TimeoutError",
-                message=(f"no result within {point_timeout:g}s; "
-                         f"worker pool terminated"),
-                reason="timeout"))
-        elif out["ok"]:
+    for key, group in pending.items():
+        out = outcomes.get(group[0][0])
+        if out is not None and out["ok"]:
             state = out["state"]
-            if cache is not None and not profile:
+            if cache is not None:
                 cache.put(key, state)
             wall = float(state.get("wall_seconds", 0.0))
-            results[slot] = PointResult.from_state(
-                point, state, cached=False, wall_seconds=wall)
+            for slot, point in group:
+                results[slot] = PointResult.from_state(
+                    point, state, cached=False, wall_seconds=wall)
             misses += 1
+            continue
+        if out is None:
+            error_type, reason = "TimeoutError", "timeout"
+            message = (f"no result within {point_timeout:g}s; "
+                       f"worker pool terminated")
         else:
-            failures.append(PointFailure(
-                point=point, error_type=out["error_type"],
-                message=out["message"], reason="error"))
+            error_type, reason = out["error_type"], "error"
+            message = out["message"]
+        failures += [PointFailure(point=point, error_type=error_type,
+                                  message=message, reason=reason)
+                     for _slot, point in group]
 
     return SweepResult(sweep=sweep,
                        points=[r for r in results if r is not None],
@@ -219,8 +218,7 @@ def _guarded_run_point(task: dict) -> dict:
     it is captured with enough context for quarantine.
     """
     try:
-        state = run_point(task["payload"],
-                          profile=task.get("profile", False))
+        state = run_point(task["payload"])
         return {"slot": task["slot"], "ok": True, "state": state}
     except Exception as err:  # noqa: BLE001 — quarantine, never crash
         return {"slot": task["slot"], "ok": False,

@@ -12,7 +12,7 @@ one definition of what "the apache sweep" means.
 
 from __future__ import annotations
 
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.results import RunResult
@@ -20,7 +20,6 @@ from repro.config import MEDIA_PRESETS
 from repro.mem.physmem import Medium
 from repro.paging.tlb import AccessPattern
 from repro.runner.manifest import Sweep, SweepPoint
-from repro.runner.worker import build_system
 from repro.system import System
 from repro.topology import PLACEMENTS
 from repro.vm.vma import MapFlags, Protection
@@ -59,8 +58,9 @@ SWEEPS: Dict[str, Callable[..., Sweep]] = {}
 def point_runner(name: str, replicas: bool = False):
     """Register a point runner.  ``replicas=True`` marks an audit that
     builds its own machines (two per crash audit, one per fault site):
-    the worker then also passes it the ``point``, so every machine it
-    builds takes the point's shape."""
+    the worker then passes it the point's
+    :func:`~repro.runner.worker.replicas` builder instead of a machine,
+    so every machine it builds takes the point's shape."""
     def decorate(fn):
         fn.replicas = replicas
         POINT_RUNNERS[name] = fn
@@ -105,16 +105,6 @@ def _filetable_threshold(system: System, volatile_max: Optional[int]) -> None:
         system.fs.costs = system.costs
 
 
-def _replicas(point: SweepPoint, media: str,
-              device_gib: int) -> Callable[[], System]:
-    """A factory of fresh-image replicas of ``point``'s machine.  The
-    ``media``/``device_gib`` runner params (every audit point carries
-    them, equal to the point's own) pick the replica's media and
-    size; aging churn per replica is pure overhead for the audits."""
-    shape = replace(point, media=media, device_gib=device_gib, aged=False)
-    return lambda: build_system(shape)
-
-
 # ---------------------------------------------------------------------------
 # Point runners (what a worker process executes).
 # ---------------------------------------------------------------------------
@@ -146,45 +136,44 @@ def _apache_point(system: System, *, num_workers: int, requests: int,
 
 
 @point_runner("crash", replicas=True)
-def _crash_point(system: System, point: SweepPoint, *, workload: str,
-                 seed: int, max_points: int, media: str = "optane",
-                 device_gib: int = 1) -> RunResult:
-    """Crash audits build their own probe and exploring machines, so
-    the pool's pre-built ``system`` is unused."""
+def _crash_point(build: Callable[..., System], *, workload: str, seed: int,
+                 max_points: int, media: Optional[str] = None,
+                 device_gib: Optional[int] = None) -> RunResult:
+    """Crash audits build their own probe and exploring machines from
+    the point.  ``media``/``device_gib`` are accepted for payloads that
+    repeat the point's own fields; the replicas take the point's."""
     from repro.crash import run_crash
 
-    summary = run_crash(_replicas(point, media, device_gib), workload,
-                        seed=seed, max_points=max_points)
-    return summary.to_result()
+    return run_crash(build, workload, seed=seed,
+                     max_points=max_points).to_result()
 
 
 @point_runner("faults", replicas=True)
-def _faults_point(system: System, point: SweepPoint, *, workload: str,
-                  seed: int, max_sites: int, media: str = "optane",
-                  device_gib: int = 1) -> RunResult:
-    """Media-fault sweeps rebuild a machine per armed site (same
-    replica discipline as crash points)."""
+def _faults_point(build: Callable[..., System], *, workload: str, seed: int,
+                  max_sites: int, media: Optional[str] = None,
+                  device_gib: Optional[int] = None) -> RunResult:
+    """Media-fault audits build a machine per armed site (same replica
+    discipline as crash points)."""
     from repro.faults import run_faults
 
-    summary = run_faults(_replicas(point, media, device_gib), workload,
-                         seed=seed, max_sites=max_sites)
-    return summary.to_result()
+    return run_faults(build, workload, seed=seed,
+                      max_sites=max_sites).to_result()
 
 
-@point_runner("migrate-audit")
-def _migrate_audit_point(system: System, *, seeds: Sequence[int],
-                         max_points: int, max_sites: int,
-                         composed_points: int, media: str = "optane",
-                         device_gib: int = 1) -> RunResult:
+@point_runner("migrate-audit", replicas=True)
+def _migrate_audit_point(build: Callable[..., System], *,
+                         seeds: Sequence[int], max_points: int,
+                         max_sites: int,
+                         composed_points: int) -> RunResult:
     """The post-copy migration hardening audit over both guest
-    workloads; its replicas carry their own hypervisor, so the pool's
-    pre-built ``system`` is unused."""
+    workloads; its replicas are the point's machine with an armed
+    hypervisor."""
     from repro.virt import run_migrate_audit
 
     return run_migrate_audit(
-        seeds=tuple(seeds), max_points=max_points, max_sites=max_sites,
-        composed_points=composed_points, media=media,
-        device_gib=device_gib).to_result()
+        build, seeds=tuple(seeds), max_points=max_points,
+        max_sites=max_sites,
+        composed_points=composed_points).to_result()
 
 
 @point_runner("syncbench")
@@ -489,7 +478,7 @@ def _apache_sweep(*, ops: int, size: int, **machine) -> Sweep:
 
 
 @sweep("ablations", "incremental DaxVM mechanisms at 16 cores (§V-C)",
-       smoke="--ops 8 --device 1 --profile")
+       smoke="--ops 8 --device 1")
 def _ablations_sweep(*, ops: int, size: int, **machine) -> Sweep:
     """Fig. 8a's 16-core bars: the mmap variants, then DaxVM's
     mechanisms one by one (``+async`` is the full DaxVM, at the default
@@ -541,12 +530,11 @@ def _crash_sweep(*, ops: int, size: int, **machine) -> Sweep:
     crash points explored per sweep point (each point crashes and
     recovers one storage image).  ``aged`` is deliberately ignored:
     the audit's machines always start from fresh images."""
-    budget = {"media": machine["media"], "device_gib": machine["device_gib"]}
     points = [SweepPoint(
         "crash", workload, seed,
         {"workload": workload, "seed": seed,
-         "max_points": max(4, min(ops, 48)), **budget},
-        **budget, aged=False)
+         "max_points": max(4, min(ops, 48))},
+        **{**machine, "aged": False})
         for workload in ("syncbench", "kvstore") for seed in (0, 1, 2)]
     return Sweep(name="crash",
                  title="Crash recovery audit (points explored)",
@@ -563,12 +551,11 @@ def _faults_sweep(*, ops: int, size: int, **machine) -> Sweep:
     ``aged`` is deliberately ignored: replicas start fresh."""
     from repro.crash.workloads import CRASH_WORKLOADS
 
-    budget = {"media": machine["media"], "device_gib": machine["device_gib"]}
     points = [SweepPoint(
         "faults", workload, seed,
         {"workload": workload, "seed": seed,
-         "max_sites": max(4, min(ops, 64)), **budget},
-        **budget, aged=False)
+         "max_sites": max(4, min(ops, 64))},
+        **{**machine, "aged": False})
         for workload in CRASH_WORKLOADS for seed in (0, 1)]
     return Sweep(name="faults",
                  title="Media-fault handling audit (sites explored)",
@@ -632,7 +619,7 @@ def _numa_sweep(*, ops: int, size: int, **machine) -> Sweep:
         "ephemeral", placement, threads,
         {"file_size": size, "num_files": ops, "num_threads": threads,
          "interface": "mmap", "pin_node": 0},
-        **machine, num_nodes=2, placement=placement, pin_node=0)
+        **machine, node_kinds="ddr,ddr", placement=placement)
         for threads in (1, 2, 4, 8, 16) for placement in PLACEMENTS]
     return Sweep(name="numa",
                  title="NUMA file placement, mmap read-once (Kops/s)",
@@ -656,14 +643,14 @@ def _ephemeral_sweep(*, ops: int, size: int, **machine) -> Sweep:
 
 @sweep("media", "DaxVM across storage media (§VI)",
        smoke="--ops 30 --device 1")
-def _media_sweep(*, ops: int, size: int, **machine) -> Sweep:
+def _media_sweep(*, ops: int, size: int, media: str, **machine) -> Sweep:
     """32 KB read-once files through read(), mmap and DaxVM on every
     media preset (the ``media`` knob is replaced per point); x is the
     file size in KB."""
     points = [SweepPoint(
         "ephemeral", f"{preset}+{interface}", 32,
         {"file_size": 32 << 10, "num_files": ops, "num_threads": 1,
-         "interface": interface}, **{**machine, "media": preset})
+         "interface": interface}, **machine, media=preset)
         for preset in MEDIA_PRESETS
         for interface in ("read", "daxvm", "mmap")]
     return Sweep(name="media",

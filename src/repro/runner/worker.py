@@ -10,10 +10,13 @@ which process (and in which order) it runs.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Callable, Dict, Optional
 
 from repro.config import MEDIA_PRESETS
+from repro.obs.ledger import Ledger
 from repro.runner.manifest import SweepPoint, result_state
+from repro.sim.stats import Stats
 from repro.system import System
 from repro.topology import MachineTopology
 
@@ -62,24 +65,20 @@ def build_system(point: SweepPoint) -> System:
 
     This is the one place a machine's shape is decided: the media
     preset, device size, file system and image, the topology
-    (``with_kinds`` when the point names node kinds, an even ``split``
-    across sockets when it has more than one node, the uniform machine
-    otherwise), the placement and translation scheme, then the point's
-    tier overlay, tenancy and hypervisor.  The sweep worker, the audit replicas and
-    the golden gates all build through it.
+    (``with_kinds`` over the point's node kinds, the one-socket
+    machine when it names none), the placement and translation
+    scheme, then the point's tier overlay, tenancy and hypervisor.
+    The sweep worker, the audit replicas and the golden gates all
+    build through it.
     """
     costs = MEDIA_PRESETS[point.media]()
-    if point.node_kinds:
-        kinds = tuple(k.strip() for k in point.node_kinds.split(",")
-                      if k.strip())
-        topology = MachineTopology.with_kinds(costs.machine, kinds)
-    else:
-        topology = (MachineTopology.split(costs.machine, point.num_nodes)
-                    if point.num_nodes > 1 else None)
+    kinds = tuple(k.strip() for k in point.node_kinds.split(",")
+                  if k.strip())
+    topology = (MachineTopology.with_kinds(costs.machine, kinds)
+                if kinds else None)
     system = System(costs=costs, device_bytes=point.device_gib << 30,
                     fs_type=point.fs_type, aged=point.aged, topology=topology,
-                    placement=point.placement, pin_node=point.pin_node,
-                    scheme=point.scheme)
+                    placement=point.placement, scheme=point.scheme)
     if point.tiering:
         _attach_tiering(system, point.tiering)
     if point.tenancy:
@@ -89,40 +88,32 @@ def build_system(point: SweepPoint) -> System:
     return system
 
 
-#: Rows kept from a per-point profile (sorted by tottime).
-PROFILE_TOP = 15
+def replicas(point: SweepPoint,
+             attach: Optional[Callable[[System], None]] = None
+             ) -> Callable[..., System]:
+    """The builder of ``point``'s machines: each call builds a fresh
+    one of the point's shape (keyword ``fields`` override point
+    fields) and hands it to ``attach``.  A point runner's machine and
+    every replica an audit runner builds come from it."""
+    def build(**fields) -> System:
+        system = build_system(replace(point, **fields) if fields else point)
+        if attach is not None:
+            attach(system)
+        return system
+    return build
 
 
-def _profile_top(profiler, top: int = PROFILE_TOP):
-    """Flatten a cProfile run into JSON-safe top-N rows."""
-    import pstats
-
-    rows = []
-    for func, (_cc, ncalls, tottime, cumtime, _callers) in \
-            pstats.Stats(profiler).stats.items():
-        filename, line, name = func
-        # Trim the path to the package-relative part when possible.
-        marker = filename.rfind("repro/")
-        where = filename[marker:] if marker >= 0 else filename
-        rows.append({"function": f"{where}:{line}({name})",
-                     "ncalls": ncalls,
-                     "tottime": round(tottime, 6),
-                     "cumtime": round(cumtime, 6)})
-    rows.sort(key=lambda row: -row["tottime"])
-    return rows[:top]
-
-
-def run_point(payload: Dict[str, object], profile: bool = False,
+def run_point(payload: Dict[str, object],
               attach: Optional[Callable[[System], None]] = None
               ) -> Dict[str, object]:
     """Simulate one sweep point; returns its JSON-safe result state.
 
-    ``profile=True`` wraps the simulation in :mod:`cProfile` and
-    attaches the top functions by own-time as ``state["profile"]``.
-    Profiled walls include the profiler's overhead, so the pool never
-    caches a profiled state.  ``attach`` receives the built machine
-    before the point runs (the golden gates arm passive subsystems
-    through it).
+    ``attach`` receives every machine the point builds before it runs
+    (the golden gates arm passive subsystems through it).  A runner
+    registered with ``replicas=True`` is an audit: it gets the
+    point's :func:`replicas` builder instead of a machine, and its
+    state carries empty stats, ledger and locks: the audit's summary
+    is its run.
     """
     # Imported lazily: the registry module imports the workloads, and
     # a spawned worker must finish importing this module first.
@@ -133,29 +124,16 @@ def run_point(payload: Dict[str, object], profile: bool = False,
     if runner is None:
         raise KeyError(f"unknown point experiment {point.experiment!r}; "
                        f"known: {sorted(POINT_RUNNERS)}")
-    system = build_system(point)
-    if attach is not None:
-        attach(system)
-    params = dict(point.params, point=point) if runner.replicas \
-        else point.params
-    profiler = None
-    if profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
+    build = replicas(point, attach)
+    if runner.replicas:
+        started = time.perf_counter()
+        run = runner(build, **point.params)
+        wall = time.perf_counter() - started
+        return result_state(run, Stats(), Ledger(), [], wall)
+    system = build()
     started = time.perf_counter()
-    if profiler is not None:
-        profiler.enable()
-        try:
-            run = runner(system, **params)
-        finally:
-            profiler.disable()
-    else:
-        run = runner(system, **params)
+    run = runner(system, **point.params)
     wall = time.perf_counter() - started
     locks = [lock.report() for lock in system.engine.locks
              if lock.acquisitions]
-    state = result_state(run, system.stats, system.ledger, locks, wall)
-    if profiler is not None:
-        state["profile"] = _profile_top(profiler)
-    return state
+    return result_state(run, system.stats, system.ledger, locks, wall)

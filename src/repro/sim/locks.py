@@ -75,9 +75,7 @@ class _LockBase:
         #: ``(waiting_tenant, holding_tenant) -> cycles`` matrix, only
         #: populated when an engine tenant resolver is installed.
         self.tenant_waits: Dict[Tuple[str, str], float] = {}
-        registry = getattr(engine, "locks", None)
-        if registry is not None:
-            registry.append(self)
+        engine.locks.append(self)
 
     def _current(self) -> SimThread:
         thread = self.engine.current
@@ -113,12 +111,10 @@ class _LockBase:
         total.  Un-tenanted runs record nothing extra (bit-identical).
         """
         self.total_wait_cycles += waited
-        ledger = getattr(self.engine, "ledger", None)
-        if ledger is None:
-            return
+        ledger = self.engine.ledger
         ledger.record(thread.name, CostDomain.LOCK_WAIT,
                       self._blocked_event, waited)
-        resolver = getattr(self.engine, "tenant_resolver", None)
+        resolver = self.engine.tenant_resolver
         if resolver is None:
             return
         waiter_tenant = resolver(thread.name)

@@ -70,7 +70,6 @@ class System:
                  aged: bool = False,
                  topology: Optional[MachineTopology] = None,
                  placement: str = "local",
-                 pin_node: int = 0,
                  scheme: str = "radix4"):
         self.costs = costs
         #: Translation architecture for every process on this machine
@@ -78,12 +77,11 @@ class System:
         #: x86-64 radix simulator, bit for bit.
         self.scheme = scheme
         if topology is None:
-            topology = MachineTopology.single_node(costs.machine)
+            topology = MachineTopology.with_kinds(costs.machine, ("ddr",))
         self.topology = topology
-        #: File/device placement relative to ``pin_node`` (see
+        #: File/device placement relative to socket 0 (see
         #: repro.topology.device_placement); a no-op on one node.
         self.placement = placement
-        self.pin_node = pin_node
         self.engine = Engine(topology.num_cores, topology=topology,
                              freq_hz=costs.machine.freq_hz)
         self.stats = Stats()
@@ -93,7 +91,7 @@ class System:
         self.mem.set_pools(self._make_pools())
         base_frame, frame_map = device_placement(
             topology, self.physmem.pmem_bases(),
-            self.physmem.pmem_frames(), placement, pin_node)
+            self.physmem.pmem_frames(), placement)
         if aged:
             self.device = aged_device(device_bytes, base_frame=base_frame,
                                       frame_map=frame_map)

@@ -92,7 +92,7 @@ class TenantAccountant:
         thread = self.engine.current
         if thread is None:
             return None
-        tenant = getattr(thread, "tenant", None)
+        tenant = thread.tenant
         return tenant if tenant in self.frames else None
 
     # -- PhysicalMemory hook ------------------------------------------------
@@ -156,7 +156,7 @@ class BandwidthAdmission:
     def extra_delay(self, pool, read_bytes: float, write_bytes: float,
                     now: float) -> float:
         thread = self.engine.current
-        tenant = getattr(thread, "tenant", None) if thread else None
+        tenant = thread.tenant if thread else None
         if tenant is None:
             return 0.0
         share = self.shares.get(tenant)

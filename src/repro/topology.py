@@ -125,37 +125,15 @@ class MachineTopology:
     # Construction helpers.
     # ------------------------------------------------------------------
     @classmethod
-    def single_node(cls, machine: MachineConfig) -> "MachineTopology":
-        """The pre-topology machine: one socket owning everything."""
-        return cls(nodes=(NodeSpec(machine.dram_bytes,
-                                   machine.pmem_bytes),),
-                   num_cores=machine.num_cores)
-
-    @classmethod
-    def split(cls, machine: MachineConfig,
-              num_nodes: int) -> "MachineTopology":
-        """Split a machine's DRAM/PMem/cores evenly across sockets."""
-        if num_nodes < 1:
-            raise InvalidArgumentError(
-                f"num_nodes must be >= 1, got {num_nodes}")
-        dram = machine.dram_bytes // num_nodes
-        pmem = machine.pmem_bytes // num_nodes
-        # Keep per-node sizes frame-aligned.
-        dram -= dram % machine.page_size
-        pmem -= pmem % machine.page_size
-        return cls(nodes=tuple(NodeSpec(dram, pmem)
-                               for _ in range(num_nodes)),
-                   num_cores=machine.num_cores)
-
-    @classmethod
     def with_kinds(cls, machine: MachineConfig,
                    kinds) -> "MachineTopology":
         """Build a topology from node-kind names.
 
         ``["ddr", "ddr", "cxl"]`` is a dual-socket box with one CXL
-        memory expander: DRAM/PMem split evenly across the ``ddr``
-        sockets, the expander carrying :attr:`MachineConfig.cxl_bytes`
-        and no cores.  An all-``ddr`` list is exactly :meth:`split`.
+        memory expander: DRAM/PMem split evenly (frame-aligned) across
+        the ``ddr`` sockets, the expander carrying
+        :attr:`MachineConfig.cxl_bytes` and no cores.  ``["ddr"]`` is
+        the pre-topology machine: one socket owning everything.
         """
         kinds = tuple(kinds)
         ddr_count = sum(1 for kind in kinds if kind == "ddr")
@@ -333,13 +311,12 @@ class InterleaveMap:
 
 
 def device_placement(topology: MachineTopology, pmem_bases: List[int],
-                     pmem_frames: List[int], placement: str,
-                     pin_node: int = 0
+                     pmem_frames: List[int], placement: str
                      ) -> Tuple[int, Optional[InterleaveMap]]:
     """Resolve a placement name to (device base frame, frame map).
 
-    ``local`` puts every device block on ``pin_node``'s PMem;
-    ``remote`` on the next socket over; ``interleave`` stripes 2 MB
+    ``local`` puts every device block on the first PMem node's PMem;
+    ``remote`` on the next one over; ``interleave`` stripes 2 MB
     chunks across all sockets.  On one node all three collapse to the
     single PMem region — placement is then a no-op by construction.
     """
@@ -357,9 +334,9 @@ def device_placement(topology: MachineTopology, pmem_bases: List[int],
             return ranges[0][0], InterleaveMap(ranges)
     pmem_nodes = [node for node, frames in enumerate(pmem_frames)
                   if frames > 0] or [0]
-    node = pmem_nodes[pin_node % len(pmem_nodes)]
+    node = pmem_nodes[0]
     if placement == "remote":
-        node = pmem_nodes[(pin_node + 1) % len(pmem_nodes)]
+        node = pmem_nodes[1 % len(pmem_nodes)]
     return pmem_bases[node], None
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.crash.injector import CrashInjector, CrashSummary
 from repro.crash.workloads import AuditSummary
@@ -44,8 +44,7 @@ from repro.faults.plan import (
     FaultSite,
     TouchRecord,
 )
-from repro.runner.manifest import SweepPoint
-from repro.runner.worker import build_system
+from repro.system import System
 from repro.virt.hypervisor import VirtConfig
 
 #: Guest workloads the audit sweeps: of the audit workloads, the two
@@ -63,16 +62,15 @@ _LINK_STALL_CYCLES = 400_000.0
 _LINK_SITES = 6
 
 
-def migrate_factory(*, media: str = "optane", device_gib: int = 1,
-                    seed: int = 0):
-    """A replica factory whose machines carry an armed hypervisor."""
-    shape = SweepPoint("migrate", "", 0, media=media,
-                       device_gib=device_gib, aged=False,
-                       virt=VirtConfig(nested=True, migrate=True,
-                                       migrate_after=MIGRATE_AFTER,
-                                       prefetch=True,
-                                       seed=seed).to_state())
-    return lambda: build_system(shape)
+def migrate_factory(build: Callable[..., System],
+                    seed: int = 0) -> Callable[[], System]:
+    """A replica factory whose machines carry an armed hypervisor:
+    ``build`` is an audit point's :func:`~repro.runner.worker.replicas`
+    builder, so the replicas take the point's shape."""
+    virt = VirtConfig(nested=True, migrate=True,
+                      migrate_after=MIGRATE_AFTER, prefetch=True,
+                      seed=seed).to_state()
+    return lambda: build(virt=virt)
 
 
 def link_targeted_plan(records: Sequence[TouchRecord], *, seed: int,
@@ -157,19 +155,19 @@ class MigrateAuditSummary(AuditSummary):
         }
 
 
-def run_migrate_audit(*, seeds: Sequence[int] = (0, 1),
+def run_migrate_audit(build: Callable[..., System], *,
+                      seeds: Sequence[int] = (0, 1),
                       max_points: int = 18, max_sites: int = 12,
-                      composed_points: int = 6,
-                      media: str = "optane",
-                      device_gib: int = 1) -> MigrateAuditSummary:
+                      composed_points: int = 6) -> MigrateAuditSummary:
     """The full audit: crash, fault and composed attacks over every
-    guest workload and seed.  Zero violations is the acceptance bar."""
+    guest workload and seed, on replicas ``build`` shapes (see
+    :func:`migrate_factory`).  Zero violations is the acceptance
+    bar."""
     summary = MigrateAuditSummary(seeds=list(seeds))
     for workload in AUDIT_WORKLOADS:
         first = None
         for seed in seeds:
-            factory = migrate_factory(media=media,
-                                      device_gib=device_gib, seed=seed)
+            factory = migrate_factory(build, seed=seed)
             crash_summary = CrashInjector(
                 factory, workload, seed=seed, max_points=max_points).run()
             summary.freq_hz = crash_summary.freq_hz

@@ -126,7 +126,7 @@ class MigrationJob:
     def _snapshot_residency(self) -> None:
         for vma in self.guest.vmas:
             inode = vma.inode
-            if inode is None or vma not in getattr(inode, "i_mmap", ()):
+            if inode is None or vma not in inode.i_mmap:
                 continue
             first_fp = vma.file_offset // PAGE_SIZE
             npages = min(max(1, vma.length // PAGE_SIZE), _SNAPSHOT_CAP)
@@ -144,7 +144,7 @@ class MigrationJob:
         """Quiesce table migration for files under the pull: the MMU
         monitor re-pointing attachments mid-pull would race the
         pulled-page bookkeeping."""
-        dax = getattr(self.guest.process, "daxvm", None)
+        dax = self.guest.process.daxvm
         if dax is None:
             return
         numbers = set(self._inodes)
@@ -155,7 +155,7 @@ class MigrationJob:
         dax.monitor.defer = defer
 
     def _clear_defer(self) -> None:
-        dax = getattr(self.guest.process, "daxvm", None)
+        dax = self.guest.process.daxvm
         if dax is not None:
             dax.monitor.defer = None
 

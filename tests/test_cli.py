@@ -57,16 +57,13 @@ def test_predis_experiment_runs(capsys):
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_sweep_smoke(name, tmp_path, capsys):
     """Each sweep at its declared smoke knobs: parallel, cache
-    round-trip (unless the knobs bypass the cache), then its perf
-    report from the same cache.  Every declared column must show up
-    in some point's counters, so a misspelt column fails here."""
+    round-trip, then its perf report from the same cache.  Every
+    declared column must show up in some point's counters, so a
+    misspelt column fails here."""
     knobs = SWEEPS[name].smoke.split()
     argv = [name, *knobs, "--jobs", "2", "--cache-dir", str(tmp_path)]
-    verify = [] if "--profile" in knobs else ["--verify-cache"]
-    assert main(["sweep", *argv, *verify]) == 0
-    out = capsys.readouterr().out
-    if verify:
-        assert "cache verify OK" in out
+    assert main(["sweep", *argv, "--verify-cache"]) == 0
+    assert "cache verify OK" in capsys.readouterr().out
     assert main(["perf", *argv, "--json"]) == 0
     [states] = json.loads(capsys.readouterr().out).values()
     assert states

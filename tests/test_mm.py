@@ -850,7 +850,7 @@ states = []
 for point in points:
     state = run_point(point.to_payload())
     states.append({k: v for k, v in state.items()
-                   if k not in ("wall_seconds", "profile")})
+                   if k != "wall_seconds"})
 print(json.dumps(states, sort_keys=True))
 """
 

@@ -25,6 +25,7 @@ from repro.mem.latency import MemoryModel
 from repro.mem.physmem import PhysicalMemory
 from repro.obs.histogram import Histogram
 from repro.obs.ledger import Ledger
+from repro.runner import SweepPoint, run_point, run_sweep
 from repro.sim.engine import Engine, Wake
 from repro.sim.stats import Stats
 from repro.system import System
@@ -49,6 +50,7 @@ ENTRY_POINTS = {
     "MemoryModel.device_delay": (MemoryModel.device_delay, "device_delay"),
     "PhysicalMemory.region": (PhysicalMemory.region, "region"),
     "Stats.observe": (Stats.observe, "observe"),
+    "SweepPoint": (SweepPoint.__init__, "SweepPoint"),
     "System.daxvm_for": (System.daxvm_for, "daxvm_for"),
     "System.new_process": (System.new_process, "new_process"),
     "System": (System.__init__, "System"),
@@ -58,6 +60,8 @@ ENTRY_POINTS = {
     "format_series": (format_series, "format_series"),
     "map_file": (map_file, "map_file"),
     "render_bars": (render_bars, "render_bars"),
+    "run_point": (run_point, "run_point"),
+    "run_sweep": (run_sweep, "run_sweep"),
 }
 
 

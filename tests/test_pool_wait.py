@@ -106,7 +106,8 @@ def _machine(num_nodes=1):
     """A machine with one file mapped shared read-write, every page
     already written once, so no later access faults before it takes
     its pool wait."""
-    topology = MachineTopology.split(DEFAULT_COSTS.machine, num_nodes)
+    topology = MachineTopology.with_kinds(DEFAULT_COSTS.machine,
+                                          ("ddr",) * num_nodes)
     system = System(device_bytes=64 << 20, topology=topology)
     proc = system.new_process()
 

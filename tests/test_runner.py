@@ -8,10 +8,12 @@ or replayed from the content-addressed cache — and merged sweep-level
 
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import main as cli_main
+from repro.crash import run_crash
 from repro.errors import DeadlockError, DeviceStallError, MemoryError_
 from repro.obs import CostDomain
 from repro.obs.histogram import Histogram
@@ -22,11 +24,13 @@ from repro.runner import (
     SweepPoint,
     build_sweep,
     code_fingerprint,
+    pool,
     run_sweep,
 )
-from repro.runner.manifest import Sweep
-from repro.runner.worker import run_point
+from repro.runner.manifest import Sweep, pooled
+from repro.runner.worker import build_system, run_point
 from repro.sim.stats import Stats
+from repro.system import System
 
 
 def tiny_sweep() -> Sweep:
@@ -305,19 +309,75 @@ def test_cli_sweep_requires_name():
     assert cli_main(["sweep"]) == 2
 
 
-def test_profile_rows_attach_outside_comparable_state():
-    """A profiled point carries its top functions, never in the
-    cacheable state, and the simulator core dominates them."""
-    result = run_sweep(tiny_sweep(), jobs=1, profile=True)
-    assert not result.failed
-    merged = {}
-    for pr in result.points:
-        rows = pr.state.get("profile")
-        assert rows, f"{pr.point.label}: no profile attached"
-        assert "profile" not in pr.comparable_state()
-        for row in rows:
-            merged[row["function"]] = (merged.get(row["function"], 0.0)
-                                       + row["tottime"])
-    top = sorted(merged, key=merged.get, reverse=True)[:5]
-    assert any(part in function for function in top
-               for part in ("repro/sim/", "repro/vm/", "repro/paging/"))
+# ---------------------------------------------------------------------------
+# Audit points build only the machines they run on.
+# ---------------------------------------------------------------------------
+def _audit_point(experiment: str) -> SweepPoint:
+    budget = ({"max_points": 4} if experiment == "crash"
+              else {"max_sites": 4})
+    return SweepPoint(experiment, "syncbench", 0,
+                      {"workload": "syncbench", "seed": 0, **budget},
+                      media="optane", device_gib=1, aged=False)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every machine ``System.__init__`` builds from here on."""
+    machines = []
+    init = System.__init__
+
+    def counted(system, *args, **kwargs):
+        init(system, *args, **kwargs)
+        machines.append(system)
+
+    monkeypatch.setattr(System, "__init__", counted)
+    return machines
+
+
+def test_crash_point_builds_only_the_machines_its_injector_asks_for(built):
+    point = _audit_point("crash")
+    run_crash(lambda: build_system(point), "syncbench", seed=0,
+              max_points=4)
+    asked = len(built)
+    built.clear()
+    state = run_point(point.to_payload())
+    assert asked >= 2 and len(built) == asked
+    assert state["stats"] == Stats().to_state()
+    assert state["ledger"] == Ledger().to_state()
+    assert state["locks"] == []
+
+
+@pytest.mark.parametrize("experiment", ["crash", "faults"])
+def test_attach_arms_every_replica_of_an_audit_point(experiment, built):
+    armed = []
+    run_point(_audit_point(experiment).to_payload(), attach=armed.append)
+    assert len(built) >= 2
+    assert armed == built
+
+
+# ---------------------------------------------------------------------------
+# A label names a figure line, not a simulation.
+# ---------------------------------------------------------------------------
+def test_points_differing_only_in_label_simulate_once(tmp_path,
+                                                      monkeypatch):
+    first = tiny_sweep().points[0]
+    alias = replace(first, series="alias", x=7)
+    own, other = (Sweep(name=n, title=n, points=[pt])
+                  for n, pt in (("own", first), ("other", alias)))
+    sweep = pooled("both", "both", [own, other])
+    assert len(sweep.points) == 2
+    simulated = []
+    monkeypatch.setattr(pool, "run_point",
+                        lambda payload: simulated.append(payload)
+                        or run_point(payload))
+    cache = ResultCache(tmp_path / "cache")
+    cold = run_sweep(sweep, jobs=1, cache=cache)
+    assert len(simulated) == 1
+    assert (cold.hits, cold.misses) == (0, 1)
+    assert ([pr.point.label for pr in cold.points]
+            == [first.label, alias.label])
+    assert canon(cold.points[0]) == canon(cold.points[1])
+    assert [pr.point.label for pr in cold.part(other).points] \
+        == [alias.label]
+    warm = run_sweep(sweep, jobs=1, cache=cache)
+    assert len(simulated) == 1 and warm.hits == 2

@@ -30,14 +30,14 @@ MACHINE = DEFAULT_COSTS.machine
 
 
 def two_nodes() -> MachineTopology:
-    return MachineTopology.split(MACHINE, 2)
+    return MachineTopology.with_kinds(MACHINE, ("ddr", "ddr"))
 
 
 # ---------------------------------------------------------------------------
 # The static model.
 # ---------------------------------------------------------------------------
 def test_single_node_matches_machine():
-    topo = MachineTopology.single_node(MACHINE)
+    topo = MachineTopology.with_kinds(MACHINE, ("ddr",))
     assert topo.num_nodes == 1
     assert topo.nodes[0] == NodeSpec(MACHINE.dram_bytes,
                                      MACHINE.pmem_bytes)
@@ -45,14 +45,14 @@ def test_single_node_matches_machine():
 
 
 def test_split_is_even_and_frame_aligned():
-    topo = MachineTopology.split(MACHINE, 2)
+    topo = two_nodes()
     assert topo.num_nodes == 2
     for node in topo.nodes:
         assert node.dram_bytes % MACHINE.page_size == 0
         assert node.pmem_bytes % MACHINE.page_size == 0
     assert topo.nodes[0] == topo.nodes[1]
     with pytest.raises(InvalidArgumentError):
-        MachineTopology.split(MACHINE, 0)
+        MachineTopology.with_kinds(MACHINE, ())
 
 
 def test_core_map_partitions_all_cores():
@@ -109,18 +109,17 @@ def test_interleave_map_round_trips_and_stripes():
 def test_device_placement_resolution():
     topo = two_nodes()
     bases, frames = [100, 900], [800, 800]
-    assert device_placement(topo, bases, frames, "local", 0) == (100, None)
-    assert device_placement(topo, bases, frames, "local", 1) == (900, None)
-    assert device_placement(topo, bases, frames, "remote", 0) == (900, None)
-    base, imap = device_placement(topo, bases, frames, "interleave", 0)
+    assert device_placement(topo, bases, frames, "local") == (100, None)
+    assert device_placement(topo, bases, frames, "remote") == (900, None)
+    base, imap = device_placement(topo, bases, frames, "interleave")
     assert base == 100 and imap is not None
     assert imap.ranges == [(100, 800), (900, 800)]
     with pytest.raises(InvalidArgumentError):
-        device_placement(topo, bases, frames, "nearest", 0)
+        device_placement(topo, bases, frames, "nearest")
 
 
 def test_device_placement_collapses_on_one_node():
-    topo = MachineTopology.single_node(MACHINE)
+    topo = MachineTopology.with_kinds(MACHINE, ("ddr",))
     for placement in ("local", "remote", "interleave"):
         assert device_placement(topo, [42], [100], placement) == (42, None)
 
@@ -171,7 +170,7 @@ def test_physmem_preferred_policy_spills_in_node_order():
 
 
 def test_single_node_layout_matches_historical_construction():
-    topo = MachineTopology.single_node(MACHINE)
+    topo = MachineTopology.with_kinds(MACHINE, ("ddr",))
     modern = PhysicalMemory(topology=topo)
     legacy = PhysicalMemory(dram_bytes=MACHINE.dram_bytes,
                             pmem_bytes=MACHINE.pmem_bytes)

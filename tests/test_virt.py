@@ -21,7 +21,10 @@ from repro.errors import InvalidArgumentError
 from repro.faults.injector import FaultInjector, run_faults
 from repro.faults.model import MediaFaults
 from repro.faults.plan import FaultPlan
+from repro.fs.nova import Nova
 from repro.obs import CostDomain, Counter
+from repro.runner.manifest import SweepPoint
+from repro.runner.worker import replicas
 from repro.system import System
 from repro.tenancy import consolidate_config
 from repro.virt import (
@@ -38,9 +41,9 @@ def _system() -> System:
                   aged=False)
 
 
-def _factory() -> System:
-    return System(costs=MEDIA_PRESETS["optane"](), device_bytes=1 << 30,
-                  aged=False)
+#: The migration audit's replica builder: a fresh 1 GiB optane machine.
+_BUILD = replicas(SweepPoint("migrate-audit", "migrate", 0, device_gib=1,
+                             aged=False))
 
 
 class _StalledLink(MediaFaults):
@@ -116,8 +119,8 @@ def _run_migrate_of(name):
 
 
 @pytest.mark.parametrize("audit", [
-    lambda name: run_crash(_factory, name),
-    lambda name: run_faults(_factory, name),
+    lambda name: run_crash(_system, name),
+    lambda name: run_faults(_system, name),
     _run_migrate_of,
 ], ids=["crash", "faults", "run_migrate"])
 def test_every_audit_rejects_an_unknown_workload_naming_the_known(audit):
@@ -206,10 +209,10 @@ def test_stalled_link_walks_retry_ladder_then_degrades():
 
 # -- crash x faults composition (satellite) ------------------------------
 def test_crash_points_compose_with_an_armed_fault_plan():
-    probe = FaultInjector(_factory, "syncbench", seed=0, max_sites=4)
+    probe = FaultInjector(_system, "syncbench", seed=0, max_sites=4)
     plan = FaultPlan.generate(probe.probe(), seed=0, max_sites=4,
                               bw_windows=1, stalls=1)
-    summary = CrashInjector(_factory, "syncbench", seed=0, max_points=6,
+    summary = CrashInjector(_system, "syncbench", seed=0, max_points=6,
                             fault_plan=plan).run()
     assert summary.points_explored > 0
     assert summary.invariant_violations == 0
@@ -217,8 +220,8 @@ def test_crash_points_compose_with_an_armed_fault_plan():
 
 # -- the hardening audit, compactly --------------------------------------
 def test_migrate_audit_finds_no_violations():
-    summary = run_migrate_audit(seeds=(0, 1), max_points=8, max_sites=6,
-                                composed_points=6)
+    summary = run_migrate_audit(_BUILD, seeds=(0, 1), max_points=8,
+                                max_sites=6, composed_points=6)
     # Both guest workloads at both seeds, composed per workload.
     assert len(summary.crash) == len(summary.faults) == 4
     assert len(summary.composed) == 2
@@ -249,8 +252,8 @@ def test_migrate_audit_probes_each_fault_audit_once(monkeypatch):
 
     monkeypatch.setattr(FaultInjector, "probe", counted_probe)
     monkeypatch.setattr(System, "__init__", counted_build)
-    summary = run_migrate_audit(seeds=(0, 1), max_points=8, max_sites=6,
-                                composed_points=6)
+    summary = run_migrate_audit(_BUILD, seeds=(0, 1), max_points=8,
+                                max_sites=6, composed_points=6)
     assert len(probes) == 4
     assert len(built) == 64
     state = summary.to_state()
@@ -262,9 +265,23 @@ def test_migrate_audit_probes_each_fault_audit_once(monkeypatch):
     assert digest[:16] == "718060ec26c8a2b7"
 
 
+def test_migrate_replicas_take_the_audit_point_shape():
+    """The audit's replicas are its point's machine plus an armed
+    hypervisor, so the machine flags of ``python -m repro migrate``
+    reach them."""
+    build = replicas(SweepPoint("migrate-audit", "migrate", 0,
+                                device_gib=1, aged=False, fs_type="nova",
+                                node_kinds="ddr,ddr"))
+    system = migrate_factory(build, seed=1)()
+    assert isinstance(system.fs, Nova)
+    assert system.topology.num_nodes == 2
+    assert system.hypervisor.config.migrate
+    assert system.hypervisor.config.seed == 1
+
+
 def _breached_replicas():
     """Migrating replicas whose every migration job records a breach."""
-    factory = migrate_factory()
+    factory = migrate_factory(_BUILD)
 
     def build():
         system = factory()
@@ -290,7 +307,7 @@ def test_a_replica_hypervisor_breach_reaches_a_plain_injector(audit):
     """A plain injector reads the breaches of a replica that carries a
     hypervisor: a crash point after the migration started, and every
     fault site, reports the job's recorded breach."""
-    clean = audit(migrate_factory())
+    clean = audit(migrate_factory(_BUILD))
     assert clean.violations == []
     summary = audit(_breached_replicas())
     breaches = [v for v in summary.violations
