@@ -56,7 +56,7 @@ from repro.runner import (
 )
 from repro.runner.sweeps import build_pairs
 from repro.tiering import TieringConfig
-from repro.topology import PLACEMENTS
+from repro.topology import NODE_KINDS, PLACEMENTS
 
 #: Audit commands: one machine, shaped by the machine flags.
 AUDITS = {
@@ -94,6 +94,17 @@ def _audit_point(args) -> SweepPoint:
         params["max_sites"] = args.max_sites
     return SweepPoint(args.command, args.workload, args.seed, params,
                       **machine)
+
+
+def _node_kinds(value: str) -> str:
+    """``--node-kinds KIND,...``, each kind one of :data:`NODE_KINDS`."""
+    for kind in value.split(","):
+        kind = kind.strip()
+        if kind and kind not in NODE_KINDS:
+            raise argparse.ArgumentTypeError(
+                f"{value!r}: unknown node kind {kind!r}; expected a comma "
+                f"list of {'/'.join(NODE_KINDS)}")
+    return value
 
 
 def _tiering(value: str) -> dict:
@@ -351,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--policy", choices=PLACEMENTS, default="local",
                         help="file/device placement relative to socket "
                              "0 (multi-socket only)")
-    parser.add_argument("--node-kinds", default="",
+    parser.add_argument("--node-kinds", type=_node_kinds, default="",
                         help="audit machine's NUMA nodes as a comma list "
                              "of kinds (ddr, cxl, far): 'ddr,ddr' is two "
                              "sockets, 'ddr,cxl' adds a CXL expander "

@@ -103,9 +103,27 @@ def verify_table_consistency(inode: Inode) -> bool:
         if not extents.pmd_capable(start) or \
                 frame != device.frame_of(extents.physical_block(start)):
             return False
-    for region, node in table.pte_nodes.items():
-        for idx, entry in node.entries.items():
-            phys = extents.physical_block(region * PAGES_PER_PMD + idx)
-            if phys is None or entry.frame != device.frame_of(phys):
-                return False
-    return True
+    # PTEs run by run: each extent's file pages (extents never
+    # overlap), one PTE node at a time, against the frames of the
+    # blocks they map.  A PTE that no run reaches sits over a hole.
+    nodes = table.pte_nodes
+    unchecked = sum(len(node.entries) for node in nodes.values())
+    for extent in extents:
+        first = page = extent.logical
+        last = first + extent.length
+        while page < last:
+            region, idx = divmod(page, PAGES_PER_PMD)
+            stop = min(last, page - idx + PAGES_PER_PMD)
+            node = nodes.get(region)
+            if node is not None:
+                entry_at = node.entries.get
+                for frame in device.frames_of(
+                        extent.physical + page - first, stop - page):
+                    entry = entry_at(idx)
+                    if entry is not None:
+                        if entry.frame != frame:
+                            return False
+                        unchecked -= 1
+                    idx += 1
+            page = stop
+    return unchecked == 0

@@ -28,7 +28,7 @@ acceptance bar for every enumerated crash point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.recovery import (RecoveryLog, RecoveryReport,
                                  verify_table_consistency)
@@ -181,29 +181,21 @@ class RecoveryChecker:
         The crash can land between the bitmap update and the creation
         of the extent record (the record's own tick fires first), which
         leaks allocated-but-unreferenced blocks — the moral equivalent
-        of ext4's orphan inode list.  Mount reclaims them.
+        of ext4's orphan inode list.  Mount reclaims them: the runs
+        left of the allocated shadow once every extent run and table
+        node block is taken out of it.
         """
         device = self.system.device
-        known: Set[int] = set()
+        orphans = self.domain.allocated.copy()
         for inode in self.system.vfs.inodes():
             for extent in inode.extents:
-                known.update(range(extent.physical,
-                                   extent.physical + extent.length))
-            known.update(self._table_node_blocks(inode))
-        orphan_runs: List[Tuple[int, int]] = []
-        for start, end in list(self.domain.allocated):
-            run_start = None
-            for block in range(start, end):
-                if block in known:
-                    if run_start is not None:
-                        orphan_runs.append((run_start, block - run_start))
-                        run_start = None
-                elif run_start is None:
-                    run_start = block
-            if run_start is not None:
-                orphan_runs.append((run_start, end - run_start))
+                orphans.remove(extent.physical,
+                               extent.physical + extent.length)
+            for block in self._table_node_blocks(inode):
+                orphans.remove(block, block + 1)
         total = 0
-        for start, length in orphan_runs:
+        for start, end in orphans:
+            length = end - start
             device.free(start, length)
             self.domain.note_block_free(start, length)
             total += length

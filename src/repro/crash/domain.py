@@ -36,7 +36,9 @@ old size — and are called as ``action(machine, record)`` on the machine
 the domain is attached to, so one rollback serves the live machine and
 any copy of its storage.  Data stores are tracked per inode so an
 acknowledged ``msync``/``fsync`` can be checked against what physically
-survived.
+survived.  A copy of the domain shares the *settled* prefix of its
+records, those no crash can change, and copies and crashes only the
+records after it.
 
 The code that issues stores feeds the domain: the file systems, the
 file tables and the VM access path.  The memory model's pricing
@@ -110,7 +112,8 @@ class PersistRecord:
     #: Block runs a truncate frees once durable; filled in after the
     #: record is issued, so it is part of the record's mutable state.
     runs: Optional[List[Tuple[int, int]]] = None
-    #: Filled in by :meth:`PersistenceDomain.apply_crash`.
+    #: Filled in by :meth:`PersistenceDomain.apply_crash`, or once, when
+    #: the record settles (every crash keeps a settled record).
     survived: bool = False
     lost: bool = False
 
@@ -163,6 +166,14 @@ class PersistenceDomain:
         self._unfenced: List[PersistRecord] = []
         self._open_txn: List[PersistRecord] = []
         self._txn_seq = 0
+        #: ``records[:_settled]`` is the settled prefix (:meth:`_settle`):
+        #: records no crash can lose, undo or run a deferred action for.
+        self._settled = 0
+        #: The newest transaction whose commit record, and every commit
+        #: record before it, is durable; ``_commits`` holds the commit
+        #: records after it, oldest first.
+        self._settled_txn = 0
+        self._commits: List[PersistRecord] = []
         #: Device blocks allocated by the tracked run (extent data and
         #: persistent file-table nodes); the recovery checker reconciles
         #: this against the extent trees to find orphaned blocks.
@@ -282,6 +293,7 @@ class PersistenceDomain:
         commit = self._store("journal-commit", "commit", None,
                              COMMIT_RECORD_BYTES, flushed=not skip_fence)
         commit.txn_id = txn_id
+        self._commits.append(commit)
         if not skip_fence:
             self.fence()
         if acked:
@@ -313,16 +325,60 @@ class PersistenceDomain:
         self.allocated.remove(start, start + length)
 
     # -- copying ------------------------------------------------------------
+    def _settle(self) -> int:
+        """Advance the settled watermark over ``records``; returns it.
+
+        A record is *settled* when it is durable, its ``on_durable``
+        action (if any) has run, and it is a data store or belongs to a
+        transaction at or below ``_settled_txn``.  Every crash keeps a
+        settled record and does nothing to it, so its ``survived`` is
+        set once, here, and :meth:`apply_crash` walks only the records
+        after the longest settled prefix.  Only :meth:`copy` advances
+        the watermark: a record edited back from durable by hand, on a
+        domain never copied, is still walked.
+        """
+        commits = self._commits
+        durable = 0
+        for commit in commits:
+            if commit.state is not StoreState.DURABLE:
+                break
+            durable += 1
+        if durable:
+            self._settled_txn = commits[durable - 1].txn_id
+            del commits[:durable]
+        txn = self._settled_txn
+        records = self.records
+        mark = self._settled
+        end = len(records)
+        while mark < end:
+            rec = records[mark]
+            if (rec.state is not StoreState.DURABLE
+                    or (rec.on_durable is not None
+                        and not rec.durable_applied)
+                    or (rec.kind != "data"
+                        and (rec.txn_id is None or rec.txn_id > txn))):
+                break
+            rec.survived = True
+            mark += 1
+        self._settled = mark
+        return mark
+
     def copy(self, machine, inodes: Dict[int, object]
              ) -> "PersistenceDomain":
         """An unarmed domain with this one's durability state, attached
         to ``machine``; ``inodes`` maps each tracked inode number to the
-        machine's inode.  Crashing the copy leaves this domain as it
-        is."""
+        machine's inode.  The settled prefix of ``records`` is shared,
+        since nothing changes a settled record; every later record is
+        copied.  Crashing the copy leaves this domain as it is."""
+        mark = self._settle()
         twin = PersistenceDomain()
         twin.transitions = self.transitions
         twin.machine = machine
-        twin.records = records = [rec.copy() for rec in self.records]
+        twin.records = records = self.records[:mark]
+        records.extend([rec.copy() for rec in self.records[mark:]])
+        twin._settled = mark
+        twin._settled_txn = self._settled_txn
+        twin._commits = [records[rec.seq] for rec in self._commits]
         twin.inodes = {number: inodes[number] for number in self.inodes}
         twin._unfenced = [records[rec.seq] for rec in self._unfenced]
         twin._open_txn = [records[rec.seq] for rec in self._open_txn]
@@ -343,9 +399,14 @@ class PersistenceDomain:
         restores them at mount).  Lost records are undone in reverse
         sequence order; losing an *acknowledged* record is recorded as
         an invariant violation.
+
+        Only the records after the settled prefix are walked: a crash
+        keeps every settled record and counts each settled transaction
+        as committed.
         """
         state = CrashState()
-        for rec in self.records:
+        tail = self.records[self._settled:]
+        for rec in tail:
             if rec.state is StoreState.DURABLE:
                 rec.survived = True
             elif rec.state is StoreState.FLUSHED:
@@ -354,22 +415,24 @@ class PersistenceDomain:
                 rec.survived = False
 
         # Journal replay is sequential: commits are only honoured up to
-        # the first one that tore.
-        committed = set()
-        for rec in self.records:
+        # the first one that tore.  Commit records carry transactions
+        # 1, 2, ... in record order, so the honoured ones are exactly
+        # those up to ``committed``.
+        committed = self._settled_txn
+        for rec in tail:
             if rec.kind != "commit":
                 continue
             if not rec.survived:
                 break
-            committed.add(rec.txn_id)
+            committed = rec.txn_id
 
         rolled: set = set()
         open_rolled = False
-        for rec in reversed(self.records):
+        for rec in reversed(tail):
             if rec.kind == "commit":
-                keep = rec.txn_id in committed
+                keep = rec.txn_id <= committed
             elif rec.kind == "meta":
-                keep = rec.txn_id is not None and rec.txn_id in committed
+                keep = rec.txn_id is not None and rec.txn_id <= committed
                 if not keep:
                     if rec.txn_id is None:
                         open_rolled = True

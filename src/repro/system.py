@@ -79,9 +79,6 @@ class System:
         if topology is None:
             topology = MachineTopology.with_kinds(costs.machine, ("ddr",))
         self.topology = topology
-        #: File/device placement relative to socket 0 (see
-        #: repro.topology.device_placement); a no-op on one node.
-        self.placement = placement
         self.engine = Engine(topology.num_cores, topology=topology,
                              freq_hz=costs.machine.freq_hz)
         self.stats = Stats()
@@ -89,6 +86,8 @@ class System:
         self.mem = MemoryModel(costs)
         self.mem.set_topology(topology, self.physmem.node_of)
         self.mem.set_pools(self._make_pools())
+        # The device is placed once, here: ``placement`` is where it
+        # sits relative to socket 0, a no-op on one node.
         base_frame, frame_map = device_placement(
             topology, self.physmem.pmem_bases(),
             self.physmem.pmem_frames(), placement)

@@ -147,3 +147,14 @@ def test_parser_rejects_bad_tiering(value, capsys):
         assert "hot tier would equal the data tier" in err
     else:
         assert "dram/pmem/cxl/far" in err and ":daemon" in err
+
+
+@pytest.mark.parametrize("value", ["ddr,xyz", "cxl, ddr ,nvm"])
+def test_parser_rejects_unknown_node_kind(value, capsys):
+    """A misspelt node kind is a usage error naming it, not an audit
+    point quarantined by the machine build."""
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["crash", "--node-kinds", value])
+    assert exit_info.value.code == 2
+    bad = value.split(",")[-1].strip()
+    assert f"unknown node kind {bad!r}" in capsys.readouterr().err

@@ -6,19 +6,25 @@ and find **zero** invariant violations — no acked msync/fsync data
 lost, no torn extent trees, bitmaps consistent, tables rebuildable.
 The second half checks the checker itself: an intentionally injected
 ordering bug (acknowledging journal commits without fencing the commit
-record) must be *caught*.  The last part pins the checkpointed route:
-crashing storage images of one run gives, point for point, what
-rebuilding a machine and replaying its prefix gave, and leaves the
-running machine untouched.
+record) must be *caught*.  A differential test holds a copied domain's
+crash, which walks only the records after the settled prefix, equal to
+the full-history crash it replaced.  The last part pins the
+checkpointed route: crashing storage images of one run gives, point for
+point, what rebuilding a machine and replaying its prefix gave, and
+leaves the running machine untouched.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import MEDIA_PRESETS
 from repro.crash import (
     CrashInjector,
+    CrashState,
     CrashTriggered,
     PersistenceDomain,
     RecoveryChecker,
@@ -202,6 +208,216 @@ def test_journal_replay_stops_at_first_torn_commit():
     state = domain.apply_crash(_NoLuck())
     assert undone == ["t2", "t1"]
     assert state.rolled_back_txns == 2
+
+
+# ---------------------------------------------------------------------------
+# A copy shares the settled prefix and crashes only the tail.
+# ---------------------------------------------------------------------------
+def _reference_copy(domain: PersistenceDomain, machine) -> PersistenceDomain:
+    """The copy as it was before the settled prefix: every record
+    copied, nothing shared, nothing known settled."""
+    twin = PersistenceDomain()
+    twin.machine = machine
+    twin.records = [rec.copy() for rec in domain.records]
+    return twin
+
+
+def _reference_apply_crash(domain: PersistenceDomain, rng) -> CrashState:
+    """The full-history crash the tail walk replaced: every record's
+    survival, the commit scan from the first record, every record
+    walked in reverse."""
+    state = CrashState()
+    for rec in domain.records:
+        if rec.state is StoreState.DURABLE:
+            rec.survived = True
+        elif rec.state is StoreState.FLUSHED:
+            rec.survived = rng.random() < 0.5
+        else:
+            rec.survived = False
+    committed = set()
+    for rec in domain.records:
+        if rec.kind != "commit":
+            continue
+        if not rec.survived:
+            break
+        committed.add(rec.txn_id)
+    rolled: set = set()
+    open_rolled = False
+    for rec in reversed(domain.records):
+        if rec.kind == "commit":
+            keep = rec.txn_id in committed
+        elif rec.kind == "meta":
+            keep = rec.txn_id is not None and rec.txn_id in committed
+            if not keep:
+                if rec.txn_id is None:
+                    open_rolled = True
+                else:
+                    rolled.add(rec.txn_id)
+        else:
+            keep = rec.survived
+        if keep:
+            if not rec.survived:
+                state.replayed_records += 1
+            domain._run_durable(rec)
+            continue
+        rec.lost = True
+        state.lost_records += 1
+        state.lost_bytes += rec.nbytes
+        if rec.acked:
+            state.acked_lost += 1
+            state.violations.append(
+                f"acked {rec.kind} store lost at crash: "
+                f"{rec.label} (ino={rec.ino}, seq={rec.seq})")
+        if rec.undo is not None:
+            rec.undo(domain.machine, rec)
+    state.rolled_back_txns = len(rolled) + (1 if open_rolled else 0)
+    domain.crashed = True
+    return state
+
+
+class _Log:
+    """A machine for record actions: they append what they did."""
+
+    def __init__(self):
+        self.actions = []
+
+
+def _undo(machine, rec):
+    machine.actions.append(("undo", rec.seq))
+
+
+def _deferred(machine, rec):
+    machine.actions.append(("on_durable", rec.seq))
+
+
+_DOMAIN_OPS = st.lists(st.one_of(
+    st.tuples(st.just("data"), st.integers(1, 2), st.booleans()),
+    st.tuples(st.just("meta"), st.booleans(), st.booleans(),
+              st.booleans()),
+    st.tuples(st.just("flush"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("fence")),
+    st.tuples(st.just("commit"), st.booleans(),
+              st.sampled_from([False, False, False, True])),
+    st.tuples(st.just("sync"), st.integers(1, 2), st.integers(0, 1 << 16)),
+    st.tuples(st.just("copy"), st.integers(0, 1 << 30)),
+), min_size=1, max_size=80)
+
+
+def _mutable_fields(rec):
+    fields = dict(rec.__dict__)
+    del fields["survived"]  # set once, when the record settles
+    fields["runs"] = None if rec.runs is None else list(rec.runs)
+    return fields
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=_DOMAIN_OPS)
+def test_copied_domain_crashes_like_the_full_history(ops):
+    """Random store/flush/fence/commit/sync programs, copied at random
+    steps: each copy's crash equals the full-history reference on every
+    ``CrashState`` field, on the order its actions ran and on every
+    record's ``survived``/``lost``, and leaves the records it shares
+    with the live domain as they were."""
+    live = PersistenceDomain()
+    live.machine = _Log()
+    for op in ops:
+        kind = op[0]
+        if kind == "data":
+            live.data_store(op[1], 4096, nt=op[2])
+        elif kind == "meta":
+            live.meta_store("m", 1, 64, flushed=op[1],
+                            undo=_undo if op[2] else None,
+                            on_durable=_deferred if op[3] else None)
+        elif kind == "flush" and live.records:
+            live.flush(live.records[op[1] % len(live.records)])
+        elif kind == "fence":
+            live.fence()
+        elif kind == "commit":
+            live.commit_metadata(acked=op[1], skip_fence=op[2])
+        elif kind == "sync":
+            live.sync_data(op[1], op[2] % (live.cursor() + 1))
+        elif kind == "copy":
+            twin = live.copy(_Log(), {})
+            reference = _reference_copy(live, _Log())
+            shared = [(rec, _mutable_fields(rec)) for rec in live.records
+                      if any(rec is other for other in twin.records)]
+            state = twin.apply_crash(random.Random(op[1]))
+            expected = _reference_apply_crash(reference,
+                                              random.Random(op[1]))
+            assert state == expected
+            assert twin.machine.actions == reference.machine.actions
+            assert ([(r.survived, r.lost) for r in twin.records]
+                    == [(r.survived, r.lost) for r in reference.records])
+            for rec, fields in shared:
+                assert _mutable_fields(rec) == fields
+                assert rec.survived and not rec.lost
+
+
+def _per_block_orphans(allocated, known):
+    """Orphan runs as the scan found them block by block: each
+    allocated interval split at every block some extent or table node
+    holds."""
+    runs = []
+    for start, end in allocated:
+        run_start = None
+        for block in range(start, end):
+            if block in known:
+                if run_start is not None:
+                    runs.append((run_start, block - run_start))
+                    run_start = None
+            elif run_start is None:
+                run_start = block
+        if run_start is not None:
+            runs.append((run_start, end - run_start))
+    return runs
+
+
+class _FreeLog:
+    """A device that records frees; a table node's frame is its
+    block."""
+
+    def __init__(self):
+        self.freed = []
+
+    def free(self, start, length):
+        self.freed.append((start, length))
+
+    @staticmethod
+    def block_of(frame):
+        return frame
+
+
+_RUNS = st.lists(st.tuples(st.integers(0, 300), st.integers(1, 40)),
+                 max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(allocated=_RUNS, extents=_RUNS,
+       nodes=st.lists(st.integers(0, 340), max_size=6))
+def test_orphan_scan_frees_the_per_block_runs(allocated, extents, nodes):
+    """The orphan scan subtracts extent runs and table-node blocks from
+    the allocated shadow: it frees the runs the per-block scan found,
+    in the same order, and drops them from the shadow."""
+    domain = PersistenceDomain()
+    domain.note_block_alloc(allocated)
+    before = list(domain.allocated)
+    table = SimpleNamespace(
+        pte_nodes={i: SimpleNamespace(frame=b) for i, b in enumerate(nodes)},
+        pmd_nodes={})
+    inode = SimpleNamespace(
+        extents=[SimpleNamespace(physical=start, length=length)
+                 for start, length in extents],
+        persistent_file_table=table)
+    system = SimpleNamespace(device=_FreeLog(),
+                             vfs=SimpleNamespace(inodes=lambda: [inode]))
+    known = {block for start, length in extents
+             for block in range(start, start + length)} | set(nodes)
+    expected = _per_block_orphans(before, known)
+    checker = RecoveryChecker(system, domain, CrashState())
+    assert checker._reclaim_orphans() == sum(n for _s, n in expected)
+    assert system.device.freed == expected
+    assert all(block in known for start, end in domain.allocated
+               for block in range(start, end))
 
 
 # ---------------------------------------------------------------------------

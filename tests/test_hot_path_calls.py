@@ -1,7 +1,8 @@
 """The single-thread append path makes no more Python calls per op
-than it did when it was last trimmed, and a mapped access on the
-device pools calls its pool's one-direction wait directly and counts
-its dirty bytes in place.
+than it did when it was last trimmed, a mapped access on the device
+pools calls its pool's one-direction wait directly and counts its
+dirty bytes in place, and a crash point copies only the records a
+crash can still change, however long the run before it.
 
 Counts, not timings: ``sys.setprofile`` sees every Python frame the
 measured phase enters (a generator resume counts as one), so the
@@ -14,14 +15,18 @@ the bound and says why.
 """
 
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+from repro.crash import PersistRecord, run_crash
+from repro.crash.workloads import CRASH_WORKLOADS, _append_fsync_phase
 from repro.mem import latency
 from repro.runner.manifest import SweepPoint
 from repro.vm import dirty
 from repro.runner.worker import run_point
+from repro.system import System
 from repro.vm.mm import MMStruct
 from repro.workloads.common import Measurement
 
@@ -112,3 +117,51 @@ def test_pooled_access_calls_its_pool_wait_directly(name, monkeypatch):
     assert entered & POOL_WAITS, f"{name}: no pool wait from access"
     assert entered <= POOL_WAITS, (
         f"{name}: MMStruct.access entered {sorted(entered - POOL_WAITS)}")
+
+
+#: Records copied per explored crash point of a seed-0 audit, at most.
+#: The settled prefix of the persistence domain is shared, so a point
+#: copies its tail: 22.18 per point for syncbench and 8.26 / 7.74 for
+#: its appender phase at 24 / 96 writes.  Copying every record since
+#: boot took 90.43, 41.69 and 160.09.
+COPIES_PER_POINT = {"syncbench": 23.0, "append": 8.5}
+
+
+def _copies_per_point(workload, monkeypatch):
+    """``PersistRecord.copy`` calls per explored point of a seed-0
+    crash audit of ``workload`` at every transition."""
+    copies = [0]
+    copy = PersistRecord.copy
+
+    def counted(record):
+        copies[0] += 1
+        return copy(record)
+
+    monkeypatch.setattr(PersistRecord, "copy", counted)
+    summary = run_crash(lambda: System(device_bytes=1 << 30), workload,
+                        seed=0, max_points=100_000)
+    assert summary.points_explored == summary.total_transitions > 0
+    return copies[0] / summary.points_explored
+
+
+def test_crash_point_copies_are_bounded(monkeypatch):
+    per_point = _copies_per_point("syncbench", monkeypatch)
+    assert per_point <= COPIES_PER_POINT["syncbench"], (
+        f"syncbench: {per_point:.2f} records copied per crash point, "
+        f"bound {COPIES_PER_POINT['syncbench']}")
+
+
+def test_crash_point_copies_do_not_grow_with_the_run(monkeypatch):
+    """The appender phase at its length in syncbench and four times
+    longer: the longer run's points copy no more records each."""
+    counts = {}
+    for writes in (24, 96):
+        name = f"append-{writes}"
+        monkeypatch.setitem(CRASH_WORKLOADS, name,
+                            partial(_append_fsync_phase, writes=writes))
+        counts[writes] = _copies_per_point(name, monkeypatch)
+        assert counts[writes] <= COPIES_PER_POINT["append"], (
+            f"{name}: {counts[writes]:.2f} records copied per crash "
+            f"point, bound {COPIES_PER_POINT['append']}")
+    low, high = sorted(counts.values())
+    assert high <= 1.1 * low, f"copies per point by writes: {counts}"

@@ -12,9 +12,14 @@ need a torn or leading table make one explicitly.
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.filetable import PAGES_PER_PMD
 from repro.core.recovery import RecoveryLog, verify_table_consistency
 from repro.crash import PersistenceDomain, RecoveryChecker, StorageImage
 from repro.mem.physmem import Medium
+from repro.paging.pagetable import Entry
 from repro.system import System
 from repro.vm.vma import Protection
 
@@ -199,3 +204,66 @@ def test_checker_catches_a_corrupt_huge_leaf():
         "after replay"]
     # Only the image was corrupted.
     assert verify_table_consistency(live)
+
+
+# ---------------------------------------------------------------------------
+# The table check by extent runs answers as the per-page lookup did.
+# ---------------------------------------------------------------------------
+def _per_page_consistency(inode):
+    """The table check as it was, one extent lookup per filled PTE."""
+    table = inode.persistent_file_table
+    if table is None:
+        return True
+    extents = inode.extents
+    if table.filled_pages != extents.block_count:
+        return False
+    device = table._allocator.device
+    for region, frame in table.huge_frames.items():
+        start = region * PAGES_PER_PMD
+        if not extents.pmd_capable(start) or \
+                frame != device.frame_of(extents.physical_block(start)):
+            return False
+    for region, node in table.pte_nodes.items():
+        for idx, entry in node.entries.items():
+            phys = extents.physical_block(region * PAGES_PER_PMD + idx)
+            if phys is None or entry.frame != device.frame_of(phys):
+                return False
+    return True
+
+
+_TAMPERS = st.lists(st.tuples(
+    st.sampled_from(["remap", "remap-and-fill", "bump", "drop", "extra"]),
+    st.integers(0, 1 << 16), st.integers(-2, 2)), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pages=st.integers(1, 1100), tampers=_TAMPERS)
+def test_run_table_check_equals_the_per_page_check(pages, tampers):
+    """Split extents (a remapped block, with or without its PTE
+    refilled), off-by-some frames, missing PTEs and PTEs past the end:
+    the check by runs gives the per-page check's answer each time."""
+    system = tracked_system(allow_huge=False)
+    (inode,) = make_files(system, [("/f", pages * 4096)])
+    table = inode.persistent_file_table
+    if table is None:
+        return
+    device = system.device
+    for kind, where, delta in tampers:
+        page = where % table.filled_pages
+        region, idx = divmod(page, PAGES_PER_PMD)
+        node = table.pte_nodes[region]
+        if kind.startswith("remap"):
+            (start, _length), = device.alloc(1)
+            inode.extents.replace_block(page, start)
+            if kind == "remap-and-fill":
+                node.entries[idx] = Entry(frame=device.frame_of(start))
+        elif kind == "bump" and idx in node.entries:
+            node.entries[idx] = Entry(frame=node.entries[idx].frame + delta)
+        elif kind == "drop":
+            node.entries.pop(idx, None)
+        elif kind == "extra":
+            last = max(table.pte_nodes)
+            node = table.pte_nodes[last]
+            node.entries[PAGES_PER_PMD - 1 - abs(delta)] = Entry(frame=delta)
+        assert (verify_table_consistency(inode)
+                == _per_page_consistency(inode)), (kind, page)

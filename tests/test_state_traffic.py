@@ -7,6 +7,11 @@ This scans the package source for attribute stores (``x.a = ...`` and
 ``x.a += ...``) and fails when a stored name is never loaded anywhere
 in ``src/``, ``bench/`` or ``examples/`` and never named in a string
 (a ``getattr`` key, a dataclass field name, a state-dict key).
+
+The scan matches names, not owners, so it is blind to an attribute
+that is write-only on one class while another class's attribute of the
+same name is read: ``System.placement`` was stored and never read, but
+``SweepPoint.placement`` is loaded, so the scan passed it.
 """
 
 import ast
